@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict
 
 from repro.crypto import ed25519
@@ -67,10 +68,19 @@ class Ed25519KeyPair:
     derivation as :class:`KeyPair` keeps deployments reproducible: the seed is
     a hash of the node id and deployment seed, so every process in a cluster
     derives the same membership without key exchange.
+
+    The key is expanded once, on first use, and the expansion (scalar, nonce
+    prefix, public key, the public key's window table) lives and dies with
+    this object: the membership is fixed, so a :class:`KeyRegistry` of n
+    nodes holds n tables and nothing is ever keyed by bytes off the wire.
     """
 
     node_id: str
     secret: bytes = field(repr=False)
+
+    @cached_property
+    def _key(self) -> ed25519.SigningKey:
+        return ed25519.SigningKey(self.secret)
 
     @property
     def public_key(self) -> str:
@@ -79,19 +89,15 @@ class Ed25519KeyPair:
 
     @property
     def public_key_bytes(self) -> bytes:
-        cached = _PUBLIC_KEY_CACHE.get(self.secret)
-        if cached is None:
-            cached = ed25519.public_key(self.secret)
-            _PUBLIC_KEY_CACHE[self.secret] = cached
-        return cached
+        return self._key.verify_key.encoded
 
     def mac(self, message: bytes) -> bytes:
         """Sign ``message``; the 64-byte signature is the tag."""
-        return ed25519.sign(self.secret, message)
+        return self._key.sign(message)
 
     def verify_tag(self, message: bytes, tag: bytes) -> bool:
         """Verify an Ed25519 signature against this node's public key."""
-        return ed25519.verify(self.public_key_bytes, message, tag)
+        return self._key.verify_key.verify(message, tag)
 
     @classmethod
     def generate(cls, node_id: str, deployment_seed: int = 0) -> "Ed25519KeyPair":
@@ -99,10 +105,6 @@ class Ed25519KeyPair:
         secret = hashlib.sha256(f"ed25519:{deployment_seed}:{node_id}".encode("utf-8")).digest()
         return cls(node_id=node_id, secret=secret)
 
-
-#: Memoized seed -> public key; deriving one costs a scalar multiplication
-#: (~ms in pure Python) and verification needs it on every vote.
-_PUBLIC_KEY_CACHE: Dict[bytes, bytes] = {}
 
 #: Signing scheme name -> key-pair class.
 SIGNING_SCHEMES = {
