@@ -96,10 +96,13 @@ def test_benchmark_fig13(benchmark):
     )
     hs_byz = max(r["byzantine"] for r in rows if r["protocol"] == "HS")
     sl_byz = max(r["byzantine"] for r in rows if r["protocol"] == "SL")
-    # Forking lowers HS chain growth, 2CHS stays above HS, SL stays at 1.
+    # Forking lowers HS chain growth, 2CHS stays above HS, SL is flat: the
+    # attackers change nothing.  (Its absolute value is quantised by the
+    # measurement window — the ci window holds 11 blocks and the one cut by
+    # the edge reads as 10/11 — so "flat" is the claim, not "equals 1".)
     assert _metric(rows, "HS", hs_byz, "cgr") < _metric(rows, "HS", 0, "cgr")
     assert _metric(rows, "2CHS", hs_byz, "cgr") > _metric(rows, "HS", hs_byz, "cgr")
-    assert _metric(rows, "SL", sl_byz, "cgr") > 0.97
+    assert _metric(rows, "SL", sl_byz, "cgr") == _metric(rows, "SL", 0, "cgr") >= 0.9
     # Block intervals start at the commit-rule depth and grow under attack.
     assert abs(_metric(rows, "HS", 0, "block_interval") - 3.0) < 0.3
     assert abs(_metric(rows, "2CHS", 0, "block_interval") - 2.0) < 0.3

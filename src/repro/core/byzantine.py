@@ -303,6 +303,12 @@ class TargetedOmissionReplica(Replica):
             return
         Replica._send(self, dst, message)
 
+    def _broadcast(self, message: Message, include_self: bool = False) -> None:
+        # One copy at a time, so each passes the victim filter in _send.
+        for dst in self.peers:
+            if dst != self.node_id or include_self:
+                self._send(dst, message)
+
     def _jitter(self, dst: str, message: Message) -> float:
         # Deterministic "random" delay in [0.5, 1.5) x omission_delay: python's
         # hash() is salted per process, so derive the jitter from a digest to

@@ -346,26 +346,13 @@ class Replica:
     # ------------------------------------------------------------------
     # Every protocol message this replica emits goes through these two
     # hooks.  Honest replicas pass straight through to the network; omission
-    # strategies (repro.core.byzantine) override _send to drop or delay
+    # strategies (repro.core.byzantine) override both to drop or delay
     # messages addressed to their victims without touching the network layer.
     def _send(self, dst: str, message: Message) -> None:
         self.network.send(self.node_id, dst, message)
 
     def _broadcast(self, message: Message, include_self: bool = False) -> None:
-        if type(self)._send is Replica._send:
-            # No per-destination interception installed: hand the whole
-            # fanout to the network's batched broadcast (identical delivery
-            # timestamps to the loop below, a fraction of the bookkeeping).
-            self.network.broadcast(
-                self.node_id, self.peers, message, include_self=include_self
-            )
-            return
-        for dst in self.peers:
-            if dst == self.node_id and not include_self:
-                continue
-            self._send(dst, message)
-        if include_self and self.node_id not in self.peers:
-            self._send(self.node_id, message)
+        self.network.broadcast(self.node_id, self.peers, message, include_self=include_self)
 
     def _processing_cost(self, message: Message) -> float:
         """CPU service time for validating an incoming message."""

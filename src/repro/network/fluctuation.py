@@ -3,8 +3,8 @@
 During the responsiveness experiment the paper manually injects 10 seconds of
 network fluctuation in which inter-node delays vary between 10 and 100 ms.
 A :class:`FluctuationWindow` describes such an interval; the network adds the
-sampled extra delay to every replica-to-replica message sent while the window
-is active.
+sampled extra delay to every copy that leaves its sender's NIC while the
+window is active.
 """
 
 from __future__ import annotations

@@ -4,33 +4,35 @@ Message path (mirroring the paper's delay decomposition)::
 
     sender NIC  ->  propagation delay  ->  receiver NIC  ->  deliver()
 
-The propagation delay is ``base_delay + extra_delay (+ fluctuation)`` where
-``base_delay`` models the data-center LAN and ``extra_delay`` is the
-configurable ``delay`` parameter of Table I.  Per-node slow-downs (the "slow"
-run-time command) and partitions are applied before a message is accepted.
+There is one pipeline.  :meth:`Network.send` and :meth:`Network.broadcast`
+enter the same transmit body, which settles everything about a wire copy at
+send time and posts a single arrival entry for it; the arrival reserves the
+receiver's NIC and posts the delivery.  Two handle-free heap tuples per
+message, whatever conditions are installed.
 
-Two delivery pipelines implement the same model:
+What is evaluated when, per destination and in destination order:
 
-* The **fast path** runs whenever no fault condition is installed (no
-  partitions, fluctuation windows, slow factors, or crashed nodes).  It
-  reserves the egress NIC analytically, samples the propagation delay at
-  send time, and posts a single arrival entry per destination; the arrival
-  reserves the ingress NIC and posts the delivery.  Two handle-free heap
-  tuples per message, no closures.
-* The **fault path** keeps the full event chain (egress completion →
-  propagate → arrive → deliver) so fluctuation windows and slow factors are
-  evaluated at the moment the message leaves the sender's NIC, exactly as
-  before.
+* **at send** — a crashed sender or destination and any active partition
+  between the two drop the copy; the base (LAN) and configured extra delay
+  are drawn from the ``"network"`` stream; the copy takes the next FIFO slot
+  of the sender's egress NIC; every fluctuation window active at that slot's
+  *completion* time (the instant the copy leaves the NIC, known analytically)
+  adds its sample; the larger slow factor of the two ends multiplies the
+  propagation delay; ``hop_delay`` is observed;
+* **at arrival** — crashes are checked again (either end may have crashed
+  while the copy was on the wire), then the ingress NIC is reserved;
+* **at delivery** — a destination that crashed behind its ingress queue
+  drops the message.
 
-Both paths draw base/extra delay samples from the same ``"network"``
-stream; the fast path draws them at send time (the draw order is the send
-order), the fault path at egress completion as before.
+Fault state is consulted only while something is installed, and expired
+partitions and windows are pruned on the way, so a condition that touches no
+message changes no timestamp and no random draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.network.delays import DelayModel, NoDelay, NormalDelay
 from repro.network.fluctuation import FluctuationWindow
@@ -57,13 +59,6 @@ class NetworkStats:
     messages_dropped: int = 0
     bytes_sent: int = 0
     per_type_counts: Dict[str, int] = field(default_factory=dict)
-
-    def record_send(self, message: Message) -> None:
-        self.messages_sent += 1
-        self.bytes_sent += message.size_bytes
-        kind = message.__class__.__name__
-        counts = self.per_type_counts
-        counts[kind] = counts.get(kind, 0) + 1
 
 
 class Network:
@@ -170,9 +165,9 @@ class Network:
     def _prune_expired(self, now: float) -> None:
         """Drop partitions and fluctuation windows that can never act again.
 
-        Both lists are scanned on every fault-path send, so long fuzz
-        campaigns would otherwise pay O(total fault history) per message.
-        Pruning also re-arms the fast path once every fault has expired.
+        Both lists are scanned for every copy sent while they are non-empty,
+        so long fuzz campaigns would otherwise pay O(total fault history) per
+        message.
         """
         partitions = self._partitions
         if partitions:
@@ -202,125 +197,31 @@ class Network:
     # ------------------------------------------------------------------
     def send(self, src: str, dst: str, message: Message) -> None:
         """Send ``message`` from ``src`` to ``dst`` through NICs and the wire."""
-        handlers = self._handlers
-        if src not in handlers:
-            raise KeyError(f"unknown sender {src!r}")
-        if dst not in handlers:
-            raise KeyError(f"unknown destination {dst!r}")
-        stats = self.stats
-        stats.messages_sent += 1
-        stats.bytes_sent += message.size_bytes
-        counts = stats.per_type_counts
-        kind = message.__class__.__name__
-        counts[kind] = counts.get(kind, 0) + 1
-        if message.message_id < 0:
-            self._message_seq += 1
-            message.message_id = self._message_seq
-        if self._partitions or self._fluctuations or self._slow_factor or self._crashed:
-            self._send_faulty(src, dst, message)
-            return
-        if src == dst:
-            # Loopback skips the NICs; a replica talking to itself (e.g. the
-            # leader "sending" its own vote) costs only a context switch.
-            self.scheduler.post_after(self.local_delivery_delay, self._deliver, dst, message)
-            return
-        rng = self._rng
-        delay = self.base_delay.sample(rng)
-        extra = self.extra_delay
-        if type(extra) is not NoDelay:
-            delay += extra.sample(rng)
-        # Egress reservation inlined from NetworkInterface.reserve — this is
-        # the single busiest line in the simulator (one per unicast message).
-        egress = self._egress[src]
-        size = message.size_bytes
-        service_time = egress.fixed_overhead + size / egress.bandwidth_bps
-        egress.bytes_transferred += size
-        egress.messages_transferred += 1
-        egress.busy_reserved += service_time
-        free_at = egress.free_at
-        now = self.scheduler.now
-        completion = (free_at if free_at > now else now) + service_time
-        egress.free_at = completion
-        tr = self.tracer
-        if tr is not None:
-            # Hop delay as experienced on the wire: egress serialization
-            # (including queueing behind earlier copies) plus propagation.
-            tr.metrics.observe(src, "hop_delay", (completion - now) + delay)
-        self.scheduler.post_at(completion + delay, self._arrive_fast, dst, message)
+        self._transmit(src, (dst,), message)
 
     def broadcast(self, src: str, targets: List[str], message: Message, include_self: bool = False) -> None:
         """Send ``message`` to every node in ``targets`` (and optionally ``src``).
 
-        On the fault-free path the whole batch is processed in one pass: the
-        egress NIC is reserved once per destination (the copies still
-        serialize) and each destination gets a single arrival entry, with
-        delay samples drawn in destination order — byte-identical delivery
-        timestamps to looping :meth:`send`, at a fraction of the per-message
-        bookkeeping.  Any installed fault condition falls back to the full
-        per-message pipeline.
+        Identical to looping :meth:`send` over the same destinations —
+        delivery timestamps, drops and counters — with the stamping and
+        counting done once per fanout instead of once per copy.
         """
-        if self._partitions or self._fluctuations or self._slow_factor or self._crashed:
-            for dst in targets:
-                if dst == src and not include_self:
-                    continue
-                self.send(src, dst, message)
-            if include_self and src not in targets:
-                self.send(src, src, message)
-            return
+        if not include_self:
+            targets = [dst for dst in targets if dst != src]
+        elif src not in targets:
+            targets = [*targets, src]
+        self._transmit(src, targets, message)
+
+    def _transmit(self, src: str, dsts: Sequence[str], message: Message) -> None:
+        """The one send path: settle each copy for ``dsts`` now, post its arrival."""
         handlers = self._handlers
         if src not in handlers:
             raise KeyError(f"unknown sender {src!r}")
         if message.message_id < 0:
             self._message_seq += 1
             message.message_id = self._message_seq
-        egress = self._egress[src]
-        rng = self._rng
-        base_sample = self.base_delay.sample
-        extra = self.extra_delay
-        extra_sample = None if type(extra) is NoDelay else extra.sample
-        post_at = self.scheduler.post_at
+        fanout = len(dsts)
         size = message.size_bytes
-        arrive = self._arrive_fast
-        tr = self.tracer
-        sent_self = False
-        fanout = 0
-        wire = 0
-        # Batched egress reservation: the copies still serialize behind one
-        # another (free_at advances by one service time per copy, exactly as
-        # NetworkInterface.reserve would), but the NIC's counters are settled
-        # once per fanout instead of once per copy.
-        service_time = egress.fixed_overhead + size / egress.bandwidth_bps
-        free_at = egress.free_at
-        now = self.scheduler.now
-        if free_at < now:
-            free_at = now
-        for dst in targets:
-            if dst == src:
-                if not include_self:
-                    continue
-                sent_self = True
-                fanout += 1
-                self.scheduler.post_after(self.local_delivery_delay, self._deliver, dst, message)
-                continue
-            if dst not in handlers:
-                raise KeyError(f"unknown destination {dst!r}")
-            fanout += 1
-            wire += 1
-            delay = base_sample(rng)
-            if extra_sample is not None:
-                delay += extra_sample(rng)
-            free_at += service_time
-            if tr is not None:
-                tr.metrics.observe(src, "hop_delay", (free_at - now) + delay)
-            post_at(free_at + delay, arrive, dst, message)
-        if wire:
-            egress.free_at = free_at
-            egress.busy_reserved += wire * service_time
-            egress.bytes_transferred += wire * size
-            egress.messages_transferred += wire
-        if include_self and not sent_self:
-            fanout += 1
-            self.scheduler.post_after(self.local_delivery_delay, self._deliver, src, message)
         stats = self.stats
         stats.messages_sent += fanout
         stats.bytes_sent += fanout * size
@@ -328,70 +229,74 @@ class Network:
         kind = message.__class__.__name__
         counts[kind] = counts.get(kind, 0) + fanout
 
-    # ------------------------------------------------------------------
-    # fast-path pipeline (no faults installed when the message was sent)
-    # ------------------------------------------------------------------
-    def _arrive_fast(self, dst: str, message: Message) -> None:
-        if dst in self._crashed:
-            # The destination crashed while the message was on the wire.
-            self.stats.messages_dropped += 1
-            self._trace_drop(dst, message, "crashed-dst")
-            return
-        # transfer() inlined (reserve + post): one fewer call per arrival.
-        ingress = self._ingress[dst]
-        self.scheduler.post_at(
-            ingress.reserve(message.size_bytes), self._deliver, dst, message
-        )
-
-    # ------------------------------------------------------------------
-    # fault-path pipeline (full event chain, conditions evaluated en route)
-    # ------------------------------------------------------------------
-    def _send_faulty(self, src: str, dst: str, message: Message) -> None:
-        now = self.scheduler.now
-        self._prune_expired(now)
-        if src in self._crashed or dst in self._crashed:
-            self.stats.messages_dropped += 1
-            self._trace_drop(dst, message, "crashed")
-            return
-        for partition in self._partitions:
-            if partition.blocks(src, dst, now):
-                self.stats.messages_dropped += 1
-                self._trace_drop(dst, message, "partitioned")
-                return
-        if src == dst:
-            self.scheduler.post_after(self.local_delivery_delay, self._deliver, dst, message)
-            return
-        self._egress[src].transfer(message.size_bytes, self._propagate, src, dst, message)
-
-    def _propagate(self, src: str, dst: str, message: Message) -> None:
-        rng = self._rng
-        delay = self.base_delay.sample(rng) + self.extra_delay.sample(rng)
-        now = self.scheduler.now
-        for window in self._fluctuations:
-            if window.active(now):
-                delay += window.sample(rng)
+        scheduler = self.scheduler
+        now = scheduler.now
+        crashed = self._crashed
         slow = self._slow_factor
-        if slow:
-            factor = max(slow.get(src, 1.0), slow.get(dst, 1.0))
-            delay *= factor
-        self.scheduler.post_after(delay, self._arrive, src, dst, message)
+        # Truthy iff any fault state is installed; nothing below consults it otherwise.
+        conditioned = crashed or slow or self._partitions or self._fluctuations
+        if conditioned:
+            self._prune_expired(now)
+        partitions = self._partitions
+        windows = self._fluctuations
+        rng = self._rng
+        base_sample = self.base_delay.sample
+        extra = self.extra_delay
+        extra_sample = None if type(extra) is NoDelay else extra.sample
+        reserve = self._egress[src].reserve
+        post_at = scheduler.post_at
+        arrive = self._arrive
+        tr = self.tracer
+        for dst in dsts:
+            if dst not in handlers:
+                raise KeyError(f"unknown destination {dst!r}")
+            if conditioned:
+                if src in crashed or dst in crashed:
+                    self._drop(dst, message, "crashed")
+                    continue
+                if partitions and any(p.blocks(src, dst, now) for p in partitions):
+                    self._drop(dst, message, "partitioned")
+                    continue
+            if dst == src:
+                # Loopback skips the NICs; a replica talking to itself (e.g.
+                # the leader "sending" its own vote) costs a context switch.
+                scheduler.post_after(self.local_delivery_delay, self._deliver, dst, message)
+                continue
+            delay = base_sample(rng)
+            if extra_sample is not None:
+                delay += extra_sample(rng)
+            # The copies of a fanout serialize through the egress NIC.
+            completion = reserve(size)
+            if conditioned:
+                for window in windows:
+                    if window.active(completion):
+                        delay += window.sample(rng)
+                if slow:
+                    delay *= max(slow.get(src, 1.0), slow.get(dst, 1.0))
+            if tr is not None:
+                # Hop delay as experienced on the wire: egress serialization
+                # (including queueing behind earlier copies) plus propagation.
+                tr.metrics.observe(src, "hop_delay", (completion - now) + delay)
+            post_at(completion + delay, arrive, src, dst, message)
 
     def _arrive(self, src: str, dst: str, message: Message) -> None:
-        if dst in self._crashed or src in self._crashed:
-            self.stats.messages_dropped += 1
-            self._trace_drop(dst, message, "crashed")
+        crashed = self._crashed
+        if crashed and (src in crashed or dst in crashed):
+            self._drop(dst, message, "crashed")
             return
-        self._ingress[dst].transfer(message.size_bytes, self._deliver, dst, message)
+        self.scheduler.post_at(
+            self._ingress[dst].reserve(message.size_bytes), self._deliver, dst, message
+        )
 
     def _deliver(self, dst: str, message: Message) -> None:
         if dst in self._crashed:
-            self.stats.messages_dropped += 1
-            self._trace_drop(dst, message, "crashed-dst")
+            self._drop(dst, message, "crashed-dst")
             return
         self.stats.messages_delivered += 1
         self._handlers[dst](message)
 
-    def _trace_drop(self, dst: str, message: Message, reason: str) -> None:
+    def _drop(self, dst: str, message: Message, reason: str) -> None:
+        self.stats.messages_dropped += 1
         tr = self.tracer
         if tr is not None:
             tr.emit(

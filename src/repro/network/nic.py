@@ -13,15 +13,12 @@ the arrival event for ingress), the FIFO completion time of a transfer is
 simply ``max(now, free_at) + service_time`` — identical to what a
 work-conserving single-server queue driven by per-job completion events
 would produce, but without burning a heap entry per job on the server's own
-bookkeeping.  Callers either take the completion timestamp from
+bookkeeping.  Callers take the completion timestamp from
 :meth:`NetworkInterface.reserve` and fold it into their own single delivery
-event, or use :meth:`NetworkInterface.transfer` which posts the completion
-callback directly.
+event.
 """
 
 from __future__ import annotations
-
-from typing import Any, Callable
 
 from repro.sim.events import EventScheduler
 
@@ -77,11 +74,6 @@ class NetworkInterface:
         completion = (free_at if free_at > now else now) + service_time
         self.free_at = completion
         return completion
-
-    def transfer(self, size_bytes: int, on_complete: Callable[..., Any], *args: Any) -> None:
-        """Push ``size_bytes`` through the interface, then run ``on_complete(*args)``."""
-        completion = self.reserve(size_bytes)
-        self.scheduler.post_at(completion, on_complete, *args)
 
     def utilization(self) -> float:
         """Fraction of elapsed simulated time the interface has been busy."""

@@ -4,10 +4,11 @@ The design follows the LibraBFT-style view synchronization the paper adopts
 (§III-B): whenever a replica's view timer expires it broadcasts a
 ``TIMEOUT`` message for its current view; receiving a quorum (2f+1) of
 timeouts for a view forms a TimeoutCertificate (TC) and lets the replica
-advance to the next view.  Views also advance on the happy path whenever a
-QC for the current view is observed.  The pacemaker itself does no
-networking — it exposes callbacks and lets the replica put messages on the
-wire — which keeps it reusable by every protocol.
+advance to the next view; f+1 timeouts for a view *ahead* of the replica's
+own pull it into that view (the join rule).  Views also advance on the
+happy path whenever a QC for the current view is observed.  The pacemaker
+itself does no networking — it exposes callbacks and lets the replica put
+messages on the wire — which keeps it reusable by every protocol.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 from repro.obs import trace as obs_trace
-from repro.quorum.quorum import TimeoutTracker
+from repro.quorum.quorum import TimeoutTracker, max_faulty
 from repro.sim.events import Event, EventScheduler
 from repro.types.certificates import Timeout, TimeoutCertificate
 
@@ -33,6 +34,7 @@ class ViewChangeReason(enum.Enum):
     START = "start"
     QC = "qc"
     TC = "tc"
+    JOIN = "join"
 
 
 @dataclass
@@ -42,6 +44,7 @@ class PacemakerStats:
     local_timeouts: int = 0
     view_changes_on_qc: int = 0
     view_changes_on_tc: int = 0
+    view_changes_on_join: int = 0
     highest_view: int = 0
     #: Entry times of the most recent :data:`VIEW_HISTORY_BOUND` views
     #: (oldest evicted first; insertion order is view-entry order).
@@ -155,8 +158,23 @@ class Pacemaker:
         return True
 
     def process_remote_timeout(self, timeout: Timeout) -> Optional[TimeoutCertificate]:
-        """Record a peer's TIMEOUT message; return a TC when one forms."""
-        return self.timeout_tracker.add_and_certify(timeout)
+        """Record a peer's TIMEOUT message; return a TC when one forms.
+
+        Join rule: once f+1 distinct replicas — so at least one honest one —
+        have timed out of a view ahead of ours, enter it.  The timer is armed
+        as for any view, so our own TIMEOUT follows on expiry and completes
+        the TC.  Without this, a cluster whose halves sit one view apart
+        (after a partition heals, say) re-broadcasts timeouts the other half
+        can never use, forever.
+        """
+        tracker = self.timeout_tracker
+        if not tracker.record(timeout):
+            return None
+        view = timeout.view
+        if view > self.current_view and tracker.timeout_count(view) > max_faulty(tracker.num_nodes):
+            self.stats.view_changes_on_join += 1
+            self._enter_view(view, ViewChangeReason.JOIN)
+        return tracker.certified(view)
 
     # ------------------------------------------------------------------
     # internals

@@ -83,9 +83,10 @@ class ScenarioEvent:
                 for key, value in self.to_dict().items()
                 if key not in ("kind", "at") and value is not None
             }
+            alias = getattr(self, "replica", None)
             tracer.emit(
                 self.at,
-                str(getattr(self, "replica", "cluster")),
+                "cluster" if alias is None else resolve_replica(cluster, alias),
                 obs_trace.FAULT,
                 self.kind,
                 0,

@@ -64,8 +64,12 @@ class TestPartition:
         assert cluster.replicas["r0"].forest.committed_height > 10
         assert cluster.consistency_check()
 
-    def test_majority_loss_stalls_commits_until_heal(self):
-        cluster = make_cluster()
+    @pytest.mark.parametrize("seed", range(1, 10))
+    def test_majority_loss_stalls_commits_until_heal(self, seed):
+        # Every seed must recover: the halves come out of the partition one
+        # view apart on most of them, which only the pacemaker's join rule
+        # (f+1 timeouts for a view ahead) resolves.
+        cluster = make_cluster(seed=seed)
         cluster.network.add_partition(
             Partition(
                 groups=(frozenset({"r0", "r1"}), frozenset({"r2", "r3"})),

@@ -83,28 +83,26 @@ class TestDelayModels:
 
 
 class TestNic:
-    def test_transfer_time_scales_with_size(self):
+    def test_reserve_time_scales_with_size(self):
         sched = EventScheduler()
         nic = NetworkInterface(sched, "nic", bandwidth_bps=1000, fixed_overhead=0.0)
-        done = []
-        nic.transfer(500, lambda: done.append(sched.now))
-        sched.run_until(10.0)
-        assert done == [pytest.approx(0.5)]
+        assert nic.reserve(500) == pytest.approx(0.5)
 
-    def test_transfers_serialize(self):
+    def test_reservations_serialize(self):
         sched = EventScheduler()
         nic = NetworkInterface(sched, "nic", bandwidth_bps=1000, fixed_overhead=0.0)
-        done = []
-        nic.transfer(1000, lambda: done.append(sched.now))
-        nic.transfer(1000, lambda: done.append(sched.now))
-        sched.run_until(10.0)
-        assert done == [pytest.approx(1.0), pytest.approx(2.0)]
+        assert nic.reserve(1000) == pytest.approx(1.0)
+        assert nic.reserve(1000) == pytest.approx(2.0)
+        # An idle interface starts the next job at the current time, not at
+        # the end of the previous reservation.
+        sched.run_until(5.0)
+        assert nic.reserve(1000) == pytest.approx(6.0)
 
     def test_counters(self):
         sched = EventScheduler()
         nic = NetworkInterface(sched, "nic")
-        nic.transfer(100, lambda: None)
-        nic.transfer(200, lambda: None)
+        nic.reserve(100)
+        nic.reserve(200)
         assert nic.bytes_transferred == 300
         assert nic.messages_transferred == 2
 
@@ -114,7 +112,7 @@ class TestNic:
             NetworkInterface(sched, "nic", bandwidth_bps=0)
         nic = NetworkInterface(sched, "nic")
         with pytest.raises(ValueError):
-            nic.transfer(-1, lambda: None)
+            nic.reserve(-1)
 
 
 class TestDelivery:

@@ -43,7 +43,7 @@ from repro.obs.export import (
     write_jsonl,
 )
 from repro.scenario import Scenario, ScenarioRunner
-from repro.scenario.events import CrashReplica, RecoverReplica
+from repro.scenario.events import CrashReplica, NetworkFluctuation, RecoverReplica
 
 
 def small_config(**overrides):
@@ -183,13 +183,34 @@ class TestInstrumentation:
         assert metrics.merged_histogram("hop_delay").count > 0
         assert metrics.merged_histogram("queue_depth").count > 0
 
+    def test_hop_delay_covers_traffic_under_a_fluctuation_window(self):
+        scenario = Scenario(
+            name="fluctuation",
+            events=[NetworkFluctuation(at=0.2, duration=0.2, min_delay=0.02, max_delay=0.03)],
+        )
+        runner = ScenarioRunner(small_config(), scenario)
+        with tracing() as tracer:
+            cluster = runner.build()
+            runner.run(cluster)
+        network = cluster.network
+        wire_copies = sum(
+            network.egress_nic(node).messages_transferred for node in network.endpoints()
+        )
+        hops = tracer.metrics.merged_histogram("hop_delay")
+        assert hops.count == wire_copies
+        # The window's messages are in the histogram, not missing from it.
+        assert hops.max >= 0.02
+
     def test_crash_scenario_emits_fault_and_net_records(self):
         with tracing() as tracer:
             ScenarioRunner(small_config(), crash_scenario()).run()
         records = tracer.records()
         faults = [r for r in records if r.category == "fault"]
         assert [f.kind for f in faults] == ["crash-replica", "recover-replica"]
-        assert faults[0].replica == "last"
+        # Fault records land on the resolved replica's lane, not on a phantom
+        # lane named after the scenario's "last" alias.
+        assert faults[0].replica == "r3"
+        assert {r.replica for r in records} == {"c0", "c1", "r0", "r1", "r2", "r3"}
         assert any(r.category == "timeout" for r in records)
         assert any(r.category == "net" for r in records)
 

@@ -197,6 +197,44 @@ class TestTimeoutCertificates:
         assert h.pacemaker._consecutive_timeouts == 1
 
 
+class TestJoinRule:
+    def test_one_replica_cannot_pull_others_ahead(self):
+        h = PacemakerHarness()
+        h.pacemaker.start()
+        assert h.pacemaker.process_remote_timeout(h.remote_timeout("r3", view=7)) is None
+        # Re-sent copies of the same replica's timeout count once.
+        assert h.pacemaker.process_remote_timeout(h.remote_timeout("r3", view=7)) is None
+        assert h.pacemaker.current_view == 1
+        assert h.pacemaker.stats.view_changes_on_join == 0
+
+    def test_f_plus_one_timeouts_for_a_view_ahead_are_joined(self):
+        h = PacemakerHarness(view_timeout=0.1)
+        h.pacemaker.start()
+        h.pacemaker.process_remote_timeout(h.remote_timeout("r2", view=7))
+        assert h.pacemaker.process_remote_timeout(h.remote_timeout("r3", view=7)) is None
+        assert h.pacemaker.current_view == 7
+        assert h.view_starts[-1] == (7, ViewChangeReason.JOIN)
+        assert h.pacemaker.stats.view_changes_on_join == 1
+        # The joined view's timer is armed: our own TIMEOUT follows on expiry
+        # and, recorded like anyone's, completes the TC.
+        h.scheduler.run_until(0.11)
+        assert h.local_timeouts == [7]
+        tc = h.pacemaker.process_remote_timeout(h.remote_timeout("r0", view=7))
+        assert tc is not None and tc.view == 7
+        assert h.pacemaker.advance_on_tc(tc)
+        assert h.pacemaker.current_view == 8
+
+    def test_timeouts_for_the_current_or_a_past_view_do_not_join(self):
+        h = PacemakerHarness()
+        h.pacemaker.start()
+        h.pacemaker.advance_on_qc(4)
+        for view in (3, 5):
+            for voter in ("r1", "r2"):
+                h.pacemaker.process_remote_timeout(h.remote_timeout(voter, view=view))
+        assert h.pacemaker.current_view == 5
+        assert h.pacemaker.stats.view_changes_on_join == 0
+
+
 class TestStatsBounds:
     def test_views_entered_at_is_bounded(self):
         from repro.pacemaker.pacemaker import VIEW_HISTORY_BOUND

@@ -3,14 +3,17 @@
 The fast tier (``post_at``/``post_after``) must be observationally identical
 to the cancellable tier (``call_at``/``call_after``) in everything except the
 handle: execution order, clock semantics, horizon behaviour, and
-``max_events`` early-stop.  Likewise the batched broadcast fast path must
-produce byte-identical delivery timestamps to looping ``send`` over the same
-destinations.  These tests pin those contracts so future scheduler or
-network work cannot silently fork the two paths.
+``max_events`` early-stop.  Likewise ``Network.broadcast`` must produce
+byte-identical delivery timestamps to looping ``send`` over the same
+destinations, with or without a network condition installed, and a condition
+that touches no message must change nothing.  These tests pin those
+contracts so future scheduler or network work cannot silently fork a path.
 """
 
 import pytest
 
+from repro.bench.config import Configuration
+from repro.bench.runner import build_cluster
 from repro.network.delays import FixedDelay, NormalDelay
 from repro.network.network import Network
 from repro.network.partition import Partition
@@ -150,15 +153,125 @@ class TestBatchedBroadcast:
         assert net_a.stats.bytes_sent == net_b.stats.bytes_sent
         assert net_a.stats.per_type_counts == net_b.stats.per_type_counts
 
-    def test_broadcast_fast_path_disengages_under_faults(self):
-        """Any installed fault routes a broadcast through the full pipeline."""
+
+def _timestamps(recv):
+    return {node: [t for t, _ in messages] for node, messages in recv.items()}
+
+
+def _chatter(sched, net, rounds=4):
+    """Sends and broadcasts among a, b, c from t=0.1 on; d never takes part."""
+    sched.run_until(0.1)
+    for round_no in range(rounds):
+        net.broadcast("a", ["a", "b", "c"], Message(sender="a", size_bytes=2000),
+                      include_self=True)
+        net.send("b", "c", Message(sender="b", size_bytes=300))
+        net.send("c", "a", Message(sender="c", size_bytes=300))
+        sched.run_until(0.1 + 0.01 * (round_no + 1))
+    sched.run_until_idle()
+
+
+# Conditions that are installed but touch none of _chatter's messages.
+IDLE_CONDITIONS = {
+    "slow-bystander": lambda net: net.set_slow("d", 3.0),
+    "unit-slow-factor": lambda net: net.set_slow("a", 1.0),
+    "window-already-over": lambda net: net.add_fluctuation(
+        FluctuationWindow(start=0.0, end=0.05, min_delay=0.01, max_delay=0.02)),
+    "partition-of-strangers": lambda net: net.add_partition(
+        Partition(groups=(frozenset({"x"}), frozenset({"y"})))),
+}
+
+# Conditions that do touch a broadcast from a to [a, b, c, d] at t=0.1.
+LIVE_CONDITIONS = {
+    "partition": lambda net: net.add_partition(
+        Partition(groups=(frozenset({"a", "b"}), frozenset({"c", "d"})))),
+    "fluctuation": lambda net: net.add_fluctuation(
+        FluctuationWindow(start=0.0, end=1.0, min_delay=0.01, max_delay=0.02)),
+    "slow": lambda net: net.set_slow("c", 4.0),
+    "crashed-destination": lambda net: net.crash("d"),
+}
+
+
+class TestSinglePipeline:
+    @pytest.mark.parametrize("condition", sorted(IDLE_CONDITIONS))
+    def test_idle_condition_changes_no_timestamp(self, condition):
+        sched_a, net_a, recv_a = _cluster(seed=21)
+        sched_b, net_b, recv_b = _cluster(seed=21)
+        IDLE_CONDITIONS[condition](net_b)
+        _chatter(sched_a, net_a)
+        _chatter(sched_b, net_b)
+        assert _timestamps(recv_a) == _timestamps(recv_b)
+        assert net_a.stats == net_b.stats
+        assert net_b.stats.messages_dropped == 0
+
+    def test_idle_condition_changes_no_run_metric(self):
+        """A whole cluster run is blind to a condition that touches nothing."""
+        config = Configuration(
+            protocol="hotstuff", num_nodes=4, block_size=20, concurrency=8,
+            num_clients=2, runtime=0.5, warmup=0.1, cooldown=0.1,
+            cost_profile="fast", view_timeout=0.05, seed=13,
+        )
+
+        def run(install):
+            cluster = build_cluster(config)
+            install(cluster.network)
+            cluster.start()
+            cluster.run()
+            return cluster.metrics.summarize().to_dict()
+
+        plain = run(lambda net: None)
+        assert plain["throughput_tps"] > 0
+        for install in (
+            lambda net: net.set_slow("r2", 1.0),
+            IDLE_CONDITIONS["partition-of-strangers"],
+        ):
+            assert run(install) == plain
+
+    @pytest.mark.parametrize("condition", sorted(LIVE_CONDITIONS))
+    def test_broadcast_matches_looped_send_under_condition(self, condition):
+        targets = ["a", "b", "c", "d"]
+        sched_a, net_a, recv_a = _cluster(seed=33)
+        sched_b, net_b, recv_b = _cluster(seed=33)
+        for net, sched in ((net_a, sched_a), (net_b, sched_b)):
+            LIVE_CONDITIONS[condition](net)
+            sched.run_until(0.1)
+        for _ in range(3):
+            net_a.broadcast("a", targets, Message(sender="a", size_bytes=2000),
+                            include_self=True)
+            for dst in targets:
+                net_b.send("a", dst, Message(sender="a", size_bytes=2000))
+        sched_a.run_until_idle()
+        sched_b.run_until_idle()
+        assert _timestamps(recv_a) == _timestamps(recv_b)
+        assert net_a.stats == net_b.stats
+        # The condition was live: it dropped or visibly delayed something.
+        if condition in ("partition", "crashed-destination"):
+            assert net_a.stats.messages_dropped > 0
+        else:
+            assert max(_timestamps(recv_a)["c"]) > 0.1 + 4e-3
+
+    def test_message_in_flight_is_dropped_when_its_sender_crashes(self):
         sched, net, recv = _cluster(seed=3, base_delay=FixedDelay(1e-3))
-        net.add_partition(Partition(groups=(frozenset({"a"}), frozenset({"b", "c", "d"}))))
-        net.broadcast("a", ["a", "b", "c", "d"], Message(sender="a", size_bytes=100))
+        net.send("a", "b", Message(sender="a", size_bytes=100))
+        sched.run_until(0.5e-3)
+        net.crash("a")
         sched.run_until_idle()
-        # Everything crossing the partition was dropped.
-        assert all(not recv[n] for n in ("b", "c", "d"))
-        assert net.stats.messages_dropped == 3
+        assert not recv["b"]
+        assert net.stats.messages_dropped == 1
+
+    @pytest.mark.parametrize("conditioned", [False, True])
+    def test_two_scheduler_events_per_delivered_message(self, conditioned):
+        sched, net, recv = _cluster(seed=4)
+        if conditioned:
+            net.set_slow("b", 2.0)
+            net.add_fluctuation(
+                FluctuationWindow(start=0.0, end=1.0, min_delay=0.01, max_delay=0.02))
+        before = sched.processed_events
+        net.broadcast("a", ["a", "b", "c", "d"], Message(sender="a", size_bytes=500))
+        net.send("b", "c", Message(sender="b", size_bytes=500))
+        sched.run_until_idle()
+        delivered = net.stats.messages_delivered
+        assert delivered == 4
+        assert sched.processed_events - before == 2 * delivered
 
 
 class TestFaultPruning:
