@@ -132,6 +132,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_deploy(args: argparse.Namespace) -> int:
     """Run one real-transport deployment (see :mod:`repro.transport`)."""
+    from repro.transport.runtime import run_deployment
+
     data = _load_json(args.config) if args.config else {}
     config = Configuration.from_dict(data.get("config", data))
     overrides: Dict[str, Any] = {"mode": "deploy"}
@@ -149,7 +151,7 @@ def _cmd_deploy(args: argparse.Namespace) -> int:
         overrides["seed"] = args.seed
     config = config.replace(**overrides).validate()
     with _traced(args):
-        result = run_experiment(config)
+        result = run_deployment(config)
     metrics = result.metrics.to_dict()
     if args.json:
         print(json.dumps(metrics | {"consistent": result.consistent}, indent=2))
@@ -164,6 +166,7 @@ def _cmd_deploy(args: argparse.Namespace) -> int:
     # Stable one-per-line facts for scripts and the CI deploy-smoke grep.
     print(f"committed transactions: {result.metrics.committed_transactions}")
     print(f"consistent: {'true' if result.consistent else 'false'}")
+    print(f"frames per socket write: {result.transport.frames_per_write:.2f}")
     if args.store:
         from repro.experiments.spec import run_key
 

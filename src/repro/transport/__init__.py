@@ -8,7 +8,12 @@ See :mod:`repro.transport.base` for the seam contract,
 from repro.transport.base import Clock, TimerHandle, Transport
 from repro.transport.clock import AsyncioClock, AsyncioTimer
 from repro.transport.asyncio_net import AsyncioTransport, TransportStats
-from repro.transport.runtime import DeploymentError, DeploymentRunner, run_deployment
+from repro.transport.runtime import (
+    DeploymentError,
+    DeploymentResult,
+    DeploymentRunner,
+    run_deployment,
+)
 
 __all__ = [
     "Clock",
@@ -19,6 +24,7 @@ __all__ = [
     "AsyncioTransport",
     "TransportStats",
     "DeploymentError",
+    "DeploymentResult",
     "DeploymentRunner",
     "run_deployment",
 ]

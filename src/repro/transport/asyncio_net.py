@@ -1,37 +1,72 @@
-"""Real TCP transport: framed messages over asyncio stream connections.
+"""Real TCP transport: framed messages over event-driven asyncio endpoints.
 
 Implements the :class:`~repro.transport.base.Transport` seam with actual
 sockets, mirroring the structure of deployed chained-BFT nodes (and SNIPPETS
 snippet 1's ``flexible_bft`` replica): every endpoint owns a listening
-server, outbound traffic goes through per-destination queues with
-reconnect-on-failure, and inbound frames land on an inbox queue whose
-consumer invokes the registered handler — the same synchronous
-``MESSAGE_HANDLERS`` dispatch the simulation uses.
+server, and every ordered ``(src, dst)`` pair that has carried traffic owns
+one outbound connection — a *link*.  Both ends are plain
+:class:`asyncio.Protocol` objects; no message crosses a queue or wakes a task.
 
-Everything runs on one event loop, so handler code (the unmodified replica
-stack) needs no locking: the inbox consumer calls handlers one message at a
-time, exactly like the discrete-event scheduler does.
+The path of one message:
+
+* ``send`` encodes and frames it, appends the frame to its link and schedules
+  **one** ``call_soon(flush)`` for that link — however many frames the link
+  collects before the loop gets to it.  ``broadcast`` encodes once for the
+  whole fan-out.
+* ``flush`` hands the joined frames to the connection in one
+  ``transport.write`` (one ``send`` syscall on an unclogged socket).  A frame
+  therefore waits at most until the end of the loop turn it was sent in.
+* ``data_received`` splits the chunk into its complete frames
+  (:class:`~repro.transport.codec.FrameSplitter`), decodes each and calls the
+  registered handler directly — the same synchronous ``MESSAGE_HANDLERS``
+  dispatch the simulation uses.
+
+Everything runs on one event loop and handlers never await, so handler code
+(the unmodified replica stack) needs no locking and runs one message at a
+time, exactly like under the discrete-event scheduler: whatever a handler
+sends is only appended, and a copy addressed to the sender itself is
+delivered by ``call_soon``, never re-entrantly.  Frames of one link arrive in
+send order; nothing is promised across links.
+
+Back-pressure is a bound, not a wait: frames a link has not yet written plus
+the bytes its socket has not yet taken may not exceed
+:data:`MAX_LINK_BACKLOG_BYTES`.  The frame that would is dropped and counted
+in ``stats.messages_dropped``, so a peer that stops reading costs bounded
+memory.  The only coroutine left is the connect/backoff/reconnect loop of a
+link that has frames and no connection.
 
 Crash/recover semantics match the simulated :class:`~repro.network.network.Network`:
-crashing an endpoint closes its server and live connections and drops queued
-traffic in both directions; recovery restarts the server on a **fresh port**
-(the address book is updated, and peers' sender loops re-resolve it on
-reconnect), which exercises the real reconnect path instead of pretending the
-old socket survived.
+crashing an endpoint closes its server and live connections and drops
+pending traffic in both directions; recovery restarts the server on a
+**fresh port** (the address book is updated, and peers' links re-resolve it
+when they next connect), which exercises the real reconnect path instead of
+pretending the old socket survived.
 """
 
 from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.transport.codec import CodecError, decode_message, encode_message, frame, read_frame
+from repro.transport.codec import (
+    MAX_FRAME_BYTES,
+    CodecError,
+    FrameSplitter,
+    decode_message,
+    encode_message,
+    frame,
+)
 from repro.types.messages import Message
 
 #: Reconnect backoff: first retry after ``_BACKOFF_FLOOR``s, doubling to cap.
 _BACKOFF_FLOOR = 0.05
 _BACKOFF_CAP = 1.0
+
+#: Most bytes one link may hold unsent (frames not yet written plus the
+#: socket's write buffer); the largest legal frame always fits an idle link.
+MAX_LINK_BACKLOG_BYTES = MAX_FRAME_BYTES
 
 
 @dataclass
@@ -44,6 +79,12 @@ class TransportStats:
     messages_dropped: int = 0
     reconnects: int = 0
     decode_errors: int = 0
+    #: What actually went onto sockets: ``transport.write`` calls, the frames
+    #: they carried and their real size (``bytes_sent`` is the size *model*,
+    #: and ``messages_sent`` includes copies a node sends to itself).
+    socket_writes: int = 0
+    frames_written: int = 0
+    bytes_written: int = 0
     per_type_counts: Dict[str, int] = field(default_factory=dict)
 
     def record_send(self, message: Message) -> None:
@@ -51,6 +92,86 @@ class TransportStats:
         self.bytes_sent += message.size_bytes
         name = type(message).__name__
         self.per_type_counts[name] = self.per_type_counts.get(name, 0) + 1
+
+    @property
+    def frames_per_write(self) -> float:
+        """Frames carried per ``transport.write``: what coalescing bought."""
+        return self.frames_written / self.socket_writes if self.socket_writes else 0.0
+
+
+class _Link:
+    """The outbound half of one ``(src, dst)`` pair."""
+
+    __slots__ = ("src", "dst", "pending", "pending_bytes", "flush_scheduled",
+                 "connection", "connector")
+
+    def __init__(self, src: str, dst: str) -> None:
+        self.src = src
+        self.dst = dst
+        #: Frames sent but not yet handed to a connection, in send order.
+        self.pending: List[bytes] = []
+        self.pending_bytes = 0
+        self.flush_scheduled = False
+        self.connection: Optional[asyncio.Transport] = None
+        #: The connect/backoff task, while the link has frames and no connection.
+        self.connector: Optional[asyncio.Task] = None
+
+
+class _Outbound(asyncio.Protocol):
+    """Client end of a link: publishes its connection, forgets it when lost."""
+
+    def __init__(self, link: _Link) -> None:
+        self.link = link
+        self.connection: Optional[asyncio.Transport] = None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        # Published here, not where the connector resumes: crash() and stop()
+        # must be able to sever a connection the moment it exists.
+        self.connection = self.link.connection = transport  # type: ignore[assignment]
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        # Frames sent from now on wait for the next flush, which reconnects.
+        if self.link.connection is self.connection:
+            self.link.connection = None
+
+
+class _Inbound(asyncio.Protocol):
+    """Server end of a connection: chunk -> frames -> messages -> handler."""
+
+    def __init__(self, net: "AsyncioTransport", node_id: str) -> None:
+        self.net = net
+        self.node_id = node_id
+        self.splitter = FrameSplitter()
+        self.connection: Optional[asyncio.Transport] = None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.connection = transport  # type: ignore[assignment]
+        if self.node_id in self.net._crashed:  # accepted in the turn it crashed
+            self.connection.abort()
+        else:
+            self.net._inbound.setdefault(self.node_id, set()).add(self.connection)
+
+    def data_received(self, data: bytes) -> None:
+        net, node_id = self.net, self.node_id
+        try:
+            payloads = self.splitter.feed(data)
+        except CodecError:
+            # An oversized announcement: the stream cannot be re-synchronised.
+            net.stats.decode_errors += 1
+            self.connection.abort()
+            return
+        for payload in payloads:
+            try:
+                message = decode_message(payload)
+            except CodecError:
+                net.stats.decode_errors += 1
+                continue
+            net._deliver(node_id, message)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.net._inbound.get(self.node_id, set()).discard(self.connection)
+        if self.splitter.buffered:
+            self.net.stats.decode_errors += 1  # cut mid-prefix or mid-frame
 
 
 class AsyncioTransport:
@@ -69,28 +190,23 @@ class AsyncioTransport:
         self._handlers: Dict[str, Callable[[Message], None]] = {}
         self._addresses: Dict[str, Tuple[str, int]] = {}
         self._servers: Dict[str, asyncio.AbstractServer] = {}
-        self._inboxes: Dict[str, asyncio.Queue] = {}
-        self._inbox_tasks: Dict[str, asyncio.Task] = {}
-        #: (src, dst) -> outbound queue; one sender task per live queue.
-        self._outboxes: Dict[Tuple[str, str], asyncio.Queue] = {}
-        self._sender_tasks: Dict[Tuple[str, str], asyncio.Task] = {}
-        #: Writers of accepted inbound connections, per receiving endpoint,
-        #: so crashing an endpoint can sever peers' established connections.
-        self._inbound_writers: Dict[str, Set[asyncio.StreamWriter]] = {}
-        #: The live outbound connection of each sender loop.  Crash must
-        #: close these too: a write to a half-dead socket buffers without
-        #: raising, so a peer that kept its stale writer would silently lose
-        #: the first messages after the endpoint recovers on a new port.
-        self._outbound_writers: Dict[Tuple[str, str], asyncio.StreamWriter] = {}
+        self._links: Dict[Tuple[str, str], _Link] = {}
+        #: Accepted connections per receiving endpoint, so crashing an
+        #: endpoint can sever its peers' established connections.
+        self._inbound: Dict[str, Set[asyncio.Transport]] = {}
+        #: Listener re-binds started by :meth:`recover`, until they finish.
+        self._binders: Set[asyncio.Task] = set()
         self._crashed: Set[str] = set()
-        self._started = False
+        #: The loop the sockets live on; set by :meth:`start`.
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         #: Per-transport message-id counter (ids never travel the wire; each
         #: runtime stamps the messages it first carries or decodes).
         self._message_seq = 0
-        #: Handler exceptions surfaced by inbox consumers; the runner
-        #: re-raises these so deployment bugs fail runs instead of vanishing
-        #: into cancelled-task limbo.
+        #: Exceptions raised by message handlers; the runner re-raises these so
+        #: deployment bugs fail runs instead of vanishing.  ``failed`` is set
+        #: with the first one, so a runner can stop waiting when it happens.
         self.errors: List[BaseException] = []
+        self.failed = asyncio.Event()
 
     # -- seam interface ----------------------------------------------------
 
@@ -98,30 +214,13 @@ class AsyncioTransport:
         """Attach an endpoint; its server socket is bound by :meth:`start`."""
         if node_id in self._handlers:
             raise ValueError(f"node {node_id!r} already registered")
-        if self._started:
+        if self._loop is not None:
             raise RuntimeError("cannot register endpoints after start()")
         self._handlers[node_id] = handler
 
     def send(self, src: str, dst: str, message: Message) -> None:
-        """Queue one message for delivery (returns immediately)."""
-        if src not in self._handlers:
-            raise KeyError(f"unknown sender: {src!r}")
-        if dst not in self._handlers:
-            raise KeyError(f"unknown destination: {dst!r}")
-        if src in self._crashed or dst in self._crashed:
-            self.stats.messages_dropped += 1
-            return
-        if message.message_id < 0:
-            self._message_seq += 1
-            message.message_id = self._message_seq
-        self.stats.record_send(message)
-        if src == dst:
-            # Loopback skips the socket, as the simulated network skips the
-            # NIC — but still lands on the inbox queue, preserving
-            # handler-at-a-time ordering.
-            self._inboxes[src].put_nowait(message)
-            return
-        self._outbox(src, dst).put_nowait(message)
+        """Put one message on its way (returns immediately)."""
+        self._transmit(src, dst, message, None)
 
     def broadcast(
         self, src: str, targets: Iterable[str], message: Message, include_self: bool = False
@@ -131,17 +230,19 @@ class AsyncioTransport:
         Same self-delivery semantics as the simulator's ``Network.broadcast``
         (``Replica._broadcast`` delegates to whichever backend is wired in):
         the sender only receives its own copy when ``include_self`` is set.
+        Otherwise a loop of :meth:`send`, except that the message is encoded
+        once for all of its copies.
         """
         targets = list(targets)
-        for dst in targets:
-            if dst == src and not include_self:
-                continue
-            self.send(src, dst, message)
         if include_self and src not in targets:
-            self.send(src, src, message)
+            targets.append(src)
+        data = None
+        for dst in targets:
+            if dst != src or include_self:
+                data = self._transmit(src, dst, message, data)
 
     def crash(self, node_id: str) -> None:
-        """Take an endpoint off the network: close sockets, drop queues."""
+        """Take an endpoint off the network: close sockets, drop pending frames."""
         if node_id not in self._handlers:
             raise KeyError(f"unknown node: {node_id!r}")
         if node_id in self._crashed:
@@ -151,20 +252,16 @@ class AsyncioTransport:
         server = self._servers.pop(node_id, None)
         if server is not None:
             server.close()
-        for writer in self._inbound_writers.pop(node_id, set()):
-            writer.close()
+        for connection in self._inbound.pop(node_id, set()):
+            connection.abort()
         # Undelivered traffic dies with the node, in both directions, and
-        # established connections are severed so surviving sender loops
-        # reconnect (to the fresh port) instead of writing into a dead socket.
-        for (src, dst), queue in self._outboxes.items():
-            if node_id in (src, dst):
-                self._drain(queue)
-        for key in list(self._outbound_writers):
-            if node_id in key:
-                self._outbound_writers.pop(key).close()
-        inbox = self._inboxes.get(node_id)
-        if inbox is not None:
-            self._drain(inbox)
+        # established connections are severed so surviving links reconnect
+        # (to the fresh port) instead of writing into a dead socket, where the
+        # first messages after the endpoint recovers would silently vanish.
+        for link in self._links.values():
+            if node_id in (link.src, link.dst):
+                self._discard(link)
+                self._sever(link)
 
     def recover(self, node_id: str) -> None:
         """Bring a crashed endpoint back on a fresh port."""
@@ -173,8 +270,10 @@ class AsyncioTransport:
         if node_id not in self._crashed:
             return
         self._crashed.discard(node_id)
-        if self._started:
-            asyncio.get_running_loop().create_task(self._bind(node_id))
+        if self._loop is not None:
+            binder = self._loop.create_task(self._bind(node_id), name=f"bind:{node_id}")
+            self._binders.add(binder)
+            binder.add_done_callback(self._binders.discard)
 
     def is_crashed(self, node_id: str) -> bool:
         """True while ``node_id`` is crashed."""
@@ -183,31 +282,27 @@ class AsyncioTransport:
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind every registered endpoint and start its inbox consumer."""
-        if self._started:
+        """Bind a listener for every registered endpoint."""
+        if self._loop is not None:
             raise RuntimeError("transport already started")
-        self._started = True
+        self._loop = asyncio.get_running_loop()
         for node_id in self._handlers:
-            self._inboxes[node_id] = asyncio.Queue()
-            self._inbox_tasks[node_id] = asyncio.get_running_loop().create_task(
-                self._consume_inbox(node_id), name=f"inbox:{node_id}"
-            )
             await self._bind(node_id)
 
     async def stop(self) -> None:
         """Tear everything down; safe to call once at the end of a run."""
-        tasks = list(self._sender_tasks.values()) + list(self._inbox_tasks.values())
+        tasks = list(self._binders)
+        tasks += [link.connector for link in self._links.values() if link.connector is not None]
         for task in tasks:
             task.cancel()
-        for server in self._servers.values():
-            server.close()
-        for writers in self._inbound_writers.values():
-            for writer in writers:
-                writer.close()
+        # Stopping is crashing every endpoint: sockets close, pending frames
+        # go, and whatever a late callback still sends is dropped at the door.
+        for node_id in self._handlers:
+            self.crash(node_id)
         await asyncio.gather(*tasks, return_exceptions=True)
-        self._servers.clear()
-        self._sender_tasks.clear()
-        self._inbox_tasks.clear()
+        # One turn for the aborted connections' connection_lost callbacks,
+        # which are what actually closes their sockets.
+        await asyncio.sleep(0)
 
     def address_of(self, node_id: str) -> Optional[Tuple[str, int]]:
         """The (host, port) an endpoint currently listens on, if alive."""
@@ -215,112 +310,125 @@ class AsyncioTransport:
 
     # -- internals ---------------------------------------------------------
 
-    @staticmethod
-    def _drain(queue: asyncio.Queue) -> None:
-        while not queue.empty():
-            queue.get_nowait()
+    def _transmit(self, src: str, dst: str, message: Message,
+                  data: Optional[bytes]) -> Optional[bytes]:
+        """Send one copy of ``message``; ``data`` is its frame if already built.
 
-    def _outbox(self, src: str, dst: str) -> asyncio.Queue:
-        key = (src, dst)
-        queue = self._outboxes.get(key)
-        if queue is None:
-            queue = self._outboxes[key] = asyncio.Queue()
-        task = self._sender_tasks.get(key)
-        if task is None or task.done():
-            self._sender_tasks[key] = asyncio.get_running_loop().create_task(
-                self._sender_loop(src, dst, queue), name=f"sender:{src}->{dst}"
-            )
-        return queue
+        Returns the frame (built here when this copy was the first to need
+        one), so a fan-out encodes its message once.
+        """
+        if src not in self._handlers:
+            raise KeyError(f"unknown sender: {src!r}")
+        if dst not in self._handlers:
+            raise KeyError(f"unknown destination: {dst!r}")
+        stats = self.stats
+        if src in self._crashed or dst in self._crashed:
+            stats.messages_dropped += 1
+            return data
+        if message.message_id < 0:
+            self._message_seq += 1
+            message.message_id = self._message_seq
+        stats.record_send(message)
+        if src == dst:
+            # Loopback skips the socket, as the simulated network skips the
+            # NIC — but still waits its turn on the loop, so a handler that
+            # sends to its own node is never re-entered.
+            self._loop.call_soon(self._deliver, dst, message)
+            return data
+        if data is None:
+            data = frame(encode_message(message))
+        link = self._links.get((src, dst))
+        if link is None:
+            link = self._links[(src, dst)] = _Link(src, dst)
+        connection = link.connection
+        unsent = connection.get_write_buffer_size() if connection is not None else 0
+        if link.pending_bytes + unsent + len(data) > MAX_LINK_BACKLOG_BYTES:
+            stats.messages_dropped += 1  # newest goes: the peer is not keeping up
+            return data
+        link.pending.append(data)
+        link.pending_bytes += len(data)
+        if not link.flush_scheduled:
+            link.flush_scheduled = True
+            self._loop.call_soon(self._flush, link)
+        return data
+
+    def _flush(self, link: _Link) -> None:
+        """Write everything the link collected this turn in one piece."""
+        link.flush_scheduled = False
+        pending = link.pending
+        if not pending:
+            return
+        connection = link.connection
+        if connection is None:
+            if link.connector is None or link.connector.done():
+                link.connector = self._loop.create_task(
+                    self._connect(link), name=f"connect:{link.src}->{link.dst}"
+                )
+            return
+        data = pending[0] if len(pending) == 1 else b"".join(pending)
+        stats = self.stats
+        stats.socket_writes += 1
+        stats.frames_written += len(pending)
+        stats.bytes_written += len(data)
+        pending.clear()
+        link.pending_bytes = 0
+        connection.write(data)
+
+    def _deliver(self, node_id: str, message: Message) -> None:
+        """Hand one message to ``node_id``'s handler, surfacing its errors."""
+        if node_id in self._crashed:
+            self.stats.messages_dropped += 1
+            return
+        if message.message_id < 0:
+            self._message_seq += 1
+            message.message_id = self._message_seq
+        try:
+            self._handlers[node_id](message)
+        except Exception as exc:  # noqa: BLE001 - surfaced to the runner
+            self.errors.append(exc)
+            self.failed.set()
+        else:
+            self.stats.messages_delivered += 1
+
+    def _discard(self, link: _Link) -> None:
+        self.stats.messages_dropped += len(link.pending)
+        link.pending.clear()
+        link.pending_bytes = 0
+
+    @staticmethod
+    def _sever(link: _Link) -> None:
+        if link.connection is not None:
+            link.connection.abort()
+            link.connection = None
 
     async def _bind(self, node_id: str) -> None:
-        if node_id in self._crashed:
-            return
-        server = await asyncio.start_server(
-            lambda reader, writer: self._accept(node_id, reader, writer),
-            host=self.host,
-            port=0,
+        server = await self._loop.create_server(
+            partial(_Inbound, self, node_id), host=self.host, port=0
         )
+        if node_id in self._crashed or node_id in self._servers:
+            server.close()  # crashed again, or crashed and recovered, while binding
+            return
         self._servers[node_id] = server
         address = server.sockets[0].getsockname()[:2]
         self._addresses[node_id] = (address[0], address[1])
 
-    async def _accept(
-        self, node_id: str, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        writers = self._inbound_writers.setdefault(node_id, set())
-        writers.add(writer)
-        try:
-            while True:
-                payload = await read_frame(reader)
-                if payload is None:
-                    break
-                try:
-                    message = decode_message(payload)
-                except CodecError:
-                    self.stats.decode_errors += 1
-                    continue
-                if node_id in self._crashed:
-                    self.stats.messages_dropped += 1
-                    continue
-                if message.message_id < 0:
-                    self._message_seq += 1
-                    message.message_id = self._message_seq
-                self._inboxes[node_id].put_nowait(message)
-        except (ConnectionError, CodecError, asyncio.CancelledError):
-            pass
-        finally:
-            writers.discard(writer)
-            writer.close()
-
-    async def _consume_inbox(self, node_id: str) -> None:
-        inbox_ready = self._inboxes[node_id]
-        handler = self._handlers[node_id]
-        while True:
-            message = await inbox_ready.get()
-            if node_id in self._crashed:
-                self.stats.messages_dropped += 1
-                continue
-            try:
-                handler(message)
-                self.stats.messages_delivered += 1
-            except asyncio.CancelledError:
-                raise
-            except BaseException as exc:  # noqa: BLE001 - surfaced to runner
-                self.errors.append(exc)
-
-    async def _sender_loop(self, src: str, dst: str, queue: asyncio.Queue) -> None:
-        """Ship ``src``'s traffic to ``dst``, reconnecting as needed."""
-        writer: Optional[asyncio.StreamWriter] = None
+    async def _connect(self, link: _Link) -> None:
+        """Get ``link`` a connection while it has frames to send, backing off."""
         backoff = _BACKOFF_FLOOR
-        try:
-            while True:
-                message = await queue.get()
-                while True:
-                    if src in self._crashed or dst in self._crashed:
-                        self.stats.messages_dropped += 1
-                        break
-                    if writer is None or writer.is_closing():
-                        address = self._addresses.get(dst)
-                        if address is None:
-                            self.stats.messages_dropped += 1
-                            break
-                        try:
-                            _, writer = await asyncio.open_connection(*address)
-                            self._outbound_writers[(src, dst)] = writer
-                            self.stats.reconnects += 1
-                            backoff = _BACKOFF_FLOOR
-                        except OSError:
-                            writer = None
-                            await asyncio.sleep(backoff)
-                            backoff = min(backoff * 2, _BACKOFF_CAP)
-                            continue
-                    try:
-                        writer.write(frame(encode_message(message)))
-                        await writer.drain()
-                        break
-                    except (ConnectionError, OSError):
-                        writer = None  # stale connection; retry this message
-        finally:
-            self._outbound_writers.pop((src, dst), None)
-            if writer is not None:
-                writer.close()
+        while link.pending and link.connection is None:
+            address = self._addresses.get(link.dst)
+            if address is None:  # recovered, but its listener is not up yet
+                self._discard(link)
+                break
+            try:
+                await self._loop.create_connection(partial(_Outbound, link), *address)
+            except OSError:
+                await asyncio.sleep(backoff)
+                backoff = min(backoff * 2, _BACKOFF_CAP)
+                continue
+            if self._addresses.get(link.dst) != address or link.src in self._crashed:
+                self._sever(link)  # an endpoint crashed while connecting
+            else:
+                self.stats.reconnects += 1
+        link.connector = None
+        self._flush(link)

@@ -20,10 +20,9 @@ equal message for every kind (``message_id`` excluded — it is
 
 from __future__ import annotations
 
-import asyncio
 import json
 import struct
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.checkpoint.messages import SnapshotRequest, SnapshotResponse
 from repro.checkpoint.snapshot import Checkpoint
@@ -44,6 +43,11 @@ from repro.types.messages import (
 from repro.types.transaction import Transaction
 
 _LENGTH_PREFIX = struct.Struct(">I")
+
+#: One compact encoder for every message (``json.dumps`` would build a fresh
+#: ``JSONEncoder`` per call); its output is what ``json.dumps(payload,
+#: separators=(",", ":"))`` produces, byte for byte.
+_to_json = json.JSONEncoder(separators=(",", ":")).encode
 
 #: Upper bound on a single frame; a peer announcing more is treated as
 #: corrupt rather than allocated for (snapshots dominate and stay well under).
@@ -155,16 +159,24 @@ def _enc_transaction(tx: Transaction) -> Dict[str, Any]:
 
 
 def _dec_transaction(data: Dict[str, Any]) -> Transaction:
-    return Transaction(
-        txid=data["txid"],
-        client_id=data["client_id"],
+    txid, client_id, sequence = data["txid"], data["client_id"], data["sequence"]
+    transaction = Transaction(
+        txid=txid,
+        client_id=client_id,
         operation=data["operation"],
         key=data["key"],
         value=data["value"],
         payload_size=data["payload_size"],
         created_at=data["created_at"],
-        sequence=data["sequence"],
+        sequence=sequence,
     )
+    # Seed the cached_property as ``Transaction.create`` does: every decoded
+    # copy is a new object, and its first lazy lookup would otherwise take
+    # ``cached_property``'s locked slow path once per copy.
+    transaction.__dict__["canonical_session"] = (
+        (client_id, sequence) if txid == f"tx-{client_id}-{sequence}" else None
+    )
+    return transaction
 
 
 def _enc_block(block: Block) -> Dict[str, Any]:
@@ -397,7 +409,7 @@ def encode_message(message: Message) -> bytes:
         "size_bytes": message.size_bytes,
         "body": encoder(message),
     }
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    return _to_json(payload).encode("utf-8")
 
 
 def decode_message(data: bytes) -> Message:
@@ -406,14 +418,14 @@ def decode_message(data: bytes) -> Message:
         payload = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CodecError(f"malformed frame: {exc}") from exc
-    kind = payload.get("kind")
-    decoder = _DECODERS.get(kind)
+    kind = payload.get("kind") if isinstance(payload, dict) else None
+    decoder = _DECODERS.get(kind) if isinstance(kind, str) else None
     if decoder is None:
         raise CodecError(f"unknown message kind {kind!r}")
-    base = {"sender": payload["sender"], "size_bytes": payload["size_bytes"]}
     try:
+        base = {"sender": payload["sender"], "size_bytes": payload["size_bytes"]}
         return decoder(base, payload["body"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CodecError(f"malformed {kind} body: {exc}") from exc
 
 
@@ -424,22 +436,59 @@ def frame(payload: bytes) -> bytes:
     return _LENGTH_PREFIX.pack(len(payload)) + payload
 
 
-async def read_frame(reader) -> Optional[bytes]:
-    """Read one length-prefixed frame from an ``asyncio.StreamReader``.
+class FrameSplitter:
+    """Incremental parser of a length-prefixed byte stream.
 
-    Returns ``None`` on clean EOF at a frame boundary; raises
-    :class:`CodecError` on a truncated or oversized frame.
+    :meth:`feed` takes whatever chunk the socket delivered and returns every
+    payload it completes, in order; a partial frame at the end of the chunk
+    is held until later chunks complete it.  The held bytes never exceed one
+    frame (``MAX_FRAME_BYTES`` plus its prefix) before the chunk being fed is
+    added: a prefix announcing more raises :class:`CodecError` before anything
+    behind it is kept.  A stream that ends while :attr:`buffered` is non-zero
+    was cut mid-prefix or mid-frame.
     """
-    try:
-        prefix = await reader.readexactly(_LENGTH_PREFIX.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise CodecError("connection closed mid-prefix") from exc
-    (length,) = _LENGTH_PREFIX.unpack(prefix)
-    if length > MAX_FRAME_BYTES:
-        raise CodecError(f"peer announced a {length}-byte frame (cap {MAX_FRAME_BYTES})")
-    try:
-        return await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise CodecError("connection closed mid-frame") from exc
+
+    __slots__ = ("_held", "_need")
+
+    def __init__(self) -> None:
+        self._held = bytearray()
+        #: Bytes the frame at the head of ``_held`` needs before it can be
+        #: parsed further, so a large frame arriving in many chunks is not
+        #: re-scanned (or re-copied) once per chunk.
+        self._need = 0
+
+    @property
+    def buffered(self) -> int:
+        """Bytes of an incomplete frame held so far."""
+        return len(self._held)
+
+    def feed(self, chunk: bytes) -> List[bytes]:
+        """Add ``chunk`` to the stream; return the payloads now complete."""
+        held = self._held
+        if held:
+            held += chunk
+            if len(held) < self._need:
+                return []
+            data = bytes(held)
+            held.clear()
+        else:
+            data = chunk
+        payloads: List[bytes] = []
+        prefix_size = _LENGTH_PREFIX.size
+        offset, end = 0, len(data)
+        while True:
+            need = prefix_size
+            if end - offset < need:
+                break
+            (length,) = _LENGTH_PREFIX.unpack_from(data, offset)
+            if length > MAX_FRAME_BYTES:
+                raise CodecError(f"peer announced a {length}-byte frame (cap {MAX_FRAME_BYTES})")
+            need += length
+            if end - offset < need:
+                break
+            payloads.append(data[offset + prefix_size:offset + need])
+            offset += need
+        if offset < end:
+            held += memoryview(data)[offset:]
+            self._need = need
+        return payloads

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.bench.config import Configuration
@@ -44,7 +45,7 @@ from repro.election.election import make_election
 from repro.obs import trace as obs_trace
 from repro.sim.random import RandomStreams
 from repro.sync.manager import SyncSettings
-from repro.transport.asyncio_net import AsyncioTransport
+from repro.transport.asyncio_net import AsyncioTransport, TransportStats
 from repro.transport.clock import AsyncioClock
 from repro.types.sizes import SizeModel
 
@@ -53,14 +54,26 @@ class DeploymentError(RuntimeError):
     """A deployment run failed (replica handler raised, cluster diverged)."""
 
 
+@dataclass
+class DeploymentResult(ExperimentResult):
+    """An :class:`ExperimentResult` plus the deployment's socket counters.
+
+    The stored record (``to_dict``) is the shared schema, unchanged; the
+    counters are for whoever ran the deployment (``repro deploy`` prints
+    frames per socket write from them).
+    """
+
+    transport: TransportStats = field(default_factory=TransportStats)
+
+
 class DeploymentRunner:
     """Launches an n-replica loopback cluster and drives the clients.
 
     Construction validates the configuration; :meth:`start` (a coroutine)
-    binds sockets and starts replicas and clients; :meth:`run` sleeps out the
-    configured horizon on the wall clock.  Tests drive crash/recover through
-    ``runner.replicas[...]`` exactly as simulation tests do through the
-    cluster.
+    binds sockets and starts replicas and clients; :meth:`run` waits out the
+    configured horizon on the wall clock (or the first handler error).  Tests
+    drive crash/recover through ``runner.replicas[...]`` exactly as simulation
+    tests do through the cluster.
     """
 
     def __init__(self, config: Configuration, host: str = "127.0.0.1") -> None:
@@ -168,8 +181,17 @@ class DeploymentRunner:
             client.start(stop_time=stop_time)
 
     async def run(self) -> None:
-        """Let the cluster run for the configured horizon of wall time."""
-        await asyncio.sleep(self.config.total_duration)
+        """Let the cluster run for the configured horizon of wall time.
+
+        A message handler that raises ends the wait — and fails the run —
+        when it happens, not when the horizon is up.
+        """
+        try:
+            await asyncio.wait_for(
+                self.transport.failed.wait(), timeout=self.config.total_duration
+            )
+        except asyncio.TimeoutError:
+            pass
         self.raise_handler_errors()
 
     async def stop(self) -> None:
@@ -200,7 +222,7 @@ class DeploymentRunner:
         reference = honest[0].forest.consistency_hash(min_height)
         return all(r.forest.consistency_hash(min_height) == reference for r in honest)
 
-    def result(self, elapsed: float) -> ExperimentResult:
+    def result(self, elapsed: float) -> DeploymentResult:
         """Summarize the run into the shared campaign record schema."""
         metrics = self.metrics.summarize()
         metrics.wall_clock_seconds = elapsed
@@ -208,7 +230,7 @@ class DeploymentRunner:
             self.clock.processed_events / elapsed if elapsed > 0 else 0.0
         )
         observer = self.replicas[self.observer_id]
-        return ExperimentResult(
+        return DeploymentResult(
             config=self.config,
             metrics=metrics,
             consistent=self.consistency_check(),
@@ -216,10 +238,11 @@ class DeploymentRunner:
             timeline=self.metrics.throughput_timeline(
                 bucket=0.5, end=self.config.total_duration
             ),
+            transport=self.transport.stats,
         )
 
 
-async def deploy_and_run(config: Configuration, host: str = "127.0.0.1") -> ExperimentResult:
+async def deploy_and_run(config: Configuration, host: str = "127.0.0.1") -> DeploymentResult:
     """Coroutine running one full deployment: start, horizon, stop, result."""
     runner = DeploymentRunner(config, host=host)
     await runner.start()
@@ -230,7 +253,7 @@ async def deploy_and_run(config: Configuration, host: str = "127.0.0.1") -> Expe
     return runner.result(elapsed)
 
 
-def run_deployment(config: Configuration, host: str = "127.0.0.1") -> ExperimentResult:
+def run_deployment(config: Configuration, host: str = "127.0.0.1") -> DeploymentResult:
     """Run one deployment experiment to completion (blocking entry point).
 
     ``repro.bench.runner.run_experiment`` dispatches here when

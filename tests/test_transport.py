@@ -5,7 +5,8 @@ Covers the deployment runtime end to end:
 * both backends structurally conform to the :mod:`repro.transport.base`
   seam protocols (and the simulation conforms *without importing* the
   transport package — pinned by an AST import-isolation test);
-* the wire codec round-trips every message kind;
+* the wire codec round-trips every message kind, and the frame splitter
+  recovers the same payloads from any chunking of the byte stream;
 * Ed25519 key pairs sign and verify through the registry and reject
   tampering through :class:`~repro.quorum.quorum.QuorumTracker` (the
   primitive itself is covered by ``test_ed25519.py``);
@@ -18,9 +19,15 @@ from __future__ import annotations
 
 import ast
 import asyncio
+import gc
+import json
+import struct
+import time
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import make_vote
 from repro.bench.config import Configuration
@@ -31,6 +38,7 @@ from repro.crypto.signatures import Signature, sign, verify
 from repro.executor.kvstore import DedupState, KVSnapshot
 from repro.checkpoint.messages import SnapshotRequest, SnapshotResponse
 from repro.checkpoint.snapshot import Checkpoint
+from repro.core.replica import Replica
 from repro.forest.forest import BlockForest
 from repro.network.network import Network
 from repro.quorum.quorum import QuorumTracker
@@ -39,16 +47,17 @@ from repro.sim.random import RandomStreams
 from repro.sync.messages import BlockRequest, BlockResponse
 from repro.transport.base import Clock, TimerHandle, Transport
 from repro.transport.clock import AsyncioClock
+from repro.transport import asyncio_net, codec
 from repro.transport.codec import (
     CodecError,
+    FrameSplitter,
     MAX_FRAME_BYTES,
     decode_message,
     encode_message,
     frame,
-    read_frame,
 )
 from repro.transport.asyncio_net import AsyncioTransport
-from repro.transport.runtime import DeploymentRunner
+from repro.transport.runtime import DeploymentError, DeploymentRunner
 from repro.types.block import make_block
 from repro.types.certificates import (
     QuorumCertificate,
@@ -213,31 +222,119 @@ class TestCodec:
         with pytest.raises(CodecError):
             frame(b"x" * (MAX_FRAME_BYTES + 1))
 
-    def test_frame_round_trip_over_stream(self):
+    def test_non_object_payloads_raise_codec_error(self):
+        # Frames come from outside the program: whatever valid JSON a peer
+        # sends, the receive path sees a CodecError and nothing else.
+        for data in (b"[1]", b"7", b'"x"', b"null", b'{"kind": ["VoteMessage"]}',
+                     b'{"kind": "VoteMessage"}',
+                     b'{"kind": "VoteMessage", "sender": "x", "size_bytes": 1, "body": 3}'):
+            with pytest.raises(CodecError):
+                decode_message(data)
+
+    def test_encoding_is_compact_json_dumps(self):
+        # The shared encoder must produce json.dumps' bytes: frames are
+        # byte-identical across the change that introduced it.
+        message = ProposalMessage(sender="r0", size_bytes=900, block=self.block,
+                                  view=1, forwarded_by="r1")
+        wire = encode_message(message)
+        assert wire == json.dumps(json.loads(wire), separators=(",", ":")).encode("utf-8")
+
+    def test_decoded_transaction_has_its_session_seeded(self):
+        decoded = _round_trip(ClientRequest(sender="c0", size_bytes=140, transaction=self.tx))
+        assert decoded.transaction.__dict__["canonical_session"] == self.tx.canonical_session
+        odd = Transaction(txid="hand-built", client_id="c0", sequence=5)
+        decoded = _round_trip(ClientRequest(sender="c0", size_bytes=140, transaction=odd))
+        assert decoded.transaction.__dict__["canonical_session"] is None
+        assert odd.canonical_session is None
+
+
+# --------------------------------------------------------------------------
+# frame splitter
+
+
+def _chunks(stream: bytes, cuts):
+    """``stream`` cut at the given offsets (any order, duplicates allowed)."""
+    edges = [0] + sorted(min(cut, len(stream)) for cut in cuts) + [len(stream)]
+    return [stream[a:b] for a, b in zip(edges, edges[1:]) if a < b]
+
+
+class TestFrameSplitter:
+    def test_frames_split_at_a_clean_boundary(self):
         first = encode_message(SnapshotRequest(sender="a", size_bytes=32, known_height=3))
         second = encode_message(ClientReply(sender="b", size_bytes=48, txid="t",
                                             committed_at=1.0, replica="r0",
                                             status="committed"))
+        splitter = FrameSplitter()
+        assert splitter.feed(frame(first) + frame(second)) == [first, second]
+        assert splitter.buffered == 0  # a stream ending here ended cleanly
 
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(frame(first) + frame(second))
-            reader.feed_eof()
-            assert await read_frame(reader) == first
-            assert await read_frame(reader) == second
-            assert await read_frame(reader) is None  # clean EOF at boundary
+    def test_truncation_is_visible_mid_prefix_and_mid_frame(self):
+        whole = frame(b"hello world")
+        splitter = FrameSplitter()
+        assert splitter.feed(whole[:2]) == [] and splitter.buffered == 2
+        assert splitter.feed(whole[2:-3]) == [] and splitter.buffered == len(whole) - 3
+        assert splitter.feed(whole[-3:]) == [b"hello world"] and splitter.buffered == 0
 
-        asyncio.run(scenario())
+    def test_empty_payload_and_one_byte_chunks(self):
+        stream = frame(b"") + frame(b"x") + frame(b"")
+        splitter = FrameSplitter()
+        out = [p for i in range(len(stream)) for p in splitter.feed(stream[i:i + 1])]
+        assert out == [b"", b"x", b""]
 
-    def test_read_frame_rejects_truncation(self):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(frame(b"hello world")[:-3])
-            reader.feed_eof()
-            with pytest.raises(CodecError):
-                await read_frame(reader)
+    def test_oversized_prefix_raises_before_anything_is_kept(self):
+        splitter = FrameSplitter()
+        with pytest.raises(CodecError):
+            splitter.feed(struct.pack(">I", MAX_FRAME_BYTES + 1) + b"x" * 1000)
+        assert splitter.buffered == 0
+        # Also when the prefix itself arrived in pieces.
+        prefix = struct.pack(">I", MAX_FRAME_BYTES + 1)
+        assert splitter.feed(prefix[:3]) == []
+        with pytest.raises(CodecError):
+            splitter.feed(prefix[3:] + b"tail")
+        assert splitter.buffered == 0
 
-        asyncio.run(scenario())
+    @settings(max_examples=200, deadline=None)
+    @given(
+        payloads=st.lists(st.binary(max_size=40), max_size=12),
+        cuts=st.lists(st.integers(min_value=0, max_value=600), max_size=30),
+    )
+    def test_any_chunking_yields_the_same_payloads_in_order(self, payloads, cuts):
+        stream = b"".join(frame(p) for p in payloads)
+        splitter = FrameSplitter()
+        out = [p for chunk in _chunks(stream, cuts) for p in splitter.feed(chunk)]
+        assert out == payloads
+        assert splitter.buffered == 0
+        # The extremes: all at once, and byte by byte.
+        assert FrameSplitter().feed(stream) == payloads
+        bytewise = FrameSplitter()
+        assert [p for i in range(len(stream))
+                for p in bytewise.feed(stream[i:i + 1])] == payloads
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        stream=st.binary(max_size=300),
+        cuts=st.lists(st.integers(min_value=0, max_value=300), max_size=10),
+        cap=st.integers(min_value=0, max_value=64),
+    )
+    def test_arbitrary_input_raises_only_codec_error_and_stays_bounded(
+            self, stream, cuts, cap):
+        # Random bytes read as prefixes announce frames of any size: with the
+        # cap lowered into their range every outcome is reachable.
+        original = codec.MAX_FRAME_BYTES
+        codec.MAX_FRAME_BYTES = cap
+        try:
+            splitter = FrameSplitter()
+            for chunk in _chunks(stream, cuts):
+                try:
+                    for payload in splitter.feed(chunk):
+                        assert len(payload) <= cap
+                except CodecError:
+                    assert splitter.buffered == 0
+                    break
+                # Never more than one incomplete frame: prefix + cap, less one.
+                assert splitter.buffered < 4 + cap
+        finally:
+            codec.MAX_FRAME_BYTES = original
 
 
 # --------------------------------------------------------------------------
@@ -336,8 +433,135 @@ class TestAsyncioClock:
             fired = []
             clock.call_after(-1.0, fired.append, "x")
             clock.call_at(clock.now - 5.0, fired.append, "y")
+            clock.post_after(-1.0, fired.append, "z")
+            clock.post_at(clock.now - 5.0, fired.append, "w")
             await asyncio.sleep(0.02)
-            assert sorted(fired) == ["x", "y"]
+            assert sorted(fired) == ["w", "x", "y", "z"]
+
+        asyncio.run(scenario())
+
+    def test_same_deadline_fires_in_post_order(self):
+        async def scenario():
+            clock = AsyncioClock()
+            fired = []
+            deadline = clock.now + 0.02
+            for i in range(50):
+                # Handle-free and cancellable entries share one order.
+                if i % 5:
+                    clock.post_at(deadline, fired.append, i)
+                else:
+                    clock.call_at(deadline, fired.append, i)
+            clock.post_at(deadline - 0.01, fired.append, "early")
+            await asyncio.sleep(0.06)
+            assert fired[0] == "early"
+            assert fired[1:] == list(range(50))
+
+        asyncio.run(scenario())
+
+    def test_zero_delay_post_inside_a_callback_runs_after_it_returns(self):
+        async def scenario():
+            clock = AsyncioClock()
+            order = []
+
+            def outer():
+                order.append("outer:begin")
+                clock.post_after(0.0, order.append, "inner")
+                clock.post_after(-1.0, order.append, "inner-late")
+                order.append("outer:end")
+
+            clock.post_after(0.0, outer)
+            await asyncio.sleep(0.01)
+            assert order == ["outer:begin", "outer:end", "inner", "inner-late"]
+            assert clock.processed_events == 3
+
+        asyncio.run(scenario())
+
+    def test_cancelled_timer_never_fires_and_flags_keep_their_meaning(self):
+        async def scenario():
+            clock = AsyncioClock()
+            fired = []
+            kept = clock.call_after(0.01, fired.append, "kept")
+            dropped = clock.call_after(0.01, fired.append, "dropped")
+            dropped.cancel()
+            assert (kept.pending, kept.fired, kept.cancelled) == (True, False, False)
+            assert (dropped.pending, dropped.fired, dropped.cancelled) == (False, False, True)
+            await asyncio.sleep(0.04)
+            assert fired == ["kept"]
+            assert (kept.pending, kept.fired, kept.cancelled) == (False, True, False)
+            assert (dropped.pending, dropped.fired, dropped.cancelled) == (False, False, True)
+            kept.cancel()  # a no-op once fired
+            assert not kept.cancelled
+            # Only callbacks that ran are counted.
+            assert clock.processed_events == 1
+
+        asyncio.run(scenario())
+
+    @staticmethod
+    def _spy_on_loop_timers(loop):
+        """Route the loop's timer calls through a log of live handles."""
+        handles = []
+        real_call_at = loop.call_at
+
+        def call_at(when, callback, *args, **kwargs):
+            handle = real_call_at(when, callback, *args, **kwargs)
+            handles.append(handle)
+            return handle
+
+        def call_later(delay, callback, *args, **kwargs):
+            return call_at(loop.time() + delay, callback, *args, **kwargs)
+
+        loop.call_at = call_at
+        loop.call_later = call_later
+        return handles
+
+    def test_outstanding_posts_share_one_armed_loop_timer(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            handles = self._spy_on_loop_timers(loop)
+            clock = AsyncioClock()
+            fired = []
+            for i in range(10_000):
+                clock.post_after(5.0, fired.append, i)
+            clock.call_after(6.0, fired.append, "timer")
+            armed = [h for h in handles if not h.cancelled()]
+            assert len(armed) == 1
+            first_deadline = armed[0].when()
+
+            # An earlier deadline re-arms: still one live loop timer, sooner.
+            clock.post_after(0.02, fired.append, "soon")
+            armed = [h for h in handles if not h.cancelled()]
+            assert len(armed) == 1 and armed[0].when() < first_deadline
+            # A later one does not touch the loop at all.
+            count = len(handles)
+            clock.post_after(7.0, fired.append, "later")
+            assert len(handles) == count
+
+            await asyncio.sleep(0.06)
+            assert fired == ["soon"]
+            # Re-armed for what is now the earliest of the other 10 002.
+            armed = [h for h in handles if not h.cancelled() and h.when() > loop.time()]
+            assert len(armed) == 1 and armed[0].when() == first_deadline
+
+        asyncio.run(scenario())
+
+    def test_a_raising_callback_does_not_stall_the_entries_behind_it(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            reported = []
+            loop.set_exception_handler(lambda _loop, context: reported.append(context))
+            clock = AsyncioClock()
+            fired = []
+
+            def explode():
+                raise RuntimeError("boom")
+
+            deadline = clock.now + 0.01
+            clock.post_at(deadline, explode)
+            clock.post_at(deadline, fired.append, "behind")
+            clock.post_after(0.03, fired.append, "later")
+            await asyncio.sleep(0.08)
+            assert fired == ["behind", "later"]
+            assert len(reported) == 1 and "boom" in repr(reported[0]["exception"])
 
         asyncio.run(scenario())
 
@@ -386,7 +610,7 @@ class TestAsyncioTransport:
             assert transport.stats.messages_delivered == 1
             assert transport.stats.per_type_counts["ClientReply"] == 1
 
-            # Loopback still lands on the inbox queue.
+            # Loopback skips the socket but still takes its turn on the loop.
             transport.send("a", "a", self._reply("self"))
             await self._settle(lambda: len(received["a"]) == 1)
 
@@ -438,6 +662,282 @@ class TestAsyncioTransport:
             transport.send("a", "b", self._reply("t"))
             await self._settle(lambda: len(transport.errors) == 1)
             assert "boom" in repr(transport.errors[0])
+            await transport.stop()
+
+        asyncio.run(scenario())
+
+
+    def test_a_thousand_sends_arrive_in_send_order(self):
+        async def scenario():
+            transport = AsyncioTransport()
+            received = []
+            transport.register("a", lambda m: None)
+            transport.register("b", received.append)
+            await transport.start()
+            for i in range(1000):
+                transport.send("a", "b", self._reply(f"t{i}"))
+                if i % 97 == 0:
+                    await asyncio.sleep(0)  # spread them over many writes
+            await self._settle(lambda: len(received) == 1000)
+            assert [m.txid for m in received] == [f"t{i}" for i in range(1000)]
+            stats = transport.stats
+            assert stats.frames_written == stats.messages_delivered == 1000
+            assert 1 < stats.socket_writes < 1000
+            await transport.stop()
+
+        asyncio.run(scenario())
+
+    def test_sends_of_one_loop_turn_share_one_socket_write(self):
+        async def scenario():
+            transport = AsyncioTransport()
+            received = []
+            transport.register("a", lambda m: None)
+            transport.register("b", received.append)
+            await transport.start()
+            transport.send("a", "b", self._reply("connect"))
+            await self._settle(lambda: len(received) == 1)
+            stats = transport.stats
+            writes, written = stats.socket_writes, stats.bytes_written
+            assert (writes, stats.frames_written) == (1, 1)
+
+            messages = [self._reply(f"t{i}") for i in range(25)]
+            for message in messages:
+                transport.send("a", "b", message)
+            await self._settle(lambda: len(received) == 26)
+            assert stats.socket_writes == writes + 1
+            assert stats.frames_written == 26
+            assert stats.frames_per_write == 13.0
+            # Real bytes, beside the size model's bytes_sent.
+            assert stats.bytes_written - written == sum(
+                len(frame(encode_message(m))) for m in messages)
+            assert stats.bytes_sent == 26 * 48
+            await transport.stop()
+
+        asyncio.run(scenario())
+
+    def test_broadcast_encodes_once_and_is_otherwise_a_loop_of_sends(self, monkeypatch):
+        encoded = []
+        real_encode = asyncio_net.encode_message
+
+        def counting_encode(message):
+            encoded.append(message)
+            return real_encode(message)
+
+        monkeypatch.setattr(asyncio_net, "encode_message", counting_encode)
+        names = ("a", "b", "c", "d")
+
+        async def scenario(use_broadcast):
+            transport = AsyncioTransport()
+            received = {name: [] for name in names}
+            for name in names:
+                transport.register(name, received[name].append)
+            await transport.start()
+            first, second = self._reply("first"), self._reply("second")
+            own = self._reply("own")
+            if use_broadcast:
+                transport.broadcast("a", ["b", "c", "d"], first)
+                transport.broadcast("a", ["b", "a", "c", "d"], second)   # self skipped
+                transport.broadcast("a", ["b"], own, include_self=True)  # self appended
+            else:
+                for message, targets in ((first, "bcd"), (second, "bcd"), (own, "ba")):
+                    for dst in targets:
+                        transport.send("a", dst, message)
+            expected = {"a": 1, "b": 3, "c": 2, "d": 2}
+            await self._settle(
+                lambda: all(len(received[n]) == k for n, k in expected.items()))
+            await transport.stop()
+            stats = transport.stats
+            return ({n: [m.txid for m in received[n]] for n in names},
+                    stats.messages_sent, stats.bytes_sent, stats.per_type_counts,
+                    stats.frames_written)
+
+        looped = asyncio.run(scenario(use_broadcast=False))
+        assert len(encoded) == 7  # one per copy that crossed a socket
+        encoded.clear()
+        fanned_out = asyncio.run(scenario(use_broadcast=True))
+        assert [m.txid for m in encoded] == ["first", "second", "own"]
+        assert fanned_out == looped
+        assert fanned_out[0] == {"a": ["own"], "b": ["first", "second", "own"],
+                                 "c": ["first", "second"], "d": ["first", "second"]}
+
+    def test_broadcast_checks_every_target(self):
+        async def scenario():
+            transport = AsyncioTransport()
+            transport.register("a", lambda m: None)
+            transport.register("b", lambda m: None)
+            await transport.start()
+            with pytest.raises(KeyError):
+                transport.broadcast("a", ["b", "ghost"], self._reply("t"))
+            await transport.stop()
+
+        asyncio.run(scenario())
+
+    def test_handler_sending_to_its_own_node_is_not_reentered(self):
+        async def scenario():
+            transport = AsyncioTransport()
+            trace = []
+
+            def handler(message):
+                trace.append(f"{message.txid}:begin")
+                if message.txid == "outer":
+                    transport.send("a", "a", self._reply("inner"))
+                    transport.broadcast("a", ["b"], self._reply("fanned"), include_self=True)
+                trace.append(f"{message.txid}:end")
+
+            transport.register("a", handler)
+            transport.register("b", lambda m: None)
+            await transport.start()
+            transport.send("b", "a", self._reply("outer"))
+            await self._settle(lambda: len(trace) == 6)
+            assert trace == ["outer:begin", "outer:end", "inner:begin", "inner:end",
+                             "fanned:begin", "fanned:end"]
+            await transport.stop()
+
+        asyncio.run(scenario())
+
+    def test_crash_discards_pending_frames_of_both_directions(self):
+        async def scenario():
+            transport = AsyncioTransport()
+            received = {"a": [], "b": []}
+            transport.register("a", received["a"].append)
+            transport.register("b", received["b"].append)
+            await transport.start()
+            transport.send("a", "b", self._reply("up"))
+            transport.send("b", "a", self._reply("up"))
+            await self._settle(lambda: received["a"] and received["b"])
+            old_address = transport.address_of("b")
+
+            # Sent and crashed in one loop turn: neither direction is flushed.
+            transport.send("a", "b", self._reply("lost-ab"))
+            transport.send("b", "a", self._reply("lost-ba"))
+            transport.crash("b")
+            assert transport.stats.messages_dropped == 2
+            transport.recover("b")
+            await self._settle(lambda: transport.address_of("b") is not None)
+            assert transport.address_of("b") != old_address  # a fresh port
+
+            reconnects = transport.stats.reconnects
+            transport.send("a", "b", self._reply("back-ab"))
+            transport.send("b", "a", self._reply("back-ba"))
+            await self._settle(lambda: len(received["a"]) == 2 and len(received["b"]) == 2)
+            assert [m.txid for m in received["b"]] == ["up", "back-ab"]
+            assert [m.txid for m in received["a"]] == ["up", "back-ba"]
+            # Both links were severed with the node and had to reconnect.
+            assert transport.stats.reconnects == reconnects + 2
+            await transport.stop()
+
+        asyncio.run(scenario())
+
+    def test_stop_leaves_no_pending_task_or_open_socket(self, caplog):
+        async def scenario():
+            transport = AsyncioTransport()
+            for name in ("a", "b", "c"):
+                transport.register(name, lambda m: None)
+            await transport.start()
+            transport.send("a", "b", self._reply("t"))
+            await self._settle(lambda: transport.stats.messages_delivered == 1)
+            # Stop with a listener re-bind and a connection attempt in flight
+            # and frames still pending.
+            transport.crash("c")
+            transport.recover("c")
+            transport.send("b", "a", self._reply("pending"))
+            await asyncio.sleep(0)
+            assert any(link.connector is not None for link in transport._links.values())
+            await transport.stop()
+            # Whatever is sent after stop() is dropped, not queued.
+            transport.send("a", "b", self._reply("late"))
+            assert not any(link.pending for link in transport._links.values())
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with caplog.at_level("ERROR", logger="asyncio"):
+                asyncio.run(scenario(), debug=True)
+                gc.collect()
+        assert "Task was destroyed" not in caplog.text
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_backlog_of_a_link_is_bounded(self, monkeypatch):
+        big = ClientRequest(sender="a", size_bytes=140, transaction=Transaction(
+            txid="big", client_id="a", value="v" * 65536, sequence=0))
+        size = len(frame(encode_message(big)))
+        cap = 16 * size
+        monkeypatch.setattr(asyncio_net, "MAX_LINK_BACKLOG_BYTES", cap)
+
+        async def scenario():
+            transport = AsyncioTransport()
+            received = []
+            transport.register("a", lambda m: None)
+            transport.register("b", received.append)
+            await transport.start()
+            transport.send("a", "b", self._reply("connect"))
+            await self._settle(lambda: len(received) == 1)
+            link = transport._links[("a", "b")]
+
+            # Within one turn nothing is written yet: the 17th frame is over.
+            for _ in range(20):
+                transport.send("a", "b", big)
+            assert link.pending_bytes == cap
+            assert transport.stats.messages_dropped == 4
+            await self._settle(lambda: len(received) == 17)
+
+            # A peer that stops reading: the kernel's buffers fill, then the
+            # socket's write buffer, and from there on frames are dropped.
+            for connection in transport._inbound["b"]:
+                connection.pause_reading()
+            for _ in range(400):
+                transport.send("a", "b", big)
+                await asyncio.sleep(0)
+                assert link.pending_bytes + link.connection.get_write_buffer_size() <= cap
+            dropped = transport.stats.messages_dropped
+            assert dropped > 4
+            for connection in transport._inbound["b"]:
+                connection.resume_reading()
+            sent = transport.stats.messages_sent
+            await self._settle(lambda: len(received) + dropped == sent, timeout=30.0)
+            await transport.stop()
+
+        asyncio.run(scenario())
+
+    def test_malformed_streams_are_counted_and_cut_off(self):
+        async def scenario():
+            transport = AsyncioTransport()
+            received = []
+            transport.register("b", received.append)
+            await transport.start()
+            stats = transport.stats
+            good = frame(encode_message(self._reply("ok")))
+
+            # An oversized announcement: one error, connection closed at once,
+            # nothing behind the prefix is waited for.
+            reader, writer = await asyncio.open_connection(*transport.address_of("b"))
+            writer.write(good + struct.pack(">I", MAX_FRAME_BYTES + 1) + b"junk")
+            try:
+                assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
+            except ConnectionError:
+                pass  # aborted: a reset is as good as an EOF
+            writer.close()
+            assert stats.decode_errors == 1
+
+            # A connection lost mid-frame, and one lost mid-prefix: one each.
+            for cut in (good[:-3], good + good[:2]):
+                _, writer = await asyncio.open_connection(*transport.address_of("b"))
+                writer.write(cut)
+                await writer.drain()
+                writer.close()
+                await writer.wait_closed()
+            await self._settle(lambda: stats.decode_errors == 3)
+
+            # Garbage inside a well-formed frame: counted, the stream goes on.
+            _, writer = await asyncio.open_connection(*transport.address_of("b"))
+            writer.write(frame(b"[1]") + good)
+            await writer.drain()
+            writer.close()
+            await writer.wait_closed()
+            await self._settle(lambda: stats.decode_errors == 4 and len(received) == 2)
+            # A clean close at a frame boundary is not an error.
+            await asyncio.sleep(0.05)
+            assert stats.decode_errors == 4
+            assert [m.txid for m in received] == ["ok", "ok"]
             await transport.stop()
 
         asyncio.run(scenario())
@@ -539,6 +1039,26 @@ class TestDeployment:
         # Identical record schema lets fig8 plot the two side by side.
         assert set(deployed.metrics.to_dict()) == set(modeled.metrics.to_dict())
         assert deployed.timeline and modeled.timeline
+
+    def test_handler_error_fails_the_run_when_it_happens(self, monkeypatch):
+        def explode(self, message):
+            raise RuntimeError("boom on the first message")
+
+        monkeypatch.setattr(Replica, "deliver", explode)
+
+        async def scenario():
+            runner = DeploymentRunner(_deploy_config(runtime=30.0, signing="hmac"))
+            await runner.start()
+            try:
+                await runner.run()
+            finally:
+                await runner.stop()
+
+        started = time.monotonic()
+        with pytest.raises(DeploymentError, match="boom on the first message"):
+            asyncio.run(scenario())
+        # Not the 30.5 s horizon: the first raising handler ends the wait.
+        assert time.monotonic() - started < 2.0
 
     def test_crashed_replica_recovers_over_the_wire(self):
         """A replica that crashes mid-run catches back up via real sync."""
