@@ -13,7 +13,7 @@ The public surface is the :mod:`repro.api` facade::
 
     result = api.run({"protocol": "hotstuff", "num_nodes": 4,
                       "block_size": 400, "runtime": 2.0, "cost_profile": "fast"})
-    print(result.metrics.as_dict())
+    print(result.metrics.to_dict())
 
 Every part of an experiment is an extension point backed by a registry
 (:mod:`repro.plugins`): protocols, Byzantine strategies, leader elections,

@@ -1,13 +1,21 @@
 """Metrics: throughput, latency, chain growth rate, and block interval.
 
-The collector receives events from two sides:
+The collector subscribes to the cluster's event stream
+(:class:`repro.obs.trace.EventStream`); :meth:`MetricsCollector.on_event`
+accumulates
 
-* the *observer replica* (an honest replica designated by the runner) reports
-  blocks added to its forest, blocks committed, forked blocks, and the views
-  it enters;
-* every *client* reports per-transaction latency for committed replies.
+* from the *observer replica* (an honest replica designated by the runner)
+  the blocks added to its forest, committed, and forked, and any safety
+  violation — every replica announces these, the observer's are kept;
+* from every *client* the latency of committed replies, request timeouts
+  and rejections;
+* from *every* replica its sync and checkpoint activity: the interesting
+  syncers are recovered or partition-healed replicas, rarely the observer.
+  These are whole-run totals — catch-up typically happens outside the
+  measurement window, and windowing it away would hide exactly the traffic
+  the fault scenarios are about.
 
-From these events the collector derives the four metrics of §IV-B:
+From these the collector derives the four metrics of §IV-B:
 
 * **throughput** — committed transactions per second inside the measurement
   window;
@@ -18,12 +26,8 @@ From these events the collector derives the four metrics of §IV-B:
 * **block interval (BI)** — the average number of views between a block's
   proposal view and the view in which the observer commits it.
 
-Sync activity (fetch rounds and fetched blocks/bytes, see :mod:`repro.sync`)
-is reported by *every* replica, not just the observer: the interesting
-syncers are recovered or partition-healed replicas, which are rarely the
-observer.  Sync counters are whole-run totals — catch-up typically happens
-outside the measurement window, and windowing it away would hide exactly the
-traffic the fault scenarios are about.
+The metrics are a pure function of the stream: replaying a retained trace's
+records into a fresh collector reproduces the live run's summary.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.types.block import Block
+from repro.obs.trace import CHECKPOINT, CLIENT, COMMIT, FAULT, SYNC
 
 
 def timeline_mean(timeline, start: float, end: float) -> float:
@@ -108,9 +112,7 @@ class RunMetrics:
 
         This is the serialization the campaign :class:`ResultStore` records;
         :meth:`from_dict` inverts it exactly.  Host-side perf fields
-        (:attr:`PERF_FIELDS`) are excluded to keep records deterministic;
-        the human-facing view with millisecond conversions is
-        :meth:`as_dict`.
+        (:attr:`PERF_FIELDS`) are excluded to keep records deterministic.
         """
         data = dataclasses.asdict(self)
         for name in self.PERF_FIELDS:
@@ -123,48 +125,32 @@ class RunMetrics:
         known = {f.name for f in dataclasses.fields(cls)}
         return cls(**{k: v for k, v in data.items() if k in known})
 
-    def as_dict(self) -> Dict[str, float]:
-        """Plain-dict view used by the benchmark report printers."""
-        return {
-            "throughput_tps": self.throughput_tps,
-            "mean_latency_ms": self.mean_latency * 1e3,
-            "median_latency_ms": self.median_latency * 1e3,
-            "p99_latency_ms": self.p99_latency * 1e3,
-            "chain_growth_rate": self.chain_growth_rate,
-            "block_interval": self.block_interval,
-            "committed_transactions": self.committed_transactions,
-            "committed_blocks": self.committed_blocks,
-            "blocks_added": self.blocks_added,
-            "blocks_forked": self.blocks_forked,
-            "safety_violations": self.safety_violations,
-            "sync_rounds": self.sync_rounds,
-            "sync_blocks_fetched": self.sync_blocks_fetched,
-            "sync_bytes_fetched": self.sync_bytes_fetched,
-            "checkpoints_taken": self.checkpoints_taken,
-            "snapshots_installed": self.snapshots_installed,
-            "blocks_truncated": self.blocks_truncated,
-            "snapshot_bytes_fetched": self.snapshot_bytes_fetched,
-            "peak_forest_blocks": self.peak_forest_blocks,
-            "wall_clock_seconds": self.wall_clock_seconds,
-            "events_per_second": self.events_per_second,
-        }
-
 
 class MetricsCollector:
-    """Accumulates raw events and computes the run metrics."""
+    """Accumulates announced events and computes the run metrics."""
 
-    def __init__(self, window_start: float = 0.0, window_end: Optional[float] = None) -> None:
+    #: Categories :meth:`on_event` consumes.  None of them is announced per
+    #: message, so an untraced run keeps every per-message site masked off.
+    mask = COMMIT | FAULT | SYNC | CHECKPOINT | CLIENT
+
+    def __init__(
+        self,
+        window_start: float = 0.0,
+        window_end: Optional[float] = None,
+        observer: Optional[str] = None,
+    ) -> None:
         self.window_start = window_start
         self.window_end = window_end
+        #: The replica whose chain events count (None: every replica's, for
+        #: a stream that holds one replica only).
+        self.observer = observer
         self.latencies: List[Tuple[float, float]] = []
         self.rejections: List[float] = []
         self.timeouts: List[float] = []
         self.committed_blocks: List[CommittedBlockRecord] = []
         self.blocks_added: List[Tuple[float, int]] = []
         self.blocks_forked: List[Tuple[float, int]] = []
-        self.views_entered: Dict[int, float] = {}
         self.safety_violations = 0
-        self.observer: Optional[str] = None
         # Sync and checkpoint activity is never windowed or attributed, so
         # plain counters suffice (per-replica detail lives in each manager's
         # stats object).
@@ -177,93 +163,59 @@ class MetricsCollector:
         self.snapshot_bytes_fetched = 0
         self.peak_forest_blocks = 0
 
-    # ------------------------------------------------------------------
-    # observer-side events
-    # ------------------------------------------------------------------
-    def record_block_added(self, node_id: str, block: Block, now: float) -> None:
-        """A block was added to the observer's forest."""
-        self.blocks_added.append((now, block.view))
+    def on_event(self, t, who, category, kind, view, payload=None) -> None:
+        """Consume one announced event (``Tracer.emit``'s signature).
 
-    def record_block_committed(self, node_id: str, block: Block, commit_view: int, now: float) -> None:
-        """A block was committed by the observer."""
-        self.committed_blocks.append(
-            CommittedBlockRecord(
-                block_id=block.block_id,
-                proposal_view=block.view,
-                commit_view=commit_view,
-                height=block.height,
-                num_transactions=block.num_transactions,
-                committed_at=now,
-            )
-        )
-
-    def record_block_forked(self, node_id: str, block: Block, now: float) -> None:
-        """A block was abandoned (pruned from a losing branch)."""
-        self.blocks_forked.append((now, block.view))
-
-    def record_view_entered(self, node_id: str, view: int, now: float) -> None:
-        """The observer entered a view."""
-        self.views_entered[view] = now
-
-    def record_safety_violation(self, node_id: str) -> None:
-        """The observer detected a conflicting commit (should never happen)."""
-        self.safety_violations += 1
-
-    # ------------------------------------------------------------------
-    # sync events (reported by every replica, not just the observer)
-    # ------------------------------------------------------------------
-    def record_sync_round(self, node_id: str, now: float) -> None:
-        """A replica issued one block-fetch round (to its fanout of peers)."""
-        self.sync_rounds += 1
-
-    def record_sync_fetch(self, node_id: str, num_blocks: int, num_bytes: int, now: float) -> None:
-        """A replica ingested one BlockResponse (``num_blocks`` newly inserted)."""
-        self.sync_blocks_fetched += num_blocks
-        self.sync_bytes_fetched += num_bytes
-
-    # ------------------------------------------------------------------
-    # checkpoint events (reported by every replica, not just the observer)
-    # ------------------------------------------------------------------
-    def record_forest_size(self, node_id: str, blocks: int, now: float) -> None:
-        """A checkpointing replica observed its forest size at a commit.
-
-        Reported on every commit (pre-truncation), so ``peak_forest_blocks``
-        reflects what was actually held — including on runs too short to
-        ever complete a checkpoint interval.
+        Client kinds first: the commit reply is the one event announced per
+        transaction.  Kinds the collector has no use for fall through.
         """
-        self.peak_forest_blocks = max(self.peak_forest_blocks, blocks)
-
-    def record_checkpoint(
-        self, node_id: str, height: int, blocks_truncated: int, now: float
-    ) -> None:
-        """A replica took a checkpoint and truncated its forest below it."""
-        self.checkpoints_taken += 1
-        self.blocks_truncated += blocks_truncated
-
-    def record_snapshot_response(self, node_id: str, num_bytes: int, now: float) -> None:
-        """A replica received one SnapshotResponse (counted whether or not it
-        installs — negatives and stale duplicates are real traffic too, the
-        same convention :meth:`record_sync_fetch` uses for response bytes)."""
-        self.snapshot_bytes_fetched += num_bytes
-
-    def record_snapshot_install(self, node_id: str, now: float) -> None:
-        """A replica installed a peer's checkpoint (snapshot catch-up)."""
-        self.snapshots_installed += 1
-
-    # ------------------------------------------------------------------
-    # client-side events
-    # ------------------------------------------------------------------
-    def record_latency(self, txid: str, latency: float, now: float) -> None:
-        """A client observed a committed reply ``latency`` seconds after sending."""
-        self.latencies.append((now, latency))
-
-    def record_rejection(self, txid: str, now: float) -> None:
-        """A client request was rejected by a full mempool."""
-        self.rejections.append(now)
-
-    def record_timeout(self, txid: str, now: float) -> None:
-        """A client gave up on a request after its timeout."""
-        self.timeouts.append(now)
+        if category == CLIENT:
+            if kind == "commit-reply":
+                self.latencies.append((t, payload["latency"]))
+            elif kind == "request-timeout":
+                self.timeouts.append(t)
+            elif kind == "rejected":
+                self.rejections.append(t)
+        elif category == COMMIT:
+            if self.observer not in (None, who):
+                return
+            if kind == "commit":
+                self.committed_blocks.append(
+                    CommittedBlockRecord(
+                        block_id=payload["block"],
+                        proposal_view=view,
+                        commit_view=payload["commit_view"],
+                        height=payload["height"],
+                        num_transactions=payload["txs"],
+                        committed_at=t,
+                    )
+                )
+            elif kind == "block-added":
+                self.blocks_added.append((t, view))
+            elif kind == "block-forked":
+                self.blocks_forked.append((t, view))
+        elif category == SYNC:
+            if kind == "fetch-round":
+                self.sync_rounds += 1
+            elif kind == "fetched":
+                # Response bytes count whether or not the blocks were new.
+                self.sync_blocks_fetched += payload["blocks"]
+                self.sync_bytes_fetched += payload["bytes"]
+        elif category == CHECKPOINT:
+            if kind == "checkpoint":
+                self.checkpoints_taken += 1
+                self.blocks_truncated += payload["truncated"]
+            elif kind == "forest-peak":
+                self.peak_forest_blocks = max(self.peak_forest_blocks, payload["blocks"])
+            elif kind == "snapshot-response":
+                # Counted whether or not it installs: negatives and stale
+                # duplicates are real traffic too.
+                self.snapshot_bytes_fetched += payload["bytes"]
+            elif kind == "snapshot-install":
+                self.snapshots_installed += 1
+        elif category == FAULT:
+            if kind == "safety-violation" and self.observer in (None, who):
+                self.safety_violations += 1
 
     # ------------------------------------------------------------------
     # derived metrics

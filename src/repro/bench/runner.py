@@ -49,10 +49,10 @@ class Cluster:
     clients: List[ClientBase]
     metrics: MetricsCollector
     observer_id: str
-    #: The installed :class:`repro.obs.Tracer`, or None (tracing disabled).
-    #: Deliberately not part of the Configuration: run ids and stored
-    #: records are identical with tracing on or off.
-    tracer: Optional[object] = None
+    #: The stream every component announces on (``metrics`` always hears it,
+    #: the installed tracer if any).  Not part of the Configuration: run ids
+    #: and stored records are identical with tracing on or off.
+    events: obs_trace.EventStream
 
     def honest_replicas(self) -> List[Replica]:
         """Replicas that follow the protocol."""
@@ -166,6 +166,14 @@ def build_cluster(config: Configuration) -> Cluster:
         )
     scheduler = EventScheduler()
     streams = RandomStreams(seed=config.seed)
+    node_ids = config.node_ids()
+    observer_id = node_ids[0]
+    metrics = MetricsCollector(
+        window_start=config.warmup,
+        window_end=config.warmup + config.runtime,
+        observer=observer_id,
+    )
+    events = obs_trace.open_stream(metrics)
     base_delay = NormalDelay(config.base_delay_mean, config.base_delay_stddev)
     if config.extra_delay_mean > 0:
         extra_delay = NormalDelay(config.extra_delay_mean, config.extra_delay_stddev)
@@ -177,14 +185,11 @@ def build_cluster(config: Configuration) -> Cluster:
         base_delay=base_delay,
         extra_delay=extra_delay,
         bandwidth_bps=config.bandwidth_bps,
+        events=events,
     )
     registry = KeyRegistry(deployment_seed=config.seed)
-    node_ids = config.node_ids()
     election = make_election(
         node_ids, master=config.master, kind=config.election, seed=config.seed
-    )
-    metrics = MetricsCollector(
-        window_start=config.warmup, window_end=config.warmup + config.runtime
     )
 
     settings = ReplicaSettings(
@@ -206,11 +211,6 @@ def build_cluster(config: Configuration) -> Cluster:
     costs = cost_profile(config.cost_profile)
     sizes = SizeModel()
     byzantine = set(config.byzantine_ids())
-    observer_id = node_ids[0]
-    metrics.observer = observer_id
-    # Pick up the process-global tracer (None unless repro.obs installed one).
-    tracer = obs_trace.ACTIVE
-    network.tracer = tracer
 
     replicas: Dict[str, Replica] = {}
     for node_id in node_ids:
@@ -226,15 +226,8 @@ def build_cluster(config: Configuration) -> Cluster:
             settings=settings,
             cost_model=costs,
             size_model=sizes,
-            metrics=metrics if node_id == observer_id else None,
+            events=events,
         )
-        # Sync and checkpoint metrics come from every replica (the
-        # interesting syncers/installers — recovered or partition-healed
-        # nodes — are rarely the observer).
-        replica.sync.metrics = metrics
-        replica.checkpoint.metrics = metrics
-        if tracer is not None:
-            replica.attach_tracer(tracer)
         replicas[node_id] = replica
 
     client_cls = CLIENTS.get(config.resolved_client())
@@ -249,10 +242,9 @@ def build_cluster(config: Configuration) -> Cluster:
             node_ids,
             workload=workload,
             size_model=sizes,
-            metrics=metrics,
+            events=events,
             config=config,
         )
-        client.tracer = tracer
         clients.append(client)
 
     return Cluster(
@@ -265,7 +257,7 @@ def build_cluster(config: Configuration) -> Cluster:
         clients=clients,
         metrics=metrics,
         observer_id=observer_id,
-        tracer=tracer,
+        events=events,
     )
 
 

@@ -97,10 +97,6 @@ class CheckpointManager:
         self.replica = replica
         self.settings = settings if settings is not None else CheckpointSettings()
         self.stats = CheckpointStats()
-        #: Optional MetricsCollector; wired by the cluster builder for every
-        #: replica (like sync metrics, the interesting installers are the
-        #: recovered replicas, which are rarely the observer).
-        self.metrics = None
 
         self._catchup_pending = False
         self._catchup_rounds = 0
@@ -134,14 +130,19 @@ class CheckpointManager:
         """
         if not self.enabled:
             return
-        forest = self.replica.forest
-        self.stats.peak_forest_blocks = max(self.stats.peak_forest_blocks, len(forest))
-        if self.metrics is not None:
-            # Reported every commit, not just on takes, so a run whose
+        replica = self.replica
+        forest = replica.forest
+        ev = replica.events
+        blocks = len(forest)
+        if blocks > self.stats.peak_forest_blocks:
+            # Checked every commit, not just on takes, so a run whose
             # interval never completes still records its true peak.
-            self.metrics.record_forest_size(
-                self.replica.node_id, len(forest), self.replica.scheduler.now
-            )
+            self.stats.peak_forest_blocks = blocks
+            if ev.wants & obs_trace.CHECKPOINT:
+                ev.emit(
+                    replica.scheduler.now, replica.node_id, obs_trace.CHECKPOINT,
+                    "forest-peak", replica.pacemaker.current_view, {"blocks": blocks},
+                )
         height = forest.committed_height
         if height - forest.base_height < self.settings.interval:
             return
@@ -152,16 +153,10 @@ class CheckpointManager:
         removed = forest.truncate_below(height)
         self.stats.checkpoints_taken += 1
         self.stats.blocks_truncated += removed
-        if self.metrics is not None:
-            self.metrics.record_checkpoint(
-                self.replica.node_id, height, removed, self.replica.scheduler.now
-            )
-        tr = self.replica.tracer
-        if tr is not None:
-            tr.emit(
-                self.replica.scheduler.now, self.replica.node_id,
-                obs_trace.CHECKPOINT, "checkpoint",
-                self.replica.pacemaker.current_view,
+        if ev.wants & obs_trace.CHECKPOINT:
+            ev.emit(
+                replica.scheduler.now, replica.node_id, obs_trace.CHECKPOINT,
+                "checkpoint", replica.pacemaker.current_view,
                 {"height": height, "truncated": removed},
             )
 
@@ -306,9 +301,12 @@ class CheckpointManager:
         replica = self.replica
         self.stats.snapshot_responses_received += 1
         self.stats.snapshot_bytes_fetched += message.size_bytes
-        if self.metrics is not None:
-            self.metrics.record_snapshot_response(
-                replica.node_id, message.size_bytes, replica.scheduler.now
+        ev = replica.events
+        if ev.wants & obs_trace.CHECKPOINT:
+            ev.emit(
+                replica.scheduler.now, replica.node_id, obs_trace.CHECKPOINT,
+                "snapshot-response", replica.pacemaker.current_view,
+                {"bytes": message.size_bytes, "from": message.sender},
             )
         checkpoint = message.checkpoint
         if checkpoint is None:
@@ -347,11 +345,9 @@ class CheckpointManager:
         # advances toward the live view.
         replica._note_synced_qc(checkpoint.qc)
         self.stats.snapshots_installed += 1
-        if self.metrics is not None:
-            self.metrics.record_snapshot_install(replica.node_id, replica.scheduler.now)
-        tr = replica.tracer
-        if tr is not None:
-            tr.emit(
+        ev = replica.events
+        if ev.wants & obs_trace.CHECKPOINT:
+            ev.emit(
                 replica.scheduler.now, replica.node_id, obs_trace.CHECKPOINT,
                 "snapshot-install", replica.pacemaker.current_view,
                 {"height": checkpoint.height},

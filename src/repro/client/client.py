@@ -11,7 +11,7 @@ Two client models are provided, matching the two ways the paper drives load:
   Table II.
 
 Clients pick a uniformly random replica per request, measure latency from
-submission to the committed reply, and report it to the metrics collector.
+submission to the committed reply, and announce it on the event stream.
 
 Client types are an extension point: subclass :class:`ClientBase`, override
 ``from_config`` to pull whatever knobs you need from the
@@ -66,7 +66,7 @@ class ClientBase:
         replicas: List[str],
         workload: Optional[WorkloadSpec] = None,
         size_model: Optional[SizeModel] = None,
-        metrics=None,
+        events: Optional[obs_trace.EventStream] = None,
         request_timeout: float = 1.0,
     ) -> None:
         if not replicas:
@@ -80,11 +80,9 @@ class ClientBase:
         self.replicas = list(replicas)
         self.workload = workload if workload is not None else WorkloadSpec()
         self.size_model = size_model if size_model is not None else SizeModel()
-        self.metrics = metrics
+        #: The cluster's event stream: commit replies, timeouts, rejections.
+        self.events = events if events is not None else obs_trace.EventStream()
         self.request_timeout = request_timeout
-        # Observability (repro.obs): set by the cluster builder when a tracer
-        # is installed.
-        self.tracer = None
 
         # The per-client stream is fixed for the client's lifetime; cache it
         # instead of re-resolving the name on every request.
@@ -112,7 +110,7 @@ class ClientBase:
         *,
         workload: WorkloadSpec,
         size_model: SizeModel,
-        metrics,
+        events: Optional[obs_trace.EventStream],
         config,
         **extra,
     ) -> "ClientBase":
@@ -130,7 +128,7 @@ class ClientBase:
             replicas,
             workload=workload,
             size_model=size_model,
-            metrics=metrics,
+            events=events,
             request_timeout=config.request_timeout,
             **extra,
         )
@@ -201,8 +199,12 @@ class ClientBase:
             # finished request is deliberately left to fire as a no-op.
             return
         self.requests_timed_out += 1
-        if self.metrics is not None:
-            self.metrics.record_timeout(txid, self.scheduler.now)
+        ev = self.events
+        if ev.wants & obs_trace.CLIENT:
+            ev.emit(
+                self.scheduler.now, self.client_id, obs_trace.CLIENT,
+                "request-timeout", 0, {"txid": txid},
+            )
         self._on_timed_out(txid)
 
     def _on_timed_out(self, txid: str) -> None:
@@ -217,24 +219,25 @@ class ClientBase:
             # Duplicate reply, or a reply for a request the client already
             # gave up on; ignore.
             return
+        ev = self.events
+        now = self.scheduler.now
         if message.status == "committed":
             self.replies_committed += 1
-            latency = self.scheduler.now - sent_at
-            if self.metrics is not None:
-                self.metrics.record_latency(message.txid, latency, self.scheduler.now)
-            tr = self.tracer
-            if tr is not None:
-                tr.metrics.observe(self.client_id, "request_to_commit", latency)
-                tr.emit(
-                    self.scheduler.now, self.client_id, obs_trace.CLIENT,
-                    "commit-reply", 0,
+            latency = now - sent_at
+            # The one always-on event announced per transaction.
+            if ev.wants & obs_trace.CLIENT:
+                ev.emit(
+                    now, self.client_id, obs_trace.CLIENT, "commit-reply", 0,
                     {"replica": message.replica, "latency": latency},
                 )
             self._on_committed(message.txid, latency)
         else:
             self.replies_rejected += 1
-            if self.metrics is not None:
-                self.metrics.record_rejection(message.txid, self.scheduler.now)
+            if ev.wants & obs_trace.CLIENT:
+                ev.emit(
+                    now, self.client_id, obs_trace.CLIENT, "rejected", 0,
+                    {"txid": message.txid, "replica": message.replica},
+                )
             self._on_rejected(message.txid)
 
     def _on_committed(self, txid: str, latency: float) -> None:

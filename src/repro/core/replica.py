@@ -210,7 +210,7 @@ class Replica:
         settings: Optional[ReplicaSettings] = None,
         cost_model: Optional[CryptoCostModel] = None,
         size_model: Optional[SizeModel] = None,
-        metrics=None,
+        events: Optional[obs_trace.EventStream] = None,
     ) -> None:
         self.node_id = node_id
         self.scheduler = scheduler
@@ -221,7 +221,9 @@ class Replica:
         self.settings = settings if settings is not None else ReplicaSettings()
         self.cost_model = cost_model if cost_model is not None else CryptoCostModel()
         self.size_model = size_model if size_model is not None else SizeModel()
-        self.metrics = metrics
+        #: The cluster's event stream (see :mod:`repro.obs.trace`); the
+        #: pacemaker, sync and checkpoint managers announce on the same one.
+        self.events = events if events is not None else obs_trace.EventStream()
 
         self.keypair = registry.register(node_id)
         self.forest = BlockForest(orphan_capacity=self.settings.sync.orphan_capacity)
@@ -242,11 +244,9 @@ class Replica:
             view_timeout=self.settings.view_timeout,
             on_view_start=self._on_view_start,
             on_local_timeout=self._on_local_timeout,
+            events=self.events,
         )
         self.stats = ReplicaStats()
-        # Observability is off unless a tracer is attached; every hot-path
-        # hook below guards on this falsy sentinel (see repro.obs.trace).
-        self.tracer = None
 
         # Reply routing is bounded: the origin index FIFO-evicts beyond its
         # capacity and the replied-txid dedup keeps per-client floors plus a
@@ -260,22 +260,6 @@ class Replica:
             setattr(self, attr, default)
 
         network.register(node_id, self.deliver)
-
-    # ------------------------------------------------------------------
-    # observability
-    # ------------------------------------------------------------------
-    def attach_tracer(self, tracer) -> None:
-        """Wire a :class:`repro.obs.Tracer` through this replica's modules.
-
-        Called by the cluster builders when a tracer is installed
-        (``repro.obs.trace.ACTIVE``); never called on the default path, so
-        untraced replicas keep ``tracer = None`` everywhere and the hot-path
-        checks stay single-``if`` no-ops.
-        """
-        self.tracer = tracer
-        self.pacemaker.tracer = tracer
-        self.quorum.bind_tracer(tracer, self.node_id, self.scheduler)
-        self.timeouts.bind_tracer(tracer, self.node_id, self.scheduler)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -428,9 +412,9 @@ class Replica:
     def _process_proposal(self, message: ProposalMessage) -> None:
         block = message.block
         self.stats.proposals_received += 1
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(
+        ev = self.events
+        if ev.wants & obs_trace.PROPOSAL:
+            ev.emit(
                 self.scheduler.now, self.node_id, obs_trace.PROPOSAL, "receive",
                 block.view, {"block": block.block_id, "from": message.sender},
             )
@@ -452,12 +436,17 @@ class Replica:
         votes; the orphaned *live* proposals drained afterwards are voted on
         normally, which is what resumes participation after a catch-up.
         """
+        now = self.scheduler.now
         try:
-            self.forest.add_block(block, added_at=self.scheduler.now)
+            self.forest.add_block(block, added_at=now)
         except ForestError:
             return
-        if self.metrics is not None:
-            self.metrics.record_block_added(self.node_id, block, self.scheduler.now)
+        ev = self.events
+        if ev.wants & obs_trace.COMMIT:
+            ev.emit(
+                now, self.node_id, obs_trace.COMMIT, "block-added", block.view,
+                {"block": block.block_id},
+            )
         if block.qc is not None:
             self.safety.note_embedded_qc(block.qc)
             self._after_new_qc(block.qc)
@@ -490,9 +479,9 @@ class Replica:
             sender=self.node_id, size_bytes=self.size_model.vote_size(), vote=vote
         )
         self.stats.votes_sent += 1
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(
+        ev = self.events
+        if ev.wants & obs_trace.VOTE:
+            ev.emit(
                 self.scheduler.now, self.node_id, obs_trace.VOTE, "vote",
                 block.view, {"block": block.block_id},
             )
@@ -527,6 +516,12 @@ class Replica:
         if qc is None:
             return
         self.stats.qcs_formed += 1
+        ev = self.events
+        if ev.wants & obs_trace.QC:
+            ev.emit(
+                self.scheduler.now, self.node_id, obs_trace.QC, "qc", qc.view,
+                {"block": qc.block_id, "signers": len(qc.signers)},
+            )
         if qc.block_id in self.forest:
             self.safety.update_qc(qc)
             self._after_new_qc(qc)
@@ -571,17 +566,17 @@ class Replica:
     # commitment
     # ------------------------------------------------------------------
     def _commit(self, block_id: str) -> None:
+        ev = self.events
+        now = self.scheduler.now
+        commit_view = self.pacemaker.current_view
         try:
-            newly = self.forest.commit(block_id, at_view=self.pacemaker.current_view)
+            newly = self.forest.commit(block_id, at_view=commit_view)
         except ForestError:
             self.stats.safety_violations += 1
-            if self.metrics is not None:
-                self.metrics.record_safety_violation(self.node_id)
-            if self.tracer is not None:
-                self.tracer.emit(
-                    self.scheduler.now, self.node_id, obs_trace.FAULT,
-                    "safety-violation", self.pacemaker.current_view,
-                    {"block": block_id},
+            if ev.wants & obs_trace.FAULT:
+                ev.emit(
+                    now, self.node_id, obs_trace.FAULT, "safety-violation",
+                    commit_view, {"block": block_id},
                 )
             return
         # Hot loop: every committed transaction on every replica passes
@@ -590,29 +585,23 @@ class Replica:
         # entirely on the other n-1 replicas.
         apply = self.kvstore.apply
         origin_entries = self._origin_clients._entries
-        tr = self.tracer
-        now = self.scheduler.now
+        announce = ev.wants & obs_trace.COMMIT
         for vertex in newly:
             block = vertex.block
             self.stats.blocks_committed += 1
             self.stats.transactions_committed += block.num_transactions
-            if tr is not None:
-                tr.emit(
+            if announce:
+                # ``view`` is the proposal view; BI is commit_view - view.
+                ev.emit(
                     now, self.node_id, obs_trace.COMMIT, "commit", block.view,
-                    {"block": block.block_id, "txs": block.num_transactions},
+                    {"block": block.block_id, "txs": block.num_transactions,
+                     "height": block.height, "commit_view": commit_view},
                 )
             for transaction in block.transactions:
                 apply(transaction)
                 if transaction.txid in origin_entries:
                     self._reply(transaction, status="committed")
             self.mempool.mark_committed(block.transactions)
-            if self.metrics is not None:
-                self.metrics.record_block_committed(
-                    self.node_id,
-                    block,
-                    commit_view=self.pacemaker.current_view,
-                    now=self.scheduler.now,
-                )
         if newly and self.settings.prune_forks:
             self._recycle_forks()
         if newly:
@@ -638,16 +627,19 @@ class Replica:
                 recyclable.append(transaction)
         if recyclable:
             self.mempool.requeue_front(recyclable)
-        if self.metrics is not None:
+        ev = self.events
+        if ev.wants & obs_trace.COMMIT:
+            now = self.scheduler.now
             for vertex in removed:
-                self.metrics.record_block_forked(self.node_id, vertex.block, self.scheduler.now)
+                ev.emit(
+                    now, self.node_id, obs_trace.COMMIT, "block-forked",
+                    vertex.block.view, {"block": vertex.block.block_id},
+                )
 
     # ------------------------------------------------------------------
     # pacemaker callbacks
     # ------------------------------------------------------------------
     def _on_view_start(self, view: int, reason: ViewChangeReason) -> None:
-        if self.metrics is not None:
-            self.metrics.record_view_entered(self.node_id, view, self.scheduler.now)
         if not self.is_leader(view):
             return
         delay = 0.0
@@ -676,9 +668,9 @@ class Replica:
             timeout=timeout,
         )
         self.stats.timeouts_sent += 1
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(
+        ev = self.events
+        if ev.wants & obs_trace.TIMEOUT:
+            ev.emit(
                 self.scheduler.now, self.node_id, obs_trace.TIMEOUT,
                 "timeout-sent", view, {"high_qc_view": timeout.high_qc_view},
             )
@@ -707,11 +699,13 @@ class Replica:
             return
         self._last_proposed_view = view
         parent = self.forest.get_block(plan.parent_id)
-        if self.tracer is not None:
-            # Leader-side queue depth, sampled once per proposal attempt:
-            # low-frequency, so the histogram stays cheap.
-            self.tracer.metrics.observe(
-                self.node_id, "queue_depth", float(len(self.mempool))
+        ev = self.events
+        if ev.wants & obs_trace.PROPOSAL:
+            # Leader-side queue depth, sampled once per proposal attempt
+            # (a tracer folds it into a histogram and keeps no record).
+            ev.emit(
+                self.scheduler.now, self.node_id, obs_trace.PROPOSAL,
+                "queue-depth", view, {"depth": float(len(self.mempool))},
             )
         batch = self.mempool.next_batch(self.settings.block_size)
         block = make_block(view, parent, plan.qc, self.node_id, batch)
@@ -731,9 +725,9 @@ class Replica:
             sender=self.node_id, size_bytes=size, block=block, view=view
         )
         self.stats.proposals_sent += 1
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(
+        ev = self.events
+        if ev.wants & obs_trace.PROPOSAL:
+            ev.emit(
                 self.scheduler.now, self.node_id, obs_trace.PROPOSAL, "propose",
                 view, {"block": block.block_id, "txs": block.num_transactions},
             )

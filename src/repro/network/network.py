@@ -72,6 +72,7 @@ class Network:
         extra_delay: Optional[DelayModel] = None,
         bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS,
         local_delivery_delay: float = 5e-6,
+        events: Optional[obs_trace.EventStream] = None,
     ) -> None:
         self.scheduler = scheduler
         self.streams = streams
@@ -80,9 +81,8 @@ class Network:
         self.bandwidth_bps = bandwidth_bps
         self.local_delivery_delay = local_delivery_delay
         self.stats = NetworkStats()
-        # Observability (repro.obs): set by the cluster builder when a tracer
-        # is installed; None keeps every hot-path hook a single-if no-op.
-        self.tracer = None
+        #: The cluster's event stream: drops and per-copy hop delays (``net``).
+        self.events = events if events is not None else obs_trace.EventStream()
 
         self._rng = streams.get("network")
         self._handlers: Dict[str, DeliveryHandler] = {}
@@ -246,7 +246,9 @@ class Network:
         reserve = self._egress[src].reserve
         post_at = scheduler.post_at
         arrive = self._arrive
-        tr = self.tracer
+        ev = self.events
+        # Per wire copy, so only ever behind the bit a tracer sets.
+        hops = ev.wants & obs_trace.NET
         for dst in dsts:
             if dst not in handlers:
                 raise KeyError(f"unknown destination {dst!r}")
@@ -273,10 +275,13 @@ class Network:
                         delay += window.sample(rng)
                 if slow:
                     delay *= max(slow.get(src, 1.0), slow.get(dst, 1.0))
-            if tr is not None:
+            if hops:
                 # Hop delay as experienced on the wire: egress serialization
                 # (including queueing behind earlier copies) plus propagation.
-                tr.metrics.observe(src, "hop_delay", (completion - now) + delay)
+                ev.emit(
+                    now, src, obs_trace.NET, "hop", 0,
+                    {"delay": (completion - now) + delay},
+                )
             post_at(completion + delay, arrive, src, dst, message)
 
     def _arrive(self, src: str, dst: str, message: Message) -> None:
@@ -297,9 +302,9 @@ class Network:
 
     def _drop(self, dst: str, message: Message, reason: str) -> None:
         self.stats.messages_dropped += 1
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(
+        ev = self.events
+        if ev.wants & obs_trace.NET:
+            ev.emit(
                 self.scheduler.now, dst, obs_trace.NET, "drop", 0,
                 {"message": message.__class__.__name__, "reason": reason},
             )

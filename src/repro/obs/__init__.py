@@ -24,6 +24,7 @@ from repro.obs.trace import (
     CATEGORY_NAMES,
     DEFAULT_CAPACITY,
     TRACE_SINKS,
+    EventStream,
     TraceRecord,
     Tracer,
     available_trace_sinks,
@@ -42,6 +43,7 @@ __all__ = [
     "DEFAULT_CAPACITY",
     "TRACE_SINKS",
     "CampaignProgress",
+    "EventStream",
     "LogHistogram",
     "ObsMetrics",
     "TraceRecord",

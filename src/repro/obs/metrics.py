@@ -1,11 +1,10 @@
 """Low-cardinality observability metrics: counters and log-bucket histograms.
 
-This is the aggregate companion to :mod:`repro.obs.trace`: the same
-instrumentation points that emit trace records also feed counters (one per
-``replica × category``) and latency histograms (request→commit, network hop
-delay, mempool queue depth) here, so a run can be summarised without
-scanning the full event stream — and so the trace ring buffers can wrap
-without losing the aggregate picture.
+This is the aggregate companion to :mod:`repro.obs.trace`: a tracer folds
+the events named in ``trace.HISTOGRAM_KINDS`` (request→commit latency,
+network hop delay, mempool queue depth) into histograms here, so a run can
+be summarised without scanning the full event stream — and so the trace
+ring buffers can wrap without losing the aggregate picture.
 
 Histograms use power-of-two ("log2") buckets: ``observe(v)`` increments the
 bucket holding ``v``'s binary exponent, which gives ~30 buckets across nine

@@ -1,31 +1,32 @@
-"""Protocol-aware tracing: per-replica ring buffers of compact event records.
+"""Protocol events: one stream, its subscribers, and the ring-buffer tracer.
 
-A :class:`Tracer` collects ``(t, replica, category, kind, view, payload)``
-tuples from instrumentation points threaded through the protocol stack
-(view entry, proposal, vote, QC/TC formation, commit, timeout, sync round,
-snapshot install, network hops, client commits, and scenario fault events).
-Three properties make it safe to leave the hooks in the hot path:
+Every instrumented site in the stack announces what happened exactly once,
+as ``emit(t, who, category, kind, view, payload)`` on the cluster's
+:class:`EventStream`.  The run's :class:`~repro.bench.metrics.MetricsCollector`
+always subscribes (``RunMetrics`` is a pure function of the stream); the
+installed :class:`Tracer` subscribes when there is one and keeps the records
+in per-replica ring buffers.
 
-* **A falsy no-op sentinel.**  Every instrumented component holds a
-  ``tracer`` attribute that is ``None`` unless a tracer was installed; the
-  hot-path check is a single ``if tr is not None`` (or ``if tr:``) on a
-  local, so disabled tracing costs one attribute load per site — the PR 8
-  events/s ratchet must not move.
+* **One int test per site**: ``if ev.wants & VOTE:`` — see
+  :class:`EventStream`.  The collector's mask holds no per-message category,
+  so votes, proposals, view entries and network hops build nothing unless a
+  tracer asks for them.
 * **Category bitmasks.**  Each record belongs to exactly one category bit
   (:data:`VIEW`, :data:`PROPOSAL`, ...); ``Tracer(categories=("view",
   "commit"))`` keeps only those, and :meth:`Tracer.emit` drops filtered
   categories before touching the buffers.  Unknown bits are rejected, both
   at construction and at emit time.
 * **Bounded ring buffers.**  Records live in one ``deque(maxlen=capacity)``
-  per replica; a long run evicts its oldest records instead of growing.
+  per replica; a long run evicts its oldest records instead of growing
+  (:data:`HISTOGRAM_KINDS` are aggregated instead of kept).
 
 Installation is process-global and explicit: :func:`install` sets the
-module-level :data:`ACTIVE` sentinel that the cluster builders
-(:func:`repro.bench.runner.build_cluster`, the deployment runner) read when
-wiring replicas, so the tracer never lives in a :class:`Configuration` —
-run ids, stored records, and resume semantics are unchanged by tracing.
-Prefer the :func:`tracing` context manager, which restores the previous
-state on exit::
+module-level :data:`ACTIVE` tracer that the cluster builders
+(:func:`repro.bench.runner.build_cluster`, the deployment runner) subscribe
+to the stream they create, so the tracer never lives in a
+:class:`Configuration` — run ids, stored records, and resume semantics are
+unchanged by tracing.  Prefer the :func:`tracing` context manager, which
+restores the previous state on exit::
 
     from repro.obs import Tracer, tracing
 
@@ -33,9 +34,10 @@ state on exit::
         result = api.run(config)
     records = tracer.records()
 
-Export sinks (JSONL, Chrome/Perfetto, text, SVG timeline) live in
-:mod:`repro.obs.export` and are an extension point: register new ones with
-:func:`register_trace_sink`.
+The event catalogue — every ``(category, kind)``, its announcer and its
+consumers — is the table in ``docs/OBSERVABILITY.md``.  Export sinks (JSONL,
+Chrome/Perfetto, text, SVG timeline) live in :mod:`repro.obs.export` and are
+an extension point: register new ones with :func:`register_trace_sink`.
 """
 
 from __future__ import annotations
@@ -65,16 +67,16 @@ from repro.plugins import Registry
 #: One bit per record category, in a stable declaration order (the order
 #: fixes the bit values, the exported category list, and summary listings).
 VIEW = 1 << 0         #: view entry (pacemaker ``_enter_view``)
-PROPOSAL = 1 << 1     #: proposal broadcast / receipt
+PROPOSAL = 1 << 1     #: proposal broadcast / receipt, leader queue depth
 VOTE = 1 << 2         #: vote sent
 QC = 1 << 3           #: quorum / timeout certificate formation
-COMMIT = 1 << 4       #: block committed
+COMMIT = 1 << 4       #: chain growth: block added, committed, forked
 TIMEOUT = 1 << 5      #: local timeout fired, TIMEOUT message broadcast
 SYNC = 1 << 6         #: block-fetch round started / response ingested
-CHECKPOINT = 1 << 7   #: checkpoint taken, snapshot installed
+CHECKPOINT = 1 << 7   #: checkpoint taken, snapshot fetched / installed, forest peak
 FAULT = 1 << 8        #: scenario events (crash/partition/heal/...) and safety violations
-NET = 1 << 9          #: network-level drops (crashed/partitioned destinations)
-CLIENT = 1 << 10      #: client request committed (request->commit latency)
+NET = 1 << 9          #: fabric drops (crashed/partitioned/backlogged), per-copy hop delay
+CLIENT = 1 << 10      #: client request committed / timed out / rejected
 PROFILE = 1 << 11     #: profiling spans folded in by tools/perf_smoke.py
 
 #: category bit -> canonical name, in declaration order.
@@ -104,6 +106,15 @@ del _bit
 
 #: Default ring-buffer capacity per replica (records).
 DEFAULT_CAPACITY = 1 << 16
+
+#: Kinds a tracer folds into an :class:`ObsMetrics` histogram as they pass:
+#: kind -> (histogram name, payload key, retained as a record too).  Kept,
+#: the per-wire-copy / per-proposal ones would evict the protocol records.
+HISTOGRAM_KINDS: Dict[str, Tuple[str, str, bool]] = {
+    "commit-reply": ("request_to_commit", "latency", True),
+    "hop": ("hop_delay", "delay", False),
+    "queue-depth": ("queue_depth", "depth", False),
+}
 
 
 def category_mask(categories: Union[int, str, Iterable[str], None]) -> int:
@@ -175,8 +186,8 @@ class Tracer:
             raise ValueError(f"trace capacity must be positive, got {capacity}")
         self.mask = category_mask(categories)
         self.capacity = capacity
-        #: Low-cardinality counters and latency histograms fed by the same
-        #: instrumentation points (see :mod:`repro.obs.metrics`).
+        #: Latency / depth histograms fed by :data:`HISTOGRAM_KINDS` events
+        #: (see :mod:`repro.obs.metrics`).
         self.metrics = metrics if metrics is not None else ObsMetrics()
         #: replica id -> ring of ``(seq, t, category_bit, kind, view, payload)``.
         self.buffers: Dict[str, Deque[Tuple]] = {}
@@ -208,6 +219,12 @@ class Tracer:
             # Inside the mask but not a single defined bit (e.g. VIEW|VOTE):
             # a record belongs to exactly one category.
             raise ValueError(f"unknown trace category bits: {category:#x}")
+        histogram = HISTOGRAM_KINDS.get(kind)
+        if histogram is not None:
+            name, key, retained = histogram
+            self.metrics.observe(replica, name, payload[key])
+            if not retained:
+                return
         buffer = self.buffers.get(replica)
         if buffer is None:
             buffer = self.buffers[replica] = deque(maxlen=self.capacity)
@@ -248,20 +265,73 @@ class Tracer:
 
 
 # ----------------------------------------------------------------------
-# process-global installation (the no-op fast path)
+# the event stream: what every instrumented component holds
 # ----------------------------------------------------------------------
-#: The installed tracer, or ``None`` (falsy) when tracing is disabled.
-#: Cluster builders read this when wiring replicas; instrumented components
-#: copy it into a ``tracer`` attribute checked with one ``if`` per site.
+class EventStream:
+    """The one instrumentation seam: each announced event, to every subscriber.
+
+    A builder creates one per cluster and passes it, at construction, to
+    the fabric, every replica (and through it the pacemaker, sync and
+    checkpoint managers), every client and the cluster scenario events fire
+    on.  A site announces an event with one guarded call::
+
+        ev = self.events
+        if ev.wants & COMMIT:
+            ev.emit(now, node_id, COMMIT, "commit", view, {...})
+
+    ``wants`` is the union of the subscribers' masks; a subscriber — a
+    callable with :meth:`Tracer.emit`'s signature — is handed the events of
+    its own mask only.  A stream nobody subscribed to (what a component
+    built without one gets) wants nothing.
+    """
+
+    __slots__ = ("wants", "emit", "_subscribers")
+
+    def __init__(self) -> None:
+        self.wants = 0
+        self._subscribers: List[Tuple[int, Callable]] = []
+        self.emit: Callable = self._fan_out
+
+    def subscribe(self, callback: Callable, mask: int) -> None:
+        """Deliver every event whose category is in ``mask`` to ``callback``."""
+        self._subscribers.append((mask, callback))
+        self.wants |= mask
+        # A lone subscriber is called directly: the client's per-transaction
+        # commit reply pays no fan-out frame on an untraced run.
+        self.emit = callback if len(self._subscribers) == 1 else self._fan_out
+
+    def _fan_out(self, t, who, category, kind, view, payload=None) -> None:
+        for mask, callback in self._subscribers:
+            if category & mask:
+                callback(t, who, category, kind, view, payload)
+
+
+# ----------------------------------------------------------------------
+# process-global installation
+# ----------------------------------------------------------------------
+#: The installed tracer, or ``None`` when tracing is disabled.  Cluster
+#: builders subscribe it to the stream they create (:func:`open_stream`).
 ACTIVE: Optional[Tracer] = None
+
+
+def open_stream(collector) -> EventStream:
+    """A cluster's stream: ``collector`` always hears it, :data:`ACTIVE` if installed.
+
+    The one place that decides who hears what, shared by both builders.
+    """
+    stream = EventStream()
+    stream.subscribe(collector.on_event, collector.mask)
+    if ACTIVE is not None:
+        stream.subscribe(ACTIVE.emit, ACTIVE.mask)
+    return stream
 
 
 def install(tracer: Optional[Tracer] = None, **kwargs: Any) -> Tracer:
     """Install ``tracer`` (or a fresh ``Tracer(**kwargs)``) as :data:`ACTIVE`.
 
-    Clusters built *after* installation pick it up; already-built clusters
-    are unaffected (attach via :meth:`repro.core.replica.Replica.attach_tracer`
-    if needed).  Returns the installed tracer.
+    Clusters built *after* installation pick it up; an already-built one
+    does not (``cluster.events.subscribe(tracer.emit, tracer.mask)`` adds a
+    tracer to it explicitly).  Returns the installed tracer.
     """
     global ACTIVE
     if tracer is None:

@@ -69,6 +69,7 @@ class Pacemaker:
         on_view_start: Callable[[int, ViewChangeReason], None],
         on_local_timeout: Callable[[int], None],
         timeout_provider: Optional[Callable[[int], float]] = None,
+        events: Optional[obs_trace.EventStream] = None,
     ) -> None:
         """Create a pacemaker.
 
@@ -87,6 +88,8 @@ class Pacemaker:
             Optional function ``consecutive_timeouts -> seconds`` used to
             grow the timeout under repeated failures (exponential backoff
             ablation); defaults to the constant ``view_timeout``.
+        events:
+            The cluster's event stream (view entries, timeouts, TCs).
         """
         if view_timeout <= 0:
             raise ValueError(f"view timeout must be positive, got {view_timeout}")
@@ -98,8 +101,7 @@ class Pacemaker:
         self.on_local_timeout = on_local_timeout
         self.timeout_provider = timeout_provider
         self.stats = PacemakerStats()
-        # Set by Replica.attach_tracer when observability is enabled.
-        self.tracer = None
+        self.events = events if events is not None else obs_trace.EventStream()
 
         self.current_view = 0
         self._timer: Optional[Event] = None
@@ -174,7 +176,14 @@ class Pacemaker:
         if view > self.current_view and tracker.timeout_count(view) > max_faulty(tracker.num_nodes):
             self.stats.view_changes_on_join += 1
             self._enter_view(view, ViewChangeReason.JOIN)
-        return tracker.certified(view)
+        tc = tracker.certified(view)
+        ev = self.events
+        if tc is not None and ev.wants & obs_trace.QC:
+            ev.emit(
+                self.scheduler.now, self.node_id, obs_trace.QC, "tc", view,
+                {"signers": len(tc.signers)},
+            )
+        return tc
 
     # ------------------------------------------------------------------
     # internals
@@ -191,9 +200,9 @@ class Pacemaker:
         self.current_view = view
         self.stats.highest_view = max(self.stats.highest_view, view)
         self.stats.record_view_entered(view, self.scheduler.now)
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(
+        ev = self.events
+        if ev.wants & obs_trace.VIEW:
+            ev.emit(
                 self.scheduler.now, self.node_id, obs_trace.VIEW, "enter", view,
                 {"reason": reason.value, "timeout": self.current_timeout()},
             )
@@ -205,9 +214,9 @@ class Pacemaker:
             return
         self.stats.local_timeouts += 1
         self._consecutive_timeouts += 1
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(
+        ev = self.events
+        if ev.wants & obs_trace.TIMEOUT:
+            ev.emit(
                 self.scheduler.now, self.node_id, obs_trace.TIMEOUT,
                 "local-timeout", view,
                 {"consecutive": self._consecutive_timeouts},

@@ -13,7 +13,6 @@ from typing import Dict, Optional, Set, Tuple
 
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import Signature, verify
-from repro.obs import trace as obs_trace
 from repro.types.certificates import (
     QuorumCertificate,
     Timeout,
@@ -63,17 +62,6 @@ class QuorumTracker:
         self._certified: Set[Tuple[int, str]] = set()
         self.duplicate_votes = 0
         self.invalid_votes = 0
-        # Observability (repro.obs): bound by the owning replica when a
-        # tracer is attached; None keeps certification untraced.
-        self.tracer = None
-        self._trace_owner = ""
-        self._trace_clock = None
-
-    def bind_tracer(self, tracer, owner: str, clock) -> None:
-        """Attach a tracer; QC formation emits under ``owner``'s id."""
-        self.tracer = tracer
-        self._trace_owner = owner
-        self._trace_clock = clock
 
     def voted(self, vote: Vote) -> bool:
         """Record a vote; returns True if it was new and valid.
@@ -121,12 +109,6 @@ class QuorumTracker:
         # late votes for certified keys, so drop it instead of letting it
         # accumulate for the rest of the run.
         del self._votes[key]
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(
-                self._trace_clock.now, self._trace_owner, obs_trace.QC, "qc",
-                view, {"block": block_id, "signers": len(votes)},
-            )
         return QuorumCertificate(
             block_id=block_id,
             view=view,
@@ -170,15 +152,6 @@ class TimeoutTracker:
         self._timeouts: Dict[int, Dict[str, Timeout]] = defaultdict(dict)
         self._certified: Set[int] = set()
         self.invalid_timeouts = 0
-        self.tracer = None
-        self._trace_owner = ""
-        self._trace_clock = None
-
-    def bind_tracer(self, tracer, owner: str, clock) -> None:
-        """Attach a tracer; TC formation emits under ``owner``'s id."""
-        self.tracer = tracer
-        self._trace_owner = owner
-        self._trace_clock = clock
 
     def record(self, timeout: Timeout) -> bool:
         """Record a timeout message; returns True if it was new and valid."""
@@ -213,12 +186,6 @@ class TimeoutTracker:
         self._certified.add(view)
         # Dead once the TC forms (record() rejects late timeouts for it).
         del self._timeouts[view]
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(
-                self._trace_clock.now, self._trace_owner, obs_trace.QC, "tc",
-                view, {"signers": len(timeouts)},
-            )
         return TimeoutCertificate(
             view=view,
             signers=frozenset(timeouts),

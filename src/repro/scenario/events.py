@@ -71,20 +71,20 @@ class ScenarioEvent:
         cluster.scheduler.call_at(self.at, self._fire, cluster)
 
     def _fire(self, cluster) -> None:
-        """Apply the event, emitting a fault-trace record when tracing is on.
+        """Announce the event on the cluster's stream (``fault``), then apply it.
 
         Same scheduler entry as calling ``apply`` directly (one ``call_at``,
-        no extra events), so enabling tracing cannot perturb event order.
+        no extra events), so a subscriber cannot perturb event order.
         """
-        tracer = getattr(cluster, "tracer", None)
-        if tracer is not None:
+        ev = cluster.events
+        if ev.wants & obs_trace.FAULT:
             payload = {
                 key: value
                 for key, value in self.to_dict().items()
                 if key not in ("kind", "at") and value is not None
             }
             alias = getattr(self, "replica", None)
-            tracer.emit(
+            ev.emit(
                 self.at,
                 "cluster" if alias is None else resolve_replica(cluster, alias),
                 obs_trace.FAULT,

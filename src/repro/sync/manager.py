@@ -96,11 +96,6 @@ class SyncManager:
         self.replica = replica
         self.settings = settings if settings is not None else SyncSettings()
         self.stats = SyncStats()
-        #: Optional MetricsCollector; the cluster builder wires the shared
-        #: collector into every replica's manager (unlike consensus metrics,
-        #: sync metrics are interesting on *non*-observer replicas — the
-        #: recovered one).
-        self.metrics = None
 
         self._attempts: Dict[str, int] = {}
         self._last_request: Dict[str, float] = {}
@@ -247,11 +242,9 @@ class SyncManager:
         )
         self.stats.fetch_rounds += 1
         self.stats.requests_sent += len(peers)
-        if self.metrics is not None:
-            self.metrics.record_sync_round(replica.node_id, replica.scheduler.now)
-        tr = replica.tracer
-        if tr is not None:
-            tr.emit(
+        ev = replica.events
+        if ev.wants & obs_trace.SYNC:
+            ev.emit(
                 replica.scheduler.now, replica.node_id, obs_trace.SYNC,
                 "fetch-round", replica.pacemaker.current_view,
                 {"target": target, "peers": len(peers)},
@@ -360,13 +353,9 @@ class SyncManager:
         self.stats.blocks_fetched += fetched
         if message.tip_qc is not None and self._qc_valid(message.tip_qc):
             replica._note_synced_qc(message.tip_qc)
-        if self.metrics is not None:
-            self.metrics.record_sync_fetch(
-                replica.node_id, fetched, message.size_bytes, replica.scheduler.now
-            )
-        tr = replica.tracer
-        if tr is not None:
-            tr.emit(
+        ev = replica.events
+        if ev.wants & obs_trace.SYNC:
+            ev.emit(
                 replica.scheduler.now, replica.node_id, obs_trace.SYNC,
                 "fetched", replica.pacemaker.current_view,
                 {"blocks": fetched, "bytes": message.size_bytes},

@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.obs import trace as obs_trace
 from repro.transport.codec import (
     MAX_FRAME_BYTES,
     CodecError,
@@ -182,11 +183,18 @@ class AsyncioTransport:
     registered endpoint on an OS-assigned port and publishes the address
     book.  Endpoints registered by node id, addressed by node id — the
     replica stack never sees host/port pairs.
+
+    Every drop is announced on ``events`` as ``net / drop`` with its reason,
+    like the simulated network's, stamped by ``clock`` (the deployment's
+    :class:`AsyncioClock`); the send/flush/receive path announces nothing.
     """
 
-    def __init__(self, host: str = "127.0.0.1") -> None:
+    def __init__(self, host: str = "127.0.0.1",
+                 events: Optional[obs_trace.EventStream] = None, clock=None) -> None:
         self.host = host
         self.stats = TransportStats()
+        self.events = events if events is not None else obs_trace.EventStream()
+        self._clock = clock
         self._handlers: Dict[str, Callable[[Message], None]] = {}
         self._addresses: Dict[str, Tuple[str, int]] = {}
         self._servers: Dict[str, asyncio.AbstractServer] = {}
@@ -260,7 +268,7 @@ class AsyncioTransport:
         # first messages after the endpoint recovers would silently vanish.
         for link in self._links.values():
             if node_id in (link.src, link.dst):
-                self._discard(link)
+                self._discard(link, "pending-on-crash")
                 self._sever(link)
 
     def recover(self, node_id: str) -> None:
@@ -323,7 +331,7 @@ class AsyncioTransport:
             raise KeyError(f"unknown destination: {dst!r}")
         stats = self.stats
         if src in self._crashed or dst in self._crashed:
-            stats.messages_dropped += 1
+            self._drop(dst, "crashed", message)
             return data
         if message.message_id < 0:
             self._message_seq += 1
@@ -343,7 +351,8 @@ class AsyncioTransport:
         connection = link.connection
         unsent = connection.get_write_buffer_size() if connection is not None else 0
         if link.pending_bytes + unsent + len(data) > MAX_LINK_BACKLOG_BYTES:
-            stats.messages_dropped += 1  # newest goes: the peer is not keeping up
+            # The newest goes: the peer is not keeping up.
+            self._drop(dst, "backlog", message)
             return data
         link.pending.append(data)
         link.pending_bytes += len(data)
@@ -377,7 +386,7 @@ class AsyncioTransport:
     def _deliver(self, node_id: str, message: Message) -> None:
         """Hand one message to ``node_id``'s handler, surfacing its errors."""
         if node_id in self._crashed:
-            self.stats.messages_dropped += 1
+            self._drop(node_id, "crashed-dst", message)
             return
         if message.message_id < 0:
             self._message_seq += 1
@@ -390,8 +399,21 @@ class AsyncioTransport:
         else:
             self.stats.messages_delivered += 1
 
-    def _discard(self, link: _Link) -> None:
-        self.stats.messages_dropped += len(link.pending)
+    def _drop(self, dst: str, reason: str, message: Optional[Message], frames: int = 1) -> None:
+        """Count and announce a dropped ``message`` bound for ``dst``, or (None)
+        ``frames`` already-encoded frames, which no longer say what they were."""
+        self.stats.messages_dropped += frames
+        ev = self.events
+        if ev.wants & obs_trace.NET:
+            what = {"frames": frames} if message is None else {"message": type(message).__name__}
+            ev.emit(
+                self._clock.now, dst, obs_trace.NET, "drop", 0,
+                {"reason": reason, **what},
+            )
+
+    def _discard(self, link: _Link, reason: str) -> None:
+        if link.pending:
+            self._drop(link.dst, reason, None, frames=len(link.pending))
         link.pending.clear()
         link.pending_bytes = 0
 
@@ -418,7 +440,7 @@ class AsyncioTransport:
         while link.pending and link.connection is None:
             address = self._addresses.get(link.dst)
             if address is None:  # recovered, but its listener is not up yet
-                self._discard(link)
+                self._discard(link, "no-listener")
                 break
             try:
                 await self._loop.create_connection(partial(_Outbound, link), *address)

@@ -89,10 +89,12 @@ class DeploymentRunner:
         )
         self.replicas: Dict[str, Replica] = {}
         self.clients: List[ClientBase] = []
-        self.metrics = MetricsCollector(
-            window_start=config.warmup, window_end=config.warmup + config.runtime
-        )
         self.observer_id = config.node_ids()[0]
+        self.metrics = MetricsCollector(
+            window_start=config.warmup,
+            window_end=config.warmup + config.runtime,
+            observer=self.observer_id,
+        )
         self._started = False
 
     async def start(self) -> None:
@@ -101,8 +103,12 @@ class DeploymentRunner:
             raise RuntimeError("deployment already started")
         self._started = True
         config = self.config
+        # Same seam as the simulation builder: one stream for the fabric,
+        # replicas and clients (timestamps come from the shared AsyncioClock,
+        # so deploy traces use wall time since start).
+        events = obs_trace.open_stream(self.metrics)
         self.clock = AsyncioClock()
-        self.transport = AsyncioTransport(host=self.host)
+        self.transport = AsyncioTransport(host=self.host, events=events, clock=self.clock)
         streams = RandomStreams(seed=config.seed)
         node_ids = config.node_ids()
         election = make_election(
@@ -129,11 +135,6 @@ class DeploymentRunner:
         costs = cost_profile("measured")
         sizes = SizeModel()
         byzantine = set(config.byzantine_ids())
-        self.metrics.observer = self.observer_id
-        # Same observability seam as the simulation builder: replicas and
-        # clients pick up the process-global tracer (timestamps come from the
-        # shared AsyncioClock, so deploy traces use wall time since start).
-        tracer = obs_trace.ACTIVE
 
         for node_id in node_ids:
             replica_cls = STRATEGIES.get(config.strategy) if node_id in byzantine else Replica
@@ -148,12 +149,8 @@ class DeploymentRunner:
                 settings=settings,
                 cost_model=costs,
                 size_model=sizes,
-                metrics=self.metrics if node_id == self.observer_id else None,
+                events=events,
             )
-            replica.sync.metrics = self.metrics
-            replica.checkpoint.metrics = self.metrics
-            if tracer is not None:
-                replica.attach_tracer(tracer)
             self.replicas[node_id] = replica
 
         client_cls = CLIENTS.get(config.resolved_client())
@@ -167,10 +164,9 @@ class DeploymentRunner:
                 node_ids,
                 workload=workload,
                 size_model=sizes,
-                metrics=self.metrics,
+                events=events,
                 config=config,
             )
-            client.tracer = tracer
             self.clients.append(client)
 
         await self.transport.start()

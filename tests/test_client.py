@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.bench.metrics import MetricsCollector
 from repro.client.client import ClosedLoopClient, PoissonClient
 from repro.client.workload import WorkloadSpec
 from repro.network.delays import FixedDelay
 from repro.network.network import Network
+from repro.obs.trace import open_stream
 from repro.sim.events import EventScheduler
 from repro.sim.random import RandomStreams
 from repro.types.messages import ClientReply, ClientRequest
@@ -39,28 +41,13 @@ class EchoReplica:
         self.scheduler.call_after(self.delay, self.network.send, self.node_id, message.sender, reply)
 
 
-class RecordingMetrics:
-    def __init__(self):
-        self.latencies = []
-        self.rejections = []
-        self.timeouts = []
-
-    def record_latency(self, txid, latency, now):
-        self.latencies.append(latency)
-
-    def record_rejection(self, txid, now):
-        self.rejections.append(txid)
-
-    def record_timeout(self, txid, now):
-        self.timeouts.append(txid)
-
-
 def make_env(delay=0.01, status="committed", num_replicas=2):
     scheduler = EventScheduler()
     streams = RandomStreams(seed=11)
     network = Network(scheduler, streams, base_delay=FixedDelay(0.001))
     replicas = [EchoReplica(f"r{i}", scheduler, network, delay, status) for i in range(num_replicas)]
-    metrics = RecordingMetrics()
+    # The real consumer: clients announce on a stream it is subscribed to.
+    metrics = MetricsCollector()
     return scheduler, network, streams, replicas, metrics
 
 
@@ -88,7 +75,7 @@ class TestClosedLoopClient:
     def test_keeps_concurrency_outstanding(self):
         scheduler, network, streams, replicas, metrics = make_env()
         client = ClosedLoopClient(
-            "c0", scheduler, network, streams, ["r0", "r1"], metrics=metrics, concurrency=4
+            "c0", scheduler, network, streams, ["r0", "r1"], events=open_stream(metrics), concurrency=4
         )
         client.start()
         assert client.requests_sent == 4
@@ -100,17 +87,17 @@ class TestClosedLoopClient:
     def test_latency_is_recorded(self):
         scheduler, network, streams, replicas, metrics = make_env(delay=0.02)
         client = ClosedLoopClient(
-            "c0", scheduler, network, streams, ["r0"], metrics=metrics, concurrency=1
+            "c0", scheduler, network, streams, ["r0"], events=open_stream(metrics), concurrency=1
         )
         client.start()
         scheduler.run_until(0.1)
         assert metrics.latencies
-        assert all(lat >= 0.02 for lat in metrics.latencies)
+        assert all(lat >= 0.02 for _now, lat in metrics.latencies)
 
     def test_stops_issuing_after_stop_time(self):
         scheduler, network, streams, replicas, metrics = make_env(delay=0.01)
         client = ClosedLoopClient(
-            "c0", scheduler, network, streams, ["r0"], metrics=metrics, concurrency=2
+            "c0", scheduler, network, streams, ["r0"], events=open_stream(metrics), concurrency=2
         )
         client.start(stop_time=0.05)
         scheduler.run_until(0.5)
@@ -121,7 +108,7 @@ class TestClosedLoopClient:
     def test_rejection_triggers_retry(self):
         scheduler, network, streams, replicas, metrics = make_env(status="rejected")
         client = ClosedLoopClient(
-            "c0", scheduler, network, streams, ["r0"], metrics=metrics, concurrency=1
+            "c0", scheduler, network, streams, ["r0"], events=open_stream(metrics), concurrency=1
         )
         client.start()
         scheduler.run_until(0.2)
@@ -139,7 +126,7 @@ class TestClosedLoopClient:
             network,
             streams,
             ["dead"],
-            metrics=metrics,
+            events=open_stream(metrics),
             concurrency=2,
             request_timeout=0.05,
         )
@@ -168,7 +155,7 @@ class TestClosedLoopClient:
             streams,
             ["r0"],
             workload=WorkloadSpec(payload_size=256),
-            metrics=metrics,
+            events=open_stream(metrics),
             concurrency=1,
         )
         client.start()
@@ -180,7 +167,7 @@ class TestPoissonClient:
     def test_rate_controls_request_count(self):
         scheduler, network, streams, replicas, metrics = make_env(delay=0.001)
         client = PoissonClient(
-            "c0", scheduler, network, streams, ["r0", "r1"], metrics=metrics, rate=500.0
+            "c0", scheduler, network, streams, ["r0", "r1"], events=open_stream(metrics), rate=500.0
         )
         client.start(stop_time=1.0)
         scheduler.run_until(1.2)
@@ -190,7 +177,7 @@ class TestPoissonClient:
     def test_open_loop_does_not_wait_for_replies(self):
         scheduler, network, streams, replicas, metrics = make_env(delay=10.0)
         client = PoissonClient(
-            "c0", scheduler, network, streams, ["r0"], metrics=metrics, rate=200.0
+            "c0", scheduler, network, streams, ["r0"], events=open_stream(metrics), rate=200.0
         )
         client.start(stop_time=0.5)
         scheduler.run_until(0.5)
@@ -205,7 +192,7 @@ class TestPoissonClient:
     def test_latencies_recorded_for_commits(self):
         scheduler, network, streams, replicas, metrics = make_env(delay=0.005)
         client = PoissonClient(
-            "c0", scheduler, network, streams, ["r0"], metrics=metrics, rate=100.0
+            "c0", scheduler, network, streams, ["r0"], events=open_stream(metrics), rate=100.0
         )
         client.start(stop_time=0.5)
         scheduler.run_until(1.0)

@@ -116,7 +116,10 @@ class TestClusterInternals:
         cluster.run()
         assert cluster.observer_id == "r0"
         assert cluster.metrics.committed_blocks
-        assert cluster.replicas["r1"].metrics is None
+        # Every replica announces its commits; only the observer's are kept.
+        assert cluster.metrics.observer == "r0"
+        assert cluster.replicas["r1"].stats.blocks_committed > 0
+        assert len(cluster.metrics.committed_blocks) == cluster.replicas["r0"].stats.blocks_committed
 
     def test_executor_state_matches_across_replicas(self):
         config = Configuration(protocol="hotstuff", **FAST)

@@ -80,10 +80,18 @@ class TestTracer:
     def test_disabled_by_default(self):
         assert obs_trace.ACTIVE is None
         cluster = build_cluster(small_config())
-        assert cluster.tracer is None
-        assert cluster.network.tracer is None
+        # One stream shared by everything that announces; untraced, only the
+        # collector listens, so no per-message category is wanted.
+        events = cluster.events
+        assert cluster.network.events is events
         for replica in cluster.replicas.values():
-            assert replica.tracer is None
+            assert replica.events is events and replica.pacemaker.events is events
+        for client in cluster.clients:
+            assert client.events is events
+        assert events.wants == cluster.metrics.mask
+        per_message = (obs_trace.VIEW | obs_trace.PROPOSAL | obs_trace.VOTE
+                       | obs_trace.QC | obs_trace.TIMEOUT | obs_trace.NET)
+        assert not events.wants & per_message
 
     def test_emit_and_merge_order(self):
         tracer = Tracer()

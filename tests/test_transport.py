@@ -41,6 +41,7 @@ from repro.checkpoint.snapshot import Checkpoint
 from repro.core.replica import Replica
 from repro.forest.forest import BlockForest
 from repro.network.network import Network
+from repro.obs.trace import tracing
 from repro.quorum.quorum import QuorumTracker
 from repro.sim.events import EventScheduler
 from repro.sim.random import RandomStreams
@@ -1006,6 +1007,15 @@ def _deploy_config(**overrides) -> Configuration:
     return Configuration(**base)
 
 
+async def until(condition, what, deadline=30.0):
+    # Poll instead of sleeping a fixed time: early exit on a fast host, room
+    # on a slow one.
+    give_up = asyncio.get_running_loop().time() + deadline
+    while not condition():
+        assert asyncio.get_running_loop().time() < give_up, f"timed out waiting for {what}"
+        await asyncio.sleep(0.02)
+
+
 class TestDeployment:
     def test_mode_validation(self):
         with pytest.raises(ValueError):
@@ -1063,14 +1073,6 @@ class TestDeployment:
     def test_crashed_replica_recovers_over_the_wire(self):
         """A replica that crashes mid-run catches back up via real sync."""
 
-        async def until(condition, what, deadline=30.0):
-            # Poll instead of sleeping a fixed time: early exit on a fast host,
-            # room on a slow one.
-            give_up = asyncio.get_running_loop().time() + deadline
-            while not condition():
-                assert asyncio.get_running_loop().time() < give_up, f"timed out waiting for {what}"
-                await asyncio.sleep(0.02)
-
         async def scenario():
             # Hash election: under round-robin one crashed replica takes every
             # fourth view, so chained HotStuff never sees three consecutive
@@ -1101,3 +1103,34 @@ class TestDeployment:
 
         runner = asyncio.run(scenario())
         assert runner.consistency_check()
+
+    def test_deploy_mode_fabric_is_traced(self):
+        """The transport announces its drops on the same stream as the simulator's network."""
+
+        async def scenario():
+            runner = DeploymentRunner(_deploy_config(
+                runtime=120.0, seed=11, signing="hmac", election="hash", view_timeout=0.3))
+            await runner.start()
+            try:
+                observer = runner.replicas[runner.observer_id]
+                await until(lambda: observer.forest.committed_height > 0, "a first commit")
+                runner.replicas["r3"].crash()
+                # Everything the others keep sending r3 is dropped at the door.
+                height_down = observer.forest.committed_height + 3
+                await until(lambda: observer.forest.committed_height > height_down,
+                            "commits while r3 is down")
+            finally:
+                await runner.stop()
+            runner.raise_handler_errors()
+            return runner
+
+        with tracing() as deployed:
+            runner = asyncio.run(scenario())
+        drops = [r for r in deployed.records() if (r.category, r.kind) == ("net", "drop")]
+        assert any(r.replica == "r3" and r.payload["reason"] == "crashed" for r in drops)
+        assert len(drops) <= runner.transport.stats.messages_dropped
+        assert all(set(r.payload) in ({"reason", "message"}, {"reason", "frames"}) for r in drops)
+
+        with tracing() as simulated:
+            run_experiment(_deploy_config(mode="model", runtime=0.5))
+        assert deployed.replicas() == simulated.replicas() == ["c0", "c1", "r0", "r1", "r2", "r3"]

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Docs check: intra-repo links must resolve; tagged examples must run.
+"""Docs check: links resolve, tagged examples run, the event catalogue is current.
 
-Two passes over ``README.md`` and ``docs/*.md`` (stdlib only, no deps):
+Three passes over ``README.md`` and ``docs/*.md`` (stdlib only, no deps):
 
 1. **Links** — every relative markdown link (``[text](path)`` or
    ``[text](path#anchor)``) must point at an existing file or directory in
@@ -12,13 +12,20 @@ Two passes over ``README.md`` and ``docs/*.md`` (stdlib only, no deps):
    ``# docs-smoke-test`` is executed (with ``src`` on ``sys.path``).  This
    keeps runnable examples in the docs — like the crash → recover →
    catch-up scenario in ``docs/SCENARIOS.md`` — from rotting.
+3. **Event catalogue** — every ``(category constant, kind literal)`` passed
+   to an ``emit(`` call under ``src/repro/`` (AST walk) must have a row in
+   the catalogue table of ``docs/OBSERVABILITY.md``, and every row must be
+   announced by some call.  A kind that is not a literal (scenario events
+   pass their own) is listed as ``*``.  The call sites are printed, so "one
+   ``emit(`` per event" can be read off the output.
 
-Exit status is non-zero on any broken link or failing example, which is how
-CI consumes it: ``python tools/check_docs.py``.
+Exit status is non-zero on any broken link, failing example or catalogue
+mismatch, which is how CI consumes it: ``python tools/check_docs.py``.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -30,6 +37,9 @@ SMOKE_TAG = "# docs-smoke-test"
 #: (the leading ! simply precedes the captured group).
 LINK_RE = re.compile(r"\[[^\]\[]*\]\(([^)\s]+)\)")
 FENCE_RE = re.compile(r"^```python\s*$(.*?)^```\s*$", re.MULTILINE | re.DOTALL)
+CATALOGUE = REPO_ROOT / "docs" / "OBSERVABILITY.md"
+#: A catalogue row: | `category` | `kind` | ...
+CATALOGUE_ROW_RE = re.compile(r"^\| `([a-z]+)` \| `([^`]+)` \|", re.MULTILINE)
 
 
 def doc_files():
@@ -69,6 +79,46 @@ def run_smoke_blocks(path: Path) -> list:
     return problems
 
 
+def announced_events() -> dict:
+    """``(category, kind) -> [call sites]`` for every ``emit(`` under ``src/repro/``."""
+    from repro.obs.trace import CATEGORY_BITS
+
+    constants = {name.upper(): name for name in CATEGORY_BITS}
+    sites: dict = {}
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "emit" and len(node.args) >= 4):
+                continue
+            category, kind = node.args[2], node.args[3]
+            # obs_trace.COMMIT or a bare COMMIT; anything else is not an event.
+            name = category.attr if isinstance(category, ast.Attribute) else getattr(category, "id", "")
+            if name not in constants:
+                continue
+            literal = kind.value if isinstance(kind, ast.Constant) else "*"
+            sites.setdefault((constants[name], literal), []).append(
+                f"{path.relative_to(REPO_ROOT)}:{node.lineno}"
+            )
+    return sites
+
+
+def check_catalogue() -> list:
+    announced = announced_events()
+    listed = set(CATALOGUE_ROW_RE.findall(CATALOGUE.read_text()))
+    for event in sorted(announced):
+        print(f"event {event[0]}/{event[1]}: {', '.join(announced[event])}")
+    name = CATALOGUE.relative_to(REPO_ROOT)
+    problems = [
+        f"{name}: {category}/{kind} ({', '.join(announced[category, kind])}) has no catalogue row"
+        for category, kind in sorted(set(announced) - listed)
+    ]
+    problems += [
+        f"{name}: catalogue lists {category}/{kind}, which nothing under src/repro announces"
+        for category, kind in sorted(listed - set(announced))
+    ]
+    return problems
+
+
 def main() -> int:
     sys.path.insert(0, str(REPO_ROOT / "src"))
     problems = []
@@ -76,6 +126,7 @@ def main() -> int:
         problems.extend(check_links(path))
     for path in doc_files():
         problems.extend(run_smoke_blocks(path))
+    problems.extend(check_catalogue())
     if problems:
         print("\ndocs check FAILED:")
         for problem in problems:

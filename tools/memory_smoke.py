@@ -17,7 +17,10 @@ Runs a 60-second-simulated-time experiment twice — checkpointing off and on
   floor-plus-window entries, however many transactions committed;
 * the vote and timeout trackers stay bounded: ``Replica._commit`` calls
   ``prune_below(committed view)`` on both, so entries track the in-flight
-  view window, not the thousands of views the run enters.
+  view window, not the thousands of views the run enters;
+* the metrics collector keeps raw samples only — one entry per client
+  outcome or per observer block, which is what the metrics are computed
+  from — and no other container (nothing keyed by view).
 
 Exits non-zero on any violation.  CI runs this as the ``memory-smoke`` job;
 run it locally with ``python tools/memory_smoke.py``.
@@ -48,6 +51,12 @@ FOREST_BOUND = 2 * INTERVAL + 16
 #: in-flight view window — thousands of views pass through either tracker
 #: over the run.
 TRACKER_BOUND = 64
+
+#: The only containers the collector may hold: its raw samples.
+COLLECTOR_SAMPLES = {
+    "latencies", "rejections", "timeouts",
+    "committed_blocks", "blocks_added", "blocks_forked",
+}
 
 #: RunMetrics fields that must be bit-identical between the two runs.
 COMMITTED_FIELDS = [
@@ -146,6 +155,16 @@ def main() -> int:
             "the smoke run is too short to exercise reply-state eviction"
         )
     for label, cluster in (("baseline", baseline), ("checkpointed", checked)):
+        held = {
+            name for name, value in vars(cluster.metrics).items()
+            if isinstance(value, (list, dict, set, tuple))
+        }
+        if held != COLLECTOR_SAMPLES:
+            failures.append(
+                f"{label} collector holds containers {sorted(held ^ COLLECTOR_SAMPLES)} "
+                "beside its raw samples; per-view state must stay in the bounded "
+                "PacemakerStats.views_entered_at"
+            )
         for replica in cluster.replicas.values():
             origin = len(replica._origin_clients)
             replied = replica._replied_txids.entry_count()
