@@ -12,7 +12,8 @@ Run with::
     python examples/model_vs_simulation.py
 """
 
-from repro import AnalyticalModel, ModelParameters, api
+from repro import api
+from repro.model import AnalyticalModel, ModelParameters
 
 PROTOCOLS = ["hotstuff", "2chainhs", "streamlet"]
 

@@ -21,64 +21,17 @@ network delay models, client types, and scenario events.  Register your own
 with the ``api.register_*`` decorators and select them by name from the
 configuration; fault schedules are declarative :class:`~repro.scenario.Scenario`
 objects that serialize to JSON.  See ``README.md`` for a worked example and
-``examples/`` / ``benchmarks/`` for runnable scenarios and the regeneration
-of every table and figure in the paper's evaluation.
+``examples/`` for runnable scenarios; ``python -m repro paper all``
+regenerates every table and figure of the paper's evaluation and checks the
+paper's claims against them.
+
+Only the facade is imported here: anything else is imported from the module
+that defines it (``from repro.model import AnalyticalModel``), so that
+``import repro`` never pays for a subsystem the caller does not use.
 """
 
 from repro import api
-from repro.bench.config import Configuration, ConfigurationError
-from repro.bench.metrics import MetricsCollector, RunMetrics
-from repro.bench.runner import Cluster, ExperimentResult, build_cluster, run_experiment
-from repro.bench.sweeps import SweepPoint, saturation_sweep
-from repro.bench.timeline import ResponsivenessScenario, run_responsiveness
-from repro.core.byzantine import ForkingReplica, SilentReplica
-from repro.experiments import (
-    CampaignResult,
-    CampaignRunner,
-    ExperimentSpec,
-    ResultStore,
-    run_campaign,
-)
-from repro.core.replica import Replica, ReplicaSettings
-from repro.model.predictions import AnalyticalModel, ModelParameters
-from repro.plugins import Registry, RegistryError
-from repro.protocols.registry import available_protocols, make_safety
-from repro.scenario import Scenario, ScenarioResult, ScenarioRunner, run_scenario
 
 __version__ = "1.2.0"
 
-__all__ = [
-    "AnalyticalModel",
-    "CampaignResult",
-    "CampaignRunner",
-    "Cluster",
-    "Configuration",
-    "ConfigurationError",
-    "ExperimentResult",
-    "ExperimentSpec",
-    "ForkingReplica",
-    "MetricsCollector",
-    "ModelParameters",
-    "Registry",
-    "RegistryError",
-    "Replica",
-    "ReplicaSettings",
-    "ResponsivenessScenario",
-    "ResultStore",
-    "RunMetrics",
-    "Scenario",
-    "ScenarioResult",
-    "ScenarioRunner",
-    "SilentReplica",
-    "SweepPoint",
-    "api",
-    "available_protocols",
-    "build_cluster",
-    "make_safety",
-    "run_campaign",
-    "run_experiment",
-    "run_responsiveness",
-    "run_scenario",
-    "saturation_sweep",
-    "__version__",
-]
+__all__ = ["api", "__version__"]

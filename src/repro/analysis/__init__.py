@@ -8,9 +8,10 @@ into the paper's deliverables — **without re-running a single simulation**:
   repetitions into mean / stddev / 95% CI aggregates (Student-t, stdlib);
 * :mod:`repro.analysis.report` — cross-protocol comparison tables in text,
   markdown, and CSV (also the canonical table renderer for the CLI and the
-  benchmark harness);
-* :mod:`repro.analysis.figures` — the paper's figures (8-15, Table II) as
-  standalone SVG with error bars, pure stdlib;
+  paper tables);
+* :mod:`repro.analysis.figures` — campaign records as standalone SVG with
+  error bars, pure stdlib (the paper's figures 8-15 and Table II are
+  described by their entries in :mod:`repro.experiments.paper`);
 * :mod:`repro.analysis.regress` — freeze an aggregate baseline and flag
   metrics that later move outside their confidence interval.
 
@@ -20,7 +21,6 @@ and on the command line as ``python -m repro report | plot | regress``.
 
 from repro.analysis.figures import (
     ATTACK_PANELS,
-    FIGURES,
     FigureDef,
     FigureError,
     compose_grid,
@@ -61,7 +61,6 @@ from repro.analysis.stats import (
 
 __all__ = [
     "ATTACK_PANELS",
-    "FIGURES",
     "Aggregate",
     "BaselineError",
     "DEFAULT_REGRESS_METRICS",

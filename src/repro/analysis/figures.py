@@ -10,11 +10,13 @@ kit (no matplotlib — the container has none, and SVG text diffs cleanly in
 review).
 
 Each :class:`FigureDef` names the campaign prefix it renders (``fig9`` for
-any campaign called ``fig9*``), the axes matching the corresponding
-``benchmarks/bench_*.py`` module, and how series are labelled from the
-records' params.  Campaigns without a registered figure fall back to a
-generic throughput chart, or to explicit ``x``/``y`` choices via the CLI
-(``python -m repro plot --x concurrency --y throughput_tps``).
+any campaign called ``fig9*``), the chart axes, and how series are labelled
+from the records' params.  The paper's figures are not listed here: each is
+the ``figure`` of its entry in :mod:`repro.experiments.paper`, next to the
+campaign whose records it draws, and :func:`known_figures` reads them off
+that table.  Campaigns without a paper figure fall back to a generic
+throughput chart, or to explicit ``x``/``y`` choices via the CLI (``python -m
+repro plot --x concurrency --y throughput_tps``).
 """
 
 from __future__ import annotations
@@ -89,84 +91,27 @@ ATTACK_PANELS: Tuple[Tuple[str, str, float], ...] = (
     ("block_interval", "block interval (s)", 1.0),
 )
 
-#: The registered paper figures, keyed by campaign-name prefix.
-FIGURES: Dict[str, FigureDef] = {
-    fig.key: fig
-    for fig in (
-        FigureDef(
-            key="fig8",
-            title="Fig. 8 — model vs. implementation",
-            xlabel="arrival rate (Tx/s)", ylabel="mean latency (ms)",
-            x="arrival_rate", y="mean_latency", y_scale=1e3,
-            # "mode" splits the simulated and deployed runs of one config
-            # into separate curves — the figure's model-vs-implementation
-            # axis regenerated from actual runs of both.
-            series_keys=("_config", "protocol", "mode"),
-        ),
-        FigureDef(
-            key="fig9",
-            title="Fig. 9 — throughput vs. latency by block size",
-            xlabel="throughput (Tx/s)", ylabel="mean latency (ms)",
-            x="metric:throughput_tps", y="mean_latency", y_scale=1e3,
-        ),
-        FigureDef(
-            key="fig10",
-            title="Fig. 10 — throughput vs. latency by payload size",
-            xlabel="throughput (Tx/s)", ylabel="mean latency (ms)",
-            x="metric:throughput_tps", y="mean_latency", y_scale=1e3,
-        ),
-        FigureDef(
-            key="fig11",
-            title="Fig. 11 — throughput vs. latency under added delay",
-            xlabel="throughput (Tx/s)", ylabel="mean latency (ms)",
-            x="metric:throughput_tps", y="mean_latency", y_scale=1e3,
-        ),
-        FigureDef(
-            key="fig12",
-            title="Fig. 12 — scalability",
-            xlabel="cluster size (replicas)", ylabel="throughput (Tx/s)",
-            x="num_nodes", y="throughput_tps",
-        ),
-        FigureDef(
-            key="fig13",
-            title="Fig. 13 — forking attack",
-            xlabel="Byzantine replicas", ylabel="chain growth rate",
-            x="byzantine_nodes", y="chain_growth_rate",
-            panels=ATTACK_PANELS,
-        ),
-        FigureDef(
-            key="fig14",
-            title="Fig. 14 — silence attack",
-            xlabel="Byzantine replicas", ylabel="throughput (Tx/s)",
-            x="byzantine_nodes", y="throughput_tps",
-            panels=ATTACK_PANELS,
-        ),
-        FigureDef(
-            key="fig15",
-            title="Fig. 15 — responsiveness timeline",
-            xlabel="time (s)", ylabel="throughput (Tx/s)",
-            x="time", y="throughput_tps", timeline=True,
-        ),
-        FigureDef(
-            key="table2",
-            title="Table II — arrival rate vs. throughput",
-            xlabel="arrival rate (Tx/s)", ylabel="throughput (Tx/s)",
-            x="arrival_rate", y="throughput_tps",
-        ),
-        FigureDef(
-            key="ablation",
-            title="Ablation — design choices",
-            xlabel="arm", ylabel="throughput (Tx/s)",
-            x="_arm", y="throughput_tps", categorical=True,
-        ),
-        FigureDef(
-            key="view_timeline",
-            title="View timeline — per-replica views by outcome",
-            xlabel="time (s)", ylabel="replica",
-            x="time", y="view", trace=True,
-        ),
-    )
-}
+#: The one figure drawn from trace records rather than campaign records.
+VIEW_TIMELINE = FigureDef(
+    key="view_timeline",
+    title="View timeline — per-replica views by outcome",
+    xlabel="time (s)", ylabel="replica",
+    x="time", y="view", trace=True,
+)
+
+
+def known_figures() -> Dict[str, FigureDef]:
+    """Every known figure by key: the paper table's, plus the view timeline.
+
+    The table is imported here, not at module level: it sits above this
+    module (its entries hold ``FigureDef`` objects) and only plotting needs it.
+    """
+    from repro.experiments.paper import ENTRIES
+
+    figures = {entry.figure.key: entry.figure for entry in ENTRIES}
+    figures[VIEW_TIMELINE.key] = VIEW_TIMELINE
+    return figures
+
 
 _GENERIC = FigureDef(
     key="generic",
@@ -176,9 +121,9 @@ _GENERIC = FigureDef(
 
 
 def figure_for_campaign(name: str) -> Optional[FigureDef]:
-    """The registered figure whose key prefixes the campaign name, if any."""
-    for key, fig in FIGURES.items():
-        if name == key or name.startswith(key):
+    """The figure whose key prefixes the campaign name, if any."""
+    for key, fig in known_figures().items():
+        if name.startswith(key):
             return fig
     return None
 
@@ -688,7 +633,7 @@ def render_figure(
 ) -> str:
     """Render one campaign's records as an SVG figure.
 
-    ``figure`` may be a :class:`FigureDef`, a registry key (``"fig9"``), or
+    ``figure`` may be a :class:`FigureDef`, a figure key (``"fig9"``), or
     ``None`` to resolve from the records' campaign name (generic fallback
     when nothing matches).  Records are aggregated first, so repetitions
     become 95%-CI error bars; no simulation is ever executed.
@@ -697,11 +642,12 @@ def render_figure(
     if not records:
         raise FigureError("no records to render")
     if isinstance(figure, str):
-        if figure not in FIGURES:
+        known = known_figures()
+        if figure not in known:
             raise FigureError(
-                f"unknown figure {figure!r}; known: {', '.join(sorted(FIGURES))}"
+                f"unknown figure {figure!r}; known: {', '.join(sorted(known))}"
             )
-        figure = FIGURES[figure]
+        figure = known[figure]
     if figure is not None and figure.trace:
         # Trace figures consume repro.obs trace records, not campaign records.
         return render_view_timeline(records, title=title or figure.title)

@@ -1,9 +1,8 @@
 """Comparison tables over aggregated campaign results.
 
 This module owns *rendering*: the canonical fixed-width text table the CLI
-and every benchmark script print (:func:`format_table` — previously ad-hoc
-row formatting in ``benchmarks/common.py``), plus GitHub-flavoured markdown
-and CSV for reports that leave the terminal, and the cross-protocol
+and every paper table print (:func:`format_table`), plus GitHub-flavoured
+markdown and CSV for reports that leave the terminal, and the cross-protocol
 comparison table built from :class:`~repro.analysis.stats.GroupSummary`
 aggregates (mean ± 95% CI per metric).
 
@@ -52,8 +51,8 @@ def format_measure(agg: Aggregate, scale: float = 1.0) -> str:
 def format_table(rows: List[Dict[str, Any]], columns: Iterable[str]) -> str:
     """Render rows as a fixed-width text table (header + one line per row).
 
-    This is the one text-table renderer: ``python -m repro`` and
-    ``benchmarks/common.py`` both delegate to it.
+    This is the one text-table renderer: every ``python -m repro``
+    subcommand, the paper tables included, delegates to it.
     """
     columns = list(columns)
     widths = {

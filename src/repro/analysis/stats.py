@@ -267,7 +267,7 @@ def aggregate_rows(
     """Collapse flat result rows (one per repetition) into one row per group.
 
     This is the row-level twin of :func:`aggregate_records`, used by the
-    benchmark scripts whose ``run()`` functions build flat label+metric rows:
+    paper tables (``python -m repro paper --reps N``), whose rows are flat:
     rows sharing the values of ``keys`` are one group; every other float
     column (or the explicit ``metrics`` list) is collapsed to its mean, with
     a ``<column>_ci95`` companion column carrying the 95% CI half-width, and

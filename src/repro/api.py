@@ -13,8 +13,8 @@ Everything a user script needs lives here::
         {"kind": "recover-replica", "at": 6.0, "replica": "last"},
     ]})
 
-    # sweep client load to a latency/throughput curve
-    points = api.sweep(config, concurrency_levels=[8, 32, 128])
+    # sweep client load to a latency/throughput curve: a one-axis campaign
+    curve = api.campaign(api.grid(config, concurrency=[8, 32, 128]))
 
     # the same protocol stack over real asyncio TCP with Ed25519 signing
     # (the "implementation" axis of fig. 8; same result schema as api.run)
@@ -31,6 +31,10 @@ Everything a user script needs lives here::
     groups = api.aggregate("results/")
     paths = api.plot("results/", out="figures/")
 
+    # regenerate a table or figure of the paper and check its claims
+    (fig9,) = api.paper("fig9_block_sizes")
+    assert fig9.ok, fig9.claims
+
     # fuzz: randomized fault/Byzantine scenarios audited by safety oracles
     report = api.fuzz(budget=50, seed=0, store="results/")
     assert report.ok, report.violations
@@ -45,7 +49,7 @@ Everything a user script needs lives here::
     @api.register_protocol("myproto")
     class MyProtocolSafety(Safety): ...
 
-``run``/``build``/``sweep`` accept either a :class:`Configuration` or a
+``run``/``build``/``grid`` accept either a :class:`Configuration` or a
 JSON-style dict (ignoring unknown keys, like Bamboo's config file);
 scenarios likewise accept a :class:`Scenario` or its dict form.
 
@@ -82,7 +86,6 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.analysis import GroupSummary, aggregate_records, render_store
 from repro.bench.config import Configuration, ConfigurationError
 from repro.bench.runner import Cluster, ExperimentResult, build_cluster, run_experiment
-from repro.bench.sweeps import SweepPoint, saturation_sweep
 from repro.client.client import available_clients, register_client
 from repro.experiments import (
     CampaignResult,
@@ -131,7 +134,6 @@ __all__ = [
     "ResultStore",
     "Scenario",
     "ScenarioResult",
-    "SweepPoint",
     "TracedRun",
     "Tracer",
     "aggregate",
@@ -143,6 +145,7 @@ __all__ = [
     "fuzz",
     "grid",
     "load_config",
+    "paper",
     "plot",
     "register_client",
     "register_delay_model",
@@ -155,7 +158,6 @@ __all__ = [
     "register_trace_sink",
     "replay",
     "run",
-    "sweep",
     "trace",
     "tracing",
 ]
@@ -240,27 +242,6 @@ def deploy(config: ConfigLike, host: str = "127.0.0.1") -> ExperimentResult:
     if coerced.mode != "deploy":
         coerced = coerced.replace(mode="deploy")
     return run_deployment(coerced, host=host)
-
-
-def sweep(
-    config: ConfigLike,
-    concurrency_levels: Optional[Sequence[int]] = None,
-    arrival_rates: Optional[Sequence[float]] = None,
-    workers: int = 1,
-    store: Optional[Union[ResultStore, str, Path]] = None,
-) -> List[SweepPoint]:
-    """Sweep client load and return one latency/throughput point per level.
-
-    ``workers`` and ``store`` are forwarded to the underlying campaign
-    (parallel execution and resume), like :func:`campaign`.
-    """
-    return saturation_sweep(
-        _coerce_config(config),
-        concurrency_levels=concurrency_levels,
-        arrival_rates=arrival_rates,
-        workers=workers,
-        store=store,
-    )
 
 
 SpecLike = Union[ExperimentSpec, Dict, str, Path]
@@ -387,6 +368,31 @@ def plot(
     """
     store = source if isinstance(source, ResultStore) else ResultStore(source)
     return render_store(store, out, campaigns=campaigns, figure=figure)
+
+
+def paper(
+    name: str = "all",
+    scale: str = "ci",
+    reps: int = 1,
+    workers: int = 1,
+    store: Optional[Union[ResultStore, str, Path]] = None,
+    out: Optional[Union[str, Path]] = None,
+) -> list:
+    """Regenerate tables/figures of the paper's evaluation and check its claims.
+
+    ``name`` is an entry of :data:`repro.experiments.paper.ENTRIES` (or a
+    unique prefix of one, or ``"all"`` for every deterministic entry);
+    returns one :class:`~repro.experiments.paper.PaperResult` per entry run,
+    carrying the rows, the rendered table and a verdict per claim.  ``scale``
+    is ``"ci"`` (the committed tables) or ``"full"`` (the paper's grids);
+    ``reps > 1`` adds 95%-CI columns; ``out`` names a directory to write the
+    tables under (nothing is written by default).  Equivalent to ``python -m
+    repro paper``; the table module is imported lazily, because one of its
+    entries needs the analytical model and with it scipy.
+    """
+    from repro.experiments import paper as table
+
+    return list(table.run(name, scale=scale, reps=reps, workers=workers, store=store, out=out))
 
 
 def fuzz(

@@ -1,4 +1,4 @@
-"""Benchmark facilities: configuration, metrics, experiment runner, sweeps.
+"""Benchmark facilities: configuration, metrics, cost profiles, experiment runner.
 
 The runner builds clusters entirely through the plugin registries
 (:mod:`repro.plugins`); scripts should normally go through the
@@ -10,8 +10,6 @@ from repro.bench.config import Configuration, ConfigurationError
 from repro.bench.metrics import MetricsCollector, RunMetrics
 from repro.bench.profiles import cost_profile
 from repro.bench.runner import Cluster, ExperimentResult, build_cluster, run_experiment
-from repro.bench.sweeps import SweepPoint, saturation_sweep
-from repro.bench.timeline import ResponsivenessScenario, run_responsiveness
 
 __all__ = [
     "Cluster",
@@ -19,12 +17,8 @@ __all__ = [
     "ConfigurationError",
     "ExperimentResult",
     "MetricsCollector",
-    "ResponsivenessScenario",
     "RunMetrics",
-    "SweepPoint",
     "build_cluster",
     "cost_profile",
     "run_experiment",
-    "run_responsiveness",
-    "saturation_sweep",
 ]

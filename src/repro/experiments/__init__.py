@@ -12,6 +12,9 @@ Table 2 and Figs. 8-15 are each one campaign):
 * :class:`ResultStore` — one JSONL record per completed run, keyed by a
   content hash, so re-running a campaign skips finished points
   (:mod:`repro.experiments.store`);
+* the paper's evaluation as one table of such campaigns, with the row
+  projections, figures and claims that go with them
+  (:mod:`repro.experiments.paper`, imported on demand);
 * the ``python -m repro`` CLI (:mod:`repro.experiments.cli`).
 
 See ``docs/EXPERIMENTS.md`` for the JSON schemas and CLI walkthrough.
@@ -21,8 +24,6 @@ from repro.experiments.runner import (
     CampaignResult,
     CampaignRunner,
     execute_payload,
-    run_campaign,
-    timeline_mean,
 )
 from repro.experiments.spec import (
     DEFAULT_BUCKET,
@@ -50,7 +51,5 @@ __all__ = [
     "TruncatedRecordWarning",
     "encode_record",
     "execute_payload",
-    "run_campaign",
     "run_key",
-    "timeline_mean",
 ]

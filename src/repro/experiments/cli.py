@@ -2,6 +2,7 @@
 
 Every subcommand is driven by the same JSON files the library consumes::
 
+    python -m repro paper fig9                     # one paper table + its claims
     python -m repro run experiment.json            # one experiment (+scenario)
     python -m repro deploy --nodes 4 --runtime 3   # real asyncio TCP cluster
     python -m repro campaign grid.json -w 4 -s out # a parallel, resumable grid
@@ -36,13 +37,10 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
-# Re-exported here for backwards compatibility: the canonical renderer
-# lives in the analysis subsystem now.
-from repro.analysis.report import format_cell, format_table  # noqa: F401
+from repro.analysis.report import format_table
 from repro.bench.config import Configuration, ConfigurationError
 from repro.bench.runner import run_experiment
-from repro.bench.sweeps import saturation_sweep
-from repro.experiments.runner import CampaignRunner
+from repro.experiments.runner import CampaignResult, CampaignRunner
 from repro.experiments.spec import ExperimentSpec, SpecError
 from repro.experiments.store import ResultStore, StoreError
 from repro.plugins import RegistryError
@@ -191,8 +189,17 @@ def _cmd_deploy(args: argparse.Namespace) -> int:
     return 0 if result.consistent else 1
 
 
-def _cmd_campaign(args: argparse.Namespace) -> int:
-    spec = ExperimentSpec.from_dict(_load_json(args.spec))
+def _execution_summary(result: CampaignResult) -> str:
+    """``N runs (X executed, ... Y already stored)`` — CI greps for it."""
+    parts = [f"{result.executed} executed"]
+    if result.deduplicated:
+        parts.append(f"{result.deduplicated} duplicate points folded")
+    parts.append(f"{result.skipped} already stored")
+    return f"{len(result.records)} runs ({', '.join(parts)})"
+
+
+def _run_spec(spec: ExperimentSpec, args: argparse.Namespace) -> int:
+    """Run a spec and print its records: the body of ``campaign`` and ``sweep``."""
     store = ResultStore(args.store) if args.store else None
     runner = CampaignRunner(spec, workers=args.workers, store=store,
                             force=args.force, progress=args.progress or None)
@@ -205,16 +212,37 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
          "consistent": r["consistent"], **_metrics_row(r["metrics"])}
         for r in result.records
     ]
-    parts = [f"{result.executed} executed"]
-    if result.deduplicated:
-        parts.append(f"{result.deduplicated} duplicate points folded")
-    parts.append(f"{result.skipped} already stored")
-    print(f"campaign {spec.name!r}: {len(result.records)} runs ({', '.join(parts)})")
+    print(f"campaign {spec.name!r}: {_execution_summary(result)}")
     if store is not None:
         print(f"results: {store.path}")
     print(format_table(rows, ["run", "params", "throughput_tps", "mean_latency_ms",
                                "cgr", "block_interval", "consistent"]))
     return 0
+
+
+def _cmd_campaign(args: argparse.Namespace) -> int:
+    return _run_spec(ExperimentSpec.from_dict(_load_json(args.spec)), args)
+
+
+def _cmd_paper(args: argparse.Namespace) -> int:
+    """Regenerate paper tables and check the paper's claims against them."""
+    from repro.experiments import paper
+
+    failed = 0
+    try:
+        for result in paper.run(args.name, scale=args.scale, reps=args.reps,
+                                workers=args.workers, store=args.store, out=args.out):
+            print(f"\n{result.table}")
+            print(f"{result.entry.name} ({result.scale}): {_execution_summary(result.campaign)}")
+            for sentence, held in result.claims:
+                print(f"{'ok' if held else 'FAILED'}: {sentence}")
+                failed += not held
+            print(f"wrote {result.path}")
+    except paper.PaperError as exc:
+        raise SystemExit(f"error: {exc}")
+    if failed:
+        print(f"error: {failed} claim(s) FAILED", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
@@ -275,32 +303,17 @@ def _parse_floats(text: str) -> List[float]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    """A one-axis load campaign: one point per concurrency level or arrival rate."""
     if bool(args.concurrency) == bool(args.arrival_rates):
         raise SystemExit("error: give exactly one of --concurrency or --arrival-rates")
     data = _load_json(args.config)
     config = Configuration.from_dict(data.get("config", data))
     if args.concurrency:
-        points = saturation_sweep(
-            config,
-            concurrency_levels=[int(v) for v in _parse_floats(args.concurrency)],
-            workers=args.workers,
-        )
+        points = [{"concurrency": int(level), "arrival_rate": 0.0}
+                  for level in _parse_floats(args.concurrency)]
     else:
-        points = saturation_sweep(
-            config, arrival_rates=_parse_floats(args.arrival_rates), workers=args.workers
-        )
-    if args.json:
-        print(json.dumps([p.to_dict() for p in points], indent=2))
-    else:
-        rows = [
-            {"load": p.load, "throughput_tps": p.throughput_tps,
-             "latency_ms": p.latency_ms, "p99_ms": p.p99_latency * 1e3,
-             "cgr": p.chain_growth_rate, "block_interval": p.block_interval}
-            for p in points
-        ]
-        print(format_table(rows, ["load", "throughput_tps", "latency_ms", "p99_ms",
-                                   "cgr", "block_interval"]))
-    return 0
+        points = [{"arrival_rate": rate} for rate in _parse_floats(args.arrival_rates)]
+    return _run_spec(ExperimentSpec(name="saturation-sweep", base=config, points=points), args)
 
 
 def _open_store(path: str) -> ResultStore:
@@ -498,8 +511,10 @@ def _cmd_list(args: argparse.Namespace) -> int:
                                    "throughput_tps", "consistent"]))
         return 0
     from repro.api import available
+    from repro.experiments.paper import ENTRIES
 
-    listings = available()
+    # The extension points, then what `python -m repro paper <name>` runs.
+    listings = {**available(), "paper": {entry.name: entry.title for entry in ENTRIES}}
     if args.kind:
         if args.kind not in listings:
             raise SystemExit(
@@ -509,8 +524,13 @@ def _cmd_list(args: argparse.Namespace) -> int:
         listings = {args.kind: listings[args.kind]}
     if args.json:
         print(json.dumps(listings, indent=2))
-    else:
-        for kind, names in listings.items():
+        return 0
+    for kind, names in listings.items():
+        if kind == "paper":
+            print("paper:")
+            print(format_table([{"name": n, "title": t} for n, t in names.items()],
+                               ["name", "title"]))
+        else:
             print(f"{kind}: {', '.join(names)}")
     return 0
 
@@ -524,6 +544,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run chained-BFT experiments, campaigns, and sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    paper_p = sub.add_parser(
+        "paper", help="regenerate a table/figure of the paper and check its claims"
+    )
+    paper_p.add_argument("name", help="entry name or unique prefix (see `list paper`), "
+                                      "or `all` for every deterministic entry")
+    paper_p.add_argument("--scale", choices=["ci", "full"], default="ci",
+                         help="grid size: the committed tables' (default) or the paper's")
+    paper_p.add_argument("--reps", type=int, default=1, metavar="N",
+                         help="repetitions per point (adds 95%%-CI columns across seeds)")
+    paper_p.add_argument("-w", "--workers", type=int, default=1,
+                         help="worker processes (default 1 = serial)")
+    paper_p.add_argument("-s", "--store", help="result store directory (enables resume)")
+    paper_p.add_argument("-o", "--out", default="benchmarks/results",
+                         help="output directory for tables (default benchmarks/results/)")
+    paper_p.set_defaults(func=_cmd_paper)
 
     run_p = sub.add_parser("run", help="run one experiment from a JSON config")
     run_p.add_argument("config", help="JSON file: a Configuration (optionally "
@@ -595,8 +631,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--arrival-rates", help="comma-separated open-loop Tx/s rates")
     sweep_p.add_argument("-w", "--workers", type=int, default=1,
                          help="worker processes (default 1 = serial)")
-    sweep_p.add_argument("--json", action="store_true", help="print raw JSON points")
-    sweep_p.set_defaults(func=_cmd_sweep)
+    sweep_p.add_argument("--json", action="store_true", help="print raw JSON records")
+    sweep_p.set_defaults(func=_cmd_sweep, store=None, force=False, progress=False)
 
     report_p = sub.add_parser(
         "report", help="aggregate stored records into a comparison table"

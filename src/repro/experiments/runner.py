@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
 from repro.bench.config import Configuration
-from repro.bench.metrics import timeline_mean
 from repro.bench.runner import run_experiment
 from repro.experiments.spec import ExperimentSpec, RunSpec
 from repro.experiments.store import ResultStore
@@ -36,8 +35,6 @@ __all__ = [
     "CampaignResult",
     "CampaignRunner",
     "execute_payload",
-    "run_campaign",
-    "timeline_mean",
 ]
 
 
@@ -220,16 +217,3 @@ class CampaignRunner:
                     reporter.start(payload["run_id"])
                 completed(execute_payload(payload))
         return results
-
-
-def run_campaign(
-    spec: ExperimentSpec,
-    workers: int = 1,
-    store: Optional[Union[ResultStore, str]] = None,
-    force: bool = False,
-    progress: Optional[Any] = None,
-) -> CampaignResult:
-    """Convenience wrapper: ``CampaignRunner(spec, ...).run()``."""
-    return CampaignRunner(
-        spec, workers=workers, store=store, force=force, progress=progress
-    ).run()

@@ -51,9 +51,9 @@ class TestFacade:
         assert set(cluster.replicas) == {"r0", "r1", "r2", "r3"}
 
     def test_sweep(self):
-        points = api.sweep(dict(FAST), concurrency_levels=[4, 8])
-        assert [p.load for p in points] == [4.0, 8.0]
-        assert all(p.throughput_tps > 0 for p in points)
+        result = api.campaign(api.grid(dict(FAST), concurrency=[4, 8]))
+        assert [r["params"]["concurrency"] for r in result.records] == [4, 8]
+        assert all(tput > 0 for tput in result.metric("throughput_tps"))
 
     def test_available_lists_every_extension_point(self):
         listings = api.available()

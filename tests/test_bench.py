@@ -1,13 +1,17 @@
-"""Unit tests for the benchmark facilities: config, profiles, metrics, runner, sweeps."""
+"""Unit tests for the benchmark facilities: config, profiles, metrics, runner, load sweeps."""
+
+import json
 
 import pytest
 
+from repro import api
 from repro.bench.config import Configuration
 from repro.bench.metrics import MetricsCollector
 from repro.bench.profiles import available_profiles, cost_profile
 from repro.bench.runner import build_cluster, run_experiment
-from repro.bench.sweeps import SweepPoint, saturation_sweep, saturation_throughput
 from repro.core.byzantine import ForkingReplica, SilentReplica
+from repro.experiments.cli import main as cli_main
+from repro.experiments.paper import Rows
 from repro.obs.trace import CHECKPOINT, CLIENT, COMMIT, FAULT, SYNC
 
 
@@ -247,37 +251,36 @@ class TestRunnerAndSweeps:
         result = run_experiment(config)
         assert result.metrics.committed_blocks > 0
 
-    def test_saturation_sweep_produces_monotone_load_points(self):
+    def test_load_sweep_produces_monotone_load_points(self):
         config = Configuration(protocol="hotstuff", num_nodes=4, **FAST)
-        points = saturation_sweep(config, concurrency_levels=[2, 8])
-        assert len(points) == 2
-        assert points[0].load == 2
-        assert points[1].throughput_tps >= points[0].throughput_tps * 0.5
-        assert isinstance(points[0], SweepPoint)
+        records = api.campaign(api.grid(config, concurrency=[2, 8])).records
+        assert len(records) == 2
+        assert records[0]["config"]["concurrency"] == 2
+        throughput = [r["metrics"]["throughput_tps"] for r in records]
+        assert throughput[1] >= throughput[0] * 0.5
 
-    def test_saturation_sweep_with_arrival_rates(self):
+    def test_load_sweep_with_arrival_rates(self):
         config = Configuration(protocol="hotstuff", num_nodes=4, **FAST)
-        points = saturation_sweep(config, arrival_rates=[500.0, 1500.0])
-        assert len(points) == 2
-        assert points[1].throughput_tps > points[0].throughput_tps
+        records = api.campaign(api.grid(config, arrival_rate=[500.0, 1500.0])).records
+        assert len(records) == 2
+        assert records[1]["metrics"]["throughput_tps"] > records[0]["metrics"]["throughput_tps"]
 
-    def test_sweep_rejects_both_kinds_of_load(self):
-        config = Configuration(**FAST)
-        with pytest.raises(ValueError):
-            saturation_sweep(config, concurrency_levels=[1], arrival_rates=[1.0])
+    def test_sweep_rejects_both_kinds_of_load(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(Configuration(**FAST).to_dict()))
+        with pytest.raises(SystemExit, match="exactly one"):
+            cli_main(["sweep", str(path), "--concurrency", "1", "--arrival-rates", "1.0"])
 
     def test_saturation_throughput_helper(self):
-        points = [
-            SweepPoint(1, 100.0, 0.01, 0.02, 1.0, 3.0),
-            SweepPoint(2, 300.0, 0.02, 0.03, 1.0, 3.0),
-        ]
-        assert saturation_throughput(points) == 300.0
-        assert saturation_throughput([]) == 0.0
-
-    def test_sweep_point_unit_helpers(self):
-        point = SweepPoint(1, 2500.0, 0.015, 0.02, 1.0, 3.0)
-        assert point.throughput_ktps == pytest.approx(2.5)
-        assert point.latency_ms == pytest.approx(15.0)
+        """A load curve's saturation is the highest throughput along it."""
+        rows = Rows([
+            {"series": "HS", "throughput_tps": 100.0},
+            {"series": "HS", "throughput_tps": 300.0},
+            {"series": "SL", "throughput_tps": 50.0},
+        ])
+        assert rows.max("throughput_tps", series="HS") == 300.0
+        with pytest.raises(ValueError):
+            rows.max("throughput_tps", series="OHS")
 
 
 class TestHostPerfMetrics:

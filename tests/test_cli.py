@@ -142,8 +142,15 @@ class TestCampaign:
 class TestSweep:
     def test_sweep_concurrency(self, config_file, capsys):
         assert main(["sweep", config_file, "--concurrency", "4,8", "--json"]) == 0
-        points = json.loads(capsys.readouterr().out)
-        assert [p["load"] for p in points] == [4.0, 8.0]
+        records = json.loads(capsys.readouterr().out)
+        assert [r["params"]["concurrency"] for r in records] == [4, 8]
+        assert {r["campaign"] for r in records} == {"saturation-sweep"}
+
+    def test_sweep_arrival_rates_prints_the_campaign_table(self, config_file, capsys):
+        assert main(["sweep", config_file, "--arrival-rates", "500,1500", "-w", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "campaign 'saturation-sweep': 2 runs (2 executed, 0 already stored)" in out
+        assert "arrival_rate=500.0" in out and "arrival_rate=1500.0" in out
 
     def test_sweep_requires_exactly_one_axis(self, config_file):
         with pytest.raises(SystemExit, match="exactly one"):

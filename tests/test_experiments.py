@@ -11,9 +11,8 @@ import pytest
 
 from repro import api
 from repro.bench.config import Configuration
-from repro.bench.metrics import RunMetrics
+from repro.bench.metrics import RunMetrics, timeline_mean
 from repro.bench.runner import ExperimentResult, run_experiment
-from repro.bench.sweeps import SweepPoint, saturation_sweep
 from repro.experiments import (
     CampaignRunner,
     ExperimentSpec,
@@ -23,8 +22,8 @@ from repro.experiments import (
     TruncatedRecordWarning,
     encode_record,
     run_key,
-    timeline_mean,
 )
+from repro.experiments.cli import main as cli_main
 
 FAST = dict(
     block_size=20,
@@ -445,24 +444,38 @@ class TestCampaignRunner:
 
 
 class TestSweepOnCampaign:
-    def test_sweep_unchanged_semantics(self):
-        points = saturation_sweep(BASE, concurrency_levels=[4, 8])
-        assert [p.load for p in points] == [4.0, 8.0]
+    """``python -m repro sweep`` is a one-axis ``points`` campaign."""
+
+    SPEC = ExperimentSpec(
+        name="saturation-sweep", base=BASE,
+        points=[{"concurrency": 4, "arrival_rate": 0.0}, {"concurrency": 8, "arrival_rate": 0.0}],
+    )
+
+    @pytest.fixture
+    def config_file(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(BASE.to_dict()))
+        return str(path)
+
+    def test_sweep_unchanged_semantics(self, config_file, capsys):
+        assert cli_main(["sweep", config_file, "--concurrency", "4,8", "--json"]) == 0
+        records = json.loads(capsys.readouterr().out)
+        assert [r["params"] for r in records] == self.SPEC.points
+        assert [r["run_id"] for r in records] == [run.run_id for run in self.SPEC.expand()]
         direct = run_experiment(BASE.replace(concurrency=4, arrival_rate=0.0))
-        assert points[0].throughput_tps == direct.metrics.throughput_tps
-        assert points[0].mean_latency == direct.metrics.mean_latency
+        assert records[0]["metrics"]["throughput_tps"] == direct.metrics.throughput_tps
+        assert records[0]["metrics"]["mean_latency"] == direct.metrics.mean_latency
 
     def test_sweep_with_store_resumes(self, tmp_path):
-        first = saturation_sweep(BASE, concurrency_levels=[4, 8], store=tmp_path / "s")
-        again = saturation_sweep(
-            BASE, concurrency_levels=[4, 8], workers=2, store=tmp_path / "s"
-        )
-        assert [p.to_dict() for p in first] == [p.to_dict() for p in again]
+        first = api.campaign(self.SPEC, store=tmp_path / "s")
+        again = api.campaign(self.SPEC, workers=2, store=tmp_path / "s")
+        assert (first.executed, again.executed, again.skipped) == (2, 0, 2)
+        assert first.records == again.records
         assert len(ResultStore(tmp_path / "s")) == 2
 
-    def test_sweep_rejects_both_kinds_of_load(self):
-        with pytest.raises(ValueError, match="not both"):
-            saturation_sweep(BASE, concurrency_levels=[1], arrival_rates=[1.0])
+    def test_sweep_rejects_both_kinds_of_load(self, config_file):
+        with pytest.raises(SystemExit, match="exactly one"):
+            cli_main(["sweep", config_file, "--concurrency", "1", "--arrival-rates", "1.0"])
 
 
 class TestSerializationRoundTrips:
@@ -490,8 +503,3 @@ class TestSerializationRoundTrips:
         assert clone.consistent == result.consistent
         assert clone.highest_view == result.highest_view
         assert clone.timeline == result.timeline
-
-    def test_sweep_point_round_trip(self):
-        point = SweepPoint(8.0, 1500.0, 0.005, 0.009, 1.0, 3.0)
-        clone = SweepPoint.from_dict(json.loads(json.dumps(point.to_dict())))
-        assert clone == point

@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro import api
 from repro.bench.config import Configuration
+from repro.bench.metrics import timeline_mean
 from repro.bench.runner import build_cluster
-from repro.bench.timeline import ResponsivenessScenario, run_responsiveness
 from repro.network.fluctuation import FluctuationWindow
 from repro.network.partition import Partition
+from repro.scenario import Scenario, ScenarioRunner
 
 FAST = dict(
     num_nodes=4,
@@ -106,40 +108,49 @@ class TestFluctuationAndResponsiveness:
         # and resume once the fluctuation ends.
         assert during - before < (after - during)
 
+    @staticmethod
+    def responsiveness(total_duration):
+        """Fig. 15's two-event schedule at test size: fluctuation 0.4-0.9 s,
+        then the last replica crashes at 1.0 s."""
+        return {
+            "name": "responsiveness",
+            "duration": total_duration,
+            "events": [
+                {"kind": "network-fluctuation", "at": 0.4, "duration": 0.5,
+                 "min_delay": 0.02, "max_delay": 0.05},
+                {"kind": "crash-replica", "at": 1.0, "replica": "last"},
+            ],
+        }
+
     def test_responsiveness_scenario_produces_timeline(self):
-        scenario = ResponsivenessScenario(
-            fluctuation_start=0.4,
-            fluctuation_duration=0.5,
-            fluctuation_min=0.02,
-            fluctuation_max=0.05,
-            crash_at=1.0,
-            total_duration=1.8,
-            bucket=0.2,
-        )
-        config = Configuration(protocol="hotstuff", runtime=1.8, **FAST)
-        result = run_responsiveness(config, scenario)
+        config = Configuration(protocol="hotstuff", warmup=0.0, runtime=1.8, cooldown=0.0, **FAST)
+        runner = ScenarioRunner(config, Scenario.from_dict(self.responsiveness(1.8)), bucket=0.2)
+        cluster = runner.build()
+        result = runner.run(cluster)
+        assert cluster.network.is_crashed("r3")
         assert result.timeline
-        assert result.crashed_replica == "r3"
-        assert result.throughput_before > 0
+        assert timeline_mean(result.timeline, 0.0, 0.4) > 0
         assert result.consistent
 
     def test_hotstuff_recovers_after_fluctuation_and_crash(self):
-        scenario = ResponsivenessScenario(
-            fluctuation_start=0.4,
-            fluctuation_duration=0.5,
-            fluctuation_min=0.02,
-            fluctuation_max=0.05,
-            crash_at=1.0,
-            total_duration=2.0,
-            bucket=0.2,
-        )
-        config = Configuration(protocol="hotstuff", runtime=2.0, **FAST).replace(
+        config = Configuration(protocol="hotstuff", warmup=0.0, runtime=2.0, cooldown=0.0, **FAST).replace(
             view_timeout=0.01
         )
-        result = run_responsiveness(config, scenario)
-        assert result.throughput_during < result.throughput_before * 0.5
-        assert result.throughput_after > 0
+        timeline = api.run(config, scenario=self.responsiveness(2.0), bucket=0.2).timeline
+        before = timeline_mean(timeline, 0.0, 0.4)
+        during = timeline_mean(timeline, 0.4, 0.9)
+        after = timeline_mean(timeline, 1.0, 2.0)
+        assert during < before * 0.5
+        assert after > 0
 
     def test_scenario_validation_helpers(self):
-        scenario = ResponsivenessScenario(fluctuation_start=5.0, fluctuation_duration=10.0)
-        assert scenario.fluctuation_end == pytest.approx(15.0)
+        """The fluctuation window closes at start + duration: that is the
+        edge of the "during" column of the full-scale fig. 15 table."""
+        from repro.experiments import paper
+
+        fluctuation = paper.FIG15.spec("full").scenario.events[0]
+        assert (fluctuation.at, fluctuation.duration) == (5.0, 10.0)
+        record = {"scenario": paper.FIG15.spec("full").scenario.to_dict(),
+                  "timeline": [[14.5, 7.0], [15.0, 1000.0]]}
+        during = next(c for c in paper.FIG15.columns if c.header == "during_tps")
+        assert during.value(record) == pytest.approx(7.0)

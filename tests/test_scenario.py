@@ -13,6 +13,7 @@ from repro.scenario import (
     Scenario,
     ScenarioEvent,
     ScenarioResult,
+    ScenarioRunner,
     SetArrivalRate,
     SetByzantine,
     SetDelayModel,
@@ -196,25 +197,25 @@ class TestScenarioRunner:
 
 
 class TestResponsivenessDeclarative:
-    """The Fig. 15 experiment is now a two-event scenario."""
+    """The Fig. 15 experiment is a two-event scenario."""
 
     def test_to_scenario_shape(self):
-        from repro.bench.timeline import ResponsivenessScenario
+        from repro.experiments import paper
 
-        scenario = ResponsivenessScenario().to_scenario()
+        scenario = paper.FIG15.spec("full").scenario
         assert scenario.name == "responsiveness"
         assert [e.kind for e in scenario.events] == ["network-fluctuation", "crash-replica"]
         clone = Scenario.from_dict(scenario.to_dict())
         assert clone == scenario
 
-    def test_run_responsiveness_still_works(self):
-        from repro.bench.timeline import ResponsivenessScenario, run_responsiveness
-
-        scenario = ResponsivenessScenario(
-            fluctuation_start=0.3, fluctuation_duration=0.3, fluctuation_min=0.02,
-            fluctuation_max=0.08, crash_at=0.8, total_duration=1.2, bucket=0.2,
-        )
-        result = run_responsiveness(fast_config(), scenario)
-        assert result.crashed_replica == "r3"
+    def test_fig15_schedule_runs_at_test_size(self):
+        scenario = Scenario(name="responsiveness", duration=1.2, events=[
+            NetworkFluctuation(at=0.3, duration=0.3, min_delay=0.02, max_delay=0.08),
+            CrashReplica(at=0.8, replica="last"),
+        ])
+        runner = ScenarioRunner(fast_config(runtime=1.2), scenario, bucket=0.2)
+        cluster = runner.build()
+        result = runner.run(cluster)
+        assert cluster.network.is_crashed("r3")
         assert result.consistent
-        assert result.throughput_before > 0
+        assert result.mean_throughput(0.0, 0.3) > 0

@@ -1,13 +1,13 @@
 #!/usr/bin/env python
-"""Docs check: links resolve, tagged examples run, the event catalogue is current.
+"""Docs check: links resolve, tagged examples run, the event catalogue is
+current, and no quoted path or command has been deleted.
 
-Three passes over ``README.md`` and ``docs/*.md`` (stdlib only, no deps):
+Four passes over ``README.md`` and ``docs/*.md`` (stdlib only, no deps):
 
 1. **Links** — every relative markdown link (``[text](path)`` or
    ``[text](path#anchor)``) must point at an existing file or directory in
    the repository.  External links (``http(s)://``, ``mailto:``) and
-   pure-anchor links (``#section``) are skipped.  Bare intra-repo *path
-   mentions* in prose or code are not checked — only actual link syntax.
+   pure-anchor links (``#section``) are skipped.
 2. **Smoke tests** — every fenced ``python`` code block whose first line is
    ``# docs-smoke-test`` is executed (with ``src`` on ``sys.path``).  This
    keeps runnable examples in the docs — like the crash → recover →
@@ -19,8 +19,21 @@ Three passes over ``README.md`` and ``docs/*.md`` (stdlib only, no deps):
    pass their own) is listed as ``*``.  The call sites are printed, so "one
    ``emit(`` per event" can be read off the output.
 
-Exit status is non-zero on any broken link, failing example or catalogue
-mismatch, which is how CI consumes it: ``python tools/check_docs.py``.
+4. **Mentions** — what prose and code blocks quote without link syntax:
+   every path ending in ``.py .json .md .txt .yml`` whose first directory
+   exists in the repository (``benchmarks/results/*.txt``, ``bench/config.py``
+   — globs allowed; resolved against the repo root, ``src/``, ``src/repro/``
+   and the document's directory) and every bare ``name.py`` must match a
+   file; every ``python -m repro <sub>`` must be a subcommand of the CLI's
+   ``build_parser()``; every ``python -m repro paper <name>`` must select an
+   entry of the paper table.  Paths under directories the repository does
+   not have (``results/``, ``figures/``) and bare non-python names
+   (``experiment.json``) are the reader's own files and are skipped, as is
+   anything with a ``<placeholder>`` in it.
+
+Exit status is non-zero on any broken link, failing example, catalogue
+mismatch or stale mention, which is how CI consumes it:
+``python tools/check_docs.py``.
 """
 
 from __future__ import annotations
@@ -61,6 +74,45 @@ def check_links(path: Path) -> list:
         resolved = (path.parent / target.split("#", 1)[0]).resolve()
         if not resolved.exists():
             problems.append(f"{path.relative_to(REPO_ROOT)}: broken link -> {target}")
+    return problems
+
+
+#: A file path quoted anywhere in a document (not preceded by a URL or
+#: a longer path, not followed by more name: ``.jsonl`` is not ``.json``).
+MENTION_RE = re.compile(r"(?<![\w/.<>-])((?:[\w.*-]+/)*[\w.*-]+\.(?:py|json|md|txt|yml))(?![\w<>-])")
+COMMAND_RE = re.compile(r"python -m repro[ \t]+([a-z][\w-]*)(?:[ \t]+([\w<>*-]+))?")
+
+
+def check_mentions(path: Path) -> list:
+    from repro.experiments import paper
+    from repro.experiments.cli import build_parser
+
+    subcommands = next(
+        action.choices for action in build_parser()._actions if hasattr(action, "choices") and action.choices
+    )
+    roots = [REPO_ROOT, REPO_ROOT / "src", REPO_ROOT / "src" / "repro", path.parent]
+    name = path.relative_to(REPO_ROOT)
+    text = path.read_text()
+    problems = []
+    for mention in sorted(set(MENTION_RE.findall(text))):
+        if "/" in mention:
+            if not any((root / mention.split("/", 1)[0]).is_dir() for root in roots):
+                continue
+            found = any(any(root.glob(mention)) for root in roots)
+        elif mention.endswith(".py"):
+            found = any(REPO_ROOT.rglob(mention))
+        else:
+            continue
+        if not found:
+            problems.append(f"{name}: mentions {mention}, which does not exist")
+    for sub, argument in sorted(set(COMMAND_RE.findall(text))):
+        if sub not in subcommands:
+            problems.append(f"{name}: quotes `python -m repro {sub}`, which is not a subcommand")
+        elif sub == "paper" and argument and "<" not in argument:
+            try:
+                paper.select(argument)
+            except paper.PaperError as exc:
+                problems.append(f"{name}: quotes `python -m repro paper {argument}`: {exc}")
     return problems
 
 
@@ -127,6 +179,8 @@ def main() -> int:
     for path in doc_files():
         problems.extend(run_smoke_blocks(path))
     problems.extend(check_catalogue())
+    for path in doc_files():
+        problems.extend(check_mentions(path))
     if problems:
         print("\ndocs check FAILED:")
         for problem in problems:
