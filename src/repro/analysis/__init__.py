@@ -36,7 +36,6 @@ from repro.analysis.regress import (
     Finding,
     RegressionReport,
     compare,
-    compare_records,
     freeze,
     load_baseline,
     save_baseline,
@@ -72,7 +71,6 @@ __all__ = [
     "aggregate_records",
     "aggregate_rows",
     "compare",
-    "compare_records",
     "comparison_table",
     "compose_grid",
     "csv_table",

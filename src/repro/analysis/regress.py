@@ -6,19 +6,12 @@ frozen as JSON.  A later campaign over the same grid is compared group by
 group: a metric **regresses** when its new mean lands outside the wider of
 the two confidence intervals (plus an optional relative tolerance for
 unrepeated runs, whose CIs are degenerate).  The comparison is directionless
-by default — a metric that *improved* outside its CI is also flagged, since
-for most of these metrics (chain growth rate, block interval, consistency)
-any unexplained movement means behaviour changed.
+— a metric that *improved* outside its CI is also flagged, since for these
+metrics (chain growth rate, block interval, consistency) any unexplained
+movement means behaviour changed.
 
-Two refinements serve CI gating:
-
-* **per-metric tolerances** (``tolerances={"mean_latency": 0.1}``) override
-  the global relative tolerance for metrics with different noise floors;
-* **policies** make selected metrics one-sided.  ``"ratchet-up"`` (the
-  default for ``events_per_second``) flags only a *drop* beyond the allowed
-  slack: a perf win passes the gate — and CI latches it by re-freezing the
-  baseline — while a perf loss fails.  ``"ratchet-down"`` is the mirror for
-  metrics where smaller is better.
+**Per-metric tolerances** (``tolerances={"mean_latency": 0.1}``) override
+the global relative tolerance for metrics with different noise floors.
 
 ``python -m repro regress`` wires this up: ``--freeze`` writes the baseline,
 a later invocation compares and exits non-zero when anything moved.
@@ -31,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.analysis.stats import Aggregate, GroupSummary, aggregate_records
+from repro.analysis.stats import Aggregate, GroupSummary
 
 BASELINE_VERSION = 1
 
@@ -45,17 +38,6 @@ DEFAULT_REGRESS_METRICS = (
     "chain_growth_rate",
     "block_interval",
 )
-
-#: Comparison policies.  "two-sided" flags any movement beyond the allowed
-#: slack; "ratchet-up" flags only drops (bigger is better, wins latch);
-#: "ratchet-down" flags only rises (smaller is better).
-POLICIES = ("two-sided", "ratchet-up", "ratchet-down")
-
-#: Per-metric policy defaults.  Host-perf throughput is the one metric where
-#: improvement is never suspicious — only a slowdown should fail a gate.
-DEFAULT_POLICIES = {
-    "events_per_second": "ratchet-up",
-}
 
 
 class BaselineError(ValueError):
@@ -119,30 +101,18 @@ class Finding:
     #: The movement the CIs (and tolerance) allowed without flagging.
     allowed: float
     regressed: bool
-    #: The comparison policy this finding was judged under.
-    policy: str = "two-sided"
 
     @property
     def delta(self) -> float:
         return self.current.mean - self.baseline.mean
 
-    @property
-    def improved(self) -> bool:
-        """True when a ratcheted metric moved in its good direction."""
-        if self.policy == "ratchet-up":
-            return self.delta > self.allowed
-        if self.policy == "ratchet-down":
-            return -self.delta > self.allowed
-        return False
-
     def describe(self) -> str:
         label = " ".join(f"{k.lstrip('_')}={v}" for k, v in self.params.items()) or "-"
         direction = "rose" if self.delta > 0 else "fell"
-        note = "" if self.policy == "two-sided" else f", policy {self.policy}"
         return (
             f"{self.campaign} [{label}] {self.metric}: "
             f"{self.baseline.mean:.4g} -> {self.current.mean:.4g} "
-            f"({direction} by {abs(self.delta):.4g}, allowed ±{self.allowed:.4g}{note})"
+            f"({direction} by {abs(self.delta):.4g}, allowed ±{self.allowed:.4g})"
         )
 
 
@@ -162,11 +132,6 @@ class RegressionReport:
         return [f for f in self.findings if f.regressed]
 
     @property
-    def improvements(self) -> List[Finding]:
-        """Ratcheted metrics that beat their baseline (worth re-freezing)."""
-        return [f for f in self.findings if f.improved]
-
-    @property
     def ok(self) -> bool:
         """True when nothing moved outside its CI and no group disappeared."""
         return not self.regressions and not self.missing
@@ -179,8 +144,6 @@ class RegressionReport:
         ]
         for finding in self.regressions:
             lines.append(f"  REGRESSED  {finding.describe()}")
-        for finding in self.improvements:
-            lines.append(f"  improved   {finding.describe()}")
         for key in self.missing:
             lines.append(f"  MISSING    baseline group not in records: {key}")
         for key in self.unmatched:
@@ -196,7 +159,6 @@ def compare(
     metrics: Optional[Sequence[str]] = None,
     tolerance: float = 0.0,
     tolerances: Optional[Dict[str, float]] = None,
-    policies: Optional[Dict[str, str]] = None,
 ) -> RegressionReport:
     """Compare aggregated summaries against a frozen baseline.
 
@@ -207,24 +169,11 @@ def compare(
     intervals.  Tolerance is the relative slack that keeps
     single-repetition baselines (degenerate CIs) usable; leave it 0 for
     strict repeated-run comparisons.
-
-    ``policies`` maps metric names to one of :data:`POLICIES`; metrics
-    absent from it use :data:`DEFAULT_POLICIES`, then "two-sided".  Under a
-    ratchet policy only movement in the bad direction flags.
     """
     chosen = list(metrics) if metrics is not None else list(
         baseline.get("metrics", DEFAULT_REGRESS_METRICS)
     )
     tolerances = tolerances or {}
-    effective_policies = dict(DEFAULT_POLICIES)
-    if policies:
-        effective_policies.update(policies)
-    for name, policy in effective_policies.items():
-        if policy not in POLICIES:
-            raise ValueError(
-                f"unknown policy {policy!r} for metric {name!r}; "
-                f"expected one of {POLICIES}"
-            )
     current = {_params_key(s.campaign, s.params): s for s in summaries}
     report = RegressionReport()
     seen = set()
@@ -244,14 +193,6 @@ def compare(
             base = Aggregate.from_dict(frozen)
             tol = tolerances.get(name, tolerance)
             allowed = max(base.ci95, agg.ci95, tol * abs(base.mean))
-            policy = effective_policies.get(name, "two-sided")
-            delta = agg.mean - base.mean
-            if policy == "ratchet-up":
-                regressed = -delta > allowed
-            elif policy == "ratchet-down":
-                regressed = delta > allowed
-            else:
-                regressed = abs(delta) > allowed
             report.findings.append(
                 Finding(
                     campaign=summary.campaign,
@@ -260,23 +201,8 @@ def compare(
                     baseline=base,
                     current=agg,
                     allowed=allowed,
-                    regressed=regressed,
-                    policy=policy,
+                    regressed=abs(agg.mean - base.mean) > allowed,
                 )
             )
     report.unmatched = [key for key in current if key not in seen]
     return report
-
-
-def compare_records(
-    baseline: Dict[str, Any],
-    records: Sequence[Dict[str, Any]],
-    metrics: Optional[Sequence[str]] = None,
-    tolerance: float = 0.0,
-    tolerances: Optional[Dict[str, float]] = None,
-    policies: Optional[Dict[str, str]] = None,
-) -> RegressionReport:
-    """:func:`compare`, but straight from raw campaign/store records."""
-    return compare(baseline, aggregate_records(records), metrics=metrics,
-                   tolerance=tolerance, tolerances=tolerances,
-                   policies=policies)

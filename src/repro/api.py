@@ -115,8 +115,6 @@ from repro.obs import (
 from repro.protocols.registry import available_protocols, register_protocol
 from repro.scenario import (
     Scenario,
-    ScenarioResult,
-    ScenarioRunner,
     available_scenario_events,
     register_scenario_event,
 )
@@ -133,7 +131,6 @@ __all__ = [
     "GroupSummary",
     "ResultStore",
     "Scenario",
-    "ScenarioResult",
     "TracedRun",
     "Tracer",
     "aggregate",
@@ -197,30 +194,21 @@ def build(config: ConfigLike, scenario: ScenarioLike = None) -> Cluster:
     cluster; call ``cluster.start()`` and ``cluster.run()`` yourself to
     drive it manually.
     """
-    coerced = _coerce_config(config)
-    declarative = _coerce_scenario(scenario)
-    if declarative is None:
-        return build_cluster(coerced)
-    return ScenarioRunner(coerced, declarative).build()
+    return build_cluster(_coerce_config(config), _coerce_scenario(scenario))
 
 
 def run(
     config: ConfigLike,
     scenario: ScenarioLike = None,
     bucket: float = 0.5,
-) -> Union[ExperimentResult, ScenarioResult]:
+) -> ExperimentResult:
     """Run one experiment, optionally under a declarative fault schedule.
 
-    Without a scenario this is the classic measured run and returns an
-    :class:`ExperimentResult`; with one it returns a :class:`ScenarioResult`
-    whose ``timeline`` (bucketed at ``bucket`` seconds) shows throughput
-    around each injected event.
+    Without a scenario this is the classic measured run; with one, the
+    result carries it and its ``timeline`` (bucketed at ``bucket`` seconds)
+    shows throughput around each injected event.
     """
-    coerced = _coerce_config(config)
-    declarative = _coerce_scenario(scenario)
-    if declarative is None:
-        return run_experiment(coerced)
-    return ScenarioRunner(coerced, declarative, bucket=bucket).run()
+    return run_experiment(_coerce_config(config), _coerce_scenario(scenario), bucket)
 
 
 def deploy(config: ConfigLike, host: str = "127.0.0.1") -> ExperimentResult:

@@ -34,10 +34,14 @@ from __future__ import annotations
 
 import dataclasses
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.trace import CHECKPOINT, CLIENT, COMMIT, FAULT, SYNC
+
+#: Width of the throughput-timeline buckets a run records (seconds of run
+#: time) unless its caller asks for another.
+DEFAULT_BUCKET = 0.5
 
 
 def timeline_mean(timeline, start: float, end: float) -> float:
@@ -93,31 +97,14 @@ class RunMetrics:
     blocks_truncated: int = 0
     snapshot_bytes_fetched: int = 0
     peak_forest_blocks: int = 0
-    #: Host-side performance of the run itself — wall-clock seconds the
-    #: simulation took and scheduler events processed per wall-clock second.
-    #: These measure the *simulator*, not the simulated system: they seed the
-    #: perf trajectory (``tools/perf_smoke.py``) that future speedups are
-    #: judged against.  Excluded from :meth:`to_dict`: they vary per host
-    #: and execution, and stored campaign records must stay bit-identical
-    #: across serial/parallel/resumed runs.  ``compare=False`` keeps two
-    #: runs with equal simulated outcomes equal regardless of host speed.
-    wall_clock_seconds: float = field(default=0.0, compare=False)
-    events_per_second: float = field(default=0.0, compare=False)
-
-    #: Fields that never enter the canonical record serialization.
-    PERF_FIELDS = ("wall_clock_seconds", "events_per_second")
 
     def to_dict(self) -> Dict[str, float]:
-        """Lossless JSON-compatible dict of the *simulated* quantities.
+        """Lossless JSON-compatible dict.
 
         This is the serialization the campaign :class:`ResultStore` records;
-        :meth:`from_dict` inverts it exactly.  Host-side perf fields
-        (:attr:`PERF_FIELDS`) are excluded to keep records deterministic.
+        :meth:`from_dict` inverts it exactly.
         """
-        data = dataclasses.asdict(self)
-        for name in self.PERF_FIELDS:
-            data.pop(name, None)
-        return data
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, float]) -> "RunMetrics":
@@ -267,7 +254,7 @@ class MetricsCollector:
             return 0.0
         return statistics.fmean(intervals)
 
-    def throughput_timeline(self, bucket: float = 0.5, end: Optional[float] = None) -> List[Tuple[float, float]]:
+    def throughput_timeline(self, bucket: float = DEFAULT_BUCKET, end: Optional[float] = None) -> List[Tuple[float, float]]:
         """Committed Tx/s per time bucket — used by the responsiveness figure."""
         if bucket <= 0:
             raise ValueError("bucket must be positive")

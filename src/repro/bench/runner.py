@@ -1,39 +1,92 @@
-"""Experiment runner: build a cluster from a configuration and run it.
+"""Experiment runner: the one path from a configuration to a result.
 
-``build_cluster`` validates the configuration and wires the scheduler,
-network, replicas, clients, and metrics collector together; every
-protocol-, attack-, election-, delay-, and client-specific choice is a
-registry lookup (see :mod:`repro.plugins`), so a new plugin plus a config
-entry is all it takes to run a new experiment — no runner changes.
-``run_experiment`` runs the whole thing for the configured horizon and
-returns an :class:`ExperimentResult`.  Timed fault injection lives in
-:mod:`repro.scenario`: declare events, and the :class:`ScenarioRunner`
-applies them to the cluster built here.
+Every decision between a :class:`Configuration` (plus an optional
+:class:`~repro.scenario.Scenario`) and an :class:`ExperimentResult` is made
+once, here:
+
+* :func:`wire` builds replicas and clients on whatever clock and message
+  fabric it is handed; every protocol-, attack-, election- and
+  client-specific choice in it is a registry lookup (see
+  :mod:`repro.plugins`), so a new plugin plus a config entry is all it takes
+  to run a new experiment — no runner changes.  :func:`build_cluster` calls
+  it with the event scheduler and the modelled network and schedules the
+  scenario's events; the deployment runtime
+  (:mod:`repro.transport.runtime`) calls it with the loop's clock and TCP.
+* :func:`honest_replicas` / :func:`consistency_check` / :func:`fingerprint`
+  say what "the honest replicas agree" means for both kinds of system.
+* :func:`run_experiment` builds, starts, runs to the horizon and summarises
+  (:func:`summarize`) in either mode; :func:`run_cluster` is its simulated
+  half, for callers that keep the finished cluster (the fuzz oracles).
+
+A result becomes a stored record in one place too:
+:meth:`repro.experiments.spec.RunSpec.record`.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.bench.config import Configuration
-from repro.bench.metrics import MetricsCollector, RunMetrics
+from repro.bench.config import Configuration, ConfigurationError
+from repro.bench.metrics import DEFAULT_BUCKET, MetricsCollector, RunMetrics, timeline_mean
 from repro.bench.profiles import cost_profile
 from repro.checkpoint.manager import CheckpointSettings, CheckpointStats
 from repro.client.client import CLIENTS, ClientBase
 from repro.client.workload import WorkloadSpec
 from repro.core.byzantine import STRATEGIES
 from repro.core.replica import Replica, ReplicaSettings
+from repro.crypto.costs import CryptoCostModel
 from repro.crypto.keys import KeyRegistry
 from repro.election.election import make_election
 from repro.network.delays import NoDelay, NormalDelay
 from repro.network.network import Network
 from repro.obs import trace as obs_trace
+from repro.scenario import Scenario
 from repro.sim.events import EventScheduler
 from repro.sim.random import RandomStreams
 from repro.sync.manager import SyncSettings, SyncStats
 from repro.types.sizes import SizeModel
+
+
+# ----------------------------------------------------------------------
+# What holds for any wired ``system`` — a simulated Cluster or a
+# DeploymentRunner: both have ``config``, ``replicas``, ``clients``,
+# ``metrics`` and ``observer_id``, and bind ``honest_replicas`` and
+# ``consistency_check`` as methods.
+# ----------------------------------------------------------------------
+def honest_replicas(system) -> List[Replica]:
+    """Replicas that follow the protocol (by configuration)."""
+    byzantine = set(system.config.byzantine_ids())
+    return [r for rid, r in system.replicas.items() if rid not in byzantine]
+
+
+def _common_prefix(system) -> Tuple[int, List[str]]:
+    """The honest replicas' lowest committed height and each one's chain hash up to it."""
+    honest = honest_replicas(system)
+    height = min((r.forest.committed_height for r in honest), default=0)
+    return height, [r.forest.consistency_hash(height) for r in honest]
+
+
+def consistency_check(system) -> bool:
+    """True if every honest replica's committed chain is a consistent prefix."""
+    _height, hashes = _common_prefix(system)
+    return len(set(hashes)) <= 1
+
+
+def fingerprint(system) -> str:
+    """``height:hash`` of the honest replicas' common committed prefix
+    (empty without an honest replica): same run, same fingerprint."""
+    height, hashes = _common_prefix(system)
+    return f"{height}:{hashes[0]}" if hashes else ""
+
+
+def start_nodes(system) -> None:
+    """Start every replica, and every client until the measurement window ends."""
+    for replica in system.replicas.values():
+        replica.start()
+    stop_time = system.config.warmup + system.config.runtime
+    for client in system.clients:
+        client.start(stop_time=stop_time)
 
 
 @dataclass
@@ -53,33 +106,17 @@ class Cluster:
     #: the installed tracer if any).  Not part of the Configuration: run ids
     #: and stored records are identical with tracing on or off.
     events: obs_trace.EventStream
+    #: The fault schedule whose events are installed on ``scheduler``, if any.
+    scenario: Optional[Scenario] = None
 
-    def honest_replicas(self) -> List[Replica]:
-        """Replicas that follow the protocol."""
-        byzantine = set(self.config.byzantine_ids())
-        return [r for rid, r in self.replicas.items() if rid not in byzantine]
-
-    def start(self) -> None:
-        """Start every replica and client."""
-        for replica in self.replicas.values():
-            replica.start()
-        stop_time = self.config.warmup + self.config.runtime
-        for client in self.clients:
-            client.start(stop_time=stop_time)
+    honest_replicas = honest_replicas
+    consistency_check = consistency_check
+    start = start_nodes
 
     def run(self, until: Optional[float] = None) -> None:
         """Advance the simulation to ``until`` (default: the configured horizon)."""
         horizon = until if until is not None else self.config.total_duration
         self.scheduler.run_until(horizon)
-
-    def consistency_check(self) -> bool:
-        """True if every honest replica's committed chain is a consistent prefix."""
-        honest = self.honest_replicas()
-        if not honest:
-            return True
-        min_height = min(r.forest.committed_height for r in honest)
-        reference = honest[0].forest.consistency_hash(min_height)
-        return all(r.forest.consistency_hash(min_height) == reference for r in honest)
 
     def sync_report(self) -> SyncStats:
         """Aggregate block-fetch counters across every replica."""
@@ -111,13 +148,16 @@ class Cluster:
 
 @dataclass
 class ExperimentResult:
-    """Outcome of one experiment run."""
+    """Outcome of one experiment run, in either mode, with or without faults."""
 
     config: Configuration
     metrics: RunMetrics
     consistent: bool
     highest_view: int
+    #: Committed Tx/s per time bucket: throughput around each injected event.
     timeline: List = field(default_factory=list)
+    #: The fault schedule the run executed under, if any.
+    scenario: Optional[Scenario] = None
 
     @property
     def throughput_ktps(self) -> float:
@@ -129,69 +169,66 @@ class ExperimentResult:
         """Mean latency in milliseconds."""
         return self.metrics.mean_latency * 1e3
 
+    def mean_throughput(self, start: float, end: float) -> float:
+        """Average Tx/s of the timeline buckets within [start, end)."""
+        return timeline_mean(self.timeline, start, end)
+
     def to_dict(self) -> Dict:
-        """Lossless JSON-compatible dict (the campaign record shape)."""
-        return {
-            "config": self.config.to_dict(),
-            "metrics": self.metrics.to_dict(),
-            "consistent": self.consistent,
-            "highest_view": self.highest_view,
-            "timeline": [[t, tps] for t, tps in self.timeline],
-        }
+        """Lossless JSON-compatible dict: the result's part of a campaign
+        record (``"scenario"`` is present only when there is one)."""
+        data: Dict[str, Any] = {"config": self.config.to_dict()}
+        if self.scenario is not None:
+            data["scenario"] = self.scenario.to_dict()
+        data["metrics"] = self.metrics.to_dict()
+        data["consistent"] = self.consistent
+        data["highest_view"] = self.highest_view
+        data["timeline"] = [[t, tps] for t, tps in self.timeline]
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ExperimentResult":
-        """Rebuild a result serialized with :meth:`to_dict`."""
+        """Rebuild a result serialized with :meth:`to_dict` (or a stored record)."""
+        scenario = data.get("scenario")
         return cls(
             config=Configuration.from_dict(data["config"]),
             metrics=RunMetrics.from_dict(data["metrics"]),
             consistent=data["consistent"],
             highest_view=data["highest_view"],
             timeline=[(t, tps) for t, tps in data.get("timeline", [])],
+            scenario=Scenario.from_dict(scenario) if scenario is not None else None,
         )
 
 
-def build_cluster(config: Configuration) -> Cluster:
-    """Wire up a *simulated* cluster (replicas, clients, network, metrics).
-
-    Deployment-mode configurations are built by
-    :class:`repro.transport.runtime.DeploymentRunner` instead; this builder
-    rejects them rather than silently simulating.
-    """
-    config.validate()
-    if config.mode != "model":
-        raise ValueError(
-            f"build_cluster is the simulation builder (mode='model'); "
-            f"got mode={config.mode!r} — use repro.transport.runtime"
-        )
-    scheduler = EventScheduler()
-    streams = RandomStreams(seed=config.seed)
-    node_ids = config.node_ids()
-    observer_id = node_ids[0]
-    metrics = MetricsCollector(
+def collector_for(config: Configuration) -> MetricsCollector:
+    """The run's metrics collector: windowed to the measurement interval,
+    chain events taken from the first replica (the observer)."""
+    return MetricsCollector(
         window_start=config.warmup,
         window_end=config.warmup + config.runtime,
-        observer=observer_id,
+        observer=config.node_ids()[0],
     )
-    events = obs_trace.open_stream(metrics)
-    base_delay = NormalDelay(config.base_delay_mean, config.base_delay_stddev)
-    if config.extra_delay_mean > 0:
-        extra_delay = NormalDelay(config.extra_delay_mean, config.extra_delay_stddev)
-    else:
-        extra_delay = NoDelay()
-    network = Network(
-        scheduler,
-        streams,
-        base_delay=base_delay,
-        extra_delay=extra_delay,
-        bandwidth_bps=config.bandwidth_bps,
-        events=events,
-    )
-    registry = KeyRegistry(deployment_seed=config.seed)
+
+
+def wire(
+    config: Configuration,
+    clock,
+    fabric,
+    registry: KeyRegistry,
+    streams: RandomStreams,
+    events: obs_trace.EventStream,
+    costs: CryptoCostModel,
+) -> Tuple[Dict[str, Replica], List[ClientBase]]:
+    """Build the configured replicas and clients on a clock and a message fabric.
+
+    The single wiring of the protocol stack: the simulation passes its event
+    scheduler and modelled network, a deployment its loop clock and TCP
+    transport (:mod:`repro.transport.base` is the seam both satisfy).  Nothing
+    is started.
+    """
+    node_ids = config.node_ids()
     election = make_election(
         node_ids, master=config.master, kind=config.election, seed=config.seed
     )
-
     settings = ReplicaSettings(
         block_size=config.block_size,
         mempool_capacity=config.mempool_capacity,
@@ -208,17 +245,16 @@ def build_cluster(config: Configuration) -> Cluster:
         ),
         quorum_threshold=config.quorum_threshold,
     )
-    costs = cost_profile(config.cost_profile)
     sizes = SizeModel()
     byzantine = set(config.byzantine_ids())
 
     replicas: Dict[str, Replica] = {}
     for node_id in node_ids:
         replica_cls = STRATEGIES.get(config.strategy) if node_id in byzantine else Replica
-        replica = replica_cls(
+        replicas[node_id] = replica_cls(
             node_id,
-            scheduler,
-            network,
+            clock,
+            fabric,
             election,
             registry,
             node_ids,
@@ -228,16 +264,14 @@ def build_cluster(config: Configuration) -> Cluster:
             size_model=sizes,
             events=events,
         )
-        replicas[node_id] = replica
 
     client_cls = CLIENTS.get(config.resolved_client())
-    clients: List[ClientBase] = []
     workload = WorkloadSpec(payload_size=config.payload_size)
-    for client_id in config.client_ids():
-        client = client_cls.from_config(
+    clients = [
+        client_cls.from_config(
             client_id,
-            scheduler,
-            network,
+            clock,
+            fabric,
             streams,
             node_ids,
             workload=workload,
@@ -245,9 +279,47 @@ def build_cluster(config: Configuration) -> Cluster:
             events=events,
             config=config,
         )
-        clients.append(client)
+        for client_id in config.client_ids()
+    ]
+    return replicas, clients
 
-    return Cluster(
+
+def build_cluster(config: Configuration, scenario: Optional[Scenario] = None) -> Cluster:
+    """Wire up a *simulated* cluster, with the scenario's events scheduled.
+
+    Deployment-mode configurations are built by
+    :class:`repro.transport.runtime.DeploymentRunner` instead; this builder
+    rejects them rather than silently simulating.
+    """
+    config.validate()
+    if config.mode != "model":
+        raise ConfigurationError(
+            f"build_cluster is the simulation builder (mode='model'); "
+            f"got mode={config.mode!r} — use repro.transport.runtime"
+        )
+    scheduler = EventScheduler()
+    streams = RandomStreams(seed=config.seed)
+    metrics = collector_for(config)
+    events = obs_trace.open_stream(metrics)
+    base_delay = NormalDelay(config.base_delay_mean, config.base_delay_stddev)
+    if config.extra_delay_mean > 0:
+        extra_delay = NormalDelay(config.extra_delay_mean, config.extra_delay_stddev)
+    else:
+        extra_delay = NoDelay()
+    network = Network(
+        scheduler,
+        streams,
+        base_delay=base_delay,
+        extra_delay=extra_delay,
+        bandwidth_bps=config.bandwidth_bps,
+        events=events,
+    )
+    registry = KeyRegistry(deployment_seed=config.seed)
+    replicas, clients = wire(
+        config, scheduler, network, registry, streams, events,
+        cost_profile(config.cost_profile),
+    )
+    cluster = Cluster(
         config=config,
         scheduler=scheduler,
         streams=streams,
@@ -256,50 +328,75 @@ def build_cluster(config: Configuration) -> Cluster:
         replicas=replicas,
         clients=clients,
         metrics=metrics,
-        observer_id=observer_id,
+        observer_id=metrics.observer,
         events=events,
+        scenario=scenario,
+    )
+    if scenario is not None:
+        scenario.schedule(cluster)
+    return cluster
+
+
+def summarize(
+    system,
+    horizon: float,
+    bucket: float = DEFAULT_BUCKET,
+    scenario: Optional[Scenario] = None,
+) -> ExperimentResult:
+    """The result of a finished run of ``system`` (simulated or deployed)."""
+    observer = system.replicas[system.observer_id]
+    return ExperimentResult(
+        config=system.config,
+        metrics=system.metrics.summarize(),
+        consistent=consistency_check(system),
+        highest_view=observer.pacemaker.stats.highest_view,
+        timeline=system.metrics.throughput_timeline(bucket=bucket, end=horizon),
+        scenario=scenario,
     )
 
 
-def attach_host_perf(
-    metrics: RunMetrics, cluster: Cluster, elapsed: float
-) -> RunMetrics:
-    """Record how fast the *simulator* ran (wall clock, events/sec).
+def run_cluster(cluster: Cluster, bucket: float = DEFAULT_BUCKET) -> ExperimentResult:
+    """Start a built cluster, run it to its horizon and summarise it.
 
-    Host-side quantities live outside the canonical record serialization
-    (see :attr:`RunMetrics.PERF_FIELDS`); they feed ``tools/perf_smoke.py``
-    and the perf trajectory, not the stored campaign records.
+    The simulated half of :func:`run_experiment`, for callers that go on to
+    inspect the finished cluster's per-replica state (forests, stats,
+    executors): the fuzz harness's invariant oracles audit exactly that.
     """
-    metrics.wall_clock_seconds = elapsed
-    metrics.events_per_second = (
-        cluster.scheduler.processed_events / elapsed if elapsed > 0 else 0.0
+    scenario = cluster.scenario
+    horizon = (
+        scenario.horizon(cluster.config) if scenario is not None
+        else cluster.config.total_duration
     )
-    return metrics
+    cluster.start()
+    cluster.run(until=horizon)
+    return summarize(cluster, horizon, bucket, scenario)
 
 
-def run_experiment(config: Configuration) -> ExperimentResult:
+def run_experiment(
+    config: Configuration,
+    scenario: Optional[Scenario] = None,
+    bucket: float = DEFAULT_BUCKET,
+) -> ExperimentResult:
     """Build, start, and run one experiment; return its summarized result.
 
     Dispatches on ``config.mode``: "model" runs the discrete-event simulation
-    here; "deploy" hands the same configuration to the real-transport runtime
+    here, under ``scenario``'s fault schedule if one is given, with the
+    throughput timeline bucketed at ``bucket`` simulated seconds; "deploy"
+    hands the same configuration to the real-transport runtime
     (:mod:`repro.transport`), which returns a result with the identical
     record schema.  Imported lazily so the simulation never loads asyncio
     machinery.
     """
     if config.mode == "deploy":
+        if scenario is not None:
+            # The shared wiring could put one on the wall clock; nobody has
+            # asked for (or tested) crash-replica over real sockets.
+            raise ConfigurationError(
+                "scenarios schedule events on the simulated clock; "
+                f"mode={config.mode!r} configurations cannot run one "
+                "(use mode='model')"
+            )
         from repro.transport.runtime import run_deployment
 
         return run_deployment(config)
-    cluster = build_cluster(config)
-    started = time.perf_counter()
-    cluster.start()
-    cluster.run()
-    elapsed = time.perf_counter() - started
-    observer = cluster.replicas[cluster.observer_id]
-    return ExperimentResult(
-        config=config,
-        metrics=attach_host_perf(cluster.metrics.summarize(), cluster, elapsed),
-        consistent=cluster.consistency_check(),
-        highest_view=observer.pacemaker.stats.highest_view,
-        timeline=cluster.metrics.throughput_timeline(bucket=0.5, end=config.total_duration),
-    )
+    return run_cluster(build_cluster(config, scenario), bucket)

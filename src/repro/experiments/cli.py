@@ -41,10 +41,10 @@ from repro.analysis.report import format_table
 from repro.bench.config import Configuration, ConfigurationError
 from repro.bench.runner import run_experiment
 from repro.experiments.runner import CampaignResult, CampaignRunner
-from repro.experiments.spec import ExperimentSpec, SpecError
+from repro.experiments.spec import ExperimentSpec, RunSpec, SpecError
 from repro.experiments.store import ResultStore, StoreError
 from repro.plugins import RegistryError
-from repro.scenario import Scenario, ScenarioRunner
+from repro.scenario import Scenario
 
 
 def _load_json(path: str) -> Dict[str, Any]:
@@ -115,11 +115,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.scenario:
         scenario_data = _load_json(args.scenario)
         scenario_data = scenario_data.get("scenario", scenario_data)
+    scenario = None if scenario_data is None else Scenario.from_dict(scenario_data)
     with _traced(args):
-        if scenario_data is not None:
-            result = ScenarioRunner(config, Scenario.from_dict(scenario_data)).run()
-        else:
-            result = run_experiment(config)
+        result = run_experiment(config, scenario)
     if args.json:
         print(json.dumps(result.metrics.to_dict() | {"consistent": result.consistent}, indent=2))
     else:
@@ -166,25 +164,13 @@ def _cmd_deploy(args: argparse.Namespace) -> int:
     print(f"consistent: {'true' if result.consistent else 'false'}")
     print(f"frames per socket write: {result.transport.frames_per_write:.2f}")
     if args.store:
-        from repro.experiments.spec import run_key
-
+        # A one-point campaign: what fig. 8's deployed curve is made of.
+        params = {"protocol": config.protocol, "arrival_rate": config.arrival_rate,
+                  "mode": config.mode}
+        run = RunSpec(campaign=args.campaign_name, index=0, repetition=0,
+                      params=params, config=config)
         store = ResultStore(args.store)
-        store.add({
-            "run_id": run_key(config),
-            "campaign": args.campaign_name,
-            "index": 0,
-            "repetition": 0,
-            "params": {
-                "protocol": config.protocol,
-                "arrival_rate": config.arrival_rate,
-                "mode": config.mode,
-            },
-            "config": config.to_dict(),
-            "metrics": metrics,
-            "consistent": result.consistent,
-            "highest_view": result.highest_view,
-            "timeline": [[t, tps] for t, tps in result.timeline],
-        })
+        store.add(run.record(result))
         print(f"results: {store.path}")
     return 0 if result.consistent else 1
 

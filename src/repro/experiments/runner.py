@@ -25,11 +25,9 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
-from repro.bench.config import Configuration
 from repro.bench.runner import run_experiment
 from repro.experiments.spec import ExperimentSpec, RunSpec
 from repro.experiments.store import ResultStore
-from repro.scenario import Scenario, ScenarioRunner
 
 __all__ = [
     "CampaignResult",
@@ -45,29 +43,8 @@ def execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     payload dict and returns a plain JSON-compatible record, so it pickles
     cleanly in both directions.
     """
-    config = Configuration.from_dict(payload["config"])
-    scenario_data = payload.get("scenario")
-    record: Dict[str, Any] = {
-        "run_id": payload["run_id"],
-        "campaign": payload["campaign"],
-        "index": payload["index"],
-        "repetition": payload["repetition"],
-        "params": payload["params"],
-        "config": config.to_dict(),
-    }
-    if scenario_data is not None:
-        scenario = Scenario.from_dict(scenario_data)
-        outcome = ScenarioRunner(config, scenario, bucket=payload["bucket"]).run()
-        record["scenario"] = scenario.to_dict()
-        timeline = outcome.timeline
-    else:
-        outcome = run_experiment(config)
-        timeline = outcome.timeline
-    record["metrics"] = outcome.metrics.to_dict()
-    record["consistent"] = outcome.consistent
-    record["highest_view"] = outcome.highest_view
-    record["timeline"] = [[t, tps] for t, tps in timeline]
-    return record
+    run = RunSpec(**payload)
+    return run.record(run_experiment(*run.arguments()))
 
 
 @dataclass
@@ -187,18 +164,17 @@ class CampaignRunner:
             if reporter is not None:
                 reporter.finish(record["run_id"])
 
-        payloads = [run.payload() for run in pending]
-        if self.workers > 1 and len(payloads) > 1:
+        if self.workers > 1 and len(pending) > 1:
             failure: Optional[BaseException] = None
-            with ProcessPoolExecutor(max_workers=min(self.workers, len(payloads))) as pool:
+            with ProcessPoolExecutor(max_workers=min(self.workers, len(pending))) as pool:
                 futures = []
-                for payload in payloads:
+                for run in pending:
                     # Submission = start for progress purposes: queued points
                     # age like running ones, so the straggler flag also
                     # catches a run starved behind a slow sibling.
                     if reporter is not None:
-                        reporter.start(payload["run_id"])
-                    futures.append(pool.submit(execute_payload, payload))
+                        reporter.start(run.run_id)
+                    futures.append(pool.submit(execute_payload, run.payload()))
                 for future in as_completed(futures):
                     # One failing run must not discard its siblings: the
                     # pool runs them to completion anyway, so collect and
@@ -212,8 +188,8 @@ class CampaignRunner:
             if failure is not None:
                 raise failure
         else:
-            for payload in payloads:
+            for run in pending:
                 if reporter is not None:
-                    reporter.start(payload["run_id"])
-                completed(execute_payload(payload))
+                    reporter.start(run.run_id)
+                completed(execute_payload(run.payload()))
         return results

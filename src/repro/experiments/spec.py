@@ -42,16 +42,13 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.bench.config import Configuration
+from repro.bench.metrics import DEFAULT_BUCKET
 from repro.scenario import Scenario
 
 SEED_POLICIES = ("increment", "fixed")
-
-#: Width (in simulated seconds) of the throughput-timeline buckets recorded
-#: for scenario runs, matching :class:`repro.scenario.ScenarioRunner`.
-DEFAULT_BUCKET = 0.5
 
 
 class SpecError(ValueError):
@@ -98,30 +95,60 @@ class RunSpec:
     #: Distinguishes deliberately identical runs (fixed-seed repetitions).
     salt: str = ""
 
+    def __post_init__(self) -> None:
+        if isinstance(self.config, dict):
+            self.config = Configuration.from_dict(self.config)
+        if isinstance(self.scenario, dict):
+            self.scenario = Scenario.from_dict(self.scenario)
+
     @cached_property
     def run_id(self) -> str:
         """The content hash keying this run in a :class:`ResultStore`.
 
         Cached: the runner consults it several times per run (pending
-        filter, payload, bookkeeping), and each computation serializes and
+        filter, record, bookkeeping), and each computation serializes and
         hashes the whole config (and scenario).
         """
         return run_key(self.config, self.scenario, self.bucket, self.salt)
 
     def payload(self) -> Dict[str, Any]:
-        """A picklable/JSON dict handed to campaign worker processes."""
-        data: Dict[str, Any] = {
-            "run_id": self.run_id,
+        """A picklable/JSON dict handed to campaign worker processes
+        (``RunSpec(**payload)`` is this run again)."""
+        return {
             "campaign": self.campaign,
             "index": self.index,
             "repetition": self.repetition,
             "params": self.params,
             "config": self.config.to_dict(),
+            "scenario": None if self.scenario is None else self.scenario.to_dict(),
             "bucket": self.bucket,
+            "salt": self.salt,
         }
-        if self.scenario is not None:
-            data["scenario"] = self.scenario.to_dict()
-        return data
+
+    def arguments(self) -> Tuple[Configuration, Optional[Scenario], float]:
+        """What :func:`repro.bench.runner.run_experiment` is called with.
+
+        ``bucket`` shapes the timeline of scenario runs and is part of their
+        run key.  The key of a run without a scenario does not cover it
+        (:func:`run_key`), so such a run is always bucketed at
+        :data:`DEFAULT_BUCKET`: two specs that differ only in ``bucket`` must
+        not store different bytes under one run id.
+        """
+        bucket = self.bucket if self.scenario is not None else DEFAULT_BUCKET
+        return self.config, self.scenario, bucket
+
+    def record(self, result) -> Dict[str, Any]:
+        """The stored record of this run: its identity, then the result's
+        :meth:`~repro.bench.runner.ExperimentResult.to_dict` (``config``,
+        ``scenario`` when there is one, ``metrics``, ``consistent``,
+        ``highest_view``, ``timeline``).  Every record is made here."""
+        return {
+            "run_id": self.run_id,
+            "campaign": self.campaign,
+            "index": self.index,
+            "repetition": self.repetition,
+            "params": self.params,
+        } | result.to_dict()
 
 
 @dataclass

@@ -2,8 +2,9 @@
 
 :func:`run_fuzz` is the engine behind ``python -m repro fuzz``: it walks the
 first ``budget`` generated cases of a seed, executes each through the
-ordinary scenario runner, and audits the finished cluster with every
-registered invariant oracle.  Three properties make campaigns practical:
+ordinary run path (:mod:`repro.bench.runner`), and audits the finished
+cluster with every registered invariant oracle.  Three properties make
+campaigns practical:
 
 * **Byte-reproducible** — each case executes through the exact
   :meth:`RunSpec.payload` round-trip ordinary campaigns use, and the stored
@@ -26,6 +27,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
 from repro.bench.config import Configuration
+from repro.bench.runner import build_cluster, fingerprint, run_cluster
+from repro.experiments.spec import RunSpec
 from repro.experiments.store import ResultStore
 from repro.fuzz.generator import FuzzCase, generate_case
 from repro.fuzz.invariants import (
@@ -33,7 +36,7 @@ from repro.fuzz.invariants import (
     Violation,
     check_invariants,
 )
-from repro.scenario import Scenario, ScenarioRunner
+from repro.scenario import Scenario
 
 
 @dataclass
@@ -43,8 +46,9 @@ class CaseOutcome:
     case: FuzzCase
     record: Dict[str, Any]
     violations: List[Violation] = field(default_factory=list)
-    #: Consistency hash of the honest replicas' common committed prefix —
-    #: the determinism witness: same case, same fingerprint, always.
+    #: Consistency hash of the configured-honest replicas' common committed
+    #: prefix (:func:`repro.bench.runner.fingerprint`) — the determinism
+    #: witness: same case, same fingerprint, always.
     fingerprint: str = ""
     #: Paths of the artifacts written for a violating case (if any).
     artifact: Optional[str] = None
@@ -68,34 +72,16 @@ def execute_case(
     record is byte-identical to what an ordinary campaign would store for
     the same point.
     """
-    payload = case.run_spec().payload()
-    config = Configuration.from_dict(payload["config"])
-    scenario = Scenario.from_dict(payload["scenario"])
-    runner = ScenarioRunner(config, scenario, bucket=payload["bucket"])
-    cluster = runner.build()
-    outcome = runner.run(cluster)
-    record: Dict[str, Any] = {
-        "run_id": payload["run_id"],
-        "campaign": payload["campaign"],
-        "index": payload["index"],
-        "repetition": payload["repetition"],
-        "params": payload["params"],
-        "config": config.to_dict(),
-        "scenario": scenario.to_dict(),
-        "metrics": outcome.metrics.to_dict(),
-        "consistent": outcome.consistent,
-        "highest_view": outcome.highest_view,
-        "timeline": [[t, tps] for t, tps in outcome.timeline],
-    }
-    ctx = OracleContext(cluster=cluster, result=outcome, case=case)
-    violations = check_invariants(ctx, oracles)
-    honest = ctx.honest_replicas()
-    fingerprint = ""
-    if honest:
-        common = min(r.forest.committed_height for r in honest)
-        fingerprint = f"{common}:{honest[0].forest.consistency_hash(common)}"
+    run = RunSpec(**case.run_spec().payload())
+    config, scenario, bucket = run.arguments()
+    cluster = build_cluster(config, scenario)
+    result = run_cluster(cluster, bucket)
+    ctx = OracleContext(cluster=cluster, result=result, case=case)
     return CaseOutcome(
-        case=case, record=record, violations=violations, fingerprint=fingerprint
+        case=case,
+        record=run.record(result),
+        violations=check_invariants(ctx, oracles),
+        fingerprint=fingerprint(cluster),
     )
 
 

@@ -1,10 +1,11 @@
 """Post-run invariant oracles: what "the protocol stayed correct" means.
 
 Each oracle is a function from an :class:`OracleContext` (the finished
-cluster with all per-replica state, the run's :class:`ScenarioResult`, and —
-for generated cases — the :class:`~repro.fuzz.generator.FuzzCase` metadata)
-to a list of human-readable problem strings.  Oracles are an extension
-point, registered exactly like protocols and strategies::
+cluster with all per-replica state, the run's
+:class:`~repro.bench.runner.ExperimentResult`, and — for generated cases —
+the :class:`~repro.fuzz.generator.FuzzCase` metadata) to a list of
+human-readable problem strings.  Oracles are an extension point, registered
+exactly like protocols and strategies::
 
     @register_oracle("no-empty-batches")
     def no_empty_batches(ctx):
@@ -80,7 +81,7 @@ class OracleContext:
 
     #: The finished cluster, with every replica's forest/stats/executor live.
     cluster: Any
-    #: The run's :class:`~repro.scenario.runner.ScenarioResult`.
+    #: The run's :class:`~repro.bench.runner.ExperimentResult`.
     result: Any
     #: Generator metadata (:class:`~repro.fuzz.generator.FuzzCase`); ``None``
     #: for hand-built audits, which disables the conditional liveness oracle.
@@ -88,7 +89,8 @@ class OracleContext:
 
     def honest_replicas(self) -> List[Any]:
         """Replicas that are honest *now*: configured honest and never
-        converted to a Byzantine strategy by a ``set-byzantine`` event."""
+        converted to a Byzantine strategy by a ``set-byzantine`` event
+        (stricter than the cluster's own, configuration-only, definition)."""
         byzantine = set(self.cluster.config.byzantine_ids())
         return [
             replica

@@ -18,8 +18,7 @@ TRACE_SINKS`):
     (https://ui.perfetto.dev) or ``chrome://tracing``: each replica is a
     process track, each view is a complete ("X") slice coloured by outcome,
     votes/commits/QCs are instant ("i") events on the replica's track, and
-    scenario fault events are global instants.  Profiling records (folded
-    in by ``tools/perf_smoke.py``) become slices on a dedicated track.
+    scenario fault events are global instants.
 
 ``text``
     A plain-text timeline, one line per record, for terminal reading.
@@ -240,29 +239,9 @@ def to_chrome_trace(records: Sequence[TraceRecord]) -> Dict[str, Any]:
                     "args": {"view": span["view"], "outcome": span["outcome"]},
                 }
             )
-    profile_base = 0.0
     for record in records:
         category = record.category
         if category == "view":
-            continue
-        if category == "profile":
-            # Hotspot spans from tools/perf_smoke.py: laid end to end on a
-            # synthetic "profile" track, width = cumulative time.
-            payload = record.payload or {}
-            duration = _micros(float(payload.get("cumtime", 0.0))) or 1.0
-            events.append(
-                {
-                    "ph": "X",
-                    "name": record.kind,
-                    "cat": "profile",
-                    "pid": 0,
-                    "tid": 0,
-                    "ts": profile_base,
-                    "dur": duration,
-                    "args": payload,
-                }
-            )
-            profile_base += duration
             continue
         event: Dict[str, Any] = {
             "ph": "i",

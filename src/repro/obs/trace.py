@@ -77,7 +77,6 @@ CHECKPOINT = 1 << 7   #: checkpoint taken, snapshot fetched / installed, forest 
 FAULT = 1 << 8        #: scenario events (crash/partition/heal/...) and safety violations
 NET = 1 << 9          #: fabric drops (crashed/partitioned/backlogged), per-copy hop delay
 CLIENT = 1 << 10      #: client request committed / timed out / rejected
-PROFILE = 1 << 11     #: profiling spans folded in by tools/perf_smoke.py
 
 #: category bit -> canonical name, in declaration order.
 CATEGORY_NAMES: Dict[int, str] = {
@@ -92,7 +91,6 @@ CATEGORY_NAMES: Dict[int, str] = {
     FAULT: "fault",
     NET: "net",
     CLIENT: "client",
-    PROFILE: "profile",
 }
 
 #: canonical name -> category bit.

@@ -2,10 +2,10 @@
 
 This package turns "what happens during the run" into data: a
 :class:`Scenario` is a list of typed timeline events (crashes, recoveries,
-fluctuation windows, partitions, delay/strategy/rate changes) that a
-:class:`ScenarioRunner` applies to a cluster built by the ordinary registry
-wiring.  Scenarios serialize to/from JSON-style dicts, and event kinds are
-an extension point (:func:`register_scenario_event`).
+fluctuation windows, partitions, delay/strategy/rate changes) that
+:func:`repro.bench.runner.build_cluster` schedules on the cluster it builds
+when handed one.  Scenarios serialize to/from JSON-style dicts, and event
+kinds are an extension point (:func:`register_scenario_event`).
 """
 
 from repro.scenario.events import (
@@ -22,7 +22,7 @@ from repro.scenario.events import (
     available_scenario_events,
     register_scenario_event,
 )
-from repro.scenario.runner import Scenario, ScenarioResult, ScenarioRunner, run_scenario
+from repro.scenario.runner import Scenario
 
 __all__ = [
     "SCENARIO_EVENTS",
@@ -33,12 +33,9 @@ __all__ = [
     "RecoverReplica",
     "Scenario",
     "ScenarioEvent",
-    "ScenarioResult",
-    "ScenarioRunner",
     "SetArrivalRate",
     "SetByzantine",
     "SetDelayModel",
     "available_scenario_events",
     "register_scenario_event",
-    "run_scenario",
 ]

@@ -1,4 +1,4 @@
-"""Scenarios: named, serializable fault schedules, and the runner for them.
+"""Scenarios: named, serializable fault schedules.
 
 A :class:`Scenario` is a list of typed timeline events plus an optional
 duration override — the declarative replacement for hand-wiring fault
@@ -16,22 +16,24 @@ fault schedule) can live in one config file::
       ]}
     }
 
-:class:`ScenarioRunner` builds the cluster through the ordinary registry
-wiring (:func:`repro.bench.runner.build_cluster`), schedules every event,
-runs to the horizon, and returns a :class:`ScenarioResult` with the summary
-metrics plus the throughput timeline the paper's Fig. 15 plots.
+Running one is the ordinary run path with the optional argument given:
+:func:`repro.bench.runner.build_cluster` schedules every event on the cluster
+it builds, and :func:`repro.bench.runner.run_experiment` runs to the
+scenario's horizon and returns the same
+:class:`~repro.bench.runner.ExperimentResult`, whose throughput timeline is
+what the paper's Fig. 15 plots.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.bench.config import Configuration
-from repro.bench.metrics import RunMetrics, timeline_mean
-from repro.bench.runner import Cluster, attach_host_perf, build_cluster
 from repro.scenario.events import ScenarioEvent
+
+if TYPE_CHECKING:  # repro.bench imports this package, not the other way round
+    from repro.bench.config import Configuration
+    from repro.bench.runner import Cluster
 
 
 @dataclass
@@ -77,72 +79,3 @@ class Scenario:
             events=[ScenarioEvent.from_dict(e) for e in data.get("events", [])],
             duration=data.get("duration"),
         )
-
-
-@dataclass
-class ScenarioResult:
-    """Outcome of one scenario run: summary metrics plus the timeline."""
-
-    config: Configuration
-    scenario: Scenario
-    metrics: RunMetrics
-    timeline: List[Tuple[float, float]]
-    consistent: bool
-    highest_view: int
-
-    def mean_throughput(self, start: float, end: float) -> float:
-        """Average Tx/s of the timeline buckets within [start, end)."""
-        return timeline_mean(self.timeline, start, end)
-
-
-class ScenarioRunner:
-    """Builds a cluster, schedules a scenario's events, and runs it."""
-
-    def __init__(self, config: Configuration, scenario: Scenario, bucket: float = 0.5) -> None:
-        if config.mode != "model":
-            raise ValueError(
-                "scenarios schedule events on the simulated clock; "
-                f"mode={config.mode!r} configurations cannot run one "
-                "(use mode='model')"
-            )
-        self.config = config
-        self.scenario = scenario
-        #: Width of the throughput-timeline buckets, in simulated seconds.
-        self.bucket = bucket
-
-    def build(self) -> Cluster:
-        """Build the cluster with every scenario event already scheduled."""
-        cluster = build_cluster(self.config)
-        self.scenario.schedule(cluster)
-        return cluster
-
-    def run(self, cluster: Optional[Cluster] = None) -> ScenarioResult:
-        """Run the scenario to its horizon and summarize the outcome.
-
-        Pass the cluster from :meth:`build` to keep access to per-replica
-        state (forests, stats, executors) after the run — the fuzz harness's
-        invariant oracles audit exactly that.
-        """
-        if cluster is None:
-            cluster = self.build()
-        horizon = self.scenario.horizon(self.config)
-        started = time.perf_counter()
-        cluster.start()
-        cluster.run(until=horizon)
-        elapsed = time.perf_counter() - started
-        observer = cluster.replicas[cluster.observer_id]
-        return ScenarioResult(
-            config=self.config,
-            scenario=self.scenario,
-            metrics=attach_host_perf(cluster.metrics.summarize(), cluster, elapsed),
-            timeline=cluster.metrics.throughput_timeline(bucket=self.bucket, end=horizon),
-            consistent=cluster.consistency_check(),
-            highest_view=observer.pacemaker.stats.highest_view,
-        )
-
-
-def run_scenario(
-    config: Configuration, scenario: Scenario, bucket: float = 0.5
-) -> ScenarioResult:
-    """Convenience wrapper: ``ScenarioRunner(config, scenario).run()``."""
-    return ScenarioRunner(config, scenario, bucket=bucket).run()

@@ -66,8 +66,8 @@ class AsyncioClock:
 
     Must be constructed inside a running loop (the deployment runner creates
     it from its entry coroutine).  ``processed_events`` counts fired
-    callbacks so the host-perf ``events_per_second`` metric has a deployment
-    analogue of the scheduler's event count.
+    callbacks: the deployment analogue of the scheduler's event count, which
+    ``benchmarks/perf`` reads off both.
     """
 
     def __init__(self) -> None:

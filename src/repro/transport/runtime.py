@@ -19,35 +19,30 @@ signatures                HMAC tags, cost *modeled*   Ed25519, cost *measured*
 serialization             size-model estimate         real JSON encode/decode
 ========================  ==========================  =========================
 
-The runner emits the same :class:`~repro.bench.runner.ExperimentResult` /
-``RunMetrics`` record schema, so campaign storage, aggregation, and the
-fig8 figure consume model and deployment records side by side.
+Everything else is :mod:`repro.bench.runner`'s: its :func:`~repro.bench.runner.wire`
+builds the replicas and clients, its ``consistency_check`` judges them, and
+its :func:`~repro.bench.runner.summarize` produces the same
+:class:`~repro.bench.runner.ExperimentResult` / ``RunMetrics`` record schema,
+so campaign storage, aggregation, and the fig8 figure consume model and
+deployment records side by side.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from repro.bench import runner as bench_runner
 from repro.bench.config import Configuration
-from repro.bench.metrics import MetricsCollector
 from repro.bench.profiles import cost_profile
-from repro.bench.runner import ExperimentResult
-from repro.checkpoint.manager import CheckpointSettings
-from repro.client.client import CLIENTS, ClientBase
-from repro.client.workload import WorkloadSpec
-from repro.core.byzantine import STRATEGIES
-from repro.core.replica import Replica, ReplicaSettings
+from repro.client.client import ClientBase
+from repro.core.replica import Replica
 from repro.crypto.keys import KeyRegistry
-from repro.election.election import make_election
 from repro.obs import trace as obs_trace
 from repro.sim.random import RandomStreams
-from repro.sync.manager import SyncSettings
 from repro.transport.asyncio_net import AsyncioTransport, TransportStats
 from repro.transport.clock import AsyncioClock
-from repro.types.sizes import SizeModel
 
 
 class DeploymentError(RuntimeError):
@@ -55,7 +50,7 @@ class DeploymentError(RuntimeError):
 
 
 @dataclass
-class DeploymentResult(ExperimentResult):
+class DeploymentResult(bench_runner.ExperimentResult):
     """An :class:`ExperimentResult` plus the deployment's socket counters.
 
     The stored record (``to_dict``) is the shared schema, unchanged; the
@@ -89,13 +84,12 @@ class DeploymentRunner:
         )
         self.replicas: Dict[str, Replica] = {}
         self.clients: List[ClientBase] = []
-        self.observer_id = config.node_ids()[0]
-        self.metrics = MetricsCollector(
-            window_start=config.warmup,
-            window_end=config.warmup + config.runtime,
-            observer=self.observer_id,
-        )
+        self.metrics = bench_runner.collector_for(config)
+        self.observer_id = self.metrics.observer
         self._started = False
+
+    honest_replicas = bench_runner.honest_replicas
+    consistency_check = bench_runner.consistency_check
 
     async def start(self) -> None:
         """Bind the transport and start every replica and client."""
@@ -109,72 +103,14 @@ class DeploymentRunner:
         events = obs_trace.open_stream(self.metrics)
         self.clock = AsyncioClock()
         self.transport = AsyncioTransport(host=self.host, events=events, clock=self.clock)
-        streams = RandomStreams(seed=config.seed)
-        node_ids = config.node_ids()
-        election = make_election(
-            node_ids, master=config.master, kind=config.election, seed=config.seed
-        )
-        settings = ReplicaSettings(
-            block_size=config.block_size,
-            mempool_capacity=config.mempool_capacity,
-            view_timeout=config.view_timeout,
-            propose_wait_after_tc=config.propose_wait_after_tc,
-            sync=SyncSettings(
-                enabled=config.sync_enabled,
-                max_batch=config.sync_max_batch,
-                fanout=config.sync_fanout,
-            ),
-            checkpoint=CheckpointSettings(
-                interval=config.checkpoint_interval,
-                snapshot_sync=config.snapshot_sync_enabled,
-            ),
-            quorum_threshold=config.quorum_threshold,
-        )
         # Crypto/serialization cost is real wall-clock work here; charging
         # the configured model on top would double-count it.
-        costs = cost_profile("measured")
-        sizes = SizeModel()
-        byzantine = set(config.byzantine_ids())
-
-        for node_id in node_ids:
-            replica_cls = STRATEGIES.get(config.strategy) if node_id in byzantine else Replica
-            replica = replica_cls(
-                node_id,
-                self.clock,
-                self.transport,
-                election,
-                self.registry,
-                node_ids,
-                protocol=config.protocol,
-                settings=settings,
-                cost_model=costs,
-                size_model=sizes,
-                events=events,
-            )
-            self.replicas[node_id] = replica
-
-        client_cls = CLIENTS.get(config.resolved_client())
-        workload = WorkloadSpec(payload_size=config.payload_size)
-        for client_id in config.client_ids():
-            client = client_cls.from_config(
-                client_id,
-                self.clock,
-                self.transport,
-                streams,
-                node_ids,
-                workload=workload,
-                size_model=sizes,
-                events=events,
-                config=config,
-            )
-            self.clients.append(client)
-
+        self.replicas, self.clients = bench_runner.wire(
+            config, self.clock, self.transport, self.registry,
+            RandomStreams(seed=config.seed), events, cost_profile("measured"),
+        )
         await self.transport.start()
-        for replica in self.replicas.values():
-            replica.start()
-        stop_time = config.warmup + config.runtime
-        for client in self.clients:
-            client.start(stop_time=stop_time)
+        bench_runner.start_nodes(self)
 
     async def run(self) -> None:
         """Let the cluster run for the configured horizon of wall time.
@@ -204,49 +140,15 @@ class DeploymentRunner:
                 f"{self.transport.errors[0]!r}"
             ) from self.transport.errors[0]
 
-    def honest_replicas(self) -> List[Replica]:
-        """Replicas that follow the protocol."""
-        byzantine = set(self.config.byzantine_ids())
-        return [r for rid, r in self.replicas.items() if rid not in byzantine]
-
-    def consistency_check(self) -> bool:
-        """True if every honest replica's committed chain is a consistent prefix."""
-        honest = self.honest_replicas()
-        if not honest:
-            return True
-        min_height = min(r.forest.committed_height for r in honest)
-        reference = honest[0].forest.consistency_hash(min_height)
-        return all(r.forest.consistency_hash(min_height) == reference for r in honest)
-
-    def result(self, elapsed: float) -> DeploymentResult:
-        """Summarize the run into the shared campaign record schema."""
-        metrics = self.metrics.summarize()
-        metrics.wall_clock_seconds = elapsed
-        metrics.events_per_second = (
-            self.clock.processed_events / elapsed if elapsed > 0 else 0.0
-        )
-        observer = self.replicas[self.observer_id]
-        return DeploymentResult(
-            config=self.config,
-            metrics=metrics,
-            consistent=self.consistency_check(),
-            highest_view=observer.pacemaker.stats.highest_view,
-            timeline=self.metrics.throughput_timeline(
-                bucket=0.5, end=self.config.total_duration
-            ),
-            transport=self.transport.stats,
-        )
-
 
 async def deploy_and_run(config: Configuration, host: str = "127.0.0.1") -> DeploymentResult:
     """Coroutine running one full deployment: start, horizon, stop, result."""
     runner = DeploymentRunner(config, host=host)
     await runner.start()
-    started = time.perf_counter()
     await runner.run()
-    elapsed = time.perf_counter() - started
     await runner.stop()
-    return runner.result(elapsed)
+    result = bench_runner.summarize(runner, runner.config.total_duration)
+    return DeploymentResult(**vars(result), transport=runner.transport.stats)
 
 
 def run_deployment(config: Configuration, host: str = "127.0.0.1") -> DeploymentResult:

@@ -19,7 +19,6 @@ from repro.analysis import (
     aggregate_rows,
     comparison_table,
     compare,
-    compare_records,
     csv_table,
     figure_for_campaign,
     format_measure,
@@ -438,13 +437,6 @@ class TestRegress:
         assert not report.ok
         assert report.missing and report.unmatched
 
-    def test_compare_records_convenience(self):
-        baseline = freeze(self.groups(100.0))
-        records = reps("camp", {"protocol": "hs"}, [95.0, 100.0, 105.0],
-                       mean_latency=0.005, p99_latency=0.009,
-                       chain_growth_rate=1.0, block_interval=3.0)
-        assert compare_records(baseline, records).ok
-
     def test_load_baseline_errors(self, tmp_path):
         with pytest.raises(BaselineError, match="no such baseline"):
             load_baseline(tmp_path / "missing.json")
@@ -452,31 +444,6 @@ class TestRegress:
         bad.write_text("{}")
         with pytest.raises(BaselineError, match="no 'groups'"):
             load_baseline(bad)
-
-    def eps_group(self, samples):
-        """Aggregated events_per_second repetitions (the ratcheted metric)."""
-        recs = [record("perf", {"scenario": "base", "_repetition": i},
-                       {"events_per_second": v}) for i, v in enumerate(samples)]
-        return aggregate_records(recs, metrics=["events_per_second"])
-
-    def test_ratchet_up_lets_improvements_pass(self):
-        # events_per_second is ratchet-up by default: a big win is not a
-        # regression, but it is reported as worth re-freezing.
-        baseline = freeze(self.eps_group([90.0, 100.0, 110.0]),
-                          metrics=["events_per_second"])
-        report = compare(baseline, self.eps_group([190.0, 200.0, 210.0]))
-        assert report.ok
-        assert [f.metric for f in report.improvements] == ["events_per_second"]
-        assert "improved" in report.render()
-
-    def test_ratchet_up_flags_drops(self):
-        baseline = freeze(self.eps_group([90.0, 100.0, 110.0]),
-                          metrics=["events_per_second"])
-        report = compare(baseline, self.eps_group([40.0, 50.0, 60.0]))
-        assert not report.ok
-        (finding,) = report.regressions
-        assert (finding.metric, finding.policy) == ("events_per_second", "ratchet-up")
-        assert "fell" in finding.describe() and "ratchet-up" in finding.describe()
 
     def test_per_metric_tolerance_overrides_global(self):
         # A degenerate (n=1) baseline: only tolerance provides slack, and the
@@ -488,12 +455,6 @@ class TestRegress:
                        tolerances={"throughput_tps": 0.05}).ok
         assert not compare(baseline, moved,
                            tolerances={"mean_latency": 0.05}).ok
-
-    def test_unknown_policy_rejected(self):
-        baseline = freeze(self.groups(100.0))
-        with pytest.raises(ValueError, match="unknown policy"):
-            compare(baseline, self.groups(100.0),
-                    policies={"throughput_tps": "bogus"})
 
 
 # ----------------------------------------------------------------------
@@ -524,7 +485,7 @@ def no_simulations(monkeypatch):
 
     monkeypatch.setattr("repro.bench.runner.run_experiment", boom)
     monkeypatch.setattr("repro.experiments.runner.execute_payload", boom)
-    monkeypatch.setattr("repro.scenario.runner.ScenarioRunner.run", boom)
+    monkeypatch.setattr("repro.bench.runner.run_cluster", boom)
 
 
 class TestSeedPolicyStatistics:

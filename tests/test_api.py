@@ -7,7 +7,6 @@ import pytest
 from repro import api
 from repro.bench.config import Configuration, ConfigurationError
 from repro.bench.runner import Cluster, ExperimentResult, run_experiment
-from repro.scenario import ScenarioResult
 
 FAST = dict(
     block_size=20,
@@ -42,7 +41,8 @@ class TestFacade:
             dict(FAST),
             scenario={"events": [{"kind": "crash-replica", "at": 0.4, "replica": "last"}]},
         )
-        assert isinstance(result, ScenarioResult)
+        assert isinstance(result, ExperimentResult)
+        assert [event.kind for event in result.scenario.events] == ["crash-replica"]
         assert result.consistent
 
     def test_build_returns_cluster(self):

@@ -4,6 +4,9 @@ import json
 
 import pytest
 
+from repro.analysis import figure_for_campaign
+from repro.bench.config import Configuration
+from repro.experiments import run_key
 from repro.experiments.cli import main
 from repro.experiments.store import ResultStore, TruncatedRecordWarning
 
@@ -73,6 +76,58 @@ class TestRun:
     def test_missing_file_exits(self, tmp_path):
         with pytest.raises(SystemExit, match="no such file"):
             main(["run", str(tmp_path / "nope.json")])
+
+
+CRASH = {"events": [{"kind": "crash-replica", "at": 0.3, "replica": "last"}]}
+
+
+def assert_one_error_line(stderr: str) -> None:
+    """A configuration error is one ``error:`` line, not a traceback."""
+    (line,) = stderr.splitlines()
+    assert line.startswith("error: ") and "mode='deploy'" in line
+
+
+class TestScenarioOnADeployment:
+    """Scenarios are model-only: asking for one in deploy mode is a
+    configuration error on every path, serial or in a worker process."""
+
+    def test_run_reports_a_configuration_error(self, tmp_path, capsys):
+        path = tmp_path / "deploy_scenario.json"
+        path.write_text(json.dumps({"config": {**FAST, "mode": "deploy"}, "scenario": CRASH}))
+        assert main(["run", str(path)]) == 1
+        assert_one_error_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_campaign_reports_a_configuration_error(self, workers, tmp_path, capsys):
+        path = tmp_path / "deploy_scenario_spec.json"
+        path.write_text(json.dumps({"base": {**FAST, "mode": "deploy"}, "scenario": CRASH,
+                                    "grid": {"block_size": [20, 40]}}))
+        assert main(["campaign", str(path), "-w", workers]) == 1
+        assert_one_error_line(capsys.readouterr().err)
+
+
+class TestDeploy:
+    def test_deploy_prints_its_stable_lines_and_stores_a_campaign_record(
+            self, spec_file, tmp_path, capsys):
+        store = str(tmp_path / "store")
+        assert main(["deploy", "--nodes", "4", "--signing", "hmac", "--rate", "30",
+                     "--runtime", "0.6", "--seed", "7", "-s", store]) == 0
+        out = capsys.readouterr().out
+        # The three lines CI's deploy-smoke job greps.
+        for stable in ("committed transactions: ", "consistent: true", "frames per socket write: "):
+            assert any(line.startswith(stable) for line in out.splitlines()), stable
+
+        (record,) = ResultStore(store).records()
+        config = Configuration.from_dict(record["config"])
+        assert (config.mode, config.num_nodes, config.signing) == ("deploy", 4, "hmac")
+        assert record["run_id"] == run_key(config)
+        assert record["campaign"] == "fig8_deploy"
+        assert (record["index"], record["repetition"]) == (0, 0)
+        assert record["params"] == {"protocol": "hotstuff", "arrival_rate": 30.0, "mode": "deploy"}
+        assert figure_for_campaign(record["campaign"]).key == "fig8"
+        # Exactly the keys of a record a campaign stores for a model-mode point.
+        assert main(["campaign", spec_file, "--json"]) == 0
+        assert set(record) == set(json.loads(capsys.readouterr().out)[0])
 
 
 class TestCampaign:

@@ -5,10 +5,10 @@ import pytest
 from repro import api
 from repro.bench.config import Configuration
 from repro.bench.metrics import timeline_mean
-from repro.bench.runner import build_cluster
+from repro.bench.runner import build_cluster, run_cluster
 from repro.network.fluctuation import FluctuationWindow
 from repro.network.partition import Partition
-from repro.scenario import Scenario, ScenarioRunner
+from repro.scenario import Scenario
 
 FAST = dict(
     num_nodes=4,
@@ -124,9 +124,8 @@ class TestFluctuationAndResponsiveness:
 
     def test_responsiveness_scenario_produces_timeline(self):
         config = Configuration(protocol="hotstuff", warmup=0.0, runtime=1.8, cooldown=0.0, **FAST)
-        runner = ScenarioRunner(config, Scenario.from_dict(self.responsiveness(1.8)), bucket=0.2)
-        cluster = runner.build()
-        result = runner.run(cluster)
+        cluster = build_cluster(config, Scenario.from_dict(self.responsiveness(1.8)))
+        result = run_cluster(cluster, bucket=0.2)
         assert cluster.network.is_crashed("r3")
         assert result.timeline
         assert timeline_mean(result.timeline, 0.0, 0.4) > 0

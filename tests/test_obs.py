@@ -15,7 +15,7 @@ import pytest
 from repro import api
 from repro.analysis.figures import FigureError, render_view_timeline
 from repro.bench.config import Configuration
-from repro.bench.runner import build_cluster, run_experiment
+from repro.bench.runner import build_cluster, run_cluster, run_experiment
 from repro.experiments.cli import main
 from repro.obs import (
     CATEGORY_BITS,
@@ -42,7 +42,7 @@ from repro.obs.export import (
     view_spans,
     write_jsonl,
 )
-from repro.scenario import Scenario, ScenarioRunner
+from repro.scenario import Scenario
 from repro.scenario.events import CrashReplica, NetworkFluctuation, RecoverReplica
 
 
@@ -158,9 +158,9 @@ class TestNoPerturbation:
 
     def test_traced_scenario_metrics_identical(self):
         config = small_config()
-        untraced = ScenarioRunner(config, crash_scenario()).run()
+        untraced = run_experiment(config, crash_scenario())
         with tracing():
-            traced = ScenarioRunner(config, crash_scenario()).run()
+            traced = run_experiment(config, crash_scenario())
         assert traced.metrics.to_dict() == untraced.metrics.to_dict()
 
     def test_same_seed_jsonl_is_byte_identical(self):
@@ -196,10 +196,9 @@ class TestInstrumentation:
             name="fluctuation",
             events=[NetworkFluctuation(at=0.2, duration=0.2, min_delay=0.02, max_delay=0.03)],
         )
-        runner = ScenarioRunner(small_config(), scenario)
         with tracing() as tracer:
-            cluster = runner.build()
-            runner.run(cluster)
+            cluster = build_cluster(small_config(), scenario)
+            run_cluster(cluster)
         network = cluster.network
         wire_copies = sum(
             network.egress_nic(node).messages_transferred for node in network.endpoints()
@@ -211,7 +210,7 @@ class TestInstrumentation:
 
     def test_crash_scenario_emits_fault_and_net_records(self):
         with tracing() as tracer:
-            ScenarioRunner(small_config(), crash_scenario()).run()
+            run_experiment(small_config(), crash_scenario())
         records = tracer.records()
         faults = [r for r in records if r.category == "fault"]
         assert [f.kind for f in faults] == ["crash-replica", "recover-replica"]
@@ -312,7 +311,7 @@ class TestExport:
 
     def test_svg_timeline_renders(self):
         with tracing() as tracer:
-            ScenarioRunner(small_config(), crash_scenario()).run()
+            run_experiment(small_config(), crash_scenario())
         svg = render_view_timeline(tracer.records())
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
         assert "#009E73" in svg  # at least one committed view lane
@@ -438,13 +437,18 @@ class TestFuzzTraceBundling:
         from repro.fuzz import ORACLES, run_fuzz
 
         name = "obs-always-fails"
-        if name not in ORACLES.available():
-            @ORACLES.register(name)
-            def _always(ctx):
-                return ["forced violation (test_obs)"]
 
-        report = run_fuzz(budget=1, seed=0, artifacts=str(tmp_path),
-                          shrink=False, oracles=[name])
+        @ORACLES.register(name)
+        def _always(ctx):
+            return ["forced violation (test_obs)"]
+
+        # Registered oracles are process-global and run in every later audit:
+        # clean up, or the rest of the suite sees violations.
+        try:
+            report = run_fuzz(budget=1, seed=0, artifacts=str(tmp_path),
+                              shrink=False, oracles=[name])
+        finally:
+            ORACLES.unregister(name)
         assert not report.ok
         outcome = report.failures[0]
         assert outcome.trace_artifact is not None

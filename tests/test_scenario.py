@@ -4,6 +4,7 @@ import pytest
 
 from repro import api
 from repro.bench.config import Configuration
+from repro.bench.runner import ExperimentResult, build_cluster, run_cluster, run_experiment
 from repro.scenario import (
     CrashReplica,
     Heal,
@@ -12,12 +13,9 @@ from repro.scenario import (
     RecoverReplica,
     Scenario,
     ScenarioEvent,
-    ScenarioResult,
-    ScenarioRunner,
     SetArrivalRate,
     SetByzantine,
     SetDelayModel,
-    run_scenario,
 )
 
 FAST = dict(
@@ -181,8 +179,9 @@ class TestScenarioRunner:
         scenario = Scenario(
             events=[CrashReplica(at=0.5, replica="last")], duration=1.0
         )
-        result = run_scenario(fast_config(), scenario, bucket=0.25)
-        assert isinstance(result, ScenarioResult)
+        result = run_experiment(fast_config(), scenario, bucket=0.25)
+        assert isinstance(result, ExperimentResult)
+        assert result.scenario is scenario
         assert result.consistent
         assert len(result.timeline) >= 4
         assert all(t <= 1.0 for t, _ in result.timeline)
@@ -213,9 +212,8 @@ class TestResponsivenessDeclarative:
             NetworkFluctuation(at=0.3, duration=0.3, min_delay=0.02, max_delay=0.08),
             CrashReplica(at=0.8, replica="last"),
         ])
-        runner = ScenarioRunner(fast_config(runtime=1.2), scenario, bucket=0.2)
-        cluster = runner.build()
-        result = runner.run(cluster)
+        cluster = build_cluster(fast_config(runtime=1.2), scenario)
+        result = run_cluster(cluster, bucket=0.2)
         assert cluster.network.is_crashed("r3")
         assert result.consistent
         assert result.mean_throughput(0.0, 0.3) > 0

@@ -1040,8 +1040,6 @@ class TestDeployment:
         assert deployed.consistent
         assert deployed.metrics.committed_transactions > 0
         assert deployed.highest_view > 1
-        assert deployed.metrics.wall_clock_seconds > 0
-        assert deployed.metrics.events_per_second > 0
 
         modeled = run_experiment(config.replace(mode="model"))
         assert modeled.consistent
