@@ -20,17 +20,18 @@ through the instance (``replica._process_proposal(...)``), so Byzantine
 subclasses and :func:`~repro.core.byzantine.convert_replica` keep working: the
 method resolution happens on the live object, not at registration time.
 
-An optional ``cost`` callable ``(replica, message) -> seconds`` overrides the
-default CPU charge (:meth:`Replica._processing_cost`, which models signature
-and per-transaction verification work).  Messages with no registered handler
-are silently ignored, preserving the old behaviour for e.g. ``ClientReply``
-copies that reach a replica.
+A kind's CPU charge lives where its handler is registered: the ``cost``
+callable ``(replica, message) -> seconds`` given to
+:func:`register_message_handler` (a kind registered without one is charged
+:data:`LOOPBACK_CPU_COST`).  Messages with no registered handler are silently
+ignored, preserving the old behaviour for e.g. ``ClientReply`` copies that
+reach a replica.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from repro.plugins import Registry
 from repro.types.messages import Message
@@ -40,19 +41,23 @@ HandlerFn = Callable[["Replica", Message], None]  # noqa: F821 - documented type
 #: Cost signature: (replica, message) -> CPU seconds to charge before handling.
 CostFn = Callable[["Replica", Message], float]  # noqa: F821
 
+#: CPU time charged for admitting one client request to the mempool.
+CLIENT_REQUEST_CPU_COST = 5e-6
+#: CPU time charged for processing a loopback copy of the replica's own
+#: message, and for a kind registered without a cost of its own.
+LOOPBACK_CPU_COST = 1e-6
+
+
+def _flat_cost(replica, message: Message) -> float:
+    return LOOPBACK_CPU_COST
+
 
 @dataclass(frozen=True)
 class MessageHandler:
     """A registered handler plus the CPU cost charged before it runs."""
 
     handle: HandlerFn
-    cost: Optional[CostFn] = None
-
-    def cost_for(self, replica, message: Message) -> float:
-        """CPU service time for ``message`` (falls back to the replica default)."""
-        if self.cost is not None:
-            return self.cost(replica, message)
-        return replica._processing_cost(message)
+    cost: CostFn
 
 
 #: The message-handler extension point, keyed by message class name.
@@ -62,7 +67,7 @@ MESSAGE_HANDLERS: Registry[MessageHandler] = Registry("message handler")
 def register_message_handler(
     message_type: str,
     *aliases: str,
-    cost: Optional[CostFn] = None,
+    cost: CostFn = _flat_cost,
     override: bool = False,
 ) -> Callable[[HandlerFn], HandlerFn]:
     """Decorator registering a handler for messages of class ``message_type``.
@@ -118,28 +123,52 @@ def dispatch(replica, message: Message) -> bool:
         cache[cls] = entry
     if entry is None:
         return False
-    replica.cpu.submit(entry.cost_for(replica, message), entry.handle, replica, message)
+    replica.cpu.submit(entry.cost(replica, message), entry.handle, replica, message)
     return True
 
 
 # ----------------------------------------------------------------------
-# built-in handlers: the four message kinds of the consensus round
+# built-in handlers: the four message kinds of the consensus round, each
+# charged its validation cost (signature and per-transaction verification
+# through the replica's cost model) unless it is the replica's own copy
 # ----------------------------------------------------------------------
-@register_message_handler("ClientRequest")
+def _client_request_cost(replica, message: Message) -> float:
+    return LOOPBACK_CPU_COST if message.sender == replica.node_id else CLIENT_REQUEST_CPU_COST
+
+
+def _proposal_cost(replica, message: Message) -> float:
+    if message.sender == replica.node_id:
+        return LOOPBACK_CPU_COST
+    return replica.cost_model.proposal_verify_cost(message.block.num_transactions)
+
+
+def _vote_cost(replica, message: Message) -> float:
+    if message.sender == replica.node_id:
+        return LOOPBACK_CPU_COST
+    return replica.cost_model.vote_verify_cost()
+
+
+def _timeout_cost(replica, message: Message) -> float:
+    if message.sender == replica.node_id:
+        return LOOPBACK_CPU_COST
+    return replica.cost_model.timeout_verify_cost()
+
+
+@register_message_handler("ClientRequest", cost=_client_request_cost)
 def _handle_client_request(replica, message: Message) -> None:
     replica._process_client_request(message)
 
 
-@register_message_handler("ProposalMessage")
+@register_message_handler("ProposalMessage", cost=_proposal_cost)
 def _handle_proposal(replica, message: Message) -> None:
     replica._process_proposal(message)
 
 
-@register_message_handler("VoteMessage")
+@register_message_handler("VoteMessage", cost=_vote_cost)
 def _handle_vote(replica, message: Message) -> None:
     replica._process_vote(message)
 
 
-@register_message_handler("TimeoutMessage")
+@register_message_handler("TimeoutMessage", cost=_timeout_cost)
 def _handle_timeout(replica, message: Message) -> None:
     replica._process_timeout(message)

@@ -69,10 +69,6 @@ from repro.types.messages import (
 from repro.types.sizes import SizeModel
 from repro.types.transaction import Transaction
 
-#: CPU time charged for admitting one client request to the mempool.
-CLIENT_REQUEST_CPU_COST = 5e-6
-#: CPU time charged for processing a loopback copy of the replica's own message.
-LOOPBACK_CPU_COST = 1e-6
 #: Bound on reply-routing entries (txid -> client) held per replica.  An
 #: entry lives from request arrival to commit reply — the in-flight window —
 #: so the bound only needs to exceed mempool capacity plus the uncommitted
@@ -337,30 +333,6 @@ class Replica:
 
     def _broadcast(self, message: Message, include_self: bool = False) -> None:
         self.network.broadcast(self.node_id, self.peers, message, include_self=include_self)
-
-    def _processing_cost(self, message: Message) -> float:
-        """CPU service time for validating an incoming message."""
-        if message.sender == self.node_id:
-            return LOOPBACK_CPU_COST
-        # Exact-class checks first (message kinds are concrete classes on the
-        # hot path, most frequent kind first); isinstance fallback keeps
-        # subclassed plugin messages charged like their base kind.
-        cls = message.__class__
-        if cls is ClientRequest:
-            return CLIENT_REQUEST_CPU_COST
-        if cls is VoteMessage:
-            return self.cost_model.vote_verify_cost()
-        if cls is ProposalMessage:
-            return self.cost_model.proposal_verify_cost(message.block.num_transactions)
-        if isinstance(message, ClientRequest):
-            return CLIENT_REQUEST_CPU_COST
-        if isinstance(message, ProposalMessage):
-            return self.cost_model.proposal_verify_cost(message.block.num_transactions)
-        if isinstance(message, VoteMessage):
-            return self.cost_model.vote_verify_cost()
-        if isinstance(message, TimeoutMessage):
-            return self.cost_model.timeout_verify_cost()
-        return LOOPBACK_CPU_COST
 
     # ------------------------------------------------------------------
     # client requests

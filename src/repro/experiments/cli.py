@@ -163,6 +163,7 @@ def _cmd_deploy(args: argparse.Namespace) -> int:
     print(f"committed transactions: {result.metrics.committed_transactions}")
     print(f"consistent: {'true' if result.consistent else 'false'}")
     print(f"frames per socket write: {result.transport.frames_per_write:.2f}")
+    print(f"decode errors: {result.transport.decode_errors}")
     if args.store:
         # A one-point campaign: what fig. 8's deployed curve is made of.
         params = {"protocol": config.protocol, "arrival_rate": config.arrival_rate,

@@ -13,6 +13,20 @@ is honest as long as both modes pay their own serialization costs — the model
 charges the size-model estimate, the deployment pays real
 encode/decode + syscalls.
 
+The field list of a wire type is its class.  A frame is the envelope
+``{"kind", "sender", "size_bytes", "body"}``; the body, and every value
+inside it, takes the JSON form its *declared type* prescribes, one rule per
+type (:func:`_forms`; docs/ARCHITECTURE.md tabulates them, and
+``tests/golden/wire_frames.json`` holds one frame of every kind as text).
+Each record's two directions are compiled once, when this module is
+imported, into the dict display and the constructor call one would write by
+hand (the way :mod:`dataclasses` builds ``__init__``): every name in the
+generated source comes from a class declaration in this repository, never
+from the wire.  Decoding checks every scalar it passes through against the
+declared type, so a parseable frame with a wrong-typed field is a
+:class:`CodecError` here rather than a ``TypeError`` inside whichever handler
+first touches the field.
+
 Round-trip property: ``decode_message(encode_message(m))`` reconstructs an
 equal message for every kind (``message_id`` excluded — it is
 ``compare=False`` bookkeeping and each decode mints a fresh one).
@@ -20,27 +34,41 @@ equal message for every kind (``message_id`` excluded — it is
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
-from typing import Any, Callable, Dict, List, Optional
+import typing
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.checkpoint.messages import SnapshotRequest, SnapshotResponse
-from repro.checkpoint.snapshot import Checkpoint
-from repro.crypto.signatures import Signature
-from repro.executor.kvstore import DedupState, KVSnapshot
 from repro.sync.messages import BlockRequest, BlockResponse
-from repro.types.block import Block
-from repro.types.certificates import QuorumCertificate, Timeout, TimeoutCertificate, Vote
 from repro.types.messages import (
     ClientReply,
     ClientRequest,
     Message,
     ProposalMessage,
-    TimeoutCertificateMessage,
     TimeoutMessage,
     VoteMessage,
 )
 from repro.types.transaction import Transaction
+
+#: The kinds a socket may name.  Closed and explicit: a frame's ``kind`` is
+#: looked up here and nowhere else (not in ``Message.__subclasses__()``, which
+#: also lists plugin kinds and, on 3.10, the pre-slots class that
+#: ``dataclass(slots=True)`` leaves behind under the same name).  Deploying a
+#: new kind means adding its class to this tuple; its wire form follows from
+#: its declaration.
+WIRE_KINDS: Tuple[type, ...] = (
+    ProposalMessage,
+    VoteMessage,
+    TimeoutMessage,
+    ClientRequest,
+    ClientReply,
+    BlockRequest,
+    BlockResponse,
+    SnapshotRequest,
+    SnapshotResponse,
+)
 
 _LENGTH_PREFIX = struct.Struct(">I")
 
@@ -59,117 +87,105 @@ class CodecError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# value codecs (crypto + chain types)
+# type -> JSON form, read from the declarations
 
-def _enc_signature(sig: Signature) -> Dict[str, Any]:
-    return {"signer": sig.signer, "digest": sig.digest, "tag": sig.tag.hex()}
-
-
-def _dec_signature(data: Dict[str, Any]) -> Signature:
-    return Signature(signer=data["signer"], digest=data["digest"], tag=bytes.fromhex(data["tag"]))
+def _mismatch(value: Any, expected: str) -> Any:
+    raise TypeError(f"expected {expected}, got {type(value).__name__}")
 
 
-def _enc_vote(vote: Vote) -> Dict[str, Any]:
-    return {
-        "voter": vote.voter,
-        "block_id": vote.block_id,
-        "view": vote.view,
-        "signature": _enc_signature(vote.signature),
-    }
+def _list(value: Any, length: int = -1) -> list:
+    if value.__class__ is not list:
+        _mismatch(value, "list")
+    if length >= 0 and len(value) != length:
+        raise ValueError(f"expected {length} elements, got {len(value)}")
+    return value
 
 
-def _dec_vote(data: Dict[str, Any]) -> Vote:
-    return Vote(
-        voter=data["voter"],
-        block_id=data["block_id"],
-        view=data["view"],
-        signature=_dec_signature(data["signature"]),
-    )
+#: What generated source can name: the two helpers above and, for every
+#: record class ``C`` compiled so far, ``C`` itself, ``enc_C`` and ``dec_C``.
+_NAMESPACE: Dict[str, Any] = {"_mismatch": _mismatch, "_list": _list}
 
 
-def _enc_qc(qc: Optional[QuorumCertificate]) -> Optional[Dict[str, Any]]:
-    if qc is None:
-        return None
-    return {
-        "block_id": qc.block_id,
-        "view": qc.view,
-        "signers": sorted(qc.signers),
-        "signatures": [_enc_signature(sig) for sig in qc.signatures],
-    }
+def _forms(tp: Any, v: str, j: str, depth: int = 0) -> Tuple[str, str]:
+    """Source of both directions of one value, from its declared type ``tp``.
+
+    Returns ``(the JSON form of the value v, the checked value read from the
+    JSON j)``.  ``v`` and ``j`` are cheap, side-effect-free expressions that
+    may be evaluated more than once (a name, ``v.field``, ``d["field"]``,
+    ``t0[1]``); decoding binds what it reads to a per-depth temporary first,
+    so a scalar leaf costs one lookup plus the class test.  Comprehension
+    iterables stay free of ``:=`` (the grammar forbids it there): that is
+    what :func:`_list` is for.
+    """
+    t, e, deeper = f"t{depth}", f"e{depth}", depth + 1
+    if tp in (str, int, bool):  # exact class: JSON ``true`` is not an int
+        name = tp.__name__
+        return v, f"({t} if ({t} := {j}).__class__ is {name} else _mismatch({t}, {name!r}))"
+    if tp is float:  # a peer may well write 2.0 as 2
+        return v, (f"({t} if ({t} := {j}).__class__ is float or {t}.__class__ is int"
+                   f" else _mismatch({t}, 'float'))")
+    if tp is bytes:
+        return f"{v}.hex()", f"bytes.fromhex({j})"
+    if tp is Transaction or dataclasses.is_dataclass(tp):
+        _record(tp)
+        return f"enc_{tp.__name__}({v})", f"dec_{tp.__name__}({j})"
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is typing.Union and len(args) == 2 and type(None) in args:  # Optional[X]
+        enc, dec = _forms(args[0] if args[1] is type(None) else args[1], v, t, deeper)
+        return (v if enc == v else f"(None if {v} is None else {enc})",
+                f"(None if ({t} := {j}) is None else {dec})")
+    if origin is frozenset and args[0] is str:
+        return f"sorted({v})", f"frozenset([{_forms(str, e, e, deeper)[1]} for {e} in _list({j})])"
+    if origin is tuple and args[-1] is Ellipsis:
+        enc, dec = _forms(args[0], e, e, deeper)
+        return (f"list({v})" if enc == e else f"[{enc} for {e} in {v}]",
+                f"tuple([{dec} for {e} in _list({j})])")
+    if origin is tuple:
+        # Left to right: element 0 is read through the list-and-arity check,
+        # so the check runs before any other element is touched.
+        first = f"_list({j}, {len(args)})[0]"
+        forms = [_forms(arg, f"{v}[{i}]", f"{j}[{i}]" if i else first, deeper)
+                 for i, arg in enumerate(args)]
+        return (f"[{', '.join(enc for enc, _ in forms)}]",
+                f"({', '.join(dec for _, dec in forms)},)")
+    raise TypeError(f"no wire form for a value declared as {tp!r}")
 
 
-def _dec_qc(data: Optional[Dict[str, Any]]) -> Optional[QuorumCertificate]:
-    if data is None:
-        return None
-    return QuorumCertificate(
-        block_id=data["block_id"],
-        view=data["view"],
-        signers=frozenset(data["signers"]),
-        signatures=tuple(_dec_signature(sig) for sig in data["signatures"]),
-    )
+def _record(cls: type, head: Tuple[str, ...] = ()) -> Tuple[Callable, Callable]:
+    """``cls``'s compiled pair: instance -> JSON object, JSON object -> instance.
+
+    The fields are the dataclass's, in declaration order (``Transaction``
+    keeps its list in ``_fields`` and its types on ``__init__``).  A message
+    names its envelope fields in ``head``: they are not part of the JSON
+    object, its body, and the second function takes them as arguments after
+    it (checked like any other value).
+    """
+    enc_name, dec_name = f"enc_{cls.__name__}", f"dec_{cls.__name__}"
+    if _NAMESPACE.setdefault(cls.__name__, cls) is not cls:
+        raise TypeError(f"two wire types are called {cls.__name__}")
+    if enc_name not in _NAMESPACE:
+        names = cls._fields if cls is Transaction else [f.name for f in dataclasses.fields(cls)]
+        hints = typing.get_type_hints(cls.__init__ if cls is Transaction else cls)
+        if head:  # the body is what the kind declares itself
+            names = names[len(dataclasses.fields(Message)):]
+        forms = [(name, *_forms(hints[name], f"v.{name}", f"d[{name!r}]")) for name in names]
+        items = ", ".join(f"{name!r}: {enc}" for name, enc, _ in forms)
+        arguments = ", ".join([_forms(hints[name], name, name)[1] for name in head]
+                              + [f"{name}={dec}" for name, _, dec in forms])
+        source = (f"def {enc_name}(v):\n    return {{{items}}}\n"
+                  f"def {dec_name}({', '.join(('d', *head))}):\n"
+                  f"    return {cls.__name__}({arguments})\n")
+        # Filed under this module's path so that profiles attribute it here.
+        exec(compile(source, f"{__file__}:{cls.__name__}", "exec"), _NAMESPACE)
+    return _NAMESPACE[enc_name], _NAMESPACE[dec_name]
 
 
-def _enc_timeout(timeout: Timeout) -> Dict[str, Any]:
-    return {
-        "voter": timeout.voter,
-        "view": timeout.view,
-        "high_qc_view": timeout.high_qc_view,
-        "signature": _enc_signature(timeout.signature),
-    }
-
-
-def _dec_timeout(data: Dict[str, Any]) -> Timeout:
-    return Timeout(
-        voter=data["voter"],
-        view=data["view"],
-        high_qc_view=data["high_qc_view"],
-        signature=_dec_signature(data["signature"]),
-    )
-
-
-def _enc_tc(tc: TimeoutCertificate) -> Dict[str, Any]:
-    return {
-        "view": tc.view,
-        "signers": sorted(tc.signers),
-        "signatures": [_enc_signature(sig) for sig in tc.signatures],
-        "high_qc_view": tc.high_qc_view,
-    }
-
-
-def _dec_tc(data: Dict[str, Any]) -> TimeoutCertificate:
-    return TimeoutCertificate(
-        view=data["view"],
-        signers=frozenset(data["signers"]),
-        signatures=tuple(_dec_signature(sig) for sig in data["signatures"]),
-        high_qc_view=data["high_qc_view"],
-    )
-
-
-def _enc_transaction(tx: Transaction) -> Dict[str, Any]:
-    return {
-        "txid": tx.txid,
-        "client_id": tx.client_id,
-        "operation": tx.operation,
-        "key": tx.key,
-        "value": tx.value,
-        "payload_size": tx.payload_size,
-        "created_at": tx.created_at,
-        "sequence": tx.sequence,
-    }
+_new_transaction = _record(Transaction)[1]
 
 
 def _dec_transaction(data: Dict[str, Any]) -> Transaction:
-    txid, client_id, sequence = data["txid"], data["client_id"], data["sequence"]
-    transaction = Transaction(
-        txid=txid,
-        client_id=client_id,
-        operation=data["operation"],
-        key=data["key"],
-        value=data["value"],
-        payload_size=data["payload_size"],
-        created_at=data["created_at"],
-        sequence=sequence,
-    )
+    transaction = _new_transaction(data)
+    txid, client_id, sequence = transaction.txid, transaction.client_id, transaction.sequence
     # Seed the cached_property as ``Transaction.create`` does: every decoded
     # copy is a new object, and its first lazy lookup would otherwise take
     # ``cached_property``'s locked slow path once per copy.
@@ -179,235 +195,26 @@ def _dec_transaction(data: Dict[str, Any]) -> Transaction:
     return transaction
 
 
-def _enc_block(block: Block) -> Dict[str, Any]:
-    return {
-        "block_id": block.block_id,
-        "view": block.view,
-        "parent_id": block.parent_id,
-        "height": block.height,
-        "qc": _enc_qc(block.qc),
-        "proposer": block.proposer,
-        "transactions": [_enc_transaction(tx) for tx in block.transactions],
-    }
+# The one special case: generated source reads a transaction through the
+# seeding wrapper (it looks the name up when it runs).
+_NAMESPACE["dec_Transaction"] = _dec_transaction
 
-
-def _dec_block(data: Dict[str, Any]) -> Block:
-    return Block(
-        block_id=data["block_id"],
-        view=data["view"],
-        parent_id=data["parent_id"],
-        height=data["height"],
-        qc=_dec_qc(data["qc"]),
-        proposer=data["proposer"],
-        transactions=tuple(_dec_transaction(tx) for tx in data["transactions"]),
-    )
-
-
-def _enc_kv_snapshot(snapshot: KVSnapshot) -> Dict[str, Any]:
-    return {
-        "items": [[key, value] for key, value in snapshot.items],
-        "dedup": {
-            "sessions": [
-                [client, floor, list(pending)]
-                for client, floor, pending in snapshot.dedup.sessions
-            ],
-            "extras": list(snapshot.dedup.extras),
-        },
-        "operations_applied": snapshot.operations_applied,
-    }
-
-
-def _dec_kv_snapshot(data: Dict[str, Any]) -> KVSnapshot:
-    return KVSnapshot(
-        items=tuple((key, value) for key, value in data["items"]),
-        dedup=DedupState(
-            sessions=tuple(
-                (client, floor, tuple(pending))
-                for client, floor, pending in data["dedup"]["sessions"]
-            ),
-            extras=tuple(data["dedup"]["extras"]),
-        ),
-        operations_applied=data["operations_applied"],
-    )
-
-
-def _enc_checkpoint(checkpoint: Optional[Checkpoint]) -> Optional[Dict[str, Any]]:
-    if checkpoint is None:
-        return None
-    return {
-        "height": checkpoint.height,
-        "block": _enc_block(checkpoint.block),
-        "qc": _enc_qc(checkpoint.qc),
-        "committed_ids": list(checkpoint.committed_ids),
-        "state": _enc_kv_snapshot(checkpoint.state),
-        "taken_at": checkpoint.taken_at,
-    }
-
-
-def _dec_checkpoint(data: Optional[Dict[str, Any]]) -> Optional[Checkpoint]:
-    if data is None:
-        return None
-    return Checkpoint(
-        height=data["height"],
-        block=_dec_block(data["block"]),
-        qc=_dec_qc(data["qc"]),
-        committed_ids=tuple(data["committed_ids"]),
-        state=_dec_kv_snapshot(data["state"]),
-        taken_at=data["taken_at"],
-    )
-
-
-# --------------------------------------------------------------------------
-# message codecs
-
-def _enc_proposal(msg: ProposalMessage) -> Dict[str, Any]:
-    return {"block": _enc_block(msg.block), "view": msg.view, "forwarded_by": msg.forwarded_by}
-
-
-def _dec_proposal(base: Dict[str, Any], body: Dict[str, Any]) -> ProposalMessage:
-    return ProposalMessage(
-        **base, block=_dec_block(body["block"]), view=body["view"],
-        forwarded_by=body["forwarded_by"],
-    )
-
-
-def _enc_vote_msg(msg: VoteMessage) -> Dict[str, Any]:
-    return {"vote": _enc_vote(msg.vote), "forwarded_by": msg.forwarded_by}
-
-
-def _dec_vote_msg(base: Dict[str, Any], body: Dict[str, Any]) -> VoteMessage:
-    return VoteMessage(**base, vote=_dec_vote(body["vote"]), forwarded_by=body["forwarded_by"])
-
-
-def _enc_timeout_msg(msg: TimeoutMessage) -> Dict[str, Any]:
-    return {"timeout": _enc_timeout(msg.timeout)}
-
-
-def _dec_timeout_msg(base: Dict[str, Any], body: Dict[str, Any]) -> TimeoutMessage:
-    return TimeoutMessage(**base, timeout=_dec_timeout(body["timeout"]))
-
-
-def _enc_tc_msg(msg: TimeoutCertificateMessage) -> Dict[str, Any]:
-    return {"tc": _enc_tc(msg.tc)}
-
-
-def _dec_tc_msg(base: Dict[str, Any], body: Dict[str, Any]) -> TimeoutCertificateMessage:
-    return TimeoutCertificateMessage(**base, tc=_dec_tc(body["tc"]))
-
-
-def _enc_client_request(msg: ClientRequest) -> Dict[str, Any]:
-    return {"transaction": _enc_transaction(msg.transaction)}
-
-
-def _dec_client_request(base: Dict[str, Any], body: Dict[str, Any]) -> ClientRequest:
-    return ClientRequest(**base, transaction=_dec_transaction(body["transaction"]))
-
-
-def _enc_client_reply(msg: ClientReply) -> Dict[str, Any]:
-    return {
-        "txid": msg.txid,
-        "committed_at": msg.committed_at,
-        "replica": msg.replica,
-        "status": msg.status,
-    }
-
-
-def _dec_client_reply(base: Dict[str, Any], body: Dict[str, Any]) -> ClientReply:
-    return ClientReply(
-        **base, txid=body["txid"], committed_at=body["committed_at"],
-        replica=body["replica"], status=body["status"],
-    )
-
-
-def _enc_block_request(msg: BlockRequest) -> Dict[str, Any]:
-    return {
-        "target_block_id": msg.target_block_id,
-        "known_block_id": msg.known_block_id,
-        "known_height": msg.known_height,
-    }
-
-
-def _dec_block_request(base: Dict[str, Any], body: Dict[str, Any]) -> BlockRequest:
-    return BlockRequest(
-        **base, target_block_id=body["target_block_id"],
-        known_block_id=body["known_block_id"], known_height=body["known_height"],
-    )
-
-
-def _enc_block_response(msg: BlockResponse) -> Dict[str, Any]:
-    return {
-        "blocks": [_enc_block(block) for block in msg.blocks],
-        "target_id": msg.target_id,
-        "tip_qc": _enc_qc(msg.tip_qc),
-    }
-
-
-def _dec_block_response(base: Dict[str, Any], body: Dict[str, Any]) -> BlockResponse:
-    return BlockResponse(
-        **base, blocks=tuple(_dec_block(block) for block in body["blocks"]),
-        target_id=body["target_id"], tip_qc=_dec_qc(body["tip_qc"]),
-    )
-
-
-def _enc_snapshot_request(msg: SnapshotRequest) -> Dict[str, Any]:
-    return {"known_height": msg.known_height}
-
-
-def _dec_snapshot_request(base: Dict[str, Any], body: Dict[str, Any]) -> SnapshotRequest:
-    return SnapshotRequest(**base, known_height=body["known_height"])
-
-
-def _enc_snapshot_response(msg: SnapshotResponse) -> Dict[str, Any]:
-    return {
-        "checkpoint": _enc_checkpoint(msg.checkpoint),
-        "responder_height": msg.responder_height,
-    }
-
-
-def _dec_snapshot_response(base: Dict[str, Any], body: Dict[str, Any]) -> SnapshotResponse:
-    return SnapshotResponse(
-        **base, checkpoint=_dec_checkpoint(body["checkpoint"]),
-        responder_height=body["responder_height"],
-    )
-
-
-_ENCODERS: Dict[type, Callable[[Any], Dict[str, Any]]] = {
-    ProposalMessage: _enc_proposal,
-    VoteMessage: _enc_vote_msg,
-    TimeoutMessage: _enc_timeout_msg,
-    TimeoutCertificateMessage: _enc_tc_msg,
-    ClientRequest: _enc_client_request,
-    ClientReply: _enc_client_reply,
-    BlockRequest: _enc_block_request,
-    BlockResponse: _enc_block_response,
-    SnapshotRequest: _enc_snapshot_request,
-    SnapshotResponse: _enc_snapshot_response,
-}
-
-_DECODERS: Dict[str, Callable[[Dict[str, Any], Dict[str, Any]], Message]] = {
-    "ProposalMessage": _dec_proposal,
-    "VoteMessage": _dec_vote_msg,
-    "TimeoutMessage": _dec_timeout_msg,
-    "TimeoutCertificateMessage": _dec_tc_msg,
-    "ClientRequest": _dec_client_request,
-    "ClientReply": _dec_client_reply,
-    "BlockRequest": _dec_block_request,
-    "BlockResponse": _dec_block_response,
-    "SnapshotRequest": _dec_snapshot_request,
-    "SnapshotResponse": _dec_snapshot_response,
-}
+_TO_BODY: Dict[type, Callable[[Any], Dict[str, Any]]] = {}
+_FROM_BODY: Dict[str, Callable[..., Message]] = {}
+for _kind in WIRE_KINDS:
+    _TO_BODY[_kind], _FROM_BODY[_kind.__name__] = _record(_kind, head=("sender", "size_bytes"))
 
 
 def encode_message(message: Message) -> bytes:
     """Serialize a message to its JSON wire form (unframed)."""
-    encoder = _ENCODERS.get(type(message))
-    if encoder is None:
+    to_body = _TO_BODY.get(type(message))
+    if to_body is None:
         raise CodecError(f"no wire encoding for {type(message).__name__}")
     payload = {
         "kind": type(message).__name__,
         "sender": message.sender,
         "size_bytes": message.size_bytes,
-        "body": encoder(message),
+        "body": to_body(message),
     }
     return _to_json(payload).encode("utf-8")
 
@@ -419,12 +226,11 @@ def decode_message(data: bytes) -> Message:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CodecError(f"malformed frame: {exc}") from exc
     kind = payload.get("kind") if isinstance(payload, dict) else None
-    decoder = _DECODERS.get(kind) if isinstance(kind, str) else None
-    if decoder is None:
+    from_body = _FROM_BODY.get(kind) if isinstance(kind, str) else None
+    if from_body is None:
         raise CodecError(f"unknown message kind {kind!r}")
     try:
-        base = {"sender": payload["sender"], "size_bytes": payload["size_bytes"]}
-        return decoder(base, payload["body"])
+        return from_body(payload["body"], payload["sender"], payload["size_bytes"])
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CodecError(f"malformed {kind} body: {exc}") from exc
 

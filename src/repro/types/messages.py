@@ -4,11 +4,17 @@ Every message carries ``sender`` (a node or client id) and ``size_bytes``
 (used by the network's NIC model).  Replica-to-replica messages additionally
 carry the view they pertain to so handlers can discard stale traffic.
 
-Messages are ``__slots__`` classes rather than dataclasses: tens of thousands
-are created per simulated second, so the per-instance ``__dict__`` and the
-dataclass-generated ``__eq__`` machinery are measurable.  Equality and
-hashing compare the fields named in ``_compare_fields`` (``message_id`` is
-excluded — it is a transport-assigned tracking id, not message content).
+Messages are slotted dataclasses: a kind's field list is written once, in
+its class, and everything that needs it reads it from there — the generated
+``__init__`` / ``__eq__`` / ``__hash__``, and the wire codec
+(:mod:`repro.transport.codec`), which derives a kind's JSON form from the
+declared types.  Tens of thousands of messages are created per simulated
+second and instances stay cheap: ``slots=True`` means no per-instance
+``__dict__``, and the generated ``__init__`` is the run of slot assignments
+one would write by hand.  ``message_id`` is declared ``compare=False`` — it is
+a transport-assigned tracking id, not message content — which also keeps it
+out of the hash, so stamping a message (the only mutation one ever sees)
+cannot move it in a set: that is what makes ``unsafe_hash=True`` safe here.
 
 ``message_id`` starts at :data:`UNASSIGNED_MESSAGE_ID` and is stamped by the
 runtime that first carries the message (the simulated :class:`Network` or an
@@ -19,43 +25,26 @@ process-global counter leaks state across runs.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from repro.types.block import Block
-from repro.types.certificates import Timeout, TimeoutCertificate, Vote
+from repro.types.certificates import Timeout, Vote
 from repro.types.transaction import Transaction
 
 #: Sentinel ``message_id`` of a message no runtime has stamped yet.
 UNASSIGNED_MESSAGE_ID = -1
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class Message:
     """Base class for all wire messages."""
 
-    __slots__ = ("sender", "size_bytes", "message_id")
-
-    #: Fields compared by ``__eq__``/``__hash__`` (``message_id`` excluded).
-    _compare_fields = ("sender", "size_bytes")
-
-    def __init__(self, sender: str, size_bytes: int, message_id: int = UNASSIGNED_MESSAGE_ID) -> None:
-        self.sender = sender
-        self.size_bytes = size_bytes
-        self.message_id = message_id
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        for name in self._compare_fields:
-            if getattr(self, name) != getattr(other, name):
-                return False
-        return True
-
-    def __hash__(self) -> int:
-        return hash((self.__class__,) + tuple(getattr(self, name) for name in self._compare_fields))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compare_fields)
-        return f"{self.__class__.__name__}({fields})"
+    sender: str
+    size_bytes: int
+    message_id: int = field(default=UNASSIGNED_MESSAGE_ID, compare=False, repr=False)
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class ProposalMessage(Message):
     """A leader's block proposal for a view.
 
@@ -63,118 +52,43 @@ class ProposalMessage(Message):
     messages it receives); echoes are not re-echoed.
     """
 
-    __slots__ = ("block", "view", "forwarded_by")
-
-    _compare_fields = ("sender", "size_bytes", "block", "view", "forwarded_by")
-
-    def __init__(
-        self,
-        sender: str,
-        size_bytes: int,
-        message_id: int = UNASSIGNED_MESSAGE_ID,
-        block: Block = None,  # type: ignore[assignment]
-        view: int = 0,
-        forwarded_by: str = "",
-    ) -> None:
-        self.sender = sender
-        self.size_bytes = size_bytes
-        self.message_id = message_id
-        self.block = block
-        self.view = view
-        self.forwarded_by = forwarded_by
+    block: Block = None  # type: ignore[assignment]
+    view: int = 0
+    forwarded_by: str = ""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Proposal(view={self.view}, block={self.block.block_id[:10]}, from={self.sender})"
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class VoteMessage(Message):
     """A replica's vote, sent to the next leader (or broadcast in Streamlet)."""
 
-    __slots__ = ("vote", "forwarded_by")
-
-    _compare_fields = ("sender", "size_bytes", "vote", "forwarded_by")
-
-    def __init__(
-        self,
-        sender: str,
-        size_bytes: int,
-        message_id: int = UNASSIGNED_MESSAGE_ID,
-        vote: Vote = None,  # type: ignore[assignment]
-        forwarded_by: str = "",
-    ) -> None:
-        self.sender = sender
-        self.size_bytes = size_bytes
-        self.message_id = message_id
-        self.vote = vote
-        self.forwarded_by = forwarded_by
+    vote: Vote = None  # type: ignore[assignment]
+    forwarded_by: str = ""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"VoteMsg(view={self.vote.view}, block={self.vote.block_id[:10]}, from={self.sender})"
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class TimeoutMessage(Message):
     """A pacemaker TIMEOUT broadcast announcing the sender's local timeout."""
 
-    __slots__ = ("timeout",)
-
-    _compare_fields = ("sender", "size_bytes", "timeout")
-
-    def __init__(
-        self,
-        sender: str,
-        size_bytes: int,
-        message_id: int = UNASSIGNED_MESSAGE_ID,
-        timeout: Timeout = None,  # type: ignore[assignment]
-    ) -> None:
-        self.sender = sender
-        self.size_bytes = size_bytes
-        self.message_id = message_id
-        self.timeout = timeout
+    timeout: Timeout = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TimeoutMsg(view={self.timeout.view}, from={self.sender})"
 
 
-class TimeoutCertificateMessage(Message):
-    """A formed TC forwarded to the leader of the next view."""
-
-    __slots__ = ("tc",)
-
-    _compare_fields = ("sender", "size_bytes", "tc")
-
-    def __init__(
-        self,
-        sender: str,
-        size_bytes: int,
-        message_id: int = UNASSIGNED_MESSAGE_ID,
-        tc: TimeoutCertificate = None,  # type: ignore[assignment]
-    ) -> None:
-        self.sender = sender
-        self.size_bytes = size_bytes
-        self.message_id = message_id
-        self.tc = tc
-
-
+@dataclass(slots=True, unsafe_hash=True)
 class ClientRequest(Message):
     """A client transaction submitted to a replica."""
 
-    __slots__ = ("transaction",)
-
-    _compare_fields = ("sender", "size_bytes", "transaction")
-
-    def __init__(
-        self,
-        sender: str,
-        size_bytes: int,
-        message_id: int = UNASSIGNED_MESSAGE_ID,
-        transaction: Transaction = None,  # type: ignore[assignment]
-    ) -> None:
-        self.sender = sender
-        self.size_bytes = size_bytes
-        self.message_id = message_id
-        self.transaction = transaction
+    transaction: Transaction = None  # type: ignore[assignment]
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class ClientReply(Message):
     """A replica's response to a client request.
 
@@ -183,24 +97,7 @@ class ClientReply(Message):
     clients only measure latency for committed replies.
     """
 
-    __slots__ = ("txid", "committed_at", "replica", "status")
-
-    _compare_fields = ("sender", "size_bytes", "txid", "committed_at", "replica", "status")
-
-    def __init__(
-        self,
-        sender: str,
-        size_bytes: int,
-        message_id: int = UNASSIGNED_MESSAGE_ID,
-        txid: str = "",
-        committed_at: float = 0.0,
-        replica: str = "",
-        status: str = "committed",
-    ) -> None:
-        self.sender = sender
-        self.size_bytes = size_bytes
-        self.message_id = message_id
-        self.txid = txid
-        self.committed_at = committed_at
-        self.replica = replica
-        self.status = status
+    txid: str = ""
+    committed_at: float = 0.0
+    replica: str = ""
+    status: str = "committed"

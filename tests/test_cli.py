@@ -116,6 +116,8 @@ class TestDeploy:
         # The three lines CI's deploy-smoke job greps.
         for stable in ("committed transactions: ", "consistent: true", "frames per socket write: "):
             assert any(line.startswith(stable) for line in out.splitlines()), stable
+        # And the fourth: both directions of the codec agreed on every frame.
+        assert "decode errors: 0" in out.splitlines()
 
         (record,) = ResultStore(store).records()
         config = Configuration.from_dict(record["config"])

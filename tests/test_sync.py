@@ -320,6 +320,44 @@ class TestMessageHandlerRegistry:
         finally:
             MESSAGE_HANDLERS.unregister("PingMessage")
 
+    def test_custom_kind_with_a_field_behaves_like_a_built_in_one(self):
+        # docs/EXTENDING.md section 7's declaration, with the field no other
+        # plugin kind in the tests has.
+        from dataclasses import dataclass
+
+        from repro.types.messages import UNASSIGNED_MESSAGE_ID, Message
+
+        @dataclass(slots=True, unsafe_hash=True)
+        class GossipDigest(Message):
+            digest: str = ""
+
+        digest = GossipDigest(sender="r0", size_bytes=40, digest="abc")
+        assert digest.message_id == UNASSIGNED_MESSAGE_ID
+        by_position = GossipDigest("r0", 40, 7, "abc")
+        assert (by_position.message_id, by_position.digest) == (7, "abc")
+        # message_id is bookkeeping, not content.
+        assert digest == by_position and hash(digest) == hash(by_position)
+        assert digest != GossipDigest(sender="r0", size_bytes=40, digest="abd")
+        assert digest != GossipDigest(sender="r0", size_bytes=40)
+        assert len({digest, by_position}) == 1
+
+        received = []
+
+        @register_message_handler("GossipDigest")
+        def _handle_gossip(replica, message):
+            received.append((replica.node_id, message.sender, message.digest))
+
+        try:
+            cluster = make_cluster()
+            cluster.start()
+            cluster.network.send("r0", "r1", digest)
+            assert digest.message_id != UNASSIGNED_MESSAGE_ID  # stamped by the fabric
+            assert digest == by_position
+            cluster.scheduler.run_until(0.01)
+            assert received == [("r1", "r0", "abc")]
+        finally:
+            MESSAGE_HANDLERS.unregister("GossipDigest")
+
 
 class TestSyncSettings:
     def test_settings_threaded_from_configuration(self):

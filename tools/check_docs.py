@@ -125,7 +125,10 @@ def run_smoke_blocks(path: Path) -> list:
         label = f"{path.relative_to(REPO_ROOT)} python block #{index}"
         print(f"running {label} ...")
         try:
-            exec(compile(code, str(path), "exec"), {"__name__": "__docs_smoke__"})
+            # dont_inherit: a reader's module does not start with this file's
+            # ``from __future__ import annotations`` either.
+            exec(compile(code, str(path), "exec", dont_inherit=True),
+                 {"__name__": "__docs_smoke__"})
         except Exception as exc:  # noqa: BLE001 - report and keep checking
             problems.append(f"{label}: example failed: {exc!r}")
     return problems
