@@ -24,13 +24,20 @@ Profiles
     slightly cheaper request path, modelling the paper's explanation of the
     small gap (TCP ingest instead of HTTP, different batching, C++ vs Go).
 ``measured``
-    All-zero modeled costs.  Used by the deployment runtime
-    (:mod:`repro.transport`), where signing, verification, and serialization
-    are *real* work on the wall clock — charging modeled CPU costs on top
-    would double-count them.
+    All-zero modeled costs, the two flat dispatch charges included.  Used by
+    the deployment runtime (:mod:`repro.transport`), where signing,
+    verification, serialization and dispatch are *real* work on the wall clock
+    — charging modeled CPU costs on top would double-count them, and any
+    positive charge there is a wall-clock timer armed per message.
+
+Scaling a profile (``ohs``, the ablations) multiplies the crypto and
+serialization costs only; every simulated profile charges 5 us per client
+request and 1 us per loopback copy.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 from repro.crypto.costs import CryptoCostModel
 
@@ -47,7 +54,7 @@ _STANDARD = CryptoCostModel(
 
 _OHS = _STANDARD.scaled(0.88)
 
-_MEASURED = _FAST.scaled(0.0)
+_MEASURED = CryptoCostModel(**{field.name: 0.0 for field in fields(CryptoCostModel)})
 
 _PROFILES = {
     "fast": _FAST,

@@ -23,9 +23,11 @@ method resolution happens on the live object, not at registration time.
 A kind's CPU charge lives where its handler is registered: the ``cost``
 callable ``(replica, message) -> seconds`` given to
 :func:`register_message_handler` (a kind registered without one is charged
-:data:`LOOPBACK_CPU_COST`).  Messages with no registered handler are silently
-ignored, preserving the old behaviour for e.g. ``ClientReply`` copies that
-reach a replica.
+the cost model's flat ``loopback_time``).  Every charge is read through
+``replica.cost_model``, so the deployment's all-zero ``measured`` profile
+charges nothing and its CPU queue never arms a timer.  Messages with no
+registered handler are silently ignored, preserving the old behaviour for
+e.g. ``ClientReply`` copies that reach a replica.
 """
 
 from __future__ import annotations
@@ -41,15 +43,9 @@ HandlerFn = Callable[["Replica", Message], None]  # noqa: F821 - documented type
 #: Cost signature: (replica, message) -> CPU seconds to charge before handling.
 CostFn = Callable[["Replica", Message], float]  # noqa: F821
 
-#: CPU time charged for admitting one client request to the mempool.
-CLIENT_REQUEST_CPU_COST = 5e-6
-#: CPU time charged for processing a loopback copy of the replica's own
-#: message, and for a kind registered without a cost of its own.
-LOOPBACK_CPU_COST = 1e-6
-
 
 def _flat_cost(replica, message: Message) -> float:
-    return LOOPBACK_CPU_COST
+    return replica.cost_model.loopback_time
 
 
 @dataclass(frozen=True)
@@ -133,24 +129,25 @@ def dispatch(replica, message: Message) -> bool:
 # through the replica's cost model) unless it is the replica's own copy
 # ----------------------------------------------------------------------
 def _client_request_cost(replica, message: Message) -> float:
-    return LOOPBACK_CPU_COST if message.sender == replica.node_id else CLIENT_REQUEST_CPU_COST
+    costs = replica.cost_model
+    return costs.loopback_time if message.sender == replica.node_id else costs.client_request_time
 
 
 def _proposal_cost(replica, message: Message) -> float:
     if message.sender == replica.node_id:
-        return LOOPBACK_CPU_COST
+        return replica.cost_model.loopback_time
     return replica.cost_model.proposal_verify_cost(message.block.num_transactions)
 
 
 def _vote_cost(replica, message: Message) -> float:
     if message.sender == replica.node_id:
-        return LOOPBACK_CPU_COST
+        return replica.cost_model.loopback_time
     return replica.cost_model.vote_verify_cost()
 
 
 def _timeout_cost(replica, message: Message) -> float:
     if message.sender == replica.node_id:
-        return LOOPBACK_CPU_COST
+        return replica.cost_model.loopback_time
     return replica.cost_model.timeout_verify_cost()
 
 

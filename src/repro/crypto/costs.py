@@ -9,11 +9,16 @@ Default values are chosen to put a 4-replica, 400-transactions-per-block
 deployment in the same ballpark as the paper's figures (tens of KTx/s with
 millisecond-scale latencies); absolute numbers are simulator outputs, not
 hardware measurements.
+
+Every modelled charge a replica's CPU queue can receive is a field here,
+the two flat dispatch charges of :mod:`repro.core.dispatch` included, so one
+all-zero model (the ``measured`` profile of :mod:`repro.bench.profiles`) is
+enough for a deployment to charge nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 
 @dataclass
@@ -35,6 +40,14 @@ class CryptoCostModel:
         Assembling a quorum certificate from collected votes.
     qc_verify_time:
         Verifying an aggregated quorum certificate carried inside a block.
+    client_request_time:
+        Admitting one client request to the mempool.
+    loopback_time:
+        Handling the replica's own copy of a message it sent, or a message
+        kind registered without a cost of its own.
+
+    The last two are flat dispatch charges, not crypto work: :meth:`scaled`
+    carries them over as they are.
     """
 
     sign_time: float = 25e-6
@@ -43,6 +56,8 @@ class CryptoCostModel:
     block_overhead_time: float = 20e-6
     qc_aggregate_time: float = 30e-6
     qc_verify_time: float = 60e-6
+    client_request_time: float = 5e-6
+    loopback_time: float = 1e-6
 
     def proposal_build_cost(self, num_transactions: int) -> float:
         """CPU time for a leader to build and sign a block proposal."""
@@ -111,12 +126,14 @@ class CryptoCostModel:
         )
 
     def scaled(self, factor: float) -> "CryptoCostModel":
-        """Return a copy with every cost multiplied by ``factor``.
+        """Return a copy with every crypto/serialization cost multiplied by ``factor``.
 
         Used for the "original HotStuff" (OHS) baseline profile and for
-        sensitivity/ablation studies.
+        sensitivity/ablation studies.  The two flat dispatch charges keep
+        their values.
         """
-        return CryptoCostModel(
+        return replace(
+            self,
             sign_time=self.sign_time * factor,
             verify_time=self.verify_time * factor,
             per_transaction_time=self.per_transaction_time * factor,

@@ -10,17 +10,23 @@ extended homogeneous coordinates, SHA-512 key expansion, and the canonical
 little-endian encodings.
 
 Every scalar multiplication is fixed-base: a key is expanded once
-(:class:`SigningKey`, :class:`VerifyKey`) and multiplies through a 4-bit
-window table (64 rows of ``[j * 16**i]P``, ``1 <= j <= 15``, stored affine) —
-one shared table for the base point, one per public key for ``-A`` — so
-``[s]P`` is at most 64 mixed additions and no doublings.  A table takes a few
-milliseconds to build and is built on first use, never at import.
+(:class:`SigningKey`, :class:`VerifyKey`) and multiplies through a table of
+signed windows — row ``i`` holds ``[j * 2**(w * i)]P`` for ``1 <= j <=
+2**(w - 1)``, stored affine, and a negative digit reads the same entry
+mirrored — so ``[s]P`` is one mixed addition per row and no doublings.  The
+tables are sized by use.  The base point's is one object per process and
+serves seven of the ten multiplications of a consensus view (each sign's
+``[r]B``, each verify's ``[S]B``): ``w = 8``, 33 rows of 128 entries, ~1.2 MB,
+~40 ms to build.  Each public key's table of ``-A`` serves that key's
+``[k](-A)`` only: ``w = 6``, 43 rows of 32, ~350 kB, ~12 ms.  So a signature
+costs at most 33 additions and a verification 76 (``tests/test_ed25519.py``
+holds those two numbers).  Every table is built on first use, never at import.
 
 This is a correctness-first implementation (validated against the RFC 8032
 test vectors and a naive double-and-add reference in
 ``tests/test_ed25519.py``), not a constant-time one — fine for benchmarking a
-reproduction, unsuitable for protecting real secrets.  Speed is a few hundred
-microseconds per operation (sign ~0.2 ms, verify ~0.4 ms on the reference
+reproduction, unsuitable for protecting real secrets.  Speed is a hundred-odd
+microseconds per operation (sign ~0.12 ms, verify ~0.24 ms on the reference
 host): still two orders of magnitude above an HMAC tag, which is the point
 — the deployment mode exists to *measure* that cost instead of modeling it.
 """
@@ -118,16 +124,27 @@ def _expand_seed(seed: bytes) -> Tuple[int, bytes]:
 #: A table entry is an affine point as (y + x, y - x, 2 * d * x * y).
 _Table = List[List[Tuple[int, int, int]]]
 
+#: Window widths: wide for the one table every key shares, narrower for the
+#: table each public key holds of its own (sizes in the module docstring).
+_BASE_WINDOW = 8
+_KEY_WINDOW = 6
 
-def _build_table(point: _Point) -> _Table:
-    """The 4-bit window table of ``point``: ``rows[i][j - 1] = [j * 16**i]point``."""
+
+def _build_table(point: _Point, width: int) -> _Table:
+    """The signed ``width``-bit window table: ``rows[i][j - 1] = [j * 2**(width * i)]point``.
+
+    ``1 <= j <= 2**(width - 1)``; the negative digits reuse the same entries.
+    ``256 // width + 1`` rows cover any scalar below ``2**256`` plus the carry
+    out of its top window.
+    """
+    half = 1 << (width - 1)
     points = []
-    for _ in range(64):
+    for _ in range(256 // width + 1):
         row = [point]
-        for _ in range(14):
+        for _ in range(half - 1):
             row.append(_point_add(row[-1], point))
         points += row
-        point = _point_add(row[7], row[7])
+        point = _point_add(row[-1], row[-1])
     # Make every entry affine with one inversion for all Z (Montgomery's trick).
     partial = [1]
     for p in points:
@@ -139,22 +156,41 @@ def _build_table(point: _Point) -> _Table:
         x, y = x * zinv % _P, y * zinv % _P
         entries.append(((y + x) % _P, (y - x) % _P, 2 * _D * x * y % _P))
     entries.reverse()
-    return [entries[i:i + 15] for i in range(0, len(entries), 15)]
+    return [entries[i:i + half] for i in range(0, len(entries), half)]
 
 
 @functools.cache
 def _base_table() -> _Table:
-    return _build_table(_B)
+    return _build_table(_B, _BASE_WINDOW)
 
 
 def _table_mul(scalar: int, table: _Table, start: _Point = _IDENTITY) -> _Point:
-    """``start + [scalar]P`` for the point ``table`` was built from (``scalar < 2**256``)."""
+    """``start + [scalar]P`` for the point ``table`` was built from (``scalar < 2**256``).
+
+    The scalar is recoded into signed digits of the table's own width, one per
+    row: a window above ``2**(width - 1)`` becomes ``window - 2**width`` and
+    carries one into the next.  ``-(x, y)`` is ``(-x, y)``, so a negative digit
+    reads the stored entry with ``y + x`` and ``y - x`` swapped and ``2dxy``
+    negated.  One mixed addition per non-zero digit, no doublings.
+    """
     x, y, z, t = start
+    half = len(table[0])
+    width = half.bit_length()
+    full = half + half
+    mask = full - 1
+    carry = 0
     for row in table:
-        window = scalar & 15
-        scalar >>= 4
-        if window:
-            y_plus_x, y_minus_x, t2d = row[window - 1]
+        digit = (scalar & mask) + carry
+        scalar >>= width
+        carry = digit > half
+        if carry:
+            digit -= full
+        if digit:
+            if digit > 0:
+                y_plus_x, y_minus_x, t2d = row[digit - 1]
+            else:
+                y_minus_x, y_plus_x, t2d = row[-digit - 1]
+                t2d = -t2d
             a = (y - x) * y_minus_x % _P
             b = (y + x) * y_plus_x % _P
             c = t * t2d % _P
@@ -187,7 +223,7 @@ class VerifyKey:
         if s >= _L:
             return False
         if self._table is None:
-            self._table = _build_table(self._negated)
+            self._table = _build_table(self._negated, _KEY_WINDOW)
         k = int.from_bytes(_sha512(r_enc + self.encoded + message), "little") % _L
         # Cofactorless check [S]B - [k]A == R, stricter than the RFC's cofactored
         # equation and what common implementations enforce.  Comparing encodings
@@ -214,7 +250,7 @@ class SigningKey:
 
 
 #: Public keys expanded by the module-level :func:`verify`.  Bounded: the keys
-#: come from the caller (possibly off the wire) and each holds a ~250 kB table.
+#: come from the caller (possibly off the wire) and each holds a ~350 kB table.
 #: A malformed key raises and is therefore never cached.
 _expanded_verify_key = functools.lru_cache(maxsize=16)(VerifyKey)
 

@@ -315,9 +315,10 @@ FIG8_IMPL = Entry(
     base=_FIG8_IMPL_BASE,
     # Open-loop arrival rates (Tx/s).  The full grid spans both knees measured
     # on the reference host (table in docs/EXPERIMENTS.md): with Ed25519 at
-    # ~0.2 ms per sign and ~0.4 ms per verify the deployed cluster tracks the
-    # arrival rate to ~400 Tx/s, falls behind it from ~800 and levels off
-    # below 2 000 (replicas and load generator share one event loop); the
+    # ~0.12 ms per sign and ~0.24 ms per verify the deployed cluster answers
+    # in 15-19 ms, tracks the arrival rate to ~400 Tx/s, falls behind it from
+    # ~800 and levels off below 2 000 (replicas and load generator share one
+    # event loop: that knee did not move when signing got cheaper); the
     # model queues beyond ~2 400.  The ci grid stays far below either.
     ci={"points": _fig8_impl_points(["hotstuff"], [20.0, 50.0])},
     full={"points": _fig8_impl_points(

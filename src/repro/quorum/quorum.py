@@ -77,6 +77,12 @@ class QuorumTracker:
             # so skip verification (and the digest recompute it entails) and
             # leave the certified key's vote map alone.
             return False
+        if vote.voter in self._votes.get(key, ()):
+            # Already counted for this key: nothing this copy could add, so
+            # do not pay a verification to find that out.  A forged vote is
+            # never stored, so it cannot make a later genuine one a duplicate.
+            self.duplicate_votes += 1
+            return False
         if self.registry is not None:
             if (
                 vote.signature.signer != vote.voter
@@ -85,11 +91,7 @@ class QuorumTracker:
             ):
                 self.invalid_votes += 1
                 return False
-        votes = self._votes[key]
-        if vote.voter in votes:
-            self.duplicate_votes += 1
-            return False
-        votes[vote.voter] = vote.signature
+        self._votes[key][vote.voter] = vote.signature
         return True
 
     def vote_count(self, view: int, block_id: str) -> int:
@@ -158,6 +160,8 @@ class TimeoutTracker:
         if timeout.view in self._certified:
             # The TC already formed; late timeouts cannot change it.
             return False
+        if timeout.voter in self._timeouts.get(timeout.view, ()):
+            return False
         if self.registry is not None:
             if (
                 timeout.signature.signer != timeout.voter
@@ -166,10 +170,7 @@ class TimeoutTracker:
             ):
                 self.invalid_timeouts += 1
                 return False
-        timeouts = self._timeouts[timeout.view]
-        if timeout.voter in timeouts:
-            return False
-        timeouts[timeout.voter] = timeout
+        self._timeouts[timeout.view][timeout.voter] = timeout
         return True
 
     def timeout_count(self, view: int) -> int:

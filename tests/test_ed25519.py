@@ -1,6 +1,6 @@
 """The pure-Python Ed25519: RFC 8032 vectors, a naive reference, edge encodings.
 
-The module under test multiplies through precomputed window tables.  The
+The module under test multiplies through precomputed signed-window tables.  The
 reference below is the implementation it replaced — bit-by-bit double-and-add
 on the RFC's equations, its own arithmetic, nothing shared with the module —
 so the differential tests pin every public key and signature byte for byte
@@ -246,6 +246,60 @@ def test_keys_and_signatures_are_byte_identical_to_the_reference():
             assert verify_key.verify(case_message, case_signature) is expected, label
             assert ref_verify(verify_key.encoded, case_message, case_signature) is expected, label
     assert ed25519.verify(own.encoded, message, signature)
+
+
+# --------------------------------------------------------------------------
+# the kernel on its own: signed-window recoding at both table widths
+
+
+#: Neither the base point nor of small order, so no table row degenerates.
+KERNEL_POINT = ref_mul(8032, B)
+
+
+@pytest.fixture(scope="module", params=[ed25519._BASE_WINDOW, ed25519._KEY_WINDOW],
+                ids=lambda width: f"w={width}")
+def kernel_table(request):
+    return request.param, ed25519._build_table(KERNEL_POINT, request.param)
+
+
+def every_window(value: int, width: int) -> int:
+    """The scalar below 2**256 whose ``width``-bit windows all equal ``value``."""
+    return sum(value << shift for shift in range(0, 256, width)) % 2 ** 256
+
+
+def test_table_mul_matches_the_reference_on_recoding_edges(kernel_table):
+    width, table = kernel_table
+    half, top = 1 << (width - 1), (1 << width) - 1
+    rng = random.Random(width)
+    scalars = {
+        "0": 0, "1": 1, "L - 1": L - 1, "2**252": 2 ** 252,
+        "2**255 - 1": 2 ** 255 - 1,
+        "2**256 - 1": 2 ** 256 - 1,                          # carry into the top row
+        "all windows 2**(w-1)": every_window(half, width),   # largest positive digit
+        "all windows 2**(w-1)+1": every_window(half + 1, width),  # smallest that carries
+        "all windows 2**w-1": every_window(top, width),      # carry through every row
+        "one window 2**w-1 then 0s": top,
+        **{f"random {i}": rng.getrandbits(256) for i in range(60)},
+    }
+    assert len(table) == 256 // width + 1 and {len(row) for row in table} == {half}
+    start = ref_mul(3, B)
+    for label, scalar in scalars.items():
+        expected = ref_mul(scalar, KERNEL_POINT)
+        assert ref_equal(ed25519._table_mul(scalar, table), expected), label
+        assert ref_equal(ed25519._table_mul(scalar, table, start),
+                         ref_add(start, expected)), label
+
+
+def test_additions_per_operation():
+    """The gate on what the window tables buy: one mixed addition per table
+    row, so the shapes bound the work (4-bit unsigned windows: 64 and 128)."""
+    key = ed25519.SigningKey(SEED)
+    assert key.verify_key.verify(MESSAGE, key.sign(MESSAGE))
+    base, own = ed25519._base_table(), key.verify_key._table
+    assert len(base) <= 33                  # sign: [r]B
+    assert len(base) + len(own) <= 76       # verify: [S]B + [k](-A)
+    # ... and what they cost in memory: ~1.2 MB once, ~350 kB per public key.
+    assert sum(map(len, base)) <= 33 * 128 and sum(map(len, own)) <= 43 * 32
 
 
 # --------------------------------------------------------------------------

@@ -1,15 +1,18 @@
 """Unit tests for leader election and quorum tracking."""
 
+import dataclasses
+
 import pytest
 
 from repro.crypto.keys import KeyRegistry
-from repro.crypto.signatures import sign
+from repro.crypto.signatures import sign, verify
 from repro.election.election import (
     HashBasedElection,
     RoundRobinElection,
     StaticLeaderElection,
     make_election,
 )
+from repro.quorum import quorum
 from repro.quorum.quorum import QuorumTracker, TimeoutTracker, max_faulty, quorum_size
 from repro.types.certificates import Timeout, timeout_digest
 
@@ -17,6 +20,25 @@ from helpers import build_certified_chain, make_vote
 
 
 NODES = ["r0", "r1", "r2", "r3"]
+
+
+def forged(signed):
+    """A vote or timeout as ``signed``, carrying a tag its voter never produced."""
+    return dataclasses.replace(
+        signed, signature=dataclasses.replace(signed.signature, tag=b"forged"))
+
+
+@pytest.fixture
+def verified(monkeypatch):
+    """Every signature the trackers hand to ``verify``, in order."""
+    seen = []
+
+    def spy(registry, signature):
+        seen.append(signature)
+        return verify(registry, signature)
+
+    monkeypatch.setattr(quorum, "verify", spy)
+    return seen
 
 
 class TestElection:
@@ -113,6 +135,28 @@ class TestQuorumTracker:
         assert tracker.vote_count(self.block.view, self.block.block_id) == 1
         assert tracker.duplicate_votes == 1
 
+    def test_a_counted_voter_is_a_duplicate_before_any_verification(self, verified):
+        tracker = QuorumTracker(4, self.registry)
+        vote = make_vote(self.registry, "r0", self.block)
+        assert tracker.voted(vote)
+        assert len(verified) == 1
+        assert not tracker.voted(forged(vote))
+        assert not tracker.voted(vote)
+        assert len(verified) == 1
+        assert (tracker.duplicate_votes, tracker.invalid_votes) == (2, 0)
+        assert tracker.vote_count(self.block.view, self.block.block_id) == 1
+
+    def test_a_forged_vote_does_not_shadow_the_genuine_one(self):
+        tracker = QuorumTracker(4, self.registry)
+        vote = make_vote(self.registry, "r0", self.block)
+        assert not tracker.voted(forged(vote))
+        assert tracker.vote_count(self.block.view, self.block.block_id) == 0
+        assert tracker.voted(vote)
+        assert (tracker.duplicate_votes, tracker.invalid_votes) == (0, 1)
+        for voter in ["r1", "r2"]:
+            qc = tracker.add_and_certify(make_vote(self.registry, voter, self.block))
+        assert qc is not None and vote.signature in qc.signatures
+
     def test_qc_is_emitted_only_once(self):
         tracker = QuorumTracker(4, self.registry)
         for voter in ["r0", "r1", "r2"]:
@@ -174,6 +218,23 @@ class TestTimeoutTracker:
         timeout = self._timeout(registry, "r0", view=5)
         assert tracker.record(timeout)
         assert not tracker.record(timeout)
+        assert tracker.timeout_count(5) == 1
+
+    def test_a_counted_voter_is_a_duplicate_before_any_verification(self, verified):
+        registry = KeyRegistry()
+        tracker = TimeoutTracker(4, registry)
+        timeout = self._timeout(registry, "r0", view=5)
+        assert tracker.record(timeout)
+        assert not tracker.record(forged(timeout)) and not tracker.record(timeout)
+        assert len(verified) == 1 and tracker.invalid_timeouts == 0
+
+    def test_a_forged_timeout_does_not_shadow_the_genuine_one(self):
+        registry = KeyRegistry()
+        tracker = TimeoutTracker(4, registry)
+        timeout = self._timeout(registry, "r0", view=5)
+        assert not tracker.record(forged(timeout))
+        assert tracker.timeout_count(5) == 0 and tracker.invalid_timeouts == 1
+        assert tracker.record(timeout)
         assert tracker.timeout_count(5) == 1
 
     def test_tc_only_once_per_view(self):

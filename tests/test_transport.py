@@ -30,6 +30,7 @@ import time
 import typing
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +39,7 @@ import repro
 from helpers import make_vote
 from repro import api
 from repro.bench.config import Configuration
+from repro.bench.profiles import cost_profile
 from repro.bench.runner import build_cluster, run_experiment
 from repro.crypto import ed25519
 from repro.crypto.keys import Ed25519KeyPair, KeyPair, KeyRegistry, available_schemes
@@ -45,6 +47,7 @@ from repro.crypto.signatures import Signature, sign, verify
 from repro.executor.kvstore import DedupState, KVSnapshot
 from repro.checkpoint.messages import SnapshotRequest, SnapshotResponse
 from repro.checkpoint.snapshot import Checkpoint
+from repro.core.dispatch import MESSAGE_HANDLERS, register_message_handler
 from repro.core.replica import Replica
 from repro.forest.forest import BlockForest
 from repro.network.network import Network
@@ -1200,6 +1203,51 @@ class TestImportIsolation:
 
 
 # --------------------------------------------------------------------------
+# what a delivered message is charged
+
+
+@pytest.fixture
+def handled_samples():
+    """``(handler, message)`` for a sample of every wire kind, ``ClientReply``
+    standing in for a kind registered without a cost of its own."""
+    register_message_handler("ClientReply")(lambda replica, message: None)
+    try:
+        yield [(MESSAGE_HANDLERS.get(type(message).__name__), message)
+               for message in _golden_messages().values()]
+    finally:
+        MESSAGE_HANDLERS.unregister("ClientReply")
+
+
+def _charged_as(node_id, costs):
+    return SimpleNamespace(node_id=node_id, cost_model=costs)
+
+
+class TestDispatchCharges:
+    def test_measured_charges_nothing_for_any_kind(self, handled_samples):
+        assert {type(message) for _, message in handled_samples} == set(codec.WIRE_KINDS)
+        costs = cost_profile("measured")
+        for handler, message in handled_samples:
+            for receiver in (message.sender, "r9"):
+                charge = handler.cost(_charged_as(receiver, costs), message)
+                assert charge == 0.0, (type(message).__name__, receiver)
+
+    @pytest.mark.parametrize("costs", [
+        cost_profile("fast"), cost_profile("standard"), cost_profile("ohs"),
+        cost_profile("standard").scaled(0.5),
+    ], ids=["fast", "standard", "ohs", "standard x 0.5"])
+    def test_simulated_profiles_keep_the_flat_charges(self, handled_samples, costs):
+        by_kind = {type(message).__name__: (handler, message)
+                   for handler, message in handled_samples}
+        handler, request = by_kind["ClientRequest"]
+        assert handler.cost(_charged_as("r9", costs), request) == 5e-6
+        for kind in ("ClientRequest", "ProposalMessage", "VoteMessage", "TimeoutMessage"):
+            handler, own_copy = by_kind[kind]
+            assert handler.cost(_charged_as(own_copy.sender, costs), own_copy) == 1e-6
+        handler, costless = by_kind["ClientReply"]
+        assert handler.cost(_charged_as("r9", costs), costless) == 1e-6
+
+
+# --------------------------------------------------------------------------
 # loopback deployment clusters (slow: real sockets, real signatures)
 
 
@@ -1282,6 +1330,37 @@ class TestDeployment:
             asyncio.run(scenario())
         # Not the 30.5 s horizon: the first raising handler ends the wait.
         assert time.monotonic() - started < 2.0
+
+    def test_no_loop_timer_is_armed_for_a_cpu_charge(self):
+        """``measured`` charges nothing, so every CPU-queue completion is a
+        ``call_soon``: with the view and request timeouts seconds away, the
+        clock arms no near deadline however many requests flow.  A positive
+        charge is a ``loop.call_at`` a few microseconds ahead per message."""
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            armed_ahead = []
+            call_at = loop.call_at
+
+            def spy(when, callback, *args, **kwargs):
+                if getattr(callback, "__self__", None) is runner.clock:
+                    armed_ahead.append(when - loop.time())
+                return call_at(when, callback, *args, **kwargs)
+
+            loop.call_at = spy
+            runner = DeploymentRunner(_deploy_config(
+                signing="hmac", view_timeout=20.0, request_timeout=20.0,
+                warmup=0.1, runtime=0.6, cooldown=0.1))
+            await runner.start()
+            try:
+                await runner.run()
+            finally:
+                await runner.stop()
+            return runner, armed_ahead
+
+        runner, armed_ahead = asyncio.run(scenario())
+        assert runner.replicas[runner.observer_id].forest.committed_height > 10
+        assert armed_ahead and min(armed_ahead) >= 1e-3
 
     def test_crashed_replica_recovers_over_the_wire(self):
         """A replica that crashes mid-run catches back up via real sync."""
