@@ -87,7 +87,12 @@ class ClientBase:
         # The per-client stream is fixed for the client's lifetime; cache it
         # instead of re-resolving the name on every request.
         self._rng = streams.get(f"client:{self.client_id}")
+        #: txid -> send time.  Insertion order is send order and
+        #: ``request_timeout`` is one constant, so it is also deadline order:
+        #: the oldest outstanding request is always the first key.
         self._outstanding: Dict[str, float] = {}
+        #: Whether the one ``_expire_due`` post of this client is in flight.
+        self._deadline_armed = False
         self._stop_time: Optional[float] = None
         self.requests_sent = 0
         self.replies_committed = 0
@@ -152,16 +157,23 @@ class ClientBase:
     # ------------------------------------------------------------------
     # request submission and reply handling
     # ------------------------------------------------------------------
-    def _submit_request(self) -> Optional[str]:
-        now = self.scheduler.now
+    def _submit_request(self, sent_at: Optional[float] = None) -> Optional[str]:
+        """Send one request, timed (latency, timeout) from ``sent_at``.
+
+        ``sent_at`` defaults to now; an open-loop client passes the instant
+        the arrival was scheduled for, which a late wall-clock callback has
+        already missed.  Callers keep it non-decreasing.
+        """
+        if sent_at is None:
+            sent_at = self.scheduler.now
         stop = self._stop_time
-        if stop is not None and now >= stop:
+        if stop is not None and sent_at >= stop:
             return None
         rng = self._rng
         operation = self.workload.operation_for(rng.random())
         transaction = Transaction.create(
             client_id=self.client_id,
-            created_at=now,
+            created_at=sent_at,
             payload_size=self.workload.payload_size,
             operation=operation,
             key=f"k{rng.randrange(self.workload.key_space)}",
@@ -177,14 +189,42 @@ class ClientBase:
             size_bytes=self.size_model.client_request_size(transaction.payload_size),
             transaction=transaction,
         )
-        self._outstanding[transaction.txid] = now
-        # Handle-free timeout: cheaper than allocating a cancellable Event per
-        # request.  A reply does not cancel anything — the post fires later and
-        # finds the txid gone from _outstanding, which makes it a no-op.
-        self.scheduler.post_after(self.request_timeout, self._expire, transaction.txid)
+        self._outstanding[transaction.txid] = sent_at
+        # One timeout post per client, not per request: it is armed for the
+        # oldest outstanding request and moves itself on when it fires.  A
+        # reply cancels nothing — it only takes its txid out of the queue.
+        if not self._deadline_armed:
+            self._arm_deadline(sent_at + self.request_timeout)
         self.requests_sent += 1
         self.network.send(self.client_id, replica, request)
         return transaction.txid
+
+    def _arm_deadline(self, deadline: float) -> None:
+        self._deadline_armed = True
+        self.scheduler.post_at(deadline, self._expire_due, deadline)
+
+    def _expire_due(self, armed_for: float) -> None:
+        """Expire, oldest first, every request whose deadline has come.
+
+        Each deadline is the float ``sent_at + request_timeout``; requests
+        answered since the post was armed are simply no longer in the queue.
+        A replacement issued by ``_on_timed_out`` joins the back while this
+        runs (``_deadline_armed`` is still set) and is armed for in its turn.
+        """
+        # A wall clock may wake a resolution early: expire at least what this
+        # post was armed for, never re-arm for the same instant and spin.
+        now = self.scheduler.now
+        due = now if now > armed_for else armed_for
+        outstanding = self._outstanding
+        timeout = self.request_timeout
+        while outstanding:
+            txid, sent_at = next(iter(outstanding.items()))
+            deadline = sent_at + timeout
+            if deadline > due:
+                self._arm_deadline(deadline)
+                return
+            self._expire(txid)
+        self._deadline_armed = False
 
     def _expire(self, txid: str) -> None:
         """Give up on a request that received no reply within the timeout.
@@ -194,10 +234,7 @@ class ClientBase:
         client with an HTTP timeout would — and the closed-loop subclass
         issues a replacement request to another randomly chosen replica.
         """
-        if self._outstanding.pop(txid, None) is None:
-            # Already replied (or already expired): the timeout post for a
-            # finished request is deliberately left to fire as a no-op.
-            return
+        del self._outstanding[txid]
         self.requests_timed_out += 1
         ev = self.events
         if ev.wants & obs_trace.CLIENT:
@@ -298,16 +335,20 @@ class PoissonClient(ClientBase):
         )
 
     def _begin(self) -> None:
-        self._schedule_next_arrival()
+        self._schedule_next_arrival(self.scheduler.now)
 
-    def _schedule_next_arrival(self) -> None:
-        if not self._issuing_allowed():
-            return
-        gap = self.streams.exponential(f"arrivals:{self.client_id}", self.rate)
-        self.scheduler.call_after(gap, self._arrive)
+    def _schedule_next_arrival(self, previous: float) -> None:
+        """Draw the gap after the arrival intended for ``previous``.
 
-    def _arrive(self) -> None:
-        if not self._issuing_allowed():
-            return
-        self._submit_request()
-        self._schedule_next_arrival()
+        The schedule is a running sum of the drawn gaps, not "a gap after
+        whenever the last callback ran": on a wall clock a late callback
+        delays neither the arrivals behind it nor the instant its own request
+        is timed from.  In the simulator ``now`` is ``previous`` bit for bit.
+        The arrival that falls past the stop time is drawn, and not sent.
+        """
+        intended = previous + self.streams.exponential(f"arrivals:{self.client_id}", self.rate)
+        self.scheduler.call_at(intended, self._arrive, intended)
+
+    def _arrive(self, intended: float) -> None:
+        if self._submit_request(intended) is not None:
+            self._schedule_next_arrival(intended)

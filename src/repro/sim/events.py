@@ -9,11 +9,13 @@ The API has two tiers:
 
 * :meth:`EventScheduler.call_at` / :meth:`EventScheduler.call_after` return a
   cancellable :class:`Event` handle and accept keyword arguments — use these
-  for timers (view timeouts, client request timeouts) that may be cancelled.
+  for timers (view timeouts) that may be cancelled.
 * :meth:`EventScheduler.post_at` / :meth:`EventScheduler.post_after` are the
   fast path: no handle, no kwargs, no :class:`Event` allocation.  The vast
   majority of simulated events are message hops that nobody ever cancels;
-  posting them costs one plain tuple in the heap and nothing else.
+  posting them costs one plain tuple in the heap and nothing else.  (A
+  client's request timeout is one such post, armed for its oldest
+  outstanding request — not an entry per request.)
 
 Internally every heap entry is a ``(time, sequence, callback_or_event, args)``
 tuple so heap sift comparisons run at C speed on the leading ``(time,

@@ -2,9 +2,9 @@
 
 The deployment runtime swaps this in for the discrete-event
 :class:`~repro.sim.events.EventScheduler` and borrows its two-tier shape.
-Pacemaker view timers, client request timeouts and CPU-queue completions
-arrive through the same ``call_after``/``post_after`` interface, so none of
-those components change.
+Pacemaker view timers, each client's one armed request deadline and
+CPU-queue completions arrive through the same ``call_after``/``post_at``
+interface, so none of those components change.
 
 * A post that is already due (``delay <= 0``: every CPU-queue completion of a
   deployment, whose measured cost profile charges no modelled time) is one
@@ -13,9 +13,10 @@ those components change.
   plain ``(when, sequence, callback_or_timer, args)`` tuples — the entry
   shape of ``sim/events.py``, compared at C speed on ``(when, sequence)`` —
   and the clock keeps exactly **one** ``loop.call_at`` armed, for the earliest
-  deadline.  A closed loop of clients holds tens of thousands of request
-  timeouts at once; as loop timers each was a ``TimerHandle`` plus a closure
-  whose heap sifts compare through Python-level ``TimerHandle.__lt__``.
+  deadline.  As loop timers each would be a ``TimerHandle`` plus a closure
+  whose heap sifts compare through Python-level ``TimerHandle.__lt__``.  What
+  the heap holds is a view timer per replica, the cancelled ones waiting out
+  their deadline, and one request deadline per client.
 * ``args is None`` marks a cancellable :class:`AsyncioTimer` entry, as in the
   simulator.  A cancelled timer stays in the heap until its deadline and is
   skipped when popped.
@@ -85,6 +86,12 @@ class AsyncioClock:
     def now(self) -> float:
         """Seconds of monotonic wall time since the clock was created."""
         return self._loop.time() - self._t0
+
+    @property
+    def pending_events(self) -> int:
+        """Future deadlines on the heap (cancelled timers included), as the
+        scheduler's attribute of the same name counts them."""
+        return len(self._heap)
 
     def call_after(self, delay: float, callback: Callable, *args, **kwargs) -> AsyncioTimer:
         """Run ``callback(*args, **kwargs)`` after ``delay`` wall seconds.

@@ -14,18 +14,19 @@ charges the size-model estimate, the deployment pays real
 encode/decode + syscalls.
 
 The field list of a wire type is its class.  A frame is the envelope
-``{"kind", "sender", "size_bytes", "body"}``; the body, and every value
-inside it, takes the JSON form its *declared type* prescribes, one rule per
-type (:func:`_forms`; docs/ARCHITECTURE.md tabulates them, and
+``[kind, sender, size_bytes, body]``; the body, and every value inside it,
+takes the JSON form its *declared type* prescribes, one rule per type
+(:func:`_forms`; docs/ARCHITECTURE.md tabulates them, and
 ``tests/golden/wire_frames.json`` holds one frame of every kind as text).
-Each record's two directions are compiled once, when this module is
-imported, into the dict display and the constructor call one would write by
-hand (the way :mod:`dataclasses` builds ``__init__``): every name in the
-generated source comes from a class declaration in this repository, never
-from the wire.  Decoding checks every scalar it passes through against the
-declared type, so a parseable frame with a wrong-typed field is a
-:class:`CodecError` here rather than a ``TypeError`` inside whichever handler
-first touches the field.
+A record is the array of its fields in declaration order (both ends read the
+order off the same class, so no name travels), compiled once, when this
+module is imported, into the list display and the constructor call one would
+write by hand (the way :mod:`dataclasses` builds ``__init__``): every name in
+the generated source comes from a class declaration in this repository, never
+from the wire.  Decoding checks every array's class and length and every
+scalar against the declared type, so a parseable frame with a missing, extra
+or wrong-typed field is a :class:`CodecError` here rather than a
+``TypeError`` inside whichever handler first touches the field.
 
 Round-trip property: ``decode_message(encode_message(m))`` reconstructs an
 equal message for every kind (``message_id`` excluded — it is
@@ -73,9 +74,11 @@ WIRE_KINDS: Tuple[type, ...] = (
 _LENGTH_PREFIX = struct.Struct(">I")
 
 #: One compact encoder for every message (``json.dumps`` would build a fresh
-#: ``JSONEncoder`` per call); its output is what ``json.dumps(payload,
-#: separators=(",", ":"))`` produces, byte for byte.
-_to_json = json.JSONEncoder(separators=(",", ":")).encode
+#: one per call, and look for cycles that a tree built from declared types
+#: cannot have); its output is ``json.dumps(payload, separators=(",", ":"))``'s.
+_to_json = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+#: ``json.loads`` less its whitespace scans: (first value, where it ends).
+_from_json = json.JSONDecoder().raw_decode
 
 #: Upper bound on a single frame; a peer announcing more is treated as
 #: corrupt rather than allocated for (snapshots dominate and stay well under).
@@ -111,7 +114,7 @@ def _forms(tp: Any, v: str, j: str, depth: int = 0) -> Tuple[str, str]:
 
     Returns ``(the JSON form of the value v, the checked value read from the
     JSON j)``.  ``v`` and ``j`` are cheap, side-effect-free expressions that
-    may be evaluated more than once (a name, ``v.field``, ``d["field"]``,
+    may be evaluated more than once (a name, ``v.field``, ``d[2]``,
     ``t0[1]``); decoding binds what it reads to a per-depth temporary first,
     so a scalar leaf costs one lookup plus the class test.  Comprehension
     iterables stay free of ``:=`` (the grammar forbids it there): that is
@@ -152,13 +155,13 @@ def _forms(tp: Any, v: str, j: str, depth: int = 0) -> Tuple[str, str]:
 
 
 def _record(cls: type, head: Tuple[str, ...] = ()) -> Tuple[Callable, Callable]:
-    """``cls``'s compiled pair: instance -> JSON object, JSON object -> instance.
+    """``cls``'s compiled pair: instance -> JSON array, JSON array -> instance.
 
     The fields are the dataclass's, in declaration order (``Transaction``
     keeps its list in ``_fields`` and its types on ``__init__``).  A message
-    names its envelope fields in ``head``: they are not part of the JSON
-    object, its body, and the second function takes them as arguments after
-    it (checked like any other value).
+    names its envelope fields in ``head``: they are not part of the array,
+    its body, and the second function takes them as arguments after it
+    (checked like any other value).
     """
     enc_name, dec_name = f"enc_{cls.__name__}", f"dec_{cls.__name__}"
     if _NAMESPACE.setdefault(cls.__name__, cls) is not cls:
@@ -168,12 +171,14 @@ def _record(cls: type, head: Tuple[str, ...] = ()) -> Tuple[Callable, Callable]:
         hints = typing.get_type_hints(cls.__init__ if cls is Transaction else cls)
         if head:  # the body is what the kind declares itself
             names = names[len(dataclasses.fields(Message)):]
-        forms = [(name, *_forms(hints[name], f"v.{name}", f"d[{name!r}]")) for name in names]
-        items = ", ".join(f"{name!r}: {enc}" for name, enc, _ in forms)
+        forms = [(name, *_forms(hints[name], f"v.{name}", f"d[{i}]"))
+                 for i, name in enumerate(names)]
         arguments = ", ".join([_forms(hints[name], name, name)[1] for name in head]
                               + [f"{name}={dec}" for name, _, dec in forms])
-        source = (f"def {enc_name}(v):\n    return {{{items}}}\n"
+        source = (f"def {enc_name}(v):\n    return [{', '.join(enc for _, enc, _ in forms)}]\n"
                   f"def {dec_name}({', '.join(('d', *head))}):\n"
+                  f"    if d.__class__ is not list or len(d) != {len(names)}:"
+                  f" _list(d, {len(names)})\n"
                   f"    return {cls.__name__}({arguments})\n")
         # Filed under this module's path so that profiles attribute it here.
         exec(compile(source, f"{__file__}:{cls.__name__}", "exec"), _NAMESPACE)
@@ -183,7 +188,7 @@ def _record(cls: type, head: Tuple[str, ...] = ()) -> Tuple[Callable, Callable]:
 _new_transaction = _record(Transaction)[1]
 
 
-def _dec_transaction(data: Dict[str, Any]) -> Transaction:
+def _dec_transaction(data: List[Any]) -> Transaction:
     transaction = _new_transaction(data)
     txid, client_id, sequence = transaction.txid, transaction.client_id, transaction.sequence
     # Seed the cached_property as ``Transaction.create`` does: every decoded
@@ -199,7 +204,7 @@ def _dec_transaction(data: Dict[str, Any]) -> Transaction:
 # seeding wrapper (it looks the name up when it runs).
 _NAMESPACE["dec_Transaction"] = _dec_transaction
 
-_TO_BODY: Dict[type, Callable[[Any], Dict[str, Any]]] = {}
+_TO_BODY: Dict[type, Callable[[Any], List[Any]]] = {}
 _FROM_BODY: Dict[str, Callable[..., Message]] = {}
 for _kind in WIRE_KINDS:
     _TO_BODY[_kind], _FROM_BODY[_kind.__name__] = _record(_kind, head=("sender", "size_bytes"))
@@ -210,29 +215,24 @@ def encode_message(message: Message) -> bytes:
     to_body = _TO_BODY.get(type(message))
     if to_body is None:
         raise CodecError(f"no wire encoding for {type(message).__name__}")
-    payload = {
-        "kind": type(message).__name__,
-        "sender": message.sender,
-        "size_bytes": message.size_bytes,
-        "body": to_body(message),
-    }
+    payload = [type(message).__name__, message.sender, message.size_bytes, to_body(message)]
     return _to_json(payload).encode("utf-8")
 
 
 def decode_message(data: bytes) -> Message:
     """Parse one unframed JSON payload back into a message object."""
     try:
-        payload = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        text = data.decode("utf-8")
+        payload, end = _from_json(text)
+        if end != len(text):
+            raise ValueError(f"{len(text) - end} characters after the JSON value")
+        kind, sender, size_bytes, body = _list(payload, 4)
+        from_body = _FROM_BODY.get(kind) if kind.__class__ is str else None
+        if from_body is None:
+            raise ValueError(f"unknown message kind {kind!r}")
+        return from_body(body, sender, size_bytes)
+    except (IndexError, TypeError, ValueError, AttributeError) as exc:  # incl. bad UTF-8 / JSON
         raise CodecError(f"malformed frame: {exc}") from exc
-    kind = payload.get("kind") if isinstance(payload, dict) else None
-    from_body = _FROM_BODY.get(kind) if isinstance(kind, str) else None
-    if from_body is None:
-        raise CodecError(f"unknown message kind {kind!r}")
-    try:
-        return from_body(payload["body"], payload["sender"], payload["size_bytes"])
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise CodecError(f"malformed {kind} body: {exc}") from exc
 
 
 def frame(payload: bytes) -> bytes:

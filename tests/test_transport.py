@@ -184,8 +184,7 @@ def _golden_messages():
 
 @functools.lru_cache(maxsize=None)
 def _golden_frames():
-    """Entry name -> the frame's compact JSON text, as captured at the parent
-    of the change that derived the codec from the declarations."""
+    """Entry name -> the frame's compact JSON text: the wire format's spec."""
     path = Path(__file__).resolve().parent / "golden" / "wire_frames.json"
     return json.loads(path.read_text())
 
@@ -248,6 +247,14 @@ def _leaves(value, path=()):
             yield from _leaves(item, path + (key,))
     else:
         yield path
+
+
+def _arrays(value, path=()):
+    """Paths of every JSON array in ``value``, itself included."""
+    if isinstance(value, list):
+        yield path
+        for key, item in enumerate(value):
+            yield from _arrays(item, path + (key,))
 
 
 def _replaced(frame_text, path, value):
@@ -336,7 +343,7 @@ class TestCodec:
 
     def test_unknown_kind_raises(self):
         with pytest.raises(CodecError):
-            decode_message(b'{"kind": "Telegram", "sender": "x", "size_bytes": 1, "body": {}}')
+            decode_message(b'["Telegram", "x", 1, []]')
 
     def test_malformed_json_raises(self):
         with pytest.raises(CodecError):
@@ -344,24 +351,39 @@ class TestCodec:
 
     def test_truncated_body_raises(self):
         with pytest.raises(CodecError):
-            decode_message(b'{"kind": "VoteMessage", "sender": "x", "size_bytes": 1, "body": {}}')
+            decode_message(b'["VoteMessage", "x", 1, []]')
 
     def test_oversized_frame_rejected(self):
         with pytest.raises(CodecError):
             frame(b"x" * (MAX_FRAME_BYTES + 1))
 
-    def test_non_object_payloads_raise_codec_error(self):
+    def test_non_envelope_payloads_raise_codec_error(self):
         # Frames come from outside the program: whatever valid JSON a peer
         # sends, the receive path sees a CodecError and nothing else.
-        for data in (b"[1]", b"7", b'"x"', b"null", b'{"kind": ["VoteMessage"]}',
-                     b'{"kind": "VoteMessage"}',
-                     b'{"kind": "VoteMessage", "sender": "x", "size_bytes": 1, "body": 3}'):
+        vote = _golden_frames()["VoteMessage"]
+        for data in (b"[1]", b"7", b'"x"', b"null", b"{}", b"[]", b'[["VoteMessage"], "x", 1, []]',
+                     b'["VoteMessage"]', b'["VoteMessage", "x", 1]',
+                     b'["VoteMessage", "x", 1, [], []]',  # envelope arity, both ways
+                     b'["VoteMessage", "x", 1, 3]', b'["VoteMessage", "x", 1, {}]',
+                     b'["VoteMessage", "x", 1, "ab"]',  # a body that indexes but is no list
+                     vote.encode() + b"]", vote.encode() + b" ", b" " + vote.encode(),
+                     vote.encode() * 2):
             with pytest.raises(CodecError):
                 decode_message(data)
 
+    def test_the_keyed_form_is_gone(self):
+        # One record form: a frame as it was before records became arrays
+        # (captured from the parent's golden file) is malformed, not a dialect.
+        keyed = (b'{"kind":"ClientReply","sender":"r0","size_bytes":48,"body":{"txid":"tx-c0-0",'
+                 b'"committed_at":2.0,"replica":"r0","status":"committed"}}')
+        assert json.loads(keyed)["body"]["txid"] == "tx-c0-0"
+        with pytest.raises(CodecError):
+            decode_message(keyed)
+        with pytest.raises(CodecError):  # nor inside the new envelope
+            decode_message(json.dumps(["ClientReply", "r0", 48, json.loads(keyed)["body"]]).encode())
+
     def test_frames_match_the_golden_file_byte_for_byte(self):
-        # Captured from the hand-written codec this one replaced: the wire
-        # format is those bytes, whatever the codec is derived from.
+        # The wire format is these bytes, whatever the codec is derived from.
         golden = _golden_frames()
         messages = _golden_messages()
         assert list(golden) == list(messages)
@@ -400,40 +422,51 @@ class TestCodec:
         assert unhandled == {"ClientReply"}  # addressed to clients, not replicas
 
     def test_a_wrong_typed_field_is_a_codec_error(self):
-        # A frame that parses, names a known kind and has every key, but holds
-        # the wrong thing under one: it used to decode, and raise TypeError
+        # A frame that parses, names a known kind and has every field, but
+        # holds the wrong thing in one: it used to decode, and raise TypeError
         # inside QuorumTracker.voted (a dead deployment) or be rejected later
-        # as an invalid vote.
-        for path, wrong in (
-            (("body", "vote", "view"), [1]),
-            (("body", "vote", "view"), None),
-            (("body", "vote", "view"), True),  # a bool is not an int
-            (("body", "vote", "view"), 1.0),
-            (("body", "vote", "signature", "tag"), 7),
-            (("body", "vote", "signature", "tag"), "not hex"),
-            (("body", "forwarded_by"), 0),
-            (("sender",), 3),
-            (("size_bytes",), "120"),
-            (("size_bytes",), True),
+        # as an invalid vote.  Paths are positions in declaration order:
+        # [kind, sender, size_bytes, [vote, forwarded_by]], a vote is
+        # [voter, block_id, view, signature], a signature [signer, digest, tag].
+        message = _golden_messages()["VoteMessage"]
+        view = ((3, 0, 2), message.vote.view)
+        tag = ((3, 0, 3, 2), message.vote.signature.tag.hex())
+        size_bytes = ((2,), message.size_bytes)
+        for (path, field), wrong in (
+            (view, [1]),
+            (view, None),
+            (view, True),  # a bool is not an int
+            (view, 1.0),
+            (tag, 7),
+            (tag, "not hex"),
+            (((3, 1), message.forwarded_by), 0),
+            (((1,), message.sender), 3),
+            (size_bytes, "120"),
+            (size_bytes, True),
         ):
-            wire, _ = _replaced(_golden_frames()["VoteMessage"], path, wrong)
+            wire, was = _replaced(_golden_frames()["VoteMessage"], path, wrong)
+            assert was == field, path
             with pytest.raises(CodecError):
                 decode_message(wire)
 
     def test_wrong_typed_elements_and_arity_are_codec_errors(self):
-        checkpoint = ("body", "checkpoint")
+        # body = [checkpoint, responder_height]; a checkpoint is
+        # [height, block, qc, committed_ids, state, taken_at], a state
+        # [items, dedup, operations_applied]; block[4] is its qc, qc[2] signers.
+        checkpoint = (3, 0)
         for kind, path, wrong in (
-            ("ProposalMessage", ("body", "block", "qc", "signers"), "r0"),  # a string iterates, too
-            ("SnapshotResponse", checkpoint + ("state", "items", 0), ["k1", "v1", "extra"]),
-            ("SnapshotResponse", checkpoint + ("committed_ids",), [1]),
+            ("ProposalMessage", (3, 0, 4, 2), "r0"),  # a string iterates, too
+            ("SnapshotResponse", checkpoint + (4, 0, 0), ["k1", "v1", "extra"]),
+            ("SnapshotResponse", checkpoint + (3,), [1]),
+            ("VoteMessage", (3, 0), "abcd"),  # a record that indexes, of the right length
         ):
             wire, _ = _replaced(_golden_frames()[kind], path, wrong)
             with pytest.raises(CodecError):
                 decode_message(wire)
 
     def test_float_fields_accept_json_integers(self):
-        wire, was = _replaced(_golden_frames()["ClientReply"], ("body", "committed_at"), 2)
-        assert was == 2.0 and b'"committed_at": 2,' in wire
+        wire, was = _replaced(_golden_frames()["ClientReply"], (3, 1), 2)  # committed_at
+        assert was == 2.0 and b'"tx-c0-0", 2, "r0"' in wire
         assert decode_message(wire) == _golden_messages()["ClientReply"]
 
     @settings(max_examples=300, deadline=None)
@@ -448,6 +481,29 @@ class TestCodec:
         except CodecError:
             return
         # Legal: null under an Optional, an integer under a float.
+        assert _is_a(message, type(message)), (path, message)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_array_an_element_short_or_long_decodes_typed_or_not_at_all(self, data):
+        # Records are read by position: an array of the wrong length must be
+        # rejected, never read past or silently padded.  (The variable-length
+        # ones — signers, signatures, transactions, blocks — may legally
+        # shrink or grow by a well-typed element.)
+        frame_text = data.draw(st.sampled_from(sorted(_golden_frames().values())))
+        payload = json.loads(frame_text)
+        path = data.draw(st.sampled_from(list(_arrays(payload))))
+        holder = payload
+        for key in path:
+            holder = holder[key]
+        if holder and data.draw(st.booleans()):
+            del holder[data.draw(st.integers(0, len(holder) - 1))]
+        else:
+            holder.insert(data.draw(st.integers(0, len(holder))), data.draw(_JSON_VALUES))
+        try:
+            message = decode_message(json.dumps(payload).encode("utf-8"))
+        except CodecError:
+            return
         assert _is_a(message, type(message)), (path, message)
 
     def test_encoding_is_compact_json_dumps(self):
@@ -1147,16 +1203,25 @@ class TestAsyncioTransport:
             await self._settle(lambda: stats.decode_errors == 3)
 
             # Garbage inside a well-formed frame: counted, the stream goes on.
+            # Wrong envelope arity, a body that is no array, bytes after the
+            # JSON value, and a frame in the keyed form of before records
+            # became arrays: one error each, on one surviving connection.
+            reply = encode_message(self._reply("ok"))
+            keyed = json.dumps(dict(zip(("kind", "sender", "size_bytes", "body"),
+                                        json.loads(reply)))).encode("utf-8")
             _, writer = await asyncio.open_connection(*transport.address_of("b"))
-            writer.write(frame(b"[1]") + good)
-            await writer.drain()
+            for count, bad in enumerate((b"[1]", reply[:-1] + b",0]", b'["ClientReply","a",1,"ab"]',
+                                         reply + b"]", keyed), start=4):
+                writer.write(frame(bad) + good)
+                await writer.drain()
+                await self._settle(lambda: stats.decode_errors == count
+                                   and len(received) == count - 2)
             writer.close()
             await writer.wait_closed()
-            await self._settle(lambda: stats.decode_errors == 4 and len(received) == 2)
             # A clean close at a frame boundary is not an error.
             await asyncio.sleep(0.05)
-            assert stats.decode_errors == 4
-            assert [m.txid for m in received] == ["ok", "ok"]
+            assert stats.decode_errors == 8
+            assert [m.txid for m in received] == ["ok"] * 6
             await transport.stop()
 
         asyncio.run(scenario())
@@ -1361,6 +1426,30 @@ class TestDeployment:
         runner, armed_ahead = asyncio.run(scenario())
         assert runner.replicas[runner.observer_id].forest.committed_height > 10
         assert armed_ahead and min(armed_ahead) >= 1e-3
+
+    def test_clock_heap_does_not_grow_with_requests_issued(self):
+        """A client arms one deadline however many requests it has sent.  What
+        a deployment's heap holds is view timers: one live per replica, and
+        the cancelled ones of the last ``view_timeout`` (they wait out their
+        deadline; the wall clock does not compact)."""
+
+        async def scenario():
+            runner = DeploymentRunner(_deploy_config(
+                signing="hmac", concurrency=50, view_timeout=0.25, request_timeout=20.0,
+                warmup=0.1, runtime=0.8, cooldown=0.1))
+            await runner.start()
+            try:
+                await runner.run()
+            finally:
+                await runner.stop()
+            return runner
+
+        runner = asyncio.run(scenario())
+        sent = sum(client.requests_sent for client in runner.clients)
+        assert sum(client.requests_timed_out for client in runner.clients) == 0
+        assert sent > 1000
+        # No request of this run is 20 s old: an entry each would be ``sent``.
+        assert runner.clock.pending_events < sent / 4
 
     def test_crashed_replica_recovers_over_the_wire(self):
         """A replica that crashes mid-run catches back up via real sync."""
