@@ -118,6 +118,25 @@ class Cluster:
         horizon = until if until is not None else self.config.total_duration
         self.scheduler.run_until(horizon)
 
+    def dismantle(self) -> None:
+        """Cut the reference cycles of a cluster that is about to be dropped.
+
+        A wired cluster is one big cycle — the scheduler's heap holds bound
+        methods of the nodes, the nodes hold the scheduler and the network,
+        the network holds their handlers — so without this only a full pass
+        of the cyclic collector frees a finished run's forests, mempools and
+        stores, and until one happens by they sit beside the next run's.
+        Emptying each part's attributes leaves every object to its reference
+        count.  The cluster can be neither run nor read afterwards; what was
+        taken out of it before (the result, :attr:`metrics`) is untouched.
+        Callers of :func:`build_cluster` / :func:`run_cluster`, who keep the
+        cluster, never call this.
+        """
+        for replica in self.replicas.values():
+            replica.pacemaker.stop()  # it and its armed timer hold each other
+        for part in (self.scheduler, self.network, *self.replicas.values(), *self.clients):
+            vars(part).clear()
+
     def sync_report(self) -> SyncStats:
         """Aggregate block-fetch counters across every replica."""
         total = SyncStats()
@@ -399,4 +418,7 @@ def run_experiment(
         from repro.transport.runtime import run_deployment
 
         return run_deployment(config)
-    return run_cluster(build_cluster(config, scenario), bucket)
+    cluster = build_cluster(config, scenario)
+    result = run_cluster(cluster, bucket)
+    cluster.dismantle()  # not after a raise: the traceback's frames still read it
+    return result

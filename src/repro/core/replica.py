@@ -38,7 +38,7 @@ from repro.crypto.costs import CryptoCostModel
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import sign
 from repro.election.election import LeaderElection
-from repro.executor.kvstore import DEFAULT_DEDUP_WINDOW, KeyValueStore, TxidDedup
+from repro.executor.kvstore import DEFAULT_DEDUP_WINDOW, OPERATIONS, KeyValueStore, TxidDedup
 from repro.forest.forest import BlockForest, ForestError
 from repro.mempool.mempool import Mempool
 from repro.network.network import Network
@@ -341,6 +341,12 @@ class Replica:
         transaction = message.transaction
         self.stats.client_requests += 1
         self._origin_clients[transaction.txid] = message.sender
+        if transaction.operation not in OPERATIONS:
+            # Nothing the executor runs: refuse it here, or it is ordered and
+            # every replica meets it at commit.
+            self.stats.client_rejections += 1
+            self._reply(transaction, status="rejected")
+            return
         if self.kvstore.transaction_applied(transaction):
             self._reply(transaction, status="committed")
             return
@@ -551,11 +557,12 @@ class Replica:
                     commit_view, {"block": block_id},
                 )
             return
-        # Hot loop: every committed transaction on every replica passes
-        # through here.  Only the replica that received the client request
-        # holds an origin entry, so the membership test skips the _reply call
-        # entirely on the other n-1 replicas.
-        apply = self.kvstore.apply
+        # Per block, not per transaction: one executor call, one mempool
+        # call, and replies only for a block that carries a request this
+        # replica received (it holds origin entries for about 1/n of one).
+        # Applying a whole block before replying to any of it changes nothing
+        # observable: _reply never reads the store, apply no reply state.
+        apply_batch = self.kvstore.apply_batch
         origin_entries = self._origin_clients._entries
         announce = ev.wants & obs_trace.COMMIT
         for vertex in newly:
@@ -569,11 +576,13 @@ class Replica:
                     {"block": block.block_id, "txs": block.num_transactions,
                      "height": block.height, "commit_view": commit_view},
                 )
-            for transaction in block.transactions:
-                apply(transaction)
-                if transaction.txid in origin_entries:
-                    self._reply(transaction, status="committed")
-            self.mempool.mark_committed(block.transactions)
+            transactions = block.transactions
+            apply_batch(transactions)
+            if not origin_entries.keys().isdisjoint([tx.txid for tx in transactions]):
+                for transaction in transactions:
+                    if transaction.txid in origin_entries:
+                        self._reply(transaction, status="committed")
+            self.mempool.mark_committed(transactions)
         if newly and self.settings.prune_forks:
             self._recycle_forks()
         if newly:

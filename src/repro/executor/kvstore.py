@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from repro.types.transaction import Transaction
 
@@ -46,6 +46,11 @@ from repro.types.transaction import Transaction
 #: within the uncommitted fork window plus client retry horizon — a few
 #: hundred transactions at the simulated scales — so 4096 is generous.
 DEFAULT_DEDUP_WINDOW = 4096
+
+#: What the state machine executes.  Admission
+#: (``Replica._process_client_request``) refuses anything else; the commit
+#: path skips it.
+OPERATIONS = frozenset({"put", "get", "delete"})
 
 
 def _parse_txid(txid: str) -> Optional[Tuple[str, int]]:
@@ -71,19 +76,16 @@ class _Session:
     def __contains__(self, seq: int) -> bool:
         return seq <= self.floor or seq in self.pending
 
-    def add(self, seq: int, window: int) -> bool:
-        """Record one applied sequence; False if it already counted as applied."""
-        if seq <= self.floor or seq in self.pending:
-            return False
-        self.pending.add(seq)
-        if len(self.pending) > window:
-            # Keep the most recent half exactly; everything at or below the
-            # new floor becomes "applied" by fiat.  Amortized O(1) per add.
-            ordered = sorted(self.pending)
-            dropped = ordered[: len(ordered) - window // 2]
-            self.floor = dropped[-1]
-            self.pending = set(ordered[len(dropped):])
-        return True
+    def shrink(self, window: int) -> None:
+        """Halve an overflowing window (rare: amortized O(1) per add).
+
+        Keeps the most recent half exactly; everything at or below the new
+        floor becomes "applied" by fiat.
+        """
+        ordered = sorted(self.pending)
+        dropped = ordered[: len(ordered) - window // 2]
+        self.floor = dropped[-1]
+        self.pending = set(ordered[len(dropped):])
 
 
 @dataclass(frozen=True)
@@ -130,16 +132,23 @@ class TxidDedup:
         """Record one applied txid; False if it already counted as applied."""
         parsed = _parse_txid(txid)
         if parsed is not None:
-            client, seq = parsed
-            session = self._sessions.get(client)
-            if session is None:
-                session = self._sessions[client] = _Session()
-            return session.add(seq, self.window)
+            return self._add_sequence(*parsed)
         if txid in self._extras:
             return False
         self._extras[txid] = None
         while len(self._extras) > self.window:
             self._extras.popitem(last=False)
+        return True
+
+    def _add_sequence(self, client: str, seq: int) -> bool:
+        session = self._sessions.get(client)
+        if session is None:
+            session = self._sessions[client] = _Session()
+        if seq <= session.floor or seq in session.pending:
+            return False
+        session.pending.add(seq)
+        if len(session.pending) > self.window:
+            session.shrink(self.window)
         return True
 
     def contains_transaction(self, transaction: Transaction) -> bool:
@@ -157,37 +166,11 @@ class TxidDedup:
         return session is not None and session_key[1] in session
 
     def add_transaction(self, transaction: Transaction) -> bool:
-        """Parse-free :meth:`add` for a live :class:`Transaction`.
-
-        The session update is inlined (rather than delegated to
-        :meth:`_Session.add`) because this runs once per committed
-        transaction per replica — the single hottest state-machine call.
-        """
+        """Parse-free :meth:`add` for a live :class:`Transaction`."""
         session_key = transaction.canonical_session
         if session_key is None:
             return self.add(transaction.txid)
-        client, seq = session_key
-        session = self._sessions.get(client)
-        if session is None:
-            session = self._sessions[client] = _Session()
-        if seq <= session.floor or seq in session.pending:
-            return False
-        pending = session.pending
-        pending.add(seq)
-        if len(pending) > self.window:
-            self._shrink(session)
-        return True
-
-    def _shrink(self, session: _Session) -> None:
-        """Halve an overflowing session window (rare: amortized O(1) per add).
-
-        Keeps the most recent half exactly; everything at or below the new
-        floor becomes "applied" by fiat.
-        """
-        ordered = sorted(session.pending)
-        dropped = ordered[: len(ordered) - self.window // 2]
-        session.floor = dropped[-1]
-        session.pending = set(ordered[len(dropped):])
+        return self._add_sequence(*session_key)
 
     def entry_count(self) -> int:
         """Sequences + floors + extras currently held (the memory bound)."""
@@ -241,44 +224,75 @@ class KeyValueStore:
         self._data: Dict[str, str] = {}
         self._applied = TxidDedup(window=dedup_window)
         self.operations_applied = 0
+        #: Committed transactions whose operation is not in :data:`OPERATIONS`
+        #: (admission refuses them, so only a Byzantine proposer's block
+        #: carries one).  A local counter, not part of a snapshot.
+        self.operations_invalid = 0
+        #: Parse-free :meth:`was_applied` for a live :class:`Transaction` —
+        #: the index's own method, asked once per client request.
+        self.transaction_applied = self._applied.contains_transaction
+
+    def apply_batch(self, transactions: Iterable[Transaction]) -> Optional[str]:
+        """Apply a committed block's transactions, in order, in one call.
+
+        Total: a transaction naming an unknown operation is counted in
+        :attr:`operations_invalid` before any state is touched and changes
+        nothing, on every replica alike.  Re-applying a transaction id is a
+        no-op too: commits are idempotent, so a transaction that appears both
+        in a forked block and in the main chain only takes effect once.
+
+        The loop body is the one place "dedup by session, then put / get /
+        delete" is written out (:meth:`TxidDedup.add_transaction` makes the
+        same session update through calls): it runs once per committed
+        transaction per replica.  Returns what the last transaction read —
+        ``None`` unless that was a ``get`` taking effect — which is all
+        :meth:`apply` needs.
+        """
+        applied = self._applied
+        sessions = applied._sessions
+        window = applied.window
+        data = self._data
+        result = None
+        fresh = 0
+        for transaction in transactions:
+            result = None
+            operation = transaction.operation
+            if operation not in OPERATIONS:
+                self.operations_invalid += 1
+                continue
+            session_key = transaction.canonical_session
+            if session_key is not None:
+                client, seq = session_key
+                session = sessions.get(client)
+                if session is None:
+                    session = sessions[client] = _Session()
+                pending = session.pending
+                if seq <= session.floor or seq in pending:
+                    continue
+                pending.add(seq)
+                if len(pending) > window:
+                    session.shrink(window)
+            elif not applied.add(transaction.txid):
+                continue
+            fresh += 1
+            if operation == "put":
+                data[transaction.key] = transaction.value
+            elif operation == "get":
+                result = data.get(transaction.key)
+            else:
+                data.pop(transaction.key, None)
+        self.operations_applied += fresh
+        return result
 
     def apply(self, transaction: Transaction) -> Optional[str]:
         """Apply one committed transaction; returns the read result for gets.
 
-        Re-applying a transaction id is a no-op: commits are idempotent so a
-        transaction that appears both in a forked block and in the main chain
-        only takes effect once.
-
-        The canonical-id dedup update is inlined from
-        :meth:`TxidDedup.add_transaction` — apply runs once per committed
-        transaction per replica, the hottest state-machine call.
+        :meth:`apply_batch` on a batch of one, except that an unknown
+        operation is the caller's error here (nothing is recorded).
         """
-        applied = self._applied
-        session_key = transaction.canonical_session
-        if session_key is not None:
-            client, seq = session_key
-            session = applied._sessions.get(client)
-            if session is None:
-                session = applied._sessions[client] = _Session()
-            if seq <= session.floor or seq in session.pending:
-                return None
-            pending = session.pending
-            pending.add(seq)
-            if len(pending) > applied.window:
-                applied._shrink(session)
-        elif not applied.add(transaction.txid):
-            return None
-        self.operations_applied += 1
-        operation = transaction.operation
-        if operation == "put":
-            self._data[transaction.key] = transaction.value
-            return None
-        if operation == "get":
-            return self._data.get(transaction.key)
-        if operation == "delete":
-            self._data.pop(transaction.key, None)
-            return None
-        raise ValueError(f"unknown operation {transaction.operation!r}")
+        if transaction.operation not in OPERATIONS:
+            raise ValueError(f"unknown operation {transaction.operation!r}")
+        return self.apply_batch((transaction,))
 
     def get(self, key: str) -> Optional[str]:
         """Read a key directly (used by tests and examples)."""
@@ -287,10 +301,6 @@ class KeyValueStore:
     def was_applied(self, txid: str) -> bool:
         """True if the transaction id has already been executed."""
         return txid in self._applied
-
-    def transaction_applied(self, transaction: Transaction) -> bool:
-        """Parse-free :meth:`was_applied` for a live :class:`Transaction`."""
-        return self._applied.contains_transaction(transaction)
 
     def dedup_entries(self) -> int:
         """Dedup-index entries currently held (bounded, see module docs)."""

@@ -77,12 +77,15 @@ def execute_case(
     cluster = build_cluster(config, scenario)
     result = run_cluster(cluster, bucket)
     ctx = OracleContext(cluster=cluster, result=result, case=case)
-    return CaseOutcome(
+    outcome = CaseOutcome(
         case=case,
         record=run.record(result),
         violations=check_invariants(ctx, oracles),
         fingerprint=fingerprint(cluster),
     )
+    # The oracles and the fingerprint have read it; nobody will again.
+    cluster.dismantle()
+    return outcome
 
 
 def audit(

@@ -10,7 +10,7 @@ which avoids cluster-wide duplicate checks (paper §III-E).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable, List, Optional, Set, Tuple
+from typing import Deque, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.types.transaction import Transaction
 
@@ -94,18 +94,24 @@ class Mempool:
             batch.append(tx)
         return tuple(batch)
 
-    def mark_committed(self, transactions: Iterable[Transaction]) -> None:
-        """Forget transactions that have been committed (garbage collection)."""
-        proposed = self._proposed_ids
+    def mark_committed(self, transactions: Sequence[Transaction]) -> None:
+        """Forget a committed block's transactions (garbage collection).
+
+        Set algebra over the block's ids: a replica proposed 1/n of a block
+        and almost never still queues any of it, so the per-transaction loop
+        runs only for a block that hits the queue.
+        """
+        txids = [tx.txid for tx in transactions]
+        self._proposed_ids.difference_update(txids)
         pending = self._pending_ids
+        if pending.isdisjoint(txids):
+            return
         queue = self._queue
         for tx in transactions:
-            txid = tx.txid
-            proposed.discard(txid)
-            if txid in pending:
+            if tx.txid in pending:
                 # Committed via another replica's proposal while still queued
                 # locally; drop the local copy to avoid proposing a duplicate.
-                pending.discard(txid)
+                pending.discard(tx.txid)
                 try:
                     queue.remove(tx)
                 except ValueError:

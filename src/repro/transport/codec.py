@@ -185,25 +185,6 @@ def _record(cls: type, head: Tuple[str, ...] = ()) -> Tuple[Callable, Callable]:
     return _NAMESPACE[enc_name], _NAMESPACE[dec_name]
 
 
-_new_transaction = _record(Transaction)[1]
-
-
-def _dec_transaction(data: List[Any]) -> Transaction:
-    transaction = _new_transaction(data)
-    txid, client_id, sequence = transaction.txid, transaction.client_id, transaction.sequence
-    # Seed the cached_property as ``Transaction.create`` does: every decoded
-    # copy is a new object, and its first lazy lookup would otherwise take
-    # ``cached_property``'s locked slow path once per copy.
-    transaction.__dict__["canonical_session"] = (
-        (client_id, sequence) if txid == f"tx-{client_id}-{sequence}" else None
-    )
-    return transaction
-
-
-# The one special case: generated source reads a transaction through the
-# seeding wrapper (it looks the name up when it runs).
-_NAMESPACE["dec_Transaction"] = _dec_transaction
-
 _TO_BODY: Dict[type, Callable[[Any], List[Any]]] = {}
 _FROM_BODY: Dict[str, Callable[..., Message]] = {}
 for _kind in WIRE_KINDS:

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
-from typing import Optional, Tuple
+from typing import Optional
 
 _COUNTER = itertools.count()
 
@@ -18,17 +17,26 @@ class Transaction:
     the NIC/bandwidth model but its contents are irrelevant, so no actual
     byte string is materialized.
 
-    A plain class rather than a frozen dataclass: transactions are created
-    on the client hot path (one per request), and the frozen-dataclass
-    ``object.__setattr__`` per field costs several times a direct slot
-    write.  Treat instances as immutable all the same — they are shared
-    between the mempool, blocks, and every replica that applies them.
+    A plain slotted class rather than a frozen dataclass: transactions are
+    created on the client hot path (one per request), and the
+    frozen-dataclass ``object.__setattr__`` per field costs several times a
+    direct slot write.  Slots also mean an instance is one object to the
+    cyclic collector, with no ``__dict__`` beside it.  Treat instances as
+    immutable all the same — they are shared between the mempool, blocks,
+    and every replica that applies them.
+
+    ``canonical_session`` is ``(client_id, sequence)`` when the txid has the
+    canonical ``tx-<client>-<seq>`` shape, else ``None`` (hand-built ids,
+    which take the dedup index's string paths).  It is derived once, here,
+    for every way a transaction comes to exist — ``create``, the wire codec,
+    a test — so no replica that applies the object re-parses its id.
     """
 
     _fields = (
         "txid", "client_id", "operation", "key", "value",
         "payload_size", "created_at", "sequence",
     )
+    __slots__ = _fields + ("canonical_session",)
 
     def __init__(
         self,
@@ -48,7 +56,10 @@ class Transaction:
         self.value = value
         self.payload_size = payload_size
         self.created_at = created_at
-        self.sequence = next(_COUNTER) if sequence is None else sequence
+        self.sequence = sequence = next(_COUNTER) if sequence is None else sequence
+        self.canonical_session = (
+            (client_id, sequence) if txid == f"tx-{client_id}-{sequence}" else None
+        )
 
     @classmethod
     def create(
@@ -70,9 +81,8 @@ class Transaction:
         """
         if sequence is None:
             sequence = next(_COUNTER)
-        txid = f"tx-{client_id}-{sequence}"
-        transaction = cls(
-            txid=txid,
+        return cls(
+            txid=f"tx-{client_id}-{sequence}",
             client_id=client_id,
             operation=operation,
             key=key if key is not None else f"k{sequence % 1024}",
@@ -81,23 +91,6 @@ class Transaction:
             created_at=created_at,
             sequence=sequence,
         )
-        # Ids built here are canonical by construction: pre-seed the
-        # cached_property so no consumer pays the lazy f-string check.
-        transaction.__dict__["canonical_session"] = (client_id, sequence)
-        return transaction
-
-    @cached_property
-    def canonical_session(self) -> Optional[Tuple[str, int]]:
-        """``(client_id, sequence)`` when the txid has the canonical shape.
-
-        Computed once per object (each transaction is shared across every
-        replica that applies it), letting the dedup index skip re-parsing
-        the txid string.  ``None`` for hand-built ids that do not match
-        ``tx-<client>-<seq>`` — those fall back to the string paths.
-        """
-        if self.txid == f"tx-{self.client_id}-{self.sequence}":
-            return (self.client_id, self.sequence)
-        return None
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Transaction:

@@ -1,6 +1,7 @@
 """Unit tests for the benchmark facilities: config, profiles, metrics, runner, load sweeps."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -10,6 +11,8 @@ from repro.bench.metrics import MetricsCollector
 from repro.bench.profiles import available_profiles, cost_profile
 from repro.bench.runner import build_cluster, run_cluster, run_experiment
 from repro.core.byzantine import ForkingReplica, SilentReplica
+from repro.executor.kvstore import KeyValueStore
+from repro.mempool.mempool import Mempool
 from repro.experiments.cli import main as cli_main
 from repro.experiments.paper import Rows
 from repro.obs.trace import CHECKPOINT, CLIENT, COMMIT, FAULT, SYNC
@@ -311,3 +314,36 @@ class TestWorkPerTransaction:
         assert committed > 0
         assert cluster.scheduler.processed_events / committed <= events_per_tx * 1.02
         assert cluster.network.stats.messages_sent / committed <= messages_per_tx * 1.02
+
+    @pytest.mark.parametrize(
+        "config",
+        [case[0] for case in
+         test_events_and_messages_per_committed_transaction.pytestmark[0].args[1]],
+        ids=test_events_and_messages_per_committed_transaction.pytestmark[0].kwargs["ids"])
+    def test_one_executor_call_per_committed_block_per_replica(self, config, monkeypatch):
+        """Exactly one executor call and one mempool call, on every replica:
+        the commit path hands over a block, so a per-transaction loop of calls
+        cannot come back unnoticed (it was ~400 ``apply`` calls a block here)."""
+        calls = Counter()
+
+        def count(cls, name):
+            original = getattr(cls, name)
+
+            def counted(instance, *args):
+                calls[id(instance), name] += 1
+                return original(instance, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        count(KeyValueStore, "apply_batch")
+        count(KeyValueStore, "apply")
+        count(Mempool, "mark_committed")
+        cluster = build_cluster(config)
+        result = run_cluster(cluster)
+        assert result.metrics.committed_transactions > 0
+        for replica in cluster.replicas.values():
+            blocks = replica.stats.blocks_committed
+            assert blocks > 30
+            assert calls[id(replica.kvstore), "apply_batch"] == blocks
+            assert calls[id(replica.kvstore), "apply"] == 0
+            assert calls[id(replica.mempool), "mark_committed"] == blocks

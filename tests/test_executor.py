@@ -1,6 +1,7 @@
 """Unit tests for the key-value execution layer."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.executor.kvstore import KeyValueStore
 from repro.types.transaction import Transaction
@@ -156,3 +157,106 @@ class TestBoundedDedup:
     def test_window_must_be_sane(self):
         with pytest.raises(ValueError):
             KeyValueStore(dedup_window=1)
+
+
+# --------------------------------------------------------------------------
+# the per-block commit call
+
+
+_CLIENTS = ("c0", "c1")
+_KEYS = ("a", "b", "c")
+
+
+@st.composite
+def _transactions(draw):
+    """A transaction that collides with its neighbours in every way a block's can."""
+    client = draw(st.sampled_from(_CLIENTS))
+    seq = draw(st.integers(0, 12))
+    shape = draw(st.sampled_from(("canonical", "parsed", "hand-built")))
+    if shape == "canonical":  # what a client builds: session read off the object
+        txid = f"tx-{client}-{seq}"
+    elif shape == "parsed":   # same id, another sequence: session parsed from the string
+        txid, seq = f"tx-{client}-{seq}", seq + 100
+    else:                     # the bounded FIFO of raw ids
+        txid = f"odd-{seq % 6}"
+    return Transaction(
+        txid=txid, client_id=client, sequence=seq,
+        operation=draw(st.sampled_from(("put", "put", "get", "delete", "frob"))),
+        key=draw(st.sampled_from(_KEYS)), value=f"v{draw(st.integers(0, 3))}",
+    )
+
+
+def _apply_one_by_one(store, batch):
+    """The loop ``Replica._commit`` ran before the batch call: one ``apply`` each."""
+    result, invalid = None, 0
+    for transaction in batch:
+        try:
+            result = store.apply(transaction)
+        except ValueError:
+            result, invalid = None, invalid + 1
+    return result, invalid
+
+
+class TestApplyBatch:
+    @settings(max_examples=200, deadline=None)
+    @given(batches=st.lists(st.lists(_transactions(), max_size=12), max_size=5))
+    def test_batch_equals_a_loop_of_single_applies(self, batches):
+        # Window 4: sessions overflow (and the raw-id FIFO evicts) mid-batch.
+        batched, looped = KeyValueStore(dedup_window=4), KeyValueStore(dedup_window=4)
+        invalid = 0
+        for batch in batches:
+            last_read = batched.apply_batch(batch)
+            expected_read, skipped = _apply_one_by_one(looped, batch)
+            invalid += skipped
+            assert last_read == expected_read
+            assert batched.snapshot() == looped.snapshot()
+            assert batched.operations_applied == looped.operations_applied
+            assert batched.dedup_entries() == looped.dedup_entries()
+        assert batched.operations_invalid == invalid
+        assert looped.operations_invalid == 0  # apply refuses before counting anything
+
+    def test_forked_block_committed_after_the_main_chain_changes_nothing(self):
+        store = KeyValueStore()
+        main = [Transaction.create("c0", 0.0, key="a", value=f"v{i}", sequence=i) for i in range(4)]
+        store.apply_batch(main)
+        before = store.snapshot()
+        # The fork carried two of the same requests plus an overwrite of its own.
+        fork = [main[1], Transaction.create("c1", 0.0, key="a", value="fork", sequence=0), main[3]]
+        store.apply_batch(fork)
+        assert store.operations_applied == before.operations_applied + 1
+        assert store.get("a") == "fork"
+        store.apply_batch(fork)
+        assert store.operations_applied == before.operations_applied + 1
+
+    def test_window_overflow_inside_a_batch(self):
+        store = KeyValueStore(dedup_window=4)
+        batch = [Transaction.create("c0", 0.0, key=f"k{i}", sequence=i) for i in range(7)]
+        store.apply_batch(batch + batch[:2])
+        # The fifth add halved the window: floor 2, then 3..6 tracked exactly;
+        # the two repeats fall at or below the floor.
+        assert store.snapshot().dedup.sessions == (("c0", 2, (3, 4, 5, 6)),)
+        assert store.operations_applied == 7
+
+    def test_unknown_operation_is_a_counted_no_op_in_a_block(self):
+        store = KeyValueStore()
+        odd = Transaction.create("c0", 0.0, operation="frob", key="a", sequence=1)
+        store.apply_batch([tx(key="a", value="1"), odd, odd])
+        assert store.operations_invalid == 2
+        assert store.operations_applied == 1
+        assert not store.was_applied(odd.txid)
+        assert store.get("a") == "1"
+
+    def test_single_apply_refuses_an_unknown_operation_before_recording_it(self):
+        store = KeyValueStore()
+        odd = Transaction.create("c0", 0.0, operation="frob", sequence=1)
+        with pytest.raises(ValueError):
+            store.apply(odd)
+        assert not store.was_applied(odd.txid)
+        assert store.operations_applied == 0 and store.operations_invalid == 0
+
+    def test_returns_what_the_last_transaction_read(self):
+        store = KeyValueStore()
+        read = tx(operation="get", key="a")
+        assert store.apply_batch([tx(key="a", value="1"), read]) == "1"
+        assert store.apply_batch([read]) is None  # a repeat takes no effect
+        assert store.apply_batch([tx(operation="get", key="a"), tx(key="b")]) is None

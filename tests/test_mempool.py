@@ -1,8 +1,10 @@
 """Unit tests for the mempool."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.mempool.mempool import Mempool
+from repro.types.transaction import Transaction
 
 from helpers import make_transactions
 
@@ -154,3 +156,59 @@ class TestCommitted:
         pool.requeue_front(batch)
         assert pool.total_added == 2
         assert pool.total_requeued == 2
+
+
+def _mark_committed_per_transaction(pool, transactions):
+    """``Mempool.mark_committed`` as it was before it became set algebra over
+    a block's ids: the reference the per-block version must match."""
+    for tx in transactions:
+        pool._proposed_ids.discard(tx.txid)
+        if tx.txid in pool._pending_ids:
+            pool._pending_ids.discard(tx.txid)
+            try:
+                pool._queue.remove(tx)
+            except ValueError:
+                pass
+
+
+def _state(pool):
+    return pool.snapshot_ids(), sorted(pool._pending_ids), sorted(pool._proposed_ids)
+
+
+class TestMarkCommittedPerBlock:
+    UNIVERSE = [Transaction.create("c0", 0.0, sequence=i) for i in range(10)]
+    # Same ids on other objects: an equal copy (what a decoded frame is) and
+    # one that differs in a field (``queue.remove`` does not find it).
+    COPIES = [Transaction.create("c0", 0.0, sequence=i) for i in range(10)]
+    ALTERED = [Transaction.create("c0", 0.0, sequence=i, value="other") for i in range(10)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        added=st.lists(st.sampled_from(UNIVERSE), max_size=10),
+        proposed=st.integers(0, 6),
+        # Duplicates inside the block, ids the pool never saw, ids it queues,
+        # ids it proposed.
+        block=st.lists(st.sampled_from(UNIVERSE + COPIES + ALTERED), max_size=12),
+        forked=st.lists(st.sampled_from(UNIVERSE), max_size=6),
+    )
+    def test_matches_the_per_transaction_loop(self, added, proposed, block, forked):
+        actual, reference = Mempool(capacity=20), Mempool(capacity=20)
+        for pool in (actual, reference):
+            for tx in added:
+                pool.add(tx)
+            pool.next_batch(proposed)
+        actual.mark_committed(block)
+        _mark_committed_per_transaction(reference, block)
+        assert _state(actual) == _state(reference)
+        # What is left behaves the same: recycled fork transactions go in front.
+        assert actual.requeue_front(forked) == reference.requeue_front(forked)
+        assert _state(actual) == _state(reference)
+        assert actual.next_batch(20) == reference.next_batch(20)
+
+    def test_block_that_misses_the_queue_leaves_it_alone(self):
+        pool = Mempool()
+        mine, theirs = make_transactions(3), make_transactions(4)
+        for tx in mine:
+            pool.add(tx)
+        pool.mark_committed(theirs)
+        assert pool.snapshot_ids() == [tx.txid for tx in mine]

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.bench.config import Configuration
+from repro.bench.runner import build_cluster, run_cluster
 from repro.core.byzantine import ForkingReplica, SilentReplica, make_replica
 from repro.core.replica import Replica, ReplicaSettings
 from repro.crypto.keys import KeyRegistry
@@ -10,7 +12,7 @@ from repro.network.delays import FixedDelay
 from repro.network.network import Network
 from repro.sim.events import EventScheduler
 from repro.sim.random import RandomStreams
-from repro.types.messages import ClientRequest
+from repro.types.messages import ClientReply, ClientRequest
 from repro.types.sizes import SizeModel
 from repro.types.transaction import Transaction
 
@@ -262,3 +264,108 @@ class TestSettings:
             if not v.block.is_genesis
         ]
         assert max(sizes) <= 2
+
+
+def record_replies(network):
+    """Every ``ClientReply`` the fabric is asked to carry, in send order."""
+    replies = []
+    send = network.send
+
+    def spy(src, dst, message):
+        if isinstance(message, ClientReply):
+            replies.append((src, message.txid, message.status))
+        send(src, dst, message)
+
+    network.send = spy
+    return replies
+
+
+def request(network, replica_id, transaction):
+    network.send(transaction.client_id, replica_id, ClientRequest(
+        sender=transaction.client_id, size_bytes=SizeModel().client_request_size(0),
+        transaction=transaction))
+
+
+class TestCommitPathPerBlock:
+    def test_replies_are_those_of_the_per_transaction_loop_in_block_order(self):
+        """r0 receives most requests (whole blocks are its own), r1 a few
+        (some of a block), r2 one that r0 also got, r3 none: each sends one
+        ``committed`` reply per request it received, in the order its
+        committed chain lists them."""
+        scheduler, network, replicas = build_mini_cluster(block_size=10, view_timeout=1.0)
+        replies = record_replies(network)
+        network.register("c0", lambda m: None)
+        txs = [Transaction.create("c0", created_at=0.0, sequence=i) for i in range(40)]
+        received = {"r0": txs[:30], "r1": txs[30:], "r2": [txs[3]], "r3": []}
+        for replica in replicas.values():
+            replica.start()
+        for replica_id, batch in received.items():
+            for transaction in batch:
+                request(network, replica_id, transaction)
+        scheduler.run_until(1.0)
+        for replica_id, replica in replicas.items():
+            mine = {tx.txid for tx in received[replica_id]}
+            expected = []
+            for block_id in replica.forest.committed_chain:
+                for transaction in replica.forest.get_block(block_id).transactions:
+                    if transaction.txid in mine:
+                        mine.discard(transaction.txid)
+                        expected.append((replica_id, transaction.txid, "committed"))
+            assert not mine, "a request was never committed: lengthen the run"
+            assert [reply for reply in replies if reply[0] == replica_id] == expected
+        assert len(replies) == 41
+
+
+class TestUnknownOperation:
+    """Nothing else validates ``Transaction.operation``: the codec only knows
+    it is a string."""
+
+    def test_refused_at_admission(self):
+        scheduler, network, replicas = build_mini_cluster()
+        replies = record_replies(network)
+        network.register("c0", lambda m: None)
+        for replica in replicas.values():
+            replica.start()
+        odd = Transaction.create("c0", created_at=0.0, operation="frob")
+        request(network, "r1", odd)
+        accepted = submit_transactions(scheduler, network, "r1", 3)
+        scheduler.run_until(0.5)
+        assert replies[0] == ("r1", odd.txid, "rejected")
+        assert replicas["r1"].stats.client_rejections == 1
+        committed = replicas["r0"].forest.committed_transactions()
+        assert odd.txid not in committed
+        assert {tx.txid for tx in accepted} <= set(committed)
+        assert all(r.kvstore.operations_invalid == 0 for r in replicas.values())
+
+    def test_in_a_block_it_is_a_counted_no_op_on_every_replica(self):
+        scheduler, network, replicas = build_mini_cluster()
+        for replica in replicas.values():
+            replica.start()
+        # A Byzantine leader batches what it likes: straight into its mempool.
+        odd = Transaction.create("c0", created_at=0.0, operation="frob", key="a")
+        replicas["r1"].mempool.add(Transaction.create("c0", created_at=0.0, key="a", value="1"))
+        replicas["r1"].mempool.add(odd)
+        submit_transactions(scheduler, network, "r2", 4)
+        scheduler.run_until(0.5)  # raised ValueError out of _commit before
+        assert odd.txid in replicas["r0"].forest.committed_transactions()
+        states = [replica.kvstore.snapshot() for replica in replicas.values()]
+        assert all(state == states[0] for state in states)
+        assert states[0].operations_applied == 5
+        assert [r.kvstore.operations_invalid for r in replicas.values()] == [1, 1, 1, 1]
+        assert all(not r.kvstore.was_applied(odd.txid) for r in replicas.values())
+        assert all(r.kvstore.get("a") == "1" for r in replicas.values())
+        assert all(r.stats.safety_violations == 0 for r in replicas.values())
+
+    def test_a_configured_run_survives_the_request(self):
+        cluster = build_cluster(Configuration(
+            block_size=20, concurrency=5, num_clients=1, cost_profile="fast",
+            view_timeout=0.05, runtime=0.5, warmup=0.1, cooldown=0.1))
+        odd = Transaction.create("c0", created_at=0.0, operation="frob")
+        cluster.network.send("c0", "r1", ClientRequest(sender="c0", size_bytes=100, transaction=odd))
+        result = run_cluster(cluster)
+        assert result.consistent
+        assert result.metrics.committed_transactions > 0
+        assert cluster.replicas["r1"].stats.client_rejections == 1
+        stores = [replica.kvstore for replica in cluster.honest_replicas()]
+        assert len({store.operations_applied for store in stores}) == 1
+        assert len({store.snapshot().dedup for store in stores}) == 1

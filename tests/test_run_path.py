@@ -8,9 +8,11 @@ four record literals into ``run_experiment`` / ``ExperimentResult`` /
 (that is how it was captured; it uses only names both commits have).
 """
 
+import gc
 import hashlib
 import json
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -156,6 +158,59 @@ class TestOneResultType:
         for window in [(0.0, 0.3), (0.3, 0.6), (0.6, 1.0), (5.0, 6.0)]:
             assert result.mean_throughput(*window) == timeline_mean(result.timeline, *window)
         assert result.mean_throughput(0.0, 0.3) > 0
+
+
+class TestAFinishedRunIsFreedByReferenceCounting:
+    """``api.run`` and ``api.audit`` build a cluster, run it and drop it: they
+    cut its cycles first, so nothing of the run waits for a full pass of the
+    cyclic collector (19 947 objects did, 4 572 of them transactions, before
+    ``Cluster.dismantle``)."""
+
+    @staticmethod
+    def unreachable_after(call):
+        """What only the cyclic collector can reclaim once ``call`` returned."""
+        call()  # lazy imports and first-use caches are not the run's garbage
+        gc.collect()
+        gc.disable()
+        try:
+            outcome = call()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            return outcome, Counter(type(obj).__name__ for obj in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+
+    @pytest.mark.parametrize("scenario", [None, AUDIT_SCENARIO], ids=["plain", "scenario"])
+    def test_api_run(self, scenario):
+        result, left = self.unreachable_after(lambda: api.run(AUDIT_CONFIG, scenario))
+        assert result.metrics.committed_transactions > 100
+        assert sum(left.values()) < 1000, left.most_common(5)
+        assert not {"Transaction", "Block", "Vertex"} & set(left)
+
+    def test_api_audit(self):
+        outcome, left = self.unreachable_after(lambda: api.audit(AUDIT_CONFIG, AUDIT_SCENARIO))
+        assert outcome.ok and outcome.fingerprint
+        assert sum(left.values()) < 1000, left.most_common(5)
+        assert not {"Transaction", "Block", "Vertex"} & set(left)
+
+    def test_a_kept_cluster_is_left_whole(self):
+        """Teardown happens only where the cluster is dropped: what
+        ``api.build`` hands out is the caller's to start, run and read."""
+        cluster = api.build(AUDIT_CONFIG, AUDIT_SCENARIO)
+        cluster.start()
+        cluster.run()
+        assert cluster.consistency_check()
+        for replica in cluster.replicas.values():
+            assert replica.forest.committed_height > 10
+            assert replica.kvstore.operations_applied > 100
+            assert replica.stats.blocks_committed == replica.forest.committed_height
+            assert len(replica.mempool) >= 0 and replica.pacemaker.current_view > 10
+        assert cluster.scheduler.processed_events > 1000
+        assert cluster.network.stats.messages_delivered > 1000
+        assert sum(client.replies_committed for client in cluster.clients) > 100
+        assert cluster.metrics.summarize().committed_transactions > 100
 
 
 if __name__ == "__main__":

@@ -515,11 +515,16 @@ class TestCodec:
         assert wire == json.dumps(json.loads(wire), separators=(",", ":")).encode("utf-8")
 
     def test_decoded_transaction_has_its_session_seeded(self):
+        # Every decoded copy is a new object; the constructor the generated
+        # decoder calls derives the session, and nothing is stored beside the
+        # slots.
         decoded = _round_trip(ClientRequest(sender="c0", size_bytes=140, transaction=self.tx))
-        assert decoded.transaction.__dict__["canonical_session"] == self.tx.canonical_session
+        assert decoded.transaction.canonical_session == self.tx.canonical_session
+        assert decoded.transaction.canonical_session == (self.tx.client_id, self.tx.sequence)
+        assert not hasattr(decoded.transaction, "__dict__")
         odd = Transaction(txid="hand-built", client_id="c0", sequence=5)
         decoded = _round_trip(ClientRequest(sender="c0", size_bytes=140, transaction=odd))
-        assert decoded.transaction.__dict__["canonical_session"] is None
+        assert decoded.transaction.canonical_session is None
         assert odd.canonical_session is None
 
 
@@ -1395,6 +1400,32 @@ class TestDeployment:
             asyncio.run(scenario())
         # Not the 30.5 s horizon: the first raising handler ends the wait.
         assert time.monotonic() - started < 2.0
+
+    def test_a_request_naming_an_unknown_operation_is_refused_not_fatal(self):
+        """The codec only knows ``operation`` is a string; the replica it
+        reaches refuses it, where the executor used to raise inside ``_commit``
+        on every replica and the first handler error fails a deployment."""
+
+        async def scenario():
+            runner = DeploymentRunner(_deploy_config(
+                signing="hmac", warmup=0.1, runtime=0.6, cooldown=0.1))
+            await runner.start()
+            try:
+                odd = Transaction.create("c0", created_at=0.0, operation="frob")
+                runner.transport.send(
+                    "c0", "r1", ClientRequest(sender="c0", size_bytes=140, transaction=odd))
+                await runner.run()
+            finally:
+                await runner.stop()
+            return runner
+
+        runner = asyncio.run(scenario())
+        assert runner.transport.errors == []
+        assert runner.transport.stats.decode_errors == 0
+        assert runner.replicas["r1"].stats.client_rejections == 1
+        assert runner.consistency_check()
+        assert runner.replicas[runner.observer_id].forest.committed_height > 10
+        assert all(r.kvstore.operations_invalid == 0 for r in runner.replicas.values())
 
     def test_no_loop_timer_is_armed_for_a_cpu_charge(self):
         """``measured`` charges nothing, so every CPU-queue completion is a

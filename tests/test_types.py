@@ -36,6 +36,29 @@ class TestTransaction:
         tx = Transaction.create("c0", created_at=0.0)
         assert hash(tx) == hash(tx.txid)
 
+    def test_instances_are_slots_only(self):
+        # One object to the cyclic collector per transaction, not two: no
+        # ``__dict__`` beside the slots, however the instance was built.
+        built = Transaction.create("c0", created_at=0.0, sequence=4)
+        by_hand = Transaction(txid="hand-built", client_id="c0")
+        for tx in (built, by_hand):
+            assert not hasattr(tx, "__dict__")
+            with pytest.raises(AttributeError):
+                tx.note = "no room for this"
+        assert set(Transaction.__slots__) == {*Transaction._fields, "canonical_session"}
+
+    def test_canonical_session_is_derived_at_construction(self):
+        assert Transaction.create("c7", 0.0, sequence=12).canonical_session == ("c7", 12)
+        # The process-wide counter behind ``create`` without a sequence.
+        counted = Transaction.create("c0", created_at=0.0)
+        assert counted.canonical_session == ("c0", counted.sequence)
+        assert counted.txid == f"tx-c0-{counted.sequence}"
+        # Hand-built: canonical only if the id is what create would have made.
+        assert Transaction(txid="tx-c0-5", client_id="c0", sequence=5).canonical_session == ("c0", 5)
+        assert Transaction(txid="tx-c0-5", client_id="c0", sequence=6).canonical_session is None
+        assert Transaction(txid="tx-c0-5", client_id="c1", sequence=5).canonical_session is None
+        assert Transaction(txid="hand-built", client_id="c0", sequence=5).canonical_session is None
+
 
 class TestGenesis:
     def test_genesis_has_height_zero_and_no_parent(self):

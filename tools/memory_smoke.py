@@ -24,18 +24,30 @@ Runs a 60-second-simulated-time experiment twice — checkpointing off and on
   outcome or per observer block, which is what the metrics are computed
   from — and no other container (nothing keyed by view).
 
+Before either long run (``ru_maxrss`` is a high-water mark), a first stage
+runs one 2-second point eight times back to back through ``api.run`` with the
+cyclic collector disabled, and asserts that the process holds as many
+GC-tracked objects, and has touched as much memory, after run 8 as after
+run 2: a dropped cluster is freed by reference counting
+(``Cluster.dismantle``), so a new reference cycle through a run's heap — or a
+per-transaction ``__dict__`` — shows up here as growth per run.
+
 Exits non-zero on any violation.  CI runs this as the ``memory-smoke`` job;
 run it locally with ``python tools/memory_smoke.py``.
 """
 
 from __future__ import annotations
 
+import gc
+import resource
 import sys
 import time
 from pathlib import Path
+from typing import List
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro import api  # noqa: E402
 from repro.bench.config import Configuration  # noqa: E402
 from repro.bench.runner import build_cluster  # noqa: E402
 from repro.core.replica import ORIGIN_INDEX_CAPACITY  # noqa: E402
@@ -59,6 +71,11 @@ TRACKER_BOUND = 64
 #: timers stay until they outnumber the rest, and never under the 64 entries
 #: below which the scheduler does not compact.
 HEAP_BOUND = 64
+
+#: Back-to-back stage: runs of the same point, and how far run 8 may sit
+#: above run 2 (run 1 still loads modules and fills first-use caches).
+BACK_TO_BACK_RUNS = 8
+BACK_TO_BACK_TOLERANCE = 0.05
 
 #: The only containers the collector may hold: its raw samples.
 COLLECTOR_SAMPLES = {
@@ -107,14 +124,54 @@ def run_once(checkpoint_interval: int):
     return cluster, wall
 
 
+def back_to_back() -> List[str]:
+    """Run one 2-s point eight times with the collector off; flat or a failure."""
+    config = dict(
+        num_nodes=4, block_size=400, concurrency=200, num_clients=2, payload_size=128,
+        cost_profile="standard", view_timeout=0.5, request_timeout=5.0,
+        mempool_capacity=4000, seed=9, warmup=0.0, runtime=2.0, cooldown=0.0,
+    )
+    readings = []
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(BACK_TO_BACK_RUNS):
+            committed = api.run(config).metrics.committed_transactions
+            readings.append((
+                len(gc.get_objects()),
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+            ))
+    finally:
+        gc.enable()
+    (objects_2, rss_2), (objects_8, rss_8) = readings[1], readings[-1]
+    print(
+        f"  back to back, collector off, {committed} transactions a run: "
+        f"GC-tracked objects {objects_2} after run 2, {objects_8} after run "
+        f"{BACK_TO_BACK_RUNS}; ru_maxrss {rss_2:.1f} MB, {rss_8:.1f} MB"
+    )
+    failures = []
+    if committed < 1000:
+        failures.append(f"back-to-back point committed only {committed} transactions")
+    for what, early, late in (("GC-tracked objects", objects_2, objects_8),
+                              ("ru_maxrss (MB)", rss_2, rss_8)):
+        if late > early * (1 + BACK_TO_BACK_TOLERANCE):
+            failures.append(
+                f"{what} grew from {early:.0f} after run 2 to {late:.0f} after run "
+                f"{BACK_TO_BACK_RUNS} with the cyclic collector off: something a "
+                "finished run allocates is only reclaimable by a collection "
+                "(a new reference cycle, or an object that outlives Cluster.dismantle)"
+            )
+    return failures
+
+
 def main() -> int:
     print(f"memory smoke: {HORIZON:.0f}s simulated, checkpoint_interval={INTERVAL}")
+    failures = back_to_back()
     baseline, base_wall = run_once(0)
     print(f"  baseline run (checkpointing off): {base_wall:.1f}s wall")
     checked, ck_wall = run_once(INTERVAL)
     print(f"  checkpointed run:                 {ck_wall:.1f}s wall")
 
-    failures = []
     base_metrics = baseline.metrics.summarize()
     ck_metrics = checked.metrics.summarize()
     for field in COMMITTED_FIELDS:
@@ -239,8 +296,8 @@ def main() -> int:
         for failure in failures:
             print(f"  - {failure}")
         return 1
-    print("OK: forests bounded, reply routing bounded, committed metrics "
-          "bit-identical, heap compact")
+    print("OK: back-to-back runs flat, forests bounded, reply routing bounded, "
+          "committed metrics bit-identical, heap compact")
     return 0
 
 
