@@ -90,8 +90,9 @@ class ForkingReplica(Replica):
 
     def _proposal_plan(self) -> Optional[ProposalPlan]:
         honest_plan = self.safety.choose_extension()
-        depth = self._fork_depth()
+        depth = self.safety.lock_depth
         if depth <= 0:
+            # No lock (Streamlet), so no acceptable target below the tip.
             return honest_plan
         # Honest replicas have seen certificates only up to the highest QC
         # that was embedded in a disseminated proposal; their lock trails it
@@ -111,14 +112,6 @@ class ForkingReplica(Replica):
             return honest_plan
         self.forks_attempted += 1
         return ProposalPlan(parent_id=target.block_id, qc=target.qc)
-
-    def _fork_depth(self) -> int:
-        """How many uncommitted blocks the attacker can overwrite."""
-        if self.safety.votes_broadcast and self.safety.protocol_name == "streamlet":
-            # Honest replicas only vote for extensions of the longest
-            # notarized chain, so no fork target deeper than the tip exists.
-            return 0
-        return self.safety.commit_rule_depth - 1
 
 
 @register_strategy("equivocate", "equivocating", "equiv")

@@ -17,8 +17,6 @@ Entry points:
 
 from repro.fuzz.generator import (
     EPISODE_KINDS,
-    PROTOCOL_CYCLE,
-    STRATEGY_POOL,
     FuzzCase,
     generate_case,
     generate_cases,
@@ -49,8 +47,6 @@ __all__ = [
     "FuzzReport",
     "ORACLES",
     "OracleContext",
-    "PROTOCOL_CYCLE",
-    "STRATEGY_POOL",
     "ShrinkResult",
     "Violation",
     "audit",

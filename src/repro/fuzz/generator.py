@@ -3,18 +3,21 @@
 ``generate_case(seed, index)`` draws one :class:`FuzzCase` — an ordinary
 ``Configuration`` plus a :class:`~repro.scenario.Scenario` fault timeline —
 from ``random.Random(f"repro-fuzz:{seed}:{index}")``, so a campaign is a pure
-function of ``(seed, budget)``: the same pair regenerates byte-identical
-cases on any machine, any number of times.  Each case is keyed by the same
-:func:`~repro.experiments.spec.run_key` content hash ordinary campaigns use,
-which is what makes fuzz campaigns resumable through a
+function of ``(seed, budget)`` and the registered protocols and strategies:
+the same pair regenerates byte-identical cases on any machine, any number of
+times, in any process with the same registrations.  Each case is keyed by
+the same :func:`~repro.experiments.spec.run_key` content hash ordinary
+campaigns use, which is what makes fuzz campaigns resumable through a
 :class:`~repro.experiments.store.ResultStore`.
 
 The draws are *bounded by design* so that every generated case is one the
 protocols are supposed to survive — any oracle violation is then a real bug,
 not an over-aggressive schedule:
 
-* the protocol cycles deterministically through all five registered chained
-  protocols (``index % 5``), so any budget >= 5 covers the full matrix;
+* the protocol cycles deterministically through the registered protocols
+  (``available_protocols()[index % len(...)]``, registration order), so any
+  budget at least the number of protocols covers the full matrix — five
+  built-ins, plus whatever the process registered;
 * static Byzantine replicas plus scheduled faults never exceed ``f``
   *concurrently*: fault episodes are laid out sequentially (never
   overlapping), crash sets and partition minorities are capped at
@@ -36,7 +39,9 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.bench.config import Configuration
+from repro.core.byzantine import available_strategies
 from repro.experiments.spec import DEFAULT_BUCKET, RunSpec, run_key
+from repro.protocols.registry import available_protocols
 from repro.scenario import Scenario
 from repro.scenario.events import (
     CrashReplica,
@@ -46,21 +51,6 @@ from repro.scenario.events import (
     ScenarioEvent,
     SetArrivalRate,
     SetByzantine,
-)
-
-#: Deterministic protocol assignment: case ``index`` runs protocol
-#: ``PROTOCOL_CYCLE[index % 5]``, so every budget >= 5 exercises all five.
-PROTOCOL_CYCLE = ("hotstuff", "2chainhs", "streamlet", "fasthotstuff", "lbft")
-
-#: Strategies the generator may assign to static Byzantine replicas or via
-#: ``set-byzantine`` conversions (every registered non-honest strategy).
-STRATEGY_POOL = (
-    "silence",
-    "forking",
-    "equivocate",
-    "delayed-proposal",
-    "omission",
-    "omission-delay",
 )
 
 #: Transient-fault episode kinds the generator schedules (see module doc).
@@ -174,13 +164,19 @@ class FuzzCase:
 def generate_case(seed: int, index: int) -> FuzzCase:
     """Draw case ``index`` of fuzz campaign ``seed`` (pure and deterministic)."""
     rng = random.Random(f"repro-fuzz:{seed}:{index}")
+    # Read from the registries at draw time, so protocols and strategies
+    # registered after import are fuzzed too (and shift which case an index
+    # draws).  Strategies: every registered non-honest one, for static
+    # Byzantine replicas and ``set-byzantine`` conversions alike.
+    protocols = available_protocols()
+    strategy_pool = [name for name in available_strategies() if name != "honest"]
 
-    protocol = PROTOCOL_CYCLE[index % len(PROTOCOL_CYCLE)]
+    protocol = protocols[index % len(protocols)]
     num_nodes = rng.choice((4, 5, 6, 7))
     f = (num_nodes - 1) // 3
     byzantine = rng.choice((0, 0, 1, min(f, rng.randint(1, max(1, f)))))
     byzantine = min(byzantine, f)
-    strategy = rng.choice(STRATEGY_POOL) if byzantine else "silence"
+    strategy = rng.choice(strategy_pool) if byzantine else "silence"
 
     view_timeout = rng.choice((0.05, 0.08, 0.1))
     block_size = rng.choice((10, 20, 50))
@@ -207,7 +203,7 @@ def generate_case(seed: int, index: int) -> FuzzCase:
         cost_profile="fast",
     )
 
-    events, quiet_after, byz_total = _draw_timeline(rng, config)
+    events, quiet_after, byz_total = _draw_timeline(rng, config, strategy_pool)
     # Clients stop at warmup+runtime, so the post-heal commit window the
     # liveness oracle demands must fit inside the offered-load interval.
     grace = max(0.3, 4.0 * view_timeout)
@@ -237,7 +233,7 @@ def generate_cases(seed: int, budget: int, start: int = 0) -> List[FuzzCase]:
     return [generate_case(seed, index) for index in range(start, start + budget)]
 
 
-def _draw_timeline(rng: random.Random, config: Configuration):
+def _draw_timeline(rng: random.Random, config: Configuration, strategy_pool: List[str]):
     """Sequential, non-overlapping fault episodes within the f-bound.
 
     Returns ``(events, quiet_after, permanent_byzantine_total)``.  Episodes
@@ -296,7 +292,7 @@ def _draw_timeline(rng: random.Random, config: Configuration):
             byz_total += 1
             events.append(
                 SetByzantine(
-                    at=start, replica=victim, strategy=rng.choice(STRATEGY_POOL)
+                    at=start, replica=victim, strategy=rng.choice(strategy_pool)
                 )
             )
         else:

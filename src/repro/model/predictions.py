@@ -14,15 +14,20 @@ each term follows the paper:
   NIC serialization on both ends, replica CPU to validate and vote, the
   order-statistic wait t_Q for a quorum of votes, and the next leader's CPU
   to absorb that quorum;
-* ``t_commit`` — 2·t_s for HotStuff's three-chain rule, t_s for two-chain
-  HotStuff and Streamlet (paper §V-D);
+* ``t_commit`` — the protocol's ``commit_lag()`` times t_s: how many more
+  certifications the commit rule waits for after a block's own (2·t_s for a
+  three-chain rule that commits the head, t_s for a two-chain rule or for
+  Streamlet's, which commits the middle of three; paper §V-D);
 * ``w_Q`` — M/D/1 waiting with per-replica block arrival rate λ/(n·N) and
   effective service rate 1/(N·t_s) (paper Eq. 5).
 
-Streamlet's vote broadcasting and message echoing add CPU work that is not
-on the critical path but does consume capacity; the model folds it into the
-effective service time used for both t_s and the queueing term, which is the
-"captured by measured system parameters" treatment the paper describes.
+Broadcast votes (``votes_broadcast``) and message echoing (``echo_messages``)
+add CPU work that is not on the critical path but does consume capacity; the
+model folds it into the effective service time used for both t_s and the
+queueing term, which is the "captured by measured system parameters"
+treatment the paper describes.  Every protocol-specific term is read off the
+registered :class:`~repro.protocols.safety.Safety` class, so a protocol
+registered through ``register_protocol`` has a model too.
 """
 
 from __future__ import annotations
@@ -34,21 +39,9 @@ from typing import Iterable, List, Optional, Tuple
 from repro.crypto.costs import CryptoCostModel
 from repro.model.orderstats import quorum_delay
 from repro.model.queuing import md1_waiting_time
+from repro.protocols.registry import PROTOCOLS, protocol_class
 from repro.quorum.quorum import quorum_size
 from repro.types.sizes import SizeModel
-
-#: t_commit as a multiple of t_s, per protocol (paper §V-C3 and §V-D).
-COMMIT_MULTIPLIER = {
-    "hotstuff": 2.0,
-    "2chainhs": 1.0,
-    "streamlet": 1.0,
-    "fasthotstuff": 1.0,
-    "lbft": 1.0,
-}
-
-#: Protocols whose votes are broadcast and echoed (extra CPU load per view).
-_BROADCAST_PROTOCOLS = {"streamlet"}
-_VOTE_BROADCAST_ONLY = {"lbft"}
 
 
 @dataclass
@@ -107,12 +100,10 @@ class AnalyticalModel:
     """Latency/throughput predictions for one protocol and parameter set."""
 
     def __init__(self, protocol: str, params: ModelParameters) -> None:
-        key = protocol.lower().replace("-", "").replace("_", "")
-        aliases = {"hs": "hotstuff", "2chs": "2chainhs", "twochain": "2chainhs", "sl": "streamlet", "fhs": "fasthotstuff"}
-        key = aliases.get(key, key)
-        if key not in COMMIT_MULTIPLIER:
-            raise ValueError(f"no analytical model for protocol {protocol!r}")
-        self.protocol = key
+        #: The registered Safety class whose traits the terms read; an
+        #: unknown name raises ``RegistryError`` (a ``ValueError``).
+        self.traits = protocol_class(protocol)
+        self.protocol = PROTOCOLS.canonical(protocol)
         self.params = params
 
     # ------------------------------------------------------------------
@@ -146,13 +137,13 @@ class AnalyticalModel:
         p = self.params
         n = p.num_nodes
         block_fill = p.block_size if batch_size is None else batch_size
-        if self.protocol in _BROADCAST_PROTOCOLS:
+        if self.traits.echo_messages:
             # Every replica verifies the other replicas' broadcast votes plus
             # one echo of each vote and each proposal it did not originate.
             extra_votes = (n - 1) + (n - 1) * (n - 2)
             extra_proposals = n - 2
             return extra_votes * p.costs.vote_verify_cost() + extra_proposals * p.costs.proposal_verify_cost(block_fill)
-        if self.protocol in _VOTE_BROADCAST_ONLY:
+        if self.traits.votes_broadcast:
             return (n - 1) * p.costs.vote_verify_cost()
         return 0.0
 
@@ -205,7 +196,7 @@ class AnalyticalModel:
 
     def commit_time(self) -> float:
         """t_commit: how long a certified block waits for the commit rule."""
-        return COMMIT_MULTIPLIER[self.protocol] * self.service_time()
+        return self.traits.commit_lag() * self.service_time()
 
     # ------------------------------------------------------------------
     # queueing and end-to-end latency
@@ -246,7 +237,7 @@ class AnalyticalModel:
             return float("inf")
         fill = self.expected_batch_size(arrival_rate) if arrival_rate > 0 else 1
         effective_ts = self.service_time(fill)
-        commit = COMMIT_MULTIPLIER[self.protocol] * effective_ts
+        commit = self.traits.commit_lag() * effective_ts
         return self.client_round_trip() + effective_ts + commit + waiting
 
     def predict_curve(self, arrival_rates: Iterable[float]) -> List[Tuple[float, float]]:

@@ -68,7 +68,6 @@ class Pacemaker:
         view_timeout: float,
         on_view_start: Callable[[int, ViewChangeReason], None],
         on_local_timeout: Callable[[int], None],
-        timeout_provider: Optional[Callable[[int], float]] = None,
         events: Optional[obs_trace.EventStream] = None,
     ) -> None:
         """Create a pacemaker.
@@ -76,7 +75,7 @@ class Pacemaker:
         Parameters
         ----------
         view_timeout:
-            Base waiting time before a view is declared stuck (Table I's
+            Waiting time before a view is declared stuck (Table I's
             ``timeout``, default 100 ms).
         on_view_start:
             Called whenever a new view begins, with the view number and the
@@ -84,10 +83,6 @@ class Pacemaker:
         on_local_timeout:
             Called when the local timer for the current view expires; the
             replica broadcasts its TIMEOUT message from this callback.
-        timeout_provider:
-            Optional function ``consecutive_timeouts -> seconds`` used to
-            grow the timeout under repeated failures (exponential backoff
-            ablation); defaults to the constant ``view_timeout``.
         events:
             The cluster's event stream (view entries, timeouts, TCs).
         """
@@ -99,7 +94,6 @@ class Pacemaker:
         self.view_timeout = view_timeout
         self.on_view_start = on_view_start
         self.on_local_timeout = on_local_timeout
-        self.timeout_provider = timeout_provider
         self.stats = PacemakerStats()
         self.events = events if events is not None else obs_trace.EventStream()
 
@@ -147,9 +141,9 @@ class Pacemaker:
 
         A TC is quorum-level progress just like a QC: 2f+1 replicas agreed
         the view was stuck and view synchronization moved everyone forward.
-        The exponential-backoff counter therefore resets here too — growing
-        the timeout is only warranted while view changes *fail*, not while
-        TC-driven ones keep succeeding (paper §III-B's backoff ablation).
+        The consecutive-timeout counter (the ``consecutive`` payload of
+        ``local-timeout`` events) therefore resets here too: it counts the
+        timeouts since the last quorum progress, not since the last QC.
         """
         target = tc.view + 1
         if target <= self.current_view:
@@ -188,12 +182,6 @@ class Pacemaker:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def current_timeout(self) -> float:
-        """The timer duration for the current view."""
-        if self.timeout_provider is not None:
-            return self.timeout_provider(self._consecutive_timeouts)
-        return self.view_timeout
-
     def _enter_view(self, view: int, reason: ViewChangeReason) -> None:
         if self._timer is not None and self._timer.pending:
             self._timer.cancel()
@@ -204,9 +192,9 @@ class Pacemaker:
         if ev.wants & obs_trace.VIEW:
             ev.emit(
                 self.scheduler.now, self.node_id, obs_trace.VIEW, "enter", view,
-                {"reason": reason.value, "timeout": self.current_timeout()},
+                {"reason": reason.value, "timeout": self.view_timeout},
             )
-        self._timer = self.scheduler.call_after(self.current_timeout(), self._on_timer, view)
+        self._timer = self.scheduler.call_after(self.view_timeout, self._on_timer, view)
         self.on_view_start(view, reason)
 
     def _on_timer(self, view: int) -> None:
@@ -223,5 +211,5 @@ class Pacemaker:
             )
         # Re-arm so a stuck replica keeps signalling its timeout (the quorum
         # may have missed the earlier broadcast).
-        self._timer = self.scheduler.call_after(self.current_timeout(), self._on_timer, view)
+        self._timer = self.scheduler.call_after(self.view_timeout, self._on_timer, view)
         self.on_local_timeout(view)

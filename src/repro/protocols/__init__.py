@@ -1,10 +1,13 @@
 """Chained-BFT protocol implementations.
 
-A protocol is expressed as a :class:`~repro.protocols.safety.Safety` subclass
-that fills in the four rules of the paper (§II-A): Proposing, Voting, State
-Updating, and Commit.  Everything else (block forest, pacemaker, quorum,
-network, mempool, execution) is shared, which is what makes the comparison
-between protocols apples-to-apples.
+:class:`~repro.protocols.safety.Safety` implements the four rules of the paper
+(§II-A) — Proposing, Voting, State Updating, and Commit — once, parametrised
+by the traits the protocols actually differ in (lock depth, commit depth, the
+justify comparator, vote broadcast, echoing, responsiveness).  HotStuff,
+two-chain HotStuff, Fast-HotStuff and LBFT are declarations of those traits;
+Streamlet overrides its proposing and voting rules.  Everything else (block
+forest, pacemaker, quorum, network, mempool, execution) is shared, which is
+what makes the comparison between protocols apples-to-apples.
 
 Protocols are an extension point: each built-in module registers its class
 with :func:`~repro.protocols.registry.register_protocol`, and third-party

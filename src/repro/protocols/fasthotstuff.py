@@ -16,14 +16,8 @@ on the shared missing-parent path: gaps are routed to the sync manager
 (:mod:`repro.sync`) and the lock is re-derived from fetched certificates.
 """
 
-from __future__ import annotations
-
-from typing import Optional
-
 from repro.protocols.registry import register_protocol
-from repro.protocols.safety import ProposalPlan, Safety
-from repro.types.block import Block
-from repro.types.certificates import QuorumCertificate
+from repro.protocols.safety import Safety
 
 
 @register_protocol("fasthotstuff", "fhs")
@@ -35,39 +29,8 @@ class FastHotStuffSafety(Safety):
     echo_messages = False
     responsive = True
     commit_rule_depth = 2
-
-    def choose_extension(self) -> ProposalPlan:
-        return ProposalPlan(parent_id=self.high_qc.block_id, qc=self.high_qc)
-
-    def should_vote(self, block: Block) -> bool:
-        if block.view <= self.last_voted_view:
-            return False
-        if not self.embedded_qc_matches_parent(block):
-            return False
-        if self.forest.extends(block, self.locked_block_id):
-            return True
-        justify_view = block.qc.view if block.qc is not None else 0
-        # ">=" rather than ">" is the aggregated-justification relaxation:
-        # after a view change the new leader may only know a QC as high as
-        # (not higher than) the lock, and its proposal is still accepted.
-        return justify_view >= self.locked_view()
-
-    def _update_lock(self, qc: QuorumCertificate) -> None:
-        vertex = self.forest.maybe_get(qc.block_id)
-        if vertex is None:
-            return
-        if vertex.view > self.locked_view():
-            self.locked_block_id = vertex.block_id
-
-    def commit_candidate(self, block_id: str) -> Optional[str]:
-        tail = self.forest.maybe_get(block_id)
-        if tail is None or not tail.certified:
-            return None
-        head = self.forest.maybe_get(tail.block.parent_id)
-        if head is None or not head.certified:
-            return None
-        if head.view != tail.view - 1:
-            return None
-        if head.committed:
-            return None
-        return head.block_id
+    lock_depth = 1
+    # ">=" rather than ">" is the aggregated-justification relaxation: after
+    # a view change the new leader may only know a QC as high as (not higher
+    # than) the lock, and its proposal is still accepted.
+    justify_may_equal_lock = True

@@ -18,82 +18,21 @@ Rules:
   chained-HotStuff decide rule, which is what makes B1 in the paper's Fig. 6
   wait until view 8 after a silence attack.
 
+The rules are written once, in :class:`~repro.protocols.safety.Safety`,
+whose trait defaults are HotStuff's; the class below only names them.
+
 Catch-up (:mod:`repro.sync`) needs no HotStuff-specific handling: fetched
 blocks are inserted oldest-first, each embedded QC re-runs the state-updating
 rule, and the two-chain lock is re-derived as the recovered history replays —
 after which the voting rule accepts live proposals again.
 """
 
-from __future__ import annotations
-
-from typing import Optional
-
 from repro.protocols.registry import register_protocol
-from repro.protocols.safety import ProposalPlan, Safety
-from repro.types.block import Block
-from repro.types.certificates import QuorumCertificate
+from repro.protocols.safety import Safety
 
 
 @register_protocol("hotstuff", "hs")
 class HotStuffSafety(Safety):
-    """Three-chain chained HotStuff."""
+    """Three-chain chained HotStuff: every trait is the ``Safety`` default."""
 
     protocol_name = "hotstuff"
-    votes_broadcast = False
-    echo_messages = False
-    responsive = True
-    commit_rule_depth = 3
-
-    # ------------------------------------------------------------------
-    # Proposing rule
-    # ------------------------------------------------------------------
-    def choose_extension(self) -> ProposalPlan:
-        return ProposalPlan(parent_id=self.high_qc.block_id, qc=self.high_qc)
-
-    # ------------------------------------------------------------------
-    # Voting rule
-    # ------------------------------------------------------------------
-    def should_vote(self, block: Block) -> bool:
-        if block.view <= self.last_voted_view:
-            return False
-        if not self.embedded_qc_matches_parent(block):
-            return False
-        if self.forest.extends(block, self.locked_block_id):
-            return True
-        justify_view = block.qc.view if block.qc is not None else 0
-        return justify_view > self.locked_view()
-
-    # ------------------------------------------------------------------
-    # State-updating rule
-    # ------------------------------------------------------------------
-    def _update_lock(self, qc: QuorumCertificate) -> None:
-        # A new QC certifies block b; if b's direct parent is also certified,
-        # (parent, b) is a two-chain whose head is the parent — lock on it if
-        # it is newer than the current lock.
-        vertex = self.forest.maybe_get(qc.block_id)
-        if vertex is None:
-            return
-        parent = self.forest.maybe_get(vertex.block.parent_id)
-        if parent is None or not parent.certified:
-            return
-        if parent.view > self.locked_view():
-            self.locked_block_id = parent.block_id
-
-    # ------------------------------------------------------------------
-    # Commit rule
-    # ------------------------------------------------------------------
-    def commit_candidate(self, block_id: str) -> Optional[str]:
-        tail = self.forest.maybe_get(block_id)
-        if tail is None or not tail.certified:
-            return None
-        middle = self.forest.maybe_get(tail.block.parent_id)
-        if middle is None or not middle.certified:
-            return None
-        head = self.forest.maybe_get(middle.block.parent_id)
-        if head is None or not head.certified:
-            return None
-        if middle.view != tail.view - 1 or head.view != middle.view - 1:
-            return None
-        if head.committed:
-            return None
-        return head.block_id

@@ -1,19 +1,23 @@
 """Protocol registry: the extension point for chained-BFT protocols.
 
-Protocols register themselves with the :func:`register_protocol` decorator::
+A protocol is a :class:`Safety` subclass declaring its traits, registered
+with the :func:`register_protocol` decorator::
 
+    from repro.protocols.hotstuff import HotStuffSafety
     from repro.protocols.registry import register_protocol
-    from repro.protocols.safety import Safety
 
-    @register_protocol("myproto", "mp")
-    class MyProtocolSafety(Safety):
-        ...
+    @register_protocol("4chainhs", "4chs")
+    class FourChainSafety(HotStuffSafety):
+        protocol_name = "4chainhs"
+        commit_rule_depth = 4
 
-After that, ``Configuration(protocol="myproto")`` works everywhere — the
-runner, the facade, the benchmarks — with no other wiring.  The five
-built-in protocols are registered in their own modules and loaded lazily on
-first lookup; :func:`available_protocols` is derived from the registry
-contents rather than a hand-maintained list.
+After that, ``Configuration(protocol="4chainhs")`` works everywhere — the
+runner, the facade, the benchmarks — and the analytical model, the fuzz
+generator's protocol cycle and the forking attack read its traits off the
+class found here, with no other wiring.  The five built-in protocols are
+registered in their own modules and loaded lazily on first lookup;
+:func:`available_protocols` is derived from the registry contents (in
+registration order) rather than a hand-maintained list.
 """
 
 from __future__ import annotations
@@ -50,7 +54,12 @@ def available_protocols() -> List[str]:
     return PROTOCOLS.available()
 
 
+def protocol_class(name: str) -> Type[Safety]:
+    """The registered class of protocol ``name`` (or an alias of it)."""
+    _ensure_builtin()
+    return PROTOCOLS.get(name)
+
+
 def make_safety(name: str, forest: BlockForest) -> Safety:
     """Instantiate the Safety module for protocol ``name``."""
-    _ensure_builtin()
-    return PROTOCOLS.get(name)(forest)
+    return protocol_class(name)(forest)

@@ -7,7 +7,10 @@ Streamlet's rules follow the longest-chain principle:
   longest notarized chain seen so far.  Votes are **broadcast** to every
   replica rather than sent to the next leader.
 * Commit: whenever three blocks proposed in three consecutive views are all
-  certified, the first two of them (and all their ancestors) are committed.
+  certified, the first two of them (and all their ancestors) are committed —
+  the consecutive-certified-chain walk of
+  :meth:`~repro.protocols.safety.Safety.commit_candidate`, committing the
+  middle block instead of the head (``commit_lag`` 1).
 
 Every message is echoed once by every replica, which is what gives Streamlet
 its O(n^3) communication complexity and its poor scalability in the paper's
@@ -28,8 +31,6 @@ sync code is needed.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.protocols.registry import register_protocol
 from repro.protocols.safety import ProposalPlan, Safety
 from repro.types.block import Block
@@ -44,6 +45,14 @@ class StreamletSafety(Safety):
     echo_messages = True
     responsive = False
     commit_rule_depth = 3
+    # No lock: the notarized chain is the state the voting rule reads.
+    lock_depth = 0
+
+    @classmethod
+    def commit_lag(cls) -> int:
+        # The first two of the three consecutive certified blocks commit; the
+        # middle block is the highest of those two.
+        return 1
 
     # ------------------------------------------------------------------
     # Proposing rule
@@ -69,28 +78,3 @@ class StreamletSafety(Safety):
         longest_length = self.forest.certified_chain_length(longest.block_id)
         parent_length = self.forest.certified_chain_length(parent.block_id)
         return parent_length >= longest_length
-
-    # ------------------------------------------------------------------
-    # State-updating rule: maintain the notarized chain (no lock variable).
-    # ------------------------------------------------------------------
-
-    # ------------------------------------------------------------------
-    # Commit rule
-    # ------------------------------------------------------------------
-    def commit_candidate(self, block_id: str) -> Optional[str]:
-        tail = self.forest.maybe_get(block_id)
-        if tail is None or not tail.certified:
-            return None
-        middle = self.forest.maybe_get(tail.block.parent_id)
-        if middle is None or not middle.certified:
-            return None
-        head = self.forest.maybe_get(middle.block.parent_id)
-        if head is None or not head.certified:
-            return None
-        if middle.view != tail.view - 1 or head.view != middle.view - 1:
-            return None
-        if middle.committed:
-            return None
-        # The first two of the three consecutive certified blocks commit; the
-        # middle block is the highest of those two.
-        return middle.block_id

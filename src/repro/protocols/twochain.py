@@ -13,14 +13,8 @@ Catch-up (:mod:`repro.sync`) replays fetched certificates through
 a recovered replica's voting rule immediately accepts live proposals.
 """
 
-from __future__ import annotations
-
-from typing import Optional
-
 from repro.protocols.registry import register_protocol
-from repro.protocols.safety import ProposalPlan, Safety
-from repro.types.block import Block
-from repro.types.certificates import QuorumCertificate
+from repro.protocols.safety import Safety
 
 
 @register_protocol("2chainhs", "2chs", "twochain")
@@ -32,50 +26,4 @@ class TwoChainHotStuffSafety(Safety):
     echo_messages = False
     responsive = False
     commit_rule_depth = 2
-
-    # ------------------------------------------------------------------
-    # Proposing rule (same as HotStuff)
-    # ------------------------------------------------------------------
-    def choose_extension(self) -> ProposalPlan:
-        return ProposalPlan(parent_id=self.high_qc.block_id, qc=self.high_qc)
-
-    # ------------------------------------------------------------------
-    # Voting rule (same predicate as HotStuff, but against a tighter lock)
-    # ------------------------------------------------------------------
-    def should_vote(self, block: Block) -> bool:
-        if block.view <= self.last_voted_view:
-            return False
-        if not self.embedded_qc_matches_parent(block):
-            return False
-        if self.forest.extends(block, self.locked_block_id):
-            return True
-        justify_view = block.qc.view if block.qc is not None else 0
-        return justify_view > self.locked_view()
-
-    # ------------------------------------------------------------------
-    # State-updating rule
-    # ------------------------------------------------------------------
-    def _update_lock(self, qc: QuorumCertificate) -> None:
-        # The lock is the head of the highest one-chain: the block certified
-        # by the highest QC known.
-        vertex = self.forest.maybe_get(qc.block_id)
-        if vertex is None:
-            return
-        if vertex.view > self.locked_view():
-            self.locked_block_id = vertex.block_id
-
-    # ------------------------------------------------------------------
-    # Commit rule
-    # ------------------------------------------------------------------
-    def commit_candidate(self, block_id: str) -> Optional[str]:
-        tail = self.forest.maybe_get(block_id)
-        if tail is None or not tail.certified:
-            return None
-        head = self.forest.maybe_get(tail.block.parent_id)
-        if head is None or not head.certified:
-            return None
-        if head.view != tail.view - 1:
-            return None
-        if head.committed:
-            return None
-        return head.block_id
+    lock_depth = 1

@@ -1,18 +1,21 @@
 """Vote and timeout aggregation into certificates.
 
 This is Bamboo's quorum component (paper §III-E): ``voted()`` records a vote
-and ``certified()`` asks whether a quorum has been reached.  The aggregators
-deduplicate per signer, verify signatures, and emit a certificate exactly
-once per (view, block).
+and ``certified()`` asks whether a quorum has been reached.  Votes and
+timeouts are aggregated by one algorithm (:class:`_Aggregator`): deduplicate
+per signer, verify the signature, certify exactly once per key at the
+threshold, and forget keys below a committed view.  The two trackers differ
+only in their key — ``(view, block)`` for votes, ``(view, None)`` for
+timeouts, which sign the view alone — and in the certificate they build.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.crypto.keys import KeyRegistry
-from repro.crypto.signatures import Signature, verify
+from repro.crypto.signatures import verify
 from repro.types.certificates import (
     QuorumCertificate,
     Timeout,
@@ -39,7 +42,89 @@ def quorum_size(num_nodes: int) -> int:
     return num_nodes - max_faulty(num_nodes)
 
 
-class QuorumTracker:
+#: ``(view, block id)`` for a vote, ``(view, None)`` for a timeout.
+Key = Tuple[int, Optional[str]]
+
+
+class _Aggregator:
+    """Signed messages per key, certified once at the threshold.
+
+    Subclasses name the key and build the certificate (``_certificate``).
+    The threshold is the safe ``quorum_size(n) = n - f``.
+    """
+
+    def __init__(self, num_nodes: int, registry: Optional[KeyRegistry] = None) -> None:
+        self.num_nodes = num_nodes
+        self.threshold = quorum_size(num_nodes)
+        self.registry = registry
+        self._pending: Dict[Key, Dict[str, Any]] = defaultdict(dict)
+        self._certified: Set[Key] = set()
+        self.duplicates = 0
+        self.invalid = 0
+
+    def _record(self, key: Key, message: Any) -> bool:
+        """Record a signed message; returns True if it was new and valid.
+
+        Validity requires the signature to verify, to have been produced by
+        the claimed signer, and to cover this message's digest — a Byzantine
+        peer must not be able to replay another replica's signature under its
+        own name or against a different block or view.
+        """
+        if key in self._certified:
+            # The certificate already formed; late messages can never change
+            # it, so skip verification (and the digest recompute it entails).
+            return False
+        if message.voter in self._pending.get(key, ()):
+            # Already counted for this key: nothing this copy could add, so
+            # do not pay a verification to find that out.  A forged message
+            # is never stored, so it cannot make a later genuine one a
+            # duplicate.
+            self.duplicates += 1
+            return False
+        if self.registry is not None:
+            signature = message.signature
+            if (
+                signature.signer != message.voter
+                or signature.digest != message.digest()
+                or not verify(self.registry, signature)
+            ):
+                self.invalid += 1
+                return False
+        self._pending[key][message.voter] = message
+        return True
+
+    def _count(self, key: Key) -> int:
+        return len(self._pending.get(key, ()))
+
+    def _certify(self, key: Key) -> Any:
+        """The key's certificate once the threshold is reached (only the first time)."""
+        if key in self._certified:
+            return None
+        messages = self._pending.get(key)
+        if messages is None or len(messages) < self.threshold:
+            return None
+        self._certified.add(key)
+        # The messages are dead once the certificate forms: _record() rejects
+        # late ones for certified keys, so drop them instead of letting them
+        # accumulate for the rest of the run.
+        del self._pending[key]
+        return self._certificate(key, messages)
+
+    def prune_below(self, view: int) -> None:
+        """Drop state for views below ``view`` (they can never certify).
+
+        Called from the replica's commit path: once a block at ``view``
+        commits, every correct replica has advanced past earlier views, so
+        their pending messages are dead weight.  Bounds the tracker's
+        footprint by the view window in flight instead of run length.
+        """
+        pending = self._pending
+        for key in [key for key in pending if key[0] < view]:
+            del pending[key]
+        self._certified = {key for key in self._certified if key[0] >= view}
+
+
+class QuorumTracker(_Aggregator):
     """Accumulates votes per (view, block) and forms QCs at the threshold.
 
     ``threshold`` defaults to the safe ``quorum_size(n) = n - f``.  Passing an
@@ -55,158 +140,61 @@ class QuorumTracker:
         registry: Optional[KeyRegistry] = None,
         threshold: Optional[int] = None,
     ) -> None:
-        self.num_nodes = num_nodes
-        self.threshold = threshold if threshold else quorum_size(num_nodes)
-        self.registry = registry
-        self._votes: Dict[Tuple[int, str], Dict[str, Signature]] = defaultdict(dict)
-        self._certified: Set[Tuple[int, str]] = set()
-        self.duplicate_votes = 0
-        self.invalid_votes = 0
+        super().__init__(num_nodes, registry)
+        if threshold:
+            self.threshold = threshold
 
     def voted(self, vote: Vote) -> bool:
-        """Record a vote; returns True if it was new and valid.
-
-        Validity requires the signature to verify, to have been produced by
-        the claimed voter, and to cover this vote's (block, view) digest — a
-        Byzantine peer must not be able to replay another replica's signature
-        under its own name or against a different block.
-        """
-        key = (vote.view, vote.block_id)
-        if key in self._certified:
-            # The certificate already formed; late votes can never change it,
-            # so skip verification (and the digest recompute it entails) and
-            # leave the certified key's vote map alone.
-            return False
-        if vote.voter in self._votes.get(key, ()):
-            # Already counted for this key: nothing this copy could add, so
-            # do not pay a verification to find that out.  A forged vote is
-            # never stored, so it cannot make a later genuine one a duplicate.
-            self.duplicate_votes += 1
-            return False
-        if self.registry is not None:
-            if (
-                vote.signature.signer != vote.voter
-                or vote.signature.digest != vote.digest()
-                or not verify(self.registry, vote.signature)
-            ):
-                self.invalid_votes += 1
-                return False
-        self._votes[key][vote.voter] = vote.signature
-        return True
+        """Record a vote; returns True if it was new and valid."""
+        return self._record((vote.view, vote.block_id), vote)
 
     def vote_count(self, view: int, block_id: str) -> int:
         """Number of distinct voters recorded for (view, block)."""
-        return len(self._votes.get((view, block_id), {}))
+        return self._count((view, block_id))
 
     def certified(self, view: int, block_id: str) -> Optional[QuorumCertificate]:
         """Return a QC once the threshold is reached (only the first time)."""
-        key = (view, block_id)
-        if key in self._certified:
-            return None
-        votes = self._votes.get(key)
-        if votes is None or len(votes) < self.threshold:
-            return None
-        self._certified.add(key)
-        # The vote map is dead once the certificate forms: voted() rejects
-        # late votes for certified keys, so drop it instead of letting it
-        # accumulate for the rest of the run.
-        del self._votes[key]
+        return self._certify((view, block_id))
+
+    def add_and_certify(self, vote: Vote) -> Optional[QuorumCertificate]:
+        """Convenience: record a vote, then try to form a certificate."""
+        key = (vote.view, vote.block_id)
+        return self._certify(key) if self._record(key, vote) else None
+
+    def _certificate(self, key: Key, votes: Dict[str, Vote]) -> QuorumCertificate:
+        view, block_id = key
         return QuorumCertificate(
             block_id=block_id,
             view=view,
             signers=frozenset(votes),
-            signatures=tuple(votes.values()),
+            signatures=tuple(vote.signature for vote in votes.values()),
         )
 
-    def add_and_certify(self, vote: Vote) -> Optional[QuorumCertificate]:
-        """Convenience: record a vote, then try to form a certificate."""
-        if not self.voted(vote):
-            # Duplicate, invalid, or late (already-certified) vote — nothing
-            # to re-check, and certified() would be a no-op anyway.
-            return None
-        return self.certified(vote.view, vote.block_id)
 
-    def prune_below(self, view: int) -> None:
-        """Drop vote state for views below ``view`` (they can never certify).
-
-        Called from the replica's commit path: once a block at ``view``
-        commits, every correct replica has advanced past earlier views, so
-        their pending vote maps are dead weight.  Bounds the tracker's
-        footprint by the view window in flight instead of run length.
-        """
-        votes = self._votes
-        stale = [key for key in votes if key[0] < view]
-        for key in stale:
-            del votes[key]
-        certified = self._certified
-        stale_certified = [key for key in certified if key[0] < view]
-        for key in stale_certified:
-            certified.discard(key)
-
-
-class TimeoutTracker:
+class TimeoutTracker(_Aggregator):
     """Accumulates TIMEOUT messages per view and forms TCs at the threshold."""
-
-    def __init__(self, num_nodes: int, registry: Optional[KeyRegistry] = None) -> None:
-        self.num_nodes = num_nodes
-        self.threshold = quorum_size(num_nodes)
-        self.registry = registry
-        self._timeouts: Dict[int, Dict[str, Timeout]] = defaultdict(dict)
-        self._certified: Set[int] = set()
-        self.invalid_timeouts = 0
 
     def record(self, timeout: Timeout) -> bool:
         """Record a timeout message; returns True if it was new and valid."""
-        if timeout.view in self._certified:
-            # The TC already formed; late timeouts cannot change it.
-            return False
-        if timeout.voter in self._timeouts.get(timeout.view, ()):
-            return False
-        if self.registry is not None:
-            if (
-                timeout.signature.signer != timeout.voter
-                or timeout.signature.digest != timeout.digest()
-                or not verify(self.registry, timeout.signature)
-            ):
-                self.invalid_timeouts += 1
-                return False
-        self._timeouts[timeout.view][timeout.voter] = timeout
-        return True
+        return self._record((timeout.view, None), timeout)
 
     def timeout_count(self, view: int) -> int:
         """Number of distinct replicas that timed out of ``view``."""
-        return len(self._timeouts.get(view, {}))
+        return self._count((view, None))
 
     def certified(self, view: int) -> Optional[TimeoutCertificate]:
         """Return a TC once the threshold is reached (only the first time)."""
-        if view in self._certified:
-            return None
-        timeouts = self._timeouts.get(view)
-        if timeouts is None or len(timeouts) < self.threshold:
-            return None
-        self._certified.add(view)
-        # Dead once the TC forms (record() rejects late timeouts for it).
-        del self._timeouts[view]
+        return self._certify((view, None))
+
+    def add_and_certify(self, timeout: Timeout) -> Optional[TimeoutCertificate]:
+        """Convenience: record a timeout, then try to form a certificate."""
+        key = (timeout.view, None)
+        return self._certify(key) if self._record(key, timeout) else None
+
+    def _certificate(self, key: Key, timeouts: Dict[str, Timeout]) -> TimeoutCertificate:
         return TimeoutCertificate(
-            view=view,
+            view=key[0],
             signers=frozenset(timeouts),
             signatures=tuple(t.signature for t in timeouts.values()),
             high_qc_view=max(t.high_qc_view for t in timeouts.values()),
         )
-
-    def add_and_certify(self, timeout: Timeout) -> Optional[TimeoutCertificate]:
-        """Convenience: record a timeout, then try to form a certificate."""
-        if not self.record(timeout):
-            return None
-        return self.certified(timeout.view)
-
-    def prune_below(self, view: int) -> None:
-        """Drop timeout state for views below ``view`` (they can never certify)."""
-        timeouts = self._timeouts
-        stale = [v for v in timeouts if v < view]
-        for v in stale:
-            del timeouts[v]
-        certified = self._certified
-        stale_certified = [v for v in certified if v < view]
-        for v in stale_certified:
-            certified.discard(v)

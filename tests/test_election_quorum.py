@@ -133,7 +133,7 @@ class TestQuorumTracker:
         tracker.voted(vote)
         assert not tracker.voted(vote)
         assert tracker.vote_count(self.block.view, self.block.block_id) == 1
-        assert tracker.duplicate_votes == 1
+        assert tracker.duplicates == 1
 
     def test_a_counted_voter_is_a_duplicate_before_any_verification(self, verified):
         tracker = QuorumTracker(4, self.registry)
@@ -143,7 +143,7 @@ class TestQuorumTracker:
         assert not tracker.voted(forged(vote))
         assert not tracker.voted(vote)
         assert len(verified) == 1
-        assert (tracker.duplicate_votes, tracker.invalid_votes) == (2, 0)
+        assert (tracker.duplicates, tracker.invalid) == (2, 0)
         assert tracker.vote_count(self.block.view, self.block.block_id) == 1
 
     def test_a_forged_vote_does_not_shadow_the_genuine_one(self):
@@ -152,7 +152,7 @@ class TestQuorumTracker:
         assert not tracker.voted(forged(vote))
         assert tracker.vote_count(self.block.view, self.block.block_id) == 0
         assert tracker.voted(vote)
-        assert (tracker.duplicate_votes, tracker.invalid_votes) == (0, 1)
+        assert (tracker.duplicates, tracker.invalid) == (0, 1)
         for voter in ["r1", "r2"]:
             qc = tracker.add_and_certify(make_vote(self.registry, voter, self.block))
         assert qc is not None and vote.signature in qc.signatures
@@ -181,7 +181,7 @@ class TestQuorumTracker:
         )
         self.registry.register("r1")
         assert not tracker.voted(tampered)
-        assert tracker.invalid_votes == 1
+        assert tracker.invalid == 1
 
     def test_votes_for_different_blocks_are_separate(self):
         forest, blocks = build_certified_chain([1, 2])
@@ -226,14 +226,14 @@ class TestTimeoutTracker:
         timeout = self._timeout(registry, "r0", view=5)
         assert tracker.record(timeout)
         assert not tracker.record(forged(timeout)) and not tracker.record(timeout)
-        assert len(verified) == 1 and tracker.invalid_timeouts == 0
+        assert len(verified) == 1 and tracker.invalid == 0
 
     def test_a_forged_timeout_does_not_shadow_the_genuine_one(self):
         registry = KeyRegistry()
         tracker = TimeoutTracker(4, registry)
         timeout = self._timeout(registry, "r0", view=5)
         assert not tracker.record(forged(timeout))
-        assert tracker.timeout_count(5) == 0 and tracker.invalid_timeouts == 1
+        assert tracker.timeout_count(5) == 0 and tracker.invalid == 1
         assert tracker.record(timeout)
         assert tracker.timeout_count(5) == 1
 
@@ -259,4 +259,4 @@ class TestTimeoutTracker:
         registry.register("r1")
         forged = Timeout(voter="r1", view=5, high_qc_view=0, signature=good.signature)
         assert not tracker.record(forged)
-        assert tracker.invalid_timeouts == 1
+        assert tracker.invalid == 1

@@ -15,7 +15,6 @@ from repro.core.byzantine import available_strategies
 from repro.experiments.cli import main
 from repro.fuzz import (
     ORACLES,
-    PROTOCOL_CYCLE,
     FuzzCase,
     OracleContext,
     audit,
@@ -25,6 +24,7 @@ from repro.fuzz import (
     register_oracle,
     run_fuzz,
 )
+from repro.protocols.registry import available_protocols
 
 ATTACKS = [s for s in available_strategies() if s != "honest"]
 
@@ -59,8 +59,8 @@ class TestGenerator:
         assert len({case.run_id for case in cases}) == 10
 
     def test_protocol_cycle_covers_all_five(self):
-        cases = generate_cases(seed=0, budget=len(PROTOCOL_CYCLE))
-        assert {case.config.protocol for case in cases} == set(PROTOCOL_CYCLE)
+        cases = generate_cases(seed=0, budget=len(available_protocols()))
+        assert {case.config.protocol for case in cases} == set(available_protocols())
 
     def test_cases_are_valid_and_fault_bounded(self):
         for index in range(30):
@@ -139,7 +139,7 @@ class TestConformanceMatrix:
     no invariant violation, and the same seed must reproduce the same
     committed chain (fingerprint) on a second run."""
 
-    @pytest.mark.parametrize("protocol", PROTOCOL_CYCLE)
+    @pytest.mark.parametrize("protocol", available_protocols())
     @pytest.mark.parametrize("strategy", ATTACKS)
     def test_protocol_survives_attack_deterministically(self, protocol, strategy):
         config = small_config(
@@ -198,5 +198,5 @@ class TestFuzzCampaign:
         report = run_fuzz(budget=50, seed=0, store=str(tmp_path))
         assert report.ok, [v.to_dict() for v in report.violations]
         assert report.executed + report.skipped == 50
-        assert set(report.protocols) == set(PROTOCOL_CYCLE)
+        assert set(report.protocols) == set(available_protocols())
         assert all(count == 10 for count in report.protocols.values())

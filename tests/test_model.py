@@ -177,3 +177,33 @@ class TestAnalyticalModel:
             ModelParameters(num_nodes=0)
         with pytest.raises(ValueError):
             ModelParameters(block_size=0)
+
+
+class TestTraitsNotNames:
+    """The model reads ``commit_lag()``, ``echo_messages`` and
+    ``votes_broadcast`` off the registered class; for the five built-ins
+    that must give exactly the per-name tables it replaced."""
+
+    @pytest.mark.parametrize(
+        "protocol,lag",
+        [("hotstuff", 2), ("2chainhs", 1), ("streamlet", 1), ("fasthotstuff", 1), ("lbft", 1)],
+    )
+    def test_commit_time_is_commit_lag_service_times(self, protocol, lag):
+        m = model(protocol)
+        assert m.commit_time() / m.service_time() == lag
+
+    @pytest.mark.parametrize("protocol", ["hotstuff", "2chainhs", "streamlet", "fasthotstuff", "lbft"])
+    @pytest.mark.parametrize("num_nodes", [4, 7, 16])
+    def test_echo_overhead_takes_the_same_branch(self, protocol, num_nodes):
+        m = model(protocol, num_nodes=num_nodes)
+        n, costs = num_nodes, m.params.costs
+        # Streamlet broadcast and echoed, LBFT only broadcast its votes.
+        if protocol == "streamlet":
+            expected = ((n - 1) + (n - 1) * (n - 2)) * costs.vote_verify_cost() + (
+                n - 2
+            ) * costs.proposal_verify_cost(m.params.block_size)
+        elif protocol == "lbft":
+            expected = (n - 1) * costs.vote_verify_cost()
+        else:
+            expected = 0.0
+        assert m._echo_overhead_per_view() == expected

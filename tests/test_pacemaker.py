@@ -13,7 +13,7 @@ from repro.types.certificates import Timeout, TimeoutCertificate, timeout_digest
 class PacemakerHarness:
     """Wires a pacemaker to recording callbacks for the tests."""
 
-    def __init__(self, view_timeout=0.1, num_nodes=4, timeout_provider=None):
+    def __init__(self, view_timeout=0.1, num_nodes=4):
         self.scheduler = EventScheduler()
         self.registry = KeyRegistry()
         self.view_starts = []
@@ -25,7 +25,6 @@ class PacemakerHarness:
             view_timeout=view_timeout,
             on_view_start=lambda view, reason: self.view_starts.append((view, reason)),
             on_local_timeout=self.local_timeouts.append,
-            timeout_provider=timeout_provider,
         )
 
     def remote_timeout(self, voter, view):
@@ -127,18 +126,6 @@ class TestTimers:
         h.scheduler.run_until(1.0)
         assert h.local_timeouts == []
 
-    def test_timeout_provider_backoff(self):
-        h = PacemakerHarness(
-            view_timeout=0.05, timeout_provider=lambda consecutive: 0.05 * (2 ** consecutive)
-        )
-        h.pacemaker.start()
-        # Fires at 0.05, re-arms with 0.1 (one consecutive timeout) so it
-        # fires again at 0.15, then with 0.2 so it fires at 0.35.
-        h.scheduler.run_until(0.31)
-        assert h.local_timeouts == [1, 1]
-        h.scheduler.run_until(0.36)
-        assert h.local_timeouts == [1, 1, 1]
-
     def test_invalid_timeout_rejected(self):
         with pytest.raises(ValueError):
             PacemakerHarness(view_timeout=0.0)
@@ -171,11 +158,8 @@ class TestTimeoutCertificates:
         assert h.pacemaker._consecutive_timeouts == 0
 
     def test_consecutive_timeout_counter_resets_on_tc(self):
-        """A TC is quorum progress too: backoff must not keep compounding
-        while TC-driven view changes are succeeding."""
-        h = PacemakerHarness(
-            view_timeout=0.05, timeout_provider=lambda c: 0.05 * (2 ** c)
-        )
+        """A TC is quorum progress too: the counter restarts from zero."""
+        h = PacemakerHarness(view_timeout=0.05)
         h.pacemaker.start()
         h.scheduler.run_until(0.06)
         assert h.pacemaker._consecutive_timeouts == 1
@@ -183,8 +167,10 @@ class TestTimeoutCertificates:
             TimeoutCertificate(view=1, signers=frozenset({"r0", "r1", "r2"}))
         )
         assert h.pacemaker._consecutive_timeouts == 0
-        # The new view's timer is armed with the base timeout, not 2x.
-        assert h.pacemaker.current_timeout() == pytest.approx(0.05)
+        # The new view's first expiry counts from one again.
+        h.scheduler.run_until(0.12)
+        assert h.local_timeouts == [1, 2]
+        assert h.pacemaker._consecutive_timeouts == 1
 
     def test_stale_tc_does_not_reset_backoff(self):
         h = PacemakerHarness(view_timeout=0.05)

@@ -668,7 +668,7 @@ class TestSigningSchemes:
                         signature=bad_sig)
         registry.register("r2")
         assert not tracker.voted(tampered)
-        assert tracker.invalid_votes == 1
+        assert tracker.invalid == 1
         assert tracker.vote_count(block.view, block.block_id) == 1
 
     def test_quorum_tracker_rejects_replayed_signature(self):
@@ -682,7 +682,7 @@ class TestSigningSchemes:
         stolen = Vote(voter="r2", block_id=block.block_id, view=block.view,
                       signature=good.signature)
         assert not tracker.voted(stolen)
-        assert tracker.invalid_votes == 1
+        assert tracker.invalid == 1
 
 
 # --------------------------------------------------------------------------

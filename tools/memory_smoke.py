@@ -243,10 +243,10 @@ def main() -> int:
                     f"{label} {replica.node_id}: replied-txid dedup holds "
                     f"{replied} entries (bound {replied_bound})"
                 )
-            votes_held = len(replica.quorum._votes) + len(replica.quorum._certified)
+            votes_held = len(replica.quorum._pending) + len(replica.quorum._certified)
             timeout_tracker = replica.pacemaker.timeout_tracker
             timeouts_held = (
-                len(timeout_tracker._timeouts) + len(timeout_tracker._certified)
+                len(timeout_tracker._pending) + len(timeout_tracker._certified)
             )
             if votes_held > TRACKER_BOUND:
                 failures.append(
@@ -268,9 +268,9 @@ def main() -> int:
         f"{committed_tx} transactions committed"
     )
     print(
-        f"  trackers (r0): {len(r0.quorum._votes) + len(r0.quorum._certified)} "
+        f"  trackers (r0): {len(r0.quorum._pending) + len(r0.quorum._certified)} "
         f"vote entries, "
-        f"{len(r0.pacemaker.timeout_tracker._timeouts) + len(r0.pacemaker.timeout_tracker._certified)} "
+        f"{len(r0.pacemaker.timeout_tracker._pending) + len(r0.pacemaker.timeout_tracker._certified)} "
         f"timeout entries (bound {TRACKER_BOUND})"
     )
 
