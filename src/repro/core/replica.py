@@ -456,6 +456,7 @@ class Replica:
         message = VoteMessage(
             sender=self.node_id, size_bytes=self.size_model.vote_size(), vote=vote
         )
+        self.quorum.trust(vote)
         self.stats.votes_sent += 1
         ev = self.events
         if ev.wants & obs_trace.VOTE:
@@ -648,6 +649,7 @@ class Replica:
             size_bytes=self.size_model.timeout_message_size,
             timeout=timeout,
         )
+        self.timeouts.trust(timeout)
         self.stats.timeouts_sent += 1
         ev = self.events
         if ev.wants & obs_trace.TIMEOUT:

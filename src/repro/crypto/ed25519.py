@@ -1,12 +1,20 @@
-"""Pure-Python Ed25519 (RFC 8032) for the real-transport deployment mode.
+"""Pure-Python Ed25519 (RFC 8032): the reference, and the fallback signer.
 
 The simulation charges *modeled* CPU costs for cryptography and authenticates
 with cheap HMAC tags (:mod:`repro.crypto.keys`).  The deployment runtime
 (:mod:`repro.transport`) instead *measures* crypto cost, which requires an
-actual signature scheme.  The container has no ``cryptography`` / ``nacl``
-wheels, so this module implements Ed25519 from the RFC 8032 reference
-equations on the standard library alone: twisted-Edwards point arithmetic in
-extended homogeneous coordinates, SHA-512 key expansion, and the canonical
+actual signature scheme.  It signs through OpenSSL on the libcrypto CPython
+already links (:mod:`repro.crypto.openssl`), and this module has two jobs
+beside it: it is the RFC 8032 reference every native result is compared
+against in ``tests/test_ed25519.py``, and it is the signer on a CPython whose
+libcrypto lacks the EVP Ed25519 calls.  The repo takes no crypto dependency:
+the pyca ``cryptography`` binding signs as fast as the ``ctypes`` route, but
+four of its keys hold 7.3 MB more than ``import repro.api`` alone, where four
+``ctypes`` keys hold 0.8 MB (and four keys here, with their tables, 3.0 MB);
+in a deployment that was +21 % peak RSS, beyond the benchmark's 15 % bound.
+So Ed25519 is built here from the RFC 8032 reference equations on the
+standard library alone: twisted-Edwards point arithmetic in extended
+homogeneous coordinates, SHA-512 key expansion, and the canonical
 little-endian encodings.
 
 Every scalar multiplication is fixed-base: a key is expanded once
@@ -26,9 +34,8 @@ This is a correctness-first implementation (validated against the RFC 8032
 test vectors and a naive double-and-add reference in
 ``tests/test_ed25519.py``), not a constant-time one — fine for benchmarking a
 reproduction, unsuitable for protecting real secrets.  Speed is a hundred-odd
-microseconds per operation (sign ~0.12 ms, verify ~0.24 ms on the reference
-host): still two orders of magnitude above an HMAC tag, which is the point
-— the deployment mode exists to *measure* that cost instead of modeling it.
+microseconds per operation (sign ~0.14 ms, verify ~0.30 ms through the key
+registry on the reference host), about three times OpenSSL's.
 """
 
 from __future__ import annotations
@@ -37,8 +44,11 @@ import functools
 import hashlib
 from typing import List, Optional, Tuple
 
-__all__ = ["SigningKey", "VerifyKey", "public_key", "sign", "verify",
+__all__ = ["BACKEND", "SigningKey", "VerifyKey", "public_key", "sign", "verify",
            "SIGNATURE_SIZE", "SEED_SIZE"]
+
+#: What a deployment report names this signer.
+BACKEND = "python"
 
 #: Ed25519 signatures are 64 bytes; seeds and public keys 32.
 SIGNATURE_SIZE = 64

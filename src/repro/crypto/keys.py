@@ -7,9 +7,14 @@ Two signing schemes share one interface:
   holds every node's secret (a stand-in for a permissioned PKI).  Cheap and
   deterministic, so the discrete-event model charges *modeled* crypto costs
   instead.
-* ``ed25519`` — real signatures via the pure-Python RFC 8032 implementation
-  in :mod:`repro.crypto.ed25519`.  Used by the deployment runtime
+* ``ed25519`` — real RFC 8032 signatures, used by the deployment runtime
   (:mod:`repro.transport`), where crypto cost is *measured* wall-clock work.
+  They go through OpenSSL's EVP API on the libcrypto CPython already links
+  (:mod:`repro.crypto.openssl`: ~46 µs to sign, ~110 µs to verify through
+  the registry on a 2-core reference VM), or through the pure-Python
+  :mod:`repro.crypto.ed25519` (~142 / ~295 µs) on a CPython whose libcrypto
+  lacks those calls.  :func:`ed25519_signer` makes that choice once per
+  process; ``python -m repro deploy`` reports it as ``signing backend:``.
 
 Both expose ``mac(message) -> tag`` and ``verify_tag(message, tag) -> bool``,
 so :func:`repro.crypto.signatures.verify` needs no knowledge of the scheme.
@@ -20,10 +25,25 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
+from types import ModuleType
 from typing import Dict
 
 from repro.crypto import ed25519
+
+
+@cache
+def ed25519_signer() -> ModuleType:
+    """The module :class:`Ed25519KeyPair` signs through, chosen once per process.
+
+    :mod:`repro.crypto.openssl` if libcrypto exports its calls and they
+    reproduce an RFC 8032 vector, else :mod:`repro.crypto.ed25519`.  Both
+    define ``SigningKey``, ``VerifyKey`` and ``BACKEND`` (the report's name).
+    Imported on first call, so :mod:`ctypes` loads with the first Ed25519 key.
+    """
+    from repro.crypto import openssl
+
+    return openssl if openssl.load() else ed25519
 
 
 @dataclass(frozen=True)
@@ -69,18 +89,19 @@ class Ed25519KeyPair:
     a hash of the node id and deployment seed, so every process in a cluster
     derives the same membership without key exchange.
 
-    The key is expanded once, on first use, and the expansion (scalar, nonce
-    prefix, public key, the public key's window table) lives and dies with
-    this object: the membership is fixed, so a :class:`KeyRegistry` of n
-    nodes holds n tables and nothing is ever keyed by bytes off the wire.
+    The key is expanded once, on first use, by :func:`ed25519_signer`, and
+    the expansion (libcrypto's key handles, or the pure-Python scalar, nonce
+    prefix and window table) lives and dies with this object: the membership
+    is fixed, so a :class:`KeyRegistry` of n nodes holds n expansions and
+    nothing is ever keyed by bytes off the wire.
     """
 
     node_id: str
     secret: bytes = field(repr=False)
 
     @cached_property
-    def _key(self) -> ed25519.SigningKey:
-        return ed25519.SigningKey(self.secret)
+    def _key(self):
+        return ed25519_signer().SigningKey(self.secret)
 
     @property
     def public_key(self) -> str:

@@ -40,6 +40,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.analysis.report import format_table
 from repro.bench.config import Configuration, ConfigurationError
 from repro.bench.runner import run_experiment
+from repro.crypto.keys import ed25519_signer
 from repro.experiments.runner import CampaignResult, CampaignRunner
 from repro.experiments.spec import ExperimentSpec, RunSpec, SpecError
 from repro.experiments.store import ResultStore, StoreError
@@ -164,6 +165,8 @@ def _cmd_deploy(args: argparse.Namespace) -> int:
     print(f"consistent: {'true' if result.consistent else 'false'}")
     print(f"frames per socket write: {result.transport.frames_per_write:.2f}")
     print(f"decode errors: {result.transport.decode_errors}")
+    if config.resolved_signing() == "ed25519":
+        print(f"signing backend: {ed25519_signer().BACKEND}")
     if args.store:
         # A one-point campaign: what fig. 8's deployed curve is made of.
         params = {"protocol": config.protocol, "arrival_rate": config.arrival_rate,

@@ -3,10 +3,11 @@
 This is Bamboo's quorum component (paper §III-E): ``voted()`` records a vote
 and ``certified()`` asks whether a quorum has been reached.  Votes and
 timeouts are aggregated by one algorithm (:class:`_Aggregator`): deduplicate
-per signer, verify the signature, certify exactly once per key at the
-threshold, and forget keys below a committed view.  The two trackers differ
-only in their key — ``(view, block)`` for votes, ``(view, None)`` for
-timeouts, which sign the view alone — and in the certificate they build.
+per signer, verify the signature (unless it is the replica's own message
+coming back to it), certify exactly once per key at the threshold, and forget
+keys below a committed view.  The two trackers differ only in their key —
+``(view, block)`` for votes, ``(view, None)`` for timeouts, which sign the
+view alone — and in the certificate they build.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ Key = Tuple[int, Optional[str]]
 class _Aggregator:
     """Signed messages per key, certified once at the threshold.
 
-    Subclasses name the key and build the certificate (``_certificate``).
-    The threshold is the safe ``quorum_size(n) = n - f``.
+    Subclasses name the key (``_key``) and build the certificate
+    (``_certificate``).  The threshold is the safe ``quorum_size(n) = n - f``.
     """
 
     def __init__(self, num_nodes: int, registry: Optional[KeyRegistry] = None) -> None:
@@ -59,8 +60,20 @@ class _Aggregator:
         self.registry = registry
         self._pending: Dict[Key, Dict[str, Any]] = defaultdict(dict)
         self._certified: Set[Key] = set()
+        self._own: Dict[Key, Any] = {}
         self.duplicates = 0
         self.invalid = 0
+
+    def trust(self, message: Any) -> None:
+        """Note a message this replica built and signed itself.
+
+        Both fabrics deliver a replica's copy to itself as the very object
+        it sent, so that object is counted without a verification — which is
+        what dispatch already charges for it (``loopback_time``, no verify
+        cost).  It goes by identity, never by ``voter``: a decoded copy is a
+        new object, and whatever name it carries is verified.
+        """
+        self._own[self._key(message)] = message
 
     def _record(self, key: Key, message: Any) -> bool:
         """Record a signed message; returns True if it was new and valid.
@@ -68,7 +81,8 @@ class _Aggregator:
         Validity requires the signature to verify, to have been produced by
         the claimed signer, and to cover this message's digest — a Byzantine
         peer must not be able to replay another replica's signature under its
-        own name or against a different block or view.
+        own name or against a different block or view.  A :meth:`trust`-ed
+        message is valid by construction.
         """
         if key in self._certified:
             # The certificate already formed; late messages can never change
@@ -81,7 +95,7 @@ class _Aggregator:
             # duplicate.
             self.duplicates += 1
             return False
-        if self.registry is not None:
+        if self.registry is not None and self._own.get(key) is not message:
             signature = message.signature
             if (
                 signature.signer != message.voter
@@ -92,6 +106,11 @@ class _Aggregator:
                 return False
         self._pending[key][message.voter] = message
         return True
+
+    def add_and_certify(self, message: Any) -> Any:
+        """Record a vote or timeout, then try to form its certificate."""
+        key = self._key(message)
+        return self._certify(key) if self._record(key, message) else None
 
     def _count(self, key: Key) -> int:
         return len(self._pending.get(key, ()))
@@ -122,6 +141,7 @@ class _Aggregator:
         for key in [key for key in pending if key[0] < view]:
             del pending[key]
         self._certified = {key for key in self._certified if key[0] >= view}
+        self._own = {key: message for key, message in self._own.items() if key[0] >= view}
 
 
 class QuorumTracker(_Aggregator):
@@ -144,9 +164,13 @@ class QuorumTracker(_Aggregator):
         if threshold:
             self.threshold = threshold
 
+    @staticmethod
+    def _key(vote: Vote) -> Key:
+        return (vote.view, vote.block_id)
+
     def voted(self, vote: Vote) -> bool:
         """Record a vote; returns True if it was new and valid."""
-        return self._record((vote.view, vote.block_id), vote)
+        return self._record(self._key(vote), vote)
 
     def vote_count(self, view: int, block_id: str) -> int:
         """Number of distinct voters recorded for (view, block)."""
@@ -155,11 +179,6 @@ class QuorumTracker(_Aggregator):
     def certified(self, view: int, block_id: str) -> Optional[QuorumCertificate]:
         """Return a QC once the threshold is reached (only the first time)."""
         return self._certify((view, block_id))
-
-    def add_and_certify(self, vote: Vote) -> Optional[QuorumCertificate]:
-        """Convenience: record a vote, then try to form a certificate."""
-        key = (vote.view, vote.block_id)
-        return self._certify(key) if self._record(key, vote) else None
 
     def _certificate(self, key: Key, votes: Dict[str, Vote]) -> QuorumCertificate:
         view, block_id = key
@@ -174,9 +193,13 @@ class QuorumTracker(_Aggregator):
 class TimeoutTracker(_Aggregator):
     """Accumulates TIMEOUT messages per view and forms TCs at the threshold."""
 
+    @staticmethod
+    def _key(timeout: Timeout) -> Key:
+        return (timeout.view, None)
+
     def record(self, timeout: Timeout) -> bool:
         """Record a timeout message; returns True if it was new and valid."""
-        return self._record((timeout.view, None), timeout)
+        return self._record(self._key(timeout), timeout)
 
     def timeout_count(self, view: int) -> int:
         """Number of distinct replicas that timed out of ``view``."""
@@ -185,11 +208,6 @@ class TimeoutTracker(_Aggregator):
     def certified(self, view: int) -> Optional[TimeoutCertificate]:
         """Return a TC once the threshold is reached (only the first time)."""
         return self._certify((view, None))
-
-    def add_and_certify(self, timeout: Timeout) -> Optional[TimeoutCertificate]:
-        """Convenience: record a timeout, then try to form a certificate."""
-        key = (timeout.view, None)
-        return self._certify(key) if self._record(key, timeout) else None
 
     def _certificate(self, key: Key, timeouts: Dict[str, Timeout]) -> TimeoutCertificate:
         return TimeoutCertificate(

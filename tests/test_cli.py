@@ -118,6 +118,8 @@ class TestDeploy:
             assert any(line.startswith(stable) for line in out.splitlines()), stable
         # And the fourth: both directions of the codec agreed on every frame.
         assert "decode errors: 0" in out.splitlines()
+        # An hmac deployment has no Ed25519 signer to name.
+        assert not any(line.startswith("signing backend:") for line in out.splitlines())
 
         (record,) = ResultStore(store).records()
         config = Configuration.from_dict(record["config"])

@@ -1,21 +1,28 @@
-"""The pure-Python Ed25519: RFC 8032 vectors, a naive reference, edge encodings.
+"""Both Ed25519 signers: RFC 8032 vectors, a naive reference, edge encodings.
 
-The module under test multiplies through precomputed signed-window tables.  The
-reference below is the implementation it replaced — bit-by-bit double-and-add
-on the RFC's equations, its own arithmetic, nothing shared with the module —
-so the differential tests pin every public key and signature byte for byte
-and the accept set of ``verify`` case by case.
+:mod:`repro.crypto.ed25519` multiplies through precomputed signed-window
+tables.  The reference below is the implementation it replaced — bit-by-bit
+double-and-add on the RFC's equations, its own arithmetic, nothing shared with
+the module — so the differential tests pin every public key and signature
+byte for byte and the accept set of ``verify`` case by case.  The OpenSSL
+signer (:mod:`repro.crypto.openssl`) runs the RFC vectors and every edge case
+beside it, and a property pins the two byte for byte on random input.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.crypto import ed25519
-from repro.crypto.keys import KeyRegistry
+from repro.crypto import ed25519, openssl
+from repro.crypto.keys import KeyRegistry, ed25519_signer
 from repro.crypto.signatures import sign, verify
 
 
@@ -137,6 +144,44 @@ def encode(y: int, sign_bit: int = 0) -> bytes:
 
 
 # --------------------------------------------------------------------------
+# the two signers, behind the module-level calls of repro.crypto.ed25519
+
+
+def module_calls(module):
+    """``public_key`` / ``sign`` / ``verify`` as ``ed25519`` defines them, on ``module``'s keys."""
+
+    def verify_with(pub, message, signature):
+        try:
+            key = module.VerifyKey(pub)
+        except ValueError:
+            return False
+        return key.verify(message, signature)
+
+    return SimpleNamespace(
+        public_key=lambda seed: module.SigningKey(seed).verify_key.encoded,
+        sign=lambda seed, message: module.SigningKey(seed).sign(message),
+        verify=verify_with, SigningKey=module.SigningKey, VerifyKey=module.VerifyKey,
+    )
+
+
+def native_signer():
+    """The OpenSSL signer, or a skip on a CPython whose libcrypto lacks it."""
+    if ed25519_signer() is not openssl:
+        pytest.skip("this CPython's libcrypto exports no EVP Ed25519 calls")
+    return module_calls(openssl)
+
+
+@pytest.fixture(params=["python", "openssl"])
+def signer(request):
+    return ed25519 if request.param == "python" else native_signer()
+
+
+@pytest.fixture(scope="module")
+def native():
+    return native_signer()
+
+
+# --------------------------------------------------------------------------
 # RFC 8032 §7.1
 
 MESSAGE_1024 = bytes.fromhex(
@@ -211,14 +256,14 @@ RFC8032_VECTORS = [
 
 @pytest.mark.parametrize("name,seed,pub,message,signature", RFC8032_VECTORS,
                          ids=[v[0] for v in RFC8032_VECTORS])
-def test_rfc8032_vector(name, seed, pub, message, signature):
+def test_rfc8032_vector(signer, name, seed, pub, message, signature):
     seed, pub, signature = bytes.fromhex(seed), bytes.fromhex(pub), bytes.fromhex(signature)
     assert len(MESSAGE_1024) == 1023
-    assert ed25519.public_key(seed) == pub
-    assert ed25519.sign(seed, message) == signature
-    assert ed25519.verify(pub, message, signature)
-    assert not ed25519.verify(pub, message + b"x", signature)
-    assert not ed25519.verify(pub, message, flip(signature, 0))
+    assert signer.public_key(seed) == pub
+    assert signer.sign(seed, message) == signature
+    assert signer.verify(pub, message, signature)
+    assert not signer.verify(pub, message + b"x", signature)
+    assert not signer.verify(pub, message, flip(signature, 0))
 
 
 # --------------------------------------------------------------------------
@@ -246,6 +291,36 @@ def test_keys_and_signatures_are_byte_identical_to_the_reference():
             assert verify_key.verify(case_message, case_signature) is expected, label
             assert ref_verify(verify_key.encoded, case_message, case_signature) is expected, label
     assert ed25519.verify(own.encoded, message, signature)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.binary(min_size=32, max_size=32), message=st.binary(max_size=96),
+       bit=st.integers(0, 511))
+def test_openssl_is_byte_identical_to_the_python_signer(native, seed, message, bit):
+    key, reference = native.SigningKey(seed), ed25519.SigningKey(seed)
+    assert key.verify_key.encoded == reference.verify_key.encoded
+    signature = key.sign(message)
+    assert signature == reference.sign(message)
+    assert key.verify_key.verify(message, signature) and reference.verify_key.verify(message, signature)
+    flipped = flip(signature, bit)
+    assert key.verify_key.verify(message, flipped) is reference.verify_key.verify(message, flipped)
+
+
+def test_wrong_lengths_never_reach_libcrypto(native, monkeypatch):
+    key = native.SigningKey(SEED)
+
+    def foreign(*args):
+        raise AssertionError("a foreign call")
+
+    monkeypatch.setattr(openssl, "_lib", SimpleNamespace(**dict.fromkeys(openssl._PROTOTYPES, foreign)))
+    for seed in (b"", SEED[:31], SEED + b"\x00"):
+        with pytest.raises(ValueError):
+            native.SigningKey(seed)
+    for pub in (b"", PUB[:31], PUB + b"\x00"):
+        with pytest.raises(ValueError):
+            native.VerifyKey(pub)
+    for signature in (b"", SIGNATURE[:63], SIGNATURE + b"\x00"):
+        assert key.verify_key.verify(MESSAGE, signature) is False
 
 
 # --------------------------------------------------------------------------
@@ -330,33 +405,33 @@ def forge_with_r(r_enc: bytes) -> bytes:
     return r_enc + int.to_bytes(k * scalar % L, 32, "little")
 
 
-def rejected(pub: bytes, signature: bytes) -> bool:
+def rejected(signer, pub: bytes, signature: bytes) -> bool:
     assert ref_verify(pub, MESSAGE, signature) is False
-    return ed25519.verify(pub, MESSAGE, signature) is False
+    return signer.verify(pub, MESSAGE, signature) is False
 
 
 class TestEdgeEncodings:
-    def test_forgery_helper_is_sound(self):
+    def test_forgery_helper_is_sound(self, signer):
         # With the canonical identity the forged equation holds, so the
         # rejections below are due to the encoding of R alone.
         canonical = forge_with_r(encode(1))
-        assert ref_verify(PUB, MESSAGE, canonical) and ed25519.verify(PUB, MESSAGE, canonical)
+        assert ref_verify(PUB, MESSAGE, canonical) and signer.verify(PUB, MESSAGE, canonical)
 
-    def test_s_not_below_group_order(self):
+    def test_s_not_below_group_order(self, signer):
         s = int.from_bytes(SIGNATURE[32:], "little")
-        assert rejected(PUB, SIGNATURE[:32] + int.to_bytes(s + L, 32, "little"))
-        assert rejected(PUB, SIGNATURE[:32] + int.to_bytes(L, 32, "little"))
-        assert rejected(PUB, SIGNATURE[:32] + b"\xff" * 32)
+        assert rejected(signer, PUB, SIGNATURE[:32] + int.to_bytes(s + L, 32, "little"))
+        assert rejected(signer, PUB, SIGNATURE[:32] + int.to_bytes(L, 32, "little"))
+        assert rejected(signer, PUB, SIGNATURE[:32] + b"\xff" * 32)
 
-    def test_r_with_y_not_below_p(self):
-        assert rejected(PUB, forge_with_r(encode(P + 1)))
+    def test_r_with_y_not_below_p(self, signer):
+        assert rejected(signer, PUB, forge_with_r(encode(P + 1)))
 
-    def test_r_with_zero_x_and_sign_bit(self):
-        assert rejected(PUB, forge_with_r(encode(1, sign_bit=1)))
+    def test_r_with_zero_x_and_sign_bit(self, signer):
+        assert rejected(signer, PUB, forge_with_r(encode(1, sign_bit=1)))
 
-    def test_r_off_curve(self):
-        assert rejected(PUB, OFF_CURVE + SIGNATURE[32:])
-        assert rejected(PUB, forge_with_r(OFF_CURVE))
+    def test_r_off_curve(self, signer):
+        assert rejected(signer, PUB, OFF_CURVE + SIGNATURE[32:])
+        assert rejected(signer, PUB, forge_with_r(OFF_CURVE))
 
     @pytest.mark.parametrize("pub", [
         OFF_CURVE,
@@ -367,8 +442,8 @@ class TestEdgeEncodings:
         encode(0),                      # order 4
         bytes.fromhex("26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05"),  # order 8
     ], ids=["off-curve", "y>=p", "x=0 sign=1", "identity", "order 2", "order 4", "order 8"])
-    def test_degenerate_public_key(self, pub):
-        assert rejected(pub, SIGNATURE)
+    def test_degenerate_public_key(self, signer, pub):
+        assert rejected(signer, pub, SIGNATURE)
 
     def test_small_order_keys_are_what_they_claim(self):
         order8 = ref_decompress(bytes.fromhex(
@@ -377,18 +452,28 @@ class TestEdgeEncodings:
         assert ref_compress(ref_mul(4, ref_decompress(encode(0)))) == encode(1)
         assert ref_compress(ref_mul(2, ref_decompress(encode(P - 1)))) == encode(1)
 
+    @pytest.mark.parametrize("pub,accepted", [
+        (encode(1), True), (encode(P - 1), False), (encode(0), False),
+    ], ids=["identity", "order 2", "order 4"])
+    def test_small_order_key_with_the_trivial_signature(self, signer, pub, accepted):
+        # R = identity, S = 0 satisfies [S]B = R + [k]A for A the identity:
+        # the cofactorless equation accepts it, and both signers agree.
+        trivial = encode(1) + bytes(32)
+        assert ref_verify(pub, MESSAGE, trivial) is accepted
+        assert signer.verify(pub, MESSAGE, trivial) is accepted
+
     @pytest.mark.parametrize("pub,signature", [
         (PUB, b""), (PUB, SIGNATURE[:63]), (PUB, SIGNATURE + b"\x00"),
         (b"", SIGNATURE), (PUB[:31], SIGNATURE), (PUB + b"\x00", SIGNATURE),
     ])
-    def test_wrong_lengths(self, pub, signature):
-        assert rejected(pub, signature)
+    def test_wrong_lengths(self, signer, pub, signature):
+        assert rejected(signer, pub, signature)
 
-    def test_malformed_seed_raises(self):
+    def test_malformed_seed_raises(self, signer):
         with pytest.raises(ValueError):
-            ed25519.sign(b"short", b"")
+            signer.sign(b"short", b"")
         with pytest.raises(ValueError):
-            ed25519.VerifyKey(OFF_CURVE)
+            signer.VerifyKey(OFF_CURVE)
 
 
 # --------------------------------------------------------------------------
@@ -432,3 +517,115 @@ class TestKeyExpansionOwnership:
         # Each key pair owns its expansion; equal key pairs do not share one.
         again = KeyRegistry(scheme="ed25519").register("r0")
         assert again == registry.get("r0") and again._key is not registry.get("r0")._key
+
+
+# --------------------------------------------------------------------------
+# what the OpenSSL signer holds, and what it gives back
+
+
+def counted_lib(made, freed):
+    """``openssl._lib`` with every handle it makes and frees recorded."""
+    real = openssl._lib
+    lib = SimpleNamespace(**vars(real))
+
+    def making(function):
+        def call(*args):
+            made.append(function(*args))
+            return made[-1]
+        return call
+
+    def freeing(function):
+        def call(handle):
+            freed.append(handle)
+            function(handle)
+        return call
+
+    for name in ("EVP_PKEY_new_raw_private_key", "EVP_PKEY_new_raw_public_key", "EVP_MD_CTX_new"):
+        setattr(lib, name, making(getattr(real, name)))
+    for name in ("EVP_PKEY_free", "EVP_MD_CTX_free"):
+        setattr(lib, name, freeing(getattr(real, name)))
+    return lib
+
+
+class TestOpenSSLHandles:
+    def test_every_handle_is_freed(self, native, monkeypatch):
+        made, freed = [], []
+        monkeypatch.setattr(openssl, "_lib", counted_lib(made, freed))
+        key = native.SigningKey(SEED)
+        signature = key.sign(MESSAGE)
+        assert key.verify_key.verify(MESSAGE, signature)
+        assert not key.verify_key.verify(MESSAGE, flip(signature, 3))
+        # Two keys live with their owner; the three contexts are already gone.
+        assert (len(made), len(freed)) == (5, 3) and all(made)
+        del key
+        assert sorted(made) == sorted(freed)
+
+    def test_a_failed_sign_raises_and_frees_its_context(self, native, monkeypatch):
+        key = native.SigningKey(SEED)
+        made, freed = [], []
+        monkeypatch.setattr(openssl, "_lib", counted_lib(made, freed))
+        monkeypatch.setattr(openssl._lib, "EVP_DigestSign", lambda *args: 0)
+        with pytest.raises(RuntimeError):
+            key.sign(MESSAGE)
+        assert made == freed and len(made) == 1
+
+    def test_anything_but_one_from_verify_is_false(self, native, monkeypatch):
+        key = native.SigningKey(SEED)
+        signature = key.sign(MESSAGE)
+        for code in (0, -1, 2):
+            monkeypatch.setattr(openssl._lib, "EVP_DigestVerify", lambda *args, code=code: code)
+            assert key.verify_key.verify(MESSAGE, signature) is False
+
+
+# --------------------------------------------------------------------------
+# which signer a process uses
+
+
+@pytest.fixture
+def lookup_fails(monkeypatch):
+    """Choose the signer again with a symbol no libcrypto exports."""
+    monkeypatch.setitem(openssl._PROTOTYPES, "EVP_no_such_call", (None, []))
+    ed25519_signer.cache_clear()
+    yield
+    ed25519_signer.cache_clear()
+
+
+class TestSignerChoice:
+    def test_registry_keys_sign_through_openssl(self, native):
+        assert ed25519_signer() is openssl
+        assert isinstance(KeyRegistry(scheme="ed25519").register("r0")._key, openssl.SigningKey)
+
+    def test_a_failed_lookup_signs_through_python_with_the_same_tags(self, lookup_fails):
+        assert ed25519_signer() is ed25519 and not openssl.load()
+        registry = KeyRegistry(scheme="ed25519")
+        keypair = registry.register("r0")
+        assert isinstance(keypair._key, ed25519.SigningKey)
+        signature = sign(keypair, "deadbeef")
+        assert signature.tag == ref_sign(keypair.secret, b"deadbeef")
+        assert verify(registry, signature)
+
+    @pytest.mark.parametrize("backend", ["openssl", "python"])
+    def test_a_deployment_commits_and_names_its_signer(self, backend, request, capsys):
+        from repro.experiments.cli import main
+
+        request.getfixturevalue("native" if backend == "openssl" else "lookup_fails")
+        assert main(["deploy", "--nodes", "4", "--rate", "30", "--runtime", "0.6",
+                     "--seed", "7"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"signing backend: {backend}" in lines and "consistent: true" in lines
+        committed = next(line for line in lines if line.startswith("committed transactions: "))
+        assert int(committed.rpartition(" ")[2]) > 0
+
+    def test_a_simulated_run_never_loads_ctypes(self):
+        code = (
+            "import sys; from repro import api; "
+            "r = api.run({'block_size': 20, 'runtime': 0.5, 'warmup': 0.1, 'cooldown': 0.1, "
+            "'concurrency': 5, 'num_clients': 1, 'cost_profile': 'fast', 'view_timeout': 0.05}); "
+            "assert r.consistent and r.metrics.committed_transactions > 0; "
+            "print([m for m in ('ctypes', 'repro.crypto.openssl') if m in sys.modules])"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env={"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}, check=True,
+        )
+        assert done.stdout.strip() == "[]"

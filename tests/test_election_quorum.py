@@ -14,7 +14,9 @@ from repro.election.election import (
 )
 from repro.quorum import quorum
 from repro.quorum.quorum import QuorumTracker, TimeoutTracker, max_faulty, quorum_size
+from repro.transport.codec import decode_message, encode_message
 from repro.types.certificates import Timeout, timeout_digest
+from repro.types.messages import VoteMessage
 
 from helpers import build_certified_chain, make_vote
 
@@ -183,6 +185,36 @@ class TestQuorumTracker:
         assert not tracker.voted(tampered)
         assert tracker.invalid == 1
 
+    def test_an_own_vote_is_counted_without_verification(self, verified):
+        tracker = QuorumTracker(4, self.registry)
+        own = make_vote(self.registry, "r0", self.block)
+        tracker.trust(own)
+        assert tracker.voted(own)
+        assert verified == [] and tracker.vote_count(self.block.view, self.block.block_id) == 1
+
+    def test_a_decoded_vote_naming_the_receiver_is_verified(self, verified):
+        # The wire gives any voter name; only the object this replica sent
+        # back to itself goes unverified.
+        tracker = QuorumTracker(4, self.registry)
+        own = make_vote(self.registry, "r0", self.block)
+        tracker.trust(own)
+        wire = encode_message(VoteMessage(sender="r0", size_bytes=105, vote=forged(own)))
+        decoded = decode_message(wire).vote
+        assert decoded.voter == "r0" and decoded is not own
+        assert not tracker.voted(decoded)
+        assert (tracker.invalid, len(verified)) == (1, 1)
+        assert tracker.voted(own) and len(verified) == 1
+
+    def test_trust_entries_leave_with_prune_below(self):
+        forest, blocks = build_certified_chain([1, 2])
+        tracker = QuorumTracker(4, self.registry)
+        for block in blocks:
+            tracker.trust(make_vote(self.registry, "r0", block))
+        tracker.prune_below(2)
+        assert list(tracker._own) == [(2, blocks[1].block_id)]
+        tracker.prune_below(3)
+        assert tracker._own == {}
+
     def test_votes_for_different_blocks_are_separate(self):
         forest, blocks = build_certified_chain([1, 2])
         tracker = QuorumTracker(4, self.registry)
@@ -236,6 +268,17 @@ class TestTimeoutTracker:
         assert tracker.timeout_count(5) == 0 and tracker.invalid == 1
         assert tracker.record(timeout)
         assert tracker.timeout_count(5) == 1
+
+    def test_an_own_timeout_is_counted_without_verification(self, verified):
+        registry = KeyRegistry()
+        tracker = TimeoutTracker(4, registry)
+        own = self._timeout(registry, "r0", view=5)
+        tracker.trust(own)
+        assert not tracker.record(forged(own))
+        assert tracker.record(own) and tracker.timeout_count(5) == 1
+        assert (tracker.invalid, len(verified)) == (1, 1)
+        tracker.prune_below(6)
+        assert tracker._own == {}
 
     def test_tc_only_once_per_view(self):
         registry = KeyRegistry()

@@ -1,5 +1,7 @@
 """Unit and small-cluster tests for the replica event loop."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.bench.config import Configuration
@@ -7,9 +9,11 @@ from repro.bench.runner import build_cluster, run_cluster
 from repro.core.byzantine import ForkingReplica, SilentReplica, make_replica
 from repro.core.replica import Replica, ReplicaSettings
 from repro.crypto.keys import KeyRegistry
+from repro.crypto.signatures import verify
 from repro.election.election import HashBasedElection, RoundRobinElection
 from repro.network.delays import FixedDelay
 from repro.network.network import Network
+from repro.quorum import quorum
 from repro.sim.events import EventScheduler
 from repro.sim.random import RandomStreams
 from repro.types.messages import ClientReply, ClientRequest
@@ -183,6 +187,33 @@ class TestCrashAndTimeouts:
         scheduler.run_until(0.6)
         # With only 2 of 4 replicas alive no quorum (3) can form.
         assert replicas["r0"].forest.committed_height <= height_at_crash + 1
+
+
+class TestOwnMessages:
+    @pytest.mark.parametrize("protocol", ["hotstuff", "streamlet"])
+    def test_own_votes_and_timeouts_count_unverified(self, monkeypatch, protocol):
+        # With r3 down every QC and TC needs all three live replicas, so
+        # progress shows that each counted its own copy; the spy shows that
+        # none verified one.
+        checked = []
+
+        def spy(owned, signature):
+            checked.append((owned.owner, signature.signer))
+            return verify(owned.registry, signature)
+
+        monkeypatch.setattr(quorum, "verify", spy)
+        scheduler, network, replicas = build_mini_cluster(
+            protocol=protocol, view_timeout=0.02, election_kind="hash")
+        for replica in replicas.values():
+            owned = SimpleNamespace(owner=replica.node_id, registry=replica.registry)
+            replica.quorum.registry = replica.timeouts.registry = owned
+            replica.start()
+        replicas["r3"].crash()
+        scheduler.run_until(1.0)
+        observer = replicas["r0"]
+        assert observer.forest.committed_height > 5
+        assert observer.pacemaker.stats.view_changes_on_tc > 0
+        assert checked and all(owner != signer for owner, signer in checked)
 
 
 class TestByzantineReplicas:
