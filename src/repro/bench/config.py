@@ -201,7 +201,8 @@ class Configuration:
         """Check the configuration against the registries and the BFT bound.
 
         Collects *all* problems and raises one :class:`ConfigurationError`
-        listing them, so a bad config file is fixed in one round trip.
+        listing them (a single problem on one line), so a bad config file is
+        fixed in one round trip.
         Returns ``self`` so it can be chained (``config.validate()``).
         """
         # Imported here: config is a leaf module the registries' modules use.
@@ -267,6 +268,18 @@ class Configuration:
             problems.append(
                 f"mode: unknown mode {self.mode!r}; expected 'model' or 'deploy'"
             )
+        if self.mode == "deploy":
+            # Loopback sockets are a deployment's network: it has no modelled
+            # link or NIC to apply these to, and must not report a run as if
+            # it had.
+            defaults = {f.name: f.default for f in dataclasses.fields(self)}
+            for name in ("extra_delay_mean", "extra_delay_stddev", "bandwidth_bps"):
+                value = getattr(self, name)
+                if value != defaults[name]:
+                    problems.append(
+                        f"{name}: mode='deploy' runs over loopback and cannot apply "
+                        f"it; got {value!r}, only the default {defaults[name]!r} works"
+                    )
         if self.signing != "auto":
             from repro.crypto.keys import available_schemes
 
@@ -313,6 +326,8 @@ class Configuration:
                 f"block_size {self.block_size}; no block could ever fill"
             )
 
+        if len(problems) == 1:
+            raise ConfigurationError(f"invalid configuration: {problems[0]}")
         if problems:
             raise ConfigurationError(
                 "invalid configuration:\n  - " + "\n  - ".join(problems)

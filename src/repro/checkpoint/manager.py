@@ -211,7 +211,7 @@ class CheckpointManager:
             return
         self._catchup_rounds += 1
         self._send_request()
-        self.replica.scheduler.call_after(sync.request_delay(), self._catchup_tick)
+        self.replica.scheduler.post_after(sync.request_delay(), self._catchup_tick)
 
     def _finish_catchup(self) -> None:
         """Hand the rest of the gap to the ordinary block-fetch catch-up."""

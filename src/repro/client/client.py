@@ -310,7 +310,7 @@ class ClosedLoopClient(ClientBase):
 
     def _on_rejected(self, txid: str) -> None:
         if self._issuing_allowed():
-            self.scheduler.call_after(REJECTION_BACKOFF, self._submit_request)
+            self.scheduler.post_after(REJECTION_BACKOFF, self._submit_request)
 
     def _on_timed_out(self, txid: str) -> None:
         self._submit_request()
@@ -347,7 +347,7 @@ class PoissonClient(ClientBase):
         The arrival that falls past the stop time is drawn, and not sent.
         """
         intended = previous + self.streams.exponential(f"arrivals:{self.client_id}", self.rate)
-        self.scheduler.call_at(intended, self._arrive, intended)
+        self.scheduler.post_at(intended, self._arrive, intended)
 
     def _arrive(self, intended: float) -> None:
         if self._submit_request(intended) is not None:

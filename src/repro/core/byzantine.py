@@ -172,7 +172,7 @@ class EquivocatingReplica(Replica):
                 self._equiv_deadline = self.scheduler.now + 0.5 * self.settings.view_timeout
             if self.scheduler.now < self._equiv_deadline:
                 poll = max(1e-4, 0.05 * self.settings.view_timeout)
-                self.scheduler.call_after(poll, self._propose, view)
+                self.scheduler.post_after(poll, self._propose, view)
                 return
             # The branch QCs never materialized (intersecting quorums do
             # exactly this); abandon the fork and start over.
@@ -258,7 +258,7 @@ class DelayedProposalReplica(Replica):
             self._delayed_view = view
             self.proposals_delayed += 1
             delay = self.delay_fraction * self.settings.view_timeout
-            self.scheduler.call_after(delay, self._propose, view)
+            self.scheduler.post_after(delay, self._propose, view)
             return
         Replica._propose(self, view)
 
@@ -290,7 +290,7 @@ class TargetedOmissionReplica(Replica):
                 self.messages_omitted += 1
                 return
             self.messages_delayed += 1
-            self.scheduler.call_after(
+            self.scheduler.post_after(
                 self._jitter(dst, message), Replica._send, self, dst, message
             )
             return

@@ -628,7 +628,7 @@ class Replica:
         if reason is ViewChangeReason.TC:
             delay = self.settings.propose_wait_after_tc
         if delay > 0:
-            self.scheduler.call_after(delay, self._propose, view)
+            self.scheduler.post_after(delay, self._propose, view)
         else:
             self._propose(view)
 

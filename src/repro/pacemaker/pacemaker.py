@@ -114,7 +114,7 @@ class Pacemaker:
 
     def stop(self) -> None:
         """Cancel the running timer (end of simulation or crash)."""
-        if self._timer is not None and self._timer.pending:
+        if self._timer is not None:
             self._timer.cancel()
         self._timer = None
 
@@ -183,7 +183,7 @@ class Pacemaker:
     # internals
     # ------------------------------------------------------------------
     def _enter_view(self, view: int, reason: ViewChangeReason) -> None:
-        if self._timer is not None and self._timer.pending:
+        if self._timer is not None:
             self._timer.cancel()
         self.current_view = view
         self.stats.highest_view = max(self.stats.highest_view, view)

@@ -68,12 +68,12 @@ class ScenarioEvent:
 
     def schedule(self, cluster) -> None:
         """Arrange for :meth:`apply` to run at ``self.at`` on ``cluster``."""
-        cluster.scheduler.call_at(self.at, self._fire, cluster)
+        cluster.scheduler.post_at(self.at, self._fire, cluster)
 
     def _fire(self, cluster) -> None:
         """Announce the event on the cluster's stream (``fault``), then apply it.
 
-        Same scheduler entry as calling ``apply`` directly (one ``call_at``,
+        Same scheduler entry as calling ``apply`` directly (one ``post_at``,
         no extra events), so a subscriber cannot perturb event order.
         """
         ev = cluster.events

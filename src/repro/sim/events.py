@@ -3,15 +3,16 @@
 The scheduler is a classic calendar queue built on :mod:`heapq`.  Time is a
 ``float`` measured in **seconds** of simulated time.  Events scheduled for the
 same instant execute in the order they were scheduled (a monotonically
-increasing sequence number breaks ties), which keeps runs deterministic.
+increasing sequence number breaks ties), which keeps runs deterministic —
+a promise the deployment's wall clock does not make.
 
-The API has two tiers:
+The API has two tiers, both taking positional arguments only:
 
 * :meth:`EventScheduler.call_at` / :meth:`EventScheduler.call_after` return a
-  cancellable :class:`Event` handle and accept keyword arguments — use these
-  for timers (view timeouts) that may be cancelled.
+  cancellable :class:`Event` handle — use these only for timers (view
+  timeouts) that may be cancelled.
 * :meth:`EventScheduler.post_at` / :meth:`EventScheduler.post_after` are the
-  fast path: no handle, no kwargs, no :class:`Event` allocation.  The vast
+  fast path: no handle, no :class:`Event` allocation.  The vast
   majority of simulated events are message hops that nobody ever cancels;
   posting them costs one plain tuple in the heap and nothing else.  (A
   client's request timeout is one such post, armed for its oldest
@@ -44,20 +45,18 @@ class Event:
     scheduler's lazy compaction rebuilds the heap without them.
     """
 
-    __slots__ = ("time", "callback", "args", "kwargs", "cancelled", "fired", "_scheduler")
+    __slots__ = ("time", "callback", "args", "cancelled", "fired", "_scheduler")
 
     def __init__(
         self,
         time: float,
         callback: Callable[..., Any],
         args: tuple,
-        kwargs: dict,
         scheduler: Optional["EventScheduler"] = None,
     ) -> None:
         self.time = time
         self.callback = callback
         self.args = args
-        self.kwargs = kwargs
         self.cancelled = False
         self.fired = False
         self._scheduler = scheduler
@@ -137,22 +136,22 @@ class EventScheduler:
     # ------------------------------------------------------------------
     # tier 1: cancellable timers
     # ------------------------------------------------------------------
-    def call_at(self, time: float, callback: Callable[..., Any], *args: Any, **kwargs: Any) -> Event:
+    def call_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback`` to run at absolute simulated ``time``."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule event in the past: {time:.6f} < now {self.now:.6f}"
             )
-        event = Event(time, callback, args, kwargs, scheduler=self)
+        event = Event(time, callback, args, scheduler=self)
         self._sequence += 1
         heapq.heappush(self._heap, (time, self._sequence, event, None))
         return event
 
-    def call_after(self, delay: float, callback: Callable[..., Any], *args: Any, **kwargs: Any) -> Event:
+    def call_after(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        return self.call_at(self.now + delay, callback, *args, **kwargs)
+        return self.call_at(self.now + delay, callback, *args)
 
     # ------------------------------------------------------------------
     # tier 2: fire-and-forget posts (the message-hop fast path)
@@ -257,7 +256,7 @@ class EventScheduler:
                         continue
                     self.now = time
                     event.fired = True
-                    event.callback(*event.args, **event.kwargs)
+                    event.callback(*event.args)
                 else:
                     self.now = time
                     entry[2](*args)
@@ -294,7 +293,7 @@ class EventScheduler:
                         continue
                     self.now = entry[0]
                     event.fired = True
-                    event.callback(*event.args, **event.kwargs)
+                    event.callback(*event.args)
                 else:
                     self.now = entry[0]
                     entry[2](*args)

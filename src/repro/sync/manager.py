@@ -132,14 +132,14 @@ class SyncManager:
         if evicted is not None:
             self.stats.orphans_evicted += 1
         if added and self.settings.enabled:
-            self.replica.scheduler.call_after(
+            self.replica.scheduler.post_after(
                 self.request_delay(), self._maybe_request, block.parent_id
             )
 
     def note_missing_certified(self, qc: QuorumCertificate) -> None:
         """A QC formed for a block we do not hold; schedule a fetch for it."""
         if self.settings.enabled:
-            self.replica.scheduler.call_after(
+            self.replica.scheduler.post_after(
                 self.request_delay(), self._maybe_request, qc.block_id
             )
 
@@ -163,7 +163,7 @@ class SyncManager:
             return
         self._catchup_rounds += 1
         self._send_request(None)
-        self.replica.scheduler.call_after(self.request_delay(), self._catchup_tick)
+        self.replica.scheduler.post_after(self.request_delay(), self._catchup_tick)
 
     # ------------------------------------------------------------------
     # fetch rounds
@@ -202,7 +202,7 @@ class SyncManager:
         # Chosen peers may be crashed, partitioned, or missing the target
         # themselves (they answer with nothing) — re-check on a view-timeout
         # cadence until the block arrives or the round cap is hit.
-        self.replica.scheduler.call_after(
+        self.replica.scheduler.post_after(
             self.request_delay(), self._maybe_request, target
         )
 

@@ -6,7 +6,7 @@ See :mod:`repro.transport.base` for the seam contract,
 """
 
 from repro.transport.base import Clock, TimerHandle, Transport
-from repro.transport.clock import AsyncioClock, AsyncioTimer
+from repro.transport.clock import AsyncioClock
 from repro.transport.asyncio_net import AsyncioTransport, TransportStats
 from repro.transport.runtime import (
     DeploymentError,
@@ -20,7 +20,6 @@ __all__ = [
     "TimerHandle",
     "Transport",
     "AsyncioClock",
-    "AsyncioTimer",
     "AsyncioTransport",
     "TransportStats",
     "DeploymentError",

@@ -4,11 +4,14 @@ The protocol classes, :class:`~repro.core.replica.Replica`, the pacemaker,
 sync/checkpoint managers, and clients never import a concrete scheduler or
 network.  They are written against two small structural interfaces:
 
-* :class:`Clock` — ``now``, ``call_after``/``call_at`` returning a
-  :class:`TimerHandle`.  The discrete-event
-  :class:`~repro.sim.events.EventScheduler` satisfies it with virtual time;
+* :class:`Clock` — ``now``, ``call_after`` returning a cancellable
+  :class:`TimerHandle`, and the handle-free ``post_after``/``post_at``.  The
+  discrete-event :class:`~repro.sim.events.EventScheduler` satisfies it with
+  virtual time (its ``Event`` is the handle);
   :class:`~repro.transport.clock.AsyncioClock` satisfies it with the event
-  loop's monotonic wall clock.
+  loop's monotonic wall clock (the handle is asyncio's own ``TimerHandle``).
+  The seam holds only what both provide: no keyword arguments (asyncio's
+  ``call_at`` takes none) and no "still pending" query on a handle.
 * :class:`Transport` — ``register``/``send``/``broadcast`` plus
   crash/recover controls.  The simulated :class:`~repro.network.network.Network`
   satisfies it with modeled NIC/link delays;
@@ -32,11 +35,6 @@ from repro.types.messages import Message
 class TimerHandle(Protocol):
     """A cancellable timer returned by :meth:`Clock.call_after`."""
 
-    @property
-    def pending(self) -> bool:
-        """True while the timer has neither fired nor been cancelled."""
-        ...
-
     def cancel(self) -> None:
         """Cancel the timer; a no-op once fired or already cancelled."""
         ...
@@ -51,12 +49,8 @@ class Clock(Protocol):
         """Current time in seconds (simulated or monotonic wall time)."""
         ...
 
-    def call_after(self, delay: float, callback: Callable, *args, **kwargs) -> TimerHandle:
-        """Run ``callback`` after ``delay`` seconds."""
-        ...
-
-    def call_at(self, when: float, callback: Callable, *args, **kwargs) -> TimerHandle:
-        """Run ``callback`` at absolute time ``when``."""
+    def call_after(self, delay: float, callback: Callable, *args) -> TimerHandle:
+        """Run ``callback(*args)`` after ``delay`` seconds, cancellably."""
         ...
 
     def post_after(self, delay: float, callback: Callable, *args) -> None:

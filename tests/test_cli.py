@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from repro import api
 from repro.analysis import figure_for_campaign
-from repro.bench.config import Configuration
+from repro.bench.config import Configuration, ConfigurationError
 from repro.experiments import run_key
 from repro.experiments.cli import main
 from repro.experiments.store import ResultStore, TruncatedRecordWarning
@@ -81,10 +82,11 @@ class TestRun:
 CRASH = {"events": [{"kind": "crash-replica", "at": 0.3, "replica": "last"}]}
 
 
-def assert_one_error_line(stderr: str) -> None:
+def assert_one_error_line(stderr: str, *names: str) -> None:
     """A configuration error is one ``error:`` line, not a traceback."""
     (line,) = stderr.splitlines()
     assert line.startswith("error: ") and "mode='deploy'" in line
+    assert all(name in line for name in names)
 
 
 class TestScenarioOnADeployment:
@@ -104,6 +106,41 @@ class TestScenarioOnADeployment:
                                     "grid": {"block_size": [20, 40]}}))
         assert main(["campaign", str(path), "-w", workers]) == 1
         assert_one_error_line(capsys.readouterr().err)
+
+
+#: Table I's network knobs, each at a value other than its default.
+NETWORK_KNOBS = {"extra_delay_mean": 0.005, "extra_delay_stddev": 0.001, "bandwidth_bps": 1e9}
+
+
+@pytest.mark.parametrize("field", sorted(NETWORK_KNOBS))
+class TestModelledNetworkOnADeployment:
+    """A deployment's network is loopback: a knob of the modelled network set
+    for one is a configuration error naming it, on every path — never a
+    loopback run reported as if it had been delayed."""
+
+    def knobbed(self, field):
+        return {**FAST, "mode": "deploy", field: NETWORK_KNOBS[field]}
+
+    def test_run_and_deploy_report_a_configuration_error(self, field, tmp_path, capsys):
+        path = tmp_path / "deploy_knob.json"
+        path.write_text(json.dumps({"config": self.knobbed(field)}))
+        assert main(["run", str(path)]) == 1
+        assert_one_error_line(capsys.readouterr().err, field)
+        assert main(["deploy", str(path), "--signing", "hmac"]) == 1
+        assert_one_error_line(capsys.readouterr().err, field)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_campaign_reports_a_configuration_error(self, field, workers, tmp_path, capsys):
+        path = tmp_path / "deploy_knob_spec.json"
+        path.write_text(json.dumps({"base": self.knobbed(field),
+                                    "grid": {"block_size": [20, 40]}}))
+        assert main(["campaign", str(path), "-w", workers]) == 1
+        assert_one_error_line(capsys.readouterr().err, field)
+
+    def test_api_deploy_raises_and_the_model_takes_the_knob(self, field):
+        with pytest.raises(ConfigurationError, match=field):
+            api.deploy(self.knobbed(field))
+        Configuration.from_dict({**self.knobbed(field), "mode": "model"}).validate()
 
 
 class TestDeploy:

@@ -52,13 +52,6 @@ class TestScheduling:
         sched.run_until(1.0)
         assert seen == [42]
 
-    def test_keyword_arguments_are_passed(self):
-        sched = EventScheduler()
-        seen = {}
-        sched.call_after(0.1, lambda **kw: seen.update(kw), value=7)
-        sched.run_until(1.0)
-        assert seen == {"value": 7}
-
     def test_scheduling_in_the_past_raises(self):
         sched = EventScheduler(start_time=5.0)
         with pytest.raises(SimulationError):
