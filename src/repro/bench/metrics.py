@@ -92,6 +92,8 @@ class RunMetrics:
     #: see :mod:`repro.checkpoint`).  ``peak_forest_blocks`` is the largest
     #: per-replica forest observed at a checkpoint — the bounded-memory
     #: claim is that it stays O(checkpoint_interval) on long runs.
+    #: ``snapshot_bytes_fetched`` sums every SnapshotResponse received, each
+    #: carrying a checkpoint (there is no negative answer to count).
     checkpoints_taken: int = 0
     snapshots_installed: int = 0
     blocks_truncated: int = 0
@@ -195,8 +197,8 @@ class MetricsCollector:
             elif kind == "forest-peak":
                 self.peak_forest_blocks = max(self.peak_forest_blocks, payload["blocks"])
             elif kind == "snapshot-response":
-                # Counted whether or not it installs: negatives and stale
-                # duplicates are real traffic too.
+                # Counted whether or not it installs: stale duplicates are
+                # real traffic too.  Every response carries a checkpoint.
                 self.snapshot_bytes_fetched += payload["bytes"]
             elif kind == "snapshot-install":
                 self.snapshots_installed += 1

@@ -3,12 +3,11 @@
 The forest, the executor's KV log, and the sync protocol all paid
 O(run-length) memory before this package existed.  A
 :class:`~repro.checkpoint.manager.CheckpointManager` per replica snapshots
-the committed prefix every ``interval`` commits, truncates the forest below
-the checkpoint, and extends the sync protocol with snapshot transfer
-(:class:`~repro.checkpoint.messages.SnapshotRequest` /
-:class:`~repro.checkpoint.messages.SnapshotResponse`) so a recovered or
-far-behind replica installs a checkpoint and fetches only the blocks above
-it instead of walking the whole chain.
+the committed prefix every ``interval`` commits and truncates the forest
+below the checkpoint.  A ``BlockRequest`` anchored below that watermark is
+answered with a :class:`~repro.checkpoint.messages.SnapshotResponse`, so a
+recovered or far-behind replica installs a checkpoint and fetches only the
+blocks above it instead of walking the whole chain.
 
 Configure through :class:`~repro.bench.config.Configuration`
 (``checkpoint_interval``, ``snapshot_sync_enabled``) or directly via
@@ -20,7 +19,7 @@ from repro.checkpoint.manager import (
     CheckpointSettings,
     CheckpointStats,
 )
-from repro.checkpoint.messages import SnapshotRequest, SnapshotResponse
+from repro.checkpoint.messages import SnapshotResponse
 from repro.checkpoint.snapshot import Checkpoint
 
 __all__ = [
@@ -28,6 +27,5 @@ __all__ = [
     "CheckpointManager",
     "CheckpointSettings",
     "CheckpointStats",
-    "SnapshotRequest",
     "SnapshotResponse",
 ]

@@ -17,39 +17,32 @@ manager) and owns the whole checkpoint lifecycle:
   index are both append-only snapshots of committed history, so the state
   "as of the watermark" can be produced on demand instead of being copied on
   every interval — O(state) per snapshot transfer rather than per K commits.
-* **Serving** — a :class:`~repro.checkpoint.messages.SnapshotRequest` is
-  answered with a checkpoint of the responder's committed prefix when the
-  requester's anchor lies below the truncation watermark (the blocks that
-  would connect it no longer exist — the snapshot *is* the answer), and
-  with an explicit ``checkpoint=None`` negative otherwise, so a requester
-  within block-serving range falls back to the cheaper block fetch without
-  burning retry rounds.  The sync manager likewise calls
-  :meth:`offer_snapshot` for a ``BlockRequest`` anchored below the
-  watermark.
+* **Serving** — the sync responder delegates a ``BlockRequest`` anchored
+  below the truncation watermark to :meth:`offer_snapshot`: the blocks that
+  would connect the requester no longer exist, so a checkpoint of the
+  responder's committed prefix *is* the answer.
 * **Installing** — a received checkpoint is validated (structural
   consistency plus a quorum of valid signatures on its certificate, reusing
   the sync manager's QC check) and installed: the forest resets to the
   checkpoint block as its committed root, the executor state is restored,
   and the certificate flows through the ordinary state-updating rule so the
-  protocol's hQC/lock and the pacemaker's view catch up.  Ordinary block
-  fetching (:mod:`repro.sync`) then covers the remaining gap above the
-  checkpoint — strictly fewer blocks than walking the whole chain.
-* **Recovery** — :meth:`on_recover` runs before the sync manager's catch-up:
-  snapshot rounds are retried on the sync cadence until a checkpoint
-  installs or a negative arrives, after which block fetching takes over.
+  protocol's hQC/lock and the pacemaker's view catch up.  The sync manager's
+  pending catch-up then asks at once for the blocks above the checkpoint —
+  strictly fewer than walking the whole chain.
 
-Both message kinds register their handlers with the replica's dispatch
-registry (:mod:`repro.core.dispatch`), so snapshot transfer is wired in as a
-plugin exactly like the block-fetch protocol.
+Recovery itself is the sync manager's alone (:meth:`SyncManager.on_recover
+<repro.sync.manager.SyncManager.on_recover>`): there is one request kind,
+and a snapshot is one of the two answers it can get.  The
+``SnapshotResponse`` handler registers with the replica's dispatch registry
+(:mod:`repro.core.dispatch`) like the block-fetch handlers do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
 from typing import Optional
 
-from repro.checkpoint.messages import SnapshotRequest, SnapshotResponse
+from repro.checkpoint.messages import SnapshotResponse
 from repro.checkpoint.snapshot import Checkpoint
 from repro.forest.forest import ForestError
 from repro.obs import trace as obs_trace
@@ -77,10 +70,10 @@ class CheckpointStats:
     checkpoints_taken: int = 0
     snapshots_installed: int = 0
     snapshots_served: int = 0
-    snapshot_requests_sent: int = 0
-    snapshot_requests_received: int = 0
-    snapshot_responses_received: int = 0
     snapshot_bytes_sent: int = 0
+    #: Bytes of every SnapshotResponse received, installed or not (stale
+    #: duplicates and forgeries are traffic too).  Every response carries a
+    #: checkpoint: a peer with nothing to offer sends no snapshot at all.
     snapshot_bytes_fetched: int = 0
     blocks_truncated: int = 0
     invalid_snapshots: int = 0
@@ -97,9 +90,6 @@ class CheckpointManager:
         self.replica = replica
         self.settings = settings if settings is not None else CheckpointSettings()
         self.stats = CheckpointStats()
-
-        self._catchup_pending = False
-        self._catchup_rounds = 0
 
     @property
     def enabled(self) -> bool:
@@ -185,111 +175,30 @@ class CheckpointManager:
         )
 
     # ------------------------------------------------------------------
-    # recovery catch-up (snapshot first, then blocks)
+    # serving snapshots (sync's delegate on the responder side)
     # ------------------------------------------------------------------
-    def on_recover(self) -> bool:
-        """Start a snapshot catch-up; True if block fetching is deferred.
+    def offer_snapshot(self, peer: str, known_height: int) -> None:
+        """Answer a ``BlockRequest`` anchored below the watermark with a snapshot.
 
-        When snapshot sync is off this is a no-op returning False and the
-        replica falls straight through to the sync manager's block catch-up,
-        preserving the pre-checkpoint recovery path exactly.
+        The sync responder calls this when the blocks that would connect the
+        requester's anchor were truncated.  Nothing is sent when snapshot sync
+        is off or no checkpoint above ``known_height`` is held: the request
+        then goes unanswered, as any unservable one does.
         """
         if not self.snapshot_sync_enabled:
-            return False
-        self._catchup_pending = True
-        self._catchup_rounds = 0
-        self._catchup_tick()
-        return True
-
-    def _catchup_tick(self) -> None:
-        if not self._catchup_pending or self.replica._crashed:
             return
-        sync = self.replica.sync
-        if self._catchup_rounds >= sync.settings.max_rounds_per_target:
-            # No peer answered with anything; fall back to block fetching.
-            self._finish_catchup()
-            return
-        self._catchup_rounds += 1
-        self._send_request()
-        self.replica.scheduler.post_after(sync.request_delay(), self._catchup_tick)
-
-    def _finish_catchup(self) -> None:
-        """Hand the rest of the gap to the ordinary block-fetch catch-up."""
-        if not self._catchup_pending:
-            return
-        self._catchup_pending = False
-        self.replica.sync.on_recover()
-
-    def _send_request(self) -> None:
-        replica = self.replica
-        peers = replica.sync._pick_peers()
-        if not peers:
-            return
-        request = SnapshotRequest(
-            sender=replica.node_id,
-            size_bytes=replica.size_model.snapshot_request_size(),
-            known_height=replica.forest.committed_height,
-        )
-        self.stats.snapshot_requests_sent += len(peers)
-        for peer in peers:
-            replica.network.send(replica.node_id, peer, request)
-
-    # ------------------------------------------------------------------
-    # serving snapshots (responder side)
-    # ------------------------------------------------------------------
-    def handle_request(self, message: SnapshotRequest) -> None:
-        self.stats.snapshot_requests_received += 1
-        self._respond(message.sender, message.known_height)
-
-    def offer_snapshot(self, peer: str, known_height: int) -> bool:
-        """Answer an unservable BlockRequest with a snapshot (sync delegate).
-
-        Returns True if a checkpoint above ``known_height`` was offered;
-        False when snapshot sync is off or nothing useful is held (the sync
-        responder then stays silent, as for any unservable request).
-        """
-        checkpoint = self._usable_checkpoint(known_height)
-        if checkpoint is None:
-            return False
-        self._send_response(peer, checkpoint)
-        return True
-
-    def _usable_checkpoint(self, known_height: int) -> Optional[Checkpoint]:
-        """A checkpoint worth shipping to a peer anchored at ``known_height``.
-
-        Only requesters below the truncation watermark get one — anyone
-        anchored inside the retained window is served blocks (cheaper, and
-        exactly what the pre-checkpoint protocol did).
-        """
-        if not self.snapshot_sync_enabled:
-            return None
-        if known_height >= self.replica.forest.base_height - 1:
-            return None  # connecting blocks still exist; blocks win
         checkpoint = self.current_checkpoint()
         if checkpoint is None or checkpoint.height <= known_height:
-            return None
-        return checkpoint
-
-    def _respond(self, peer: str, known_height: int) -> None:
-        self._send_response(peer, self._usable_checkpoint(known_height))
-
-    def _send_response(self, peer: str, checkpoint: Optional[Checkpoint]) -> None:
+            return
         replica = self.replica
         response = SnapshotResponse(
             sender=replica.node_id,
             size_bytes=replica.size_model.snapshot_response_size(checkpoint),
             checkpoint=checkpoint,
-            responder_height=replica.forest.committed_height,
         )
-        # Bytes count for every response (negatives are traffic too), so
-        # sent and fetched totals reconcile across the cluster; served
-        # counts only actual checkpoints shipped.
+        self.stats.snapshots_served += 1
         self.stats.snapshot_bytes_sent += response.size_bytes
-        if checkpoint is not None:
-            self.stats.snapshots_served += 1
-        cost = replica.cost_model.snapshot_build_cost(
-            len(checkpoint.state.items) if checkpoint is not None else 0
-        )
+        cost = replica.cost_model.snapshot_build_cost(len(checkpoint.state.items))
         replica.cpu.submit(
             cost, replica.network.send, replica.node_id, peer, response
         )
@@ -299,7 +208,6 @@ class CheckpointManager:
     # ------------------------------------------------------------------
     def handle_response(self, message: SnapshotResponse) -> None:
         replica = self.replica
-        self.stats.snapshot_responses_received += 1
         self.stats.snapshot_bytes_fetched += message.size_bytes
         ev = replica.events
         if ev.wants & obs_trace.CHECKPOINT:
@@ -309,25 +217,22 @@ class CheckpointManager:
                 {"bytes": message.size_bytes, "from": message.sender},
             )
         checkpoint = message.checkpoint
-        if checkpoint is None:
-            # Explicit negative: no peer state ahead of us — blocks suffice.
-            self._finish_catchup()
-            return
         if checkpoint.height <= replica.forest.committed_height:
             # Stale or duplicate (e.g. the second fanout answer after the
             # first already installed); block fetching covers what remains.
             self.stats.stale_snapshots += 1
-            self._finish_catchup()
             return
         if not checkpoint.is_consistent() or not replica.sync._qc_valid(checkpoint.qc):
             # A forged or corrupt certificate must not anchor local state;
-            # the retry tick keeps asking other peers.  (The KV state itself
+            # the sync retry keeps asking other peers.  (The KV state itself
             # rides on the certificate's authority — blocks carry no state
             # root to check it against; see docs/ARCHITECTURE.md.)
             self.stats.invalid_snapshots += 1
             return
         self._install(checkpoint)
-        self._finish_catchup()
+        # The anchor jumped to the checkpoint: ask for the blocks above it now
+        # rather than a retry interval later.
+        replica.sync.on_snapshot_installed()
 
     def _install(self, checkpoint: Checkpoint) -> None:
         """Adopt ``checkpoint`` as the new committed root."""
@@ -359,7 +264,7 @@ class CheckpointManager:
 
 
 # ----------------------------------------------------------------------
-# dispatch wiring: the snapshot protocol's handlers and CPU costs
+# dispatch wiring: the snapshot response's handler and CPU cost
 # ----------------------------------------------------------------------
 # Imported here rather than at the top: repro.core's package init imports the
 # replica, which imports this module for its settings — registering handlers
@@ -368,22 +273,10 @@ class CheckpointManager:
 from repro.core.dispatch import register_message_handler  # noqa: E402
 
 
-def _request_cost(replica, message: Message) -> float:
-    return replica.cost_model.snapshot_request_cost()
-
-
 def _response_cost(replica, message: Message) -> float:
     checkpoint = message.checkpoint
-    if checkpoint is None:
-        # A negative carries no certificate to verify: parse-only cost.
-        return replica.cost_model.snapshot_request_cost()
     items = len(checkpoint.state.items) + len(checkpoint.committed_ids)
     return replica.cost_model.snapshot_install_cost(items)
-
-
-@register_message_handler("SnapshotRequest", cost=_request_cost)
-def _handle_snapshot_request(replica, message: Message) -> None:
-    replica.checkpoint.handle_request(message)
 
 
 @register_message_handler("SnapshotResponse", cost=_response_cost)

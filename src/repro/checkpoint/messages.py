@@ -1,50 +1,31 @@
-"""Wire messages of the snapshot-transfer protocol.
+"""The wire message of snapshot transfer.
 
-Two message kinds extending the block-fetch exchange of :mod:`repro.sync`
-down to state level (LibraBFT's state-sync / ``EpochRetrieval`` analogue):
+The block-fetch exchange of :mod:`repro.sync` has one request kind,
+:class:`~repro.sync.messages.BlockRequest`.  A responder whose checkpoint
+watermark lies above the requester's anchor can no longer connect it with
+blocks — they were truncated — so it answers with a
+:class:`SnapshotResponse` instead (LibraBFT's state-sync analogue): one
+transfer crosses the deep gap, and ordinary block fetching covers what lies
+above the checkpoint.
 
-* :class:`SnapshotRequest` — "if you hold a checkpoint above my committed
-  height, send it".  Sent by a recovered replica before walking blocks, so a
-  deep gap is crossed in one transfer instead of many block batches.
-* :class:`SnapshotResponse` — either a :class:`~repro.checkpoint.snapshot.Checkpoint`
-  ahead of the requester, or ``checkpoint=None`` meaning "nothing ahead of
-  you" — an explicit negative that lets the requester fall back to ordinary
-  block fetching immediately instead of burning retry rounds.
-
-Both carry ``size_bytes`` like every other message and flow through the same
-NIC / propagation / partition pipeline; a snapshot transfer is real traffic
-whose cost scales with the state it carries.
+It carries ``size_bytes`` like every other message and flows through the
+same NIC / propagation / partition pipeline; a snapshot transfer is real
+traffic whose cost scales with the state it carries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.checkpoint.snapshot import Checkpoint
 from repro.types.messages import Message
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class SnapshotRequest(Message):
-    """A replica's request for any checkpoint above its committed height."""
-
-    known_height: int = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SnapshotRequest(known_height={self.known_height}, from={self.sender})"
-
-
-@dataclass(slots=True, unsafe_hash=True)
 class SnapshotResponse(Message):
-    """A checkpoint answering a :class:`SnapshotRequest` (or a negative)."""
+    """A checkpoint answering a ``BlockRequest`` anchored below the watermark."""
 
-    #: ``None`` means the responder holds nothing ahead of the requester's
-    #: committed height; the requester falls back to block fetching.
-    checkpoint: Optional[Checkpoint] = None
-    #: The responder's committed height when it answered (diagnostics).
-    responder_height: int = 0
+    checkpoint: Checkpoint = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        held = f"height={self.checkpoint.height}" if self.checkpoint else "none"
-        return f"SnapshotResponse({held}, from={self.sender})"
+        return f"SnapshotResponse(height={self.checkpoint.height}, from={self.sender})"

@@ -13,8 +13,9 @@ checkpoints of deployed LibraBFT-style systems:
   checkpoint, which keeps cross-replica consistency hashes comparable after
   the blocks themselves are truncated away.
 
-Checkpoints are immutable; the taker keeps its latest one in memory to serve
-``SnapshotRequest`` traffic (a production system would persist it to disk).
+Checkpoints are immutable and materialized on demand, when a ``BlockRequest``
+arrives anchored below the watermark (a production system would persist the
+latest one to disk).
 """
 
 from __future__ import annotations

@@ -85,7 +85,7 @@ def available_message_handlers() -> List[str]:
     # The sync and checkpoint handlers register at import time of their
     # packages; make sure a bare listing (e.g. api.available()) sees them
     # without requiring the caller to have built a replica first.
-    import repro.checkpoint  # noqa: F401  (registers SnapshotRequest/SnapshotResponse)
+    import repro.checkpoint  # noqa: F401  (registers SnapshotResponse)
     import repro.sync  # noqa: F401  (registers BlockRequest/BlockResponse)
 
     return MESSAGE_HANDLERS.available()

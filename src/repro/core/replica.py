@@ -222,7 +222,7 @@ class Replica:
         self.events = events if events is not None else obs_trace.EventStream()
 
         self.keypair = registry.register(node_id)
-        self.forest = BlockForest(orphan_capacity=self.settings.sync.orphan_capacity)
+        self.forest = BlockForest()
         self.safety = make_safety(protocol, self.forest)
         self.sync = SyncManager(self, self.settings.sync)
         self.checkpoint = CheckpointManager(self, self.settings.checkpoint)
@@ -285,9 +285,9 @@ class Replica:
         leading), not just view synchronization.  With sync disabled the old
         behaviour returns: later proposals park forever on missing parents.
 
-        When snapshot sync is enabled (see :mod:`repro.checkpoint`), the
-        checkpoint manager runs first: a peer checkpoint above our committed
-        height is installed in one transfer and block fetching covers only
+        A peer that truncated its forest below our anchor (see
+        :mod:`repro.checkpoint`) answers the same request with a snapshot
+        instead: it installs in one transfer, and block fetching covers only
         the gap above it — far cheaper than walking the whole missed chain.
         """
         if not self._crashed:
@@ -295,8 +295,7 @@ class Replica:
         self._crashed = False
         self.network.recover(self.node_id)
         self.pacemaker.resume()
-        if not self.checkpoint.on_recover():
-            self.sync.on_recover()
+        self.sync.on_recover()
 
     @property
     def current_view(self) -> int:

@@ -109,10 +109,6 @@ class CryptoCostModel:
             + num_transactions * self.per_transaction_time
         )
 
-    def snapshot_request_cost(self) -> float:
-        """CPU time to parse a SnapshotRequest (a lookup, no crypto)."""
-        return self.block_overhead_time
-
     def snapshot_build_cost(self, num_items: int) -> float:
         """CPU time to serialize a SnapshotResponse (state copied at take time)."""
         return self.block_overhead_time + num_items * self.per_transaction_time

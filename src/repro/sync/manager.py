@@ -7,12 +7,12 @@ block-fetch lifecycle:
   certificate for an unknown block here instead of dropping or parking them
   forever.  Orphan proposals go into the forest's bounded orphan buffer; a
   fetch for the missing ancestor is scheduled after a grace delay (one view
-  timeout by default) so ordinary in-flight reordering resolves itself
-  without generating traffic.
+  timeout) so ordinary in-flight reordering resolves itself without
+  generating traffic.
 * **Fetching** — a fetch round sends a :class:`~repro.sync.messages.BlockRequest`
   to ``fanout`` peers chosen round-robin, advertising the replica's highest
   certified block as the anchor.  Rounds for the same target are debounced,
-  capped (``max_rounds_per_target``), and re-anchored at the last *committed*
+  capped (``MAX_ROUNDS_PER_TARGET``), and re-anchored at the last *committed*
   block when a response fails to connect (certified-but-abandoned forks).
 * **Serving** — on a request, the manager walks its own forest back from the
   target to the requester's anchor and answers with an oldest-first
@@ -26,10 +26,13 @@ block-fetch lifecycle:
   *without voting*; draining the orphan buffer then resumes normal voting on
   the live proposals that were parked.  Duplicate and stale responses are
   idempotent: blocks already in the forest are skipped and counted.
-* **Recovery** — :meth:`on_recover` starts a catch-up: request the peers'
-  chain tips outright, retrying on a view-timeout cadence until some
-  response arrives; after that, the ordinary missing-parent path drives the
-  replica the rest of the way to the live chain head.
+* **Recovery** — :meth:`on_recover` is the replica's one catch-up: request
+  the peers' chain tips outright, retrying on a view-timeout cadence until a
+  block batch arrives; after that, the ordinary missing-parent path drives
+  the replica the rest of the way to the live chain head.  A peer that
+  truncated below the requester's anchor answers with a snapshot instead;
+  once it installs, :meth:`on_snapshot_installed` sends the next round at
+  once, anchored at the checkpoint.
 
 Both message kinds register their handlers with the replica's dispatch
 registry (:mod:`repro.core.dispatch`), so the sync protocol is wired in as a
@@ -49,9 +52,14 @@ from repro.types.certificates import QuorumCertificate, vote_digest
 from repro.types.messages import Message
 
 
+#: Fetch rounds attempted per missing target (and per catch-up) before giving up.
+MAX_ROUNDS_PER_TARGET = 8
+
+
 @dataclass
 class SyncSettings:
-    """Knobs of the block-fetch protocol (per replica)."""
+    """Knobs of the block-fetch protocol (per replica), each a
+    :class:`~repro.bench.config.Configuration` field."""
 
     #: Master switch; when off, orphans are parked but never fetched
     #: (the pre-sync behaviour).
@@ -60,13 +68,6 @@ class SyncSettings:
     max_batch: int = 32
     #: Peers asked per fetch round.
     fanout: int = 2
-    #: Bound on parked orphan proposals (oldest evicted first).
-    orphan_capacity: int = 256
-    #: Grace delay before fetching a missing ancestor; ``None`` uses the
-    #: replica's view timeout, so transient reordering never causes traffic.
-    request_delay: Optional[float] = None
-    #: Fetch rounds attempted per missing target before giving up.
-    max_rounds_per_target: int = 8
 
 
 @dataclass
@@ -111,9 +112,9 @@ class SyncManager:
     # timing helpers
     # ------------------------------------------------------------------
     def request_delay(self) -> float:
-        """Grace before the first fetch for a newly missing ancestor."""
-        if self.settings.request_delay is not None:
-            return self.settings.request_delay
+        """Grace before the first fetch for a newly missing ancestor, and the
+        retry cadence: one view timeout, so transient reordering never causes
+        traffic."""
         return self.replica.settings.view_timeout
 
     # ------------------------------------------------------------------
@@ -157,13 +158,23 @@ class SyncManager:
     def _catchup_tick(self) -> None:
         if not self._catchup_pending or self.replica._crashed:
             return
-        if self._catchup_rounds >= self.settings.max_rounds_per_target:
+        if self._catchup_rounds >= MAX_ROUNDS_PER_TARGET:
             self._catchup_pending = False
             self.stats.targets_abandoned += 1
             return
         self._catchup_rounds += 1
         self._send_request(None)
         self.replica.scheduler.post_after(self.request_delay(), self._catchup_tick)
+
+    def on_snapshot_installed(self) -> None:
+        """Send the pending catch-up's next round now.
+
+        Called after a snapshot install: the anchor jumped to the
+        checkpoint, so the blocks above it are servable at once rather
+        than a retry interval later.  The retry cadence is left as it was.
+        """
+        if self._catchup_pending:
+            self._send_request(None)
 
     # ------------------------------------------------------------------
     # fetch rounds
@@ -184,8 +195,8 @@ class SyncManager:
     def _force_request(self, target: str) -> None:
         """Fetch ``target`` now, bypassing the debounce (but not the cap)."""
         attempts = self._attempts.get(target, 0)
-        if attempts >= self.settings.max_rounds_per_target:
-            if attempts == self.settings.max_rounds_per_target:
+        if attempts >= MAX_ROUNDS_PER_TARGET:
+            if attempts == MAX_ROUNDS_PER_TARGET:
                 self._attempts[target] = attempts + 1
                 self.stats.targets_abandoned += 1
             return

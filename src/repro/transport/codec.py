@@ -41,7 +41,7 @@ import struct
 import typing
 from typing import Any, Callable, Dict, List, Tuple
 
-from repro.checkpoint.messages import SnapshotRequest, SnapshotResponse
+from repro.checkpoint.messages import SnapshotResponse
 from repro.sync.messages import BlockRequest, BlockResponse
 from repro.types.messages import (
     ClientReply,
@@ -67,7 +67,6 @@ WIRE_KINDS: Tuple[type, ...] = (
     ClientReply,
     BlockRequest,
     BlockResponse,
-    SnapshotRequest,
     SnapshotResponse,
 )
 

@@ -89,10 +89,6 @@ class SizeModel:
         """Serialized size of a sync BlockRequest (two hashes + a height)."""
         return 2 * self.hash_size + self.view_number_size
 
-    def snapshot_request_size(self) -> int:
-        """Serialized size of a SnapshotRequest (a height plus a header)."""
-        return self.view_number_size + self.hash_size
-
     def snapshot_size(self, checkpoint) -> int:
         """Serialized size of a checkpoint (block, QC, id log, KV state)."""
         state = checkpoint.state
@@ -105,10 +101,8 @@ class SizeModel:
             + state.dedup.entry_count * self.hash_size
         )
 
-    def snapshot_response_size(self, checkpoint=None) -> int:
-        """Serialized size of a SnapshotResponse (header only for negatives)."""
-        if checkpoint is None:
-            return self.block_header_size
+    def snapshot_response_size(self, checkpoint) -> int:
+        """Serialized size of a SnapshotResponse carrying ``checkpoint``."""
         return self.block_header_size + self.snapshot_size(checkpoint)
 
     def block_response_size(self, blocks, tip_qc_signers: int = 0) -> int:

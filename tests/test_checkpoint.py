@@ -136,13 +136,82 @@ class TestSnapshotCatchUp:
         cluster.run(until=4.0)
         return cluster, victim, missed
 
+    @staticmethod
+    def _recovery_traffic(down, **overrides):
+        """The sync/snapshot messages sent cluster-wide from ``recover()`` on,
+        and the victim's fetch rounds over the same span."""
+        cluster = make_cluster(**overrides)
+        cluster.start()
+        cluster.run(until=0.5)
+        victim = cluster.replicas["r3"]
+        victim.crash()
+        cluster.run(until=0.5 + down)
+        counts = cluster.network.stats.per_type_counts
+        before, rounds = dict(counts), victim.sync.stats.fetch_rounds
+        victim.recover()
+        cluster.run(until=4.0)
+        sent = {
+            kind: counts.get(kind, 0) - before.get(kind, 0)
+            for kind in ("BlockRequest", "BlockResponse", "SnapshotResponse")
+        }
+        assert cluster.consistency_check()
+        return victim, sent, victim.sync.stats.fetch_rounds - rounds
+
+    def test_recovery_inside_the_window_is_one_block_round(self):
+        """Blocks still connect the victim: no snapshot travels at all."""
+        victim, sent, rounds = self._recovery_traffic(down=0.05, checkpoint_interval=50)
+        assert sent == {"BlockRequest": 2, "BlockResponse": 2, "SnapshotResponse": 0}
+        assert rounds == 1
+        assert victim.checkpoint.stats.snapshots_installed == 0
+
+    def test_recovery_beyond_the_watermark_installs_then_fetches_at_once(self):
+        """The answer to the first round is a snapshot; the install sends the
+        next round at once, so the catch-up takes two rounds, not a retry
+        cadence's worth."""
+        victim, sent, rounds = self._recovery_traffic(down=2.0, checkpoint_interval=5)
+        assert victim.checkpoint.stats.snapshots_installed == 1
+        assert rounds <= 2
+        assert victim.sync.stats.targets_abandoned == 0
+        assert sent == {"BlockRequest": 4, "BlockResponse": 2, "SnapshotResponse": 2}
+
+    def test_forged_snapshot_mid_catch_up_is_rejected_and_catch_up_completes(self):
+        """Both answers to the first round carry a forged certificate: neither
+        installs, and the retry asks the next peers, whose snapshot does."""
+        cluster = make_cluster(checkpoint_interval=5)
+        cluster.start()
+        cluster.run(until=0.5)
+        victim = cluster.replicas["r3"]
+        victim.crash()
+        cluster.run(until=2.5)
+        genuine = victim.checkpoint.handle_response
+        forged_from = []
+
+        def forge_first_two(message):
+            if len(forged_from) < 2:
+                forged_from.append(message.sender)
+                checkpoint = message.checkpoint
+                qc = dataclasses.replace(checkpoint.qc, signatures=())
+                message = dataclasses.replace(
+                    message, checkpoint=dataclasses.replace(checkpoint, qc=qc)
+                )
+            genuine(message)
+
+        victim.checkpoint.handle_response = forge_first_two
+        victim.recover()
+        cluster.run(until=4.0)
+        stats = victim.checkpoint.stats
+        assert len(forged_from) == 2 and stats.invalid_snapshots == 2
+        assert stats.snapshots_installed == 1
+        observer = cluster.replicas["r0"]
+        assert victim.forest.committed_height >= observer.forest.committed_height - 2
+        assert cluster.consistency_check()
+
     def test_recovery_installs_snapshot_with_fewer_fetches(self):
         interval = 5
         cluster, victim, missed = self._crash_recover(checkpoint_interval=interval)
         observer = cluster.replicas["r0"]
         assert missed > 10 * interval
         # The victim crossed the gap through a snapshot, not a chain walk.
-        assert victim.checkpoint.stats.snapshot_requests_sent > 0
         assert victim.checkpoint.stats.snapshots_installed >= 1
         assert victim.checkpoint.stats.snapshot_bytes_fetched > 0
         assert victim.sync.stats.blocks_fetched < missed
@@ -180,21 +249,7 @@ class TestSnapshotCatchUp:
         report = cluster.checkpoint_report()
         assert report.checkpoints_taken > 0
         assert report.snapshots_installed == 0
-        assert report.snapshot_requests_sent == 0
-
-    def test_negative_response_falls_back_to_block_fetch(self):
-        """A 'nothing ahead of you' answer hands over to the sync manager."""
-        cluster = make_cluster(checkpoint_interval=10)
-        cluster.start()
-        cluster.run(until=0.3)
-        replica = cluster.replicas["r3"]
-        replica.checkpoint._catchup_pending = True
-        rounds_before = replica.sync.stats.fetch_rounds
-        replica.checkpoint.handle_response(
-            SnapshotResponse(sender="r0", size_bytes=96, checkpoint=None)
-        )
-        assert not replica.checkpoint._catchup_pending
-        assert replica.sync.stats.fetch_rounds > rounds_before
+        assert report.snapshots_served == 0
 
 
 class TestSnapshotValidation:
@@ -265,9 +320,27 @@ class TestSnapshotValidation:
         cluster.scheduler.run_until(cluster.scheduler.now + 0.1)
         responses = [m for _, m in sent if isinstance(m, SnapshotResponse)]
         assert len(responses) == 1
-        assert responses[0].checkpoint is not None
         assert responses[0].checkpoint.height > 0
         assert responder.checkpoint.stats.snapshots_served == 1
+
+    def test_deep_block_request_goes_unanswered_with_snapshot_sync_off(self):
+        from repro.sync.messages import BlockRequest, BlockResponse
+
+        cluster = make_cluster(checkpoint_interval=5, snapshot_sync_enabled=False)
+        cluster.start()
+        cluster.run(until=1.0)
+        responder = cluster.replicas["r0"]
+        assert responder.forest.base_height > 1
+        sent = []
+        responder.network.send = lambda src, dst, msg: sent.append((dst, msg))
+        responder.sync.handle_request(BlockRequest(
+            sender="r2", size_bytes=72,
+            target_block_id=responder.forest.highest_certified().block_id,
+            known_block_id="genesis", known_height=0,
+        ))
+        cluster.scheduler.run_until(cluster.scheduler.now + 0.1)
+        assert not [m for _, m in sent if isinstance(m, (SnapshotResponse, BlockResponse))]
+        assert responder.checkpoint.stats.snapshots_served == 0
 
 
 class TestForestTruncation:
@@ -413,8 +486,3 @@ class TestConfiguration:
     def test_negative_interval_rejected(self):
         with pytest.raises(ConfigurationError, match="checkpoint_interval"):
             Configuration(checkpoint_interval=-1, **FAST).validate()
-
-    def test_snapshot_handlers_registered(self):
-        handlers = api.available("message_handlers")
-        assert "SnapshotRequest" in handlers
-        assert "SnapshotResponse" in handlers

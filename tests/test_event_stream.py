@@ -5,7 +5,12 @@
 * a tracer's category mask cannot starve the aggregator, and the tracer
   retains only what its mask selects;
 * the numbers are the ones the previous, two-channel wiring produced
-  (goldens captured at the parent commit of the refactoring).
+  (goldens captured at the parent commit of the refactoring).  The six
+  ``faulty/*`` entries were re-captured when recovery became one catch-up
+  protocol: a recovered replica's first ``BlockRequest`` now leaves at once
+  instead of after a ``SnapshotRequest`` round trip, which moves every fault
+  case's timeline.  The ``steady/*`` entries never recover and are the
+  originals.
 """
 
 import hashlib

@@ -14,7 +14,7 @@ from repro.bench.config import Configuration
 from repro.bench.runner import build_cluster
 from repro.core.dispatch import MESSAGE_HANDLERS, register_message_handler
 from repro.forest.forest import BlockForest
-from repro.sync.manager import SyncSettings
+from repro.sync.manager import MAX_ROUNDS_PER_TARGET, SyncSettings
 from repro.sync.messages import BlockRequest, BlockResponse
 from repro.types.certificates import QuorumCertificate
 from helpers import extend_chain, make_transactions
@@ -118,7 +118,7 @@ class TestRecoveryCatchUp:
         cluster.start()
         cluster.run(until=0.1)
         replica = cluster.replicas["r3"]
-        cap = replica.sync.settings.max_rounds_per_target
+        cap = MAX_ROUNDS_PER_TARGET
         replica.sync._maybe_request("no-such-block")
         cluster.run(until=1.5)  # plenty of view timeouts for all retries
         # No peer holds the target, so every round goes unanswered; the

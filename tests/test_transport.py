@@ -46,7 +46,7 @@ from repro.crypto import ed25519
 from repro.crypto.keys import Ed25519KeyPair, KeyPair, KeyRegistry, available_schemes
 from repro.crypto.signatures import Signature, sign, verify
 from repro.executor.kvstore import DedupState, KVSnapshot
-from repro.checkpoint.messages import SnapshotRequest, SnapshotResponse
+from repro.checkpoint.messages import SnapshotResponse
 from repro.checkpoint.snapshot import Checkpoint
 from repro.core.dispatch import MESSAGE_HANDLERS, register_message_handler
 from repro.core.replica import Replica
@@ -189,12 +189,8 @@ def _golden_messages():
                                        target_id=block.block_id, tip_qc=qc),
         "BlockResponse(blocks=(), tip_qc=None)": BlockResponse(sender="r0", size_bytes=64,
                                                                blocks=(), tip_qc=None),
-        "SnapshotRequest": SnapshotRequest(sender="r3", size_bytes=32, known_height=0),
         "SnapshotResponse": SnapshotResponse(sender="r0", size_bytes=4000,
-                                             checkpoint=checkpoint, responder_height=1),
-        "SnapshotResponse(checkpoint=None)": SnapshotResponse(sender="r0", size_bytes=40,
-                                                              checkpoint=None,
-                                                              responder_height=0),
+                                             checkpoint=checkpoint),
     }
 
 
@@ -336,23 +332,15 @@ class TestCodec:
                                             tip_qc=self.qc))
         assert decoded.blocks[0] == self.block
 
-    def test_snapshot_request_round_trip(self):
-        _round_trip(SnapshotRequest(sender="r3", size_bytes=32, known_height=0))
-
     def test_snapshot_response_round_trip(self):
         decoded = _round_trip(SnapshotResponse(sender="r0", size_bytes=4000,
-                                               checkpoint=self.checkpoint,
-                                               responder_height=1))
+                                               checkpoint=self.checkpoint))
         assert decoded.checkpoint.state == self.checkpoint.state
-
-    def test_snapshot_response_without_checkpoint(self):
-        _round_trip(SnapshotResponse(sender="r0", size_bytes=40,
-                                     checkpoint=None, responder_height=0))
 
     def test_decode_returns_an_unstamped_message(self):
         # Ids never travel the wire: the receiving runtime stamps decoded
         # messages from its own counter.
-        message = SnapshotRequest(sender="r3", size_bytes=32, known_height=0)
+        message = BlockRequest(sender="r3", size_bytes=96, known_height=0)
         message.message_id = 7
         decoded = decode_message(encode_message(message))
         assert decoded.message_id == UNASSIGNED_MESSAGE_ID
@@ -360,6 +348,14 @@ class TestCodec:
     def test_unknown_kind_raises(self):
         with pytest.raises(CodecError):
             decode_message(b'["Telegram", "x", 1, []]')
+
+    @pytest.mark.parametrize("frame_text", [
+        '["SnapshotRequest","r3",32,[0]]',  # no such kind: a BlockRequest asks
+        '["SnapshotResponse","r0",40,[null]]',  # every response carries a checkpoint
+    ])
+    def test_a_snapshot_is_only_ever_an_answer(self, frame_text):
+        with pytest.raises(CodecError):
+            decode_message(frame_text.encode())
 
     def test_malformed_json_raises(self):
         with pytest.raises(CodecError):
@@ -432,7 +428,7 @@ class TestCodec:
         declared = {(cls.__module__, cls.__qualname__) for cls in subclasses(Message)
                     if cls.__module__.startswith("repro.")}
         assert declared == {(kind.__module__, kind.__qualname__) for kind in codec.WIRE_KINDS}
-        assert len(codec.WIRE_KINDS) == len(declared) == 9
+        assert len(codec.WIRE_KINDS) == len(declared) == 8
         unhandled = {kind.__name__ for kind in codec.WIRE_KINDS}
         unhandled.difference_update(api.available("message_handlers"))
         assert unhandled == {"ClientReply"}  # addressed to clients, not replicas
@@ -466,7 +462,7 @@ class TestCodec:
                 decode_message(wire)
 
     def test_wrong_typed_elements_and_arity_are_codec_errors(self):
-        # body = [checkpoint, responder_height]; a checkpoint is
+        # body = [checkpoint]; a checkpoint is
         # [height, block, qc, committed_ids, state, taken_at], a state
         # [items, dedup, operations_applied]; block[4] is its qc, qc[2] signers.
         checkpoint = (3, 0)
@@ -556,7 +552,7 @@ def _chunks(stream: bytes, cuts):
 
 class TestFrameSplitter:
     def test_frames_split_at_a_clean_boundary(self):
-        first = encode_message(SnapshotRequest(sender="a", size_bytes=32, known_height=3))
+        first = encode_message(BlockRequest(sender="a", size_bytes=96, known_height=3))
         second = encode_message(ClientReply(sender="b", size_bytes=48, txid="t",
                                             committed_at=1.0, replica="r0",
                                             status="committed"))
@@ -1465,9 +1461,9 @@ class TestDeployment:
         runner = asyncio.run(scenario())
         assert runner.consistency_check()
 
-    def test_all_nine_kinds_cross_a_real_socket(self):
+    def test_every_wire_kind_crosses_a_real_socket(self):
         """The codec's traffic, verified instead of guessed: a steady run sends
-        four kinds, a crash long enough to need a snapshot sends all nine."""
+        four kinds, a crash long enough to need a snapshot sends every one."""
 
         async def scenario():
             runner = DeploymentRunner(_deploy_config(

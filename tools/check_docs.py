@@ -26,7 +26,10 @@ Four passes over ``README.md`` and ``docs/*.md`` (stdlib only, no deps):
    and the document's directory) and every bare ``name.py`` must match a
    file; every ``python -m repro <sub>`` must be a subcommand of the CLI's
    ``build_parser()``; every ``python -m repro paper <name>`` must select an
-   entry of the paper table.  Paths under directories the repository does
+   entry of the paper table; every message class name (``…Request``,
+   ``…Response``, ``…Message``) must be a kind of the wire codec's
+   ``WIRE_KINDS``, so a deleted message type cannot linger in prose or in a
+   code block.  Paths under directories the repository does
    not have (``results/``, ``figures/``) and bare non-python names
    (``experiment.json``) are the reader's own files and are skipped, as is
    anything with a ``<placeholder>`` in it.
@@ -81,11 +84,14 @@ def check_links(path: Path) -> list:
 #: a longer path, not followed by more name: ``.jsonl`` is not ``.json``).
 MENTION_RE = re.compile(r"(?<![\w/.<>-])((?:[\w.*-]+/)*[\w.*-]+\.(?:py|json|md|txt|yml))(?![\w<>-])")
 COMMAND_RE = re.compile(r"python -m repro[ \t]+([a-z][\w-]*)(?:[ \t]+([\w<>*-]+))?")
+#: A message class named anywhere in a document.
+MESSAGE_RE = re.compile(r"\b[A-Z]\w*(?:Request|Response|Message)\b")
 
 
 def check_mentions(path: Path) -> list:
     from repro.experiments import paper
     from repro.experiments.cli import build_parser
+    from repro.transport.codec import WIRE_KINDS
 
     subcommands = next(
         action.choices for action in build_parser()._actions if hasattr(action, "choices") and action.choices
@@ -113,6 +119,9 @@ def check_mentions(path: Path) -> list:
                 paper.select(argument)
             except paper.PaperError as exc:
                 problems.append(f"{name}: quotes `python -m repro paper {argument}`: {exc}")
+    kinds = {kind.__name__ for kind in WIRE_KINDS}
+    for message in sorted(set(MESSAGE_RE.findall(text)) - kinds):
+        problems.append(f"{name}: names {message}, which is not a wire kind")
     return problems
 
 
