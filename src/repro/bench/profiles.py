@@ -27,8 +27,8 @@ Profiles
     All-zero modeled costs, the two flat dispatch charges included.  Used by
     the deployment runtime (:mod:`repro.transport`), where signing,
     verification, serialization and dispatch are *real* work on the wall clock
-    — charging modeled CPU costs on top would double-count them, and any
-    positive charge there is a wall-clock timer armed per message.
+    — charging modeled CPU costs on top would double-count them.  (Its
+    replicas run on the host's CPU, which ignores a charge in any case.)
 
 Scaling a profile (``ohs``, the ablations) multiplies the crypto and
 serialization costs only; every simulated profile charges 5 us per client

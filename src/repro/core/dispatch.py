@@ -25,7 +25,8 @@ callable ``(replica, message) -> seconds`` given to
 :func:`register_message_handler` (a kind registered without one is charged
 the cost model's flat ``loopback_time``).  Every charge is read through
 ``replica.cost_model``, so the deployment's all-zero ``measured`` profile
-charges nothing and its CPU queue never arms a timer.  Messages with no
+charges nothing (a deployed replica's CPU is the host's, which runs the
+handler at once).  Messages with no
 registered handler are silently ignored, preserving the old behaviour for
 e.g. ``ClientReply`` copies that reach a replica.
 """

@@ -12,8 +12,10 @@ hardware measurements.
 
 Every modelled charge a replica's CPU queue can receive is a field here,
 the two flat dispatch charges of :mod:`repro.core.dispatch` included, so one
-all-zero model (the ``measured`` profile of :mod:`repro.bench.profiles`) is
-enough for a deployment to charge nothing.
+all-zero model (the ``measured`` profile of :mod:`repro.bench.profiles`)
+states that a deployment models no CPU time: its replicas run on the host's
+CPU (:class:`repro.transport.runtime.HostCpu`), which spends what the code
+costs and ignores a charge.
 """
 
 from __future__ import annotations

@@ -163,7 +163,7 @@ def _cmd_deploy(args: argparse.Namespace) -> int:
     # Stable one-per-line facts for scripts and the CI deploy-smoke grep.
     print(f"committed transactions: {result.metrics.committed_transactions}")
     print(f"consistent: {'true' if result.consistent else 'false'}")
-    print(f"frames per socket write: {result.transport.frames_per_write:.2f}")
+    print(f"messages per socket write: {result.transport.messages_per_write:.2f}")
     print(f"decode errors: {result.transport.decode_errors}")
     if config.resolved_signing() == "ed25519":
         print(f"signing backend: {ed25519_signer().BACKEND}")

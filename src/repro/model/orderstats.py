@@ -8,6 +8,8 @@ The expected value of that order statistic is t_Q (paper §V-B2).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy import integrate, stats
 
@@ -50,12 +52,15 @@ def expected_order_statistic_mc(
     return float(draws[:, k - 1].mean())
 
 
+@lru_cache(maxsize=1024)
 def quorum_delay(num_nodes: int, rtt_mean: float, rtt_stddev: float) -> float:
     """t_Q: expected time for a leader to gather a quorum of votes.
 
     The quorum needs ``2N/3`` votes; the leader's own vote is free, so the
     delay is the (2N/3 - 1)-th order statistic of the other N-1 replicas'
-    round-trip times (paper §V-B2).
+    round-trip times (paper §V-B2).  A pure function of its arguments, so
+    each distinct triple pays for its quadrature once per process: a fig. 8
+    table asks for one triple per cluster size, hundreds of times.
     """
     if num_nodes < 2:
         return 0.0

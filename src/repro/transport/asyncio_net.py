@@ -9,31 +9,38 @@ one outbound connection — a *link*.  Both ends are plain
 
 The path of one message:
 
-* ``send`` encodes and frames it, appends the frame to its link and schedules
-  **one** ``call_soon(flush)`` for that link — however many frames the link
+* ``send`` encodes it, appends it to its link and schedules **one**
+  ``call_soon(flush)`` for that link — however many messages the link
   collects before the loop gets to it.  ``broadcast`` encodes once for the
   whole fan-out.
-* ``flush`` hands the joined frames to the connection in one
-  ``transport.write`` (one ``send`` syscall on an unclogged socket).  A frame
-  therefore waits at most until the end of the loop turn it was sent in.
+* ``flush`` puts everything the link collected into one frame, the JSON
+  array of those messages (:func:`~repro.transport.codec.frame_of`), and
+  hands it to the connection in one ``transport.write`` (one ``send``
+  syscall on an unclogged socket).  A message therefore waits at most until
+  the end of the loop turn it was sent in.
 * ``data_received`` splits the chunk into its complete frames
-  (:class:`~repro.transport.codec.FrameSplitter`), decodes each and calls the
-  registered handler directly — the same synchronous ``MESSAGE_HANDLERS``
-  dispatch the simulation uses.
+  (:class:`~repro.transport.codec.FrameSplitter`), parses each frame once,
+  decodes each envelope in it and calls the registered handler directly —
+  the same synchronous ``MESSAGE_HANDLERS`` dispatch the simulation uses.  A
+  deployed replica's CPU is the host's (:class:`~repro.transport.runtime.HostCpu`),
+  so the handler has done all its work, and any error it raised has reached
+  :meth:`AsyncioTransport._deliver`, before the next envelope is decoded.
 
 Everything runs on one event loop and handlers never await, so handler code
 (the unmodified replica stack) needs no locking and runs one message at a
 time, exactly like under the discrete-event scheduler: whatever a handler
 sends is only appended, and a copy addressed to the sender itself is
-delivered by ``call_soon``, never re-entrantly.  Frames of one link arrive in
-send order; nothing is promised across links.
+delivered by ``call_soon``, never re-entrantly.  Messages of one link arrive
+in send order; nothing is promised across links.
 
-Back-pressure is a bound, not a wait: frames a link has not yet written plus
+Back-pressure is a bound, not a wait: the frame a link would write next plus
 the bytes its socket has not yet taken may not exceed
-:data:`MAX_LINK_BACKLOG_BYTES`.  The frame that would is dropped and counted
-in ``stats.messages_dropped``, so a peer that stops reading costs bounded
-memory.  The only coroutine left is the connect/backoff/reconnect loop of a
-link that has frames and no connection.
+:data:`MAX_LINK_BACKLOG_BYTES`, brackets and commas included, so no flush
+builds a frame above :data:`~repro.transport.codec.MAX_FRAME_BYTES`.  The
+message that would is dropped and counted in ``stats.messages_dropped``, so a
+peer that stops reading costs bounded memory.  The only coroutine left is
+the connect/backoff/reconnect loop of a link that has messages and no
+connection.
 
 Crash/recover semantics match the simulated :class:`~repro.network.network.Network`:
 crashing an endpoint closes its server and live connections and drops
@@ -55,9 +62,10 @@ from repro.transport.codec import (
     MAX_FRAME_BYTES,
     CodecError,
     FrameSplitter,
+    decode_frame,
     decode_message,
     encode_message,
-    frame,
+    frame_of,
 )
 from repro.types.messages import Message
 
@@ -65,8 +73,9 @@ from repro.types.messages import Message
 _BACKOFF_FLOOR = 0.05
 _BACKOFF_CAP = 1.0
 
-#: Most bytes one link may hold unsent (frames not yet written plus the
-#: socket's write buffer); the largest legal frame always fits an idle link.
+#: Most bytes one link may hold unsent: the payload of the frame it would
+#: write next (messages, commas and brackets) plus the socket's write buffer.
+#: Equal to the frame cap, so a flush never builds a frame the peer refuses.
 MAX_LINK_BACKLOG_BYTES = MAX_FRAME_BYTES
 
 
@@ -80,11 +89,12 @@ class TransportStats:
     messages_dropped: int = 0
     reconnects: int = 0
     decode_errors: int = 0
-    #: What actually went onto sockets: ``transport.write`` calls, the frames
-    #: they carried and their real size (``bytes_sent`` is the size *model*,
-    #: and ``messages_sent`` includes copies a node sends to itself).
+    #: What actually went onto sockets: ``transport.write`` calls (one frame
+    #: each), the messages they carried and their real size (``bytes_sent``
+    #: is the size *model*, and ``messages_sent`` includes copies a node
+    #: sends to itself).
     socket_writes: int = 0
-    frames_written: int = 0
+    messages_written: int = 0
     bytes_written: int = 0
     per_type_counts: Dict[str, int] = field(default_factory=dict)
 
@@ -95,9 +105,9 @@ class TransportStats:
         self.per_type_counts[name] = self.per_type_counts.get(name, 0) + 1
 
     @property
-    def frames_per_write(self) -> float:
-        """Frames carried per ``transport.write``: what coalescing bought."""
-        return self.frames_written / self.socket_writes if self.socket_writes else 0.0
+    def messages_per_write(self) -> float:
+        """Messages carried per ``transport.write``: what coalescing bought."""
+        return self.messages_written / self.socket_writes if self.socket_writes else 0.0
 
 
 class _Link:
@@ -109,12 +119,13 @@ class _Link:
     def __init__(self, src: str, dst: str) -> None:
         self.src = src
         self.dst = dst
-        #: Frames sent but not yet handed to a connection, in send order.
+        #: Encoded messages sent but not yet handed to a connection, in send
+        #: order, and the size of the frame payload they make (0 when none).
         self.pending: List[bytes] = []
         self.pending_bytes = 0
         self.flush_scheduled = False
         self.connection: Optional[asyncio.Transport] = None
-        #: The connect/backoff task, while the link has frames and no connection.
+        #: The connect/backoff task, while the link has messages and no connection.
         self.connector: Optional[asyncio.Task] = None
 
 
@@ -131,13 +142,13 @@ class _Outbound(asyncio.Protocol):
         self.connection = self.link.connection = transport  # type: ignore[assignment]
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
-        # Frames sent from now on wait for the next flush, which reconnects.
+        # Messages sent from now on wait for the next flush, which reconnects.
         if self.link.connection is self.connection:
             self.link.connection = None
 
 
 class _Inbound(asyncio.Protocol):
-    """Server end of a connection: chunk -> frames -> messages -> handler."""
+    """Server end of a connection: chunk -> frames -> envelopes -> messages -> handler."""
 
     def __init__(self, net: "AsyncioTransport", node_id: str) -> None:
         self.net = net
@@ -163,11 +174,17 @@ class _Inbound(asyncio.Protocol):
             return
         for payload in payloads:
             try:
-                message = decode_message(payload)
+                envelopes = decode_frame(payload)
             except CodecError:
-                net.stats.decode_errors += 1
+                net.stats.decode_errors += 1  # the frame is lost, the stream goes on
                 continue
-            net._deliver(node_id, message)
+            for envelope in envelopes:
+                try:
+                    message = decode_message(envelope)
+                except CodecError:
+                    net.stats.decode_errors += 1
+                    continue
+                net._deliver(node_id, message)
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
         self.net._inbound.get(self.node_id, set()).discard(self.connection)
@@ -210,7 +227,9 @@ class AsyncioTransport:
         #: Per-transport message-id counter (ids never travel the wire; each
         #: runtime stamps the messages it first carries or decodes).
         self._message_seq = 0
-        #: Exceptions raised by message handlers; the runner re-raises these so
+        #: Exceptions raised by message handlers (and, through :meth:`fail`,
+        #: by whatever else the deployment routes here: the runner's clock
+        #: reports its timer callbacks'); the runner re-raises these so
         #: deployment bugs fail runs instead of vanishing.  ``failed`` is set
         #: with the first one, so a runner can stop waiting when it happens.
         self.errors: List[BaseException] = []
@@ -250,7 +269,7 @@ class AsyncioTransport:
                 data = self._transmit(src, dst, message, data)
 
     def crash(self, node_id: str) -> None:
-        """Take an endpoint off the network: close sockets, drop pending frames."""
+        """Take an endpoint off the network: close sockets, drop pending messages."""
         if node_id not in self._handlers:
             raise KeyError(f"unknown node: {node_id!r}")
         if node_id in self._crashed:
@@ -303,7 +322,7 @@ class AsyncioTransport:
         tasks += [link.connector for link in self._links.values() if link.connector is not None]
         for task in tasks:
             task.cancel()
-        # Stopping is crashing every endpoint: sockets close, pending frames
+        # Stopping is crashing every endpoint: sockets close, pending messages
         # go, and whatever a late callback still sends is dropped at the door.
         for node_id in self._handlers:
             self.crash(node_id)
@@ -316,14 +335,19 @@ class AsyncioTransport:
         """The (host, port) an endpoint currently listens on, if alive."""
         return self._addresses.get(node_id)
 
+    def fail(self, exc: BaseException) -> None:
+        """Record an error that must fail the run, and wake whoever waits on ``failed``."""
+        self.errors.append(exc)
+        self.failed.set()
+
     # -- internals ---------------------------------------------------------
 
     def _transmit(self, src: str, dst: str, message: Message,
                   data: Optional[bytes]) -> Optional[bytes]:
-        """Send one copy of ``message``; ``data`` is its frame if already built.
+        """Send one copy of ``message``; ``data`` is its encoding if already built.
 
-        Returns the frame (built here when this copy was the first to need
-        one), so a fan-out encodes its message once.
+        Returns the encoding (built here when this copy was the first to
+        need one), so a fan-out encodes its message once.
         """
         if src not in self._handlers:
             raise KeyError(f"unknown sender: {src!r}")
@@ -344,25 +368,30 @@ class AsyncioTransport:
             self._loop.call_soon(self._deliver, dst, message)
             return data
         if data is None:
-            data = frame(encode_message(message))
+            data = encode_message(message)
         link = self._links.get((src, dst))
         if link is None:
             link = self._links[(src, dst)] = _Link(src, dst)
         connection = link.connection
         unsent = connection.get_write_buffer_size() if connection is not None else 0
-        if link.pending_bytes + unsent + len(data) > MAX_LINK_BACKLOG_BYTES:
+        # The frame's payload grows by the message and a comma, or, for the
+        # first message, by the message and both brackets.
+        pending_bytes = (link.pending_bytes or 1) + len(data) + 1
+        if pending_bytes + unsent > MAX_LINK_BACKLOG_BYTES:
+            if len(data) + 2 > MAX_FRAME_BYTES:
+                raise CodecError(f"a {len(data)}-byte {type(message).__name__} fits no frame")
             # The newest goes: the peer is not keeping up.
             self._drop(dst, "backlog", message)
             return data
         link.pending.append(data)
-        link.pending_bytes += len(data)
+        link.pending_bytes = pending_bytes
         if not link.flush_scheduled:
             link.flush_scheduled = True
             self._loop.call_soon(self._flush, link)
         return data
 
     def _flush(self, link: _Link) -> None:
-        """Write everything the link collected this turn in one piece."""
+        """Write everything the link collected this turn as one frame."""
         link.flush_scheduled = False
         pending = link.pending
         if not pending:
@@ -374,10 +403,10 @@ class AsyncioTransport:
                     self._connect(link), name=f"connect:{link.src}->{link.dst}"
                 )
             return
-        data = pending[0] if len(pending) == 1 else b"".join(pending)
+        data = frame_of(pending)
         stats = self.stats
         stats.socket_writes += 1
-        stats.frames_written += len(pending)
+        stats.messages_written += len(pending)
         stats.bytes_written += len(data)
         pending.clear()
         link.pending_bytes = 0
@@ -394,18 +423,17 @@ class AsyncioTransport:
         try:
             self._handlers[node_id](message)
         except Exception as exc:  # noqa: BLE001 - surfaced to the runner
-            self.errors.append(exc)
-            self.failed.set()
+            self.fail(exc)
         else:
             self.stats.messages_delivered += 1
 
-    def _drop(self, dst: str, reason: str, message: Optional[Message], frames: int = 1) -> None:
+    def _drop(self, dst: str, reason: str, message: Optional[Message], count: int = 1) -> None:
         """Count and announce a dropped ``message`` bound for ``dst``, or (None)
-        ``frames`` already-encoded frames, which no longer say what they were."""
-        self.stats.messages_dropped += frames
+        ``count`` already-encoded messages, which no longer say what they were."""
+        self.stats.messages_dropped += count
         ev = self.events
         if ev.wants & obs_trace.NET:
-            what = {"frames": frames} if message is None else {"message": type(message).__name__}
+            what = {"messages": count} if message is None else {"message": type(message).__name__}
             ev.emit(
                 self._clock.now, dst, obs_trace.NET, "drop", 0,
                 {"reason": reason, **what},
@@ -413,7 +441,7 @@ class AsyncioTransport:
 
     def _discard(self, link: _Link, reason: str) -> None:
         if link.pending:
-            self._drop(link.dst, reason, None, frames=len(link.pending))
+            self._drop(link.dst, reason, None, count=len(link.pending))
         link.pending.clear()
         link.pending_bytes = 0
 
@@ -435,7 +463,7 @@ class AsyncioTransport:
         self._addresses[node_id] = (address[0], address[1])
 
     async def _connect(self, link: _Link) -> None:
-        """Get ``link`` a connection while it has frames to send, backing off."""
+        """Get ``link`` a connection while it has messages to send, backing off."""
         backoff = _BACKOFF_FLOOR
         while link.pending and link.connection is None:
             address = self._addresses.get(link.dst)

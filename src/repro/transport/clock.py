@@ -2,11 +2,13 @@
 
 The deployment runtime swaps this in for the discrete-event
 :class:`~repro.sim.events.EventScheduler`; pacemaker view timers, client
-deadlines and CPU-queue completions use the same interface on both.
+deadlines and arrivals, and sync rounds use the same interface on both.  (A
+deployed replica's CPU work never comes here: its CPU is the host's, so a
+job runs when it is submitted — :class:`~repro.transport.runtime.HostCpu`.)
 
-* A post that is already due (every CPU-queue completion of a deployment,
-  whose measured cost profile charges no modelled time) is one
-  ``loop.call_soon``; any other post is one ``loop.call_at``.
+* A post that is already due (a zero propose delay, a deadline computed in
+  the past) is one ``loop.call_soon``; any other post is one
+  ``loop.call_at``.
 * ``call_after`` returns the loop's own :class:`asyncio.TimerHandle`; the
   loop sweeps cancelled handles out of its heap itself.
 * Entries due at the same instant are not promised to fire in scheduling
@@ -14,15 +16,18 @@ deadlines and CPU-queue completions use the same interface on both.
   deployment needs it (one view timer per replica, per client one deadline
   and one pending arrival).
 
-A callback that raises is reported through the loop's exception handler.
-``now`` is a real ``loop.time()`` read, relative to the clock's creation: a
-run begins at t=0, as in the simulator.
+A callback that raises is handed to :attr:`AsyncioClock.on_error` — the
+deployment runner points it at its transport's error list, so a timer's
+error fails the run like a handler's — and the entries behind it still run.
+Without one it reaches the loop's exception handler.  ``now`` is a real
+``loop.time()`` read, relative to the clock's creation: a run begins at t=0,
+as in the simulator.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Callable
+from typing import Callable, Optional
 
 
 class AsyncioClock:
@@ -36,6 +41,8 @@ class AsyncioClock:
         self._loop = asyncio.get_running_loop()
         self._t0 = self._loop.time()
         self.processed_events = 0
+        #: Where an exception a fired callback raises goes, if anywhere.
+        self.on_error: Optional[Callable[[Exception], None]] = None
 
     @property
     def now(self) -> float:
@@ -67,4 +74,9 @@ class AsyncioClock:
 
     def _fire(self, callback: Callable, args: tuple) -> None:
         self.processed_events += 1
-        callback(*args)
+        try:
+            callback(*args)
+        except Exception as exc:  # noqa: BLE001 - surfaced through on_error
+            if self.on_error is None:
+                raise
+            self.on_error(exc)

@@ -1,11 +1,14 @@
-"""Wire codec for the deployment transport: JSON payloads, length-prefixed.
+"""Wire codec for the deployment transport: JSON envelopes, length-prefixed frames.
 
 The simulation never serializes — messages are Python objects handed between
 replicas, and :class:`~repro.types.sizes.SizeModel` *estimates* their wire
 size for the NIC model.  The real transport has to actually put them on a
 socket, so this module gives every message kind in :mod:`repro.types`,
-:mod:`repro.sync`, and :mod:`repro.checkpoint` a canonical JSON encoding,
-framed with a 4-byte big-endian length prefix.
+:mod:`repro.sync`, and :mod:`repro.checkpoint` a canonical JSON encoding.
+A frame is the JSON array of the encoded messages one socket write carries
+(:func:`frame_of`), behind a 4-byte big-endian length prefix (:func:`frame`);
+the receiver parses a frame once (:func:`decode_frame`) and turns each of its
+envelopes into a message (:func:`decode_message`).
 
 JSON (rather than a binary format) keeps frames debuggable with ``nc`` and
 avoids any dependency; the measured-throughput comparison against the model
@@ -13,24 +16,26 @@ is honest as long as both modes pay their own serialization costs — the model
 charges the size-model estimate, the deployment pays real
 encode/decode + syscalls.
 
-The field list of a wire type is its class.  A frame is the envelope
+The field list of a wire type is its class.  A message is the envelope
 ``[kind, sender, size_bytes, body]``; the body, and every value inside it,
 takes the JSON form its *declared type* prescribes, one rule per type
 (:func:`_forms`; docs/ARCHITECTURE.md tabulates them, and
-``tests/golden/wire_frames.json`` holds one frame of every kind as text).
+``tests/golden/wire_frames.json`` holds one envelope of every kind as text,
+``tests/golden/wire_frame.json`` one two-message frame).
 A record is the array of its fields in declaration order (both ends read the
 order off the same class, so no name travels), compiled once, when this
 module is imported, into the list display and the constructor call one would
 write by hand (the way :mod:`dataclasses` builds ``__init__``): every name in
 the generated source comes from a class declaration in this repository, never
 from the wire.  Decoding checks every array's class and length and every
-scalar against the declared type, so a parseable frame with a missing, extra
-or wrong-typed field is a :class:`CodecError` here rather than a
+scalar against the declared type, so a parseable envelope with a missing,
+extra or wrong-typed field is a :class:`CodecError` here rather than a
 ``TypeError`` inside whichever handler first touches the field.
 
 Round-trip property: ``decode_message(encode_message(m))`` reconstructs an
 equal message for every kind (``message_id`` excluded — it is
-``compare=False`` bookkeeping and each decode mints a fresh one).
+``compare=False`` bookkeeping and each decode mints a fresh one), and so does
+``decode_message`` of each envelope ``decode_frame`` returns for a frame.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from repro.types.messages import (
 )
 from repro.types.transaction import Transaction
 
-#: The kinds a socket may name.  Closed and explicit: a frame's ``kind`` is
+#: The kinds a socket may name.  Closed and explicit: an envelope's ``kind`` is
 #: looked up here and nowhere else (not in ``Message.__subclasses__()``, which
 #: also lists plugin kinds and, on 3.10, the pre-slots class that
 #: ``dataclass(slots=True)`` leaves behind under the same name).  Deploying a
@@ -72,10 +77,20 @@ WIRE_KINDS: Tuple[type, ...] = (
 
 _LENGTH_PREFIX = struct.Struct(">I")
 
-#: One compact encoder for every message (``json.dumps`` would build a fresh
-#: one per call, and look for cycles that a tree built from declared types
-#: cannot have); its output is ``json.dumps(payload, separators=(",", ":"))``'s.
-_to_json = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+#: One compact C encoder for the life of the process: ``JSONEncoder.encode``
+#: builds a fresh one per call, and ``json.dumps`` also looks for cycles that
+#: a tree built from declared types cannot have.  The arguments are
+#: ``(markers, default, encoder, indent, key_separator, item_separator,
+#: sort_keys, skipkeys, allow_nan)``; its output is
+#: ``json.dumps(payload, separators=(",", ":"))``'s.
+if json.encoder.c_make_encoder is not None:
+    _chunks = json.encoder.c_make_encoder(None, None, json.encoder.encode_basestring_ascii,
+                                          None, ":", ",", False, False, True)
+
+    def _to_json(value: Any) -> str:
+        return "".join(_chunks(value, 0))
+else:  # no C accelerator (not CPython)
+    _to_json = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 #: ``json.loads`` less its whitespace scans: (first value, where it ends).
 _from_json = json.JSONDecoder().raw_decode
 
@@ -199,27 +214,63 @@ def encode_message(message: Message) -> bytes:
     return _to_json(payload).encode("utf-8")
 
 
-def decode_message(data: bytes) -> Message:
-    """Parse one unframed JSON payload back into a message object."""
+def _parse(data: bytes) -> Any:
+    """The one JSON value ``data`` holds (``json.loads`` less its whitespace scans)."""
+    text = data.decode("utf-8")
+    value, end = _from_json(text)
+    if end != len(text):
+        raise ValueError(f"{len(text) - end} characters after the JSON value")
+    return value
+
+
+def decode_message(envelope: Any) -> Message:
+    """One envelope back into its message object.
+
+    ``envelope`` is its JSON text (an unframed :func:`encode_message`
+    payload), or the value :func:`decode_frame` already parsed it into.
+    """
     try:
-        text = data.decode("utf-8")
-        payload, end = _from_json(text)
-        if end != len(text):
-            raise ValueError(f"{len(text) - end} characters after the JSON value")
-        kind, sender, size_bytes, body = _list(payload, 4)
+        if envelope.__class__ is bytes:
+            envelope = _parse(envelope)
+        kind, sender, size_bytes, body = _list(envelope, 4)
         from_body = _FROM_BODY.get(kind) if kind.__class__ is str else None
         if from_body is None:
             raise ValueError(f"unknown message kind {kind!r}")
         return from_body(body, sender, size_bytes)
     except (IndexError, TypeError, ValueError, AttributeError) as exc:  # incl. bad UTF-8 / JSON
-        raise CodecError(f"malformed frame: {exc}") from exc
+        raise CodecError(f"malformed message: {exc}") from exc
 
 
 def frame(payload: bytes) -> bytes:
-    """Prefix an encoded payload with its 4-byte big-endian length."""
+    """Prefix a payload with its 4-byte big-endian length."""
     if len(payload) > MAX_FRAME_BYTES:
         raise CodecError(f"frame of {len(payload)} bytes exceeds {MAX_FRAME_BYTES}")
     return _LENGTH_PREFIX.pack(len(payload)) + payload
+
+
+def frame_of(encoded: List[bytes]) -> bytes:
+    """One frame carrying already-encoded messages: their JSON array, prefixed.
+
+    The payload is the messages' bytes, a comma between neighbours and the
+    two brackets.
+    """
+    return frame(b"[%s]" % b",".join(encoded))
+
+
+def decode_frame(payload: bytes) -> list:
+    """Parse one frame's payload: its envelopes, in order, still JSON values.
+
+    Raises :class:`CodecError` for a payload that is not one JSON array; a
+    bad envelope inside a good array is :func:`decode_message`'s to reject,
+    so it costs that message and not its neighbours.
+    """
+    try:
+        envelopes = _parse(payload)
+    except ValueError as exc:  # incl. bad UTF-8 / JSON
+        raise CodecError(f"malformed frame: {exc}") from exc
+    if envelopes.__class__ is not list:
+        raise CodecError(f"malformed frame: a {type(envelopes).__name__}, not an array")
+    return envelopes
 
 
 class FrameSplitter:

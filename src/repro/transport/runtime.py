@@ -15,9 +15,16 @@ aspect                    model                       deploy
 ========================  ==========================  =========================
 time                      virtual event clock         loop's monotonic clock
 message fabric            modeled NIC + link delays   framed TCP streams
+replica CPU               FIFO server, service times  the host's (:class:`HostCpu`)
 signatures                HMAC tags, cost *modeled*   Ed25519, cost *measured*
 serialization             size-model estimate         real JSON encode/decode
 ========================  ==========================  =========================
+
+Each is chosen at wiring, by mode: the deployment hands
+:func:`~repro.bench.runner.wire` its clock and transport and then gives every
+replica a :class:`HostCpu`.  What a message or a timer costs is what its code
+costs, on the one thread the loop runs on, and an exception raised by either
+fails the run (:meth:`DeploymentRunner.run`).
 
 Everything else is :mod:`repro.bench.runner`'s: its :func:`~repro.bench.runner.wire`
 builds the replicas and clients, its ``consistency_check`` judges them, and
@@ -30,8 +37,9 @@ deployment records side by side.
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Any, Callable, Deque, Dict, List, Tuple
 
 from repro.bench import runner as bench_runner
 from repro.bench.config import Configuration
@@ -49,13 +57,50 @@ class DeploymentError(RuntimeError):
     """A deployment run failed (replica handler raised, cluster diverged)."""
 
 
+class HostCpu:
+    """A deployed replica's CPU: the host's, so a job runs when it is submitted.
+
+    The simulator's :class:`~repro.sim.resources.FifoServer` holds each job
+    for its modelled service time; here the work costs what it costs, and the
+    service time (zero under the ``measured`` profile) is ignored.  A job
+    submitted by a running job runs right after it, in the same loop turn:
+    first in, first out, and never re-entrantly, as on the simulator's
+    server.  A job that raises propagates to whoever submitted the first job
+    of the run — a handler's error to the transport's ``_deliver``, a
+    timer's to the clock's ``_fire`` — and the jobs queued behind it are
+    dropped with it, so the next submit finds the queue empty and idle.
+    """
+
+    __slots__ = ("_queue", "_running")
+
+    def __init__(self) -> None:
+        self._queue: Deque[Tuple[Callable[..., Any], tuple]] = deque()
+        self._running = False
+
+    def submit(self, service_time: float, callback: Callable[..., Any], *args: Any) -> None:
+        """Run ``callback(*args)`` now, or after the job that is running."""
+        if self._running:
+            self._queue.append((callback, args))
+            return
+        self._running = True
+        queue = self._queue
+        try:
+            callback(*args)
+            while queue:
+                callback, args = queue.popleft()
+                callback(*args)
+        finally:
+            self._running = False
+            queue.clear()
+
+
 @dataclass
 class DeploymentResult(bench_runner.ExperimentResult):
     """An :class:`ExperimentResult` plus the deployment's socket counters.
 
     The stored record (``to_dict``) is the shared schema, unchanged; the
     counters are for whoever ran the deployment (``repro deploy`` prints
-    frames per socket write from them).
+    messages per socket write from them).
     """
 
     transport: TransportStats = field(default_factory=TransportStats)
@@ -103,20 +148,24 @@ class DeploymentRunner:
         events = obs_trace.open_stream(self.metrics)
         self.clock = AsyncioClock()
         self.transport = AsyncioTransport(host=self.host, events=events, clock=self.clock)
+        # A timer callback's error fails the run like a handler's.
+        self.clock.on_error = self.transport.fail
         # Crypto/serialization cost is real wall-clock work here; charging
         # the configured model on top would double-count it.
         self.replicas, self.clients = bench_runner.wire(
             config, self.clock, self.transport, self.registry,
             RandomStreams(seed=config.seed), events, cost_profile("measured"),
         )
+        for replica in self.replicas.values():
+            replica.cpu = HostCpu()
         await self.transport.start()
         bench_runner.start_nodes(self)
 
     async def run(self) -> None:
         """Let the cluster run for the configured horizon of wall time.
 
-        A message handler that raises ends the wait — and fails the run —
-        when it happens, not when the horizon is up.
+        A message handler or timer callback that raises ends the wait — and
+        fails the run — when it happens, not when the horizon is up.
         """
         try:
             await asyncio.wait_for(
@@ -133,7 +182,7 @@ class DeploymentRunner:
         await self.transport.stop()
 
     def raise_handler_errors(self) -> None:
-        """Re-raise the first exception any message handler raised."""
+        """Re-raise the first exception any handler or timer callback raised."""
         if self.transport.errors:
             raise DeploymentError(
                 f"{len(self.transport.errors)} handler error(s); first: "

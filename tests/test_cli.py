@@ -151,7 +151,7 @@ class TestDeploy:
                      "--runtime", "0.6", "--seed", "7", "-s", store]) == 0
         out = capsys.readouterr().out
         # The three lines CI's deploy-smoke job greps.
-        for stable in ("committed transactions: ", "consistent: true", "frames per socket write: "):
+        for stable in ("committed transactions: ", "consistent: true", "messages per socket write: "):
             assert any(line.startswith(stable) for line in out.splitlines()), stable
         # And the fourth: both directions of the codec agreed on every frame.
         assert "decode errors: 0" in out.splitlines()

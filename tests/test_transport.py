@@ -56,6 +56,7 @@ from repro.obs.trace import tracing
 from repro.quorum.quorum import QuorumTracker
 from repro.sim.events import EventScheduler
 from repro.sim.random import RandomStreams
+from repro.sim.resources import FifoServer
 from repro.sync.messages import BlockRequest, BlockResponse
 from repro.transport.base import Clock, TimerHandle, Transport
 from repro.transport.clock import AsyncioClock
@@ -69,7 +70,7 @@ from repro.transport.codec import (
     frame,
 )
 from repro.transport.asyncio_net import AsyncioTransport
-from repro.transport.runtime import DeploymentError, DeploymentRunner
+from repro.transport.runtime import DeploymentError, DeploymentRunner, HostCpu
 from repro.types.block import make_block
 from repro.types.certificates import (
     QuorumCertificate,
@@ -194,11 +195,13 @@ def _golden_messages():
     }
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
 @functools.lru_cache(maxsize=None)
 def _golden_frames():
-    """Entry name -> the frame's compact JSON text: the wire format's spec."""
-    path = Path(__file__).resolve().parent / "golden" / "wire_frames.json"
-    return json.loads(path.read_text())
+    """Entry name -> the envelope's compact JSON text: the wire format's spec."""
+    return json.loads((GOLDEN / "wire_frames.json").read_text())
 
 
 def _fields_of(record):
@@ -403,6 +406,22 @@ class TestCodec:
         for name, message in messages.items():
             assert encode_message(message).decode("utf-8") == golden[name], name
             assert decode_message(golden[name].encode("utf-8")) == message, name
+
+    def test_a_two_message_frame_matches_its_golden_bytes(self):
+        # What one socket write carries: the envelopes above, comma-joined in
+        # brackets, behind the payload's 4-byte big-endian length.
+        spec = json.loads((GOLDEN / "wire_frame.json").read_text())
+        messages = [_golden_messages()[name] for name in spec["messages"]]
+        payload = spec["payload"].encode("utf-8")
+        assert spec["payload"] == "[%s]" % ",".join(_golden_frames()[n] for n in spec["messages"])
+        assert codec.frame_of([encode_message(m) for m in messages]) == (
+            struct.pack(">I", len(payload)) + payload)
+        assert [decode_message(e) for e in codec.decode_frame(payload)] == messages
+
+    @pytest.mark.parametrize("payload", [b"{}", b"7", b"null", b'"[]"', b"\xff", b"[1,", b"[] []"])
+    def test_a_frame_that_is_not_one_json_array_is_a_codec_error(self, payload):
+        with pytest.raises(CodecError):
+            codec.decode_frame(payload)
 
     @pytest.mark.parametrize("kind", codec.WIRE_KINDS, ids=lambda kind: kind.__name__)
     @settings(max_examples=40, deadline=None)
@@ -628,6 +647,39 @@ class TestFrameSplitter:
         finally:
             codec.MAX_FRAME_BYTES = original
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_sent_messages_come_back_equal_and_in_order(self, data):
+        # send -> the link's flush (one frame per write) -> any chunking ->
+        # splitter -> one parse per frame -> one decode per envelope.
+        messages = data.draw(st.lists(
+            st.sampled_from(codec.WIRE_KINDS).flatmap(_values_of), max_size=8))
+        turns = sorted(data.draw(st.lists(st.integers(0, len(messages)), max_size=3)))
+        transport = AsyncioTransport()
+        for name in ("a", "b"):
+            transport.register(name, lambda m: None)
+        scheduled, written = [], []
+        transport._loop = SimpleNamespace(call_soon=lambda fn, *args: scheduled.append((fn, args)))
+        link = transport._links[("a", "b")] = asyncio_net._Link("a", "b")
+        link.connection = SimpleNamespace(write=written.append, get_write_buffer_size=lambda: 0)
+        for start, end in zip([0] + turns, turns + [len(messages)]):
+            for message in messages[start:end]:
+                transport.send("a", "b", message)
+            writes, pending_bytes = len(written), link.pending_bytes
+            while scheduled:
+                fn, args = scheduled.pop(0)
+                fn(*args)
+            if len(written) > writes:  # the bound counted exactly what the flush built
+                assert len(written[-1]) == 4 + pending_bytes
+        assert sum(map(len, written)) == transport.stats.bytes_written
+        stream = b"".join(written)
+        splitter = FrameSplitter()
+        cuts = data.draw(st.lists(st.integers(0, len(stream)), max_size=8))
+        frames = [p for chunk in _chunks(stream, cuts) for p in splitter.feed(chunk)]
+        assert len(frames) == transport.stats.socket_writes
+        assert transport.stats.messages_written == len(messages)
+        assert [decode_message(e) for p in frames for e in codec.decode_frame(p)] == messages
+
 
 # --------------------------------------------------------------------------
 # real signatures
@@ -768,12 +820,15 @@ class TestAsyncioClock:
 
         asyncio.run(scenario())
 
-    def test_a_raising_callback_does_not_stall_the_entries_behind_it(self):
+    @pytest.mark.parametrize("routed", [False, True], ids=["loop-handler", "on_error"])
+    def test_a_raising_callback_does_not_stall_the_entries_behind_it(self, routed):
         async def scenario():
             loop = asyncio.get_running_loop()
-            reported = []
+            reported, routed_errors = [], []
             loop.set_exception_handler(lambda _loop, context: reported.append(context))
             clock = AsyncioClock()
+            if routed:  # what a deployment does: into its transport's error list
+                clock.on_error = routed_errors.append
             fired = []
 
             def explode():
@@ -785,9 +840,44 @@ class TestAsyncioClock:
             clock.post_after(0.03, fired.append, "later")
             await asyncio.sleep(0.08)
             assert fired == ["behind", "later"]
-            assert len(reported) == 1 and "boom" in repr(reported[0]["exception"])
+            errors = routed_errors if routed else [context["exception"] for context in reported]
+            assert len(errors) == 1 and "boom" in repr(errors[0])
+            if routed:
+                assert reported == []
 
         asyncio.run(scenario())
+
+
+# --------------------------------------------------------------------------
+# a deployed replica's CPU
+
+
+class TestHostCpu:
+    def test_a_job_runs_at_once_and_the_jobs_it_submits_right_after_it(self):
+        cpu = HostCpu()
+        order = []
+
+        def outer():
+            order.append("outer:begin")
+            cpu.submit(0.0, order.append, "first")
+            cpu.submit(0.0, order.append, "second")
+            order.append("outer:end")
+
+        cpu.submit(0.0, outer)
+        assert order == ["outer:begin", "outer:end", "first", "second"]
+
+    def test_a_raising_job_reaches_its_caller_and_leaves_the_cpu_usable(self):
+        cpu = HostCpu()
+        ran = []
+
+        def explode():
+            cpu.submit(0.0, ran.append, "behind the error")
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            cpu.submit(0.0, explode)
+        cpu.submit(0.0, ran.append, "next")
+        assert ran == ["next"]
 
 
 # --------------------------------------------------------------------------
@@ -905,7 +995,7 @@ class TestAsyncioTransport:
             await self._settle(lambda: len(received) == 1000)
             assert [m.txid for m in received] == [f"t{i}" for i in range(1000)]
             stats = transport.stats
-            assert stats.frames_written == stats.messages_delivered == 1000
+            assert stats.messages_written == stats.messages_delivered == 1000
             assert 1 < stats.socket_writes < 1000
             await transport.stop()
 
@@ -922,18 +1012,19 @@ class TestAsyncioTransport:
             await self._settle(lambda: len(received) == 1)
             stats = transport.stats
             writes, written = stats.socket_writes, stats.bytes_written
-            assert (writes, stats.frames_written) == (1, 1)
+            assert (writes, stats.messages_written) == (1, 1)
 
             messages = [self._reply(f"t{i}") for i in range(25)]
             for message in messages:
                 transport.send("a", "b", message)
             await self._settle(lambda: len(received) == 26)
             assert stats.socket_writes == writes + 1
-            assert stats.frames_written == 26
-            assert stats.frames_per_write == 13.0
-            # Real bytes, beside the size model's bytes_sent.
-            assert stats.bytes_written - written == sum(
-                len(frame(encode_message(m))) for m in messages)
+            assert stats.messages_written == 26
+            assert stats.messages_per_write == 13.0
+            # Real bytes, beside the size model's bytes_sent: one frame, the
+            # array of the 25 envelopes behind one length prefix.
+            envelopes = [encode_message(m) for m in messages]
+            assert stats.bytes_written - written == 4 + 2 + sum(len(e) + 1 for e in envelopes) - 1
             assert stats.bytes_sent == 26 * 48
             await transport.stop()
 
@@ -973,7 +1064,7 @@ class TestAsyncioTransport:
             stats = transport.stats
             return ({n: [m.txid for m in received[n]] for n in names},
                     stats.messages_sent, stats.bytes_sent, stats.per_type_counts,
-                    stats.frames_written)
+                    stats.messages_written)
 
         looped = asyncio.run(scenario(use_broadcast=False))
         assert len(encoded) == 7  # one per copy that crossed a socket
@@ -1080,12 +1171,20 @@ class TestAsyncioTransport:
         assert "Task was destroyed" not in caplog.text
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
-    def test_backlog_of_a_link_is_bounded(self, monkeypatch):
+    @pytest.mark.parametrize("slack", [0, -1])
+    def test_backlog_of_a_link_is_bounded(self, monkeypatch, slack):
         big = ClientRequest(sender="a", size_bytes=140, transaction=Transaction(
             txid="big", client_id="a", value="v" * 65536, sequence=0))
-        size = len(frame(encode_message(big)))
-        cap = 16 * size
-        monkeypatch.setattr(asyncio_net, "MAX_LINK_BACKLOG_BYTES", cap)
+        size = len(encode_message(big))
+        # Sixteen messages make a frame payload of exactly 16 * size + 15
+        # commas + 2 brackets.  With the frame cap there too, the boundary
+        # is on both sides of the wire: the sender's flush builds the largest
+        # frame the receiver takes, and one byte less fits one message less.
+        cap = 16 * size + 15 + 2 + slack
+        fits = 16 if slack == 0 else 15
+        for module, name in ((asyncio_net, "MAX_LINK_BACKLOG_BYTES"),
+                             (asyncio_net, "MAX_FRAME_BYTES"), (codec, "MAX_FRAME_BYTES")):
+            monkeypatch.setattr(module, name, cap)
 
         async def scenario():
             transport = AsyncioTransport()
@@ -1097,15 +1196,21 @@ class TestAsyncioTransport:
             await self._settle(lambda: len(received) == 1)
             link = transport._links[("a", "b")]
 
-            # Within one turn nothing is written yet: the 17th frame is over.
+            # Within one turn nothing is written yet: what does not fit the
+            # one frame the link writes next is dropped.
             for _ in range(20):
                 transport.send("a", "b", big)
-            assert link.pending_bytes == cap
-            assert transport.stats.messages_dropped == 4
-            await self._settle(lambda: len(received) == 17)
+            assert len(link.pending) == fits
+            assert link.pending_bytes == len(codec.frame_of(link.pending)) - 4 <= cap
+            assert transport.stats.messages_dropped == 20 - fits
+            await self._settle(lambda: len(received) == 1 + fits)
+            assert transport.stats.decode_errors == 0
+            if slack:
+                await transport.stop()
+                return
 
             # A peer that stops reading: the kernel's buffers fill, then the
-            # socket's write buffer, and from there on frames are dropped.
+            # socket's write buffer, and from there on messages are dropped.
             for connection in transport._inbound["b"]:
                 connection.pause_reading()
             for _ in range(400):
@@ -1113,7 +1218,7 @@ class TestAsyncioTransport:
                 await asyncio.sleep(0)
                 assert link.pending_bytes + link.connection.get_write_buffer_size() <= cap
             dropped = transport.stats.messages_dropped
-            assert dropped > 4
+            assert dropped > 20 - fits
             for connection in transport._inbound["b"]:
                 connection.resume_reading()
             sent = transport.stats.messages_sent
@@ -1129,7 +1234,8 @@ class TestAsyncioTransport:
             transport.register("b", received.append)
             await transport.start()
             stats = transport.stats
-            good = frame(encode_message(self._reply("ok")))
+            reply = encode_message(self._reply("ok"))
+            good = codec.frame_of([reply])
 
             # An oversized announcement: one error, connection closed at once,
             # nothing behind the prefix is waited for.
@@ -1152,25 +1258,31 @@ class TestAsyncioTransport:
             await self._settle(lambda: stats.decode_errors == 3)
 
             # Garbage inside a well-formed frame: counted, the stream goes on.
-            # Wrong envelope arity, a body that is no array, bytes after the
-            # JSON value, and a frame in the keyed form of before records
-            # became arrays: one error each, on one surviving connection.
-            reply = encode_message(self._reply("ok"))
+            # A payload that is no JSON array, or has bytes after it, costs
+            # its frame; a bad envelope in an array (wrong arity, a body that
+            # is no array, the keyed form of before records became arrays)
+            # costs itself, and its neighbours are delivered.  One error
+            # each, on one surviving connection.
             keyed = json.dumps(dict(zip(("kind", "sender", "size_bytes", "body"),
                                         json.loads(reply)))).encode("utf-8")
+            not_arrays = (b"{}", b"7", b"\xff", b"[" + reply, b"[" + reply + b"]]")
+            bad_envelopes = (b"[1]", reply[:-1] + b",0]", b'["ClientReply","a",1,"ab"]', keyed)
+            wire = [(frame(bad), 0) for bad in not_arrays]
+            wire += [(codec.frame_of([reply, bad, reply]), 2) for bad in bad_envelopes]
             _, writer = await asyncio.open_connection(*transport.address_of("b"))
-            for count, bad in enumerate((b"[1]", reply[:-1] + b",0]", b'["ClientReply","a",1,"ab"]',
-                                         reply + b"]", keyed), start=4):
-                writer.write(frame(bad) + good)
+            errors, delivered = stats.decode_errors, len(received)
+            for bad, neighbours in wire:
+                writer.write(bad + good)
                 await writer.drain()
-                await self._settle(lambda: stats.decode_errors == count
-                                   and len(received) == count - 2)
+                errors, delivered = errors + 1, delivered + neighbours + 1
+                await self._settle(lambda: (stats.decode_errors, len(received))
+                                   == (errors, delivered))
             writer.close()
             await writer.wait_closed()
             # A clean close at a frame boundary is not an error.
             await asyncio.sleep(0.05)
-            assert stats.decode_errors == 8
-            assert [m.txid for m in received] == ["ok"] * 6
+            assert stats.decode_errors == 3 + len(wire) == 12
+            assert [m.txid for m in received] == ["ok"] * (1 + len(wire) + 2 * len(bad_envelopes))
             await transport.stop()
 
         asyncio.run(scenario())
@@ -1345,6 +1457,64 @@ class TestDeployment:
         # Not the 30.5 s horizon: the first raising handler ends the wait.
         assert time.monotonic() - started < 2.0
 
+    def test_a_raising_vote_handler_fails_the_run(self, monkeypatch):
+        """One replica's vote handler raises: the error reaches the transport
+        through the replica's CPU, which runs the handler as its frame
+        arrives, and the run fails with it instead of running out its
+        horizon with that replica silently stuck."""
+        process_vote = Replica._process_vote
+
+        def process_vote_or_explode(self, message):
+            if self.node_id == "r1":
+                raise RuntimeError("r1 cannot count votes")
+            process_vote(self, message)
+
+        monkeypatch.setattr(Replica, "_process_vote", process_vote_or_explode)
+
+        async def scenario():
+            runner = DeploymentRunner(_deploy_config(runtime=10.0, signing="hmac"))
+            await runner.start()
+            try:
+                with pytest.raises(DeploymentError, match="r1 cannot count votes"):
+                    await runner.run()
+            finally:
+                await runner.stop()
+            return runner
+
+        started = time.monotonic()
+        runner = asyncio.run(scenario())
+        assert time.monotonic() - started < 5.0
+        assert runner.transport.failed.is_set()
+        assert "r1 cannot count votes" in repr(runner.transport.errors[0])
+
+    def test_a_raising_timer_callback_fails_the_run(self, monkeypatch):
+        """Work a timer starts fails as loudly as work a message starts: a
+        view timeout's ``_send_timeout`` raises inside the clock's callback,
+        and the run fails with it."""
+
+        def explode(self, view):
+            raise RuntimeError(f"{self.node_id} cannot build a timeout")
+
+        monkeypatch.setattr(Replica, "_send_timeout", explode)
+
+        async def scenario():
+            runner = DeploymentRunner(_deploy_config(
+                runtime=10.0, signing="hmac", view_timeout=0.2))
+            await runner.start()
+            runner.replicas["r3"].crash()  # the views it leads time out
+            try:
+                with pytest.raises(DeploymentError, match="cannot build a timeout"):
+                    await runner.run()
+            finally:
+                await runner.stop()
+            return runner
+
+        started = time.monotonic()
+        runner = asyncio.run(scenario())
+        assert time.monotonic() - started < 5.0
+        assert runner.transport.failed.is_set()
+        assert "cannot build a timeout" in repr(runner.transport.errors[0])
+
     def test_a_request_naming_an_unknown_operation_is_refused_not_fatal(self):
         """The codec only knows ``operation`` is a string; the replica it
         reaches refuses it, where the executor used to raise inside ``_commit``
@@ -1372,10 +1542,10 @@ class TestDeployment:
         assert all(r.kvstore.operations_invalid == 0 for r in runner.replicas.values())
 
     def test_no_loop_timer_is_armed_for_a_cpu_charge(self):
-        """``measured`` charges nothing, so every CPU-queue completion is a
-        ``call_soon``: with the view and request timeouts seconds away, the
-        clock arms no near deadline however many requests flow.  A positive
-        charge is a ``loop.call_at`` a few microseconds ahead per message."""
+        """A deployed replica's CPU is the host's: a job runs when it is
+        submitted, so with the view and request timeouts seconds away the
+        clock arms no near deadline however many requests flow.  (The
+        simulator's FIFO server would post each completion to the clock.)"""
 
         async def scenario():
             loop = asyncio.get_running_loop()
@@ -1401,6 +1571,9 @@ class TestDeployment:
         runner, armed_ahead = asyncio.run(scenario())
         assert runner.replicas[runner.observer_id].forest.committed_height > 10
         assert armed_ahead and min(armed_ahead) >= 1e-3
+        assert {type(replica.cpu) for replica in runner.replicas.values()} == {HostCpu}
+        simulated = build_cluster(runner.config.replace(mode="model"))
+        assert {type(replica.cpu) for replica in simulated.replicas.values()} == {FifoServer}
 
     def test_loop_timers_do_not_grow_with_requests_issued(self, spy_on_loop_timers):
         """A client arms one deadline however many requests it has sent, so
@@ -1519,7 +1692,7 @@ class TestDeployment:
         drops = [r for r in deployed.records() if (r.category, r.kind) == ("net", "drop")]
         assert any(r.replica == "r3" and r.payload["reason"] == "crashed" for r in drops)
         assert len(drops) <= runner.transport.stats.messages_dropped
-        assert all(set(r.payload) in ({"reason", "message"}, {"reason", "frames"}) for r in drops)
+        assert all(set(r.payload) in ({"reason", "message"}, {"reason", "messages"}) for r in drops)
 
         with tracing() as simulated:
             run_experiment(_deploy_config(mode="model", runtime=0.5))
