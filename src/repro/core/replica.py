@@ -415,7 +415,7 @@ class Replica:
         """
         now = self.scheduler.now
         try:
-            self.forest.add_block(block, added_at=now)
+            self.forest.add_block(block)
         except ForestError:
             return
         ev = self.events
@@ -548,7 +548,7 @@ class Replica:
         now = self.scheduler.now
         commit_view = self.pacemaker.current_view
         try:
-            newly = self.forest.commit(block_id, at_view=commit_view)
+            newly = self.forest.commit(block_id)
         except ForestError:
             self.stats.safety_violations += 1
             if ev.wants & obs_trace.FAULT:

@@ -2,8 +2,12 @@
 
 The forest keeps every block a replica has seen, indexed by id and by height.
 It answers the structural questions the safety rules need (ancestry, chain
-extension, longest certified chain) and maintains the committed *main chain*
-used for consistency checks across replicas (paper §III-A).
+extension) and maintains the committed *main chain* used for consistency
+checks across replicas (paper §III-A).  The two certified tips it is asked
+for — the highest-view one (the anchor a sync request advertises) and the
+longest one (Streamlet's proposing and voting rules) — are cached ids kept
+current by :meth:`BlockForest.record_qc`, so reading either is O(1); only
+removing vertices rescans.
 
 The forest also tracks *orphans*: proposals whose parent has not arrived,
 parked in a bounded FIFO buffer keyed by the missing parent id.  The sync
@@ -15,8 +19,7 @@ delivery or a :class:`~repro.sync.messages.BlockResponse`.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.crypto.digest import digest_fields
 from repro.forest.vertex import Vertex
@@ -28,22 +31,9 @@ class ForestError(ValueError):
     """Raised when a block cannot be added to the forest."""
 
 
-@dataclass
-class ForkStats:
-    """Counters describing forking observed by one replica."""
-
-    blocks_added: int = 0
-    blocks_committed: int = 0
-    blocks_forked: int = 0
-    transactions_forked: int = 0
-    views_with_conflicts: Set[int] = field(default_factory=set)
-
-    @property
-    def fork_rate(self) -> float:
-        """Fraction of added (non-genesis) blocks that ended up abandoned."""
-        if self.blocks_added == 0:
-            return 0.0
-        return self.blocks_forked / self.blocks_added
+def _tip_order(vertex: Vertex) -> Tuple[int, int, str]:
+    """Rank of a certified vertex as Streamlet's longest-chain tip."""
+    return (vertex.height, vertex.view, vertex.block_id)
 
 
 class BlockForest:
@@ -68,7 +58,6 @@ class BlockForest:
         #: The lowest retained committed block: genesis until a checkpoint is
         #: installed or truncation runs, then the checkpoint block.
         self._root_id = genesis.block_id
-        self.stats = ForkStats()
 
         #: Parked blocks whose parent is missing: parent id -> blocks, plus a
         #: FIFO of (block id, parent id) pairs for O(1) bounded eviction.
@@ -78,16 +67,18 @@ class BlockForest:
 
         root = Vertex(block=genesis, qc=genesis_qc)
         root.committed = True
-        root.committed_at_view = 0
         self._vertices[genesis.block_id] = root
         self._by_height[0].append(genesis.block_id)
         self._committed_ids.append(genesis.block_id)
+        #: The certified vertex of highest view, and the one of greatest
+        #: (height, view, id); the root until something above it certifies.
         self._highest_certified_id = genesis.block_id
+        self._longest_certified_id = genesis.block_id
 
     # ------------------------------------------------------------------
     # insertion and certification
     # ------------------------------------------------------------------
-    def add_block(self, block: Block, added_at: float = 0.0) -> Vertex:
+    def add_block(self, block: Block) -> Vertex:
         """Insert ``block``; its parent must already be present.
 
         Re-inserting a known block is a no-op (messages can be duplicated or
@@ -108,13 +99,10 @@ class BlockForest:
             raise ForestError(
                 f"view {block.view} does not advance past parent view {parent.view}"
             )
-        vertex = Vertex(block=block, added_at=added_at)
+        vertex = Vertex(block=block)
         self._vertices[block.block_id] = vertex
         self._by_height[block.height].append(block.block_id)
         parent.children.add(block.block_id)
-        self.stats.blocks_added += 1
-        if len(self._by_height[block.height]) > 1:
-            self.stats.views_with_conflicts.add(block.view)
         return vertex
 
     def record_qc(self, qc: QuorumCertificate) -> Optional[Vertex]:
@@ -126,6 +114,8 @@ class BlockForest:
             vertex.qc = qc
         if vertex.view > self._vertices[self._highest_certified_id].view:
             self._highest_certified_id = vertex.block_id
+        if _tip_order(vertex) > _tip_order(self._vertices[self._longest_certified_id]):
+            self._longest_certified_id = vertex.block_id
         return vertex
 
     # ------------------------------------------------------------------
@@ -256,14 +246,26 @@ class BlockForest:
     # certified chains
     # ------------------------------------------------------------------
     def highest_certified(self) -> Vertex:
-        """The certified vertex with the highest view (genesis if none).
+        """The certified vertex with the highest view (the root if none).
 
         Tracked incrementally by :meth:`record_qc` (and repaired by
-        :meth:`prune`), so the lookup is O(1).  It is the anchor every sync
-        request advertises, which makes it per-missing-parent-event rather
-        than per-message — cheap to call however often sync needs it.
+        :meth:`_rescan_certified`), so the lookup is O(1).  It is the anchor
+        every sync request advertises, which makes it per-missing-parent-event
+        rather than per-message — cheap to call however often sync needs it.
         """
         return self._vertices[self._highest_certified_id]
+
+    def longest_certified_tip(self) -> Vertex:
+        """The certified vertex of greatest height (the root if none).
+
+        Streamlet's proposing and voting rules extend the tip of the longest
+        notarized chain; in the states Streamlet reaches that is the certified
+        vertex of greatest height (see :mod:`repro.protocols.streamlet`).
+        Ties break toward the higher view, then the greater id, so every
+        replica with the same forest picks the same tip.  Tracked like
+        :meth:`highest_certified`, so the lookup is O(1).
+        """
+        return self._vertices[self._longest_certified_id]
 
     def certified_vertices(self) -> List[Vertex]:
         """Every retained vertex holding a QC, in insertion order.
@@ -275,44 +277,25 @@ class BlockForest:
         """
         return [vertex for vertex in self._vertices.values() if vertex.certified]
 
-    def _rescan_highest_certified(self) -> None:
-        """Repair the highest-certified cache by scanning (after pruning)."""
-        best = self._vertices[self._root_id]
-        for vertex in self._vertices.values():
-            if vertex.certified and vertex.view > best.view:
-                best = vertex
-        self._highest_certified_id = best.block_id
+    def _rescan_certified(self) -> None:
+        """Repair the cached certified tips after vertices were removed.
 
-    def longest_certified_tip(self) -> Vertex:
-        """Tip of the longest chain of certified blocks (Streamlet's rule).
-
-        The tip is the certified vertex of maximal height.  In every state
-        reachable under Streamlet's voting rule this coincides with the tip
-        of the longest fully-notarized chain, because a block only attracts
-        votes (and hence a certificate) when its entire ancestor chain is
-        already notarized; using the height keeps the lookup linear in the
-        forest size.  Ties break toward the higher view, then lexicographic
-        id, so every replica with the same forest picks the same tip.
+        A cached tip still retained is still the maximum (removal only
+        shrinks the candidates), so only a removed one costs a scan.
         """
-        best = self._vertices[self._root_id]
-        for vertex in self._vertices.values():
+        vertices = self._vertices
+        if self._highest_certified_id in vertices and self._longest_certified_id in vertices:
+            return
+        highest = longest = self._vertices[self._root_id]
+        for vertex in vertices.values():
             if not vertex.certified:
                 continue
-            if (vertex.height, vertex.view, vertex.block_id) > (
-                best.height,
-                best.view,
-                best.block_id,
-            ):
-                best = vertex
-        return best
-
-    def certified_chain_length(self, block_id: str) -> int:
-        """Number of certified blocks on the path from genesis to ``block_id``."""
-        count = 0
-        for vertex in self.ancestors(block_id, include_self=True):
-            if vertex.certified:
-                count += 1
-        return count
+            if vertex.view > highest.view:
+                highest = vertex
+            if _tip_order(vertex) > _tip_order(longest):
+                longest = vertex
+        self._highest_certified_id = highest.block_id
+        self._longest_certified_id = longest.block_id
 
     # ------------------------------------------------------------------
     # commitment and the main chain
@@ -370,13 +353,16 @@ class BlockForest:
         end = min(high_height, self.committed_height, start + limit - 1)
         return [self._vertices[b].block for b in self._committed_ids[start : end + 1]]
 
-    def commit(self, block_id: str, at_view: int) -> List[Vertex]:
+    def commit(self, block_id: str, at_view: Optional[int] = None) -> List[Vertex]:
         """Commit ``block_id`` and every uncommitted ancestor.
 
         Returns the newly committed vertices in chain order (oldest first).
         Committing a block that conflicts with an already committed block is
         a safety violation and raises — tests rely on this to detect unsound
-        rule implementations.
+        rule implementations.  ``at_view`` is ignored: the view a commit
+        becomes visible in travels on the replica's ``commit`` event (the
+        block-interval metric's ``commit_view``); the parameter stays for
+        callers that still pass it.
         """
         if block_id not in self._vertices:
             raise ForestError(f"cannot commit unknown block {block_id!r}")
@@ -398,9 +384,7 @@ class BlockForest:
         newly.reverse()
         for vertex in newly:
             vertex.committed = True
-            vertex.committed_at_view = at_view
             self._committed_ids.append(vertex.block_id)
-            self.stats.blocks_committed += 1
         return newly
 
     def forked_blocks_below(self, height: int) -> List[Vertex]:
@@ -429,12 +413,8 @@ class BlockForest:
                 parent.children.discard(vertex.block_id)
             self._by_height[vertex.height].remove(vertex.block_id)
             del self._vertices[vertex.block_id]
-            self.stats.blocks_forked += 1
-            self.stats.transactions_forked += vertex.block.num_transactions
         self._pruned_height = max(self._pruned_height, height)
-        if self._highest_certified_id not in self._vertices:
-            # The cached highest-certified vertex was on a pruned fork.
-            self._rescan_highest_certified()
+        self._rescan_certified()
         return removed
 
     def consistency_hash(self, height: Optional[int] = None) -> str:
@@ -504,8 +484,7 @@ class BlockForest:
         self._root_id = root_id
         self._base_height = height
         self._pruned_height = max(self._pruned_height, height)
-        if self._highest_certified_id not in self._vertices:
-            self._rescan_highest_certified()
+        self._rescan_certified()
         return removed
 
     def install_checkpoint(self, block: Block, qc: Optional[QuorumCertificate], committed_ids: List[str]) -> None:
@@ -532,7 +511,6 @@ class BlockForest:
             )
         root = Vertex(block=block, qc=qc)
         root.committed = True
-        root.committed_at_view = block.view
         self._vertices = {block.block_id: root}
         self._by_height = defaultdict(list)
         self._by_height[block.height].append(block.block_id)
@@ -540,4 +518,4 @@ class BlockForest:
         self._root_id = block.block_id
         self._base_height = block.height
         self._pruned_height = max(self._pruned_height, block.height)
-        self._highest_certified_id = block.block_id
+        self._rescan_certified()

@@ -22,8 +22,6 @@ class Vertex:
     children: Set[str] = field(default_factory=set)
     qc: Optional[QuorumCertificate] = None
     committed: bool = False
-    committed_at_view: Optional[int] = None
-    added_at: float = 0.0
 
     @property
     def block_id(self) -> str:

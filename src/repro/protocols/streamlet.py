@@ -5,7 +5,14 @@ Streamlet's rules follow the longest-chain principle:
 * Proposing: extend the tip of the longest *notarized* (certified) chain.
 * Voting: vote for the first proposal of a view only if it extends the
   longest notarized chain seen so far.  Votes are **broadcast** to every
-  replica rather than sent to the next leader.
+  replica rather than sent to the next leader.  The rule compares heights:
+  in every reachable state each certified vertex above the forest root has
+  a certified parent (a replica records a proposal's embedded QC, which
+  certifies the parent, as it inserts the proposal, and honest replicas vote
+  only for proposals whose QC does), so a certified vertex's notarized chain
+  is its whole path to the root.  ``TestReachableStates`` in
+  ``tests/test_protocols_streamlet.py`` checks this over simulated runs
+  with crashes, partitions, attacks and checkpoints.
 * Commit: whenever three blocks proposed in three consecutive views are all
   certified, the first two of them (and all their ancestors) are committed —
   the consecutive-certified-chain walk of
@@ -74,7 +81,5 @@ class StreamletSafety(Safety):
         parent = self.forest.maybe_get(block.parent_id)
         if parent is None or not parent.certified:
             return False
-        longest = self.forest.longest_certified_tip()
-        longest_length = self.forest.certified_chain_length(longest.block_id)
-        parent_length = self.forest.certified_chain_length(parent.block_id)
-        return parent_length >= longest_length
+        # Heights stand in for notarized-chain lengths (see the module docstring).
+        return parent.height >= self.forest.longest_certified_tip().height

@@ -346,7 +346,7 @@ class TestSnapshotValidation:
 class TestForestTruncation:
     def test_truncate_below_drops_vertices_keeps_commit_log(self):
         forest, blocks = build_certified_chain([1, 2, 3, 4, 5], txs_per_block=2)
-        forest.commit(blocks[3].block_id, at_view=5)
+        forest.commit(blocks[3].block_id)
         full_hash = forest.consistency_hash()
         prefix_hash = forest.consistency_hash(height=2)
         removed = forest.truncate_below(3)
@@ -370,7 +370,7 @@ class TestForestTruncation:
             proposer="r9", transactions=make_transactions(1),
         )
         forest.add_block(fork)
-        forest.commit(blocks[2].block_id, at_view=4)
+        forest.commit(blocks[2].block_id)
         forest.truncate_below(2)
         assert fork.block_id not in forest
         assert forest.base_height == 2
@@ -382,14 +382,14 @@ class TestForestTruncation:
 
     def test_truncate_below_watermark_is_noop(self):
         forest, blocks = build_certified_chain([1, 2, 3])
-        forest.commit(blocks[2].block_id, at_view=4)
+        forest.commit(blocks[2].block_id)
         forest.truncate_below(2)
         assert forest.truncate_below(1) == 0
         assert forest.base_height == 2
 
     def test_committed_blocks_between_under_watermark_returns_empty(self):
         forest, blocks = build_certified_chain([1, 2, 3, 4, 5])
-        forest.commit(blocks[4].block_id, at_view=6)
+        forest.commit(blocks[4].block_id)
         forest.truncate_below(3)
         assert forest.committed_blocks_between(0, 5, 10) == []
         served = forest.committed_blocks_between(2, 5, 10)
@@ -397,7 +397,7 @@ class TestForestTruncation:
 
     def test_install_checkpoint_resets_to_committed_root(self):
         source, blocks = build_certified_chain([1, 2, 3, 4], txs_per_block=1)
-        source.commit(blocks[3].block_id, at_view=5)
+        source.commit(blocks[3].block_id)
         target_block = blocks[2]
         qc = source.get(target_block.block_id).qc
         ids = source.committed_chain[: target_block.height + 1]
@@ -416,7 +416,7 @@ class TestForestTruncation:
 
     def test_install_checkpoint_validations(self):
         source, blocks = build_certified_chain([1, 2, 3])
-        source.commit(blocks[2].block_id, at_view=4)
+        source.commit(blocks[2].block_id)
         block = blocks[2]
         qc = source.get(block.block_id).qc
         ids = source.committed_chain

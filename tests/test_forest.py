@@ -37,7 +37,7 @@ class TestInsertion:
         first = forest.add_block(block)
         second = forest.add_block(block)
         assert first is second
-        assert forest.stats.blocks_added == 1
+        assert len(forest) == 2
 
     def test_unknown_parent_rejected(self):
         forest = BlockForest()
@@ -70,7 +70,6 @@ class TestInsertion:
         forest.add_block(a)
         forest.add_block(b)
         assert len(forest.blocks_at_height(1)) == 2
-        assert forest.stats.views_with_conflicts
 
 
 class TestCertification:
@@ -95,11 +94,6 @@ class TestCertification:
         forest.add_block(fork)
         certify(forest, fork)
         assert forest.longest_certified_tip().block_id == blocks[-1].block_id
-
-    def test_certified_chain_length_counts_certified_ancestors(self):
-        forest, blocks = build_certified_chain([1, 2, 3])
-        # genesis + 3 certified blocks
-        assert forest.certified_chain_length(blocks[-1].block_id) == 4
 
 
 class TestAncestry:
@@ -135,40 +129,39 @@ class TestAncestry:
 class TestCommit:
     def test_commit_commits_all_uncommitted_ancestors(self):
         forest, blocks = build_certified_chain([1, 2, 3])
-        newly = forest.commit(blocks[2].block_id, at_view=4)
+        newly = forest.commit(blocks[2].block_id)
         assert [v.block_id for v in newly] == [b.block_id for b in blocks]
         assert forest.committed_height == 3
 
     def test_commit_is_idempotent(self):
         forest, blocks = build_certified_chain([1, 2])
-        forest.commit(blocks[1].block_id, at_view=3)
-        assert forest.commit(blocks[1].block_id, at_view=4) == []
+        forest.commit(blocks[1].block_id)
+        assert forest.commit(blocks[1].block_id) == []
 
     def test_commit_unknown_block_raises(self):
         forest = BlockForest()
         with pytest.raises(ForestError):
-            forest.commit("missing", at_view=1)
+            forest.commit("missing")
 
     def test_conflicting_commit_raises_safety_violation(self):
         forest, blocks = build_certified_chain([1, 2])
         fork = _block(forest, forest.genesis, 3, proposer="r9")
         forest.add_block(fork)
-        forest.commit(blocks[1].block_id, at_view=3)
+        forest.commit(blocks[1].block_id)
         with pytest.raises(ForestError):
-            forest.commit(fork.block_id, at_view=4)
+            forest.commit(fork.block_id)
 
-    def test_commit_records_view_and_order(self):
+    def test_commit_records_order(self):
         forest, blocks = build_certified_chain([1, 2])
-        forest.commit(blocks[1].block_id, at_view=3)
+        forest.commit(blocks[1].block_id)
         chain = forest.committed_chain
         assert chain[0] == GENESIS_ID
         assert chain[-1] == blocks[1].block_id
-        assert forest.get(blocks[0].block_id).committed_at_view == 3
 
     def test_committed_transactions_in_order(self):
         forest = BlockForest()
         blocks = extend_chain(forest, forest.genesis, [1, 2], txs_per_block=2)
-        forest.commit(blocks[-1].block_id, at_view=3)
+        forest.commit(blocks[-1].block_id)
         txids = forest.committed_transactions()
         expected = [tx.txid for b in blocks for tx in b.transactions]
         assert txids == expected
@@ -179,48 +172,39 @@ class TestPruneAndConsistency:
         forest, blocks = build_certified_chain([1, 2, 3])
         fork = _block(forest, forest.genesis, 4, proposer="r9", txs=2)
         forest.add_block(fork)
-        forest.commit(blocks[2].block_id, at_view=4)
+        forest.commit(blocks[2].block_id)
         removed = forest.prune(forest.committed_height)
         assert [v.block_id for v in removed] == [fork.block_id]
         assert fork.block_id not in forest
-        assert forest.stats.blocks_forked == 1
-        assert forest.stats.transactions_forked == 2
+        assert sum(v.block.num_transactions for v in removed) == 2
 
     def test_prune_keeps_committed_chain(self):
         forest, blocks = build_certified_chain([1, 2, 3])
-        forest.commit(blocks[2].block_id, at_view=4)
+        forest.commit(blocks[2].block_id)
         forest.prune(forest.committed_height)
         for block in blocks:
             assert block.block_id in forest
 
     def test_forked_blocks_below_ignores_committed(self):
         forest, blocks = build_certified_chain([1, 2])
-        forest.commit(blocks[1].block_id, at_view=3)
+        forest.commit(blocks[1].block_id)
         assert forest.forked_blocks_below(forest.committed_height) == []
 
     def test_consistency_hash_matches_for_identical_chains(self):
         forest_a, blocks_a = build_certified_chain([1, 2, 3])
-        forest_a.commit(blocks_a[2].block_id, at_view=4)
+        forest_a.commit(blocks_a[2].block_id)
 
         forest_b = BlockForest()
         for block in blocks_a:
             forest_b.add_block(block)
             certify(forest_b, block)
-        forest_b.commit(blocks_a[2].block_id, at_view=4)
+        forest_b.commit(blocks_a[2].block_id)
 
         assert forest_a.consistency_hash() == forest_b.consistency_hash()
 
     def test_consistency_hash_respects_height_prefix(self):
         forest, blocks = build_certified_chain([1, 2, 3])
-        forest.commit(blocks[2].block_id, at_view=4)
+        forest.commit(blocks[2].block_id)
         prefix = forest.consistency_hash(height=1)
         full = forest.consistency_hash()
         assert prefix != full
-
-    def test_fork_rate_statistic(self):
-        forest, blocks = build_certified_chain([1, 2, 3])
-        fork = _block(forest, forest.genesis, 4, proposer="r9")
-        forest.add_block(fork)
-        forest.commit(blocks[2].block_id, at_view=4)
-        forest.prune(forest.committed_height)
-        assert forest.stats.fork_rate == pytest.approx(1 / 4)

@@ -157,7 +157,7 @@ class TestCommitRule:
 
     def test_already_committed_head_returns_none(self):
         forest, blocks, safety = chain_with_safety([1, 2, 3])
-        forest.commit(blocks[0].block_id, at_view=4)
+        forest.commit(blocks[0].block_id)
         assert safety.commit_candidate(blocks[2].block_id) is None
 
     def test_silence_gap_delays_commit_like_fig6(self):

@@ -1,5 +1,9 @@
 """Unit tests for the Streamlet safety rules (paper §II-D)."""
 
+from hypothesis import given, settings, strategies as st
+
+from repro import api
+from repro.bench.config import Configuration
 from repro.forest.forest import BlockForest
 from repro.protocols.streamlet import StreamletSafety
 from repro.types.block import GENESIS_ID, make_block
@@ -114,5 +118,68 @@ class TestCommitRule:
 
     def test_middle_already_committed_returns_none(self):
         forest, blocks, safety = chain_with_safety([1, 2, 3])
-        forest.commit(blocks[1].block_id, at_view=3)
+        forest.commit(blocks[1].block_id)
         assert safety.commit_candidate(blocks[2].block_id) is None
+
+
+def _scenario(kind, num_nodes):
+    """A fault that starts at 0.15 s and ends at 0.35 s, or none."""
+    if kind == "crash":
+        return {"events": [{"kind": "crash-replica", "at": 0.15, "replica": "r1"},
+                           {"kind": "recover-replica", "at": 0.35, "replica": "r1"}]}
+    if kind == "partition":
+        ids = [f"r{i}" for i in range(num_nodes)]
+        half = num_nodes // 2
+        return {"events": [{"kind": "partition", "at": 0.15, "groups": [ids[:half], ids[half:]]},
+                           {"kind": "heal", "at": 0.35}]}
+    return None
+
+
+def _orphaned_certificates(forest):
+    """Certified vertices above the forest root whose parent is not certified."""
+    orphaned = []
+    for vertex in forest.certified_vertices():
+        if vertex.height == forest.base_height:
+            continue  # the root: its parent was truncated or never existed
+        parent = forest.parent(vertex.block_id)
+        if parent is None or not parent.certified:
+            orphaned.append(vertex)
+    return orphaned
+
+
+class TestReachableStates:
+    """The invariant ``StreamletSafety.should_vote`` relies on, over real runs.
+
+    Comparing heights instead of counting notarized blocks is sound only if
+    every certified vertex other than the forest root has a certified parent
+    (so a certified vertex's notarized chain is its whole path to the root).
+    """
+
+    @given(
+        num_nodes=st.sampled_from([4, 7]),
+        byzantine=st.sampled_from(["", "forking", "silence"]),
+        fault=st.sampled_from(["", "crash", "partition"]),
+        checkpoint_interval=st.sampled_from([0, 5]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_every_certified_vertex_has_a_certified_parent(
+        self, num_nodes, byzantine, fault, checkpoint_interval, seed
+    ):
+        config = Configuration(
+            protocol="streamlet", num_nodes=num_nodes,
+            byzantine_nodes=1 if byzantine else 0, strategy=byzantine or "silence",
+            election="hash", block_size=10, concurrency=4, num_clients=1,
+            cost_profile="fast", view_timeout=0.05, request_timeout=0.2,
+            runtime=0.5, warmup=0.0, cooldown=0.0,
+            checkpoint_interval=checkpoint_interval, seed=seed,
+        )
+        cluster = api.build(config, _scenario(fault, num_nodes))
+        cluster.start()
+        for step in range(1, 6):
+            cluster.run(until=step * 0.1)
+            for replica in cluster.replicas.values():
+                assert _orphaned_certificates(replica.forest) == [], (
+                    f"{replica.node_id} at {step * 0.1:.1f} s"
+                )
+        assert cluster.replicas["r0"].forest.committed_height > 0

@@ -96,5 +96,5 @@ class TestCommitRule:
 
     def test_already_committed_head_returns_none(self):
         forest, blocks, safety = chain_with_safety([1, 2])
-        forest.commit(blocks[0].block_id, at_view=3)
+        forest.commit(blocks[0].block_id)
         assert safety.commit_candidate(blocks[1].block_id) is None

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.bench.config import Configuration
+from repro.bench.metrics import MetricsCollector
 from repro.bench.runner import build_cluster, run_cluster
 from repro.core.byzantine import ForkingReplica, SilentReplica, make_replica
 from repro.core.replica import Replica, ReplicaSettings
@@ -65,6 +66,13 @@ def build_mini_cluster(
     return scheduler, network, replicas
 
 
+def collect_events(replica):
+    """A metrics collector subscribed to ``replica``'s event stream."""
+    collector = MetricsCollector()
+    replica.events.subscribe(collector.on_event, collector.mask)
+    return collector
+
+
 def submit_transactions(scheduler, network, replica_id, count, sender="c0"):
     """Register a throwaway client endpoint and push transactions directly."""
     if sender not in network.endpoints():
@@ -101,6 +109,19 @@ class TestHappyPath:
         for replica in replicas.values():
             assert replica.pacemaker.stats.local_timeouts == 0
             assert replica.current_view > 50
+
+    def test_commit_events_carry_the_commit_view(self):
+        # The block-interval metric reads the view a commit becomes visible
+        # in off the commit event: three views after the proposal in
+        # fault-free chained HotStuff (paper §V).
+        scheduler, network, replicas = build_mini_cluster(view_timeout=1.0)
+        collector = collect_events(replicas["r0"])
+        for replica in replicas.values():
+            replica.start()
+        scheduler.run_until(0.2)
+        records = collector.committed_blocks
+        assert len(records) == replicas["r0"].forest.committed_height
+        assert {r.commit_view - r.proposal_view for r in records} == {3}
 
     def test_all_replicas_commit_the_same_chain(self):
         scheduler, network, replicas = build_mini_cluster()
@@ -239,22 +260,25 @@ class TestByzantineReplicas:
 
     def test_forking_replica_creates_forks_in_hotstuff(self):
         scheduler, network, replicas = build_mini_cluster(byzantine={"r3"}, strategy="forking")
+        collector = collect_events(replicas["r0"])
         for replica in replicas.values():
             replica.start()
         scheduler.run_until(1.0)
         assert isinstance(replicas["r3"], ForkingReplica)
         assert replicas["r3"].forks_attempted > 0
-        assert replicas["r0"].forest.stats.blocks_forked > 0
+        assert collector.blocks_forked
 
     def test_forking_is_harmless_in_streamlet(self):
         scheduler, network, replicas = build_mini_cluster(
             protocol="streamlet", byzantine={"r3"}, strategy="forking"
         )
+        collector = collect_events(replicas["r0"])
         for replica in replicas.values():
             replica.start()
         scheduler.run_until(0.5)
         assert replicas["r3"].forks_attempted == 0
-        assert replicas["r0"].forest.stats.blocks_forked == 0
+        assert collector.blocks_added
+        assert collector.blocks_forked == []
 
     def test_no_safety_violations_under_either_attack(self):
         for strategy in ("forking", "silence"):
