@@ -375,8 +375,8 @@ def paper(
     is ``"ci"`` (the committed tables) or ``"full"`` (the paper's grids);
     ``reps > 1`` adds 95%-CI columns; ``out`` names a directory to write the
     tables under (nothing is written by default).  Equivalent to ``python -m
-    repro paper``; the table module is imported lazily, because one of its
-    entries needs the analytical model and with it scipy.
+    repro paper``; the table module is imported lazily, because it imports
+    this facade and ``import repro.api`` should not pay for the tables.
     """
     from repro.experiments import paper as table
 

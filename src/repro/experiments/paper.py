@@ -46,6 +46,7 @@ from repro.bench.metrics import timeline_mean
 from repro.experiments.runner import CampaignResult
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.store import ResultStore
+from repro.model.predictions import AnalyticalModel, ModelParameters
 from repro.scenario import CrashReplica, NetworkFluctuation, Scenario
 
 SCALES = ("ci", "full")
@@ -216,10 +217,7 @@ FIG8_FIGURE = FigureDef(
 def _fig8_model_points(base: Configuration, configs, fractions) -> List[Dict[str, Any]]:
     """One point per (cluster/block size, protocol, fraction of the model's
     saturation rate), with the model's latency prediction at that rate
-    carried along as a tag.  Called when the spec is built, not at import:
-    only this needs the model (and, through its quadrature, scipy)."""
-    from repro.model.predictions import AnalyticalModel, ModelParameters
-
+    carried along as a tag.  Called when the spec is built, not at import."""
     points = []
     for num_nodes, block_size in configs:
         for _label, protocol in PROTOCOLS:

@@ -80,9 +80,13 @@ class ModelParameters:
 
     @classmethod
     def from_configuration(cls, config, costs: Optional[CryptoCostModel] = None) -> "ModelParameters":
-        """Derive parameters from a benchmark :class:`Configuration`."""
+        """Derive parameters from a benchmark :class:`Configuration`.  Like the
+        simulator, the extra hop delay's σ counts only if its mean is > 0."""
         from repro.bench.profiles import cost_profile
 
+        stddev = config.base_delay_stddev
+        if config.extra_delay_mean > 0:
+            stddev = math.hypot(stddev, config.extra_delay_stddev)
         return cls(
             num_nodes=config.num_nodes,
             block_size=config.block_size,
@@ -91,7 +95,7 @@ class ModelParameters:
             sizes=SizeModel(),
             bandwidth_bps=config.bandwidth_bps,
             one_way_delay_mean=config.base_delay_mean,
-            one_way_delay_stddev=config.base_delay_stddev,
+            one_way_delay_stddev=stddev,
             extra_one_way_delay=config.extra_delay_mean,
         )
 

@@ -1,18 +1,41 @@
 """Unit tests for the analytical performance model (paper §V)."""
 
 import math
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.bench.config import Configuration
 from repro.bench.profiles import cost_profile
-from repro.model.orderstats import (
-    expected_order_statistic,
-    expected_order_statistic_mc,
-    quorum_delay,
-)
+from repro.model.orderstats import expected_order_statistic, quorum_delay
 from repro.model.predictions import AnalyticalModel, ModelParameters
 from repro.model.queuing import md1_sojourn_time, md1_waiting_time, utilization
+from repro.quorum.quorum import quorum_size
+
+#: E[X_(k)] of n = N - 1 standard normals at the quorum index k =
+#: quorum_size(N) - 1, as N: (Monte-Carlo mean, its standard error).  Each is
+#: 1 000 000 samples of ``sorted(rng.gauss(0, 1) for _ in range(n))[k - 1]``
+#: with ``rng = random.Random(N)``; SE = sample stddev / sqrt(1 000 000).
+QUORUM_ORDER_STATISTIC_MC = {
+    4: (0.0005060158460966238, 0.0006695108351950933),
+    8: (0.3532013301957226, 0.00046855206932991194),
+    16: (0.3352985772831468, 0.00032536469473088916),
+    32: (0.41252387807144125, 0.00023055714388306605),
+    64: (0.40751588109482606, 0.0001623573248529775),
+    100: (0.41594680840287107, 0.00012974106873361375),
+}
+
+
+def monte_carlo_order_statistic(k, n, mean, stddev, samples, seed):
+    """Sample mean of the k-th smallest of n Normal(mean, stddev) draws."""
+    rng = random.Random(seed)
+    total = 0.0
+    for _ in range(samples):
+        total += sorted(rng.gauss(mean, stddev) for _ in range(n))[k - 1]
+    return total / samples
 
 
 class TestOrderStatistics:
@@ -40,8 +63,14 @@ class TestOrderStatistics:
 
     def test_matches_monte_carlo(self):
         exact = expected_order_statistic(4, 6, mean=5.0, stddev=1.5)
-        estimate = expected_order_statistic_mc(4, 6, mean=5.0, stddev=1.5, samples=40000)
+        estimate = monte_carlo_order_statistic(4, 6, mean=5.0, stddev=1.5, samples=40000, seed=7)
         assert exact == pytest.approx(estimate, abs=0.05)
+
+    @pytest.mark.parametrize("num_nodes", sorted(QUORUM_ORDER_STATISTIC_MC))
+    def test_quorum_order_statistic_within_four_se_of_monte_carlo(self, num_nodes):
+        estimate, se = QUORUM_ORDER_STATISTIC_MC[num_nodes]
+        exact = expected_order_statistic(quorum_size(num_nodes) - 1, num_nodes - 1)
+        assert abs(exact - estimate) <= 4 * se
 
     def test_invalid_k_rejected(self):
         with pytest.raises(ValueError):
@@ -56,6 +85,13 @@ class TestOrderStatistics:
 
     def test_quorum_delay_single_node(self):
         assert quorum_delay(1, 1e-3, 1e-4) == 0.0
+
+    @pytest.mark.parametrize("num_nodes,peers", [(3, 2), (6, 4), (9, 6)])
+    def test_quorum_delay_waits_for_the_simulators_quorum(self, num_nodes, peers):
+        # A certificate needs quorum_size(N) votes: the leader's own and peers'.
+        assert peers == quorum_size(num_nodes) - 1
+        expected = expected_order_statistic(peers, num_nodes - 1, 1e-3, 2e-4)
+        assert quorum_delay(num_nodes, 1e-3, 2e-4) == expected
 
 
 class TestQueueing:
@@ -168,6 +204,15 @@ class TestAnalyticalModel:
         assert params.block_size == 100
         assert params.payload_size == 128
 
+    def test_from_configuration_adds_extra_delay_stddev_only_with_extra_delay(self):
+        with_extra = Configuration(
+            base_delay_stddev=3e-4, extra_delay_mean=5e-3, extra_delay_stddev=4e-4
+        )
+        assert ModelParameters.from_configuration(with_extra).one_way_delay_stddev == pytest.approx(5e-4)
+        # The simulator draws no extra delay at zero mean, whatever its stddev.
+        without = with_extra.replace(extra_delay_mean=0.0)
+        assert ModelParameters.from_configuration(without).one_way_delay_stddev == 3e-4
+
     def test_summary_contains_all_terms(self):
         summary = model("hotstuff").summary()
         assert set(summary) >= {"t_nic", "t_q", "t_s", "t_commit", "t_l", "saturation_tps"}
@@ -207,3 +252,18 @@ class TestTraitsNotNames:
         else:
             expected = 0.0
         assert m._echo_overhead_per_view() == expected
+
+
+def test_model_runs_without_numpy_or_scipy():
+    """The model is the standard library alone: with numpy and scipy made
+    unimportable it still imports and predicts."""
+    code = (
+        "import sys; sys.modules.update(numpy=None, scipy=None); "
+        "from repro.model import AnalyticalModel, ModelParameters; "
+        "print(AnalyticalModel('hotstuff', ModelParameters()).latency(100.0) > 0)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    assert (done.returncode, done.stdout.strip()) == (0, "True"), done.stderr

@@ -217,12 +217,11 @@ class TestClaims:
 
 def test_importing_the_facade_loads_no_subsystem_it_does_not_use():
     """``import repro.api`` is paid by every CLI call, campaign worker and
-    benchmark child: the analytical model (scipy + numpy, ~80 MB), the paper
-    table and the deploy runtime (asyncio) load only when used."""
+    benchmark child: the analytical model, the paper table and the deploy
+    runtime (asyncio) load only when used."""
     code = (
         "import sys, repro.api; "
-        "print([m for m in ('scipy', 'numpy', 'repro.model', 'repro.experiments.paper', 'asyncio') "
-        "if m in sys.modules])"
+        "print([m for m in ('repro.model', 'repro.experiments.paper', 'asyncio') if m in sys.modules])"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
