@@ -4,14 +4,15 @@ Every decision between a :class:`Configuration` (plus an optional
 :class:`~repro.scenario.Scenario`) and an :class:`ExperimentResult` is made
 once, here:
 
-* :func:`wire` builds replicas and clients on whatever clock and message
-  fabric it is handed; every protocol-, attack-, election- and
-  client-specific choice in it is a registry lookup (see
-  :mod:`repro.plugins`), so a new plugin plus a config entry is all it takes
-  to run a new experiment — no runner changes.  :func:`build_cluster` calls
-  it with the event scheduler and the modelled network and schedules the
-  scenario's events; the deployment runtime
-  (:mod:`repro.transport.runtime`) calls it with the loop's clock and TCP.
+* :func:`wire` builds replicas and :func:`build_clients` clients on
+  whatever clock and message fabric they are handed; every protocol-,
+  attack-, election- and client-specific choice in them is a registry lookup
+  (see :mod:`repro.plugins`), so a new plugin plus a config entry is all it
+  takes to run a new experiment — no runner changes.  :func:`build_cluster`
+  calls both with the event scheduler and the modelled network and schedules
+  the scenario's events; the deployment runtime
+  (:mod:`repro.transport.runtime`) calls :func:`wire` with the loop's clock
+  and TCP, and :func:`build_clients` in its load-generator process.
 * :func:`honest_replicas` / :func:`consistency_check` / :func:`fingerprint`
   say what "the honest replicas agree" means for both kinds of system.
 * :func:`run_experiment` builds, starts, runs to the horizon and summarises
@@ -80,13 +81,18 @@ def fingerprint(system) -> str:
     return f"{height}:{hashes[0]}" if hashes else ""
 
 
+def start_clients(config: Configuration, clients: List[ClientBase]) -> None:
+    """Start ``clients``, issuing until the measurement window ends."""
+    stop_time = config.warmup + config.runtime
+    for client in clients:
+        client.start(stop_time=stop_time)
+
+
 def start_nodes(system) -> None:
-    """Start every replica, and every client until the measurement window ends."""
+    """Start every replica, then every client."""
     for replica in system.replicas.values():
         replica.start()
-    stop_time = system.config.warmup + system.config.runtime
-    for client in system.clients:
-        client.start(stop_time=stop_time)
+    start_clients(system.config, system.clients)
 
 
 @dataclass
@@ -233,16 +239,15 @@ def wire(
     clock,
     fabric,
     registry: KeyRegistry,
-    streams: RandomStreams,
     events: obs_trace.EventStream,
     costs: CryptoCostModel,
-) -> Tuple[Dict[str, Replica], List[ClientBase]]:
-    """Build the configured replicas and clients on a clock and a message fabric.
+) -> Dict[str, Replica]:
+    """Build the configured replicas on a clock and a message fabric.
 
     The single wiring of the protocol stack: the simulation passes its event
     scheduler and modelled network, a deployment its loop clock and TCP
     transport (:mod:`repro.transport.base` is the seam both satisfy).  Nothing
-    is started.
+    is started.  The clients are :func:`build_clients`'.
     """
     node_ids = config.node_ids()
     election = make_election(
@@ -283,16 +288,32 @@ def wire(
             size_model=sizes,
             events=events,
         )
+    return replicas
 
+
+def build_clients(
+    config: Configuration,
+    clock,
+    fabric,
+    streams: RandomStreams,
+    events: obs_trace.EventStream,
+) -> List[ClientBase]:
+    """Build the configured clients on a clock and a message fabric.
+
+    The simulation builds them beside the replicas; a deployment builds them
+    in its load-generator process (:mod:`repro.transport.runtime`), on that
+    process's own clock and transport.  Nothing is started.
+    """
     client_cls = CLIENTS.get(config.resolved_client())
     workload = WorkloadSpec(payload_size=config.payload_size)
-    clients = [
+    sizes = SizeModel()
+    return [
         client_cls.from_config(
             client_id,
             clock,
             fabric,
             streams,
-            node_ids,
+            config.node_ids(),
             workload=workload,
             size_model=sizes,
             events=events,
@@ -300,7 +321,6 @@ def wire(
         )
         for client_id in config.client_ids()
     ]
-    return replicas, clients
 
 
 def build_cluster(config: Configuration, scenario: Optional[Scenario] = None) -> Cluster:
@@ -334,10 +354,10 @@ def build_cluster(config: Configuration, scenario: Optional[Scenario] = None) ->
         events=events,
     )
     registry = KeyRegistry(deployment_seed=config.seed)
-    replicas, clients = wire(
-        config, scheduler, network, registry, streams, events,
-        cost_profile(config.cost_profile),
+    replicas = wire(
+        config, scheduler, network, registry, events, cost_profile(config.cost_profile)
     )
+    clients = build_clients(config, scheduler, network, streams, events)
     cluster = Cluster(
         config=config,
         scheduler=scheduler,

@@ -312,15 +312,17 @@ FIG8_IMPL = Entry(
     title="Figure 8: simulated vs. deployed (mean latency at open-loop arrival rates)",
     base=_FIG8_IMPL_BASE,
     # Open-loop arrival rates (Tx/s).  The full grid spans both knees measured
-    # on the reference host (table in docs/EXPERIMENTS.md): with Ed25519 at
-    # ~0.12 ms per sign and ~0.24 ms per verify the deployed cluster answers
-    # in 15-19 ms, tracks the arrival rate to ~400 Tx/s, falls behind it from
-    # ~800 and levels off below 2 000 (replicas and load generator share one
-    # event loop: that knee did not move when signing got cheaper); the
-    # model queues beyond ~2 400.  The ci grid stays far below either.
+    # on the reference host (table in docs/EXPERIMENTS.md): the model queues
+    # beyond ~2 400.  The deployed cluster (OpenSSL Ed25519, its clients in a
+    # forked load generator) answers in 4-7 ms up to 6 400 Tx/s, bends at
+    # 12 800 (11-15 ms) and 25 600 (20-24 ms, committing ~24.5 k), and at
+    # 51 200 commits 22-24 k Tx/s at ~300 ms.  The ci grid stays far below
+    # either.
     ci={"points": _fig8_impl_points(["hotstuff"], [20.0, 50.0])},
     full={"points": _fig8_impl_points(
-        ["hotstuff", "2chainhs"], [50.0, 100.0, 200.0, 400.0, 800.0, 1600.0, 3200.0])},
+        ["hotstuff", "2chainhs"],
+        [50.0, 100.0, 200.0, 400.0, 800.0, 1600.0, 3200.0, 6400.0, 12800.0, 25600.0,
+         51200.0])},
     columns=(
         Column("config", "params._config"),
         Column("protocol", "params.protocol"),

@@ -48,11 +48,24 @@ pending traffic in both directions; recovery restarts the server on a
 **fresh port** (the address book is updated, and peers' links re-resolve it
 when they next connect), which exercises the real reconnect path instead of
 pretending the old socket survived.
+
+An endpoint served by another process is a *remote endpoint*
+(:meth:`AsyncioTransport.set_remote`): an address with no handler, which
+this transport sends to and never serves.  The deployment's replicas and its
+load generator (:mod:`repro.transport.runtime`) see each other that way.
+The owner of an endpoint learns its address changes through
+:attr:`AsyncioTransport.on_address` and passes them on; a remote endpoint
+without an address is treated as a local one whose listener is not up yet:
+what is queued for it, and what is sent to it, is discarded as
+``no-listener``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import os
+import socket
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
@@ -108,6 +121,14 @@ class TransportStats:
     def messages_per_write(self) -> float:
         """Messages carried per ``transport.write``: what coalescing bought."""
         return self.messages_written / self.socket_writes if self.socket_writes else 0.0
+
+    def add(self, other: "TransportStats") -> None:
+        """Add ``other``'s counters into these (one deployment, two processes)."""
+        for f in dataclasses.fields(self):
+            if f.name != "per_type_counts":
+                setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name, count in other.per_type_counts.items():
+            self.per_type_counts[name] = self.per_type_counts.get(name, 0) + count
 
 
 class _Link:
@@ -199,7 +220,8 @@ class AsyncioTransport:
     handler; sockets come up in :meth:`start`, which binds one listener per
     registered endpoint on an OS-assigned port and publishes the address
     book.  Endpoints registered by node id, addressed by node id — the
-    replica stack never sees host/port pairs.
+    replica stack never sees host/port pairs.  :meth:`set_remote` adds the
+    endpoints other processes serve.
 
     Every drop is announced on ``events`` as ``net / drop`` with its reason,
     like the simulated network's, stamped by ``clock`` (the deployment's
@@ -213,7 +235,12 @@ class AsyncioTransport:
         self.events = events if events is not None else obs_trace.EventStream()
         self._clock = clock
         self._handlers: Dict[str, Callable[[Message], None]] = {}
+        #: Every endpoint a message may name: the local ones and the remote.
+        self._endpoints: Set[str] = set()
         self._addresses: Dict[str, Tuple[str, int]] = {}
+        #: Called with ``(node_id, address)`` when a local endpoint's listener
+        #: goes (``None``: crashed) or comes back up on a fresh port.
+        self.on_address: Optional[Callable[[str, Optional[Tuple[str, int]]], None]] = None
         self._servers: Dict[str, asyncio.AbstractServer] = {}
         self._links: Dict[Tuple[str, str], _Link] = {}
         #: Accepted connections per receiving endpoint, so crashing an
@@ -244,6 +271,26 @@ class AsyncioTransport:
         if self._loop is not None:
             raise RuntimeError("cannot register endpoints after start()")
         self._handlers[node_id] = handler
+        self._endpoints.add(node_id)
+
+    def set_remote(self, node_id: str, address: Optional[Tuple[str, int]]) -> None:
+        """Record where ``node_id``, served by another process, listens now.
+
+        ``None`` means it has no listener (it crashed): what is queued for it
+        is discarded, its connections are cut, and until an address comes
+        back whatever is sent to it is discarded at connect time.
+        """
+        if node_id in self._handlers:
+            raise ValueError(f"node {node_id!r} is served here, not remotely")
+        self._endpoints.add(node_id)
+        if address is not None:
+            self._addresses[node_id] = address
+            return
+        self._addresses.pop(node_id, None)
+        for link in self._links.values():
+            if link.dst == node_id:
+                self._discard(link, "no-listener")
+                self._sever(link)
 
     def send(self, src: str, dst: str, message: Message) -> None:
         """Put one message on its way (returns immediately)."""
@@ -276,6 +323,8 @@ class AsyncioTransport:
             return
         self._crashed.add(node_id)
         self._addresses.pop(node_id, None)
+        if self.on_address is not None:
+            self.on_address(node_id, None)
         server = self._servers.pop(node_id, None)
         if server is not None:
             server.close()
@@ -308,13 +357,18 @@ class AsyncioTransport:
 
     # -- lifecycle ---------------------------------------------------------
 
-    async def start(self) -> None:
-        """Bind a listener for every registered endpoint."""
+    async def start(self, listeners: Optional[Dict[str, socket.socket]] = None) -> None:
+        """Bind a listener for every registered endpoint.
+
+        ``listeners`` maps endpoints to sockets already bound and listening,
+        to serve on instead of binding new ones.
+        """
         if self._loop is not None:
             raise RuntimeError("transport already started")
         self._loop = asyncio.get_running_loop()
+        listeners = listeners or {}
         for node_id in self._handlers:
-            await self._bind(node_id)
+            await self._bind(node_id, listeners.get(node_id))
 
     async def stop(self) -> None:
         """Tear everything down; safe to call once at the end of a run."""
@@ -330,6 +384,18 @@ class AsyncioTransport:
         # One turn for the aborted connections' connection_lost callbacks,
         # which are what actually closes their sockets.
         await asyncio.sleep(0)
+
+    def release_listeners(self) -> None:
+        """Close this process's copies of the listening sockets, loop untouched.
+
+        For a process forked from the one that serves them: the loop, and the
+        selector it shares with that process, stay as they are.  Without
+        this a crashed endpoint's old port would keep accepting connections
+        into a backlog nobody serves.
+        """
+        for server in self._servers.values():
+            for sock in server.sockets:
+                os.close(sock.fileno())
 
     def address_of(self, node_id: str) -> Optional[Tuple[str, int]]:
         """The (host, port) an endpoint currently listens on, if alive."""
@@ -349,9 +415,9 @@ class AsyncioTransport:
         Returns the encoding (built here when this copy was the first to
         need one), so a fan-out encodes its message once.
         """
-        if src not in self._handlers:
+        if src not in self._endpoints:
             raise KeyError(f"unknown sender: {src!r}")
-        if dst not in self._handlers:
+        if dst not in self._endpoints:
             raise KeyError(f"unknown destination: {dst!r}")
         stats = self.stats
         if src in self._crashed or dst in self._crashed:
@@ -451,16 +517,20 @@ class AsyncioTransport:
             link.connection.abort()
             link.connection = None
 
-    async def _bind(self, node_id: str) -> None:
-        server = await self._loop.create_server(
-            partial(_Inbound, self, node_id), host=self.host, port=0
-        )
+    async def _bind(self, node_id: str, sock: Optional[socket.socket] = None) -> None:
+        factory = partial(_Inbound, self, node_id)
+        if sock is not None:
+            server = await self._loop.create_server(factory, sock=sock)
+        else:
+            server = await self._loop.create_server(factory, host=self.host, port=0)
         if node_id in self._crashed or node_id in self._servers:
             server.close()  # crashed again, or crashed and recovered, while binding
             return
         self._servers[node_id] = server
-        address = server.sockets[0].getsockname()[:2]
-        self._addresses[node_id] = (address[0], address[1])
+        host, port = server.sockets[0].getsockname()[:2]
+        self._addresses[node_id] = (host, port)
+        if self.on_address is not None:
+            self.on_address(node_id, (host, port))
 
     async def _connect(self, link: _Link) -> None:
         """Get ``link`` a connection while it has messages to send, backing off."""

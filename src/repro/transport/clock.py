@@ -20,8 +20,11 @@ A callback that raises is handed to :attr:`AsyncioClock.on_error` — the
 deployment runner points it at its transport's error list, so a timer's
 error fails the run like a handler's — and the entries behind it still run.
 Without one it reaches the loop's exception handler.  ``now`` is a real
-``loop.time()`` read, relative to the clock's creation: a run begins at t=0,
-as in the simulator.
+``loop.time()`` read, relative to the clock's :attr:`~AsyncioClock.epoch`
+(its creation, unless it is handed one): a run begins at t=0, as in the
+simulator.  ``loop.time()`` is the host's monotonic clock, so two processes
+on one host that share an epoch share a time line — the deployment's load
+generator runs on its parent's.
 """
 
 from __future__ import annotations
@@ -34,20 +37,23 @@ class AsyncioClock:
     """Monotonic wall clock + timers on the running loop (create it inside one).
 
     ``processed_events`` counts fired callbacks, as the scheduler's count
-    does; ``benchmarks/perf`` reads it off both.
+    does; ``benchmarks/perf`` reads it off both.  ``timers_armed`` counts the
+    loop timers (``call_at``) the clock created.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, epoch: Optional[float] = None) -> None:
         self._loop = asyncio.get_running_loop()
-        self._t0 = self._loop.time()
+        #: The ``loop.time()`` reading that is t=0.
+        self.epoch = self._loop.time() if epoch is None else epoch
         self.processed_events = 0
+        self.timers_armed = 0
         #: Where an exception a fired callback raises goes, if anywhere.
         self.on_error: Optional[Callable[[Exception], None]] = None
 
     @property
     def now(self) -> float:
-        """Seconds of monotonic wall time since the clock was created."""
-        return self._loop.time() - self._t0
+        """Seconds of monotonic wall time since the epoch."""
+        return self._loop.time() - self.epoch
 
     def call_after(self, delay: float, callback: Callable, *args) -> asyncio.TimerHandle:
         """Run ``callback(*args)`` after ``delay`` wall seconds, cancellably.
@@ -55,6 +61,7 @@ class AsyncioClock:
         A negative delay runs at once rather than raising: wall time moves
         while replica code runs, so a deadline computed "now" can be past.
         """
+        self.timers_armed += 1
         return self._loop.call_at(self._loop.time() + delay, self._fire, callback, args)
 
     def post_after(self, delay: float, callback: Callable, *args) -> None:
@@ -62,14 +69,16 @@ class AsyncioClock:
         if delay <= 0:
             self._loop.call_soon(self._fire, callback, args)
         else:
+            self.timers_armed += 1
             self._loop.call_at(self._loop.time() + delay, self._fire, callback, args)
 
     def post_at(self, when: float, callback: Callable, *args) -> None:
         """Run ``callback(*args)`` at clock time ``when`` (at once if past)."""
-        deadline = when + self._t0
+        deadline = when + self.epoch
         if deadline <= self._loop.time():
             self._loop.call_soon(self._fire, callback, args)
         else:
+            self.timers_armed += 1
             self._loop.call_at(deadline, self._fire, callback, args)
 
     def _fire(self, callback: Callable, args: tuple) -> None:

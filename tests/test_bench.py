@@ -1,6 +1,7 @@
 """Unit tests for the benchmark facilities: config, profiles, metrics, runner, load sweeps."""
 
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -141,6 +142,31 @@ class TestMetricsCollector:
                            {"replica": "r0", "latency": 1e6})  # before the window
         assert collector.latency_stats()[2] == 198.0  # samples[int(0.99 * 200)]
         assert collector.summarize().latency_samples == 200
+
+    def test_latency_samples_are_pairs_in_arrival_order(self):
+        collector = MetricsCollector()
+        assert not collector.latencies and len(collector.latencies) == 0
+        for t, latency in [(0.5, 0.02), (0.25, 0.01)]:
+            collector.on_event(t, "c0", CLIENT, "commit-reply", 0,
+                               {"replica": "r0", "latency": latency})
+        assert collector.latencies and len(collector.latencies) == 2
+        assert list(collector.latencies) == [(0.5, 0.02), (0.25, 0.01)]
+
+    def test_a_latency_sample_costs_sixteen_bytes(self):
+        """One sample per committed reply: two packed doubles, not a tuple
+        of two floats in a list (~112 bytes)."""
+        collector = MetricsCollector()
+        payloads = [{"replica": "r0", "latency": i * 1e-6} for i in range(100_000)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i, payload in enumerate(payloads):
+                collector.on_event(i * 1e-5, "c0", CLIENT, "commit-reply", 0, payload)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(collector.latencies) == 100_000
+        assert held < 2_000_000
 
     def test_timeouts_and_rejections_are_counted_at_their_time(self):
         collector = MetricsCollector()

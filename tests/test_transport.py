@@ -25,8 +25,11 @@ import gc
 import importlib
 import inspect
 import json
+import os
 import pkgutil
+import signal
 import struct
+import threading
 import time
 import typing
 import warnings
@@ -42,6 +45,7 @@ from repro import api
 from repro.bench.config import Configuration
 from repro.bench.profiles import cost_profile
 from repro.bench.runner import build_cluster, run_experiment
+from repro.client.client import ClientBase
 from repro.crypto import ed25519
 from repro.crypto.keys import Ed25519KeyPair, KeyPair, KeyRegistry, available_schemes
 from repro.crypto.signatures import Signature, sign, verify
@@ -52,7 +56,7 @@ from repro.core.dispatch import MESSAGE_HANDLERS, register_message_handler
 from repro.core.replica import Replica
 from repro.forest.forest import BlockForest
 from repro.network.network import Network
-from repro.obs.trace import tracing
+from repro.obs.trace import Tracer, tracing
 from repro.quorum.quorum import QuorumTracker
 from repro.sim.events import EventScheduler
 from repro.sim.random import RandomStreams
@@ -1596,9 +1600,139 @@ class TestDeployment:
         sent = sum(client.requests_sent for client in runner.clients)
         assert sum(client.requests_timed_out for client in runner.clients) == 0
         assert sent > 1000
+        # The clients' deadlines are armed in the load generator's loop, which
+        # reports how many timers its clock created: each client armed one.
+        generated = runner.load_generator.report.timers_armed
+        assert generated >= len(runner.clients) == 2
         # No request of this run is 20 s old: a timer each would be ``sent``.
         # What is created is four view timers per view, against ~30 requests.
-        assert created < sent / 4
+        assert created + generated < sent / 4
+
+    def test_a_raising_client_fails_the_run_and_leaves_no_process(self, monkeypatch):
+        """The clients run in the forked load generator, which inherits the
+        patch: their error comes back in its report and fails the run when
+        it happens, and ``stop()`` leaves no process behind."""
+
+        def explode(self, sent_at=None):
+            raise RuntimeError("no requests today")
+
+        monkeypatch.setattr(ClientBase, "_submit_request", explode)
+
+        async def scenario():
+            runner = DeploymentRunner(_deploy_config(runtime=30.0, signing="hmac"))
+            await runner.start()
+            try:
+                with pytest.raises(DeploymentError, match="no requests today"):
+                    await runner.run()
+            finally:
+                await runner.stop()
+            return runner
+
+        started = time.monotonic()
+        runner = asyncio.run(scenario())
+        assert time.monotonic() - started < 5.0
+        assert runner.load_generator.report.error == "RuntimeError('no requests today')"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(runner.load_generator.pid, os.WNOHANG)
+
+    def test_a_load_generator_that_dies_fails_the_run(self):
+        async def scenario():
+            runner = DeploymentRunner(_deploy_config(runtime=30.0, signing="hmac"))
+            await runner.start()
+            try:
+                await asyncio.sleep(0.2)
+                os.kill(runner.load_generator.pid, signal.SIGKILL)
+                with pytest.raises(DeploymentError, match="exited without a report"):
+                    await runner.run()
+            finally:
+                await runner.stop()
+            return runner
+
+        started = time.monotonic()
+        runner = asyncio.run(scenario())
+        assert time.monotonic() - started < 5.0
+        assert runner.load_generator.report is None and runner.clients == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(runner.load_generator.pid, os.WNOHANG)
+
+    def test_a_finished_run_reaps_its_load_generator(self):
+        async def scenario():
+            runner = DeploymentRunner(_deploy_config(
+                signing="hmac", warmup=0.1, runtime=0.3, cooldown=0.1))
+            await runner.start()
+            try:
+                await runner.run()
+            finally:
+                await runner.stop()
+            return runner
+
+        runner = asyncio.run(scenario())
+        runner.raise_handler_errors()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(runner.load_generator.pid, os.WNOHANG)
+        assert [c.client_id for c in runner.clients] == ["c0", "c1"]
+        # Every committed reply's event was replayed onto the run's stream.
+        committed = sum(c.replies_committed for c in runner.clients)
+        assert len(runner.metrics.latencies) == committed > 0
+        # Both processes' sockets: the replies the replicas wrote and the
+        # requests the load generator wrote.
+        counts = runner.transport.stats.per_type_counts
+        assert counts["ClientRequest"] == sum(c.requests_sent for c in runner.clients)
+        assert counts["ClientReply"] > 0
+
+    def test_the_load_generator_is_forked_only_from_one_thread(self):
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            runner = DeploymentRunner(_deploy_config(signing="hmac"))
+            with pytest.raises(DeploymentError, match="2 are alive"):
+                asyncio.run(runner.start())
+        finally:
+            release.set()
+            other.join(timeout=5.0)
+        assert not other.is_alive()
+
+    def test_a_recovered_replica_serves_the_load_generator_again(self):
+        """r1 crashes and comes back on a fresh port.  The parent forwards
+        both address changes to the load generator, so its clients stop
+        sending to the dead port and then reach r1 at the new one: r1
+        answers again, and no request issued a request timeout after the
+        recovery times out (without the forwarding, every request sent to r1
+        would)."""
+        timeout = 1.0
+
+        async def scenario():
+            runner = DeploymentRunner(_deploy_config(
+                signing="hmac", election="hash", view_timeout=0.3, seed=11,
+                request_timeout=timeout, warmup=0.1, runtime=120.0))
+            await runner.start()
+            try:
+                victim = runner.replicas["r1"]
+                observer = runner.replicas[runner.observer_id]
+                await until(lambda: observer.forest.committed_height > 0, "a first commit")
+                victim.crash()
+                height_down = observer.forest.committed_height + 5
+                await until(lambda: observer.forest.committed_height > height_down,
+                            "commits while r1 is down")
+                victim.recover()
+                recovered_at = runner.clock.now
+                await asyncio.sleep(4 * timeout)
+            finally:
+                await runner.stop()
+            runner.raise_handler_errors()
+            return runner, recovered_at
+
+        with tracing(Tracer(categories=("client",))) as tracer:
+            runner, recovered_at = asyncio.run(scenario())
+        records = tracer.records()
+        answered = [r for r in records if r.kind == "commit-reply"
+                    and r.payload["replica"] == "r1" and r.t > recovered_at]
+        late = [r for r in records if r.kind == "request-timeout"
+                and r.t - timeout > recovered_at + timeout]
+        assert answered
+        assert late == []
+        assert runner.consistency_check()
 
     def test_crashed_replica_recovers_over_the_wire(self):
         """A replica that crashes mid-run catches back up via real sync."""

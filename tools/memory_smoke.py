@@ -49,6 +49,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import api  # noqa: E402
 from repro.bench.config import Configuration  # noqa: E402
+from repro.bench.metrics import LatencySamples  # noqa: E402
 from repro.bench.runner import build_cluster  # noqa: E402
 from repro.core.replica import ORIGIN_INDEX_CAPACITY  # noqa: E402
 from repro.executor.kvstore import DEFAULT_DEDUP_WINDOW  # noqa: E402
@@ -222,7 +223,7 @@ def main() -> int:
     for label, cluster in (("baseline", baseline), ("checkpointed", checked)):
         held = {
             name for name, value in vars(cluster.metrics).items()
-            if isinstance(value, (list, dict, set, tuple))
+            if isinstance(value, (list, dict, set, tuple, LatencySamples))
         }
         if held != COLLECTOR_SAMPLES:
             failures.append(
