@@ -1,4 +1,4 @@
-"""Analysis: statistics, tables, figures, and regressions over stored runs.
+"""Analysis: statistics, tables and figures over stored runs.
 
 This subsystem closes the loop the campaign layer opened: campaigns produce
 JSONL records (:mod:`repro.experiments`), and analysis turns those records
@@ -11,12 +11,10 @@ into the paper's deliverables — **without re-running a single simulation**:
   paper tables);
 * :mod:`repro.analysis.figures` — campaign records as standalone SVG with
   error bars, pure stdlib (the paper's figures 8-15 and Table II are
-  described by their entries in :mod:`repro.experiments.paper`);
-* :mod:`repro.analysis.regress` — freeze an aggregate baseline and flag
-  metrics that later move outside their confidence interval.
+  described by their entries in :mod:`repro.experiments.paper`).
 
 Exposed on the facade as :func:`repro.api.aggregate` / :func:`repro.api.plot`
-and on the command line as ``python -m repro report | plot | regress``.
+and on the command line as ``python -m repro report | plot``.
 """
 
 from repro.analysis.figures import (
@@ -29,16 +27,6 @@ from repro.analysis.figures import (
     render_figure,
     render_panels,
     render_store,
-)
-from repro.analysis.regress import (
-    DEFAULT_REGRESS_METRICS,
-    BaselineError,
-    Finding,
-    RegressionReport,
-    compare,
-    freeze,
-    load_baseline,
-    save_baseline,
 )
 from repro.analysis.report import (
     comparison_table,
@@ -61,16 +49,11 @@ from repro.analysis.stats import (
 __all__ = [
     "ATTACK_PANELS",
     "Aggregate",
-    "BaselineError",
-    "DEFAULT_REGRESS_METRICS",
     "FigureDef",
     "FigureError",
-    "Finding",
     "GroupSummary",
-    "RegressionReport",
     "aggregate_records",
     "aggregate_rows",
-    "compare",
     "comparison_table",
     "compose_grid",
     "csv_table",
@@ -78,15 +61,12 @@ __all__ = [
     "format_cell",
     "format_measure",
     "format_table",
-    "freeze",
-    "load_baseline",
     "markdown_table",
     "render",
     "render_chart",
     "render_figure",
     "render_panels",
     "render_store",
-    "save_baseline",
     "summary_rows",
     "t_critical",
 ]

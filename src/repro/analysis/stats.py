@@ -20,9 +20,7 @@ Confidence intervals
 ``ci95`` is the half-width of the two-sided 95% confidence interval of the
 mean under Student's t distribution: ``t(n-1) * s / sqrt(n)`` with the
 critical values tabulated below (stdlib only — no scipy).  With a single
-sample the interval is degenerate (``ci95 = 0``); callers that need a
-tolerance for unrepeated runs supply their own (see
-:mod:`repro.analysis.regress`).
+sample the interval is degenerate (``ci95 = 0``).
 
 Latency percentiles
 -------------------

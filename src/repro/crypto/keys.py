@@ -67,7 +67,7 @@ class KeyPair:
 
     def mac(self, message: bytes) -> bytes:
         """Return the raw authentication tag over ``message``."""
-        return hmac.new(self.secret, message, hashlib.sha256).digest()
+        return hmac.digest(self.secret, message, "sha256")
 
     def verify_tag(self, message: bytes, tag: bytes) -> bool:
         """Check an authentication tag produced by :meth:`mac`."""

@@ -10,7 +10,6 @@ Every subcommand is driven by the same JSON files the library consumes::
     python -m repro sweep config.json --concurrency 8,32,128
     python -m repro report --store out             # aggregate: mean ± 95% CI
     python -m repro plot --store out -o figures    # render paper figures (SVG)
-    python -m repro regress --store out -b base.json [--freeze]
     python -m repro trace trace.jsonl              # validate + summarize a trace
     python -m repro trace trace.jsonl -f perfetto  # convert for ui.perfetto.dev
     python -m repro list                           # extension points
@@ -22,10 +21,9 @@ to record a protocol event trace of the run (see ``docs/OBSERVABILITY.md``).
 ``run`` accepts either a flat configuration object or
 ``{"config": {...}, "scenario": {...}}``; ``campaign`` accepts an
 :class:`~repro.experiments.spec.ExperimentSpec` dict (optionally wrapped in
-``{"spec": {...}}``).  ``report``/``plot``/``regress`` consume **stored
-records only** — they never execute a simulation.  See
-``docs/EXPERIMENTS.md`` for the schemas and the aggregate-and-plot
-walkthrough.
+``{"spec": {...}}``).  ``report`` and ``plot`` consume **stored records
+only** — they never execute a simulation.  See ``docs/EXPERIMENTS.md`` for
+the schemas and the aggregate-and-plot walkthrough.
 """
 
 from __future__ import annotations
@@ -327,28 +325,6 @@ def _parse_metrics(text: Optional[str]) -> Optional[List[str]]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _parse_tolerances(values: Optional[List[str]]) -> tuple:
-    """Split repeated ``--tolerance`` flags into (global, per-metric dict).
-
-    Each occurrence is either a bare float (the global relative slack) or
-    ``metric=value`` (an override for that metric only).
-    """
-    global_tol = 0.0
-    per_metric: Dict[str, float] = {}
-    for raw in values or []:
-        name, sep, number = raw.partition("=")
-        try:
-            if sep:
-                per_metric[name.strip()] = float(number)
-            else:
-                global_tol = float(raw)
-        except ValueError:
-            raise SystemExit(
-                f"error: bad --tolerance {raw!r} (expected FLOAT or METRIC=FLOAT)"
-            )
-    return global_tol, per_metric
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.analysis import aggregate_records, comparison_table
 
@@ -397,43 +373,6 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         print(f"wrote {path} ({key}, {len(records)} stored records, "
               f"0 simulations executed)")
     return 0
-
-
-def _cmd_regress(args: argparse.Namespace) -> int:
-    from repro.analysis import (
-        aggregate_records,
-        compare,
-        freeze,
-        load_baseline,
-        save_baseline,
-    )
-    from repro.analysis.regress import DEFAULT_REGRESS_METRICS, BaselineError
-
-    metrics = _parse_metrics(args.metrics) or list(DEFAULT_REGRESS_METRICS)
-    summaries = aggregate_records(_store_records(args))
-    if args.freeze:
-        path = save_baseline(args.baseline, freeze(summaries, metrics=metrics))
-        print(f"baseline frozen: {path} ({len(summaries)} group(s), "
-              f"{len(metrics)} metric(s))")
-        return 0
-    try:
-        baseline = load_baseline(args.baseline)
-    except BaselineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    tolerance, tolerances = _parse_tolerances(args.tolerance)
-    report = compare(baseline, summaries, metrics=_parse_metrics(args.metrics),
-                     tolerance=tolerance, tolerances=tolerances)
-    if args.json:
-        print(json.dumps({
-            "ok": report.ok,
-            "regressions": [f.describe() for f in report.regressions],
-            "missing": report.missing,
-            "compared_groups": report.compared_groups,
-        }, indent=2))
-    else:
-        print(report.render())
-    return 0 if report.ok else 1
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -649,23 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
     plot_p.add_argument("--x", help="params key for the x axis (custom figures)")
     plot_p.add_argument("--y", help="metric name for the y axis (custom figures)")
     plot_p.set_defaults(func=_cmd_plot)
-
-    regress_p = sub.add_parser(
-        "regress", help="freeze a baseline or compare stored records against one"
-    )
-    regress_p.add_argument("campaign", nargs="?", help="restrict to one campaign")
-    regress_p.add_argument("-s", "--store", required=True, help="result store directory")
-    regress_p.add_argument("-b", "--baseline", required=True,
-                           help="baseline JSON file to write (--freeze) or compare against")
-    regress_p.add_argument("--freeze", action="store_true",
-                           help="write the baseline instead of comparing")
-    regress_p.add_argument("-m", "--metrics",
-                           help="comma-separated metric names (default: headline set)")
-    regress_p.add_argument("-t", "--tolerance", action="append",
-                           help="relative slack: FLOAT (global) or METRIC=FLOAT "
-                                "(per-metric override); repeatable (default 0)")
-    regress_p.add_argument("--json", action="store_true", help="print raw JSON verdicts")
-    regress_p.set_defaults(func=_cmd_regress)
 
     trace_p = sub.add_parser(
         "trace", help="validate, summarize, or convert a JSONL event trace"

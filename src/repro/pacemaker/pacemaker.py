@@ -14,19 +14,13 @@ messages on the wire — which keeps it reusable by every protocol.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from repro.obs import trace as obs_trace
 from repro.quorum.quorum import TimeoutTracker, max_faulty
 from repro.sim.events import Event, EventScheduler
 from repro.types.certificates import Timeout, TimeoutCertificate
-
-#: Most recent view-entry timestamps kept in :attr:`PacemakerStats.views_entered_at`.
-#: A long run enters one view every few milliseconds; keeping every entry made
-#: the dict grow with run length, so only a bounded recent window is retained.
-VIEW_HISTORY_BOUND = 1024
-
 
 class ViewChangeReason(enum.Enum):
     """Why a replica entered a new view."""
@@ -46,15 +40,6 @@ class PacemakerStats:
     view_changes_on_tc: int = 0
     view_changes_on_join: int = 0
     highest_view: int = 0
-    #: Entry times of the most recent :data:`VIEW_HISTORY_BOUND` views
-    #: (oldest evicted first; insertion order is view-entry order).
-    views_entered_at: Dict[int, float] = field(default_factory=dict)
-
-    def record_view_entered(self, view: int, now: float) -> None:
-        """Record a view entry, evicting the oldest past the history bound."""
-        self.views_entered_at[view] = now
-        while len(self.views_entered_at) > VIEW_HISTORY_BOUND:
-            self.views_entered_at.pop(next(iter(self.views_entered_at)))
 
 
 class Pacemaker:
@@ -187,7 +172,6 @@ class Pacemaker:
             self._timer.cancel()
         self.current_view = view
         self.stats.highest_view = max(self.stats.highest_view, view)
-        self.stats.record_view_entered(view, self.scheduler.now)
         ev = self.events
         if ev.wants & obs_trace.VIEW:
             ev.emit(

@@ -1,8 +1,8 @@
-"""Tests for the analysis subsystem: stats, tables, figures, regressions.
+"""Tests for the analysis subsystem: stats, tables and figures.
 
 Pure-stats tests run on synthetic records; the end-to-end tests share one
 real campaign (module-scoped fixture, fast config) stored on disk, and the
-figure/report/regress paths are additionally asserted to execute **zero
+figure and report paths are additionally asserted to execute **zero
 simulations** by poisoning the runner entry points.
 """
 
@@ -18,20 +18,15 @@ from repro.analysis import (
     aggregate_records,
     aggregate_rows,
     comparison_table,
-    compare,
     csv_table,
     figure_for_campaign,
     format_measure,
     format_table,
-    freeze,
-    load_baseline,
     markdown_table,
     render_figure,
     render_store,
-    save_baseline,
     t_critical,
 )
-from repro.analysis.regress import BaselineError
 from repro.analysis.stats import GroupSummary
 from repro.bench.config import Configuration
 from repro.experiments import ExperimentSpec, ResultStore
@@ -390,74 +385,6 @@ class TestMultiPanelFigures:
 
 
 # ----------------------------------------------------------------------
-# regress
-# ----------------------------------------------------------------------
-class TestRegress:
-    def groups(self, center):
-        return aggregate_records(reps(
-            "camp", {"protocol": "hs"},
-            [center - 5.0, center, center + 5.0],
-            mean_latency=0.005, p99_latency=0.009,
-            chain_growth_rate=1.0, block_interval=3.0,
-        ))
-
-    def test_freeze_and_compare_clean(self, tmp_path):
-        baseline = freeze(self.groups(100.0))
-        path = save_baseline(tmp_path / "base.json", baseline)
-        report = compare(load_baseline(path), self.groups(100.0))
-        assert report.ok
-        assert report.compared_groups == 1
-        assert "within its confidence interval" in report.render()
-
-    def test_perturbation_outside_ci_is_flagged(self, tmp_path):
-        baseline = freeze(self.groups(100.0))
-        # ±5 spread with n=3 -> ci95 ≈ 12.4; a 50-unit move is far outside.
-        report = compare(baseline, self.groups(150.0))
-        assert not report.ok
-        flagged = {f.metric for f in report.regressions}
-        assert flagged == {"throughput_tps"}
-        assert "REGRESSED" in report.render()
-
-    def test_movement_within_ci_is_not_flagged(self):
-        baseline = freeze(self.groups(100.0))
-        report = compare(baseline, self.groups(102.0))
-        assert report.ok
-
-    def test_tolerance_rescues_degenerate_intervals(self):
-        single = aggregate_records(reps("camp", {"p": 1}, [100.0]))
-        baseline = freeze(single)
-        moved = aggregate_records(reps("camp", {"p": 1}, [104.0]))
-        assert not compare(baseline, moved).ok
-        assert compare(baseline, moved, tolerance=0.05).ok
-
-    def test_missing_group_fails_comparison(self):
-        baseline = freeze(self.groups(100.0))
-        report = compare(baseline, aggregate_records(
-            reps("camp", {"protocol": "other"}, [1.0])))
-        assert not report.ok
-        assert report.missing and report.unmatched
-
-    def test_load_baseline_errors(self, tmp_path):
-        with pytest.raises(BaselineError, match="no such baseline"):
-            load_baseline(tmp_path / "missing.json")
-        bad = tmp_path / "bad.json"
-        bad.write_text("{}")
-        with pytest.raises(BaselineError, match="no 'groups'"):
-            load_baseline(bad)
-
-    def test_per_metric_tolerance_overrides_global(self):
-        # A degenerate (n=1) baseline: only tolerance provides slack, and the
-        # per-metric entry must apply to its metric alone.
-        baseline = freeze(aggregate_records(reps("camp", {"p": 1}, [100.0])))
-        moved = aggregate_records(reps("camp", {"p": 1}, [104.0]))
-        assert not compare(baseline, moved).ok
-        assert compare(baseline, moved,
-                       tolerances={"throughput_tps": 0.05}).ok
-        assert not compare(baseline, moved,
-                           tolerances={"mean_latency": 0.05}).ok
-
-
-# ----------------------------------------------------------------------
 # end to end: one real stored campaign, shared across the CLI tests
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
@@ -572,30 +499,6 @@ class TestCli:
                          "--x", "protocol", "--y", "throughput_tps"]) == 1
         # protocol is a string param: not plottable as numeric x.
         assert "no plottable groups" in capsys.readouterr().err
-
-    def test_regress_freeze_then_clean_compare(self, stored_campaign, tmp_path,
-                                               no_simulations, capsys):
-        root, _spec = stored_campaign
-        baseline = tmp_path / "baseline.json"
-        assert cli_main(["regress", "-s", str(root), "-b", str(baseline),
-                         "--freeze"]) == 0
-        assert baseline.exists()
-        assert cli_main(["regress", "-s", str(root), "-b", str(baseline)]) == 0
-        assert "ok:" in capsys.readouterr().out
-
-    def test_regress_exits_nonzero_on_perturbation(self, stored_campaign, tmp_path,
-                                                   capsys):
-        root, _spec = stored_campaign
-        baseline = tmp_path / "baseline.json"
-        assert cli_main(["regress", "-s", str(root), "-b", str(baseline),
-                         "--freeze"]) == 0
-        data = json.loads(baseline.read_text())
-        # Perturb one frozen mean far outside its CI.
-        entry = data["groups"][0]["metrics"]["throughput_tps"]
-        entry["mean"] *= 3.0
-        baseline.write_text(json.dumps(data))
-        assert cli_main(["regress", "-s", str(root), "-b", str(baseline)]) == 1
-        assert "REGRESSED" in capsys.readouterr().out
 
     def test_report_missing_store_errors(self, tmp_path):
         with pytest.raises(SystemExit, match="no such result store"):

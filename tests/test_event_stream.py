@@ -10,11 +10,15 @@
   protocol: a recovered replica's first ``BlockRequest`` now leaves at once
   instead of after a ``SnapshotRequest`` round trip, which moves every fault
   case's timeline.  The ``steady/*`` entries never recover and are the
-  originals.
+  originals;
+* the work each of those runs does is pinned exactly: scheduler events,
+  messages sent per kind, bytes sent, sign and verify calls.
 """
 
 import hashlib
 import json
+from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -22,6 +26,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro import api
 from repro.bench.metrics import MetricsCollector
+from repro.bench.runner import Cluster
+from repro.crypto.keys import KeyPair
 from repro.obs.trace import CATEGORY_BITS, EventStream, Tracer, tracing
 
 GOLDEN = Path(__file__).parent / "golden" / "perf_quick_records.json"
@@ -153,27 +159,107 @@ def _faulty_case(protocol: str, rate: float, seed: int):
     return config, {"name": "perf-fault-cycles", "events": events}
 
 
+STEADY_POINTS = [("hotstuff", 4), ("2chainhs", 4), ("streamlet", 4), ("hotstuff", 16)]
+FAULTY_POINTS = [("hotstuff", 400.0), ("2chainhs", 400.0), ("streamlet", 150.0)]
+SEEDS = [1, 2]
+
+#: Golden key -> the call that runs that quick point.
+QUICK_POINTS = {
+    **{f"steady/{protocol}-n{num_nodes}/seed{seed}":
+       partial(api.run, _steady_config(protocol, num_nodes, seed))
+       for protocol, num_nodes in STEADY_POINTS for seed in SEEDS},
+    **{f"faulty/{protocol}/seed{seed}": partial(api.audit, *_faulty_case(protocol, rate, seed))
+       for protocol, rate in FAULTY_POINTS for seed in SEEDS},
+}
+
+
+def _counted(run):
+    """``run()`` and the work counts of its one ``Cluster.run``.
+
+    The counters are read as the run returns, before the cluster is
+    dismantled; signs and verifies are counted from the start of ``run()``.
+    """
+    calls = Counter()
+    counts = []
+    original_run, mac, verify_tag = Cluster.run, KeyPair.mac, KeyPair.verify_tag
+
+    def counted_mac(keypair, message):
+        calls["mac"] += 1
+        return mac(keypair, message)
+
+    def counted_verify_tag(keypair, message, tag):
+        calls["verify_tag"] += 1
+        return verify_tag(keypair, message, tag)
+
+    def counted_run(cluster, until=None):
+        original_run(cluster, until)
+        stats = cluster.network.stats
+        counts.append({
+            "events": cluster.scheduler.processed_events,
+            "messages": dict(stats.per_type_counts),
+            "bytes": stats.bytes_sent,
+            # A verify recomputes the tag through ``mac``.
+            "signs": calls["mac"] - calls["verify_tag"],
+            "verifies": calls["verify_tag"],
+        })
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Cluster, "run", counted_run)
+        patch.setattr(KeyPair, "mac", counted_mac)
+        patch.setattr(KeyPair, "verify_tag", counted_verify_tag)
+        result = run()
+    (only,) = counts
+    return result, only
+
+
+@pytest.fixture(scope="module")
+def quick_run():
+    """Runs each quick point once for every test that reads it: ``(result, counts)`` by key."""
+    runs = {}
+
+    def run(key):
+        if key not in runs:
+            runs[key] = _counted(QUICK_POINTS[key])
+        return runs[key]
+
+    return run
+
+
+def _as_golden(counts) -> str:
+    """``counts`` as the golden file holds it inside an entry, ready to paste."""
+    text = json.dumps(counts, indent=1, sort_keys=True).replace("\n", "\n  ")
+    return f'  "counts": {text},'
+
+
 class TestSameNumbers:
-    """Byte-identical records on the benchmark's simulated configurations."""
+    """Byte-identical records and exact work counts on the benchmark's simulated configurations."""
 
     golden = json.loads(GOLDEN.read_text())
 
-    @pytest.mark.parametrize("seed", [1, 2])
-    @pytest.mark.parametrize("protocol, num_nodes", [
-        ("hotstuff", 4), ("2chainhs", 4), ("streamlet", 4), ("hotstuff", 16)])
-    def test_steady_points(self, protocol, num_nodes, seed):
-        record = api.run(_steady_config(protocol, num_nodes, seed)).to_dict()
-        expected = self.golden[f"steady/{protocol}-n{num_nodes}/seed{seed}"]
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("protocol, num_nodes", STEADY_POINTS)
+    def test_steady_points(self, quick_run, protocol, num_nodes, seed):
+        key = f"steady/{protocol}-n{num_nodes}/seed{seed}"
+        record = quick_run(key)[0].to_dict()
+        expected = self.golden[key]
         assert record["metrics"] == expected["metrics"]
         assert record["highest_view"] == expected["highest_view"]
         assert _digest(record) == expected["record_digest"]
 
-    @pytest.mark.parametrize("seed", [1, 2])
-    @pytest.mark.parametrize("protocol, rate", [
-        ("hotstuff", 400.0), ("2chainhs", 400.0), ("streamlet", 150.0)])
-    def test_faulty_cases(self, protocol, rate, seed):
-        outcome = api.audit(*_faulty_case(protocol, rate, seed))
-        expected = self.golden[f"faulty/{protocol}/seed{seed}"]
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("protocol, rate", FAULTY_POINTS)
+    def test_faulty_cases(self, quick_run, protocol, rate, seed):
+        key = f"faulty/{protocol}/seed{seed}"
+        outcome = quick_run(key)[0]
+        expected = self.golden[key]
         assert outcome.record["metrics"] == expected["metrics"]
         assert outcome.fingerprint == expected["fingerprint"]
         assert _digest(outcome.record) == expected["record_digest"]
+
+    @pytest.mark.parametrize("key", sorted(QUICK_POINTS))
+    def test_work_counts(self, quick_run, key):
+        counts = quick_run(key)[1]
+        assert counts == self.golden[key]["counts"], (
+            f"the work counts of {key} moved; if the change means to move them, "
+            f"replace the entry's counts in {GOLDEN.name} with\n{_as_golden(counts)}"
+        )

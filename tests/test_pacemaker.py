@@ -87,12 +87,6 @@ class TestViewAdvancement:
         assert h.pacemaker.stats.view_changes_on_tc == 1
         assert h.pacemaker.stats.highest_view == 3
 
-    def test_views_entered_at_records_times(self):
-        h = PacemakerHarness()
-        h.pacemaker.start()
-        h.scheduler.run_until(0.0)
-        assert 1 in h.pacemaker.stats.views_entered_at
-
 
 class TestTimers:
     def test_local_timeout_fires_after_view_timeout(self):
@@ -219,22 +213,6 @@ class TestJoinRule:
                 h.pacemaker.process_remote_timeout(h.remote_timeout(voter, view=view))
         assert h.pacemaker.current_view == 5
         assert h.pacemaker.stats.view_changes_on_join == 0
-
-
-class TestStatsBounds:
-    def test_views_entered_at_is_bounded(self):
-        from repro.pacemaker.pacemaker import VIEW_HISTORY_BOUND
-
-        h = PacemakerHarness()
-        h.pacemaker.start()
-        last = VIEW_HISTORY_BOUND + 500
-        for view in range(1, last + 1):
-            h.pacemaker.advance_on_qc(view)
-        stats = h.pacemaker.stats
-        assert len(stats.views_entered_at) == VIEW_HISTORY_BOUND
-        assert (last + 1) in stats.views_entered_at  # newest retained
-        assert 1 not in stats.views_entered_at  # oldest evicted
-        assert stats.highest_view == last + 1
 
 
 class TestStopResume:

@@ -228,8 +228,7 @@ def main() -> int:
         if held != COLLECTOR_SAMPLES:
             failures.append(
                 f"{label} collector holds containers {sorted(held ^ COLLECTOR_SAMPLES)} "
-                "beside its raw samples; per-view state must stay in the bounded "
-                "PacemakerStats.views_entered_at"
+                "beside its raw samples; it may keep no per-view state"
             )
         for replica in cluster.replicas.values():
             origin = len(replica._origin_clients)
