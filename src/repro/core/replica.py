@@ -601,9 +601,9 @@ class Replica:
         recyclable: List[Transaction] = []
         for vertex in removed:
             for transaction in vertex.block.transactions:
-                if self.kvstore.transaction_applied(transaction):
-                    continue
                 if transaction.txid not in self._origin_clients:
+                    continue
+                if self.kvstore.transaction_applied(transaction):
                     continue
                 recyclable.append(transaction)
         if recyclable:

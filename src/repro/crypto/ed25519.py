@@ -10,42 +10,29 @@ against in ``tests/test_ed25519.py``, and it is the signer on a CPython whose
 libcrypto lacks the EVP Ed25519 calls.  The repo takes no crypto dependency:
 the pyca ``cryptography`` binding signs as fast as the ``ctypes`` route, but
 four of its keys hold 7.3 MB more than ``import repro.api`` alone, where four
-``ctypes`` keys hold 0.8 MB (and four keys here, with their tables, 3.0 MB);
-in a deployment that was +21 % peak RSS, beyond the benchmark's 15 % bound.
-So Ed25519 is built here from the RFC 8032 reference equations on the
-standard library alone: twisted-Edwards point arithmetic in extended
-homogeneous coordinates, SHA-512 key expansion, and the canonical
-little-endian encodings.
-
-Every scalar multiplication is fixed-base: a key is expanded once
-(:class:`SigningKey`, :class:`VerifyKey`) and multiplies through a table of
-signed windows — row ``i`` holds ``[j * 2**(w * i)]P`` for ``1 <= j <=
-2**(w - 1)``, stored affine, and a negative digit reads the same entry
-mirrored — so ``[s]P`` is one mixed addition per row and no doublings.  The
-tables are sized by use.  The base point's is one object per process and
-serves seven of the ten multiplications of a consensus view (each sign's
-``[r]B``, each verify's ``[S]B``): ``w = 8``, 33 rows of 128 entries, ~1.2 MB,
-~40 ms to build.  Each public key's table of ``-A`` serves that key's
-``[k](-A)`` only: ``w = 6``, 43 rows of 32, ~350 kB, ~12 ms.  So a signature
-costs at most 33 additions and a verification 76 (``tests/test_ed25519.py``
-holds those two numbers).  Every table is built on first use, never at import.
+``ctypes`` keys hold 0.8 MB; in a deployment that was +21 % peak RSS, beyond
+the benchmark's 15 % bound.  So Ed25519 is built here from the RFC 8032
+reference equations on the standard library alone: twisted-Edwards point
+arithmetic in extended homogeneous coordinates, SHA-512 key expansion, the
+canonical little-endian encodings, and one bit-by-bit double-and-add
+(:func:`_scalar_mul`) for key derivation, signing and both products of
+verification.  A key is expanded once (:class:`SigningKey`,
+:class:`VerifyKey`) and holds no precomputation beyond its decoded point.
 
 This is a correctness-first implementation (validated against the RFC 8032
-test vectors and a naive double-and-add reference in
-``tests/test_ed25519.py``), not a constant-time one — fine for benchmarking a
-reproduction, unsuitable for protecting real secrets.  Speed is a hundred-odd
-microseconds per operation (sign ~0.14 ms, verify ~0.30 ms through the key
-registry on the reference host), about three times OpenSSL's.
+test vectors and a naive reference of its own in ``tests/test_ed25519.py``),
+not a constant-time one — fine for benchmarking a reproduction, unsuitable
+for protecting real secrets.  It is not fast either: one scalar
+multiplication is ~1.2 ms on the 2-core reference VM, so a signature costs
+~1.2 ms and a verification ~2.4 ms, about 25 times OpenSSL's.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
-from typing import List, Optional, Tuple
+from typing import Tuple
 
-__all__ = ["BACKEND", "SigningKey", "VerifyKey", "public_key", "sign", "verify",
-           "SIGNATURE_SIZE", "SEED_SIZE"]
+__all__ = ["BACKEND", "SigningKey", "VerifyKey", "SIGNATURE_SIZE", "SEED_SIZE"]
 
 #: What a deployment report names this signer.
 BACKEND = "python"
@@ -131,115 +118,54 @@ def _expand_seed(seed: bytes) -> Tuple[int, bytes]:
     return scalar, digest[32:]
 
 
-#: A table entry is an affine point as (y + x, y - x, 2 * d * x * y).
-_Table = List[List[Tuple[int, int, int]]]
-
-#: Window widths: wide for the one table every key shares, narrower for the
-#: table each public key holds of its own (sizes in the module docstring).
-_BASE_WINDOW = 8
-_KEY_WINDOW = 6
-
-
-def _build_table(point: _Point, width: int) -> _Table:
-    """The signed ``width``-bit window table: ``rows[i][j - 1] = [j * 2**(width * i)]point``.
-
-    ``1 <= j <= 2**(width - 1)``; the negative digits reuse the same entries.
-    ``256 // width + 1`` rows cover any scalar below ``2**256`` plus the carry
-    out of its top window.
-    """
-    half = 1 << (width - 1)
-    points = []
-    for _ in range(256 // width + 1):
-        row = [point]
-        for _ in range(half - 1):
-            row.append(_point_add(row[-1], point))
-        points += row
-        point = _point_add(row[-1], row[-1])
-    # Make every entry affine with one inversion for all Z (Montgomery's trick).
-    partial = [1]
-    for p in points:
-        partial.append(partial[-1] * p[2] % _P)
-    inverse = pow(partial[-1], -1, _P)
-    entries = []
-    for (x, y, z, _), before in zip(reversed(points), reversed(partial[:-1])):
-        zinv, inverse = inverse * before % _P, inverse * z % _P
-        x, y = x * zinv % _P, y * zinv % _P
-        entries.append(((y + x) % _P, (y - x) % _P, 2 * _D * x * y % _P))
-    entries.reverse()
-    return [entries[i:i + half] for i in range(0, len(entries), half)]
+def _scalar_mul(scalar: int, point: _Point) -> _Point:
+    """``[scalar]point``, bit by bit: double-and-add (RFC 8032 §6)."""
+    result = _IDENTITY
+    while scalar > 0:
+        if scalar & 1:
+            result = _point_add(result, point)
+        point = _point_add(point, point)
+        scalar >>= 1
+    return result
 
 
-@functools.cache
-def _base_table() -> _Table:
-    return _build_table(_B, _BASE_WINDOW)
-
-
-def _table_mul(scalar: int, table: _Table, start: _Point = _IDENTITY) -> _Point:
-    """``start + [scalar]P`` for the point ``table`` was built from (``scalar < 2**256``).
-
-    The scalar is recoded into signed digits of the table's own width, one per
-    row: a window above ``2**(width - 1)`` becomes ``window - 2**width`` and
-    carries one into the next.  ``-(x, y)`` is ``(-x, y)``, so a negative digit
-    reads the stored entry with ``y + x`` and ``y - x`` swapped and ``2dxy``
-    negated.  One mixed addition per non-zero digit, no doublings.
-    """
-    x, y, z, t = start
-    half = len(table[0])
-    width = half.bit_length()
-    full = half + half
-    mask = full - 1
-    carry = 0
-    for row in table:
-        digit = (scalar & mask) + carry
-        scalar >>= width
-        carry = digit > half
-        if carry:
-            digit -= full
-        if digit:
-            if digit > 0:
-                y_plus_x, y_minus_x, t2d = row[digit - 1]
-            else:
-                y_minus_x, y_plus_x, t2d = row[-digit - 1]
-                t2d = -t2d
-            a = (y - x) * y_minus_x % _P
-            b = (y + x) * y_plus_x % _P
-            c = t * t2d % _P
-            d = z + z
-            e, f, g, h = b - a, d - c, d + c, b + a
-            x, y, z, t = e * f % _P, g * h % _P, f * g % _P, e * h % _P
-    return (x, y, z, t)
+def _point_equal(p: _Point, q: _Point) -> bool:
+    x1, y1, z1, _ = p
+    x2, y2, z2, _ = q
+    return (x1 * z2 - x2 * z1) % _P == 0 and (y1 * z2 - y2 * z1) % _P == 0
 
 
 class VerifyKey:
-    """A public key expanded once: its encoding, ``-A`` and ``-A``'s window table.
+    """A public key decoded once: its encoding and its point ``A``.
 
     Raises ``ValueError`` for an encoding that is not a curve point.
     """
 
-    __slots__ = ("encoded", "_negated", "_table")
+    __slots__ = ("encoded", "_point")
 
     def __init__(self, encoded: bytes) -> None:
-        x, y, _, t = _point_decompress(encoded)
+        self._point = _point_decompress(encoded)
         self.encoded = bytes(encoded)
-        self._negated: _Point = (-x % _P, y, 1, -t % _P)
-        self._table: Optional[_Table] = None
 
     def verify(self, message: bytes, signature: bytes) -> bool:
-        """Check ``signature`` over ``message``; ``False`` for anything malformed."""
+        """Check ``signature`` over ``message`` (RFC 8032 §5.1.7).
+
+        ``False`` for anything malformed, never an exception.
+        """
         if len(signature) != SIGNATURE_SIZE:
             return False
         r_enc = bytes(signature[:32])
+        try:
+            r_point = _point_decompress(r_enc)
+        except ValueError:
+            return False
         s = int.from_bytes(signature[32:], "little")
         if s >= _L:
             return False
-        if self._table is None:
-            self._table = _build_table(self._negated, _KEY_WINDOW)
         k = int.from_bytes(_sha512(r_enc + self.encoded + message), "little") % _L
-        # Cofactorless check [S]B - [k]A == R, stricter than the RFC's cofactored
-        # equation and what common implementations enforce.  Comparing encodings
-        # also rejects every R that does not decode (y >= p, off the curve, x = 0
-        # with the sign bit set): compression never produces one.
-        return _point_compress(_table_mul(k, self._table, _table_mul(s, _base_table()))) == r_enc
+        # Cofactorless [S]B == R + [k]A, stricter than the RFC's cofactored
+        # equation and what common implementations enforce.
+        return _point_equal(_scalar_mul(s, _B), _point_add(r_point, _scalar_mul(k, self._point)))
 
 
 class SigningKey:
@@ -249,41 +175,11 @@ class SigningKey:
 
     def __init__(self, seed: bytes) -> None:
         self._scalar, self._prefix = _expand_seed(seed)
-        self.verify_key = VerifyKey(_point_compress(_table_mul(self._scalar, _base_table())))
+        self.verify_key = VerifyKey(_point_compress(_scalar_mul(self._scalar, _B)))
 
     def sign(self, message: bytes) -> bytes:
         """Sign ``message`` (RFC 8032 §5.1.6)."""
         r = int.from_bytes(_sha512(self._prefix + message), "little") % _L
-        r_enc = _point_compress(_table_mul(r, _base_table()))
+        r_enc = _point_compress(_scalar_mul(r, _B))
         k = int.from_bytes(_sha512(r_enc + self.verify_key.encoded + message), "little") % _L
         return r_enc + int.to_bytes((r + k * self._scalar) % _L, 32, "little")
-
-
-#: Public keys expanded by the module-level :func:`verify`.  Bounded: the keys
-#: come from the caller (possibly off the wire) and each holds a ~350 kB table.
-#: A malformed key raises and is therefore never cached.
-_expanded_verify_key = functools.lru_cache(maxsize=16)(VerifyKey)
-
-
-def public_key(seed: bytes) -> bytes:
-    """The 32-byte public key for a 32-byte private seed."""
-    return SigningKey(seed).verify_key.encoded
-
-
-def sign(seed: bytes, message: bytes) -> bytes:
-    """Sign ``message`` with the private ``seed`` (expanded on every call)."""
-    return SigningKey(seed).sign(message)
-
-
-def verify(pub: bytes, message: bytes, signature: bytes) -> bool:
-    """Check ``signature`` over ``message`` against a public key.
-
-    Returns ``False`` (never raises) for malformed encodings or forged
-    signatures, matching the discard-garbage contract of
-    :func:`repro.crypto.signatures.verify`.
-    """
-    try:
-        key = _expanded_verify_key(bytes(pub))
-    except ValueError:
-        return False
-    return key.verify(message, signature)

@@ -12,9 +12,10 @@ Two signing schemes share one interface:
   They go through OpenSSL's EVP API on the libcrypto CPython already links
   (:mod:`repro.crypto.openssl`: ~46 µs to sign, ~110 µs to verify through
   the registry on a 2-core reference VM), or through the pure-Python
-  :mod:`repro.crypto.ed25519` (~142 / ~295 µs) on a CPython whose libcrypto
-  lacks those calls.  :func:`ed25519_signer` makes that choice once per
-  process; ``python -m repro deploy`` reports it as ``signing backend:``.
+  :mod:`repro.crypto.ed25519`, RFC 8032's reference equations (~1.2 / ~2.4
+  ms), on a CPython whose libcrypto lacks those calls.
+  :func:`ed25519_signer` makes that choice once per process;
+  ``python -m repro deploy`` reports it as ``signing backend:``.
 
 Both expose ``mac(message) -> tag`` and ``verify_tag(message, tag) -> bool``,
 so :func:`repro.crypto.signatures.verify` needs no knowledge of the scheme.
@@ -91,7 +92,7 @@ class Ed25519KeyPair:
 
     The key is expanded once, on first use, by :func:`ed25519_signer`, and
     the expansion (libcrypto's key handles, or the pure-Python scalar, nonce
-    prefix and window table) lives and dies with this object: the membership
+    prefix and public point) lives and dies with this object: the membership
     is fixed, so a :class:`KeyRegistry` of n nodes holds n expansions and
     nothing is ever keyed by bytes off the wire.
     """

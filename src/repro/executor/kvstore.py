@@ -22,8 +22,12 @@ window of its client's later transactions *after* them could be mistaken —
 and the mistake is refusal to double-apply, never a double apply.  Because
 floors advance purely as a function of the applied history, which commit
 order makes identical on every honest replica, the state machine stays
-deterministic.  Txids outside the canonical shape (tests, custom clients)
-fall back to a bounded FIFO of raw ids.
+deterministic.  A transaction is canonical when its own ``client_id`` and
+``sequence`` spell its txid (:attr:`Transaction.canonical_session`); any
+other transaction (tests, custom clients) is recorded and looked up by its
+raw txid in a bounded FIFO, never by parsing the id string, so a txid that
+merely looks like ``tx-<client>-<seq>`` cannot mark that session's sequence
+applied.
 
 The index holds O(clients × window) entries, independent of run length —
 and snapshots (:class:`KVSnapshot`, shipped in ``SnapshotResponse``) shrink
@@ -51,15 +55,6 @@ DEFAULT_DEDUP_WINDOW = 4096
 #: (``Replica._process_client_request``) refuses anything else; the commit
 #: path skips it.
 OPERATIONS = frozenset({"put", "get", "delete"})
-
-
-def _parse_txid(txid: str) -> Optional[Tuple[str, int]]:
-    """Split a canonical ``tx-<client>-<seq>`` id into (client, seq)."""
-    if txid.startswith("tx-"):
-        head, _, tail = txid.rpartition("-")
-        if tail.isdigit() and len(head) > 3:
-            return head[3:], int(tail)
-    return None
 
 
 class _Session:
@@ -120,19 +115,7 @@ class TxidDedup:
         #: ids — canonical client traffic always takes the session path.
         self._extras: "OrderedDict[str, None]" = OrderedDict()
 
-    def __contains__(self, txid: str) -> bool:
-        parsed = _parse_txid(txid)
-        if parsed is not None:
-            client, seq = parsed
-            session = self._sessions.get(client)
-            return session is not None and seq in session
-        return txid in self._extras
-
-    def add(self, txid: str) -> bool:
-        """Record one applied txid; False if it already counted as applied."""
-        parsed = _parse_txid(txid)
-        if parsed is not None:
-            return self._add_sequence(*parsed)
+    def _add_extra(self, txid: str) -> bool:
         if txid in self._extras:
             return False
         self._extras[txid] = None
@@ -152,12 +135,11 @@ class TxidDedup:
         return True
 
     def contains_transaction(self, transaction: Transaction) -> bool:
-        """Parse-free :meth:`__contains__` for a live :class:`Transaction`.
+        """True if ``transaction`` already counts as applied.
 
-        Uses the transaction's own ``(client_id, sequence)`` pair when its
-        txid is canonical (validated once per object via
-        :attr:`Transaction.canonical_session`) instead of re-parsing the id
-        string at every replica.
+        A canonical transaction is looked up by its own ``(client_id,
+        sequence)`` pair (:attr:`Transaction.canonical_session`), any other
+        by its raw txid.
         """
         session_key = transaction.canonical_session
         if session_key is None:
@@ -166,10 +148,13 @@ class TxidDedup:
         return session is not None and session_key[1] in session
 
     def add_transaction(self, transaction: Transaction) -> bool:
-        """Parse-free :meth:`add` for a live :class:`Transaction`."""
+        """Record ``transaction`` as applied; False if it already counted as applied.
+
+        Keyed exactly as :meth:`contains_transaction` looks it up.
+        """
         session_key = transaction.canonical_session
         if session_key is None:
-            return self.add(transaction.txid)
+            return self._add_extra(transaction.txid)
         return self._add_sequence(*session_key)
 
     def entry_count(self) -> int:
@@ -228,8 +213,8 @@ class KeyValueStore:
         #: (admission refuses them, so only a Byzantine proposer's block
         #: carries one).  A local counter, not part of a snapshot.
         self.operations_invalid = 0
-        #: Parse-free :meth:`was_applied` for a live :class:`Transaction` —
-        #: the index's own method, asked once per client request.
+        #: Whether a transaction already counts as applied — the index's own
+        #: method, asked once per client request.
         self.transaction_applied = self._applied.contains_transaction
 
     def apply_batch(self, transactions: Iterable[Transaction]) -> Optional[str]:
@@ -272,7 +257,7 @@ class KeyValueStore:
                 pending.add(seq)
                 if len(pending) > window:
                     session.shrink(window)
-            elif not applied.add(transaction.txid):
+            elif not applied._add_extra(transaction.txid):
                 continue
             fresh += 1
             if operation == "put":
@@ -297,10 +282,6 @@ class KeyValueStore:
     def get(self, key: str) -> Optional[str]:
         """Read a key directly (used by tests and examples)."""
         return self._data.get(key)
-
-    def was_applied(self, txid: str) -> bool:
-        """True if the transaction id has already been executed."""
-        return txid in self._applied
 
     def dedup_entries(self) -> int:
         """Dedup-index entries currently held (bounded, see module docs)."""

@@ -27,7 +27,7 @@ class Transaction:
 
     ``canonical_session`` is ``(client_id, sequence)`` when the txid has the
     canonical ``tx-<client>-<seq>`` shape, else ``None`` (hand-built ids,
-    which take the dedup index's string paths).  It is derived once, here,
+    which the dedup index keys by their raw txid).  It is derived once, here,
     for every way a transaction comes to exist — ``create``, the wire codec,
     a test — so no replica that applies the object re-parses its id.
     """

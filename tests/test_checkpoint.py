@@ -455,7 +455,7 @@ class TestKVSnapshot:
         store.apply(tx)
         other = KeyValueStore()
         other.restore(store.snapshot())
-        assert other.was_applied(tx.txid)
+        assert other.transaction_applied(tx)
         other.apply(tx)  # replay is a no-op
         assert other.operations_applied == store.operations_applied
 

@@ -1,12 +1,12 @@
 """Both Ed25519 signers: RFC 8032 vectors, a naive reference, edge encodings.
 
-:mod:`repro.crypto.ed25519` multiplies through precomputed signed-window
-tables.  The reference below is the implementation it replaced — bit-by-bit
-double-and-add on the RFC's equations, its own arithmetic, nothing shared with
-the module — so the differential tests pin every public key and signature
-byte for byte and the accept set of ``verify`` case by case.  The OpenSSL
-signer (:mod:`repro.crypto.openssl`) runs the RFC vectors and every edge case
-beside it, and a property pins the two byte for byte on random input.
+:mod:`repro.crypto.ed25519` is RFC 8032's reference equations.  The naive
+reference below writes the same equations out again — bit-by-bit
+double-and-add, its own arithmetic, nothing shared with the module — so the
+differential tests pin every public key and signature byte for byte and the
+accept set of ``verify`` case by case.  The OpenSSL signer
+(:mod:`repro.crypto.openssl`) runs the RFC vectors and every edge case beside
+it, and a property pins the two byte for byte on random input.
 """
 
 from __future__ import annotations
@@ -144,11 +144,11 @@ def encode(y: int, sign_bit: int = 0) -> bytes:
 
 
 # --------------------------------------------------------------------------
-# the two signers, behind the module-level calls of repro.crypto.ed25519
+# the two signers, behind one set of seed-level calls
 
 
 def module_calls(module):
-    """``public_key`` / ``sign`` / ``verify`` as ``ed25519`` defines them, on ``module``'s keys."""
+    """Seed-level ``public_key`` / ``sign`` / ``verify`` over ``module``'s keys."""
 
     def verify_with(pub, message, signature):
         try:
@@ -173,7 +173,7 @@ def native_signer():
 
 @pytest.fixture(params=["python", "openssl"])
 def signer(request):
-    return ed25519 if request.param == "python" else native_signer()
+    return module_calls(ed25519) if request.param == "python" else native_signer()
 
 
 @pytest.fixture(scope="module")
@@ -277,8 +277,8 @@ def test_keys_and_signatures_are_byte_identical_to_the_reference():
         seed, message = rng.randbytes(32), rng.randbytes(rng.randrange(0, 96))
         key = ed25519.SigningKey(seed)
         own, signature = key.verify_key, key.sign(message)
-        assert own.encoded == ref_public_key(seed) == ed25519.public_key(seed)
-        assert signature == ref_sign(seed, message) == ed25519.sign(seed, message)
+        assert own.encoded == ref_public_key(seed)
+        assert signature == ref_sign(seed, message)
 
         cases = {
             "valid": (own, message, signature, True),
@@ -290,7 +290,6 @@ def test_keys_and_signatures_are_byte_identical_to_the_reference():
         for label, (verify_key, case_message, case_signature, expected) in cases.items():
             assert verify_key.verify(case_message, case_signature) is expected, label
             assert ref_verify(verify_key.encoded, case_message, case_signature) is expected, label
-    assert ed25519.verify(own.encoded, message, signature)
 
 
 @settings(max_examples=40, deadline=None)
@@ -324,57 +323,22 @@ def test_wrong_lengths_never_reach_libcrypto(native, monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# the kernel on its own: signed-window recoding at both table widths
+# the multiplication on its own: double-and-add on scalar edges
 
 
-#: Neither the base point nor of small order, so no table row degenerates.
-KERNEL_POINT = ref_mul(8032, B)
-
-
-@pytest.fixture(scope="module", params=[ed25519._BASE_WINDOW, ed25519._KEY_WINDOW],
-                ids=lambda width: f"w={width}")
-def kernel_table(request):
-    return request.param, ed25519._build_table(KERNEL_POINT, request.param)
-
-
-def every_window(value: int, width: int) -> int:
-    """The scalar below 2**256 whose ``width``-bit windows all equal ``value``."""
-    return sum(value << shift for shift in range(0, 256, width)) % 2 ** 256
-
-
-def test_table_mul_matches_the_reference_on_recoding_edges(kernel_table):
-    width, table = kernel_table
-    half, top = 1 << (width - 1), (1 << width) - 1
-    rng = random.Random(width)
+@pytest.mark.parametrize("point", [B, ref_mul(8032, B)], ids=["B", "8032B"])
+def test_scalar_mul_matches_the_reference_on_edges(point):
+    rng = random.Random(8032)
     scalars = {
-        "0": 0, "1": 1, "L - 1": L - 1, "2**252": 2 ** 252,
-        "2**255 - 1": 2 ** 255 - 1,
-        "2**256 - 1": 2 ** 256 - 1,                          # carry into the top row
-        "all windows 2**(w-1)": every_window(half, width),   # largest positive digit
-        "all windows 2**(w-1)+1": every_window(half + 1, width),  # smallest that carries
-        "all windows 2**w-1": every_window(top, width),      # carry through every row
-        "one window 2**w-1 then 0s": top,
-        **{f"random {i}": rng.getrandbits(256) for i in range(60)},
+        "0": 0, "1": 1, "2": 2, "L - 1": L - 1, "L": L, "L + 1": L + 1,
+        "2**252": 2 ** 252, "2**254": 2 ** 254,              # the clamped scalar's top bit
+        "2**255 - 1": 2 ** 255 - 1, "2**256 - 1": 2 ** 256 - 1,
+        "alternating bits": int("10" * 128, 2),
+        **{f"random {i}": rng.getrandbits(256) for i in range(20)},
     }
-    assert len(table) == 256 // width + 1 and {len(row) for row in table} == {half}
-    start = ref_mul(3, B)
     for label, scalar in scalars.items():
-        expected = ref_mul(scalar, KERNEL_POINT)
-        assert ref_equal(ed25519._table_mul(scalar, table), expected), label
-        assert ref_equal(ed25519._table_mul(scalar, table, start),
-                         ref_add(start, expected)), label
-
-
-def test_additions_per_operation():
-    """The gate on what the window tables buy: one mixed addition per table
-    row, so the shapes bound the work (4-bit unsigned windows: 64 and 128)."""
-    key = ed25519.SigningKey(SEED)
-    assert key.verify_key.verify(MESSAGE, key.sign(MESSAGE))
-    base, own = ed25519._base_table(), key.verify_key._table
-    assert len(base) <= 33                  # sign: [r]B
-    assert len(base) + len(own) <= 76       # verify: [S]B + [k](-A)
-    # ... and what they cost in memory: ~1.2 MB once, ~350 kB per public key.
-    assert sum(map(len, base)) <= 33 * 128 and sum(map(len, own)) <= 43 * 32
+        assert ref_equal(ed25519._scalar_mul(scalar, point), ref_mul(scalar, point)), label
+    assert ref_equal(ed25519._scalar_mul(L, B), (0, 1, 1, 0))  # B has order L
 
 
 # --------------------------------------------------------------------------
@@ -477,43 +441,14 @@ class TestEdgeEncodings:
 
 
 # --------------------------------------------------------------------------
-# who owns the precomputation
+# who owns the key expansion
 
 
 class TestKeyExpansionOwnership:
-    def test_module_level_cache_is_bounded_and_skips_invalid_keys(self):
-        cache = ed25519._expanded_verify_key
-        cache.cache_clear()
-        bound = cache.cache_info().maxsize
-        assert bound is not None and bound < 100
-
-        assert not ed25519.verify(OFF_CURVE, MESSAGE, SIGNATURE)
-        assert not ed25519.verify(b"short", MESSAGE, SIGNATURE)
-        assert cache.cache_info().currsize == 0
-
-        rng = random.Random(500)
-        keys = {rng.randbytes(32) for _ in range(500)}
-        valid = 0
-        for pub in keys:
-            assert not ed25519.verify(pub, MESSAGE, SIGNATURE)
-            try:
-                ref_decompress(pub)
-                valid += 1
-            except ValueError:
-                pass
-        # About half of all 32-byte strings decode to a point; only those were
-        # expanded, and only the most recent ``bound`` are still held.
-        assert len(keys) == 500 and valid > bound
-        assert cache.cache_info().currsize == bound
-        cache.cache_clear()
-
-    def test_registry_keys_never_touch_the_module_level_cache(self):
-        cache = ed25519._expanded_verify_key
-        cache.cache_clear()
+    def test_equal_key_pairs_own_separate_keys(self):
         registry = KeyRegistry(scheme="ed25519")
         signatures = [sign(registry.register(f"r{i}"), "deadbeef") for i in range(4)]
         assert all(verify(registry, signature) for signature in signatures)
-        assert cache.cache_info().currsize == 0
         # Each key pair owns its expansion; equal key pairs do not share one.
         again = KeyRegistry(scheme="ed25519").register("r0")
         assert again == registry.get("r0") and again._key is not registry.get("r0")._key

@@ -53,10 +53,54 @@ class TestKeyValueStore:
         store.apply(transaction)
         store.apply(transaction)
         assert store.operations_applied == 1
-        assert store.was_applied(transaction.txid)
+        assert store.transaction_applied(transaction)
 
-    def test_was_applied_false_for_unknown(self):
-        assert not KeyValueStore().was_applied("nope")
+    def test_transaction_applied_false_for_unknown(self):
+        assert not KeyValueStore().transaction_applied(tx(txid="nope"))
+
+    def test_a_canonical_looking_txid_does_not_claim_its_session(self):
+        # A client may send any (txid, client_id, sequence) triple.  This one
+        # spells another session's txid but is not that session's transaction,
+        # so it is recorded by its raw id and the honest one still executes.
+        store = KeyValueStore()
+        spoof = Transaction(txid="tx-c0-5", client_id="x", sequence=9, key="a", value="spoof")
+        honest = Transaction.create("c0", 0.0, key="a", value="honest", sequence=5)
+        assert spoof.txid == honest.txid and spoof.canonical_session is None
+        store.apply_batch([spoof])
+        assert store.transaction_applied(spoof)
+        assert not store.transaction_applied(honest)
+        store.apply_batch([honest])
+        assert store.operations_applied == 2 and store.get("a") == "honest"
+        assert store.transaction_applied(honest)
+
+    def test_a_spoofed_txid_stays_raw_through_apply_and_a_snapshot(self):
+        # The single-apply path and a checkpoint install key the spoof
+        # exactly as apply_batch does: by its raw txid, in no session.
+        store = KeyValueStore()
+        spoof = Transaction(txid="tx-c0-5", client_id="x", sequence=9, key="a", value="spoof")
+        honest = Transaction.create("c0", 0.0, key="a", value="honest", sequence=5)
+        store.apply(spoof)
+        clone = KeyValueStore()
+        clone.restore(store.snapshot())
+        assert clone.snapshot().dedup.sessions == ()
+        assert clone.snapshot().dedup.extras == ("tx-c0-5",)
+        assert clone.transaction_applied(spoof)
+        assert not clone.transaction_applied(honest)
+        clone.apply(honest)
+        assert clone.operations_applied == 2 and clone.get("a") == "honest"
+
+    def test_a_hand_built_canonical_transaction_shares_its_session(self):
+        # Canonical means the object's own client_id and sequence spell its
+        # txid, however it was built: it dedups against Transaction.create.
+        store = KeyValueStore()
+        built = Transaction(txid="tx-c0-5", client_id="c0", sequence=5, key="a", value="1")
+        created = Transaction.create("c0", 0.0, key="a", value="2", sequence=5)
+        assert built.canonical_session == created.canonical_session == ("c0", 5)
+        store.apply(built)
+        assert store.transaction_applied(created)
+        assert store.apply(created) is None
+        assert store.operations_applied == 1 and store.get("a") == "1"
+        assert store.snapshot().dedup.extras == ()
 
     def test_state_digest_reflects_content(self):
         a = KeyValueStore()
@@ -78,8 +122,7 @@ class TestBoundedDedup:
     """The applied-txid index holds bounded memory on runs of any length."""
 
     def _tx(self, client, seq, key="k", value="v"):
-        return Transaction(txid=f"tx-{client}-{seq}", client_id=client,
-                           operation="put", key=key, value=value)
+        return Transaction.create(client, 0.0, key=key, value=value, sequence=seq)
 
     def test_dedup_correctness_within_the_window(self):
         store = KeyValueStore(dedup_window=8)
@@ -102,16 +145,16 @@ class TestBoundedDedup:
         assert store.operations_applied == 20_000
         # Recent ids still dedup; the compacted floor is conservative:
         # everything below it counts as applied (never double-applies).
-        assert store.was_applied("tx-c0-19999")
-        assert store.was_applied("tx-c0-1")
+        assert store.transaction_applied(self._tx("c0", 19_999))
+        assert store.transaction_applied(self._tx("c0", 1))
         assert store.apply(self._tx("c0", 1)) is None
         assert store.operations_applied == 20_000
 
     def test_sessions_are_per_client(self):
         store = KeyValueStore(dedup_window=8)
         store.apply(self._tx("c0", 5))
-        assert store.was_applied("tx-c0-5")
-        assert not store.was_applied("tx-c1-5")
+        assert store.transaction_applied(self._tx("c0", 5))
+        assert not store.transaction_applied(self._tx("c1", 5))
 
     def test_interleaved_global_sequences(self):
         # The global tx counter interleaves clients, so per-client sequences
@@ -120,31 +163,34 @@ class TestBoundedDedup:
         store.apply(self._tx("c0", 0))
         store.apply(self._tx("c1", 1))
         store.apply(self._tx("c0", 2))
-        assert store.was_applied("tx-c0-0") and store.was_applied("tx-c0-2")
-        assert not store.was_applied("tx-c0-1")
-        assert not store.was_applied("tx-c1-0")
+        applied = store.transaction_applied
+        assert applied(self._tx("c0", 0)) and applied(self._tx("c0", 2))
+        assert not applied(self._tx("c0", 1))
+        assert not applied(self._tx("c1", 0))
 
     def test_non_canonical_txids_use_the_bounded_fifo(self):
         store = KeyValueStore(dedup_window=4)
-        for i in range(4):
-            store.apply(tx(operation="put", key=f"k{i}", txid=f"custom-{i}!"))
-        assert store.was_applied("custom-0!")
-        store.apply(tx(operation="put", key="k5", txid="custom-5!"))
+        custom = [tx(operation="put", key=f"k{i}", txid=f"custom-{i}!") for i in range(6)]
+        for transaction in custom[:4]:
+            store.apply(transaction)
+        assert store.transaction_applied(custom[0])
+        store.apply(custom[5])
         # FIFO bound: the oldest synthetic id is forgotten.
-        assert not store.was_applied("custom-0!")
-        assert store.was_applied("custom-5!")
+        assert not store.transaction_applied(custom[0])
+        assert store.transaction_applied(custom[5])
 
     def test_snapshot_round_trips_the_bounded_state(self):
         store = KeyValueStore(dedup_window=16)
         for seq in range(100):
             store.apply(self._tx("c0", seq))
-        store.apply(tx(operation="put", key="x", txid="weird-id"))
+        weird = tx(operation="put", key="x", txid="weird-id")
+        store.apply(weird)
         clone = KeyValueStore(dedup_window=16)
         clone.restore(store.snapshot())
         assert clone.dedup_entries() == store.dedup_entries()
-        assert clone.was_applied("tx-c0-99")
-        assert clone.was_applied("tx-c0-0")  # below the floor: conservative
-        assert clone.was_applied("weird-id")
+        assert clone.transaction_applied(self._tx("c0", 99))
+        assert clone.transaction_applied(self._tx("c0", 0))  # below the floor: conservative
+        assert clone.transaction_applied(weird)
         assert clone.snapshot() == store.snapshot()
 
     def test_snapshots_of_equal_state_are_identical(self):
@@ -243,7 +289,7 @@ class TestApplyBatch:
         store.apply_batch([tx(key="a", value="1"), odd, odd])
         assert store.operations_invalid == 2
         assert store.operations_applied == 1
-        assert not store.was_applied(odd.txid)
+        assert not store.transaction_applied(odd)
         assert store.get("a") == "1"
 
     def test_single_apply_refuses_an_unknown_operation_before_recording_it(self):
@@ -251,7 +297,7 @@ class TestApplyBatch:
         odd = Transaction.create("c0", 0.0, operation="frob", sequence=1)
         with pytest.raises(ValueError):
             store.apply(odd)
-        assert not store.was_applied(odd.txid)
+        assert not store.transaction_applied(odd)
         assert store.operations_applied == 0 and store.operations_invalid == 0
 
     def test_returns_what_the_last_transaction_read(self):

@@ -407,7 +407,7 @@ class TestUnknownOperation:
         assert all(state == states[0] for state in states)
         assert states[0].operations_applied == 5
         assert [r.kvstore.operations_invalid for r in replicas.values()] == [1, 1, 1, 1]
-        assert all(not r.kvstore.was_applied(odd.txid) for r in replicas.values())
+        assert all(not r.kvstore.transaction_applied(odd) for r in replicas.values())
         assert all(r.kvstore.get("a") == "1" for r in replicas.values())
         assert all(r.stats.safety_violations == 0 for r in replicas.values())
 
