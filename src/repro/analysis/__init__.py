@@ -21,6 +21,7 @@ from repro.analysis.figures import (
     ATTACK_PANELS,
     FigureDef,
     FigureError,
+    RenderedFigure,
     compose_grid,
     figure_for_campaign,
     render_chart,
@@ -52,6 +53,7 @@ __all__ = [
     "FigureDef",
     "FigureError",
     "GroupSummary",
+    "RenderedFigure",
     "aggregate_records",
     "aggregate_rows",
     "comparison_table",

@@ -25,7 +25,7 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.analysis.stats import GroupSummary, aggregate_records
 
@@ -75,9 +75,6 @@ class FigureDef:
     #: entry — instead of the single ``y`` chart.  Panels whose metric is
     #: absent from every record are skipped (at least one must render).
     panels: Optional[Tuple[Tuple[str, str, float], ...]] = None
-    #: Render from *trace* records (repro.obs) instead of campaign records:
-    #: the per-replica view-timeline lane chart.
-    trace: bool = False
 
 
 #: The four headline metrics of the attack figures (13 and 14).  The paper
@@ -91,26 +88,22 @@ ATTACK_PANELS: Tuple[Tuple[str, str, float], ...] = (
     ("block_interval", "block interval (s)", 1.0),
 )
 
-#: The one figure drawn from trace records rather than campaign records.
-VIEW_TIMELINE = FigureDef(
-    key="view_timeline",
-    title="View timeline — per-replica views by outcome",
-    xlabel="time (s)", ylabel="replica",
-    x="time", y="view", trace=True,
-)
-
-
 def known_figures() -> Dict[str, FigureDef]:
-    """Every known figure by key: the paper table's, plus the view timeline.
+    """Every known figure by key: the paper table's.
 
     The table is imported here, not at module level: it sits above this
     module (its entries hold ``FigureDef`` objects) and only plotting needs it.
     """
     from repro.experiments.paper import ENTRIES
 
-    figures = {entry.figure.key: entry.figure for entry in ENTRIES}
-    figures[VIEW_TIMELINE.key] = VIEW_TIMELINE
-    return figures
+    return {entry.figure.key: entry.figure for entry in ENTRIES}
+
+
+def _known_figure(key: str) -> FigureDef:
+    known = known_figures()
+    if key not in known:
+        raise FigureError(f"unknown figure {key!r}; known: {', '.join(sorted(known))}")
+    return known[key]
 
 
 _GENERIC = FigureDef(
@@ -483,26 +476,19 @@ _OUTCOME_FILL = {
 }
 
 
-def render_view_timeline(
-    trace_records: Sequence,
-    title: str = "View timeline — per-replica views by outcome",
-    width: int = 860,
-) -> str:
+def render_view_timeline(trace_records: Sequence, width: int = 860) -> str:
     """Render trace records as a per-replica lane chart (standalone SVG).
 
     One horizontal lane per replica; each view the replica entered is a
     rectangle coloured by its outcome (committed / timeout / idle), commit
     events are tick markers on the lane, and scenario fault events are
     dashed vertical rules across every lane, labelled at the top.  Input is
-    a sequence of :class:`repro.obs.TraceRecord` (or equivalent 6-tuples),
-    e.g. ``Tracer.records()`` or the rows of a parsed JSONL trace.
+    a sequence of :class:`repro.obs.TraceRecord`, e.g. ``Tracer.records()``
+    or the rows of a parsed JSONL trace.
     """
-    from repro.obs.trace import TraceRecord
     from repro.obs.export import view_spans
 
-    records = [
-        r if isinstance(r, TraceRecord) else TraceRecord(*r) for r in trace_records
-    ]
+    records = list(trace_records)
     if not records:
         raise FigureError("nothing to render: the trace is empty")
     spans = view_spans(records)
@@ -534,7 +520,7 @@ def render_view_timeline(
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{left}" y="24" {_FONT} font-size="15" font-weight="bold">'
-        f"{_escape(title)}</text>",
+        "View timeline — per-replica views by outcome</text>",
     ]
 
     lane_y = {
@@ -642,15 +628,7 @@ def render_figure(
     if not records:
         raise FigureError("no records to render")
     if isinstance(figure, str):
-        known = known_figures()
-        if figure not in known:
-            raise FigureError(
-                f"unknown figure {figure!r}; known: {', '.join(sorted(known))}"
-            )
-        figure = known[figure]
-    if figure is not None and figure.trace:
-        # Trace figures consume repro.obs trace records, not campaign records.
-        return render_view_timeline(records, title=title or figure.title)
+        figure = _known_figure(figure)
     campaign = records[0].get("campaign", "")
     if figure is None:
         figure = figure_for_campaign(campaign) or replace(_GENERIC, title=campaign or "campaign")
@@ -672,24 +650,33 @@ def render_figure(
     )
 
 
+class RenderedFigure(NamedTuple):
+    """One SVG written by :func:`render_store`."""
+
+    path: Path
+    #: The campaign whose records it draws ("" for an unnamed campaign).
+    campaign: str
+    #: The key of the figure it was drawn as ("generic" for the fallback).
+    figure: str
+    #: How many stored records it draws.
+    records: int
+
+
 def render_store(
     store,
     out_dir: Union[str, Path],
     campaigns: Optional[Sequence[str]] = None,
     figure: Optional[Union[FigureDef, str]] = None,
-) -> List[Path]:
+) -> List[RenderedFigure]:
     """Render every (selected) campaign in a result store to ``out_dir``.
 
-    Returns the written SVG paths, one per campaign with plottable records.
+    Returns one :class:`RenderedFigure` per campaign with plottable records.
     ``figure`` forces one definition for every selected campaign; by default
-    each campaign resolves through :func:`figure_for_campaign`.
+    each campaign resolves through :func:`figure_for_campaign`.  A bad
+    campaign or figure name raises :class:`FigureError` before anything is
+    written.
     """
-    out = Path(out_dir)
-    names: List[str] = []
-    for record in store:
-        name = record.get("campaign", "")
-        if name not in names:
-            names.append(name)
+    names = list(dict.fromkeys(record.get("campaign", "") for record in store))
     if campaigns:
         missing = [c for c in campaigns if c not in names]
         if missing:
@@ -698,11 +685,15 @@ def render_store(
                 f"(stored: {', '.join(names) or 'none'})"
             )
         names = list(campaigns)
-    written: List[Path] = []
+    if isinstance(figure, str):
+        figure = _known_figure(figure)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    written: List[RenderedFigure] = []
     for name in names:
-        svg = render_figure(store.records(campaign=name), figure=figure)
+        records = store.records(campaign=name)
+        drawn = figure or figure_for_campaign(name) or replace(_GENERIC, title=name or "campaign")
         path = out / f"{name or 'campaign'}.svg"
-        path.write_text(svg + "\n")
-        written.append(path)
+        path.write_text(render_figure(records, figure=drawn) + "\n")
+        written.append(RenderedFigure(path, name, drawn.key, len(records)))
     return written

@@ -29,7 +29,7 @@ Everything a user script needs lives here::
     # collapse repetitions into mean ± 95% CI and render paper figures,
     # purely from stored records (no re-execution)
     groups = api.aggregate("results/")
-    paths = api.plot("results/", out="figures/")
+    figures = api.plot("results/", out="figures/")   # one RenderedFigure each
 
     # regenerate a table or figure of the paper and check its claims
     (fig9,) = api.paper("fig9_block_sizes")
@@ -50,7 +50,7 @@ Everything a user script needs lives here::
     class MyProtocolSafety(Safety): ...
 
 ``run``/``build``/``grid`` accept either a :class:`Configuration` or a
-JSON-style dict (ignoring unknown keys, like Bamboo's config file);
+JSON-style dict (a key that names no field is a :class:`ConfigurationError`);
 scenarios likewise accept a :class:`Scenario` or its dict form.
 
 :func:`available` lists every registered implementation per extension point,
@@ -68,7 +68,6 @@ re-exported per registry:
 ``scenario_events``    ``register_scenario_event``  ``ScenarioEvent``
 ``message_handlers``   ``register_message_handler`` handler callable
 ``oracles``            ``register_oracle``          invariant callable
-``trace_sinks``        ``register_trace_sink``      trace export callable
 =====================  ===========================  =======================
 
 ``docs/EXTENDING.md`` walks through every row with runnable examples —
@@ -83,7 +82,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.analysis import GroupSummary, aggregate_records, render_store
+from repro.analysis import GroupSummary, RenderedFigure, aggregate_records, render_store
 from repro.bench.config import Configuration, ConfigurationError
 from repro.bench.runner import Cluster, ExperimentResult, build_cluster, run_experiment
 from repro.client.client import available_clients, register_client
@@ -102,16 +101,10 @@ from repro.fuzz import (
     available_oracles,
     register_oracle,
     replay,
-    run_fuzz,
 )
 from repro.fuzz import audit as _fuzz_audit
-from repro.obs import (
-    TracedRun,
-    Tracer,
-    available_trace_sinks,
-    register_trace_sink,
-    tracing,
-)
+from repro.fuzz import run_fuzz as fuzz
+from repro.obs import TracedRun, Tracer, tracing
 from repro.protocols.registry import available_protocols, register_protocol
 from repro.scenario import (
     Scenario,
@@ -129,6 +122,7 @@ __all__ = [
     "ExperimentSpec",
     "FuzzReport",
     "GroupSummary",
+    "RenderedFigure",
     "ResultStore",
     "Scenario",
     "TracedRun",
@@ -144,6 +138,7 @@ __all__ = [
     "load_config",
     "paper",
     "plot",
+    "read_json",
     "register_client",
     "register_delay_model",
     "register_election",
@@ -152,7 +147,6 @@ __all__ = [
     "register_protocol",
     "register_scenario_event",
     "register_strategy",
-    "register_trace_sink",
     "replay",
     "run",
     "trace",
@@ -179,11 +173,25 @@ def _coerce_scenario(scenario: ScenarioLike) -> Optional[Scenario]:
     raise TypeError(f"expected Scenario, dict, or None, got {type(scenario).__name__}")
 
 
+def read_json(path: Union[str, Path]) -> Dict:
+    """The object a JSON input file holds (a configuration, run or spec file).
+
+    A missing or malformed file is a :class:`ConfigurationError` naming it.
+    """
+    try:
+        return json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise ConfigurationError(f"no such file: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{path} is not valid JSON: {exc}") from None
+
+
 def load_config(source: Union[str, Path, Dict]) -> Configuration:
-    """Build a :class:`Configuration` from a dict or a JSON file path."""
-    if isinstance(source, dict):
-        return Configuration.from_dict(source)
-    data = json.loads(Path(source).read_text())
+    """Build a :class:`Configuration` from a dict or a JSON file path.
+
+    Either may hold the fields themselves or wrap them as ``{"config": ...}``.
+    """
+    data = source if isinstance(source, dict) else read_json(source)
     return Configuration.from_dict(data.get("config", data))
 
 
@@ -279,17 +287,19 @@ def campaign(
     """Run an experiment campaign: expand, execute, persist, resume.
 
     ``spec`` may be an :class:`ExperimentSpec`, its dict form, or a path to
-    a JSON file.  ``workers > 1`` fans the pending runs out over that many
-    processes (records are bit-identical to a serial run, persisted as each completes); ``store`` names a
-    result-store directory — runs whose content hash is already stored are
-    served from it without executing (pass ``force=True`` to re-run).
+    a JSON file holding that dict (bare or as ``{"spec": ...}``).
+    ``workers > 1`` fans the pending runs out over that many processes
+    (records are bit-identical to a serial run, persisted as each
+    completes); ``store`` names a result-store directory — runs whose
+    content hash is already stored are served from it without executing
+    (pass ``force=True`` to re-run).
     ``progress=True`` prints a live done/total + rate + ETA + straggler line
     to stderr as each run completes (or pass a
     :class:`repro.obs.CampaignProgress` to customise it).
     """
     if isinstance(spec, (str, Path)):
-        spec = ExperimentSpec.from_json(Path(spec).read_text())
-    elif isinstance(spec, dict):
+        spec = read_json(spec)
+    if isinstance(spec, dict):
         spec = ExperimentSpec.from_dict(spec)
     elif not isinstance(spec, ExperimentSpec):
         raise TypeError(
@@ -310,7 +320,7 @@ def _coerce_records(source: RecordsLike, campaign: Optional[str] = None) -> List
         records = source.records(campaign=campaign)
         campaign = None
     elif isinstance(source, (str, Path)):
-        records = ResultStore(source).records(campaign=campaign)
+        records = ResultStore.existing(source).records(campaign=campaign)
         campaign = None
     else:
         records = list(source)
@@ -327,9 +337,10 @@ def aggregate(
     """Collapse stored repetitions into mean / stddev / 95%-CI aggregates.
 
     ``source`` may be a :class:`CampaignResult`, a :class:`ResultStore` (or
-    its directory path), or a plain list of record dicts; nothing is ever
-    re-executed.  Groups are the logical points of the campaign (params sans
-    the ``_repetition`` tag), in expansion order. ::
+    the path of an existing one: a missing store is a ``StoreError``), or a
+    plain list of record dicts; nothing is ever re-executed.  Groups are
+    the logical points of the campaign (params sans the ``_repetition``
+    tag), in expansion order. ::
 
         result = api.campaign(api.grid(base, protocol=["hotstuff", "2chainhs"],
                                        repetitions=5), store="results/")
@@ -345,16 +356,18 @@ def plot(
     out: Union[str, Path] = "figures",
     campaigns: Optional[Sequence[str]] = None,
     figure=None,
-) -> List[Path]:
+) -> List[RenderedFigure]:
     """Render stored campaigns as standalone SVG figures (with error bars).
 
     One SVG per campaign is written under ``out``; campaigns whose name
     starts with a known figure key (``fig8``-``fig15``, ``table2``,
     ``ablation``) get that paper figure's axes, others a generic chart (or
-    pass ``figure`` to force one).  Purely record-driven: the plot step
-    executes zero simulations.
+    pass ``figure`` to force one).  Returns what was written: each
+    :class:`RenderedFigure` names its path, campaign and figure.  Purely
+    record-driven: the plot step executes zero simulations, and a missing
+    store is a ``StoreError`` before anything is written.
     """
-    store = source if isinstance(source, ResultStore) else ResultStore(source)
+    store = source if isinstance(source, ResultStore) else ResultStore.existing(source)
     return render_store(store, out, campaigns=campaigns, figure=figure)
 
 
@@ -381,34 +394,6 @@ def paper(
     from repro.experiments import paper as table
 
     return list(table.run(name, scale=scale, reps=reps, workers=workers, store=store, out=out))
-
-
-def fuzz(
-    budget: int = 50,
-    seed: int = 0,
-    store: Optional[Union[ResultStore, str, Path]] = None,
-    artifacts: Optional[str] = None,
-    shrink: bool = True,
-) -> FuzzReport:
-    """Run a randomized adversarial campaign against the safety oracles.
-
-    Executes the first ``budget`` generated cases of ``seed`` — each an
-    ordinary configuration plus a bounded fault/Byzantine timeline — and
-    audits every finished cluster with the registered invariant oracles
-    (agreement, certified-safety, dedup, conditional liveness, plus any
-    added via :func:`register_oracle`).  Same seed, same cases: re-running
-    appends byte-identical records.  Violating cases dump replayable JSON
-    artifacts and a greedily shrunken ``-min`` variant; pass one to
-    :func:`replay` to re-execute it. ::
-
-        report = api.fuzz(budget=50, seed=0, store="results/")
-        assert report.ok, report.violations
-    """
-    if isinstance(store, Path):
-        store = str(store)
-    return run_fuzz(
-        budget=budget, seed=seed, store=store, artifacts=artifacts, shrink=shrink
-    )
 
 
 def trace(
@@ -468,7 +453,7 @@ def available(kind: Optional[str] = None) -> Union[Dict[str, List[str]], List[st
     With no argument, returns a dict mapping each extension point to its
     canonical names; with one ("protocols", "strategies", "elections",
     "delay_models", "clients", "scenario_events", "message_handlers",
-    "oracles", "trace_sinks"), returns that list.
+    "oracles"), returns that list.
     """
     listings = {
         "protocols": available_protocols(),
@@ -479,7 +464,6 @@ def available(kind: Optional[str] = None) -> Union[Dict[str, List[str]], List[st
         "scenario_events": available_scenario_events(),
         "message_handlers": available_message_handlers(),
         "oracles": available_oracles(),
-        "trace_sinks": available_trace_sinks(),
     }
     if kind is None:
         return listings

@@ -347,6 +347,11 @@ class Configuration:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Configuration":
-        """Build a configuration from a dict, ignoring unknown keys."""
+        """Build a configuration from a dict; a key that names no field is an error."""
         known = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
+        unknown = sorted(set(data) - known)
+        if unknown:
+            raise ConfigurationError(
+                f"invalid configuration: not Configuration fields: {', '.join(unknown)}"
+            )
+        return cls(**data)

@@ -133,9 +133,6 @@ class ReplicaSettings:
         2f+1 messages are received" behaviour of the responsiveness
         experiment's first setting; setting it to the view timeout models the
         second setting.
-    prune_forks:
-        Whether abandoned branches are pruned (and their transactions
-        recycled into the mempool) after each commit.
     sync:
         Block-fetch configuration (see :class:`repro.sync.SyncSettings`);
         disable with ``sync=SyncSettings(enabled=False)`` to reproduce the
@@ -155,7 +152,6 @@ class ReplicaSettings:
     mempool_capacity: int = 1000
     view_timeout: float = 0.1
     propose_wait_after_tc: float = 0.0
-    prune_forks: bool = True
     sync: SyncSettings = field(default_factory=SyncSettings)
     checkpoint: CheckpointSettings = field(default_factory=CheckpointSettings)
     quorum_threshold: int = 0
@@ -583,9 +579,8 @@ class Replica:
                     if transaction.txid in origin_entries:
                         self._reply(transaction, status="committed")
             self.mempool.mark_committed(transactions)
-        if newly and self.settings.prune_forks:
-            self._recycle_forks()
         if newly:
+            self._recycle_forks()
             self.checkpoint.on_commit()
             # Vote/timeout state below the committed view can never certify
             # anything again; dropping it bounds both trackers by the view

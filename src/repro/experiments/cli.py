@@ -1,4 +1,4 @@
-"""The ``python -m repro`` command line: run, campaign, analyze, list.
+"""The ``python -m repro`` command line: argparse over :mod:`repro.api`.
 
 Every subcommand is driven by the same JSON files the library consumes::
 
@@ -7,7 +7,6 @@ Every subcommand is driven by the same JSON files the library consumes::
     python -m repro deploy --nodes 4 --runtime 3   # real asyncio TCP cluster
     python -m repro campaign grid.json -w 4 -s out # a parallel, resumable grid
     python -m repro fuzz --budget 50 --seed 0      # adversarial scenario fuzzing
-    python -m repro sweep config.json --concurrency 8,32,128
     python -m repro report --store out             # aggregate: mean ± 95% CI
     python -m repro plot --store out -o figures    # render paper figures (SVG)
     python -m repro trace trace.jsonl              # validate + summarize a trace
@@ -15,15 +14,20 @@ Every subcommand is driven by the same JSON files the library consumes::
     python -m repro list                           # extension points
     python -m repro list --store out               # stored campaign records
 
+Each subcommand reads files, opens stores, runs, plots and deploys through
+:mod:`repro.api` (a missing input file is the facade's ``ConfigurationError``,
+a missing store :meth:`ResultStore.existing`'s ``StoreError``) and only adds
+the printing; a library error is one ``error:`` line and exit status 1.
 ``run``, ``deploy``, and ``fuzz`` accept ``--trace`` / ``--trace-out PATH``
 to record a protocol event trace of the run (see ``docs/OBSERVABILITY.md``).
 
 ``run`` accepts either a flat configuration object or
 ``{"config": {...}, "scenario": {...}}``; ``campaign`` accepts an
 :class:`~repro.experiments.spec.ExperimentSpec` dict (optionally wrapped in
-``{"spec": {...}}``).  ``report`` and ``plot`` consume **stored records
-only** — they never execute a simulation.  See ``docs/EXPERIMENTS.md`` for
-the schemas and the aggregate-and-plot walkthrough.
+``{"spec": {...}}``; a load curve is one with a ``points`` list).  ``report``
+and ``plot`` consume **stored records only** — they never execute a
+simulation.  See ``docs/EXPERIMENTS.md`` for the schemas and the
+aggregate-and-plot walkthrough.
 """
 
 from __future__ import annotations
@@ -33,26 +37,17 @@ import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
-from repro.analysis.report import format_table
-from repro.bench.config import Configuration, ConfigurationError
-from repro.bench.runner import run_experiment
+from repro import api
+from repro.analysis import FigureDef, FigureError, comparison_table, format_table
+from repro.bench.config import ConfigurationError
 from repro.crypto.keys import ed25519_signer
-from repro.experiments.runner import CampaignResult, CampaignRunner
-from repro.experiments.spec import ExperimentSpec, RunSpec, SpecError
+from repro.experiments.runner import CampaignResult
+from repro.experiments.spec import RunSpec, SpecError
 from repro.experiments.store import ResultStore, StoreError
+from repro.obs import tracing, write_trace
 from repro.plugins import RegistryError
-from repro.scenario import Scenario
-
-
-def _load_json(path: str) -> Dict[str, Any]:
-    try:
-        return json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise SystemExit(f"error: no such file: {path}")
-    except json.JSONDecodeError as exc:
-        raise SystemExit(f"error: {path} is not valid JSON: {exc}")
 
 
 def _metrics_row(metrics: Dict[str, float]) -> Dict[str, Any]:
@@ -95,12 +90,10 @@ def _traced(args: argparse.Namespace):
     if not (getattr(args, "trace", False) or out):
         yield None
         return
-    from repro.obs import trace as obs_trace
-
-    with obs_trace.tracing() as tracer:
+    with tracing() as tracer:
         yield tracer
     records = tracer.records()
-    path = obs_trace.write_trace(records, out or "trace.jsonl")
+    path = write_trace(records, out or "trace.jsonl")
     print(f"trace: {path} ({len(records)} records)")
 
 
@@ -108,15 +101,13 @@ def _traced(args: argparse.Namespace):
 # subcommands
 # ----------------------------------------------------------------------
 def _cmd_run(args: argparse.Namespace) -> int:
-    data = _load_json(args.config)
-    config = Configuration.from_dict(data.get("config", data))
-    scenario_data = data.get("scenario")
+    data = api.read_json(args.config)
+    scenario = data.get("scenario")
     if args.scenario:
-        scenario_data = _load_json(args.scenario)
-        scenario_data = scenario_data.get("scenario", scenario_data)
-    scenario = None if scenario_data is None else Scenario.from_dict(scenario_data)
+        scenario = api.read_json(args.scenario)
+        scenario = scenario.get("scenario", scenario)
     with _traced(args):
-        result = run_experiment(config, scenario)
+        result = api.run(api.load_config(data), scenario)
     if args.json:
         print(json.dumps(result.metrics.to_dict() | {"consistent": result.consistent}, indent=2))
     else:
@@ -127,26 +118,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_deploy(args: argparse.Namespace) -> int:
     """Run one real-transport deployment (see :mod:`repro.transport`)."""
-    from repro.transport.runtime import run_deployment
-
-    data = _load_json(args.config) if args.config else {}
-    config = Configuration.from_dict(data.get("config", data))
-    overrides: Dict[str, Any] = {"mode": "deploy"}
-    if args.nodes is not None:
-        overrides["num_nodes"] = args.nodes
-    if args.protocol is not None:
-        overrides["protocol"] = args.protocol
-    if args.runtime is not None:
-        overrides["runtime"] = args.runtime
-    if args.rate is not None:
-        overrides["arrival_rate"] = args.rate
-    if args.signing is not None:
-        overrides["signing"] = args.signing
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    config = config.replace(**overrides).validate()
+    flags = {"num_nodes": args.nodes, "protocol": args.protocol, "runtime": args.runtime,
+             "arrival_rate": args.rate, "signing": args.signing, "seed": args.seed}
+    config = api.load_config(args.config or {}).replace(
+        mode="deploy", **{field: value for field, value in flags.items() if value is not None}
+    ).validate()
     with _traced(args):
-        result = run_deployment(config)
+        result = api.deploy(config)
     metrics = result.metrics.to_dict()
     if args.json:
         print(json.dumps(metrics | {"consistent": result.consistent}, indent=2))
@@ -186,12 +164,10 @@ def _execution_summary(result: CampaignResult) -> str:
     return f"{len(result.records)} runs ({', '.join(parts)})"
 
 
-def _run_spec(spec: ExperimentSpec, args: argparse.Namespace) -> int:
-    """Run a spec and print its records: the body of ``campaign`` and ``sweep``."""
+def _cmd_campaign(args: argparse.Namespace) -> int:
     store = ResultStore(args.store) if args.store else None
-    runner = CampaignRunner(spec, workers=args.workers, store=store,
-                            force=args.force, progress=args.progress or None)
-    result = runner.run()
+    result = api.campaign(args.spec, workers=args.workers, store=store,
+                          force=args.force, progress=args.progress or None)
     if args.json:
         print(json.dumps(result.records, indent=2))
         return 0
@@ -200,16 +176,12 @@ def _run_spec(spec: ExperimentSpec, args: argparse.Namespace) -> int:
          "consistent": r["consistent"], **_metrics_row(r["metrics"])}
         for r in result.records
     ]
-    print(f"campaign {spec.name!r}: {_execution_summary(result)}")
+    print(f"campaign {result.spec.name!r}: {_execution_summary(result)}")
     if store is not None:
         print(f"results: {store.path}")
     print(format_table(rows, ["run", "params", "throughput_tps", "mean_latency_ms",
                                "cgr", "block_interval", "consistent"]))
     return 0
-
-
-def _cmd_campaign(args: argparse.Namespace) -> int:
-    return _run_spec(ExperimentSpec.from_dict(_load_json(args.spec)), args)
 
 
 def _cmd_paper(args: argparse.Namespace) -> int:
@@ -235,10 +207,8 @@ def _cmd_paper(args: argparse.Namespace) -> int:
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     """Run a fuzz campaign (or replay one violation artifact)."""
-    from repro.fuzz import replay, run_fuzz
-
     if args.replay:
-        outcome = replay(args.replay)
+        outcome = api.replay(args.replay)
         print(f"replayed {args.replay} (run {outcome.case.run_id})")
         for violation in outcome.violations:
             print(f"violation [{violation.oracle}]: {violation.detail}")
@@ -260,7 +230,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             print(f"  [{violation.oracle}] {violation.detail}")
 
     with _traced(args):
-        report = run_fuzz(
+        report = api.fuzz(
             budget=args.budget,
             seed=args.seed,
             store=args.store,
@@ -286,50 +256,12 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _parse_floats(text: str) -> List[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    """A one-axis load campaign: one point per concurrency level or arrival rate."""
-    if bool(args.concurrency) == bool(args.arrival_rates):
-        raise SystemExit("error: give exactly one of --concurrency or --arrival-rates")
-    data = _load_json(args.config)
-    config = Configuration.from_dict(data.get("config", data))
-    if args.concurrency:
-        points = [{"concurrency": int(level), "arrival_rate": 0.0}
-                  for level in _parse_floats(args.concurrency)]
-    else:
-        points = [{"arrival_rate": rate} for rate in _parse_floats(args.arrival_rates)]
-    return _run_spec(ExperimentSpec(name="saturation-sweep", base=config, points=points), args)
-
-
-def _open_store(path: str) -> ResultStore:
-    if not Path(path).is_dir():
-        raise SystemExit(f"error: no such result store: {path}")
-    return ResultStore(path)
-
-
-def _store_records(args: argparse.Namespace) -> List[Dict[str, Any]]:
-    store = _open_store(args.store)
-    records = store.records(campaign=args.campaign or None)
-    if not records:
-        which = f"campaign {args.campaign!r}" if args.campaign else "records"
-        raise SystemExit(f"error: no {which} in {store.path}")
-    return records
-
-
-def _parse_metrics(text: Optional[str]) -> Optional[List[str]]:
-    if not text:
-        return None
-    return [part.strip() for part in text.split(",") if part.strip()]
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.analysis import aggregate_records, comparison_table
-
-    metrics = _parse_metrics(args.metrics)
-    summaries = aggregate_records(_store_records(args), metrics=metrics)
+    metrics = [part.strip() for part in (args.metrics or "").split(",") if part.strip()] or None
+    summaries = api.aggregate(args.store, campaign=args.campaign, metrics=metrics)
+    if not summaries:
+        which = f"campaign {args.campaign!r}" if args.campaign else "records"
+        raise SystemExit(f"error: no {which} in {args.store}")
     if args.json:
         print(json.dumps([s.to_dict() for s in summaries], indent=2))
         return 0
@@ -338,11 +270,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
-    from repro.analysis import FigureDef, FigureError, render_store
-    from repro.analysis.figures import figure_for_campaign
-
-    store = _open_store(args.store)
-    figure = None
+    figure = args.figure
     if args.x or args.y:
         if not (args.x and args.y):
             raise SystemExit("error: --x and --y must be given together")
@@ -351,39 +279,15 @@ def _cmd_plot(args: argparse.Namespace) -> int:
                              "(a registered figure already fixes its axes)")
         figure = FigureDef(key="custom", title=args.campaign[0] if args.campaign else "campaign",
                            xlabel=args.x, ylabel=args.y, x=args.x, y=args.y)
-    elif args.figure:
-        figure = args.figure
-    try:
-        written = render_store(store, args.out, campaigns=args.campaign or None,
-                               figure=figure)
-    except FigureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    # Map output stems back to real campaign names (an unnamed campaign
-    # renders as "campaign.svg" but its records live under "").
-    stem_to_campaign: Dict[str, str] = {}
-    for record in store:
-        name = record.get("campaign", "")
-        stem_to_campaign.setdefault(name or "campaign", name)
-    for path in written:
-        name = stem_to_campaign.get(path.stem, path.stem)
-        records = store.records(campaign=name)
-        resolved = figure or figure_for_campaign(name)
-        key = resolved if isinstance(resolved, str) else (resolved.key if resolved else "generic")
-        print(f"wrote {path} ({key}, {len(records)} stored records, "
+    for drawn in api.plot(args.store, args.out, campaigns=args.campaign or None, figure=figure):
+        print(f"wrote {drawn.path} ({drawn.figure}, {drawn.records} stored records, "
               f"0 simulations executed)")
     return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Validate, summarize, or convert a JSONL trace file."""
-    from repro.obs.export import (
-        TraceFormatError,
-        summarize,
-        to_text,
-        validate_jsonl,
-    )
-    from repro.obs.trace import write_trace
+    from repro.obs.export import TraceFormatError, summarize, to_text, validate_jsonl
 
     if not Path(args.trace).is_file():
         raise SystemExit(f"error: no such file: {args.trace}")
@@ -405,8 +309,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(f"span: {summary['t_min']:.6f}s .. {summary['t_max']:.6f}s")
         return 0
 
-    sink = {"perfetto": "perfetto", "chrome": "perfetto",
-            "text": "text", "svg": "svg", "jsonl": "jsonl"}[args.format]
     if args.out is None:
         if args.format == "text":
             print(to_text(records))
@@ -414,16 +316,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         suffix = {"perfetto": ".perfetto.json", "chrome": ".perfetto.json",
                   "svg": ".svg", "jsonl": ".jsonl"}[args.format]
         args.out = str(Path(args.trace).with_suffix(suffix))
-    path = write_trace(records, args.out, sink=sink)
+    path = write_trace(records, args.out, sink=args.format)
     print(f"wrote {path} ({len(records)} records, {args.format})")
     return 0
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
     if args.store:
-        if not Path(args.store).is_dir():
-            raise SystemExit(f"error: no such result store: {args.store}")
-        store = ResultStore(args.store)
+        store = ResultStore.existing(args.store)
         records = store.records(campaign=args.kind)
         if args.json:
             print(json.dumps(records, indent=2))
@@ -439,11 +339,10 @@ def _cmd_list(args: argparse.Namespace) -> int:
         print(format_table(rows, ["run_id", "campaign", "params",
                                    "throughput_tps", "consistent"]))
         return 0
-    from repro.api import available
     from repro.experiments.paper import ENTRIES
 
     # The extension points, then what `python -m repro paper <name>` runs.
-    listings = {**available(), "paper": {entry.name: entry.title for entry in ENTRIES}}
+    listings = {**api.available(), "paper": {entry.name: entry.title for entry in ENTRIES}}
     if args.kind:
         if args.kind not in listings:
             raise SystemExit(
@@ -470,7 +369,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
-        description="Run chained-BFT experiments, campaigns, and sweeps.",
+        description="Run chained-BFT experiments and campaigns, and analyse their records.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -554,15 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_flags(fuzz_p)
     fuzz_p.set_defaults(func=_cmd_fuzz)
 
-    sweep_p = sub.add_parser("sweep", help="latency/throughput saturation sweep")
-    sweep_p.add_argument("config", help="JSON file with the base Configuration")
-    sweep_p.add_argument("--concurrency", help="comma-separated closed-loop levels")
-    sweep_p.add_argument("--arrival-rates", help="comma-separated open-loop Tx/s rates")
-    sweep_p.add_argument("-w", "--workers", type=int, default=1,
-                         help="worker processes (default 1 = serial)")
-    sweep_p.add_argument("--json", action="store_true", help="print raw JSON records")
-    sweep_p.set_defaults(func=_cmd_sweep, store=None, force=False, progress=False)
-
     report_p = sub.add_parser(
         "report", help="aggregate stored records into a comparison table"
     )
@@ -620,7 +510,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, SpecError, StoreError, RegistryError) as exc:
+    except (ConfigurationError, SpecError, StoreError, RegistryError, FigureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -76,6 +76,13 @@ class ResultStore:
         if self.path.exists():
             self._load()
 
+    @classmethod
+    def existing(cls, root: Union[str, Path]) -> "ResultStore":
+        """Open a store that must already exist: what every reader of one calls."""
+        if not Path(root).is_dir():
+            raise StoreError(f"no such result store: {root}")
+        return cls(root)
+
     def _load(self) -> None:
         content = self.path.read_text()
         # A tail without its trailing newline (whatever survived of the last

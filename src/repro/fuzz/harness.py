@@ -217,7 +217,7 @@ def replay(source: Union[str, Dict[str, Any]]) -> CaseOutcome:
 def run_fuzz(
     budget: int = 50,
     seed: int = 0,
-    store: Optional[Union[ResultStore, str]] = None,
+    store: Optional[Union[ResultStore, str, os.PathLike]] = None,
     artifacts: Optional[str] = None,
     shrink: bool = True,
     oracles: Optional[List[str]] = None,
@@ -225,15 +225,20 @@ def run_fuzz(
 ) -> FuzzReport:
     """Execute the first ``budget`` generated cases of campaign ``seed``.
 
+    This is ``api.fuzz`` and ``python -m repro fuzz``.  Each case is an
+    ordinary configuration plus a bounded fault/Byzantine timeline, audited
+    with the registered invariant oracles (or only the named ``oracles``).
+    Same seed, same cases: re-running appends byte-identical records.
     Passing cases append their campaign record to ``store`` (when given) and
     are skipped on re-runs; violating cases write replayable artifacts to
-    ``artifacts`` (default: next to the store) and, unless ``shrink`` is
-    disabled, a greedily minimized ``-min`` variant.  ``progress`` is an
-    optional callable receiving each :class:`CaseOutcome` as it completes.
+    ``artifacts`` (default: next to the store; re-execute one with
+    :func:`replay`) and, unless ``shrink`` is disabled, a greedily minimized
+    ``-min`` variant.  ``progress`` is an optional callable receiving each
+    :class:`CaseOutcome` as it completes.
     """
     from repro.fuzz.shrink import shrink_case  # local: avoid an import cycle
 
-    if isinstance(store, str):
+    if store is not None and not isinstance(store, ResultStore):
         store = ResultStore(store)
     if artifacts is None and store is not None:
         artifacts = os.path.join(store.root, "artifacts")

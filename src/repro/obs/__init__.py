@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, List, Optional, Union
 
+from repro.obs.export import write_trace
 from repro.obs.metrics import CampaignProgress, LogHistogram, ObsMetrics
 from repro.obs.trace import (
     ACTIVE,
@@ -23,17 +24,13 @@ from repro.obs.trace import (
     CATEGORY_BITS,
     CATEGORY_NAMES,
     DEFAULT_CAPACITY,
-    TRACE_SINKS,
     EventStream,
     TraceRecord,
     Tracer,
-    available_trace_sinks,
     category_mask,
     install,
-    register_trace_sink,
     tracing,
     uninstall,
-    write_trace,
 )
 
 __all__ = [
@@ -41,7 +38,6 @@ __all__ = [
     "CATEGORY_BITS",
     "CATEGORY_NAMES",
     "DEFAULT_CAPACITY",
-    "TRACE_SINKS",
     "CampaignProgress",
     "EventStream",
     "LogHistogram",
@@ -49,10 +45,8 @@ __all__ = [
     "TraceRecord",
     "TracedRun",
     "Tracer",
-    "available_trace_sinks",
     "category_mask",
     "install",
-    "register_trace_sink",
     "tracing",
     "uninstall",
     "write_trace",
@@ -77,7 +71,7 @@ class TracedRun:
         return self._records
 
     def save(self, path: Union[str, Path], sink: str = "jsonl") -> Path:
-        """Export the trace through a registered sink; returns the path."""
+        """Export the trace in a :data:`~repro.obs.export.SINKS` format; returns the path."""
         return write_trace(self.records(), path, sink)
 
     @property

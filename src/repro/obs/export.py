@@ -1,8 +1,8 @@
-"""Trace export: deterministic JSONL, Chrome/Perfetto JSON, plain text.
+"""Trace export: deterministic JSONL, Chrome/Perfetto JSON, text, SVG.
 
-Three built-in serialisations of a :class:`repro.obs.trace.Tracer`'s
-records, each registered as a trace sink (see :data:`repro.obs.trace.
-TRACE_SINKS`):
+Four serialisations of a :class:`repro.obs.trace.Tracer`'s records, chosen
+by name through :func:`write_trace` (the table is :data:`SINKS`; for any
+other format, walk ``Tracer.records()`` — plain named tuples — yourself):
 
 ``jsonl``
     One header object followed by one compact JSON array per record —
@@ -23,7 +23,7 @@ TRACE_SINKS`):
 ``text``
     A plain-text timeline, one line per record, for terminal reading.
 
-``svg``
+``svg`` (alias ``timeline``)
     The per-replica view-timeline lane chart from
     :func:`repro.analysis.figures.render_view_timeline` (imported lazily —
     figures also consumes :func:`view_spans` from here).
@@ -33,13 +33,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Sequence, Tuple, Union
 
-from repro.obs.trace import (
-    CATEGORY_BITS,
-    TraceRecord,
-    register_trace_sink,
-)
+from repro.obs.trace import CATEGORY_BITS, TraceRecord
 
 #: Format version stamped into the JSONL header.
 TRACE_FORMAT_VERSION = 1
@@ -79,7 +75,6 @@ def jsonl_lines(records: Sequence[TraceRecord]) -> List[str]:
     return lines
 
 
-@register_trace_sink("jsonl")
 def write_jsonl(records: Sequence[TraceRecord], path: Union[str, Path]) -> Path:
     """Write the deterministic JSONL dump; returns the path."""
     path = _prepare(path)
@@ -266,7 +261,6 @@ def to_chrome_trace(records: Sequence[TraceRecord]) -> Dict[str, Any]:
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-@register_trace_sink("perfetto", "chrome")
 def write_chrome_trace(
     records: Sequence[TraceRecord], path: Union[str, Path]
 ) -> Path:
@@ -292,7 +286,6 @@ def to_text(records: Sequence[TraceRecord]) -> str:
     return "\n".join(lines)
 
 
-@register_trace_sink("text")
 def write_text(records: Sequence[TraceRecord], path: Union[str, Path]) -> Path:
     path = _prepare(path)
     path.write_text(to_text(records) + ("\n" if records else ""), encoding="utf-8")
@@ -302,7 +295,6 @@ def write_text(records: Sequence[TraceRecord], path: Union[str, Path]) -> Path:
 # ----------------------------------------------------------------------
 # SVG view-timeline (delegates to the figures layer)
 # ----------------------------------------------------------------------
-@register_trace_sink("svg", "timeline")
 def write_svg_timeline(
     records: Sequence[TraceRecord], path: Union[str, Path]
 ) -> Path:
@@ -311,6 +303,29 @@ def write_svg_timeline(
     path = _prepare(path)
     path.write_text(render_view_timeline(records), encoding="utf-8")
     return path
+
+
+# ----------------------------------------------------------------------
+# the formats by name
+# ----------------------------------------------------------------------
+#: Export format name -> writer ``(records, path) -> Path``.
+SINKS = {
+    "jsonl": write_jsonl,
+    "perfetto": write_chrome_trace,
+    "chrome": write_chrome_trace,
+    "text": write_text,
+    "svg": write_svg_timeline,
+    "timeline": write_svg_timeline,
+}
+
+
+def write_trace(
+    records: Sequence[TraceRecord], path: Union[str, Path], sink: str = "jsonl"
+) -> Path:
+    """Write ``records`` to ``path`` in the named format; returns the path."""
+    if sink not in SINKS:
+        raise ValueError(f"unknown trace format {sink!r}; known: {', '.join(SINKS)}")
+    return SINKS[sink](records, path)
 
 
 # ----------------------------------------------------------------------

@@ -35,9 +35,9 @@ restores the previous state on exit::
     records = tracer.records()
 
 The event catalogue — every ``(category, kind)``, its announcer and its
-consumers — is the table in ``docs/OBSERVABILITY.md``.  Export sinks (JSONL,
-Chrome/Perfetto, text, SVG timeline) live in :mod:`repro.obs.export` and are
-an extension point: register new ones with :func:`register_trace_sink`.
+consumers — is the table in ``docs/OBSERVABILITY.md``.  The export formats
+(JSONL, Chrome/Perfetto, text, SVG timeline) live in :mod:`repro.obs.export`,
+behind :func:`repro.obs.export.write_trace`.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from typing import (
 )
 
 from repro.obs.metrics import ObsMetrics
-from repro.plugins import Registry
 
 # ----------------------------------------------------------------------
 # categories
@@ -362,32 +361,3 @@ def tracing(
         yield installed
     finally:
         ACTIVE = previous
-
-
-# ----------------------------------------------------------------------
-# trace sinks: the export extension point
-# ----------------------------------------------------------------------
-#: Registry of export sinks.  A sink is a callable
-#: ``(records: Sequence[TraceRecord], path) -> Path`` writing one trace to
-#: one file; the built-ins (``jsonl``, ``perfetto``, ``text``, ``svg``)
-#: register themselves in :mod:`repro.obs.export`.
-TRACE_SINKS: Registry[Callable] = Registry("trace sink")
-
-
-def register_trace_sink(name: str, *aliases: str, override: bool = False) -> Callable:
-    """Decorator registering an export sink under ``name`` (and aliases)."""
-    return TRACE_SINKS.register(name, *aliases, override=override)
-
-
-def available_trace_sinks() -> List[str]:
-    """Canonical names of the registered trace sinks (built-ins included)."""
-    import repro.obs.export  # noqa: F401  — registers the built-in sinks
-
-    return TRACE_SINKS.available()
-
-
-def write_trace(records, path, sink: str = "jsonl"):
-    """Write ``records`` to ``path`` through the named sink; returns the path."""
-    import repro.obs.export  # noqa: F401  — registers the built-in sinks
-
-    return TRACE_SINKS.get(sink)(records, path)

@@ -32,7 +32,6 @@ client workloads     ``CLIENTS``                    ``repro.client.client``
 scenario events      ``SCENARIO_EVENTS``            ``repro.scenario.events``
 message handlers     ``MESSAGE_HANDLERS``           ``repro.core.dispatch``
 invariant oracles    ``ORACLES``                    ``repro.fuzz.invariants``
-trace sinks          ``TRACE_SINKS``                ``repro.obs.trace``
 ===================  =============================  ==========================
 
 ``repro.api`` re-exports one ``register_*`` helper per registry, and

@@ -29,7 +29,7 @@ from repro.analysis import (
 )
 from repro.analysis.stats import GroupSummary
 from repro.bench.config import Configuration
-from repro.experiments import ExperimentSpec, ResultStore
+from repro.experiments import ExperimentSpec, ResultStore, StoreError
 from repro.experiments.cli import main as cli_main
 
 FAST = dict(
@@ -314,10 +314,13 @@ class TestFigures:
             store.add(rec)
         store.add(record("table2_smoke", {"arrival_rate": 100.0},
                          {"throughput_tps": 99.0}))
-        paths = render_store(store, tmp_path / "figs")
-        assert sorted(p.name for p in paths) == ["fig12_smoke.svg", "table2_smoke.svg"]
-        for path in paths:
-            assert path.stat().st_size > 500
+        drawn = render_store(store, tmp_path / "figs")
+        assert [(d.path.name, d.campaign, d.figure, d.records) for d in drawn] == [
+            ("fig12_smoke.svg", "fig12_smoke", "fig12", len(scalability_records())),
+            ("table2_smoke.svg", "table2_smoke", "table2", 1),
+        ]
+        for d in drawn:
+            assert d.path.stat().st_size > 500
 
     def test_render_store_rejects_unknown_campaign(self, tmp_path):
         store = ResultStore(tmp_path / "s")
@@ -459,10 +462,19 @@ class TestFacade:
     def test_plot_is_pure_record_replay(self, stored_campaign, tmp_path,
                                         no_simulations):
         root, _spec = stored_campaign
-        paths = api.plot(str(root), out=tmp_path / "figs")
-        assert [p.name for p in paths] == ["fig12_ci_smoke.svg"]
-        svg = paths[0].read_text()
+        (drawn,) = api.plot(str(root), out=tmp_path / "figs")
+        assert (drawn.path.name, drawn.campaign, drawn.figure) == (
+            "fig12_ci_smoke.svg", "fig12_ci_smoke", "fig12")
+        svg = drawn.path.read_text()
         assert "hotstuff" in svg and "2chainhs" in svg
+
+    def test_a_missing_store_is_an_error_not_an_empty_one(self, tmp_path):
+        typo = tmp_path / "typo"
+        with pytest.raises(StoreError, match="no such result store"):
+            api.aggregate(str(typo))
+        with pytest.raises(StoreError, match="no such result store"):
+            api.plot(typo, out=tmp_path / "figs")
+        assert not typo.exists() and not (tmp_path / "figs").exists()
 
     def test_aggregate_is_pure_record_replay(self, stored_campaign, no_simulations):
         root, _spec = stored_campaign
@@ -500,6 +512,16 @@ class TestCli:
         # protocol is a string param: not plottable as numeric x.
         assert "no plottable groups" in capsys.readouterr().err
 
-    def test_report_missing_store_errors(self, tmp_path):
-        with pytest.raises(SystemExit, match="no such result store"):
-            cli_main(["report", "-s", str(tmp_path / "missing")])
+    def test_report_missing_store_errors(self, tmp_path, capsys):
+        assert cli_main(["report", "-s", str(tmp_path / "missing")]) == 1
+        assert "error: no such result store" in capsys.readouterr().err
+
+    def test_plot_of_a_trace_only_figure_is_an_unknown_figure(self, stored_campaign,
+                                                               tmp_path, capsys):
+        root, _spec = stored_campaign
+        out = tmp_path / "figs"
+        assert cli_main(["plot", "-s", str(root), "-o", str(out),
+                         "--figure", "view_timeline"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: unknown figure 'view_timeline'; known: ")
+        assert not out.exists()

@@ -32,6 +32,11 @@ class TestFacade:
         assert isinstance(result, ExperimentResult)
         assert result.metrics.committed_blocks > 0
 
+    def test_run_rejects_unknown_config_keys(self):
+        # Every unknown key is named; none silently falls back to a default.
+        with pytest.raises(ConfigurationError, match="blok_size, num_node"):
+            api.run({**FAST, "num_node": 7, "blok_size": 5})
+
     def test_run_rejects_other_types(self):
         with pytest.raises(TypeError, match="expected Configuration or dict"):
             api.run(42)
@@ -60,7 +65,6 @@ class TestFacade:
         assert set(listings) == {
             "protocols", "strategies", "elections", "delay_models",
             "clients", "scenario_events", "message_handlers", "oracles",
-            "trace_sinks",
         }
         assert listings["protocols"] == api.available("protocols")
         assert all(listings.values())

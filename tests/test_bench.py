@@ -1,20 +1,18 @@
 """Unit tests for the benchmark facilities: config, profiles, metrics, runner, load sweeps."""
 
-import json
 import tracemalloc
 from collections import Counter
 
 import pytest
 
 from repro import api
-from repro.bench.config import Configuration
+from repro.bench.config import Configuration, ConfigurationError
 from repro.bench.metrics import MetricsCollector
 from repro.bench.profiles import available_profiles, cost_profile
 from repro.bench.runner import build_cluster, run_cluster, run_experiment
 from repro.core.byzantine import ForkingReplica, SilentReplica
 from repro.executor.kvstore import KeyValueStore
 from repro.mempool.mempool import Mempool
-from repro.experiments.cli import main as cli_main
 from repro.experiments.paper import Rows
 from repro.obs.trace import CHECKPOINT, CLIENT, COMMIT, FAULT, SYNC
 
@@ -74,9 +72,10 @@ class TestConfiguration:
         clone = Configuration.from_dict(config.to_dict())
         assert clone == config
 
-    def test_from_dict_ignores_unknown_keys(self):
-        config = Configuration.from_dict({"protocol": "hotstuff", "bogus": 1})
-        assert config.protocol == "hotstuff"
+    def test_from_dict_rejects_unknown_keys(self):
+        with pytest.raises(ConfigurationError, match="not Configuration fields: bogus, zz"):
+            Configuration.from_dict({"protocol": "hotstuff", "zz": 2, "bogus": 1})
+        assert Configuration.from_dict({"protocol": "lbft"}).protocol == "lbft"
 
     def test_measurement_window(self):
         config = Configuration(warmup=1.0, runtime=5.0, cooldown=0.5)
@@ -293,12 +292,6 @@ class TestRunnerAndSweeps:
         records = api.campaign(api.grid(config, arrival_rate=[500.0, 1500.0])).records
         assert len(records) == 2
         assert records[1]["metrics"]["throughput_tps"] > records[0]["metrics"]["throughput_tps"]
-
-    def test_sweep_rejects_both_kinds_of_load(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(Configuration(**FAST).to_dict()))
-        with pytest.raises(SystemExit, match="exactly one"):
-            cli_main(["sweep", str(path), "--concurrency", "1", "--arrival-rates", "1.0"])
 
     def test_saturation_throughput_helper(self):
         """A load curve's saturation is the highest throughput along it."""

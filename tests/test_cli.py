@@ -74,9 +74,23 @@ class TestRun:
         assert main(["run", str(path)]) == 1
         assert "unknown protocol" in capsys.readouterr().err
 
-    def test_missing_file_exits(self, tmp_path):
-        with pytest.raises(SystemExit, match="no such file"):
-            main(["run", str(tmp_path / "nope.json")])
+    def test_missing_file_fails_cleanly(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path / "nope.json")]) == 1
+        assert capsys.readouterr().err == f"error: no such file: {tmp_path / 'nope.json'}\n"
+
+    def test_invalid_json_fails_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text("{")
+        assert main(["run", str(path)]) == 1
+        assert "is not valid JSON" in capsys.readouterr().err
+
+    def test_unknown_config_key_fails_cleanly(self, tmp_path, capsys):
+        # A typo must not quietly run the default 4 replicas.
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps({"config": {**FAST, "num_node": 7, "blok_size": 5}}))
+        assert main(["run", str(path)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "blok_size, num_node" in line
 
 
 CRASH = {"events": [{"kind": "crash-replica", "at": 0.3, "replica": "last"}]}
@@ -220,6 +234,14 @@ class TestCampaign:
         assert main(["campaign", str(path)]) == 1
         assert "not a Configuration field" in capsys.readouterr().err
 
+    def test_campaign_unknown_base_key_fails_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "typo_base.json"
+        path.write_text(json.dumps({"base": {**FAST, "num_node": 7},
+                                    "grid": {"block_size": [20]}}))
+        assert main(["campaign", str(path)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "num_node" in line
+
     def test_campaign_unknown_scenario_event_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "bad_scenario.json"
         path.write_text(
@@ -235,24 +257,31 @@ class TestCampaign:
         assert "unknown scenario event" in capsys.readouterr().err
 
 
-class TestSweep:
-    def test_sweep_concurrency(self, config_file, capsys):
-        assert main(["sweep", config_file, "--concurrency", "4,8", "--json"]) == 0
+class TestLoadCurve:
+    """A load curve is a ``campaign`` whose spec lists ``points``."""
+
+    @pytest.fixture
+    def points_file(self, tmp_path):
+        def write(points):
+            path = tmp_path / "curve.json"
+            path.write_text(json.dumps({"name": "curve", "base": FAST, "points": points}))
+            return str(path)
+        return write
+
+    def test_closed_loop_levels_json(self, points_file, capsys):
+        path = points_file([{"concurrency": 4, "arrival_rate": 0.0},
+                            {"concurrency": 8, "arrival_rate": 0.0}])
+        assert main(["campaign", path, "--json"]) == 0
         records = json.loads(capsys.readouterr().out)
         assert [r["params"]["concurrency"] for r in records] == [4, 8]
-        assert {r["campaign"] for r in records} == {"saturation-sweep"}
+        assert {r["campaign"] for r in records} == {"curve"}
 
-    def test_sweep_arrival_rates_prints_the_campaign_table(self, config_file, capsys):
-        assert main(["sweep", config_file, "--arrival-rates", "500,1500", "-w", "2"]) == 0
+    def test_arrival_rates_with_workers_print_the_campaign_table(self, points_file, capsys):
+        path = points_file([{"arrival_rate": 500.0}, {"arrival_rate": 1500.0}])
+        assert main(["campaign", path, "-w", "2"]) == 0
         out = capsys.readouterr().out
-        assert "campaign 'saturation-sweep': 2 runs (2 executed, 0 already stored)" in out
+        assert "campaign 'curve': 2 runs (2 executed, 0 already stored)" in out
         assert "arrival_rate=500.0" in out and "arrival_rate=1500.0" in out
-
-    def test_sweep_requires_exactly_one_axis(self, config_file):
-        with pytest.raises(SystemExit, match="exactly one"):
-            main(["sweep", config_file])
-        with pytest.raises(SystemExit, match="exactly one"):
-            main(["sweep", config_file, "--concurrency", "4", "--arrival-rates", "100"])
 
 
 class TestList:
@@ -272,9 +301,10 @@ class TestList:
         with pytest.raises(SystemExit, match="unknown extension point"):
             main(["list", "widgets"])
 
-    def test_list_missing_store_errors(self, tmp_path):
-        with pytest.raises(SystemExit, match="no such result store"):
-            main(["list", "--store", str(tmp_path / "typo")])
+    def test_list_missing_store_errors(self, tmp_path, capsys):
+        assert main(["list", "--store", str(tmp_path / "typo")]) == 1
+        assert "error: no such result store" in capsys.readouterr().err
+        assert not (tmp_path / "typo").exists()
 
     def test_list_store_records(self, spec_file, tmp_path, capsys):
         store = str(tmp_path / "store")

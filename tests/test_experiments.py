@@ -444,21 +444,17 @@ class TestCampaignRunner:
 
 
 class TestSweepOnCampaign:
-    """``python -m repro sweep`` is a one-axis ``points`` campaign."""
+    """A load sweep is a one-axis ``points`` campaign, from a file or from Python."""
 
     SPEC = ExperimentSpec(
         name="saturation-sweep", base=BASE,
         points=[{"concurrency": 4, "arrival_rate": 0.0}, {"concurrency": 8, "arrival_rate": 0.0}],
     )
 
-    @pytest.fixture
-    def config_file(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(BASE.to_dict()))
-        return str(path)
-
-    def test_sweep_unchanged_semantics(self, config_file, capsys):
-        assert cli_main(["sweep", config_file, "--concurrency", "4,8", "--json"]) == 0
+    def test_points_file_runs_the_direct_points(self, tmp_path, capsys):
+        path = tmp_path / "sweep.json"
+        path.write_text(self.SPEC.to_json())
+        assert cli_main(["campaign", str(path), "--json"]) == 0
         records = json.loads(capsys.readouterr().out)
         assert [r["params"] for r in records] == self.SPEC.points
         assert [r["run_id"] for r in records] == [run.run_id for run in self.SPEC.expand()]
@@ -472,10 +468,6 @@ class TestSweepOnCampaign:
         assert (first.executed, again.executed, again.skipped) == (2, 0, 2)
         assert first.records == again.records
         assert len(ResultStore(tmp_path / "s")) == 2
-
-    def test_sweep_rejects_both_kinds_of_load(self, config_file):
-        with pytest.raises(SystemExit, match="exactly one"):
-            cli_main(["sweep", config_file, "--concurrency", "1", "--arrival-rates", "1.0"])
 
 
 class TestSerializationRoundTrips:

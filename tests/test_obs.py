@@ -24,9 +24,7 @@ from repro.obs import (
     ObsMetrics,
     TraceRecord,
     Tracer,
-    available_trace_sinks,
     category_mask,
-    register_trace_sink,
     tracing,
     write_trace,
 )
@@ -319,30 +317,25 @@ class TestExport:
 
 
 # ----------------------------------------------------------------------
-# sink registry
+# export formats
 # ----------------------------------------------------------------------
-class TestSinks:
-    def test_builtin_sinks_registered(self):
-        names = available_trace_sinks()
-        for expected in ("jsonl", "perfetto", "text", "svg"):
-            assert expected in names
-        assert "trace_sinks" in api.available()
-        assert "jsonl" in api.available("trace_sinks")
-
-    def test_custom_sink_round_trip(self, tmp_path):
-        @register_trace_sink("count-only-test")
-        def count_sink(records, path):
-            from pathlib import Path
-
-            path = Path(path)
-            path.write_text(str(len(records)))
-            return path
-
+class TestWriteTrace:
+    @pytest.mark.parametrize("sink, starts", [
+        ("jsonl", '{"categories"'), ("perfetto", '{"displayTimeUnit"'),
+        ("chrome", '{"displayTimeUnit"'), ("text", "    0.000000"),
+        ("svg", "<svg"), ("timeline", "<svg"),
+    ])
+    def test_every_format_writes_its_file(self, tmp_path, sink, starts):
         tracer = Tracer()
         tracer.emit(0.0, "r0", obs_trace.VIEW, "enter", 1)
-        out = write_trace(tracer.records(), tmp_path / "n.txt",
-                          sink="count-only-test")
-        assert out.read_text() == "1"
+        out = write_trace(tracer.records(), tmp_path / "sub" / "t.out", sink)
+        assert out == tmp_path / "sub" / "t.out"
+        assert out.read_text().startswith(starts)
+
+    def test_unknown_format_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown trace format 'csv'; known: jsonl"):
+            write_trace([], tmp_path / "t.csv", "csv")
+        assert not (tmp_path / "t.csv").exists()
 
 
 # ----------------------------------------------------------------------
