@@ -100,28 +100,14 @@ class Configuration:
     #: Extra simulated time after the measured window to let commits drain.
     cooldown: float = 0.5
 
-    # --- state sync ------------------------------------------------------
-    #: Block-fetch catch-up (see :mod:`repro.sync`).  On by default; turning
-    #: it off reproduces the pre-sync behaviour where a recovered replica
-    #: rejoins view synchronization but never recovers missed blocks.
-    sync_enabled: bool = True
-    #: Maximum blocks per BlockResponse batch.
-    sync_max_batch: int = 32
-    #: Peers asked per fetch round.
-    sync_fanout: int = 2
-
     # --- checkpointing -----------------------------------------------------
     #: Take a checkpoint (snapshot executor state, truncate the forest below
     #: it) every this many committed blocks; 0 disables checkpointing.  With
     #: it on, a long run's forest holds O(checkpoint_interval) blocks instead
     #: of O(run length), with committed metrics unchanged (see
-    #: :mod:`repro.checkpoint`).
+    #: :mod:`repro.checkpoint`).  A peer asked for blocks below its
+    #: checkpoint answers with a snapshot instead.
     checkpoint_interval: int = 0
-    #: Serve checkpoints to (and install them from) peers during sync, so a
-    #: recovered or far-behind replica crosses a deep gap in one snapshot
-    #: transfer instead of walking blocks.  Only effective when
-    #: ``checkpoint_interval`` is positive.
-    snapshot_sync_enabled: bool = True
 
     # --- simulation ------------------------------------------------------
     seed: int = 1
@@ -296,8 +282,6 @@ class Configuration:
             ("bandwidth_bps", self.bandwidth_bps),
             ("view_timeout", self.view_timeout),
             ("request_timeout", self.request_timeout),
-            ("sync_max_batch", self.sync_max_batch),
-            ("sync_fanout", self.sync_fanout),
         ]
         for name, value in positives:
             if value <= 0:

@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.bench.config import Configuration, ConfigurationError
 from repro.bench.metrics import DEFAULT_BUCKET, MetricsCollector, RunMetrics, timeline_mean
 from repro.bench.profiles import cost_profile
-from repro.checkpoint.manager import CheckpointSettings, CheckpointStats
+from repro.checkpoint.manager import CheckpointStats
 from repro.client.client import CLIENTS, ClientBase
 from repro.client.workload import WorkloadSpec
 from repro.core.byzantine import STRATEGIES
@@ -45,7 +45,7 @@ from repro.obs import trace as obs_trace
 from repro.scenario import Scenario
 from repro.sim.events import EventScheduler
 from repro.sim.random import RandomStreams
-from repro.sync.manager import SyncSettings, SyncStats
+from repro.sync.manager import SyncStats
 from repro.types.sizes import SizeModel
 
 
@@ -258,15 +258,7 @@ def wire(
         mempool_capacity=config.mempool_capacity,
         view_timeout=config.view_timeout,
         propose_wait_after_tc=config.propose_wait_after_tc,
-        sync=SyncSettings(
-            enabled=config.sync_enabled,
-            max_batch=config.sync_max_batch,
-            fanout=config.sync_fanout,
-        ),
-        checkpoint=CheckpointSettings(
-            interval=config.checkpoint_interval,
-            snapshot_sync=config.snapshot_sync_enabled,
-        ),
+        checkpoint_interval=config.checkpoint_interval,
         quorum_threshold=config.quorum_threshold,
     )
     sizes = SizeModel()

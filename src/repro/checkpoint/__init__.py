@@ -9,23 +9,18 @@ answered with a :class:`~repro.checkpoint.messages.SnapshotResponse`, so a
 recovered or far-behind replica installs a checkpoint and fetches only the
 blocks above it instead of walking the whole chain.
 
-Configure through :class:`~repro.bench.config.Configuration`
-(``checkpoint_interval``, ``snapshot_sync_enabled``) or directly via
-:class:`~repro.checkpoint.manager.CheckpointSettings` on the replica.
+Configure through :class:`~repro.bench.config.Configuration`'s
+``checkpoint_interval`` (or ``ReplicaSettings.checkpoint_interval`` on a
+hand-built replica); 0, the default, keeps every block.
 """
 
-from repro.checkpoint.manager import (
-    CheckpointManager,
-    CheckpointSettings,
-    CheckpointStats,
-)
+from repro.checkpoint.manager import CheckpointManager, CheckpointStats
 from repro.checkpoint.messages import SnapshotResponse
 from repro.checkpoint.snapshot import Checkpoint
 
 __all__ = [
     "Checkpoint",
     "CheckpointManager",
-    "CheckpointSettings",
     "CheckpointStats",
     "SnapshotResponse",
 ]

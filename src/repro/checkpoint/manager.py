@@ -50,20 +50,6 @@ from repro.types.messages import Message
 
 
 @dataclass
-class CheckpointSettings:
-    """Knobs of the checkpoint policy (per replica)."""
-
-    #: Take a checkpoint every this many committed blocks; 0 disables
-    #: checkpointing (and therefore truncation) entirely.
-    interval: int = 0
-    #: Whether snapshots are served to and installed from peers during sync;
-    #: with it off, checkpoints still bound local memory but far-behind
-    #: replicas are limited to block fetching (which truncated peers may no
-    #: longer be able to serve below their watermark).
-    snapshot_sync: bool = True
-
-
-@dataclass
 class CheckpointStats:
     """Counters describing one replica's checkpoint activity."""
 
@@ -86,24 +72,12 @@ class CheckpointStats:
 class CheckpointManager:
     """Owns checkpointing, truncation, and snapshot transfer for one replica."""
 
-    def __init__(self, replica, settings: Optional[CheckpointSettings] = None) -> None:
+    def __init__(self, replica) -> None:
         self.replica = replica
-        self.settings = settings if settings is not None else CheckpointSettings()
+        #: Take a checkpoint every this many committed blocks; 0 disables
+        #: checkpointing (and therefore truncation) entirely.
+        self.interval = replica.settings.checkpoint_interval
         self.stats = CheckpointStats()
-
-    @property
-    def enabled(self) -> bool:
-        """True when a positive checkpoint interval is configured."""
-        return self.settings.interval > 0
-
-    @property
-    def snapshot_sync_enabled(self) -> bool:
-        """True when this replica serves/installs snapshots during sync."""
-        return (
-            self.enabled
-            and self.settings.snapshot_sync
-            and self.replica.sync.settings.enabled
-        )
 
     # ------------------------------------------------------------------
     # taking checkpoints (commit hook)
@@ -118,7 +92,7 @@ class CheckpointManager:
         of the watermark" is recoverable from the live structures whenever a
         peer asks, without a copy per interval.
         """
-        if not self.enabled:
+        if not self.interval:
             return
         replica = self.replica
         forest = replica.forest
@@ -134,7 +108,7 @@ class CheckpointManager:
                     "forest-peak", replica.pacemaker.current_view, {"blocks": blocks},
                 )
         height = forest.committed_height
-        if height - forest.base_height < self.settings.interval:
+        if height - forest.base_height < self.interval:
             return
         if forest.last_committed().qc is None:
             # The head commit is not yet certified from this replica's view;
@@ -181,12 +155,10 @@ class CheckpointManager:
         """Answer a ``BlockRequest`` anchored below the watermark with a snapshot.
 
         The sync responder calls this when the blocks that would connect the
-        requester's anchor were truncated.  Nothing is sent when snapshot sync
-        is off or no checkpoint above ``known_height`` is held: the request
-        then goes unanswered, as any unservable one does.
+        requester's anchor were truncated.  Nothing is sent when no checkpoint
+        above ``known_height`` is held: the request then goes unanswered, as
+        any unservable one does.
         """
-        if not self.snapshot_sync_enabled:
-            return
         checkpoint = self.current_checkpoint()
         if checkpoint is None or checkpoint.height <= known_height:
             return
@@ -267,7 +239,7 @@ class CheckpointManager:
 # dispatch wiring: the snapshot response's handler and CPU cost
 # ----------------------------------------------------------------------
 # Imported here rather than at the top: repro.core's package init imports the
-# replica, which imports this module for its settings — registering handlers
+# replica, which imports this module for its manager — registering handlers
 # after the classes are defined keeps that cycle harmless whichever side is
 # imported first.
 from repro.core.dispatch import register_message_handler  # noqa: E402

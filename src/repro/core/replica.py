@@ -27,12 +27,12 @@ Bamboo implements them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from collections import OrderedDict
 
-from repro.checkpoint.manager import CheckpointManager, CheckpointSettings
+from repro.checkpoint.manager import CheckpointManager
 from repro.core.dispatch import dispatch
 from repro.crypto.costs import CryptoCostModel
 from repro.crypto.keys import KeyRegistry
@@ -49,7 +49,7 @@ from repro.protocols.safety import ProposalPlan
 from repro.quorum.quorum import QuorumTracker, TimeoutTracker
 from repro.sim.events import EventScheduler
 from repro.sim.resources import FifoServer
-from repro.sync.manager import SyncManager, SyncSettings
+from repro.sync.manager import SyncManager
 from repro.types.block import Block, make_block
 from repro.types.certificates import (
     QuorumCertificate,
@@ -133,14 +133,10 @@ class ReplicaSettings:
         2f+1 messages are received" behaviour of the responsiveness
         experiment's first setting; setting it to the view timeout models the
         second setting.
-    sync:
-        Block-fetch configuration (see :class:`repro.sync.SyncSettings`);
-        disable with ``sync=SyncSettings(enabled=False)`` to reproduce the
-        pre-sync behaviour where recovered replicas never catch up.
-    checkpoint:
-        Checkpoint / log-truncation policy (see
-        :class:`repro.checkpoint.CheckpointSettings`); disabled by default
-        (``interval=0``), which keeps every block in memory as before.
+    checkpoint_interval:
+        Take a checkpoint and truncate the forest every this many committed
+        blocks (see :mod:`repro.checkpoint`); 0, the default, keeps every
+        block in memory.
     quorum_threshold:
         Votes required to form a QC; 0 (the default) means the safe
         ``quorum_size(n) = n - f``.  Explicit values model flexible quorums;
@@ -152,8 +148,7 @@ class ReplicaSettings:
     mempool_capacity: int = 1000
     view_timeout: float = 0.1
     propose_wait_after_tc: float = 0.0
-    sync: SyncSettings = field(default_factory=SyncSettings)
-    checkpoint: CheckpointSettings = field(default_factory=CheckpointSettings)
+    checkpoint_interval: int = 0
     quorum_threshold: int = 0
 
 
@@ -220,8 +215,8 @@ class Replica:
         self.keypair = registry.register(node_id)
         self.forest = BlockForest()
         self.safety = make_safety(protocol, self.forest)
-        self.sync = SyncManager(self, self.settings.sync)
-        self.checkpoint = CheckpointManager(self, self.settings.checkpoint)
+        self.sync = SyncManager(self)
+        self.checkpoint = CheckpointManager(self)
         self.mempool = Mempool(capacity=self.settings.mempool_capacity)
         self.kvstore = KeyValueStore()
         self.cpu = FifoServer(scheduler, name=f"{node_id}.cpu")

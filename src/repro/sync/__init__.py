@@ -19,13 +19,12 @@ See ``docs/ARCHITECTURE.md`` for the message flow of one sync round and
 it end to end.
 """
 
-from repro.sync.manager import SyncManager, SyncSettings, SyncStats
+from repro.sync.manager import SyncManager, SyncStats
 from repro.sync.messages import BlockRequest, BlockResponse
 
 __all__ = [
     "BlockRequest",
     "BlockResponse",
     "SyncManager",
-    "SyncSettings",
     "SyncStats",
 ]

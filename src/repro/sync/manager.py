@@ -10,13 +10,13 @@ block-fetch lifecycle:
   timeout) so ordinary in-flight reordering resolves itself without
   generating traffic.
 * **Fetching** — a fetch round sends a :class:`~repro.sync.messages.BlockRequest`
-  to ``fanout`` peers chosen round-robin, advertising the replica's highest
+  to ``FANOUT`` peers chosen round-robin, advertising the replica's highest
   certified block as the anchor.  Rounds for the same target are debounced,
   capped (``MAX_ROUNDS_PER_TARGET``), and re-anchored at the last *committed*
   block when a response fails to connect (certified-but-abandoned forks).
 * **Serving** — on a request, the manager walks its own forest back from the
   target to the requester's anchor and answers with an oldest-first
-  :class:`~repro.sync.messages.BlockResponse` batch (``max_batch`` blocks),
+  :class:`~repro.sync.messages.BlockResponse` batch (``MAX_BATCH`` blocks),
   including its certificate for the newest block sent.  Requests anchored
   below the checkpoint truncation watermark cannot be connected by blocks
   anymore and are delegated to the checkpoint manager, which answers with a
@@ -54,20 +54,10 @@ from repro.types.messages import Message
 
 #: Fetch rounds attempted per missing target (and per catch-up) before giving up.
 MAX_ROUNDS_PER_TARGET = 8
-
-
-@dataclass
-class SyncSettings:
-    """Knobs of the block-fetch protocol (per replica), each a
-    :class:`~repro.bench.config.Configuration` field."""
-
-    #: Master switch; when off, orphans are parked but never fetched
-    #: (the pre-sync behaviour).
-    enabled: bool = True
-    #: Maximum blocks per BlockResponse batch.
-    max_batch: int = 32
-    #: Peers asked per fetch round.
-    fanout: int = 2
+#: Maximum blocks per BlockResponse batch.
+MAX_BATCH = 32
+#: Peers asked per fetch round.
+FANOUT = 2
 
 
 @dataclass
@@ -93,9 +83,8 @@ class SyncStats:
 class SyncManager:
     """Owns block fetching and orphan recovery for one replica."""
 
-    def __init__(self, replica, settings: Optional[SyncSettings] = None) -> None:
+    def __init__(self, replica) -> None:
         self.replica = replica
-        self.settings = settings if settings is not None else SyncSettings()
         self.stats = SyncStats()
 
         self._attempts: Dict[str, int] = {}
@@ -132,25 +121,22 @@ class SyncManager:
             self.stats.orphans_parked += 1
         if evicted is not None:
             self.stats.orphans_evicted += 1
-        if added and self.settings.enabled:
+        if added:
             self.replica.scheduler.post_after(
                 self.request_delay(), self._maybe_request, block.parent_id
             )
 
     def note_missing_certified(self, qc: QuorumCertificate) -> None:
         """A QC formed for a block we do not hold; schedule a fetch for it."""
-        if self.settings.enabled:
-            self.replica.scheduler.post_after(
-                self.request_delay(), self._maybe_request, qc.block_id
-            )
+        self.replica.scheduler.post_after(
+            self.request_delay(), self._maybe_request, qc.block_id
+        )
 
     # ------------------------------------------------------------------
     # recovery catch-up
     # ------------------------------------------------------------------
     def on_recover(self) -> None:
         """Start a catch-up round: ask peers for their chain tips."""
-        if not self.settings.enabled:
-            return
         self._catchup_pending = True
         self._catchup_rounds = 0
         self._catchup_tick()
@@ -181,7 +167,7 @@ class SyncManager:
     # ------------------------------------------------------------------
     def _maybe_request(self, target: str) -> None:
         """Fetch ``target`` unless it arrived meanwhile (deferred trigger)."""
-        if not self.settings.enabled or self.replica._crashed:
+        if self.replica._crashed:
             return
         if target in self.replica.forest:
             self._forget(target)
@@ -233,7 +219,7 @@ class SyncManager:
         peers = [p for p in sorted(replica.peers) if p != replica.node_id]
         if not peers:
             return []
-        count = min(self.settings.fanout, len(peers))
+        count = min(FANOUT, len(peers))
         start = self._rotation
         self._rotation += count
         return [peers[(start + i) % len(peers)] for i in range(count)]
@@ -278,11 +264,9 @@ class SyncManager:
         if message.known_height < forest.base_height - 1:
             # The blocks that would connect the requester's anchor were
             # truncated below the checkpoint watermark; the latest snapshot
-            # *is* the answer (when snapshot sync is on — otherwise stay
-            # silent, as for any unservable request).
+            # *is* the answer.
             replica.checkpoint.offer_snapshot(message.sender, message.known_height)
             return
-        limit = self.settings.max_batch
         # Walk only the (short) uncommitted tail above the target's first
         # committed ancestor; the committed gap below it — which is where an
         # arbitrarily deep catch-up lives — is served from the main chain by
@@ -306,14 +290,14 @@ class SyncManager:
             and vertex.height > message.known_height
         ):
             chain = forest.committed_blocks_between(
-                message.known_height, vertex.height, limit
+                message.known_height, vertex.height, MAX_BATCH
             )
         if not chain or chain[-1].block_id == vertex.block_id:
             # Only append the uncommitted tail when the committed slice was
             # not capped short of it — a disconnected tail would be useless
             # to the requester.
             chain.extend(suffix)
-        batch = tuple(chain[:limit])
+        batch = tuple(chain[:MAX_BATCH])
         if not batch:
             return  # the requester already holds everything we could send
         tip_qc = forest.get(batch[-1].block_id).qc

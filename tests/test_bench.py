@@ -72,9 +72,19 @@ class TestConfiguration:
         clone = Configuration.from_dict(config.to_dict())
         assert clone == config
 
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ConfigurationError, match="not Configuration fields: bogus, zz"):
-            Configuration.from_dict({"protocol": "hotstuff", "zz": 2, "bogus": 1})
+    @pytest.mark.parametrize("unknown", [
+        {"zz": 2, "bogus": 1},
+        # Switches that left Configuration: block fetching and snapshot
+        # answers are unconditional, so a document setting one must fail.
+        {"sync_enabled": False},
+        {"sync_max_batch": 32},
+        {"sync_fanout": 2},
+        {"snapshot_sync_enabled": True},
+    ], ids=lambda unknown: ",".join(unknown))
+    def test_from_dict_rejects_unknown_keys(self, unknown):
+        names = ", ".join(sorted(unknown))
+        with pytest.raises(ConfigurationError, match=f"not Configuration fields: {names}$"):
+            Configuration.from_dict({"protocol": "hotstuff", **unknown})
         assert Configuration.from_dict({"protocol": "lbft"}).protocol == "lbft"
 
     def test_measurement_window(self):

@@ -20,7 +20,6 @@ from repro import api
 from repro.bench.config import Configuration, ConfigurationError
 from repro.bench.metrics import RunMetrics
 from repro.bench.runner import build_cluster
-from repro.checkpoint.manager import CheckpointSettings
 from repro.checkpoint.messages import SnapshotResponse
 from repro.checkpoint.snapshot import Checkpoint
 from repro.executor.kvstore import KeyValueStore, KVSnapshot
@@ -241,16 +240,6 @@ class TestSnapshotCatchUp:
         assert result.metrics.snapshots_installed >= 1
         assert result.metrics.snapshot_bytes_fetched > 0
 
-    def test_snapshot_sync_disabled_falls_back_to_blocks(self):
-        """snapshot_sync off: checkpoints still bound memory, no transfers."""
-        cluster = run_cluster(
-            runtime=2.0, checkpoint_interval=10, snapshot_sync_enabled=False
-        )
-        report = cluster.checkpoint_report()
-        assert report.checkpoints_taken > 0
-        assert report.snapshots_installed == 0
-        assert report.snapshots_served == 0
-
 
 class TestSnapshotValidation:
     def _live_replica(self):
@@ -322,25 +311,6 @@ class TestSnapshotValidation:
         assert len(responses) == 1
         assert responses[0].checkpoint.height > 0
         assert responder.checkpoint.stats.snapshots_served == 1
-
-    def test_deep_block_request_goes_unanswered_with_snapshot_sync_off(self):
-        from repro.sync.messages import BlockRequest, BlockResponse
-
-        cluster = make_cluster(checkpoint_interval=5, snapshot_sync_enabled=False)
-        cluster.start()
-        cluster.run(until=1.0)
-        responder = cluster.replicas["r0"]
-        assert responder.forest.base_height > 1
-        sent = []
-        responder.network.send = lambda src, dst, msg: sent.append((dst, msg))
-        responder.sync.handle_request(BlockRequest(
-            sender="r2", size_bytes=72,
-            target_block_id=responder.forest.highest_certified().block_id,
-            known_block_id="genesis", known_height=0,
-        ))
-        cluster.scheduler.run_until(cluster.scheduler.now + 0.1)
-        assert not [m for _, m in sent if isinstance(m, (SnapshotResponse, BlockResponse))]
-        assert responder.checkpoint.stats.snapshots_served == 0
 
 
 class TestForestTruncation:
@@ -469,19 +439,13 @@ class TestKVSnapshot:
 
 
 class TestConfiguration:
-    def test_knobs_threaded_to_replicas(self):
-        cluster = make_cluster(checkpoint_interval=7, snapshot_sync_enabled=False)
-        manager = cluster.replicas["r0"].checkpoint
-        assert manager.settings.interval == 7
-        assert manager.settings.snapshot_sync is False
-        assert manager.enabled
-        assert not manager.snapshot_sync_enabled
+    def test_interval_threaded_to_replicas(self):
+        cluster = make_cluster(checkpoint_interval=7)
+        assert cluster.replicas["r0"].checkpoint.interval == 7
 
     def test_disabled_by_default(self):
-        settings = CheckpointSettings()
-        assert settings.interval == 0
         cluster = make_cluster()
-        assert not cluster.replicas["r0"].checkpoint.enabled
+        assert cluster.replicas["r0"].checkpoint.interval == 0
 
     def test_negative_interval_rejected(self):
         with pytest.raises(ConfigurationError, match="checkpoint_interval"):

@@ -1,15 +1,18 @@
 """Tests for the ``python -m repro`` command line (in-process via cli.main)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro import api
 from repro.analysis import figure_for_campaign
 from repro.bench.config import Configuration, ConfigurationError
-from repro.experiments import run_key
+from repro.experiments import ExperimentSpec, run_key
 from repro.experiments.cli import main
 from repro.experiments.store import ResultStore, TruncatedRecordWarning
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 FAST = {
     "protocol": "hotstuff",
@@ -314,3 +317,23 @@ class TestList:
         out = capsys.readouterr().out
         assert "4 records" in out
         assert "cli-smoke" in out
+
+
+@pytest.mark.parametrize("path", sorted(EXAMPLES.rglob("*.json")),
+                         ids=lambda path: str(path.relative_to(EXAMPLES)))
+def test_every_example_file_reads_and_validates(path):
+    """Each example parses the way ``run`` / ``deploy`` / ``campaign`` read
+    it, and every configuration it names validates; nothing is run."""
+    data = api.read_json(path)
+    if "config" in data:
+        config = api.load_config(data)
+        if path.name.startswith("deploy_"):  # read by ``deploy``, which sets the mode
+            config = config.replace(mode="deploy")
+        configs = [config]
+        if "scenario" in data:
+            api.Scenario.from_dict(data["scenario"])
+    else:
+        configs = [run.config for run in ExperimentSpec.from_dict(data).expand()]
+    assert configs
+    for config in configs:
+        config.validate()

@@ -10,7 +10,9 @@
   protocol: a recovered replica's first ``BlockRequest`` now leaves at once
   instead of after a ``SnapshotRequest`` round trip, which moves every fault
   case's timeline.  The ``steady/*`` entries never recover and are the
-  originals;
+  originals.  Every ``record_digest`` was re-captured when four block-fetch
+  switches left ``Configuration`` (a record carries its config); the
+  metrics, views, fingerprints and work counts did not move;
 * the work each of those runs does is pinned exactly: scheduler events,
   messages sent per kind, bytes sent, sign and verify calls.
 """

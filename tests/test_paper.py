@@ -53,10 +53,15 @@ class TestTable:
         assert len(set(titles)) == len(titles)
 
     @pytest.mark.parametrize("golden", GOLDEN, ids=lambda g: f"{g['name']}-{g['scale']}")
-    def test_expansion_matches_the_run_ids_of_the_scripts_it_replaced(self, golden):
-        """Same content hashes, same tags, same order as the parent commit's
-        ``bench_*.py`` specs: config and scenario equivalence at both scales,
-        and an existing result store still resumes."""
+    def test_expansion_matches_the_captured_run_ids(self, golden):
+        """Same content hashes, same tags, same order as ``paper_run_ids.json``
+        (``python tests/test_paper.py`` prints it): a change to an entry's
+        configurations or scenario, or to what ``run_key`` hashes, shows here.
+
+        A run id hashes ``config.to_dict()``, so every id moved when the four
+        block-fetch switches left ``Configuration``; the document was
+        re-captured then, and a result store written before that re-runs its
+        points instead of resuming them."""
         (entry,) = paper.select(golden["name"])
         spec = entry.spec(golden["scale"])
         assert spec.name == golden["name"]
@@ -228,3 +233,24 @@ def test_importing_the_facade_loads_no_subsystem_it_does_not_use():
         env={"PYTHONPATH": str(ROOT / "src")}, check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+def capture() -> str:
+    """``paper_run_ids.json``: each entry's expansion at both scales, by name."""
+    entries = []
+    for entry in sorted(paper.ENTRIES, key=lambda e: e.name):
+        for scale in paper.SCALES:
+            spec = entry.spec(scale)
+            head = json.dumps({
+                "name": entry.name, "scale": scale, "bucket": spec.bucket,
+                "reps3_length": len(entry.spec(scale, reps=3).expand()),
+            })
+            runs = ",\n".join(
+                f"   {json.dumps([run.run_id, run.params])}" for run in spec.expand()
+            )
+            entries.append(f' {head[:-1]}, "runs": [\n{runs}\n  ]}}')
+    return "[\n" + ",\n".join(entries) + "\n]"
+
+
+if __name__ == "__main__":
+    print(capture())

@@ -1,11 +1,17 @@
 """One path from a Configuration to a stored record.
 
 ``tests/golden/run_path_records.json`` holds ``sha256(encode_record(record))``
-— the store's own serialisation — for records captured at the parent commit
-of the refactoring that folded three run functions, three result types and
-four record literals into ``run_experiment`` / ``ExperimentResult`` /
+— the store's own serialisation — for records first captured at the parent
+commit of the refactoring that folded three run functions, three result types
+and four record literals into ``run_experiment`` / ``ExperimentResult`` /
 ``RunSpec.record``.  ``python tests/test_run_path.py`` prints the document
 (that is how it was captured; it uses only names both commits have).
+
+Every digest was re-captured when four block-fetch switches left
+``Configuration``: a record carries its config and a run id that hashes it, so
+each digest moved, and each new one is the old record with those four keys
+deleted from ``config`` and its ``run_id`` recomputed.  Nothing the runs did
+changed.
 """
 
 import gc

@@ -7,14 +7,12 @@ certificates, orphan-buffer bounds, the message-handler registry, and sync
 under an active Byzantine leader.
 """
 
-import pytest
-
 from repro import api
 from repro.bench.config import Configuration
 from repro.bench.runner import build_cluster
 from repro.core.dispatch import MESSAGE_HANDLERS, register_message_handler
 from repro.forest.forest import BlockForest
-from repro.sync.manager import MAX_ROUNDS_PER_TARGET, SyncSettings
+from repro.sync.manager import MAX_BATCH, MAX_ROUNDS_PER_TARGET
 from repro.sync.messages import BlockRequest, BlockResponse
 from repro.types.certificates import QuorumCertificate
 from helpers import extend_chain, make_transactions
@@ -79,22 +77,6 @@ class TestRecoveryCatchUp:
         assert report.blocks_fetched >= victim.sync.stats.blocks_fetched
         assert report.responses_sent >= victim.sync.stats.responses_received
         assert report.blocks_served >= victim.sync.stats.blocks_fetched
-        assert cluster.consistency_check()
-
-    def test_recovery_without_sync_stays_parked(self):
-        """The pre-sync behaviour is preserved behind the config switch."""
-        cluster = make_cluster(sync_enabled=False)
-        cluster.start()
-        cluster.run(until=0.5)
-        victim = cluster.replicas["r3"]
-        victim.crash()
-        height_at_crash = victim.forest.committed_height
-        cluster.run(until=2.0)
-        victim.recover()
-        cluster.run(until=4.0)
-        # Later proposals park forever on missing parents: no catch-up.
-        assert victim.forest.committed_height <= height_at_crash + 1
-        assert victim.sync.stats.fetch_rounds == 0
         assert cluster.consistency_check()
 
     def test_scenario_event_recovery_restores_participation(self):
@@ -231,11 +213,12 @@ class TestResponseIngestion:
         assert receiver.sync.stats.invalid_responses == 1
 
     def test_block_request_served_oldest_first_and_bounded(self):
-        cluster = make_cluster(sync_max_batch=4)
+        cluster = make_cluster()
         cluster.start()
         cluster.run(until=1.0)
         responder = cluster.replicas["r0"]
         tip = responder.forest.highest_certified()
+        assert tip.height > MAX_BATCH
         request = BlockRequest(
             sender="r2", size_bytes=72,
             target_block_id=tip.block_id,
@@ -249,7 +232,7 @@ class TestResponseIngestion:
         assert len(responses) == 1
         dst, response = responses[0]
         assert dst == "r2"
-        assert len(response.blocks) == 4  # bounded by sync_max_batch
+        assert len(response.blocks) == MAX_BATCH
         heights = [b.height for b in response.blocks]
         assert heights == sorted(heights)  # oldest first
         assert heights[0] == 1  # connects directly above the anchor
@@ -357,24 +340,3 @@ class TestMessageHandlerRegistry:
             assert received == [("r1", "r0", "abc")]
         finally:
             MESSAGE_HANDLERS.unregister("GossipDigest")
-
-
-class TestSyncSettings:
-    def test_settings_threaded_from_configuration(self):
-        cluster = make_cluster(sync_enabled=False, sync_max_batch=7, sync_fanout=1)
-        settings = cluster.replicas["r0"].sync.settings
-        assert settings.enabled is False
-        assert settings.max_batch == 7
-        assert settings.fanout == 1
-
-    def test_invalid_sync_config_rejected(self):
-        from repro.bench.config import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="sync_max_batch"):
-            Configuration(sync_max_batch=0, **FAST).validate()
-
-    def test_default_settings(self):
-        settings = SyncSettings()
-        assert settings.enabled
-        assert settings.max_batch > 0
-        assert settings.fanout > 0
