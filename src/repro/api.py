@@ -39,7 +39,8 @@ Everything a user script needs lives here::
     report = api.fuzz(budget=50, seed=0, store="results/")
     assert report.ok, report.violations
 
-    # trace one run: per-replica protocol event records + latency histograms
+    # trace one run: per-replica protocol event records (its latency
+    # quantiles are traced.result.metrics, as for any run)
     traced = api.trace(config, scenario={"events": [
         {"kind": "crash-replica", "at": 0.4, "replica": "last"}]})
     traced.save("run.trace.jsonl")                # deterministic JSONL
@@ -295,7 +296,7 @@ def campaign(
     (pass ``force=True`` to re-run).
     ``progress=True`` prints a live done/total + rate + ETA + straggler line
     to stderr as each run completes (or pass a
-    :class:`repro.obs.CampaignProgress` to customise it).
+    :class:`repro.experiments.CampaignProgress` to customise it).
     """
     if isinstance(spec, (str, Path)):
         spec = read_json(spec)
@@ -417,8 +418,10 @@ def trace(
         print(len(traced.records()))
         traced.save("run.perfetto.json", "perfetto")
 
-    Tracing never changes run semantics: the result (and any stored
-    record) is identical with tracing on or off.
+    The tracer keeps records and nothing else: latency and throughput
+    figures are ``traced.result.metrics`` (``mean_latency``,
+    ``median_latency``, ``p99_latency``, ...), exact and the same with
+    tracing on or off — as is any stored record.
     """
     kwargs = {"categories": categories}
     if capacity is not None:

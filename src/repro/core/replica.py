@@ -671,14 +671,6 @@ class Replica:
             return
         self._last_proposed_view = view
         parent = self.forest.get_block(plan.parent_id)
-        ev = self.events
-        if ev.wants & obs_trace.PROPOSAL:
-            # Leader-side queue depth, sampled once per proposal attempt
-            # (a tracer folds it into a histogram and keeps no record).
-            ev.emit(
-                self.scheduler.now, self.node_id, obs_trace.PROPOSAL,
-                "queue-depth", view, {"depth": float(len(self.mempool))},
-            )
         batch = self.mempool.next_batch(self.settings.block_size)
         block = make_block(view, parent, plan.qc, self.node_id, batch)
         cost = self.cost_model.proposal_build_cost(len(batch))

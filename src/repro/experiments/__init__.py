@@ -21,6 +21,7 @@ See ``docs/EXPERIMENTS.md`` for the JSON schemas and CLI walkthrough.
 """
 
 from repro.experiments.runner import (
+    CampaignProgress,
     CampaignResult,
     CampaignRunner,
     execute_payload,
@@ -41,6 +42,7 @@ from repro.experiments.store import (
 
 __all__ = [
     "DEFAULT_BUCKET",
+    "CampaignProgress",
     "CampaignResult",
     "CampaignRunner",
     "ExperimentSpec",

@@ -21,15 +21,19 @@ parent's registries are inherited and custom plugins work everywhere.
 
 from __future__ import annotations
 
+import statistics
+import sys
+import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.bench.runner import run_experiment
 from repro.experiments.spec import ExperimentSpec, RunSpec
 from repro.experiments.store import ResultStore
 
 __all__ = [
+    "CampaignProgress",
     "CampaignResult",
     "CampaignRunner",
     "execute_payload",
@@ -71,6 +75,100 @@ class CampaignResult:
         return [record["metrics"][name] for record in self.records]
 
 
+class CampaignProgress:
+    """Live progress/ETA reporter for :class:`CampaignRunner`.
+
+    The runner calls :meth:`start` when a run is submitted and
+    :meth:`finish` when it completes; each ``finish`` emits one status line
+    (through ``emit``, default: print to stderr) with points done/total, the
+    rolling completion rate over the last ``window`` finishes, the ETA it
+    implies, and a straggler flag for any in-flight run older than
+    ``straggler_factor`` × the median completed duration.
+    """
+
+    def __init__(
+        self,
+        total: int,
+        emit: Optional[Callable[[str], None]] = None,
+        window: int = 10,
+        straggler_factor: float = 4.0,
+        clock: Callable[[], float] = time.monotonic,
+    ) -> None:
+        if total < 0:
+            raise ValueError(f"total must be non-negative, got {total}")
+        if window < 1:
+            raise ValueError(f"window must be positive, got {window}")
+        self.total = total
+        self.window = window
+        self.straggler_factor = straggler_factor
+        self.clock = clock
+        self.emit = emit if emit is not None else self._default_emit
+        self.done = 0
+        self.in_flight: Dict[str, float] = {}
+        #: Wall seconds of every completed run that was started here.
+        self.durations: List[float] = []
+        self._recent: List[float] = []  # completion times, last `window` kept
+
+    @staticmethod
+    def _default_emit(line: str) -> None:
+        print(line, file=sys.stderr)
+
+    def start(self, run_id: str) -> None:
+        self.in_flight[run_id] = self.clock()
+
+    def finish(self, run_id: str) -> None:
+        now = self.clock()
+        started = self.in_flight.pop(run_id, None)
+        if started is not None:
+            self.durations.append(now - started)
+        self.done += 1
+        self._recent.append(now)
+        if len(self._recent) > self.window:
+            del self._recent[0]
+        self.emit(self.render(now))
+
+    def rate(self) -> float:
+        """Completions/s over the rolling window (0.0 until two finishes)."""
+        if len(self._recent) < 2:
+            return 0.0
+        span = self._recent[-1] - self._recent[0]
+        if span <= 0:
+            return 0.0
+        return (len(self._recent) - 1) / span
+
+    def eta_seconds(self) -> Optional[float]:
+        rate = self.rate()
+        if rate <= 0:
+            return None
+        return (self.total - self.done) / rate
+
+    def stragglers(self, now: Optional[float] = None) -> List[str]:
+        """In-flight run ids older than factor × median completed duration."""
+        if not self.durations:
+            return []
+        if now is None:
+            now = self.clock()
+        threshold = self.straggler_factor * statistics.median(self.durations)
+        return sorted(
+            run_id
+            for run_id, started in self.in_flight.items()
+            if now - started > threshold
+        )
+
+    def render(self, now: Optional[float] = None) -> str:
+        if now is None:
+            now = self.clock()
+        parts = [f"campaign: {self.done}/{self.total} done"]
+        rate = self.rate()
+        if rate > 0:
+            parts.append(f"{rate:.2f} runs/s")
+            parts.append(f"eta {self.eta_seconds():.0f}s")
+        stragglers = self.stragglers(now)
+        if stragglers:
+            parts.append(f"stragglers: {','.join(stragglers)}")
+        return " | ".join(parts)
+
+
 class CampaignRunner:
     """Expands a spec and executes its pending points, optionally in parallel."""
 
@@ -90,7 +188,7 @@ class CampaignRunner:
             self.store = ResultStore(store)
         #: Re-run and re-record points even when the store already has them.
         self.force = force
-        #: Live progress reporter (:class:`repro.obs.CampaignProgress` or any
+        #: Live progress reporter (:class:`CampaignProgress` or any
         #: object with ``start(run_id)``/``finish(run_id)`` and a ``total``
         #: attribute).  ``True`` builds a default reporter printing to stderr.
         self.progress = progress
@@ -144,8 +242,6 @@ class CampaignRunner:
         if self.progress is None or self.progress is False:
             return None
         if self.progress is True:
-            from repro.obs import CampaignProgress
-
             return CampaignProgress(total)
         reporter = self.progress
         reporter.total = total

@@ -18,7 +18,7 @@ What is evaluated when, per destination and in destination order:
   of the sender's egress NIC; every fluctuation window active at that slot's
   *completion* time (the instant the copy leaves the NIC, known analytically)
   adds its sample; the larger slow factor of the two ends multiplies the
-  propagation delay; ``hop_delay`` is observed;
+  propagation delay;
 * **at arrival** — crashes are checked again (either end may have crashed
   while the copy was on the wire), then the ingress NIC is reserved;
 * **at delivery** — a destination that crashed behind its ingress queue
@@ -81,7 +81,7 @@ class Network:
         self.bandwidth_bps = bandwidth_bps
         self.local_delivery_delay = local_delivery_delay
         self.stats = NetworkStats()
-        #: The cluster's event stream: drops and per-copy hop delays (``net``).
+        #: The cluster's event stream: the fabric announces its drops (``net``).
         self.events = events if events is not None else obs_trace.EventStream()
 
         self._rng = streams.get("network")
@@ -246,9 +246,6 @@ class Network:
         reserve = self._egress[src].reserve
         post_at = scheduler.post_at
         arrive = self._arrive
-        ev = self.events
-        # Per wire copy, so only ever behind the bit a tracer sets.
-        hops = ev.wants & obs_trace.NET
         for dst in dsts:
             if dst not in handlers:
                 raise KeyError(f"unknown destination {dst!r}")
@@ -275,13 +272,6 @@ class Network:
                         delay += window.sample(rng)
                 if slow:
                     delay *= max(slow.get(src, 1.0), slow.get(dst, 1.0))
-            if hops:
-                # Hop delay as experienced on the wire: egress serialization
-                # (including queueing behind earlier copies) plus propagation.
-                ev.emit(
-                    now, src, obs_trace.NET, "hop", 0,
-                    {"delay": (completion - now) + delay},
-                )
             post_at(completion + delay, arrive, src, dst, message)
 
     def _arrive(self, src: str, dst: str, message: Message) -> None:

@@ -1,4 +1,4 @@
-"""Observability: protocol-aware tracing, metrics, and trace export.
+"""Observability: protocol-aware tracing and trace export.
 
 See ``docs/OBSERVABILITY.md`` for the guided tour.  The short version::
 
@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Any, List, Optional, Union
 
 from repro.obs.export import write_trace
-from repro.obs.metrics import CampaignProgress, LogHistogram, ObsMetrics
 from repro.obs.trace import (
     ACTIVE,
     ALL_CATEGORIES,
@@ -38,10 +37,7 @@ __all__ = [
     "CATEGORY_BITS",
     "CATEGORY_NAMES",
     "DEFAULT_CAPACITY",
-    "CampaignProgress",
     "EventStream",
-    "LogHistogram",
-    "ObsMetrics",
     "TraceRecord",
     "TracedRun",
     "Tracer",
@@ -73,7 +69,3 @@ class TracedRun:
     def save(self, path: Union[str, Path], sink: str = "jsonl") -> Path:
         """Export the trace in a :data:`~repro.obs.export.SINKS` format; returns the path."""
         return write_trace(self.records(), path, sink)
-
-    @property
-    def metrics(self) -> ObsMetrics:
-        return self.tracer.metrics

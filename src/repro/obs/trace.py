@@ -9,16 +9,18 @@ in per-replica ring buffers.
 
 * **One int test per site**: ``if ev.wants & VOTE:`` — see
   :class:`EventStream`.  The collector's mask holds no per-message category,
-  so votes, proposals, view entries and network hops build nothing unless a
+  so votes, proposals, view entries and network drops build nothing unless a
   tracer asks for them.
 * **Category bitmasks.**  Each record belongs to exactly one category bit
   (:data:`VIEW`, :data:`PROPOSAL`, ...); ``Tracer(categories=("view",
   "commit"))`` keeps only those, and :meth:`Tracer.emit` drops filtered
-  categories before touching the buffers.  Unknown bits are rejected, both
-  at construction and at emit time.
+  categories before touching the buffers; every event of a selected
+  category is a record.  Unknown bits are rejected, both at construction
+  and at emit time.
 * **Bounded ring buffers.**  Records live in one ``deque(maxlen=capacity)``
-  per replica; a long run evicts its oldest records instead of growing
-  (:data:`HISTOGRAM_KINDS` are aggregated instead of kept).
+  per replica; a long run evicts its oldest records instead of growing.
+  Aggregates (latency quantiles, throughput) are the collector's
+  ``RunMetrics``, not the tracer's.
 
 Installation is process-global and explicit: :func:`install` sets the
 module-level :data:`ACTIVE` tracer that the cluster builders
@@ -58,15 +60,13 @@ from typing import (
     Union,
 )
 
-from repro.obs.metrics import ObsMetrics
-
 # ----------------------------------------------------------------------
 # categories
 # ----------------------------------------------------------------------
 #: One bit per record category, in a stable declaration order (the order
 #: fixes the bit values, the exported category list, and summary listings).
 VIEW = 1 << 0         #: view entry (pacemaker ``_enter_view``)
-PROPOSAL = 1 << 1     #: proposal broadcast / receipt, leader queue depth
+PROPOSAL = 1 << 1     #: proposal broadcast / receipt
 VOTE = 1 << 2         #: vote sent
 QC = 1 << 3           #: quorum / timeout certificate formation
 COMMIT = 1 << 4       #: chain growth: block added, committed, forked
@@ -74,7 +74,7 @@ TIMEOUT = 1 << 5      #: local timeout fired, TIMEOUT message broadcast
 SYNC = 1 << 6         #: block-fetch round started / response ingested
 CHECKPOINT = 1 << 7   #: checkpoint taken, snapshot fetched / installed, forest peak
 FAULT = 1 << 8        #: scenario events (crash/partition/heal/...) and safety violations
-NET = 1 << 9          #: fabric drops (crashed/partitioned/backlogged), per-copy hop delay
+NET = 1 << 9          #: fabric drops (crashed/partitioned/backlogged)
 CLIENT = 1 << 10      #: client request committed / timed out / rejected
 
 #: category bit -> canonical name, in declaration order.
@@ -103,15 +103,6 @@ del _bit
 
 #: Default ring-buffer capacity per replica (records).
 DEFAULT_CAPACITY = 1 << 16
-
-#: Kinds a tracer folds into an :class:`ObsMetrics` histogram as they pass:
-#: kind -> (histogram name, payload key, retained as a record too).  Kept,
-#: the per-wire-copy / per-proposal ones would evict the protocol records.
-HISTOGRAM_KINDS: Dict[str, Tuple[str, str, bool]] = {
-    "commit-reply": ("request_to_commit", "latency", True),
-    "hop": ("hop_delay", "delay", False),
-    "queue-depth": ("queue_depth", "depth", False),
-}
 
 
 def category_mask(categories: Union[int, str, Iterable[str], None]) -> int:
@@ -166,7 +157,6 @@ class Tracer:
     __slots__ = (
         "mask",
         "capacity",
-        "metrics",
         "buffers",
         "records_emitted",
         "records_evicted",
@@ -177,15 +167,11 @@ class Tracer:
         self,
         categories: Union[int, str, Iterable[str], None] = None,
         capacity: int = DEFAULT_CAPACITY,
-        metrics: Optional[ObsMetrics] = None,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"trace capacity must be positive, got {capacity}")
         self.mask = category_mask(categories)
         self.capacity = capacity
-        #: Latency / depth histograms fed by :data:`HISTOGRAM_KINDS` events
-        #: (see :mod:`repro.obs.metrics`).
-        self.metrics = metrics if metrics is not None else ObsMetrics()
         #: replica id -> ring of ``(seq, t, category_bit, kind, view, payload)``.
         self.buffers: Dict[str, Deque[Tuple]] = {}
         self.records_emitted = 0
@@ -216,12 +202,6 @@ class Tracer:
             # Inside the mask but not a single defined bit (e.g. VIEW|VOTE):
             # a record belongs to exactly one category.
             raise ValueError(f"unknown trace category bits: {category:#x}")
-        histogram = HISTOGRAM_KINDS.get(kind)
-        if histogram is not None:
-            name, key, retained = histogram
-            self.metrics.observe(replica, name, payload[key])
-            if not retained:
-                return
         buffer = self.buffers.get(replica)
         if buffer is None:
             buffer = self.buffers[replica] = deque(maxlen=self.capacity)
@@ -255,10 +235,6 @@ class Tracer:
 
     def __len__(self) -> int:
         return sum(len(buffer) for buffer in self.buffers.values())
-
-    def clear(self) -> None:
-        """Drop every retained record (counters and metrics are kept)."""
-        self.buffers.clear()
 
 
 # ----------------------------------------------------------------------

@@ -108,17 +108,18 @@ class TestMaskCannotStarveTheAggregator:
         assert {r.category for r in tracer.records()} <= set(subset)
         assert untraced.metrics.committed_transactions > 0
 
-    def test_histogram_kinds_are_aggregated_not_retained(self):
-        tracer = Tracer(capacity=4)
-        net, client = CATEGORY_BITS["net"], CATEGORY_BITS["client"]
-        for i in range(10):
-            tracer.emit(float(i), "r0", net, "hop", 0, {"delay": 0.001})
-        tracer.emit(10.0, "c0", client, "commit-reply", 0, {"replica": "r0", "latency": 0.02})
-        assert tracer.metrics.histogram("r0", "hop_delay").count == 10
-        assert tracer.metrics.histogram("c0", "request_to_commit").count == 1
-        # Only the commit reply took a ring-buffer slot.
-        assert [r.kind for r in tracer.records()] == ["commit-reply"]
-        assert tracer.records_evicted == 0
+    def test_every_selected_kind_is_retained(self):
+        tracer = Tracer(categories=("net", "proposal", "client"))
+        net, proposal, client, vote = (
+            CATEGORY_BITS[name] for name in ("net", "proposal", "client", "vote"))
+        tracer.emit(0.0, "r0", net, "hop", 0, {"delay": 0.001})
+        tracer.emit(1.0, "r0", proposal, "queue-depth", 1, {"depth": 3.0})
+        tracer.emit(2.0, "c0", client, "commit-reply", 1, {"replica": "r0", "latency": 0.02})
+        tracer.emit(3.0, "r0", vote, "vote", 1)  # outside the mask
+        # No kind is special: whatever the mask selects is a record.
+        assert [(r.category, r.kind) for r in tracer.records()] == [
+            ("net", "hop"), ("proposal", "queue-depth"), ("client", "commit-reply")]
+        assert tracer.records_emitted == 3
 
 
 # ----------------------------------------------------------------------
