@@ -87,6 +87,10 @@ class ClientBase:
         # The per-client stream is fixed for the client's lifetime; cache it
         # instead of re-resolving the name on every request.
         self._rng = streams.get(f"client:{self.client_id}")
+        # ``choice(seq)`` and ``randrange(n)`` each make exactly this one draw
+        # (``seq[_randbelow(len(seq))]``, ``_randbelow(n)``) on CPython
+        # 3.10-3.12; tests/test_client.py pins the equivalence.
+        self._randbelow = self._rng._randbelow
         #: txid -> send time.  Insertion order is send order and
         #: ``request_timeout`` is one constant, so it is also deadline order:
         #: the oldest outstanding request is always the first key.
@@ -169,21 +173,23 @@ class ClientBase:
         stop = self._stop_time
         if stop is not None and sent_at >= stop:
             return None
-        rng = self._rng
-        operation = self.workload.operation_for(rng.random())
+        workload = self.workload
+        randbelow = self._randbelow
+        operation = workload.operation_for(self._rng.random())
         transaction = Transaction.create(
             client_id=self.client_id,
             created_at=sent_at,
-            payload_size=self.workload.payload_size,
+            payload_size=workload.payload_size,
             operation=operation,
-            key=f"k{rng.randrange(self.workload.key_space)}",
+            key=f"k{randbelow(workload.key_space)}",
             value=f"v{self.requests_sent}",
             # Per-client sequence: txids (and thus chain hashes) are
             # deterministic across repeated runs in one process, which the
             # fuzzer's same-seed fingerprint comparison relies on.
             sequence=self.requests_sent,
         )
-        replica = rng.choice(self.replicas)
+        replicas = self.replicas
+        replica = replicas[randbelow(len(replicas))]
         request = ClientRequest(
             sender=self.client_id,
             size_bytes=self.size_model.client_request_size(transaction.payload_size),
@@ -325,6 +331,7 @@ class PoissonClient(ClientBase):
             raise ValueError(f"rate must be positive, got {rate}")
         super().__init__(*args, **kwargs)
         self.rate = rate
+        self._arrivals = self.streams.get(f"arrivals:{self.client_id}")
 
     @classmethod
     def from_config(cls, client_id, scheduler, network, streams, replicas, *, config, **kwargs):
@@ -346,7 +353,7 @@ class PoissonClient(ClientBase):
         is timed from.  In the simulator ``now`` is ``previous`` bit for bit.
         The arrival that falls past the stop time is drawn, and not sent.
         """
-        intended = previous + self.streams.exponential(f"arrivals:{self.client_id}", self.rate)
+        intended = previous + self._arrivals.expovariate(self.rate)
         self.scheduler.post_at(intended, self._arrive, intended)
 
     def _arrive(self, intended: float) -> None:

@@ -215,7 +215,6 @@ class EquivocatingReplica(Replica):
         batch: Tuple[Transaction, ...],
     ) -> None:
         if view != self.pacemaker.current_view:
-            self.stats.stale_proposals_dropped += 1
             self.mempool.requeue_front(batch)
             return
         for block, group in zip(blocks, groups):

@@ -28,7 +28,8 @@ the cost model's flat ``loopback_time``).  Every charge is read through
 charges nothing (a deployed replica's CPU is the host's, which runs the
 handler at once).  Messages with no
 registered handler are silently ignored, preserving the old behaviour for
-e.g. ``ClientReply`` copies that reach a replica.
+e.g. ``ClientReply`` copies that reach a replica.  :data:`HANDLERS` caches
+the lookup per message class.
 """
 
 from __future__ import annotations
@@ -92,36 +93,40 @@ def available_message_handlers() -> List[str]:
     return MESSAGE_HANDLERS.available()
 
 
-# Per-message-class resolution cache for dispatch().  Every delivered message
-# pays a registry lookup (name normalization + two dict hops) without it; the
-# registry's version counter detects (un)registrations, so plugin churn in
-# tests invalidates the cache instead of leaking stale handlers.
-_DISPATCH_CACHE: dict = {}
-_DISPATCH_CACHE_VERSION = -1
-_MISSING = object()
+class HandlerCache(dict):
+    """Message class -> its registered :class:`MessageHandler` (None: no handler).
 
-
-def dispatch(replica, message: Message) -> bool:
-    """Charge CPU and run the registered handler for ``message``.
-
-    Returns True if a handler was found; unknown message kinds are ignored
-    (they are not addressed to replicas).
+    Every delivered message would pay a registry lookup (name normalization
+    plus two dict hops) without it.  An entry is resolved on the first
+    message of its class; :attr:`version` is the registry version the entries
+    were resolved at, so a reader compares it with
+    ``MESSAGE_HANDLERS.version`` and calls :meth:`renew` on a mismatch —
+    plugin churn in tests invalidates the cache instead of leaking stale
+    handlers.  :meth:`repro.core.replica.Replica.deliver` reads it in its own
+    frame: charge ``entry.cost(replica, message)`` of CPU, then run
+    ``entry.handle(replica, message)``.
     """
-    global _DISPATCH_CACHE_VERSION
-    cache = _DISPATCH_CACHE
-    if _DISPATCH_CACHE_VERSION != MESSAGE_HANDLERS.version:
-        cache.clear()
-        _DISPATCH_CACHE_VERSION = MESSAGE_HANDLERS.version
-    cls = message.__class__
-    entry = cache.get(cls, _MISSING)
-    if entry is _MISSING:
+
+    __slots__ = ("version",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.version = -1
+
+    def renew(self) -> None:
+        """Forget every resolution (the registry changed since)."""
+        self.clear()
+        self.version = MESSAGE_HANDLERS.version
+
+    def __missing__(self, cls: type) -> "MessageHandler | None":
         kind = cls.__name__
         entry = MESSAGE_HANDLERS.get(kind) if kind in MESSAGE_HANDLERS else None
-        cache[cls] = entry
-    if entry is None:
-        return False
-    replica.cpu.submit(entry.cost(replica, message), entry.handle, replica, message)
-    return True
+        self[cls] = entry
+        return entry
+
+
+#: The one resolution cache, shared by every replica.
+HANDLERS = HandlerCache()
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 from collections import OrderedDict
 
 from repro.checkpoint.manager import CheckpointManager
-from repro.core.dispatch import dispatch
+from repro.core.dispatch import HANDLERS, MESSAGE_HANDLERS
 from repro.crypto.costs import CryptoCostModel
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import sign
@@ -102,12 +102,6 @@ class OriginIndex:
         while len(entries) > self.capacity:
             entries.popitem(last=False)
 
-    def get(self, txid: str) -> Optional[str]:
-        return self._entries.get(txid)
-
-    def pop(self, txid: str, default: Optional[str] = None) -> Optional[str]:
-        return self._entries.pop(txid, default)
-
     def __contains__(self, txid: str) -> bool:
         return txid in self._entries
 
@@ -157,18 +151,10 @@ class ReplicaStats:
     """Counters exposed for tests and benchmark reports."""
 
     proposals_sent: int = 0
-    proposals_received: int = 0
     votes_sent: int = 0
-    votes_received: int = 0
-    timeouts_sent: int = 0
-    timeouts_received: int = 0
-    client_requests: int = 0
     client_rejections: int = 0
-    qcs_formed: int = 0
     blocks_committed: int = 0
-    transactions_committed: int = 0
     safety_violations: int = 0
-    stale_proposals_dropped: int = 0
 
 
 class Replica:
@@ -309,7 +295,12 @@ class Replica:
         """
         if self._crashed:
             return
-        dispatch(self, message)
+        handlers = HANDLERS
+        if handlers.version != MESSAGE_HANDLERS.version:
+            handlers.renew()
+        entry = handlers[message.__class__]
+        if entry is not None:
+            self.cpu.submit(entry.cost(self, message), entry.handle, self, message)
 
     # ------------------------------------------------------------------
     # outbound seam
@@ -329,7 +320,6 @@ class Replica:
     # ------------------------------------------------------------------
     def _process_client_request(self, message: ClientRequest) -> None:
         transaction = message.transaction
-        self.stats.client_requests += 1
         self._origin_clients[transaction.txid] = message.sender
         if transaction.operation not in OPERATIONS:
             # Nothing the executor runs: refuse it here, or it is ordered and
@@ -347,7 +337,8 @@ class Replica:
 
     def _reply(self, transaction: Transaction, status: str) -> None:
         txid = transaction.txid
-        client = self._origin_clients.get(txid)
+        origins = self._origin_clients._entries
+        client = origins.get(txid)
         if client is None:
             return
         if status == "committed":
@@ -357,7 +348,7 @@ class Replica:
                 return
             # A committed transaction is done with reply routing; dropping
             # the entry eagerly keeps the origin index at in-flight size.
-            self._origin_clients.pop(txid)
+            del origins[txid]
         elif self._replied_txids.contains_transaction(transaction):
             return
         reply = ClientReply(
@@ -379,7 +370,6 @@ class Replica:
     # ------------------------------------------------------------------
     def _process_proposal(self, message: ProposalMessage) -> None:
         block = message.block
-        self.stats.proposals_received += 1
         ev = self.events
         if ev.wants & obs_trace.PROPOSAL:
             ev.emit(
@@ -479,12 +469,10 @@ class Replica:
     # ------------------------------------------------------------------
     def _process_vote(self, message: VoteMessage) -> None:
         vote = message.vote
-        self.stats.votes_received += 1
         self._maybe_echo_vote(message)
         qc = self.quorum.add_and_certify(vote)
         if qc is None:
             return
-        self.stats.qcs_formed += 1
         ev = self.events
         if ev.wants & obs_trace.QC:
             ev.emit(
@@ -559,7 +547,6 @@ class Replica:
         for vertex in newly:
             block = vertex.block
             self.stats.blocks_committed += 1
-            self.stats.transactions_committed += block.num_transactions
             if announce:
                 # ``view`` is the proposal view; BI is commit_view - view.
                 ev.emit(
@@ -639,7 +626,6 @@ class Replica:
             timeout=timeout,
         )
         self.timeouts.trust(timeout)
-        self.stats.timeouts_sent += 1
         ev = self.events
         if ev.wants & obs_trace.TIMEOUT:
             ev.emit(
@@ -649,7 +635,6 @@ class Replica:
         self._broadcast(message, include_self=True)
 
     def _process_timeout(self, message: TimeoutMessage) -> None:
-        self.stats.timeouts_received += 1
         tc = self.pacemaker.process_remote_timeout(message.timeout)
         if tc is not None:
             self.pacemaker.advance_on_tc(tc)
@@ -680,7 +665,6 @@ class Replica:
         if view != self.pacemaker.current_view:
             # The view moved on while the proposal was being built; recycle
             # the batched transactions so they are not lost.
-            self.stats.stale_proposals_dropped += 1
             self.mempool.requeue_front(batch)
             return
         qc_signers = len(block.qc.signers) if block.qc is not None else 0

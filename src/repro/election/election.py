@@ -20,7 +20,7 @@ than the node list), and register with :func:`register_election`::
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, List, Sequence, Type
+from typing import Callable, Dict, List, Sequence, Type
 
 from repro.crypto.digest import digest_fields
 from repro.plugins import Registry
@@ -107,9 +107,15 @@ class HashBasedElection(LeaderElection):
     of round-robin while staying deterministic across replicas.
     """
 
+    #: Views whose leader is remembered; the oldest is forgotten first.
+    MEMO_SIZE = 256
+
     def __init__(self, nodes: Sequence[str], seed: int = 0) -> None:
         super().__init__(nodes)
         self.seed = seed
+        # Every replica asks about the same few views around the current one,
+        # several times each; the digest is computed once per view.
+        self._memo: Dict[int, str] = {}
 
     @classmethod
     def from_config(
@@ -118,9 +124,15 @@ class HashBasedElection(LeaderElection):
         return cls(nodes, seed=seed)
 
     def leader(self, view: int) -> str:
-        digest = digest_fields("leader", self.seed, view)
-        index = int(digest[:16], 16) % len(self.nodes)
-        return self.nodes[index]
+        memo = self._memo
+        leader = memo.get(view)
+        if leader is None:
+            digest = digest_fields("leader", self.seed, view)
+            leader = self.nodes[int(digest[:16], 16) % len(self.nodes)]
+            if len(memo) >= self.MEMO_SIZE:
+                del memo[next(iter(memo))]
+            memo[view] = leader
+        return leader
 
 
 def make_election(nodes: Sequence[str], master: str = "", kind: str = "round-robin", seed: int = 0) -> LeaderElection:

@@ -8,8 +8,8 @@ network-related quantities of the paper's performance model:
   optional additional delay (the ``delay`` configuration parameter),
   run-time fluctuation windows, per-node slow-downs, and partitions;
 * **NIC serialization delay** — every byte sent passes through the sender's
-  and the receiver's NIC, each modelled as a bandwidth-limited FIFO server
-  (the ``2·m/b`` term).
+  and the receiver's NIC, each a bandwidth-limited FIFO queue held by
+  :class:`Network` as one ``free_at`` time (the ``2·m/b`` term).
 """
 
 from repro.network.delays import (
@@ -26,7 +26,6 @@ from repro.network.delays import (
 )
 from repro.network.fluctuation import FluctuationWindow
 from repro.network.network import Network, NetworkStats
-from repro.network.nic import NetworkInterface
 from repro.network.partition import Partition
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "FixedDelay",
     "FluctuationWindow",
     "Network",
-    "NetworkInterface",
     "NetworkStats",
     "NoDelay",
     "NormalDelay",

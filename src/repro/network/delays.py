@@ -14,15 +14,23 @@ delay changes declaratively.
 
 from __future__ import annotations
 
+import math
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Type, Union
+from typing import Any, Callable, Dict, List, Sequence, Tuple, Type, Union
 
 from repro.plugins import Registry
 
 #: The delay-model extension point.
 DELAY_MODELS: Registry[Type["DelayModel"]] = Registry("delay model")
+
+
+#: A delay model bound to a generator: ``(draw, a, b, floor)``, one sample
+#: being ``max(floor, draw(a, b))``.  See :meth:`DelayModel.bind`.
+Draw = Tuple[Callable[[Any, Any], float], Any, Any, float]
+#: The draw of a model that never adds delay; the network skips it per copy.
+ZERO_DRAW: Draw = (max, 0.0, 0.0, 0.0)
 
 
 def register_delay_model(name: str, *aliases: str, override: bool = False) -> Callable:
@@ -36,7 +44,29 @@ def available_delay_models() -> List[str]:
 
 
 class DelayModel(ABC):
-    """Samples a one-way propagation delay in seconds."""
+    """Samples a one-way propagation delay in seconds.
+
+    A model states its distribution once, as :meth:`sample` or as
+    :meth:`bind`, and the other is derived from it when the class is made.
+    A subclass that overrides :meth:`sample` alone gets the default
+    :meth:`bind`, which calls that :meth:`sample`, so the network never
+    bypasses it.
+    """
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        own = vars(cls)
+        if "sample" in own and "bind" not in own:
+            cls.bind = DelayModel.bind  # type: ignore[method-assign]
+        elif "bind" in own and "sample" not in own:
+            bind = own["bind"]
+
+            def sample(self: DelayModel, rng: random.Random) -> float:
+                draw, a, b, floor = bind(self, rng)
+                drawn = draw(a, b)
+                return drawn if drawn > floor else floor
+
+            cls.sample = sample  # type: ignore[method-assign]
 
     @classmethod
     def from_spec(cls, **params) -> "DelayModel":
@@ -50,6 +80,15 @@ class DelayModel(ABC):
     @abstractmethod
     def mean(self) -> float:
         """Expected value of the delay (used by the analytical model)."""
+
+    def bind(self, rng: random.Random) -> Draw:
+        """This model's sampler on ``rng``, drawing what :meth:`sample` draws.
+
+        The network binds a model once, when it is assigned, and draws every
+        wire copy's delay as ``max(floor, draw(a, b))`` with no frame of the
+        model's own.  The default calls :meth:`sample` itself.
+        """
+        return type(self).sample, self, rng, -math.inf
 
 
 def make_delay_model(spec: Union["DelayModel", str, Dict, None]) -> "DelayModel":
@@ -78,11 +117,11 @@ def make_delay_model(spec: Union["DelayModel", str, Dict, None]) -> "DelayModel"
 class NoDelay(DelayModel):
     """Zero propagation delay (useful for unit tests)."""
 
-    def sample(self, rng: random.Random) -> float:
-        return 0.0
-
     def mean(self) -> float:
         return 0.0
+
+    def bind(self, rng: random.Random) -> Draw:
+        return ZERO_DRAW
 
 
 @register_delay_model("fixed", "constant")
@@ -116,11 +155,11 @@ class NormalDelay(DelayModel):
         if self.mean_delay < 0 or self.stddev < 0:
             raise ValueError("mean and stddev must be non-negative")
 
-    def sample(self, rng: random.Random) -> float:
-        return max(self.floor, rng.gauss(self.mean_delay, self.stddev))
-
     def mean(self) -> float:
         return self.mean_delay
+
+    def bind(self, rng: random.Random) -> Draw:
+        return rng.gauss, self.mean_delay, self.stddev, self.floor
 
 
 @register_delay_model("uniform")

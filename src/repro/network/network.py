@@ -10,6 +10,17 @@ send time and posts a single arrival entry for it; the arrival reserves the
 receiver's NIC and posts the delivery.  Two handle-free heap tuples per
 message, whatever conditions are installed.
 
+Every endpoint has an egress and an ingress NIC, each a serial FIFO queue
+whose service time for a message is ``NIC_OVERHEAD_S + size / bandwidth``
+(computed once per message, here and nowhere else).  A leader broadcasting a
+proposal to N-1 peers therefore serializes N-1 copies through its egress NIC
+— which is why leader bandwidth becomes the bottleneck as block size or
+cluster size grows.  The queues are *analytic*: every reservation happens at
+a scheduler event (the send for egress, the arrival for ingress), so a NIC is
+one ``free_at`` float and a transfer completes at ``max(now, free_at) +
+service`` — what a work-conserving single server driven by completion events
+would produce, without a heap entry of its own.
+
 What is evaluated when, per destination and in destination order:
 
 * **at send** — a crashed sender or destination and any active partition
@@ -24,20 +35,20 @@ What is evaluated when, per destination and in destination order:
 * **at delivery** — a destination that crashed behind its ingress queue
   drops the message.
 
-Fault state is consulted only while something is installed, and expired
-partitions and windows are pruned on the way, so a condition that touches no
-message changes no timestamp and no random draw.
+Fault state is consulted only while something is installed, and partitions
+and windows are pruned once the earliest of their ends has passed, so a
+condition that touches no message changes no timestamp and no random draw.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.network.delays import DelayModel, NoDelay, NormalDelay
+from repro.network.delays import ZERO_DRAW, DelayModel, Draw, NoDelay, NormalDelay
 from repro.network.fluctuation import FluctuationWindow
-from repro.network.nic import DEFAULT_BANDWIDTH_BPS, NetworkInterface
-from repro.network.partition import Partition
+from repro.network.partition import NOBODY, Partition
 from repro.obs import trace as obs_trace
 from repro.sim.events import EventScheduler
 from repro.sim.random import RandomStreams
@@ -45,10 +56,13 @@ from repro.types.messages import Message
 
 DeliveryHandler = Callable[[Message], None]
 
+DEFAULT_BANDWIDTH_BPS = 125_000_000  # 1 Gbit/s expressed in bytes per second
+#: Per-message NIC service time on top of ``size / bandwidth``.
+NIC_OVERHEAD_S = 2e-6
+
 # A LAN round-trip below one millisecond, as in the paper's testbed
 # ("inter-VM latency below 1ms"): one-way mean 0.25 ms, stddev 0.05 ms.
 DEFAULT_LAN_DELAY = NormalDelay(mean_delay=0.25e-3, stddev=0.05e-3)
-
 
 @dataclass
 class NetworkStats:
@@ -74,8 +88,11 @@ class Network:
         local_delivery_delay: float = 5e-6,
         events: Optional[obs_trace.EventStream] = None,
     ) -> None:
+        if bandwidth_bps <= 0:
+            raise ValueError(f"bandwidth must be positive, got {bandwidth_bps}")
         self.scheduler = scheduler
         self.streams = streams
+        self._rng = streams.get("network")
         self.base_delay = base_delay if base_delay is not None else DEFAULT_LAN_DELAY
         self.extra_delay = extra_delay if extra_delay is not None else NoDelay()
         self.bandwidth_bps = bandwidth_bps
@@ -84,13 +101,16 @@ class Network:
         #: The cluster's event stream: the fabric announces its drops (``net``).
         self.events = events if events is not None else obs_trace.EventStream()
 
-        self._rng = streams.get("network")
         self._handlers: Dict[str, DeliveryHandler] = {}
-        self._egress: Dict[str, NetworkInterface] = {}
-        self._ingress: Dict[str, NetworkInterface] = {}
+        #: Per endpoint, the time its egress / ingress NIC finishes everything
+        #: reserved so far.
+        self._egress: Dict[str, float] = {}
+        self._ingress: Dict[str, float] = {}
         self._slow_factor: Dict[str, float] = {}
         self._fluctuations: List[FluctuationWindow] = []
         self._partitions: List[Partition] = []
+        #: The earliest end among the installed partitions and windows.
+        self._next_expiry = math.inf
         self._crashed: set[str] = set()
         # Per-network message-id counter: ids are stamped on first send so
         # repeated runs in one process assign identical ids (no process-global
@@ -105,24 +125,35 @@ class Network:
         if node_id in self._handlers:
             raise ValueError(f"endpoint {node_id!r} is already registered")
         self._handlers[node_id] = handler
-        self._egress[node_id] = NetworkInterface(
-            self.scheduler, name=f"{node_id}.egress", bandwidth_bps=self.bandwidth_bps
-        )
-        self._ingress[node_id] = NetworkInterface(
-            self.scheduler, name=f"{node_id}.ingress", bandwidth_bps=self.bandwidth_bps
-        )
+        self._egress[node_id] = self._ingress[node_id] = self.scheduler.now
 
     def endpoints(self) -> List[str]:
         """All registered endpoint ids."""
         return sorted(self._handlers)
 
-    def egress_nic(self, node_id: str) -> NetworkInterface:
-        """The egress interface of ``node_id`` (for utilization reporting)."""
-        return self._egress[node_id]
+    # ------------------------------------------------------------------
+    # delay models: bound to the "network" stream when assigned (a
+    # ``set-delay`` scenario event assigns them mid-run)
+    # ------------------------------------------------------------------
+    @property
+    def base_delay(self) -> DelayModel:
+        """The LAN's one-way propagation delay."""
+        return self._base_delay
 
-    def ingress_nic(self, node_id: str) -> NetworkInterface:
-        """The ingress interface of ``node_id``."""
-        return self._ingress[node_id]
+    @base_delay.setter
+    def base_delay(self, model: DelayModel) -> None:
+        self._base_delay = model
+        self._base_draw: Draw = model.bind(self._rng)
+
+    @property
+    def extra_delay(self) -> DelayModel:
+        """Configured delay added to every wire copy (Table I's ``delay``)."""
+        return self._extra_delay
+
+    @extra_delay.setter
+    def extra_delay(self, model: DelayModel) -> None:
+        self._extra_delay = model
+        self._extra_draw: Draw = model.bind(self._rng)
 
     # ------------------------------------------------------------------
     # fault / condition injection
@@ -140,10 +171,13 @@ class Network:
     def add_fluctuation(self, window: FluctuationWindow) -> None:
         """Install a fluctuation window (extra random delay while active)."""
         self._fluctuations.append(window)
+        self._next_expiry = min(self._next_expiry, window.end)
 
     def add_partition(self, partition: Partition) -> None:
         """Install a partition (messages across groups are dropped)."""
         self._partitions.append(partition)
+        if partition.end is not None:
+            self._next_expiry = min(self._next_expiry, partition.end)
 
     def heal_partitions(self, now: Optional[float] = None) -> int:
         """Close every partition active at ``now`` (default: current time).
@@ -165,20 +199,18 @@ class Network:
     def _prune_expired(self, now: float) -> None:
         """Drop partitions and fluctuation windows that can never act again.
 
-        Both lists are scanned for every copy sent while they are non-empty,
-        so long fuzz campaigns would otherwise pay O(total fault history) per
-        message.
+        Both lists are scanned for every message sent while they are
+        non-empty, so long fuzz campaigns would otherwise pay O(total fault
+        history) per message.  Sends call this only once ``now`` has reached
+        the earliest end, so it runs about once per expiry.
         """
-        partitions = self._partitions
-        if partitions:
-            live = [p for p in partitions if p.end is None or now < p.end]
-            if len(live) != len(partitions):
-                self._partitions = live
-        fluctuations = self._fluctuations
-        if fluctuations:
-            live_windows = [w for w in fluctuations if now < w.end]
-            if len(live_windows) != len(fluctuations):
-                self._fluctuations = live_windows
+        self._partitions = [p for p in self._partitions if p.end is None or now < p.end]
+        self._fluctuations = [w for w in self._fluctuations if now < w.end]
+        self._next_expiry = min(
+            [p.end for p in self._partitions if p.end is not None]
+            + [w.end for w in self._fluctuations],
+            default=math.inf,
+        )
 
     def crash(self, node_id: str) -> None:
         """Crash an endpoint: all traffic to and from it is dropped."""
@@ -217,11 +249,13 @@ class Network:
         handlers = self._handlers
         if src not in handlers:
             raise KeyError(f"unknown sender {src!r}")
+        size = message.size_bytes
+        if size < 0:
+            raise ValueError(f"negative message size: {size}")
         if message.message_id < 0:
             self._message_seq += 1
             message.message_id = self._message_seq
         fanout = len(dsts)
-        size = message.size_bytes
         stats = self.stats
         stats.messages_sent += fanout
         stats.bytes_sent += fanout * size
@@ -236,24 +270,34 @@ class Network:
         # Truthy iff any fault state is installed; nothing below consults it otherwise.
         conditioned = crashed or slow or self._partitions or self._fluctuations
         if conditioned:
-            self._prune_expired(now)
-        partitions = self._partitions
-        windows = self._fluctuations
-        rng = self._rng
-        base_sample = self.base_delay.sample
-        extra = self.extra_delay
-        extra_sample = None if type(extra) is NoDelay else extra.sample
-        reserve = self._egress[src].reserve
+            if now >= self._next_expiry:
+                self._prune_expired(now)
+            src_crashed = src in crashed
+            src_slow = slow.get(src, 1.0)
+            cut = NOBODY
+            for partition in self._partitions:
+                if partition.active(now):
+                    cut = cut | partition.unreachable_from(src)
+            windows = self._fluctuations
+            uniform = self._rng.uniform
+        # One service time per message; the arrival carries it to the ingress NIC.
+        service = NIC_OVERHEAD_S + size / self.bandwidth_bps
+        base_draw, base_a, base_b, base_floor = self._base_draw
+        extra = self._extra_draw
+        extra_draw, extra_a, extra_b, extra_floor = extra
+        egress = self._egress
+        free_at = egress[src]
         post_at = scheduler.post_at
         arrive = self._arrive
         for dst in dsts:
             if dst not in handlers:
+                egress[src] = free_at
                 raise KeyError(f"unknown destination {dst!r}")
             if conditioned:
-                if src in crashed or dst in crashed:
+                if src_crashed or dst in crashed:
                     self._drop(dst, message, "crashed")
                     continue
-                if partitions and any(p.blocks(src, dst, now) for p in partitions):
+                if dst in cut:
                     self._drop(dst, message, "partitioned")
                     continue
             if dst == src:
@@ -261,27 +305,34 @@ class Network:
                 # the leader "sending" its own vote) costs a context switch.
                 scheduler.post_after(self.local_delivery_delay, self._deliver, dst, message)
                 continue
-            delay = base_sample(rng)
-            if extra_sample is not None:
-                delay += extra_sample(rng)
+            drawn = base_draw(base_a, base_b)
+            delay = drawn if drawn > base_floor else base_floor
+            if extra is not ZERO_DRAW:
+                drawn = extra_draw(extra_a, extra_b)
+                delay += drawn if drawn > extra_floor else extra_floor
             # The copies of a fanout serialize through the egress NIC.
-            completion = reserve(size)
+            free_at = (free_at if free_at > now else now) + service
             if conditioned:
                 for window in windows:
-                    if window.active(completion):
-                        delay += window.sample(rng)
+                    if window.start <= free_at < window.end:
+                        delay += uniform(window.min_delay, window.max_delay)
                 if slow:
-                    delay *= max(slow.get(src, 1.0), slow.get(dst, 1.0))
-            post_at(completion + delay, arrive, src, dst, message)
+                    factor = slow.get(dst, 1.0)
+                    delay *= factor if factor > src_slow else src_slow
+            post_at(free_at + delay, arrive, src, dst, message, service)
+        egress[src] = free_at
 
-    def _arrive(self, src: str, dst: str, message: Message) -> None:
+    def _arrive(self, src: str, dst: str, message: Message, service: float) -> None:
         crashed = self._crashed
         if crashed and (src in crashed or dst in crashed):
             self._drop(dst, message, "crashed")
             return
-        self.scheduler.post_at(
-            self._ingress[dst].reserve(message.size_bytes), self._deliver, dst, message
-        )
+        scheduler = self.scheduler
+        now = scheduler.now
+        free_at = self._ingress[dst]
+        free_at = (free_at if free_at > now else now) + service
+        self._ingress[dst] = free_at
+        scheduler.post_at(free_at, self._deliver, dst, message)
 
     def _deliver(self, dst: str, message: Message) -> None:
         if dst in self._crashed:

@@ -10,7 +10,9 @@ once a partition heals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Optional, Set
+from typing import Dict, FrozenSet, Optional, Set
+
+NOBODY: FrozenSet[str] = frozenset()
 
 
 @dataclass
@@ -20,12 +22,18 @@ class Partition:
     groups: tuple
     start: float = 0.0
     end: Optional[float] = None
-    _membership: dict = field(default_factory=dict, repr=False)
+    _unreachable: Dict[str, FrozenSet[str]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        for index, group in enumerate(self.groups):
-            for node in group:
-                self._membership[node] = index
+        # A node listed in several groups belongs to the last one.
+        membership = {node: index for index, group in enumerate(self.groups) for node in group}
+        groups: Dict[int, Set[str]] = {}
+        for node, index in membership.items():
+            groups.setdefault(index, set()).add(node)
+        members = frozenset(membership)
+        others = {index: members - group for index, group in groups.items()}
+        for node, index in membership.items():
+            self._unreachable[node] = others[index]
 
     def active(self, now: float) -> bool:
         """True if the partition is in effect at time ``now``."""
@@ -35,16 +43,12 @@ class Partition:
             return False
         return True
 
-    def blocks(self, src: str, dst: str, now: float) -> bool:
-        """True if a message from ``src`` to ``dst`` must be dropped."""
-        if not self.active(now):
-            return False
-        src_group = self._membership.get(src)
-        dst_group = self._membership.get(dst)
-        if src_group is None or dst_group is None:
-            # Nodes outside every group (e.g. clients) are unaffected.
-            return False
-        return src_group != dst_group
+    def unreachable_from(self, src: str) -> FrozenSet[str]:
+        """The nodes ``src`` cannot reach while the partition is active.
+
+        Nodes outside every group (e.g. clients) are unaffected either way.
+        """
+        return self._unreachable.get(src, NOBODY)
 
     @classmethod
     def isolate(cls, nodes: Set[str], isolated: Set[str], start: float = 0.0, end: Optional[float] = None) -> "Partition":

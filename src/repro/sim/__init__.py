@@ -11,9 +11,10 @@ The engine is intentionally small and explicit:
 * :class:`~repro.sim.events.Event` — a handle that allows cancelling a
   scheduled callback (used for pacemaker timeouts).
 * :class:`~repro.sim.resources.FifoServer` — a serial resource with explicit
-  service times.  Replica CPUs and NICs are modelled as ``FifoServer``
-  instances, which is what produces queueing (and therefore the L-shaped
-  latency/throughput curves of the paper).
+  service times.  Replica CPUs are ``FifoServer`` instances; NICs are
+  analytic ``free_at`` reservations held by
+  :class:`~repro.network.network.Network`.  Together they produce queueing
+  (and therefore the L-shaped latency/throughput curves of the paper).
 * :class:`~repro.sim.random.RandomStreams` — named, independently seeded
   random streams so that simulations are reproducible and statistically
   well-behaved.

@@ -48,12 +48,6 @@ class RandomStreams:
             return floor
         return value
 
-    def exponential(self, name: str, rate: float) -> float:
-        """Draw an exponential inter-arrival time (Poisson process)."""
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
-        return self.get(name).expovariate(rate)
-
     def uniform(self, name: str, low: float, high: float) -> float:
         """Draw a uniform sample from stream ``name``."""
         return self.get(name).uniform(low, high)

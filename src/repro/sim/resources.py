@@ -2,15 +2,15 @@
 
 The paper's performance model (§V) treats each machine as a queue made of a
 CPU and a NIC.  :class:`FifoServer` is the simulation-side realization of
-that queue: jobs are served one at a time in arrival order, each occupying
-the server for a caller-supplied service time.  Utilization and queueing
-statistics are tracked so benchmarks can report saturation.
+the CPU: jobs are served one at a time in arrival order, each occupying the
+server for a caller-supplied service time.  (The NICs are analytic
+reservations held by :class:`~repro.network.network.Network`.)
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Optional, Tuple
+from typing import Any, Callable, Deque, Tuple
 
 from repro.sim.events import EventScheduler
 
@@ -21,29 +21,18 @@ class FifoServer:
     ``submit(service_time, callback, *args)`` enqueues a job; when the job
     finishes service, ``callback(*args)`` runs at the completion time.  The
     server is work-conserving: it is busy whenever at least one job is
-    present.  Jobs are plain ``(service_time, callback, args, enqueued_at)``
-    tuples and completions go through the scheduler's handle-free
+    present.  Queued jobs are plain ``(service_time, callback, args)`` tuples
+    and completions go through the scheduler's handle-free
     :meth:`~repro.sim.events.EventScheduler.post_after` tier — this server
     sits on the per-message CPU hot path, so a job costs no allocations
     beyond its tuple.
-
-    Statistics collected:
-
-    * :attr:`busy_time` — total time the server spent serving jobs.
-    * :attr:`jobs_served` — number of completed jobs.
-    * :attr:`total_delay` — sum over completed jobs of (completion - arrival),
-      i.e. queueing plus service time, used to report average sojourn times.
     """
 
     def __init__(self, scheduler: EventScheduler, name: str = "server") -> None:
         self.scheduler = scheduler
         self.name = name
-        self._queue: Deque[Tuple[float, Callable[..., Any], tuple, float]] = deque()
+        self._queue: Deque[Tuple[float, Callable[..., Any], tuple]] = deque()
         self._busy = False
-        self.busy_time = 0.0
-        self.jobs_served = 0
-        self.total_delay = 0.0
-        self._started_at = scheduler.now
 
     @property
     def queue_length(self) -> int:
@@ -59,41 +48,21 @@ class FifoServer:
         """Enqueue a job requiring ``service_time`` seconds of service."""
         if service_time < 0:
             raise ValueError(f"negative service time: {service_time}")
-        scheduler = self.scheduler
         if self._busy:
-            self._queue.append((service_time, callback, args, scheduler.now))
+            self._queue.append((service_time, callback, args))
             return
         # Idle server: start service directly, skipping the queue round trip
         # (the common case — most messages find the CPU free).
         self._busy = True
-        scheduler.post_after(
-            service_time, self._finish, (service_time, callback, args, scheduler.now)
-        )
+        self.scheduler.post_after(service_time, self._finish, callback, args)
 
-    def utilization(self, now: Optional[float] = None) -> float:
-        """Fraction of elapsed time the server has been busy."""
-        current = self.scheduler.now if now is None else now
-        elapsed = current - self._started_at
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / elapsed)
-
-    def average_sojourn(self) -> float:
-        """Mean time a completed job spent in the system (queue + service)."""
-        if self.jobs_served == 0:
-            return 0.0
-        return self.total_delay / self.jobs_served
-
-    def _finish(self, job: Tuple[float, Callable[..., Any], tuple, float]) -> None:
-        self.busy_time += job[0]
-        self.jobs_served += 1
-        self.total_delay += self.scheduler.now - job[3]
-        job[1](*job[2])
+    def _finish(self, callback: Callable[..., Any], args: tuple) -> None:
+        callback(*args)
         # Start the next queued job inline (one _finish per served job is
         # the hottest callback in the simulator).
         queue = self._queue
         if queue:
-            next_job = queue.popleft()
-            self.scheduler.post_after(next_job[0], self._finish, next_job)
+            service_time, callback, args = queue.popleft()
+            self.scheduler.post_after(service_time, self._finish, callback, args)
         else:
             self._busy = False

@@ -387,14 +387,14 @@ class TestOpenLoopSchedule:
 
         client = asyncio.run(scenario())
         sent = client.network.sent
-        drawn = RandomStreams(seed=21)
+        drawn = RandomStreams(seed=21).get("arrivals:c0")
         # The clock's reading at ``start`` is the one thing not drawn.
         intended = sent[0][1].created_at
-        assert 0.0 <= intended - drawn.exponential("arrivals:c0", rate) < 0.01
+        assert 0.0 <= intended - drawn.expovariate(rate) < 0.01
         schedule = []
         while intended < stop:
             schedule.append(intended)
-            intended += drawn.exponential("arrivals:c0", rate)
+            intended += drawn.expovariate(rate)
         # Every arrival the schedule holds before the stop was issued, stamped
         # with its scheduled instant and timed from it ...
         assert [tx.created_at for _, tx in sent] == pytest.approx(schedule, abs=1e-9)
@@ -404,3 +404,36 @@ class TestOpenLoopSchedule:
         late = [at - tx.created_at for at, tx in sent]
         assert max(late) > 0.8 * stall
         assert sum(1 for lateness in late if lateness > 0.005) > 0.25 * stall * rate
+
+
+class TestClientDraws:
+    """A client draws with ``_randbelow`` what ``choice`` / ``randrange`` draw."""
+
+    def test_one_randbelow_draw_equals_choice_and_randrange(self):
+        import random
+
+        ours, reference = random.Random(2024), random.Random(2024)
+        replica_lists = [["r0"], [f"r{i}" for i in range(4)], [f"r{i}" for i in range(7)]]
+        key_spaces = (1, 3, 1024, 2**20)
+        for i in range(10_000):
+            replicas = replica_lists[i % 3]
+            key_space = key_spaces[i % 4]
+            assert ours._randbelow(key_space) == reference.randrange(key_space)
+            assert replicas[ours._randbelow(len(replicas))] == reference.choice(replicas)
+
+    def test_requests_follow_the_reference_draws(self):
+        scheduler, network, streams, replicas, _ = make_env(num_replicas=4)
+        client = ClosedLoopClient(
+            "c0", scheduler, network, streams, [r.node_id for r in replicas], concurrency=1
+        )
+        sent = []
+        network.send = lambda src, dst, message: sent.append((dst, message.transaction.key))
+        for _ in range(2000):
+            client._submit_request()
+        reference = RandomStreams(seed=11).get("client:c0")
+        expected = []
+        for _ in range(2000):
+            reference.random()
+            key = f"k{reference.randrange(client.workload.key_space)}"
+            expected.append((reference.choice(client.replicas), key))
+        assert sent == expected

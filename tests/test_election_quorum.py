@@ -76,6 +76,22 @@ class TestElection:
         b = [HashBasedElection(NODES, seed=2).leader(v) for v in range(50)]
         assert a != b
 
+    def test_memoized_hash_leader_equals_a_fresh_digest(self):
+        """Views 0-20 000, asked in rising and in scattered order (hits and evictions)."""
+        import random
+
+        from repro.crypto.digest import digest_fields
+
+        nodes = [f"r{i}" for i in range(7)]
+        election = HashBasedElection(nodes, seed=11)
+        views = list(range(20_001))
+        scattered = views[:]
+        random.Random(5).shuffle(scattered)
+        for view in views + scattered + [v // 3 for v in views]:
+            fresh = nodes[int(digest_fields("leader", 11, view)[:16], 16) % len(nodes)]
+            assert election.leader(view) == fresh
+            assert len(election._memo) <= HashBasedElection.MEMO_SIZE
+
     def test_make_election_master_takes_precedence(self):
         election = make_election(NODES, master="r3", kind="hash")
         assert isinstance(election, StaticLeaderElection)

@@ -4,8 +4,7 @@ import pytest
 
 from repro.network.delays import CompositeDelay, FixedDelay, NoDelay, NormalDelay, UniformDelay
 from repro.network.fluctuation import FluctuationWindow
-from repro.network.network import Network
-from repro.network.nic import NetworkInterface
+from repro.network.network import NIC_OVERHEAD_S, Network
 from repro.network.partition import Partition
 from repro.sim.events import EventScheduler
 from repro.sim.random import RandomStreams
@@ -81,38 +80,121 @@ class TestDelayModels:
         with pytest.raises(ValueError):
             CompositeDelay([])
 
+    @pytest.mark.parametrize("model", [
+        NoDelay(),
+        FixedDelay(0.5),
+        NormalDelay(mean_delay=0.001, stddev=0.01, floor=0.0),
+        UniformDelay(0.01, 0.02),
+        CompositeDelay([NormalDelay(0.001, 0.002), UniformDelay(0.0, 0.01)]),
+    ], ids=lambda model: type(model).__name__)
+    def test_bound_draw_equals_sample(self, model):
+        """The network's per-copy draw is ``sample`` bit for bit, draw for draw."""
+        import random
+
+        draw, a, b, floor = model.bind(random.Random(3))
+        bound = []
+        for _ in range(2000):
+            value = draw(a, b)
+            bound.append(value if value > floor else floor)
+        rng = random.Random(3)
+        assert bound == [model.sample(rng) for _ in range(2000)]
+
+    def test_normal_draw_is_a_floored_gauss(self):
+        """The LAN delay draws what ``max(floor, rng.gauss(mean, stddev))`` draws."""
+        import random
+
+        model = NormalDelay(mean_delay=0.001, stddev=0.01, floor=0.0)
+        rng, reference = random.Random(3), random.Random(3)
+        assert [model.sample(rng) for _ in range(2000)] == [
+            max(0.0, reference.gauss(0.001, 0.01)) for _ in range(2000)
+        ]
+
+    def test_subclass_overriding_sample_alone_is_not_bypassed(self):
+        class Doubled(NormalDelay):
+            def sample(self, rng):
+                return 2 * super().sample(rng)
+
+        sched, net = make_network(base_delay=Doubled(mean_delay=0.05, stddev=0.0))
+        times = []
+        net.register("a", lambda m: None)
+        net.register("b", lambda m: times.append(sched.now))
+        net.send("a", "b", msg(size=0))
+        sched.run_until(1.0)
+        assert times == [pytest.approx(0.1 + 2 * NIC_OVERHEAD_S)]
+
+    def test_assigned_model_is_bound_on_assignment(self):
+        """A mid-run ``set-delay`` takes effect on the next send."""
+        sched, net = make_network(base_delay=FixedDelay(0.01))
+        times = []
+        net.register("a", lambda m: None)
+        net.register("b", lambda m: times.append(sched.now))
+        net.send("a", "b", msg(size=0))
+        sched.run_until(1.0)
+        net.base_delay = FixedDelay(0.2)
+        net.extra_delay = FixedDelay(0.1)
+        net.send("a", "b", msg(size=0))
+        sched.run_until(2.0)
+        assert times[0] == pytest.approx(0.01 + 2 * NIC_OVERHEAD_S)
+        assert times[1] == pytest.approx(1.0 + 0.3 + 2 * NIC_OVERHEAD_S)
+
 
 class TestNic:
-    def test_reserve_time_scales_with_size(self):
-        sched = EventScheduler()
-        nic = NetworkInterface(sched, "nic", bandwidth_bps=1000, fixed_overhead=0.0)
-        assert nic.reserve(500) == pytest.approx(0.5)
+    """The egress and ingress NICs: one analytic FIFO reservation each."""
 
-    def test_reservations_serialize(self):
-        sched = EventScheduler()
-        nic = NetworkInterface(sched, "nic", bandwidth_bps=1000, fixed_overhead=0.0)
-        assert nic.reserve(1000) == pytest.approx(1.0)
-        assert nic.reserve(1000) == pytest.approx(2.0)
-        # An idle interface starts the next job at the current time, not at
-        # the end of the previous reservation.
+    @staticmethod
+    def _receiving(net, sched, *names):
+        got = []
+        for name in names:
+            net.register(name, lambda m, name=name: got.append((name, m.sender, sched.now)))
+        return got
+
+    def test_burst_on_one_link_serializes_at_service_time(self):
+        sched, net = make_network(base_delay=FixedDelay(0.01), bandwidth=1000)
+        got = self._receiving(net, sched, "a", "b")
+        for _ in range(3):
+            net.send("a", "b", msg(size=500))
+        sched.run_until_idle()
+        service = NIC_OVERHEAD_S + 500 / 1000
+        times = [t for _, _, t in got]
+        # Egress, propagation, ingress for the first copy; each later copy
+        # leaves the sender's NIC one service time after the one before.
+        assert times[0] == pytest.approx(service + 0.01 + service)
+        assert [b - a for a, b in zip(times, times[1:])] == pytest.approx([service, service])
+
+    def test_idle_nic_starts_at_now(self):
+        sched, net = make_network(base_delay=FixedDelay(0.01), bandwidth=1000)
+        got = self._receiving(net, sched, "a", "b")
+        net.send("a", "b", msg(size=500))
         sched.run_until(5.0)
-        assert nic.reserve(1000) == pytest.approx(6.0)
+        net.send("a", "b", msg(size=500))
+        sched.run_until_idle()
+        service = NIC_OVERHEAD_S + 500 / 1000
+        assert got[1][2] == pytest.approx(5.0 + service + 0.01 + service)
 
-    def test_counters(self):
-        sched = EventScheduler()
-        nic = NetworkInterface(sched, "nic")
-        nic.reserve(100)
-        nic.reserve(200)
-        assert nic.bytes_transferred == 300
-        assert nic.messages_transferred == 2
+    def test_two_senders_queue_at_one_ingress_in_arrival_order(self):
+        sched, net = make_network(base_delay=FixedDelay(0.01), bandwidth=1000)
+        got = self._receiving(net, sched, "a", "b", "c")
+        net.send("a", "c", msg(sender="a", size=500))
+        net.send("b", "c", msg(sender="b", size=400))
+        sched.run_until_idle()
+        big, small = NIC_OVERHEAD_S + 500 / 1000, NIC_OVERHEAD_S + 400 / 1000
+        # b's copy leaves its NIC first and arrives first; a's arrives while
+        # c's ingress is still busy with it, and waits its turn.
+        assert [sender for _, sender, _ in got] == ["b", "a"]
+        assert got[0][2] == pytest.approx(small + 0.01 + small)
+        assert got[1][2] == pytest.approx(small + 0.01 + small + big)
 
-    def test_rejects_invalid_parameters(self):
-        sched = EventScheduler()
+    @pytest.mark.parametrize("bandwidth", [0, -1.0])
+    def test_non_positive_bandwidth_refused(self, bandwidth):
         with pytest.raises(ValueError):
-            NetworkInterface(sched, "nic", bandwidth_bps=0)
-        nic = NetworkInterface(sched, "nic")
+            make_network(bandwidth=bandwidth)
+
+    def test_negative_size_refused(self):
+        sched, net = make_network()
+        self._receiving(net, sched, "a", "b")
         with pytest.raises(ValueError):
-            nic.reserve(-1)
+            net.send("a", "b", msg(size=-1))
+        assert net.stats.messages_sent == 0
 
 
 class TestDelivery:
@@ -318,12 +400,31 @@ class TestFaultInjection:
 class TestPartitionHelpers:
     def test_isolate_constructor(self):
         partition = Partition.isolate({"a", "b", "c"}, {"c"})
-        assert partition.blocks("a", "c", now=0.0)
-        assert not partition.blocks("a", "b", now=0.0)
+        assert partition.active(0.0)
+        assert partition.unreachable_from("a") == {"c"}
+        assert partition.unreachable_from("c") == {"a", "b"}
 
     def test_nodes_outside_groups_unaffected(self):
         partition = Partition(groups=(frozenset({"a"}), frozenset({"b"})))
-        assert not partition.blocks("a", "client-1", now=0.0)
+        assert "client-1" not in partition.unreachable_from("a")
+        assert partition.unreachable_from("client-1") == frozenset()
+
+    def test_active_interval(self):
+        partition = Partition(groups=(frozenset({"a"}), frozenset({"b"})), start=1.0, end=2.0)
+        assert [partition.active(t) for t in (0.5, 1.0, 1.5, 2.0)] == [False, True, True, False]
+
+    def test_node_in_two_groups_belongs_to_the_last(self):
+        """Overlapping groups stay symmetric: y sits with z, apart from x."""
+        partition = Partition(groups=(frozenset({"x", "y"}), frozenset({"y", "z"})))
+        assert partition.unreachable_from("x") == {"y", "z"}
+        assert partition.unreachable_from("y") == {"x"}
+        assert partition.unreachable_from("z") == {"x"}
+
+    def test_unreachable_from(self):
+        partition = Partition(groups=(frozenset({"a", "b"}), frozenset({"c"}), frozenset({"d"})))
+        assert partition.unreachable_from("a") == {"c", "d"}
+        assert partition.unreachable_from("c") == {"a", "b", "d"}
+        assert partition.unreachable_from("client-1") == frozenset()
 
     def test_window_validation(self):
         with pytest.raises(ValueError):

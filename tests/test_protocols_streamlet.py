@@ -1,6 +1,6 @@
 """Unit tests for the Streamlet safety rules (paper §II-D)."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import api
 from repro.bench.config import Configuration
@@ -122,17 +122,29 @@ class TestCommitRule:
         assert safety.commit_candidate(blocks[2].block_id) is None
 
 
+#: When ``_scenario``'s fault ends (the heal or the recover).
+FAULT_ENDS_AT = 0.35
+
+
 def _scenario(kind, num_nodes):
-    """A fault that starts at 0.15 s and ends at 0.35 s, or none."""
+    """A fault that starts at 0.15 s and ends at FAULT_ENDS_AT, or none."""
     if kind == "crash":
         return {"events": [{"kind": "crash-replica", "at": 0.15, "replica": "r1"},
-                           {"kind": "recover-replica", "at": 0.35, "replica": "r1"}]}
+                           {"kind": "recover-replica", "at": FAULT_ENDS_AT, "replica": "r1"}]}
     if kind == "partition":
         ids = [f"r{i}" for i in range(num_nodes)]
         half = num_nodes // 2
         return {"events": [{"kind": "partition", "at": 0.15, "groups": [ids[:half], ids[half:]]},
-                           {"kind": "heal", "at": 0.35}]}
+                           {"kind": "heal", "at": FAULT_ENDS_AT}]}
     return None
+
+
+def _end_of_honest_trio(election, byzantine, first_view):
+    """The last view of the first three consecutive honest-led views from ``first_view``."""
+    view = first_view
+    while any(election.leader(v) in byzantine for v in range(view, view + 3)):
+        view += 1
+    return view + 2
 
 
 def _orphaned_certificates(forest):
@@ -162,6 +174,10 @@ class TestReachableStates:
         checkpoint_interval=st.sampled_from([0, 5]),
         seed=st.integers(min_value=0, max_value=2**16),
     )
+    # A silent replica leads views 1, 3 and 5-8 of this draw: no three
+    # consecutive honest-led views begin before 0.5 s.
+    @example(num_nodes=4, byzantine="silence", fault="partition", checkpoint_interval=0, seed=1)
+    @example(num_nodes=4, byzantine="silence", fault="partition", checkpoint_interval=5, seed=1)
     @settings(max_examples=12, deadline=None)
     def test_every_certified_vertex_has_a_certified_parent(
         self, num_nodes, byzantine, fault, checkpoint_interval, seed
@@ -176,10 +192,30 @@ class TestReachableStates:
         )
         cluster = api.build(config, _scenario(fault, num_nodes))
         cluster.start()
-        for step in range(1, 6):
+        r0 = cluster.replicas["r0"]
+        byzantine_ids = set(config.byzantine_ids())
+        # Streamlet's promise: once r0 has passed three consecutive views led
+        # by honest replicas that all began after the last heal or recover,
+        # it has committed.  Views are read every 0.1 s, so the first view
+        # known to begin after the fault is the one after the view current
+        # at the first reading past its end.
+        last_view = None
+        if not fault:
+            last_view = _end_of_honest_trio(r0.election, byzantine_ids, r0.current_view)
+        step = 0
+        while last_view is None or r0.current_view <= last_view:
+            step += 1
+            assert step <= 30, (
+                f"r0 still in view {r0.current_view} at {step * 0.1 - 0.1:.1f} s; "
+                f"waiting to pass view {last_view}"
+            )
             cluster.run(until=step * 0.1)
             for replica in cluster.replicas.values():
                 assert _orphaned_certificates(replica.forest) == [], (
                     f"{replica.node_id} at {step * 0.1:.1f} s"
                 )
-        assert cluster.replicas["r0"].forest.committed_height > 0
+            if last_view is None and step * 0.1 >= FAULT_ENDS_AT:
+                last_view = _end_of_honest_trio(
+                    r0.election, byzantine_ids, r0.current_view + 1
+                )
+        assert r0.forest.committed_height > 0, f"r0 passed view {last_view} uncommitted"

@@ -1,4 +1,4 @@
-"""Unit tests for the FIFO server resource (CPU / NIC model)."""
+"""Unit tests for the FIFO server resource (the replica CPU model)."""
 
 import pytest
 
@@ -70,38 +70,3 @@ class TestFifoServer:
         server.submit(1.0, first)
         sched.run_until(10.0)
         assert done == [("first", 1.0), ("second", 3.0)]
-
-
-class TestStatistics:
-    def test_utilization_of_busy_server(self):
-        sched = EventScheduler()
-        server = FifoServer(sched, "cpu")
-        server.submit(4.0, lambda: None)
-        sched.run_until(8.0)
-        assert server.utilization() == pytest.approx(0.5)
-
-    def test_utilization_is_zero_initially(self):
-        sched = EventScheduler()
-        server = FifoServer(sched, "cpu")
-        assert server.utilization() == 0.0
-
-    def test_jobs_served_counter(self):
-        sched = EventScheduler()
-        server = FifoServer(sched, "cpu")
-        for _ in range(5):
-            server.submit(0.5, lambda: None)
-        sched.run_until(10.0)
-        assert server.jobs_served == 5
-
-    def test_average_sojourn_includes_queueing(self):
-        sched = EventScheduler()
-        server = FifoServer(sched, "cpu")
-        server.submit(1.0, lambda: None)  # sojourn 1
-        server.submit(1.0, lambda: None)  # sojourn 2 (waits 1)
-        sched.run_until(10.0)
-        assert server.average_sojourn() == pytest.approx(1.5)
-
-    def test_average_sojourn_with_no_jobs(self):
-        sched = EventScheduler()
-        server = FifoServer(sched, "cpu")
-        assert server.average_sojourn() == 0.0
