@@ -86,32 +86,28 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.analysis import GroupSummary, RenderedFigure, aggregate_records, render_store
 from repro.bench.config import Configuration, ConfigurationError
 from repro.bench.runner import Cluster, ExperimentResult, build_cluster, run_experiment
-from repro.client.client import available_clients, register_client
+from repro.client.client import CLIENTS, register_client
 from repro.experiments import (
     CampaignResult,
     CampaignRunner,
     ExperimentSpec,
     ResultStore,
 )
-from repro.core.byzantine import available_strategies, register_strategy
-from repro.core.dispatch import available_message_handlers, register_message_handler
-from repro.election.election import available_elections, register_election
-from repro.network.delays import available_delay_models, register_delay_model
+from repro.core.byzantine import STRATEGIES, register_strategy
+from repro.core.dispatch import MESSAGE_HANDLERS, register_message_handler
+from repro.election.election import ELECTIONS, register_election
+from repro.network.delays import DELAY_MODELS, register_delay_model
 from repro.fuzz import (
+    ORACLES,
     FuzzReport,
-    available_oracles,
     register_oracle,
     replay,
 )
 from repro.fuzz import audit as _fuzz_audit
 from repro.fuzz import run_fuzz as fuzz
 from repro.obs import TracedRun, Tracer, tracing
-from repro.protocols.registry import available_protocols, register_protocol
-from repro.scenario import (
-    Scenario,
-    available_scenario_events,
-    register_scenario_event,
-)
+from repro.protocols.registry import PROTOCOLS, register_protocol
+from repro.scenario import SCENARIO_EVENTS, Scenario, register_scenario_event
 
 __all__ = [
     "CampaignResult",
@@ -454,19 +450,19 @@ def available(kind: Optional[str] = None) -> Union[Dict[str, List[str]], List[st
     """List registered implementations, per extension point.
 
     With no argument, returns a dict mapping each extension point to its
-    canonical names; with one ("protocols", "strategies", "elections",
+    registered names; with one ("protocols", "strategies", "elections",
     "delay_models", "clients", "scenario_events", "message_handlers",
     "oracles"), returns that list.
     """
     listings = {
-        "protocols": available_protocols(),
-        "strategies": available_strategies(),
-        "elections": available_elections(),
-        "delay_models": available_delay_models(),
-        "clients": available_clients(),
-        "scenario_events": available_scenario_events(),
-        "message_handlers": available_message_handlers(),
-        "oracles": available_oracles(),
+        "protocols": PROTOCOLS.available(),
+        "strategies": STRATEGIES.available(),
+        "elections": ELECTIONS.available(),
+        "delay_models": DELAY_MODELS.available(),
+        "clients": CLIENTS.available(),
+        "scenario_events": SCENARIO_EVENTS.available(),
+        "message_handlers": MESSAGE_HANDLERS.available(),
+        "oracles": ORACLES.available(),
     }
     if kind is None:
         return listings

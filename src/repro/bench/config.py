@@ -6,10 +6,11 @@ network conditions, and the simulation horizon.  It can be serialized to and
 from a JSON-compatible dict, mirroring Bamboo's JSON configuration file.
 
 The name-valued fields (``protocol``, ``strategy``, ``election``,
-``client``) are registry lookups — any implementation registered through
-:mod:`repro.plugins` is selectable here — and :meth:`Configuration.validate`
-checks them (plus the n ≥ 3f+1 bound and value ranges) with errors that say
-what is available; ``build_cluster`` calls it before wiring anything.
+``client``) are exact registry names — any implementation registered
+through :mod:`repro.plugins` is selectable here under the name it was
+registered with — and :meth:`Configuration.validate` checks them (plus the
+n ≥ 3f+1 bound and value ranges) with errors that say what is available;
+``build_cluster`` calls it before wiring anything.
 """
 
 from __future__ import annotations
@@ -32,14 +33,17 @@ class Configuration:
     num_nodes: int = 4
     #: Number of Byzantine replicas (Table I's ``byzNo``).
     byzantine_nodes: int = 0
-    #: Byzantine strategy: "silence" or "forking" (Table I's ``strategy``).
+    #: Byzantine strategy (Table I's ``strategy``): a name from the
+    #: STRATEGIES registry — "silence", "forking", "equivocate",
+    #: "delayed-proposal", "omission", "omission-delay" or "honest".
     strategy: str = "silence"
     #: Static leader node id; empty string means rotating leaders
     #: (Table I's ``master`` with 0 meaning rotation).
     master: str = ""
     #: Leader election kind when ``master`` is empty: "round-robin" (Bamboo's
-    #: default rotation) or "hash" (per-view pseudo-random leaders, the
-    #: "chosen at random" description of §II-A).  The Byzantine-attack
+    #: default rotation), "hash" (per-view pseudo-random leaders, the
+    #: "chosen at random" description of §II-A) or "static" (refused here:
+    #: a fixed leader is chosen by setting ``master``).  The Byzantine-attack
     #: benchmarks use "hash" so that attack damage is spread uniformly over
     #: honest proposers instead of always hitting the same rotation slots.
     election: str = "round-robin"
@@ -196,17 +200,16 @@ class Configuration:
         from repro.client.client import CLIENTS
         from repro.core.byzantine import STRATEGIES
         from repro.election.election import ELECTIONS
-        from repro.plugins import RegistryError
-        from repro.protocols.registry import PROTOCOLS, available_protocols
+        from repro.protocols.registry import PROTOCOLS
 
-        available_protocols()  # load the built-in protocol modules
         problems: List[str] = []
 
         def check_registry(field_name: str, value: str, registry) -> None:
-            try:
-                registry.canonical(value)
-            except RegistryError as exc:
-                problems.append(f"{field_name}: {exc}")
+            if value not in registry:
+                problems.append(
+                    f"{field_name}: unknown {registry.kind} {value!r}; "
+                    f"available: {', '.join(registry.available())}"
+                )
 
         check_registry("protocol", self.protocol, PROTOCOLS)
         if self.byzantine_nodes > 0:
@@ -226,21 +229,14 @@ class Configuration:
                 )
         else:
             check_registry("election", self.election, ELECTIONS)
-            if (
-                self.election in ELECTIONS
-                and ELECTIONS.canonical(self.election) == "static"
-            ):
+            if self.election == "static":
                 problems.append(
                     "election: 'static' needs the master field to name the "
                     "fixed leader (e.g. master='r0')"
                 )
         if self.client != "auto":
             check_registry("client", self.client, CLIENTS)
-            if (
-                self.client in CLIENTS
-                and CLIENTS.canonical(self.client) == "poisson"
-                and self.arrival_rate <= 0
-            ):
+            if self.client == "poisson" and self.arrival_rate <= 0:
                 problems.append(
                     "client: 'poisson' is open-loop and needs arrival_rate > 0 "
                     f"(got {self.arrival_rate})"

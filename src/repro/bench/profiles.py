@@ -65,13 +65,12 @@ _PROFILES = {
 
 
 def cost_profile(name: str) -> CryptoCostModel:
-    """Return a copy of the named cost profile."""
-    key = name.lower()
-    if key not in _PROFILES:
+    """Return a copy of the named cost profile (the name is matched exactly)."""
+    if name not in _PROFILES:
         raise ValueError(
             f"unknown cost profile {name!r}; expected one of {sorted(_PROFILES)}"
         )
-    return _PROFILES[key].scaled(1.0)
+    return _PROFILES[name].scaled(1.0)
 
 
 def available_profiles() -> list:

@@ -5,7 +5,6 @@ from repro.client.client import (
     ClientBase,
     ClosedLoopClient,
     PoissonClient,
-    available_clients,
     register_client,
 )
 from repro.client.workload import WorkloadSpec
@@ -16,6 +15,5 @@ __all__ = [
     "ClosedLoopClient",
     "PoissonClient",
     "WorkloadSpec",
-    "available_clients",
     "register_client",
 ]

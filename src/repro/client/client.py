@@ -44,14 +44,9 @@ REJECTION_BACKOFF = 2e-3
 CLIENTS: Registry[Type["ClientBase"]] = Registry("client type")
 
 
-def register_client(name: str, *aliases: str, override: bool = False) -> Callable:
+def register_client(name: str) -> Callable:
     """Class decorator registering a ClientBase subclass as a client type."""
-    return CLIENTS.register(name, *aliases, override=override)
-
-
-def available_clients() -> List[str]:
-    """Canonical names of the registered client types."""
-    return CLIENTS.available()
+    return CLIENTS.register(name)
 
 
 class ClientBase:
@@ -290,7 +285,7 @@ class ClientBase:
         """Hook for subclasses (closed-loop clients retry after a backoff)."""
 
 
-@register_client("closed-loop", "closed")
+@register_client("closed-loop")
 class ClosedLoopClient(ClientBase):
     """Keeps ``concurrency`` requests outstanding at all times."""
 
@@ -322,7 +317,7 @@ class ClosedLoopClient(ClientBase):
         self._submit_request()
 
 
-@register_client("poisson", "open-loop", "open")
+@register_client("poisson")
 class PoissonClient(ClientBase):
     """Open-loop client issuing requests as a Poisson process."""
 

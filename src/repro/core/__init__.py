@@ -4,7 +4,6 @@ from repro.core.byzantine import (
     STRATEGIES,
     ForkingReplica,
     SilentReplica,
-    available_strategies,
     convert_replica,
     make_replica,
     register_strategy,
@@ -17,7 +16,6 @@ __all__ = [
     "Replica",
     "ReplicaSettings",
     "SilentReplica",
-    "available_strategies",
     "convert_replica",
     "make_replica",
     "register_strategy",

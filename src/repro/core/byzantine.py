@@ -55,21 +55,16 @@ from repro.types.transaction import Transaction
 STRATEGIES: Registry[Type[Replica]] = Registry("Byzantine strategy")
 
 
-def register_strategy(name: str, *aliases: str, override: bool = False) -> Callable:
+def register_strategy(name: str) -> Callable:
     """Class decorator registering a Replica subclass as a Byzantine strategy."""
-    return STRATEGIES.register(name, *aliases, override=override)
-
-
-def available_strategies() -> List[str]:
-    """Canonical names of the registered Byzantine strategies."""
-    return STRATEGIES.available()
+    return STRATEGIES.register(name)
 
 
 # The honest replica doubles as the "no strategy" strategy.
-STRATEGIES.add("honest", Replica, "none")
+STRATEGIES.add("honest", Replica)
 
 
-@register_strategy("silence", "silent")
+@register_strategy("silence")
 class SilentReplica(Replica):
     """A replica that stays silent whenever it is the leader."""
 
@@ -81,7 +76,7 @@ class SilentReplica(Replica):
         self.views_silenced += 1
 
 
-@register_strategy("forking", "fork")
+@register_strategy("forking")
 class ForkingReplica(Replica):
     """A replica that forks the chain as deeply as the voting rule allows."""
 
@@ -114,7 +109,7 @@ class ForkingReplica(Replica):
         return ProposalPlan(parent_id=target.block_id, qc=target.qc)
 
 
-@register_strategy("equivocate", "equivocating", "equiv")
+@register_strategy("equivocate")
 class EquivocatingReplica(Replica):
     """A leader that proposes *conflicting* blocks to disjoint replica halves.
 
@@ -232,7 +227,7 @@ class EquivocatingReplica(Replica):
             self._accept_block(block, vote=False)
 
 
-@register_strategy("delayed-proposal", "delayed", "delay-proposal")
+@register_strategy("delayed-proposal")
 class DelayedProposalReplica(Replica):
     """A leader that withholds its proposal for most of the view timeout.
 
@@ -262,7 +257,7 @@ class DelayedProposalReplica(Replica):
         Replica._propose(self, view)
 
 
-@register_strategy("omission", "targeted-omission", "omit")
+@register_strategy("omission")
 class TargetedOmissionReplica(Replica):
     """A replica that drops every protocol message addressed to its victims.
 
@@ -311,7 +306,7 @@ class TargetedOmissionReplica(Replica):
         return self.omission_delay * (0.5 + int(token[:8], 16) / 0x100000000)
 
 
-@register_strategy("omission-delay", "omit-delay", "delayed-omission")
+@register_strategy("omission-delay")
 class DelayedOmissionReplica(TargetedOmissionReplica):
     """Targeted omission softened into targeted *delay* (SNIPPETS snippet 2).
 

@@ -1,13 +1,11 @@
 """Message dispatch: the extension point for replica message handlers.
 
-The replica's :meth:`~repro.core.replica.Replica.deliver` entry point used to
-be a hard-coded ``if isinstance(...)`` chain, which meant a new message kind
-(such as the sync subsystem's ``BlockRequest`` / ``BlockResponse``) required
-editing the replica itself.  Dispatch is now a :class:`~repro.plugins.Registry`
-keyed by the message *class name*: each entry pairs a handler with a CPU-cost
-function, and the replica charges the cost to its FIFO CPU server before
-invoking the handler — exactly the treatment the four built-in message kinds
-receive.
+Dispatch is a :class:`~repro.plugins.Registry` keyed by the message *class
+name*, so a new message kind (such as the sync subsystem's ``BlockRequest``
+/ ``BlockResponse``) needs no edit to the replica: each entry pairs a handler
+with a CPU-cost function, and the replica charges the cost to its FIFO CPU
+server before invoking the handler — exactly the treatment the four
+built-in message kinds receive.
 
 Registering a handler for a new message type::
 
@@ -26,16 +24,17 @@ callable ``(replica, message) -> seconds`` given to
 the cost model's flat ``loopback_time``).  Every charge is read through
 ``replica.cost_model``, so the deployment's all-zero ``measured`` profile
 charges nothing (a deployed replica's CPU is the host's, which runs the
-handler at once).  Messages with no
-registered handler are silently ignored, preserving the old behaviour for
-e.g. ``ClientReply`` copies that reach a replica.  :data:`HANDLERS` caches
-the lookup per message class.
+handler at once).  :meth:`~repro.core.replica.Replica.deliver` looks the
+message's class name up in ``MESSAGE_HANDLERS.entries`` on every delivery,
+so a handler registered mid-run serves the next message; messages with no
+registered handler (e.g. ``ClientReply`` copies that reach a replica) are
+ignored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable
 
 from repro.plugins import Registry
 from repro.types.messages import Message
@@ -63,10 +62,7 @@ MESSAGE_HANDLERS: Registry[MessageHandler] = Registry("message handler")
 
 
 def register_message_handler(
-    message_type: str,
-    *aliases: str,
-    cost: CostFn = _flat_cost,
-    override: bool = False,
+    message_type: str, *, cost: CostFn = _flat_cost
 ) -> Callable[[HandlerFn], HandlerFn]:
     """Decorator registering a handler for messages of class ``message_type``.
 
@@ -75,58 +71,10 @@ def register_message_handler(
     """
 
     def decorator(fn: HandlerFn) -> HandlerFn:
-        MESSAGE_HANDLERS.add(message_type, MessageHandler(handle=fn, cost=cost), *aliases,
-                             override=override)
+        MESSAGE_HANDLERS.add(message_type, MessageHandler(handle=fn, cost=cost))
         return fn
 
     return decorator
-
-
-def available_message_handlers() -> List[str]:
-    """Canonical message type names with a registered handler."""
-    # The sync and checkpoint handlers register at import time of their
-    # packages; make sure a bare listing (e.g. api.available()) sees them
-    # without requiring the caller to have built a replica first.
-    import repro.checkpoint  # noqa: F401  (registers SnapshotResponse)
-    import repro.sync  # noqa: F401  (registers BlockRequest/BlockResponse)
-
-    return MESSAGE_HANDLERS.available()
-
-
-class HandlerCache(dict):
-    """Message class -> its registered :class:`MessageHandler` (None: no handler).
-
-    Every delivered message would pay a registry lookup (name normalization
-    plus two dict hops) without it.  An entry is resolved on the first
-    message of its class; :attr:`version` is the registry version the entries
-    were resolved at, so a reader compares it with
-    ``MESSAGE_HANDLERS.version`` and calls :meth:`renew` on a mismatch —
-    plugin churn in tests invalidates the cache instead of leaking stale
-    handlers.  :meth:`repro.core.replica.Replica.deliver` reads it in its own
-    frame: charge ``entry.cost(replica, message)`` of CPU, then run
-    ``entry.handle(replica, message)``.
-    """
-
-    __slots__ = ("version",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.version = -1
-
-    def renew(self) -> None:
-        """Forget every resolution (the registry changed since)."""
-        self.clear()
-        self.version = MESSAGE_HANDLERS.version
-
-    def __missing__(self, cls: type) -> "MessageHandler | None":
-        kind = cls.__name__
-        entry = MESSAGE_HANDLERS.get(kind) if kind in MESSAGE_HANDLERS else None
-        self[cls] = entry
-        return entry
-
-
-#: The one resolution cache, shared by every replica.
-HANDLERS = HandlerCache()
 
 
 # ----------------------------------------------------------------------

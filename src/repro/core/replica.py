@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 from collections import OrderedDict
 
 from repro.checkpoint.manager import CheckpointManager
-from repro.core.dispatch import HANDLERS, MESSAGE_HANDLERS
+from repro.core.dispatch import MESSAGE_HANDLERS
 from repro.crypto.costs import CryptoCostModel
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import sign
@@ -75,6 +75,11 @@ from repro.types.transaction import Transaction
 #: tail; evicting beyond it merely skips a reply, and the client's timeout
 #: path re-submits (exactly as it does for a reply lost to a crash).
 ORIGIN_INDEX_CAPACITY = 8192
+
+#: Message class name -> its registered handler: the registry's own dict,
+#: read once per delivery, so a handler registered mid-run serves the next
+#: message.
+_HANDLERS_BY_KIND = MESSAGE_HANDLERS.entries
 
 
 class OriginIndex:
@@ -295,10 +300,7 @@ class Replica:
         """
         if self._crashed:
             return
-        handlers = HANDLERS
-        if handlers.version != MESSAGE_HANDLERS.version:
-            handlers.renew()
-        entry = handlers[message.__class__]
+        entry = _HANDLERS_BY_KIND.get(message.__class__.__name__)
         if entry is not None:
             self.cpu.submit(entry.cost(self, message), entry.handle, self, message)
 

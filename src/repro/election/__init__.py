@@ -6,7 +6,6 @@ from repro.election.election import (
     LeaderElection,
     RoundRobinElection,
     StaticLeaderElection,
-    available_elections,
     make_election,
     register_election,
 )
@@ -17,7 +16,6 @@ __all__ = [
     "LeaderElection",
     "RoundRobinElection",
     "StaticLeaderElection",
-    "available_elections",
     "make_election",
     "register_election",
 ]

@@ -30,14 +30,9 @@ from repro.plugins import Registry
 ELECTIONS: Registry[Type["LeaderElection"]] = Registry("election kind")
 
 
-def register_election(name: str, *aliases: str, override: bool = False) -> Callable:
+def register_election(name: str) -> Callable:
     """Class decorator registering a LeaderElection subclass."""
-    return ELECTIONS.register(name, *aliases, override=override)
-
-
-def available_elections() -> List[str]:
-    """Canonical names of the registered election kinds."""
-    return ELECTIONS.available()
+    return ELECTIONS.register(name)
 
 
 class LeaderElection(ABC):
@@ -68,7 +63,7 @@ class LeaderElection(ABC):
         return self.leader(view) == node_id
 
 
-@register_election("round-robin", "rr", "rotation")
+@register_election("round-robin")
 class RoundRobinElection(LeaderElection):
     """Rotate leadership through the node list, one view per node."""
 
@@ -76,7 +71,7 @@ class RoundRobinElection(LeaderElection):
         return self.nodes[view % len(self.nodes)]
 
 
-@register_election("static", "master", "fixed")
+@register_election("static")
 class StaticLeaderElection(LeaderElection):
     """A single stable leader (PBFT-style), used when ``master`` is set."""
 
@@ -98,7 +93,7 @@ class StaticLeaderElection(LeaderElection):
         return self.master
 
 
-@register_election("hash", "random")
+@register_election("hash")
 class HashBasedElection(LeaderElection):
     """Pseudo-random rotation derived from a hash of the view and a seed.
 

@@ -34,7 +34,6 @@ from repro.fuzz.invariants import (
     ORACLES,
     OracleContext,
     Violation,
-    available_oracles,
     check_invariants,
     register_oracle,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "ShrinkResult",
     "Violation",
     "audit",
-    "available_oracles",
     "check_invariants",
     "execute_case",
     "generate_case",

@@ -15,7 +15,7 @@ protocols are supposed to survive — any oracle violation is then a real bug,
 not an over-aggressive schedule:
 
 * the protocol cycles deterministically through the registered protocols
-  (``available_protocols()[index % len(...)]``, registration order), so any
+  (``PROTOCOLS.available()[index % len(...)]``, registration order), so any
   budget at least the number of protocols covers the full matrix — five
   built-ins, plus whatever the process registered;
 * static Byzantine replicas plus scheduled faults never exceed ``f``
@@ -39,9 +39,9 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.bench.config import Configuration
-from repro.core.byzantine import available_strategies
+from repro.core.byzantine import STRATEGIES
 from repro.experiments.spec import DEFAULT_BUCKET, RunSpec, run_key
-from repro.protocols.registry import available_protocols
+from repro.protocols.registry import PROTOCOLS
 from repro.scenario import Scenario
 from repro.scenario.events import (
     CrashReplica,
@@ -168,8 +168,8 @@ def generate_case(seed: int, index: int) -> FuzzCase:
     # registered after import are fuzzed too (and shift which case an index
     # draws).  Strategies: every registered non-honest one, for static
     # Byzantine replicas and ``set-byzantine`` conversions alike.
-    protocols = available_protocols()
-    strategy_pool = [name for name in available_strategies() if name != "honest"]
+    protocols = PROTOCOLS.available()
+    strategy_pool = [name for name in STRATEGIES.available() if name != "honest"]
 
     protocol = protocols[index % len(protocols)]
     num_nodes = rng.choice((4, 5, 6, 7))

@@ -121,7 +121,7 @@ class FuzzReport:
     #: Outcomes of the violating cases only (passing cases are summarized
     #: by the counters; their full records live in the store).
     failures: List[CaseOutcome] = field(default_factory=list)
-    #: How many cases ran each protocol, by canonical name.
+    #: How many cases ran each protocol, by registered name.
     protocols: Dict[str, int] = field(default_factory=dict)
 
     @property

@@ -50,14 +50,9 @@ from repro.plugins import Registry
 ORACLES: Registry[Callable[["OracleContext"], List[str]]] = Registry("invariant oracle")
 
 
-def register_oracle(name: str, *aliases: str, override: bool = False) -> Callable:
+def register_oracle(name: str) -> Callable:
     """Decorator registering an invariant oracle under ``name``."""
-    return ORACLES.register(name, *aliases, override=override)
-
-
-def available_oracles() -> List[str]:
-    """Canonical names of the registered oracles, in registration order."""
-    return ORACLES.available()
+    return ORACLES.register(name)
 
 
 @dataclass
@@ -103,12 +98,11 @@ def check_invariants(
     ctx: OracleContext, oracles: Optional[List[str]] = None
 ) -> List[Violation]:
     """Run the named oracles (default: all registered) over a finished run."""
-    names = oracles if oracles is not None else available_oracles()
+    names = oracles if oracles is not None else ORACLES.available()
     violations: List[Violation] = []
     for name in names:
-        canonical = ORACLES.canonical(name)
         for detail in ORACLES.get(name)(ctx):
-            violations.append(Violation(oracle=canonical, detail=detail))
+            violations.append(Violation(oracle=name, detail=detail))
     return violations
 
 
@@ -166,7 +160,7 @@ def certified_safety(ctx: OracleContext) -> List[str]:
     return problems
 
 
-@register_oracle("dedup", "no-double-apply")
+@register_oracle("dedup")
 def dedup(ctx: OracleContext) -> List[str]:
     """No transaction is committed twice in any honest replica's chain."""
     problems: List[str] = []
@@ -182,7 +176,7 @@ def dedup(ctx: OracleContext) -> List[str]:
     return problems
 
 
-@register_oracle("liveness", "conditional-liveness")
+@register_oracle("liveness")
 def liveness(ctx: OracleContext) -> List[str]:
     """Commits resume after the last transient fault heals.
 

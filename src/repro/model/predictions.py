@@ -39,7 +39,7 @@ from typing import Iterable, List, Optional, Tuple
 from repro.crypto.costs import CryptoCostModel
 from repro.model.orderstats import quorum_delay
 from repro.model.queuing import md1_waiting_time
-from repro.protocols.registry import PROTOCOLS, protocol_class
+from repro.protocols.registry import protocol_class
 from repro.quorum.quorum import quorum_size
 from repro.types.sizes import SizeModel
 
@@ -107,7 +107,7 @@ class AnalyticalModel:
         #: The registered Safety class whose traits the terms read; an
         #: unknown name raises ``RegistryError`` (a ``ValueError``).
         self.traits = protocol_class(protocol)
-        self.protocol = PROTOCOLS.canonical(protocol)
+        self.protocol = protocol
         self.params = params
 
     # ------------------------------------------------------------------

@@ -20,7 +20,6 @@ from repro.network.delays import (
     NormalDelay,
     NoDelay,
     UniformDelay,
-    available_delay_models,
     make_delay_model,
     register_delay_model,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "NormalDelay",
     "Partition",
     "UniformDelay",
-    "available_delay_models",
     "make_delay_model",
     "register_delay_model",
 ]

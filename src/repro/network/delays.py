@@ -18,7 +18,7 @@ import math
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Sequence, Tuple, Type, Union
+from typing import Any, Callable, Dict, Sequence, Tuple, Type, Union
 
 from repro.plugins import Registry
 
@@ -33,14 +33,9 @@ Draw = Tuple[Callable[[Any, Any], float], Any, Any, float]
 ZERO_DRAW: Draw = (max, 0.0, 0.0, 0.0)
 
 
-def register_delay_model(name: str, *aliases: str, override: bool = False) -> Callable:
+def register_delay_model(name: str) -> Callable:
     """Class decorator registering a DelayModel subclass."""
-    return DELAY_MODELS.register(name, *aliases, override=override)
-
-
-def available_delay_models() -> List[str]:
-    """Canonical names of the registered delay models."""
-    return DELAY_MODELS.available()
+    return DELAY_MODELS.register(name)
 
 
 class DelayModel(ABC):
@@ -112,7 +107,7 @@ def make_delay_model(spec: Union["DelayModel", str, Dict, None]) -> "DelayModel"
     return DELAY_MODELS.get(kind).from_spec(**params)
 
 
-@register_delay_model("none", "no", "zero")
+@register_delay_model("none")
 @dataclass
 class NoDelay(DelayModel):
     """Zero propagation delay (useful for unit tests)."""
@@ -124,7 +119,7 @@ class NoDelay(DelayModel):
         return ZERO_DRAW
 
 
-@register_delay_model("fixed", "constant")
+@register_delay_model("fixed")
 @dataclass
 class FixedDelay(DelayModel):
     """A constant delay."""
@@ -142,7 +137,7 @@ class FixedDelay(DelayModel):
         return self.delay
 
 
-@register_delay_model("normal", "gauss", "gaussian")
+@register_delay_model("normal")
 @dataclass
 class NormalDelay(DelayModel):
     """Normally distributed delay, truncated at a floor (default 0)."""
@@ -181,7 +176,7 @@ class UniformDelay(DelayModel):
         return (self.low + self.high) / 2.0
 
 
-@register_delay_model("composite", "sum")
+@register_delay_model("composite")
 class CompositeDelay(DelayModel):
     """Sum of several delay models (base LAN delay + configured extra delay)."""
 

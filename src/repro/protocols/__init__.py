@@ -12,7 +12,7 @@ what makes the comparison between protocols apples-to-apples.
 Protocols are an extension point: each built-in module registers its class
 with :func:`~repro.protocols.registry.register_protocol`, and third-party
 protocols do the same (see ``README.md`` for a worked example).  The import
-order below fixes the canonical listing order of ``available_protocols()``.
+order below fixes the listing order of ``PROTOCOLS.available()``.
 """
 
 # Imported in the paper's presentation order so that the registry lists
@@ -24,7 +24,6 @@ from repro.protocols.fasthotstuff import FastHotStuffSafety
 from repro.protocols.lbft import LeaderBroadcastSafety
 from repro.protocols.registry import (
     PROTOCOLS,
-    available_protocols,
     make_safety,
     register_protocol,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "Safety",
     "StreamletSafety",
     "TwoChainHotStuffSafety",
-    "available_protocols",
     "make_safety",
     "register_protocol",
 ]

@@ -20,7 +20,7 @@ from repro.protocols.registry import register_protocol
 from repro.protocols.safety import Safety
 
 
-@register_protocol("fasthotstuff", "fhs")
+@register_protocol("fasthotstuff")
 class FastHotStuffSafety(Safety):
     """Two-chain commit with responsiveness-oriented voting."""
 

@@ -31,7 +31,7 @@ from repro.protocols.registry import register_protocol
 from repro.protocols.safety import Safety
 
 
-@register_protocol("hotstuff", "hs")
+@register_protocol("hotstuff")
 class HotStuffSafety(Safety):
     """Three-chain chained HotStuff: every trait is the ``Safety`` default."""
 

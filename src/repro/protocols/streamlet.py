@@ -43,7 +43,7 @@ from repro.protocols.safety import ProposalPlan, Safety
 from repro.types.block import Block
 
 
-@register_protocol("streamlet", "sl")
+@register_protocol("streamlet")
 class StreamletSafety(Safety):
     """Pacemaker-driven Streamlet."""
 

@@ -17,7 +17,7 @@ from repro.protocols.registry import register_protocol
 from repro.protocols.safety import Safety
 
 
-@register_protocol("2chainhs", "2chs", "twochain")
+@register_protocol("2chainhs")
 class TwoChainHotStuffSafety(Safety):
     """Two-phase (two-chain) variant of HotStuff."""
 

@@ -19,7 +19,6 @@ from repro.scenario.events import (
     SetArrivalRate,
     SetByzantine,
     SetDelayModel,
-    available_scenario_events,
     register_scenario_event,
 )
 from repro.scenario.runner import Scenario
@@ -36,6 +35,5 @@ __all__ = [
     "SetArrivalRate",
     "SetByzantine",
     "SetDelayModel",
-    "available_scenario_events",
     "register_scenario_event",
 ]

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Dict, List, Optional, Type
 
 from repro.core.byzantine import STRATEGIES, convert_replica
-from repro.network.delays import DELAY_MODELS, make_delay_model
+from repro.network.delays import make_delay_model
 from repro.network.fluctuation import FluctuationWindow
 from repro.network.partition import Partition as NetworkPartition
 from repro.obs import trace as obs_trace
@@ -38,7 +38,7 @@ from repro.plugins import Registry
 SCENARIO_EVENTS: Registry[Type["ScenarioEvent"]] = Registry("scenario event")
 
 
-def register_scenario_event(name: str, *aliases: str, override: bool = False) -> Callable:
+def register_scenario_event(name: str) -> Callable:
     """Class decorator registering a ScenarioEvent subclass under ``name``.
 
     Also stamps the class's ``kind`` attribute, which tags the event's JSON
@@ -47,14 +47,9 @@ def register_scenario_event(name: str, *aliases: str, override: bool = False) ->
 
     def decorator(cls: Type["ScenarioEvent"]) -> Type["ScenarioEvent"]:
         cls.kind = name
-        return SCENARIO_EVENTS.register(name, *aliases, override=override)(cls)
+        return SCENARIO_EVENTS.add(name, cls)
 
     return decorator
-
-
-def available_scenario_events() -> List[str]:
-    """Canonical names of the registered scenario event kinds."""
-    return SCENARIO_EVENTS.available()
 
 
 @dataclass
@@ -130,7 +125,7 @@ def resolve_replica(cluster, replica: str) -> str:
     return replica
 
 
-@register_scenario_event("crash-replica", "crash")
+@register_scenario_event("crash-replica")
 @dataclass
 class CrashReplica(ScenarioEvent):
     """Crash a replica: it stops participating and drops all traffic."""
@@ -141,7 +136,7 @@ class CrashReplica(ScenarioEvent):
         cluster.replicas[resolve_replica(cluster, self.replica)].crash()
 
 
-@register_scenario_event("recover-replica", "recover")
+@register_scenario_event("recover-replica")
 @dataclass
 class RecoverReplica(ScenarioEvent):
     """Recover a crashed replica; it rejoins with its pre-crash state.
@@ -160,7 +155,7 @@ class RecoverReplica(ScenarioEvent):
         cluster.replicas[resolve_replica(cluster, self.replica)].recover()
 
 
-@register_scenario_event("network-fluctuation", "fluctuation")
+@register_scenario_event("network-fluctuation")
 @dataclass
 class NetworkFluctuation(ScenarioEvent):
     """A window of extra, highly variable delay on every replica link."""
@@ -180,7 +175,7 @@ class NetworkFluctuation(ScenarioEvent):
         )
 
 
-@register_scenario_event("partition", "split")
+@register_scenario_event("partition")
 @dataclass
 class Partition(ScenarioEvent):
     """Split the cluster into groups that cannot exchange messages.
@@ -205,7 +200,7 @@ class Partition(ScenarioEvent):
         )
 
 
-@register_scenario_event("heal", "heal-partitions")
+@register_scenario_event("heal")
 @dataclass
 class Heal(ScenarioEvent):
     """Close every partition that is open at this point in time."""
@@ -214,7 +209,7 @@ class Heal(ScenarioEvent):
         cluster.network.heal_partitions(self.at)
 
 
-@register_scenario_event("set-delay-model", "set-delay")
+@register_scenario_event("set-delay-model")
 @dataclass
 class SetDelayModel(ScenarioEvent):
     """Swap the network's base or extra delay model mid-run.
@@ -240,7 +235,7 @@ class SetDelayModel(ScenarioEvent):
             cluster.network.extra_delay = model
 
 
-@register_scenario_event("set-byzantine", "turn-byzantine")
+@register_scenario_event("set-byzantine")
 @dataclass
 class SetByzantine(ScenarioEvent):
     """Convert a live replica to a Byzantine strategy (or back to honest).
@@ -253,13 +248,13 @@ class SetByzantine(ScenarioEvent):
     strategy: str = "silence"
 
     def apply(self, cluster) -> None:
-        STRATEGIES.canonical(self.strategy)  # fail fast with the available list
+        STRATEGIES.get(self.strategy)  # fail fast with the available list
         convert_replica(
             cluster.replicas[resolve_replica(cluster, self.replica)], self.strategy
         )
 
 
-@register_scenario_event("set-arrival-rate", "set-rate")
+@register_scenario_event("set-arrival-rate")
 @dataclass
 class SetArrivalRate(ScenarioEvent):
     """Change the total open-loop arrival rate (Tx/s across all clients).

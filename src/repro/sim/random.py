@@ -36,26 +36,3 @@ class RandomStreams:
             stream_seed = int.from_bytes(digest[:8], "big")
             self._streams[name] = random.Random(stream_seed)
         return self._streams[name]
-
-    def normal(self, name: str, mean: float, stddev: float, floor: float = 0.0) -> float:
-        """Draw a normal sample from stream ``name``, clipped at ``floor``.
-
-        Network delays must never be negative; the paper's model uses a
-        normal RTT whose mean is far enough from zero that clipping is rare.
-        """
-        value = self.get(name).gauss(mean, stddev)
-        if value < floor:
-            return floor
-        return value
-
-    def uniform(self, name: str, low: float, high: float) -> float:
-        """Draw a uniform sample from stream ``name``."""
-        return self.get(name).uniform(low, high)
-
-    def choice(self, name: str, options):
-        """Pick a uniformly random element of ``options``."""
-        return self.get(name).choice(options)
-
-    def randint(self, name: str, low: int, high: int) -> int:
-        """Draw a uniform integer in ``[low, high]`` from stream ``name``."""
-        return self.get(name).randint(low, high)

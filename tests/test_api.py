@@ -6,7 +6,7 @@ import pytest
 
 from repro import api
 from repro.bench.config import Configuration, ConfigurationError
-from repro.bench.runner import Cluster, ExperimentResult, run_experiment
+from repro.bench.runner import Cluster, ExperimentResult
 
 FAST = dict(
     block_size=20,
@@ -125,6 +125,22 @@ class TestValidate:
         with pytest.raises(ConfigurationError, match="election: 'static' needs"):
             Configuration(election="static").validate()
 
+    @pytest.mark.parametrize(
+        "fields,registered",
+        [
+            ({"protocol": "hs"}, "protocol: unknown protocol 'hs'; available: hotstuff"),
+            ({"protocol": "HotStuff"}, "protocol: unknown protocol 'HotStuff'; available: hotstuff"),
+            ({"num_nodes": 4, "byzantine_nodes": 1, "strategy": "silent"},
+             "strategy: unknown Byzantine strategy 'silent'; available: .*silence"),
+            ({"election": "rr"}, "election: unknown election kind 'rr'; available: round-robin"),
+        ],
+    )
+    def test_only_exact_names_are_accepted(self, fields, registered):
+        # One behaviour, one name: a second spelling would hash to a second
+        # run id and store the same run twice.
+        with pytest.raises(ConfigurationError, match=registered):
+            Configuration(**fields).validate()
+
     def test_unknown_cost_profile(self):
         with pytest.raises(ConfigurationError, match="cost_profile"):
             Configuration(cost_profile="turbo").validate()
@@ -155,18 +171,20 @@ class TestValidate:
 
 
 class TestDeterminism:
-    """api.run must reproduce the legacy runner exactly, seed for seed."""
+    """The same configuration and seed reproduce a run exactly."""
 
     @pytest.mark.parametrize(
         "protocol", ["hotstuff", "2chainhs", "streamlet", "fasthotstuff", "lbft"]
     )
-    def test_api_run_matches_legacy_runner(self, protocol):
+    def test_same_seed_twice_is_identical(self, protocol):
+        # fasthotstuff and lbft have no pinned quick record: this is where a
+        # nondeterminism in them would show.
         config = Configuration(protocol=protocol, seed=23, **FAST)
-        via_api = api.run(config)
-        via_runner = run_experiment(config)
-        assert via_api.metrics == via_runner.metrics
-        assert via_api.highest_view == via_runner.highest_view
-        assert via_api.timeline == via_runner.timeline
+        first, second = api.run(config), api.run(config.to_dict())
+        assert first.metrics.committed_blocks > 0
+        assert first.metrics == second.metrics
+        assert first.highest_view == second.highest_view
+        assert first.timeline == second.timeline
 
     def test_resolved_client_keeps_auto_semantics(self):
         assert Configuration(arrival_rate=0.0).resolved_client() == "closed-loop"

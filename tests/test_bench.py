@@ -107,6 +107,14 @@ class TestProfiles:
         with pytest.raises(ValueError):
             cost_profile("turbo")
 
+    def test_name_is_exact(self):
+        # Configuration.validate compares cost_profile exactly; the lookup
+        # must refuse what validation refuses.
+        with pytest.raises(ValueError, match="'Standard'"):
+            cost_profile("Standard")
+        with pytest.raises(ConfigurationError, match="cost_profile"):
+            Configuration(cost_profile="Standard").validate()
+
     def test_profiles_are_copies(self):
         a = cost_profile("standard")
         a.sign_time = 123.0

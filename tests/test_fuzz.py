@@ -11,22 +11,21 @@ import json
 import pytest
 
 from repro.bench.config import Configuration
-from repro.core.byzantine import available_strategies
+from repro.core.byzantine import STRATEGIES
 from repro.experiments.cli import main
 from repro.fuzz import (
     ORACLES,
     FuzzCase,
     OracleContext,
     audit,
-    available_oracles,
     generate_case,
     generate_cases,
     register_oracle,
     run_fuzz,
 )
-from repro.protocols.registry import available_protocols
+from repro.protocols.registry import PROTOCOLS
 
-ATTACKS = [s for s in available_strategies() if s != "honest"]
+ATTACKS = [s for s in STRATEGIES.available() if s != "honest"]
 
 
 def small_config(**overrides):
@@ -59,8 +58,8 @@ class TestGenerator:
         assert len({case.run_id for case in cases}) == 10
 
     def test_protocol_cycle_covers_all_five(self):
-        cases = generate_cases(seed=0, budget=len(available_protocols()))
-        assert {case.config.protocol for case in cases} == set(available_protocols())
+        cases = generate_cases(seed=0, budget=len(PROTOCOLS.available()))
+        assert {case.config.protocol for case in cases} == set(PROTOCOLS.available())
 
     def test_cases_are_valid_and_fault_bounded(self):
         for index in range(30):
@@ -98,7 +97,7 @@ class TestGenerator:
 
 class TestOracles:
     def test_builtin_oracles_are_registered(self):
-        names = available_oracles()
+        names = ORACLES.available()
         for name in ("agreement", "certified-safety", "dedup", "liveness"):
             assert name in names
 
@@ -139,7 +138,7 @@ class TestConformanceMatrix:
     no invariant violation, and the same seed must reproduce the same
     committed chain (fingerprint) on a second run."""
 
-    @pytest.mark.parametrize("protocol", available_protocols())
+    @pytest.mark.parametrize("protocol", PROTOCOLS.available())
     @pytest.mark.parametrize("strategy", ATTACKS)
     def test_protocol_survives_attack_deterministically(self, protocol, strategy):
         config = small_config(
@@ -198,5 +197,5 @@ class TestFuzzCampaign:
         report = run_fuzz(budget=50, seed=0, store=str(tmp_path))
         assert report.ok, [v.to_dict() for v in report.violations]
         assert report.executed + report.skipped == 50
-        assert set(report.protocols) == set(available_protocols())
+        assert set(report.protocols) == set(PROTOCOLS.available())
         assert all(count == 10 for count in report.protocols.values())

@@ -12,6 +12,7 @@ from repro.bench.config import Configuration
 from repro.bench.profiles import cost_profile
 from repro.model.orderstats import expected_order_statistic, quorum_delay
 from repro.model.predictions import AnalyticalModel, ModelParameters
+from repro.plugins import RegistryError
 from repro.model.queuing import md1_sojourn_time, md1_waiting_time, utilization
 from repro.quorum.quorum import quorum_size
 
@@ -137,10 +138,11 @@ class TestAnalyticalModel:
         assert two_chain.commit_time() == pytest.approx(two_chain.service_time())
         assert streamlet.commit_time() == pytest.approx(streamlet.service_time())
 
-    def test_protocol_aliases(self):
-        assert AnalyticalModel("HS", ModelParameters()).protocol == "hotstuff"
-        assert AnalyticalModel("2CHS", ModelParameters()).protocol == "2chainhs"
-        assert AnalyticalModel("SL", ModelParameters()).protocol == "streamlet"
+    def test_protocol_is_the_registered_name(self):
+        assert AnalyticalModel("2chainhs", ModelParameters()).protocol == "2chainhs"
+        for spelling in ("HS", "2CHS", "SL"):
+            with pytest.raises(RegistryError):
+                AnalyticalModel(spelling, ModelParameters())
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError):

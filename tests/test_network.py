@@ -2,10 +2,18 @@
 
 import pytest
 
-from repro.network.delays import CompositeDelay, FixedDelay, NoDelay, NormalDelay, UniformDelay
+from repro.network.delays import (
+    CompositeDelay,
+    FixedDelay,
+    NoDelay,
+    NormalDelay,
+    UniformDelay,
+    make_delay_model,
+)
 from repro.network.fluctuation import FluctuationWindow
 from repro.network.network import NIC_OVERHEAD_S, Network
 from repro.network.partition import Partition
+from repro.plugins import RegistryError
 from repro.sim.events import EventScheduler
 from repro.sim.random import RandomStreams
 from repro.types.messages import Message
@@ -51,6 +59,14 @@ class TestDelayModels:
         model = NormalDelay(mean_delay=0.001, stddev=0.01, floor=0.0)
         rng = random.Random(0)
         assert all(model.sample(rng) >= 0.0 for _ in range(200))
+
+    def test_spec_kind_is_an_exact_name(self):
+        spec = {"kind": "normal", "mean_delay": 0.1, "stddev": 0.01}
+        assert make_delay_model(spec) == NormalDelay(0.1, 0.01)
+        assert make_delay_model("none") == NoDelay()
+        for spec in ("gauss", {"kind": "gauss", "mean_delay": 0.1}, "Normal"):
+            with pytest.raises(RegistryError, match="available: none, fixed, normal"):
+                make_delay_model(spec)
 
     def test_normal_delay_rejects_negative_params(self):
         with pytest.raises(ValueError):

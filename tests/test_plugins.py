@@ -2,21 +2,7 @@
 
 import pytest
 
-from repro.plugins import Registry, RegistryError, normalize_name
-
-
-class TestNormalization:
-    @pytest.mark.parametrize(
-        "raw,expected",
-        [
-            ("HotStuff", "hotstuff"),
-            ("Fast-HotStuff", "fasthotstuff"),
-            ("round_robin", "roundrobin"),
-            ("2CHS", "2chs"),
-        ],
-    )
-    def test_normalize_name(self, raw, expected):
-        assert normalize_name(raw) == expected
+from repro.plugins import Registry, RegistryError
 
 
 class TestRegistry:
@@ -24,27 +10,28 @@ class TestRegistry:
         reg = Registry("widget")
         reg.add("alpha", 1)
         assert reg.get("alpha") == 1
-        assert reg.get("ALPHA") == 1
         assert "alpha" in reg
-        assert len(reg) == 1
+
+    def test_names_are_exact(self):
+        reg = Registry("widget")
+        reg.add("closed-loop", 1)
+        for spelling in ("Closed-Loop", "closed_loop", "closedloop"):
+            assert spelling not in reg
+            with pytest.raises(RegistryError, match="available: closed-loop"):
+                reg.get(spelling)
+        # A spelling that differs is a different name, not a conflict.
+        reg.add("closed_loop", 2)
+        assert reg.available() == ["closed-loop", "closed_loop"]
 
     def test_decorator_form_returns_object(self):
         reg = Registry("widget")
 
-        @reg.register("thing", "th")
+        @reg.register("thing")
         class Thing:
             pass
 
         assert reg.get("thing") is Thing
-        assert reg.get("th") is Thing
         assert Thing.__name__ == "Thing"
-
-    def test_aliases_resolve_and_are_listed(self):
-        reg = Registry("widget")
-        reg.add("alpha", 1, "a", "al")
-        assert reg.get("a") == 1
-        assert reg.canonical("AL") == "alpha"
-        assert reg.aliases("alpha") == ["a", "al"]
 
     def test_available_preserves_registration_order(self):
         reg = Registry("widget")
@@ -65,101 +52,114 @@ class TestRegistry:
         reg.add("alpha", 1)
         with pytest.raises(RegistryError, match="already registered"):
             reg.add("alpha", 2)
-
-    def test_duplicate_alias_rejected(self):
-        reg = Registry("widget")
-        reg.add("alpha", 1, "a")
-        with pytest.raises(RegistryError, match="already registered"):
-            reg.add("beta", 2, "a")
-
-    def test_override_replaces(self):
-        reg = Registry("widget")
-        reg.add("alpha", 1)
-        reg.add("alpha", 2, override=True)
-        assert reg.get("alpha") == 2
-        assert reg.available() == ["alpha"]
-
-    def test_override_under_equivalent_name_evicts_shadowed_entry(self):
-        reg = Registry("widget")
-        reg.add("closed-loop", 1)
-        reg.add("closedloop", 2, override=True)  # same normalized name
-        assert reg.get("closed-loop") == 2
-        assert reg.available() == ["closedloop"]
-        assert reg.items() == [("closedloop", 2)]
-
-    def test_override_via_plain_alias_keeps_original_entry(self):
-        reg = Registry("widget")
-        reg.add("alpha", 1, "a")
-        reg.add("beta", 2, "a", override=True)  # steal the alias only
-        assert reg.get("a") == 2
         assert reg.get("alpha") == 1
-        assert reg.available() == ["alpha", "beta"]
 
     def test_empty_name_rejected(self):
         reg = Registry("widget")
         with pytest.raises(RegistryError):
             reg.add("", 1)
 
-    def test_unregister_removes_entry_and_aliases(self):
+    def test_decorator_with_a_taken_name_keeps_the_first(self):
         reg = Registry("widget")
-        reg.add("alpha", 1, "a")
-        reg.unregister("alpha")
-        assert "alpha" not in reg
-        assert "a" not in reg
-        assert reg.available() == []
 
-    def test_items_pairs_names_with_values(self):
+        @reg.register("thing")
+        class First:
+            pass
+
+        with pytest.raises(RegistryError, match="'thing' is already registered"):
+            @reg.register("thing")
+            class Second:
+                pass
+
+        assert reg.get("thing") is First
+
+    def test_unregistered_name_can_be_added_again(self):
         reg = Registry("widget")
         reg.add("alpha", 1)
-        reg.add("beta", 2)
-        assert reg.items() == [("alpha", 1), ("beta", 2)]
+        reg.unregister("alpha")
+        reg.add("alpha", 2)
+        assert reg.get("alpha") == 2
+        assert reg.available() == ["alpha"]
+
+    def test_unregister_removes_entry(self):
+        reg = Registry("widget")
+        reg.add("alpha", 1)
+        reg.unregister("alpha")
+        assert "alpha" not in reg
+        assert reg.available() == []
+        with pytest.raises(RegistryError):
+            reg.unregister("alpha")
 
 
 class TestBuiltinRegistries:
-    """The concrete extension points are populated and self-describing."""
+    """The concrete extension points are populated under their exact names."""
 
     def test_protocols(self):
-        from repro.protocols.registry import PROTOCOLS, available_protocols
+        from repro.protocols.registry import PROTOCOLS
 
-        assert available_protocols() == [
+        assert PROTOCOLS.available() == [
             "hotstuff", "2chainhs", "streamlet", "fasthotstuff", "lbft",
         ]
-        assert available_protocols() == PROTOCOLS.available()
+        for spelling in ("hs", "HotStuff", "2chs", "two-chain", "Fast-HotStuff"):
+            assert spelling not in PROTOCOLS
 
     def test_strategies(self):
-        from repro.core.byzantine import STRATEGIES, available_strategies
+        from repro.core.byzantine import STRATEGIES, SilentReplica
 
-        assert {"honest", "silence", "forking"} <= set(available_strategies())
-        assert STRATEGIES.get("silent") is STRATEGIES.get("silence")
+        assert {"honest", "silence", "forking"} <= set(STRATEGIES.available())
+        assert STRATEGIES.get("silence") is SilentReplica
+        assert "silent" not in STRATEGIES
 
     def test_elections(self):
-        from repro.election.election import ELECTIONS, available_elections
+        from repro.election.election import ELECTIONS, RoundRobinElection
 
-        assert {"round-robin", "static", "hash"} <= set(available_elections())
-        assert ELECTIONS.canonical("rr") == "round-robin"
+        assert {"round-robin", "static", "hash"} <= set(ELECTIONS.available())
+        assert ELECTIONS.get("round-robin") is RoundRobinElection
+        assert "rr" not in ELECTIONS
 
     def test_delay_models(self):
-        from repro.network.delays import DELAY_MODELS, available_delay_models
+        from repro.network.delays import DELAY_MODELS, NormalDelay
 
         assert {"none", "fixed", "normal", "uniform", "composite"} <= set(
-            available_delay_models()
+            DELAY_MODELS.available()
         )
-        assert DELAY_MODELS.canonical("gauss") == "normal"
+        assert DELAY_MODELS.get("normal") is NormalDelay
+        assert "gauss" not in DELAY_MODELS
 
     def test_clients(self):
-        from repro.client.client import CLIENTS, available_clients
+        from repro.client.client import CLIENTS, PoissonClient
 
-        assert {"closed-loop", "poisson"} <= set(available_clients())
-        assert CLIENTS.canonical("open") == "poisson"
+        assert {"closed-loop", "poisson"} <= set(CLIENTS.available())
+        assert CLIENTS.get("poisson") is PoissonClient
+        assert "open" not in CLIENTS
 
     def test_scenario_events(self):
-        from repro.scenario.events import available_scenario_events
+        from repro.scenario.events import SCENARIO_EVENTS
 
         assert {
             "crash-replica", "recover-replica", "network-fluctuation",
             "partition", "heal", "set-delay-model", "set-byzantine",
             "set-arrival-rate",
-        } <= set(available_scenario_events())
+        } <= set(SCENARIO_EVENTS.available())
+        assert "crash" not in SCENARIO_EVENTS
+
+    def test_message_handlers(self):
+        from repro.core.dispatch import MESSAGE_HANDLERS
+
+        # Keyed by the message's exact class name, the key ``deliver`` uses.
+        assert MESSAGE_HANDLERS.available() == [
+            "ClientRequest", "ProposalMessage", "VoteMessage", "TimeoutMessage",
+            "BlockRequest", "BlockResponse", "SnapshotResponse",
+        ]
+        assert "proposalmessage" not in MESSAGE_HANDLERS
+
+    def test_oracles(self):
+        from repro.fuzz.invariants import ORACLES
+
+        assert {"agreement", "certified-safety", "dedup", "liveness"} <= set(
+            ORACLES.available()
+        )
+        assert "certified_safety" not in ORACLES
 
 
 class TestRegisteringNewImplementations:

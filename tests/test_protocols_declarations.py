@@ -22,7 +22,6 @@ from repro import api
 from repro.forest.forest import BlockForest
 from repro.fuzz import generate_cases
 from repro.model import AnalyticalModel, ModelParameters
-from repro.plugins import normalize_name
 from repro.protocols import (
     FastHotStuffSafety,
     HotStuffSafety,
@@ -30,7 +29,7 @@ from repro.protocols import (
     StreamletSafety,
     TwoChainHotStuffSafety,
 )
-from repro.protocols.registry import PROTOCOLS, available_protocols
+from repro.protocols.registry import PROTOCOLS
 from repro.protocols.safety import ProposalPlan
 from repro.types.block import GENESIS_ID, Block, make_block
 from repro.types.certificates import QuorumCertificate
@@ -308,10 +307,7 @@ class TestTraits:
         assert cls.commit_lag() == commit_lag
 
     def test_no_protocol_is_named_outside_protocols(self):
-        names = set()
-        for name in available_protocols():
-            names.add(normalize_name(name))
-            names.update(PROTOCOLS.aliases(name))
+        names = set(PROTOCOLS.available())
         paths = sorted((SRC / "model").rglob("*.py")) + sorted((SRC / "fuzz").rglob("*.py"))
         paths.append(SRC / "core" / "byzantine.py")
         found = []
@@ -331,7 +327,7 @@ class TestTraits:
                 if isinstance(node, ast.Constant)
                 and isinstance(node.value, str)
                 and id(node) not in docstrings
-                and normalize_name(node.value) in names
+                and node.value in names
             ]
         assert found == []
 
@@ -356,7 +352,7 @@ class TestOneDeclarationIsEnough:
             assert result.metrics.committed_blocks > 0
             model = AnalyticalModel("test-4chainhs", ModelParameters())
             assert model.commit_time() == 3 * model.service_time()
-            cases = generate_cases(seed=0, budget=len(available_protocols()))
+            cases = generate_cases(seed=0, budget=len(PROTOCOLS.available()))
             assert "test-4chainhs" in {case.config.protocol for case in cases}
         finally:
             PROTOCOLS.unregister("test-4chainhs")

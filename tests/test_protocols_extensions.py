@@ -5,33 +5,28 @@ import pytest
 from repro.forest.forest import BlockForest
 from repro.protocols.fasthotstuff import FastHotStuffSafety
 from repro.protocols.lbft import LeaderBroadcastSafety
-from repro.protocols.registry import available_protocols, make_safety
+from repro.plugins import RegistryError
+from repro.protocols.registry import PROTOCOLS, make_safety
 from repro.types.block import make_block
 
 from helpers import build_certified_chain
 
 
 class TestRegistry:
-    def test_available_protocols(self):
-        names = available_protocols()
+    def test_registry_lists_the_builtins(self):
+        names = PROTOCOLS.available()
         assert {"hotstuff", "2chainhs", "streamlet", "fasthotstuff", "lbft"} <= set(names)
 
     @pytest.mark.parametrize(
-        "alias,expected",
-        [
-            ("hotstuff", "hotstuff"),
-            ("HS", "hotstuff"),
-            ("2CHS", "2chainhs"),
-            ("two-chain", "2chainhs"),
-            ("streamlet", "streamlet"),
-            ("SL", "streamlet"),
-            ("Fast-HotStuff", "fasthotstuff"),
-            ("lbft", "lbft"),
-        ],
+        "name", ["hotstuff", "2chainhs", "streamlet", "fasthotstuff", "lbft"]
     )
-    def test_aliases_resolve(self, alias, expected):
-        safety = make_safety(alias, BlockForest())
-        assert safety.protocol_name == expected
+    def test_registered_names_resolve(self, name):
+        assert make_safety(name, BlockForest()).protocol_name == name
+
+    @pytest.mark.parametrize("spelling", ["HS", "2CHS", "two-chain", "SL", "Fast-HotStuff"])
+    def test_other_spellings_are_refused(self, spelling):
+        with pytest.raises(RegistryError, match="available: hotstuff"):
+            make_safety(spelling, BlockForest())
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError):

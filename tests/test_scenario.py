@@ -5,6 +5,7 @@ import pytest
 from repro import api
 from repro.bench.config import Configuration
 from repro.bench.runner import ExperimentResult, build_cluster, run_cluster, run_experiment
+from repro.plugins import RegistryError
 from repro.scenario import (
     CrashReplica,
     Heal,
@@ -83,9 +84,12 @@ class TestSerialization:
         with pytest.raises(ValueError, match="needs a 'kind' key"):
             ScenarioEvent.from_dict({"at": 1.0})
 
-    def test_alias_kinds_resolve(self):
-        event = ScenarioEvent.from_dict({"kind": "crash", "at": 1.0, "replica": "r1"})
+    def test_kinds_are_exact_names(self):
+        event = ScenarioEvent.from_dict({"kind": "crash-replica", "at": 1.0, "replica": "r1"})
         assert isinstance(event, CrashReplica)
+        for kind in ("crash", "Crash-Replica", "crash_replica"):
+            with pytest.raises(RegistryError, match="available: crash-replica"):
+                ScenarioEvent.from_dict({"kind": kind, "at": 1.0})
 
 
 class TestEventApplication:

@@ -303,6 +303,28 @@ class TestMessageHandlerRegistry:
         finally:
             MESSAGE_HANDLERS.unregister("PingMessage")
 
+    def test_handler_registered_mid_run_serves_the_next_message(self):
+        from repro.types.messages import Message
+
+        late = type("LateMessage", (Message,), {})
+        received = []
+        cluster = make_cluster()
+        cluster.start()
+        replica = cluster.replicas["r0"]
+        replica.deliver(late(sender="tester", size_bytes=1))  # no handler yet
+        cluster.scheduler.run_until(0.01)
+        register_message_handler("LateMessage")(
+            lambda replica, message: received.append(message.sender))
+        try:
+            replica.deliver(late(sender="tester", size_bytes=1))
+            cluster.scheduler.run_until(0.02)
+            assert received == ["tester"]
+        finally:
+            MESSAGE_HANDLERS.unregister("LateMessage")
+        replica.deliver(late(sender="tester", size_bytes=1))  # handler gone again
+        cluster.scheduler.run_until(0.03)
+        assert received == ["tester"]
+
     def test_custom_kind_with_a_field_behaves_like_a_built_in_one(self):
         # docs/EXTENDING.md section 7's declaration, with the field no other
         # plugin kind in the tests has.

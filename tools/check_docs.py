@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Docs check: links resolve, tagged examples run, the event catalogue is
-current, and no quoted path or command has been deleted.
+current, no quoted path or command has been deleted, and every scenario
+kind and Byzantine strategy the docs present is a registered name.
 
-Four passes over ``README.md`` and ``docs/*.md`` (stdlib only, no deps):
+Five passes over ``README.md`` and ``docs/*.md`` (stdlib only, no deps):
 
 1. **Links** — every relative markdown link (``[text](path)`` or
    ``[text](path#anchor)``) must point at an existing file or directory in
@@ -33,9 +34,15 @@ Four passes over ``README.md`` and ``docs/*.md`` (stdlib only, no deps):
    not have (``results/``, ``figures/``) and bare non-python names
    (``experiment.json``) are the reader's own files and are skipped, as is
    anything with a ``<placeholder>`` in it.
+5. **Registered names** — every name ``docs/SCENARIOS.md`` presents as a
+   scenario event kind (a backticked name in a ``### `kind``` heading of its
+   "Event kinds" section) or as a Byzantine strategy (a backticked name in
+   the first column of its strategy table) must be registered under exactly
+   that name, so the docs cannot advertise a spelling that
+   ``Configuration.validate()`` or ``ScenarioEvent.from_dict`` refuses.
 
 Exit status is non-zero on any broken link, failing example, catalogue
-mismatch or stale mention, which is how CI consumes it:
+mismatch, stale mention or unregistered name, which is how CI consumes it:
 ``python tools/check_docs.py``.
 """
 
@@ -56,6 +63,9 @@ FENCE_RE = re.compile(r"^```python\s*$(.*?)^```\s*$", re.MULTILINE | re.DOTALL)
 CATALOGUE = REPO_ROOT / "docs" / "OBSERVABILITY.md"
 #: A catalogue row: | `category` | `kind` | ...
 CATALOGUE_ROW_RE = re.compile(r"^\| `([a-z]+)` \| `([^`]+)` \|", re.MULTILINE)
+SCENARIOS = REPO_ROOT / "docs" / "SCENARIOS.md"
+#: A backticked name.
+NAME_RE = re.compile(r"`([^`]+)`")
 
 
 def doc_files():
@@ -183,6 +193,38 @@ def check_catalogue() -> list:
     return problems
 
 
+def section(text: str, heading: str) -> list:
+    """The lines of the ``## heading`` section of a document."""
+    lines = text.split("## " + heading + "\n", 1)[1].splitlines()
+    end = next((i for i, line in enumerate(lines) if line.startswith("## ")), len(lines))
+    return lines[:end]
+
+
+def check_registered_names() -> list:
+    from repro.core.byzantine import STRATEGIES
+    from repro.scenario.events import SCENARIO_EVENTS
+
+    text = SCENARIOS.read_text()
+    kinds = [name for line in section(text, "Event kinds") if line.startswith("### ")
+             for name in NAME_RE.findall(line)]
+    rows = [line.split("|")[1] for line in section(text, "Byzantine strategies")
+            if line.startswith("|") and not line.startswith(("| strategy ", "|--"))]
+    strategies = [name for cell in rows for name in NAME_RE.findall(cell)]
+    doc = SCENARIOS.relative_to(REPO_ROOT)
+    problems = [
+        f"{doc}: presents no {registry.kind} (the section's layout changed?)"
+        for registry, names in ((SCENARIO_EVENTS, kinds), (STRATEGIES, strategies))
+        if not names
+    ]
+    for registry, names in ((SCENARIO_EVENTS, kinds), (STRATEGIES, strategies)):
+        problems += [
+            f"{doc}: presents {registry.kind} `{name}`, which is not a registered name "
+            f"(registered: {', '.join(registry.available())})"
+            for name in names if name not in registry
+        ]
+    return problems
+
+
 def main() -> int:
     sys.path.insert(0, str(REPO_ROOT / "src"))
     problems = []
@@ -193,6 +235,7 @@ def main() -> int:
     problems.extend(check_catalogue())
     for path in doc_files():
         problems.extend(check_mentions(path))
+    problems.extend(check_registered_names())
     if problems:
         print("\ndocs check FAILED:")
         for problem in problems:
