@@ -252,15 +252,20 @@ class MetricsCollector:
         last = max((r.committed_at for r in self.committed_blocks), default=self.window_start)
         return total / self._window_length(last)
 
+    def _window_latencies(self) -> List[float]:
+        """Client latencies within the window, in arrival order.
+
+        One pass with :meth:`_in_window`'s test inline: there is one sample
+        per committed transaction.
+        """
+        latencies = self.latencies
+        start = self.window_start
+        end = self.window_end if self.window_end is not None else float("inf")
+        return [lat for t, lat in zip(latencies.times, latencies.values) if start <= t <= end]
+
     def latency_stats(self) -> Tuple[float, float, float]:
         """(mean, median, p99) of client latencies within the window."""
-        samples = sorted(lat for now, lat in self.latencies if self._in_window(now))
-        if not samples:
-            return (0.0, 0.0, 0.0)
-        mean = statistics.fmean(samples)
-        median = samples[len(samples) // 2]
-        p99 = samples[min(len(samples) - 1, int(0.99 * len(samples)))]
-        return (mean, median, p99)
+        return _latency_stats(self._window_latencies())
 
     def chain_growth_rate(self) -> float:
         """Committed blocks / blocks appended to the chain, within the window."""
@@ -300,7 +305,8 @@ class MetricsCollector:
 
     def summarize(self) -> RunMetrics:
         """Compute the standard summary of the run."""
-        mean, median, p99 = self.latency_stats()
+        latencies = self._window_latencies()
+        mean, median, p99 = _latency_stats(latencies)
         in_window_commits = [r for r in self.committed_blocks if self._in_window(r.committed_at)]
         return RunMetrics(
             throughput_tps=self.throughput(),
@@ -314,7 +320,7 @@ class MetricsCollector:
             blocks_added=sum(1 for t, _ in self.blocks_added if self._in_window(t)),
             blocks_forked=sum(1 for t, _ in self.blocks_forked if self._in_window(t)),
             safety_violations=self.safety_violations,
-            latency_samples=sum(1 for t, _ in self.latencies if self._in_window(t)),
+            latency_samples=len(latencies),
             sync_rounds=self.sync_rounds,
             sync_blocks_fetched=self.sync_blocks_fetched,
             sync_bytes_fetched=self.sync_bytes_fetched,
@@ -324,3 +330,14 @@ class MetricsCollector:
             snapshot_bytes_fetched=self.snapshot_bytes_fetched,
             peak_forest_blocks=self.peak_forest_blocks,
         )
+
+
+def _latency_stats(latencies: List[float]) -> Tuple[float, float, float]:
+    """(mean, median, p99) of ``latencies``; zeros when there are none."""
+    if not latencies:
+        return (0.0, 0.0, 0.0)
+    samples = sorted(latencies)
+    mean = statistics.fmean(samples)
+    median = samples[len(samples) // 2]
+    p99 = samples[min(len(samples) - 1, int(0.99 * len(samples)))]
+    return (mean, median, p99)

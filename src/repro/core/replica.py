@@ -353,13 +353,10 @@ class Replica:
             del origins[txid]
         elif self._replied_txids.contains_transaction(transaction):
             return
+        node_id = self.node_id
+        # Positional: sender, size, txid, committed_at, replica, status.
         reply = ClientReply(
-            sender=self.node_id,
-            size_bytes=self.size_model.client_reply_size,
-            txid=txid,
-            committed_at=self.scheduler.now,
-            replica=self.node_id,
-            status=status,
+            node_id, self.size_model.client_reply_size, txid, self.scheduler.now, node_id, status,
         )
         try:
             self._send(client, reply)
@@ -558,11 +555,12 @@ class Replica:
                 )
             transactions = block.transactions
             apply_batch(transactions)
-            if not origin_entries.keys().isdisjoint([tx.txid for tx in transactions]):
+            txids = [tx.txid for tx in transactions]
+            if not origin_entries.keys().isdisjoint(txids):
                 for transaction in transactions:
                     if transaction.txid in origin_entries:
-                        self._reply(transaction, status="committed")
-            self.mempool.mark_committed(transactions)
+                        self._reply(transaction, "committed")
+            self.mempool.mark_committed(transactions, txids)
         if newly:
             self._recycle_forks()
             self.checkpoint.on_commit()

@@ -313,8 +313,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         if args.format == "text":
             print(to_text(records))
             return 0
-        suffix = {"perfetto": ".perfetto.json", "chrome": ".perfetto.json",
-                  "svg": ".svg", "jsonl": ".jsonl"}[args.format]
+        suffix = {"perfetto": ".perfetto.json", "svg": ".svg", "jsonl": ".jsonl"}[args.format]
         args.out = str(Path(args.trace).with_suffix(suffix))
     path = write_trace(records, args.out, sink=args.format)
     print(f"wrote {path} ({len(records)} records, {args.format})")
@@ -484,11 +483,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_p.add_argument("trace", help="JSONL trace file (from --trace-out)")
     trace_p.add_argument("-f", "--format",
-                         choices=["summary", "perfetto", "chrome", "text",
-                                  "svg", "jsonl"],
+                         choices=["summary", "perfetto", "text", "svg", "jsonl"],
                          default="summary",
                          help="output: summary (default, validates and prints "
-                              "counts), perfetto/chrome (trace-event JSON), "
+                              "counts), perfetto (trace-event JSON), "
                               "text (timeline), svg (view-timeline lane chart), "
                               "jsonl (re-serialize)")
     trace_p.add_argument("-o", "--out",

@@ -35,26 +35,22 @@ class Mempool:
     def __contains__(self, txid: str) -> bool:
         return txid in self._pending_ids
 
-    @property
-    def is_full(self) -> bool:
-        """True when the pool has reached its configured capacity."""
-        return len(self._queue) >= self.capacity
-
     def add(self, transaction: Transaction) -> bool:
         """Append a new client transaction; returns False if rejected.
 
         Rejection happens when the pool is full (backpressure, the knob that
         bounds client concurrency) or when the transaction is already pending
-        or already proposed.
+        or already proposed.  Called once per client request, so every test
+        is inline and the id is read once.
         """
-        if transaction.txid in self._pending_ids or transaction.txid in self._proposed_ids:
+        txid = transaction.txid
+        pending = self._pending_ids
+        queue = self._queue
+        if txid in pending or txid in self._proposed_ids or len(queue) >= self.capacity:
             self.total_rejected += 1
             return False
-        if self.is_full:
-            self.total_rejected += 1
-            return False
-        self._queue.append(transaction)
-        self._pending_ids.add(transaction.txid)
+        queue.append(transaction)
+        pending.add(txid)
         self.total_added += 1
         return True
 
@@ -94,14 +90,15 @@ class Mempool:
             batch.append(tx)
         return tuple(batch)
 
-    def mark_committed(self, transactions: Sequence[Transaction]) -> None:
+    def mark_committed(self, transactions: Sequence[Transaction], txids: Sequence[str]) -> None:
         """Forget a committed block's transactions (garbage collection).
 
-        Set algebra over the block's ids: a replica proposed 1/n of a block
-        and almost never still queues any of it, so the per-transaction loop
-        runs only for a block that hits the queue.
+        ``txids`` are the transactions' ids in the same order, which the
+        committing replica has already listed.  Set algebra over them: a
+        replica proposed 1/n of a block and almost never still queues any of
+        it, so the per-transaction loop runs only for a block that hits the
+        queue.
         """
-        txids = [tx.txid for tx in transactions]
         self._proposed_ids.difference_update(txids)
         pending = self._pending_ids
         if pending.isdisjoint(txids):

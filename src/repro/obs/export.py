@@ -13,7 +13,7 @@ other format, walk ``Tracer.records()`` — plain named tuples — yourself):
     :func:`validate_jsonl` read it back, rejecting unknown categories and
     malformed rows with :class:`TraceFormatError`.
 
-``perfetto`` (alias ``chrome``)
+``perfetto``
     Chrome trace-event format JSON, loadable in Perfetto
     (https://ui.perfetto.dev) or ``chrome://tracing``: each replica is a
     process track, each view is a complete ("X") slice coloured by outcome,
@@ -23,7 +23,7 @@ other format, walk ``Tracer.records()`` — plain named tuples — yourself):
 ``text``
     A plain-text timeline, one line per record, for terminal reading.
 
-``svg`` (alias ``timeline``)
+``svg``
     The per-replica view-timeline lane chart from
     :func:`repro.analysis.figures.render_view_timeline` (imported lazily —
     figures also consumes :func:`view_spans` from here).
@@ -312,10 +312,8 @@ def write_svg_timeline(
 SINKS = {
     "jsonl": write_jsonl,
     "perfetto": write_chrome_trace,
-    "chrome": write_chrome_trace,
     "text": write_text,
     "svg": write_svg_timeline,
-    "timeline": write_svg_timeline,
 }
 
 

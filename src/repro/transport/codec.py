@@ -24,10 +24,10 @@ takes the JSON form its *declared type* prescribes, one rule per type
 ``tests/golden/wire_frame.json`` one two-message frame).
 A record is the array of its fields in declaration order (both ends read the
 order off the same class, so no name travels), compiled once, when this
-module is imported, into the list display and the constructor call one would
-write by hand (the way :mod:`dataclasses` builds ``__init__``): every name in
-the generated source comes from a class declaration in this repository, never
-from the wire.  Decoding checks every array's class and length and every
+module is imported, into the list display and the positional constructor
+call one would write by hand (the way :mod:`dataclasses` builds
+``__init__``): every name in the generated source comes from a class
+declaration in this repository, never from the wire.  Decoding checks every array's class and length and every
 scalar against the declared type, so a parseable envelope with a missing,
 extra or wrong-typed field is a :class:`CodecError` here rather than a
 ``TypeError`` inside whichever handler first touches the field.
@@ -185,11 +185,13 @@ def _record(cls: type, head: Tuple[str, ...] = ()) -> Tuple[Callable, Callable]:
         hints = typing.get_type_hints(cls.__init__ if cls is Transaction else cls)
         if head:  # the body is what the kind declares itself
             names = names[len(dataclasses.fields(Message)):]
-        forms = [(name, *_forms(hints[name], f"v.{name}", f"d[{i}]"))
-                 for i, name in enumerate(names)]
+        forms = [_forms(hints[name], f"v.{name}", f"d[{i}]") for i, name in enumerate(names)]
+        # Positional, in declaration order (a message's ``message_id`` is
+        # keyword-only, so its body follows the head): a keyword call costs
+        # CPython about twice as much.
         arguments = ", ".join([_forms(hints[name], name, name)[1] for name in head]
-                              + [f"{name}={dec}" for name, _, dec in forms])
-        source = (f"def {enc_name}(v):\n    return [{', '.join(enc for _, enc, _ in forms)}]\n"
+                              + [dec for _, dec in forms])
+        source = (f"def {enc_name}(v):\n    return [{', '.join(enc for enc, _ in forms)}]\n"
                   f"def {dec_name}({', '.join(('d', *head))}):\n"
                   f"    if d.__class__ is not list or len(d) != {len(names)}:"
                   f" _list(d, {len(names)})\n"

@@ -21,6 +21,12 @@ runtime that first carries the message (the simulated :class:`Network` or an
 :class:`AsyncioTransport`), each from its own counter.  Ids never travel the
 wire, so repeated runs in one process assign identical ids — no
 process-global counter leaks state across runs.
+
+``message_id`` is also keyword-only, so a kind's own fields follow
+``sender, size_bytes`` positionally: ``ClientReply(sender, size, txid,
+committed_at, replica, status)``.  The per-transaction sites (the client's
+request, a replica's reply, the wire decoder) build their messages that way,
+because a keyword call costs CPython about twice the positional one.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ class Message:
 
     sender: str
     size_bytes: int
-    message_id: int = field(default=UNASSIGNED_MESSAGE_ID, compare=False, repr=False)
+    message_id: int = field(default=UNASSIGNED_MESSAGE_ID, compare=False, repr=False, kw_only=True)
 
 
 @dataclass(slots=True, unsafe_hash=True)

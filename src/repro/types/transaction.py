@@ -81,15 +81,12 @@ class Transaction:
         """
         if sequence is None:
             sequence = next(_COUNTER)
+        # Positional, in ``_fields`` order: one is built per request, and a
+        # keyword call costs about twice as much.
         return cls(
-            txid=f"tx-{client_id}-{sequence}",
-            client_id=client_id,
-            operation=operation,
-            key=key if key is not None else f"k{sequence % 1024}",
-            value=value,
-            payload_size=payload_size,
-            created_at=created_at,
-            sequence=sequence,
+            f"tx-{client_id}-{sequence}", client_id, operation,
+            key if key is not None else f"k{sequence % 1024}",
+            value, payload_size, created_at, sequence,
         )
 
     def __eq__(self, other: object) -> bool:

@@ -30,7 +30,7 @@ class TestAdd:
         assert pool.add(txs[0])
         assert pool.add(txs[1])
         assert not pool.add(txs[2])
-        assert pool.is_full
+        assert len(pool) == pool.capacity
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
@@ -48,6 +48,23 @@ class TestAdd:
         pool.add(tx)
         pool.next_batch(1)
         assert not pool.add(tx)
+
+    def test_each_refusal_counts_once(self):
+        pool = Mempool(capacity=2)
+        proposed, pending, extra = make_transactions(3)
+        pool.add(proposed)
+        pool.next_batch(1)
+        pool.add(pending)
+        assert not pool.add(pending)  # pending duplicate
+        assert pool.total_rejected == 1
+        assert not pool.add(proposed)  # proposed duplicate
+        assert pool.total_rejected == 2
+        pool.add(extra)
+        assert not pool.add(make_transactions(1)[0])  # full
+        assert pool.total_rejected == 3
+        assert not pool.add(pending)  # a duplicate and full: still one refusal
+        assert pool.total_rejected == 4
+        assert (pool.total_added, pool.snapshot_ids()) == (3, [pending.txid, extra.txid])
 
 
 class TestBatching:
@@ -132,7 +149,7 @@ class TestCommitted:
         txs = make_transactions(3)
         for tx in txs:
             pool.add(tx)
-        pool.mark_committed([txs[1]])
+        pool.mark_committed([txs[1]], [txs[1].txid])
         assert txs[1].txid not in pool
         assert len(pool) == 2
 
@@ -141,7 +158,7 @@ class TestCommitted:
         (tx,) = make_transactions(1)
         pool.add(tx)
         pool.next_batch(1)
-        pool.mark_committed([tx])
+        pool.mark_committed([tx], [tx.txid])
         # A committed transaction re-offered by a confused client is accepted
         # again only because the pool no longer tracks it; the replica-level
         # executor is what prevents double execution.
@@ -197,7 +214,7 @@ class TestMarkCommittedPerBlock:
             for tx in added:
                 pool.add(tx)
             pool.next_batch(proposed)
-        actual.mark_committed(block)
+        actual.mark_committed(block, [tx.txid for tx in block])
         _mark_committed_per_transaction(reference, block)
         assert _state(actual) == _state(reference)
         # What is left behaves the same: recycled fork transactions go in front.
@@ -210,5 +227,5 @@ class TestMarkCommittedPerBlock:
         mine, theirs = make_transactions(3), make_transactions(4)
         for tx in mine:
             pool.add(tx)
-        pool.mark_committed(theirs)
+        pool.mark_committed(theirs, [tx.txid for tx in theirs])
         assert pool.snapshot_ids() == [tx.txid for tx in mine]

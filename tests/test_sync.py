@@ -338,7 +338,7 @@ class TestMessageHandlerRegistry:
 
         digest = GossipDigest(sender="r0", size_bytes=40, digest="abc")
         assert digest.message_id == UNASSIGNED_MESSAGE_ID
-        by_position = GossipDigest("r0", 40, 7, "abc")
+        by_position = GossipDigest("r0", 40, "abc", message_id=7)
         assert (by_position.message_id, by_position.digest) == (7, "abc")
         # message_id is bookkeeping, not content.
         assert digest == by_position and hash(digest) == hash(by_position)

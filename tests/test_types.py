@@ -128,6 +128,17 @@ class TestMessages:
         b = ClientReply(sender="r0", size_bytes=10)
         assert a.message_id == b.message_id == UNASSIGNED_MESSAGE_ID
 
+    def test_a_kind_takes_its_own_fields_positionally(self):
+        # message_id is keyword-only: a kind's fields follow sender, size_bytes.
+        by_name = ClientReply(sender="r0", size_bytes=48, txid="tx-c0-1",
+                              committed_at=2.0, replica="r1", status="rejected")
+        assert ClientReply("r0", 48, "tx-c0-1", 2.0, "r1", "rejected") == by_name
+        assert ClientReply("r0", 48, "tx-c0-1", 2.0, "r1", "rejected", message_id=7).message_id == 7
+        with pytest.raises(TypeError):
+            ClientReply("r0", 48, "tx-c0-1", 2.0, "r1", "rejected", 7)
+        with pytest.raises(TypeError):
+            VoteMessage("r0", 10, None, "", 7)
+
     def test_client_reply_default_status(self):
         reply = ClientReply(sender="r0", size_bytes=10)
         assert reply.status == "committed"
