@@ -10,8 +10,8 @@ collapses repetitions into aggregates — it never executes a simulation.
 Grouping
 --------
 Repetitions of one logical point share every parameter except the
-``_repetition`` tag (the ``increment`` seed policy varies the seed *through
-the config*, not through the params).  :func:`aggregate_records` therefore
+``_repetition`` tag (repetition *k* varies the seed *through the config*,
+not through the params).  :func:`aggregate_records` therefore
 groups records by ``(campaign, params - {_repetition})`` and aggregates every
 numeric metric within each group, preserving first-seen (= expansion) order.
 

@@ -173,14 +173,18 @@ def _coerce_scenario(scenario: ScenarioLike) -> Optional[Scenario]:
 def read_json(path: Union[str, Path]) -> Dict:
     """The object a JSON input file holds (a configuration, run or spec file).
 
-    A missing or malformed file is a :class:`ConfigurationError` naming it.
+    A missing or malformed file, or one that holds no JSON object, is a
+    :class:`ConfigurationError` naming it.
     """
     try:
-        return json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigurationError(f"no such file: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{path} holds a JSON {type(data).__name__}, not an object")
+    return data
 
 
 def load_config(source: Union[str, Path, Dict]) -> Configuration:
@@ -245,15 +249,14 @@ def grid(
     name: str = "grid",
     scenario: ScenarioLike = None,
     repetitions: int = 1,
-    seed_policy: str = "increment",
     **axes: Sequence,
 ) -> ExperimentSpec:
     """Declare a Cartesian experiment grid over configuration fields.
 
     Every keyword argument is one grid axis (a list of values for that
     :class:`Configuration` field); the expansion is their cross product over
-    ``base``.  For zipped axes, explicit point lists, or tags, build an
-    :class:`ExperimentSpec` directly. ::
+    ``base``.  For explicit point lists (fields that vary together) or tags,
+    build an :class:`ExperimentSpec` directly. ::
 
         spec = api.grid(base, protocol=["hotstuff", "2chainhs"],
                         block_size=[100, 400], repetitions=3)
@@ -270,7 +273,6 @@ def grid(
         grid={field: list(values) for field, values in axes.items()},
         scenario=_coerce_scenario(scenario),
         repetitions=repetitions,
-        seed_policy=seed_policy,
     )
 
 
@@ -284,7 +286,7 @@ def campaign(
     """Run an experiment campaign: expand, execute, persist, resume.
 
     ``spec`` may be an :class:`ExperimentSpec`, its dict form, or a path to
-    a JSON file holding that dict (bare or as ``{"spec": ...}``).
+    a JSON file holding that dict.
     ``workers > 1`` fans the pending runs out over that many processes
     (records are bit-identical to a serial run, persisted as each
     completes); ``store`` names a result-store directory — runs whose

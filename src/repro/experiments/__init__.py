@@ -4,8 +4,8 @@ The campaign layer is how whole evaluation sections are run (the paper's
 Table 2 and Figs. 8-15 are each one campaign):
 
 * :class:`ExperimentSpec` — a JSON-round-trippable description of a grid of
-  runs: base configuration + ``grid``/``zip``/``points`` axes + optional
-  scenario + repetitions and seed policy (:mod:`repro.experiments.spec`);
+  runs: base configuration + ``grid``/``points`` axes + optional
+  scenario + repetitions (:mod:`repro.experiments.spec`);
 * :class:`CampaignRunner` — executes the expanded runs serially or across N
   worker processes with bit-identical records either way
   (:mod:`repro.experiments.runner`);

@@ -23,8 +23,8 @@ to record a protocol event trace of the run (see ``docs/OBSERVABILITY.md``).
 
 ``run`` accepts either a flat configuration object or
 ``{"config": {...}, "scenario": {...}}``; ``campaign`` accepts an
-:class:`~repro.experiments.spec.ExperimentSpec` dict (optionally wrapped in
-``{"spec": {...}}``; a load curve is one with a ``points`` list).  ``report``
+:class:`~repro.experiments.spec.ExperimentSpec` dict (a load curve is one
+with a ``points`` list).  ``report``
 and ``plot`` consume **stored records only** — they never execute a
 simulation.  See ``docs/EXPERIMENTS.md`` for the schemas and the
 aggregate-and-plot walkthrough.

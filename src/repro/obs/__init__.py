@@ -27,9 +27,7 @@ from repro.obs.trace import (
     TraceRecord,
     Tracer,
     category_mask,
-    install,
     tracing,
-    uninstall,
 )
 
 __all__ = [
@@ -42,9 +40,7 @@ __all__ = [
     "TracedRun",
     "Tracer",
     "category_mask",
-    "install",
     "tracing",
-    "uninstall",
     "write_trace",
 ]
 

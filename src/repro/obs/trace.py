@@ -22,13 +22,13 @@ in per-replica ring buffers.
   Aggregates (latency quantiles, throughput) are the collector's
   ``RunMetrics``, not the tracer's.
 
-Installation is process-global and explicit: :func:`install` sets the
+Installation is process-global and explicit: :func:`tracing` sets the
 module-level :data:`ACTIVE` tracer that the cluster builders
 (:func:`repro.bench.runner.build_cluster`, the deployment runner) subscribe
 to the stream they create, so the tracer never lives in a
 :class:`Configuration` — run ids, stored records, and resume semantics are
-unchanged by tracing.  Prefer the :func:`tracing` context manager, which
-restores the previous state on exit::
+unchanged by tracing.  The context manager restores the previous state on
+exit::
 
     from repro.obs import Tracer, tracing
 
@@ -299,41 +299,25 @@ def open_stream(collector) -> EventStream:
     return stream
 
 
-def install(tracer: Optional[Tracer] = None, **kwargs: Any) -> Tracer:
-    """Install ``tracer`` (or a fresh ``Tracer(**kwargs)``) as :data:`ACTIVE`.
-
-    Clusters built *after* installation pick it up; an already-built one
-    does not (``cluster.events.subscribe(tracer.emit, tracer.mask)`` adds a
-    tracer to it explicitly).  Returns the installed tracer.
-    """
-    global ACTIVE
-    if tracer is None:
-        tracer = Tracer(**kwargs)
-    ACTIVE = tracer
-    return tracer
-
-
-def uninstall() -> Optional[Tracer]:
-    """Clear :data:`ACTIVE`; returns the tracer that was installed, if any."""
-    global ACTIVE
-    tracer, ACTIVE = ACTIVE, None
-    return tracer
-
-
 @contextmanager
 def tracing(
     tracer: Optional[Tracer] = None, **kwargs: Any
 ) -> Iterator[Tracer]:
-    """Context manager: install a tracer, restore the previous state on exit. ::
+    """Install ``tracer`` (or a fresh ``Tracer(**kwargs)``) as :data:`ACTIVE`
+    and restore the previous one on exit. ::
 
         with tracing(categories=("view", "commit")) as tracer:
             api.run(config)
         print(len(tracer.records()))
+
+    Clusters built inside the block pick the tracer up; an already-built one
+    does not (``cluster.events.subscribe(tracer.emit, tracer.mask)`` adds a
+    tracer to it explicitly).
     """
     global ACTIVE
     previous = ACTIVE
-    installed = install(tracer, **kwargs)
+    ACTIVE = Tracer(**kwargs) if tracer is None else tracer
     try:
-        yield installed
+        yield ACTIVE
     finally:
         ACTIVE = previous

@@ -95,6 +95,11 @@ class TestAggregate:
         assert agg.mean == pytest.approx(2.0)
         assert agg.ci95 == pytest.approx(4.303 / math.sqrt(3))
 
+    def test_identical_samples_have_zero_spread(self):
+        agg = Aggregate.from_samples([7.5, 7.5, 7.5])
+        assert agg.stddev == agg.ci95 == 0.0
+        assert agg.minimum == agg.maximum == agg.mean == 7.5
+
     def test_round_trip(self):
         agg = Aggregate.from_samples([1.0, 5.0, 9.0])
         assert Aggregate.from_dict(json.loads(json.dumps(agg.to_dict()))) == agg
@@ -418,12 +423,11 @@ def no_simulations(monkeypatch):
     monkeypatch.setattr("repro.bench.runner.run_cluster", boom)
 
 
-class TestSeedPolicyStatistics:
-    """Satellite: seed policies, asserted end-to-end through aggregation."""
+class TestRepetitionStatistics:
+    """Repetitions, asserted end-to-end through aggregation."""
 
-    def test_increment_repetitions_produce_distinct_samples(self):
-        spec = ExperimentSpec(name="inc", base=BASE, repetitions=3,
-                              seed_policy="increment")
+    def test_repetitions_produce_distinct_samples(self):
+        spec = ExperimentSpec(name="inc", base=BASE, repetitions=3)
         result = api.campaign(spec)
         seeds = [r["config"]["seed"] for r in result.records]
         assert len(set(seeds)) == 3
@@ -434,21 +438,6 @@ class TestSeedPolicyStatistics:
         assert agg.stddev > 0
         assert agg.ci95 > 0
         assert agg.minimum < agg.maximum
-
-    def test_fixed_repetitions_produce_identical_samples(self):
-        spec = ExperimentSpec(name="fix", base=BASE, repetitions=3,
-                              seed_policy="fixed")
-        result = api.campaign(spec)
-        assert result.executed == 3
-        seeds = [r["config"]["seed"] for r in result.records]
-        assert len(set(seeds)) == 1
-        (group,) = api.aggregate(result)
-        agg = group.metric("throughput_tps")
-        assert group.n == 3
-        # Same seed, deterministic simulator: zero spread, degenerate CI.
-        assert agg.stddev == 0.0
-        assert agg.ci95 == 0.0
-        assert agg.minimum == agg.maximum == agg.mean
 
 
 class TestFacade:

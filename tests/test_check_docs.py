@@ -40,6 +40,7 @@ def check_docs(tmp_path, monkeypatch):
     spec.loader.exec_module(module)
     monkeypatch.setattr(module, "REPO_ROOT", tmp_path)
     monkeypatch.setattr(module, "SCENARIOS", tmp_path / "SCENARIOS.md")
+    monkeypatch.setattr(module, "EXPERIMENTS", tmp_path / "EXPERIMENTS.md")
     return module
 
 
@@ -78,3 +79,75 @@ class TestRegisteredNames:
         problems = check_docs.check_registered_names()
         assert len(problems) == 2
         assert all("presents no" in problem for problem in problems)
+
+
+EXPERIMENTS = """\
+# Experiments
+
+## The spec JSON schema
+
+```json
+{{
+  "name": "fig9",
+  "base": {{ "... any Configuration field ..." }},
+  "grid": {{ "protocol": ["hotstuff"] }},
+{extra_key}  "points": [ {{ "_series": "HS", "block_size": 100 }} ],
+  "scenario": {{ "events": [] }},
+  "repetitions": 3,
+  "bucket": 0.5
+}}
+```
+
+| field | meaning |
+|---|---|
+| `name` | label |
+| `base` | the base configuration |
+| `grid` | Cartesian axes |
+{extra_row}| `points` | explicit override dicts |
+| `scenario` | fault schedule |
+| `repetitions` | repeats |
+| `bucket` | timeline bucket |
+
+### Long campaigns
+
+| field | default | meaning |
+|---|---|---|
+| `checkpoint_interval` | `0` | not a spec field |
+
+## Next section
+"""
+
+
+def schema_problems(module, extra_key="", extra_row="", drop_row=""):
+    text = EXPERIMENTS.format(extra_key=extra_key, extra_row=extra_row)
+    module.EXPERIMENTS.write_text(text.replace(drop_row, ""))
+    return module.check_spec_schema()
+
+
+class TestSpecSchema:
+    def test_the_repository_docs_pass(self):
+        spec = importlib.util.spec_from_file_location("check_docs_repo", SCRIPT)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert module.check_spec_schema() == []
+
+    def test_the_spec_fields_pass(self, check_docs):
+        # The table of the subsection is not the field table.
+        assert schema_problems(check_docs) == []
+
+    def test_a_removed_key_is_reported(self, check_docs):
+        problems = schema_problems(
+            check_docs,
+            extra_key='  "zip": { "view_timeout": [0.08, 0.35] },\n',
+            extra_row="| `zip` | parallel axes |\n",
+        )
+        assert problems == [
+            "EXPERIMENTS.md: the spec JSON example lists `zip`, which is not an ExperimentSpec field",
+            "EXPERIMENTS.md: the spec field table lists `zip`, which is not an ExperimentSpec field",
+        ]
+
+    def test_a_missing_field_is_reported(self, check_docs):
+        (problem,) = schema_problems(check_docs, drop_row="| `bucket` | timeline bucket |\n")
+        assert problem == (
+            "EXPERIMENTS.md: the spec field table does not list the ExperimentSpec field `bucket`"
+        )

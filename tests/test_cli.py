@@ -87,6 +87,13 @@ class TestRun:
         assert main(["run", str(path)]) == 1
         assert "is not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "campaign"])
+    def test_a_file_without_a_json_object_fails_cleanly(self, command, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path} holds a JSON list, not an object\n"
+
     def test_unknown_config_key_fails_cleanly(self, tmp_path, capsys):
         # A typo must not quietly run the default 4 replicas.
         path = tmp_path / "typo.json"
@@ -231,11 +238,17 @@ class TestCampaign:
         out = capsys.readouterr().out
         assert "1 records" in out and "ok" in out
 
-    def test_campaign_bad_spec_fails_cleanly(self, tmp_path, capsys):
+    @pytest.mark.parametrize("grid, problem", [
+        ({"bogus_field": [1]}, "'bogus_field' is not a Configuration field"),
+        ([1, 2], "grid: expected a dict of field -> values, got list"),
+    ])
+    def test_campaign_bad_spec_fails_cleanly(self, grid, problem, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"base": FAST, "grid": {"bogus_field": [1]}}))
+        path.write_text(json.dumps({"base": FAST, "grid": grid}))
         assert main(["campaign", str(path)]) == 1
-        assert "not a Configuration field" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid experiment spec") and problem in err
+        assert "Traceback" not in err
 
     def test_campaign_unknown_base_key_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "typo_base.json"

@@ -5,6 +5,7 @@ blocks, sub-second horizons, the microsecond cost profile) so a whole
 campaign runs in a few seconds.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -46,30 +47,26 @@ class TestSpecExpansion:
             base=BASE, grid={"protocol": ["hotstuff", "2chainhs"], "block_size": [20, 40]}
         )
         runs = spec.expand()
-        assert len(runs) == len(spec) == 4
+        assert len(runs) == 4
         combos = [(r.config.protocol, r.config.block_size) for r in runs]
         assert combos == [("hotstuff", 20), ("hotstuff", 40), ("2chainhs", 20), ("2chainhs", 40)]
         assert [r.index for r in runs] == [0, 1, 2, 3]
 
-    def test_zip_axes_advance_together(self):
+    def test_points_cross_grid(self):
+        # A point's fields vary together: (view_timeout, payload_size) pairs.
         spec = ExperimentSpec(
             base=BASE,
-            zip_axes={"view_timeout": [0.05, 0.2], "propose_wait_after_tc": [0.0, 0.2]},
-        )
-        runs = spec.expand()
-        assert [(r.config.view_timeout, r.config.propose_wait_after_tc) for r in runs] == [
-            (0.05, 0.0),
-            (0.2, 0.2),
-        ]
-
-    def test_points_cross_zip_cross_grid(self):
-        spec = ExperimentSpec(
-            base=BASE,
-            points=[{"payload_size": 0}, {"payload_size": 64}],
-            zip_axes={"view_timeout": [0.05, 0.1]},
+            points=[{"view_timeout": 0.05, "payload_size": 0},
+                    {"view_timeout": 0.1, "payload_size": 64}],
             grid={"protocol": ["hotstuff", "2chainhs"]},
         )
-        assert len(spec.expand()) == 2 * 2 * 2
+        runs = spec.expand()
+        assert [(r.config.view_timeout, r.config.payload_size, r.config.protocol)
+                for r in runs] == [
+            (0.05, 0, "hotstuff"), (0.05, 0, "2chainhs"),
+            (0.1, 64, "hotstuff"), (0.1, 64, "2chainhs"),
+        ]
+        assert [r.index for r in runs] == [0, 1, 2, 3]
 
     def test_tags_are_recorded_but_never_touch_the_config(self):
         spec = ExperimentSpec(base=BASE, points=[{"_series": "HS", "protocol": "hotstuff"}])
@@ -83,37 +80,36 @@ class TestSpecExpansion:
         assert [r.config.seed for r in runs] == [10, 11, 12]
         assert [r.params["_repetition"] for r in runs] == [0, 1, 2]
 
-    def test_fixed_seed_policy_reuses_the_seed(self):
-        spec = ExperimentSpec(base=BASE.replace(seed=10), repetitions=2, seed_policy="fixed")
-        runs = spec.expand()
-        assert [r.config.seed for r in runs] == [10, 10]
-        # Each same-seed repetition keeps its own identity (salted key), so
-        # repeats execute and are stored separately instead of deduplicating.
-        assert len({r.run_id for r in runs}) == 2
-
     def test_unknown_config_field_rejected(self):
         with pytest.raises(SpecError, match="not a Configuration field"):
             ExperimentSpec(base=BASE, grid={"blocksize": [1]})
 
-    def test_unequal_zip_lengths_rejected(self):
-        with pytest.raises(SpecError, match="equal lengths"):
-            ExperimentSpec(base=BASE, zip_axes={"block_size": [1, 2], "payload_size": [0]})
-
     def test_overlapping_axes_rejected(self):
-        with pytest.raises(SpecError, match="both axes"):
-            ExperimentSpec(
-                base=BASE, grid={"block_size": [1]}, zip_axes={"block_size": [2]}
-            )
         with pytest.raises(SpecError, match="point override"):
             ExperimentSpec(
                 base=BASE, grid={"block_size": [1]}, points=[{"block_size": 2}]
             )
 
-    def test_bad_policy_and_repetitions_rejected(self):
-        with pytest.raises(SpecError, match="seed_policy"):
-            ExperimentSpec(base=BASE, seed_policy="random")
-        with pytest.raises(SpecError, match="repetitions"):
-            ExperimentSpec(base=BASE, repetitions=0)
+    @pytest.mark.parametrize("key, value", [
+        ("grid", [1, 2]),
+        ("grid", {"block_size": []}),
+        ("points", "ab"),
+        ("points", [1]),
+        ("repetitions", "3"),
+        ("repetitions", 2.5),
+        ("repetitions", True),
+        ("repetitions", 0),
+        ("bucket", "x"),
+        ("bucket", True),
+        ("bucket", 0),
+        ("base", [1]),
+        ("scenario", "crash"),
+    ])
+    def test_malformed_spec_is_a_spec_error_naming_the_key(self, key, value):
+        with pytest.raises(SpecError) as error:
+            ExperimentSpec.from_dict({"base": dict(FAST), key: value})
+        (problem,) = str(error.value).splitlines()[1:]
+        assert problem.startswith(f"  - {key}")
 
 
 class TestSpecSerialization:
@@ -125,17 +121,31 @@ class TestSpecSerialization:
             points=[{"_tag": "a", "block_size": 20}],
             scenario={"events": [{"kind": "crash-replica", "at": 0.3, "replica": "last"}]},
             repetitions=2,
-            seed_policy="fixed",
+            bucket=0.2,
         )
-        clone = ExperimentSpec.from_json(spec.to_json())
-        assert clone.to_dict() == spec.to_dict()
+        clone = ExperimentSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert clone == spec
         assert [r.run_id for r in clone.expand()] == [r.run_id for r in spec.expand()]
 
-    def test_from_dict_accepts_wrapper_and_zip_alias(self):
-        data = {"spec": {"name": "w", "base": dict(FAST), "zip": {"block_size": [20, 40]}}}
-        spec = ExperimentSpec.from_dict(data)
-        assert spec.name == "w"
-        assert len(spec.expand()) == 2
+    @pytest.mark.parametrize("key, value", [
+        ("zip", {"block_size": [20, 40]}),
+        ("zip_axes", {"block_size": [20, 40]}),
+        ("config", dict(FAST)),
+        ("seed_policy", "fixed"),
+        ("spec", {"name": "w", "base": dict(FAST)}),
+    ])
+    def test_removed_keys_are_refused(self, key, value):
+        # A spec's keys are its field names; no alias, wrapper or second
+        # axis kind is read.
+        with pytest.raises(SpecError, match=f"unknown spec keys: {key} "):
+            ExperimentSpec.from_dict({"name": "w", key: value})
+
+    def test_from_dict_accepts_exactly_the_field_names(self):
+        spec = ExperimentSpec(name="all", base=BASE, grid={"protocol": ["hotstuff"]},
+                              points=[{"block_size": 20}], scenario={"events": []},
+                              repetitions=2, bucket=0.2)
+        data = {f.name: getattr(spec, f.name) for f in dataclasses.fields(ExperimentSpec)}
+        assert ExperimentSpec.from_dict(data) == spec
 
     def test_from_dict_rejects_unknown_top_level_keys(self):
         # A flat Configuration dict must not silently become the default
@@ -148,7 +158,7 @@ class TestSpecSerialization:
     def test_grid_helper_builds_a_spec(self):
         spec = api.grid(dict(FAST), name="g", protocol=["hotstuff"], block_size=[20, 40])
         assert isinstance(spec, ExperimentSpec)
-        assert len(spec) == 2
+        assert len(spec.expand()) == 2
         assert spec.name == "g"
 
     def test_grid_helper_rejects_scalar_axis_values(self):
@@ -382,13 +392,6 @@ class TestCampaignRunner:
         # Forced records replace the stored ones: still one record per run.
         assert len(ResultStore(store)) == 4
 
-    def test_fixed_seed_repetitions_execute_and_agree(self):
-        spec = ExperimentSpec(base=BASE, repetitions=2, seed_policy="fixed")
-        result = CampaignRunner(spec).run()
-        assert result.executed == 2
-        # Same seed, independent executions: the simulator is deterministic.
-        assert result.records[0]["metrics"] == result.records[1]["metrics"]
-
     def test_reused_records_are_relabelled_with_the_current_campaign(self, tmp_path):
         store = tmp_path / "s"
         CampaignRunner(self._spec("first"), store=store).run()
@@ -453,7 +456,7 @@ class TestSweepOnCampaign:
 
     def test_points_file_runs_the_direct_points(self, tmp_path, capsys):
         path = tmp_path / "sweep.json"
-        path.write_text(self.SPEC.to_json())
+        path.write_text(json.dumps(self.SPEC.to_dict()))
         assert cli_main(["campaign", str(path), "--json"]) == 0
         records = json.loads(capsys.readouterr().out)
         assert [r["params"] for r in records] == self.SPEC.points

@@ -53,7 +53,7 @@ def digest(record) -> str:
 
 
 def smoke_spec() -> ExperimentSpec:
-    return ExperimentSpec.from_json(SMOKE.read_text())
+    return ExperimentSpec.from_dict(api.read_json(SMOKE))
 
 
 def fig15_spec() -> ExperimentSpec:

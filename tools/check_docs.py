@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Docs check: links resolve, tagged examples run, the event catalogue is
-current, no quoted path or command has been deleted, and every scenario
-kind and Byzantine strategy the docs present is a registered name.
+current, no quoted path or command has been deleted, every scenario
+kind and Byzantine strategy the docs present is a registered name, and the
+spec schema names exactly the spec's fields.
 
-Five passes over ``README.md`` and ``docs/*.md`` (stdlib only, no deps):
+Six passes over ``README.md`` and ``docs/*.md`` (stdlib only, no deps):
 
 1. **Links** — every relative markdown link (``[text](path)`` or
    ``[text](path#anchor)``) must point at an existing file or directory in
@@ -40,15 +41,22 @@ Five passes over ``README.md`` and ``docs/*.md`` (stdlib only, no deps):
    the first column of its strategy table) must be registered under exactly
    that name, so the docs cannot advertise a spelling that
    ``Configuration.validate()`` or ``ScenarioEvent.from_dict`` refuses.
+6. **Spec schema** — the top-level keys of the JSON example and the first
+   column of the field table under "The spec JSON schema" in
+   ``docs/EXPERIMENTS.md`` must both be exactly ``ExperimentSpec``'s field
+   names, which are the only keys ``ExperimentSpec.from_dict`` accepts.
 
 Exit status is non-zero on any broken link, failing example, catalogue
-mismatch, stale mention or unregistered name, which is how CI consumes it:
+mismatch, stale mention, unregistered name or schema mismatch, which is how
+CI consumes it:
 ``python tools/check_docs.py``.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
+import itertools
 import re
 import sys
 from pathlib import Path
@@ -64,6 +72,9 @@ CATALOGUE = REPO_ROOT / "docs" / "OBSERVABILITY.md"
 #: A catalogue row: | `category` | `kind` | ...
 CATALOGUE_ROW_RE = re.compile(r"^\| `([a-z]+)` \| `([^`]+)` \|", re.MULTILINE)
 SCENARIOS = REPO_ROOT / "docs" / "SCENARIOS.md"
+EXPERIMENTS = REPO_ROOT / "docs" / "EXPERIMENTS.md"
+#: A top-level key of the spec JSON example (indented by two spaces).
+SPEC_KEY_RE = re.compile(r'^  "(\w+)":', re.MULTILINE)
 #: A backticked name.
 NAME_RE = re.compile(r"`([^`]+)`")
 
@@ -225,6 +236,26 @@ def check_registered_names() -> list:
     return problems
 
 
+def check_spec_schema() -> list:
+    from repro.experiments.spec import ExperimentSpec
+
+    fields = {f.name for f in dataclasses.fields(ExperimentSpec)}
+    lines = section(EXPERIMENTS.read_text(), "The spec JSON schema")
+    example = re.search(r"^```json$(.*?)^```$", "\n".join(lines), re.MULTILINE | re.DOTALL)
+    table = itertools.takewhile(lambda line: line.startswith("|"),
+                                itertools.dropwhile(lambda line: not line.startswith("|"), lines))
+    rows = [line.split("|")[1] for line in list(table)[2:]]
+    doc = EXPERIMENTS.relative_to(REPO_ROOT)
+    problems = []
+    for where, names in (("JSON example", SPEC_KEY_RE.findall(example.group(1) if example else "")),
+                         ("field table", [n for cell in rows for n in NAME_RE.findall(cell)])):
+        problems += [f"{doc}: the spec {where} lists `{name}`, which is not an ExperimentSpec field"
+                     for name in names if name not in fields]
+        problems += [f"{doc}: the spec {where} does not list the ExperimentSpec field `{name}`"
+                     for name in sorted(fields - set(names))]
+    return problems
+
+
 def main() -> int:
     sys.path.insert(0, str(REPO_ROOT / "src"))
     problems = []
@@ -236,6 +267,7 @@ def main() -> int:
     for path in doc_files():
         problems.extend(check_mentions(path))
     problems.extend(check_registered_names())
+    problems.extend(check_spec_schema())
     if problems:
         print("\ndocs check FAILED:")
         for problem in problems:
