@@ -24,6 +24,22 @@ class ConfigurationError(ValueError):
     """A configuration failed :meth:`Configuration.validate`."""
 
 
+def _refuse(problems: List[str]) -> None:
+    """Raise one :class:`ConfigurationError` listing ``problems``, if any
+    (a single problem on one line)."""
+    if len(problems) == 1:
+        raise ConfigurationError(f"invalid configuration: {problems[0]}")
+    if problems:
+        raise ConfigurationError(
+            "invalid configuration:\n  - " + "\n  - ".join(problems)
+        )
+
+
+#: The classes a value read from a file may have, per declared field type
+#: (``bool`` is not an ``int`` here, and an int is a float).
+_ACCEPTS = {"str": (str,), "int": (int,), "float": (float, int)}
+
+
 @dataclass
 class Configuration:
     """All knobs for one experiment run."""
@@ -130,16 +146,21 @@ class Configuration:
     signing: str = "auto"
 
     def __post_init__(self) -> None:
+        problems: List[str] = []
         if self.num_nodes < 1:
-            raise ValueError("num_nodes must be at least 1")
-        if not 0 <= self.byzantine_nodes < self.num_nodes:
-            raise ValueError("byzantine_nodes must be in [0, num_nodes)")
-        if self.block_size <= 0:
-            raise ValueError("block_size must be positive")
-        if self.runtime <= 0:
-            raise ValueError("runtime must be positive")
-        if self.warmup < 0 or self.cooldown < 0:
-            raise ValueError("warmup and cooldown must be non-negative")
+            problems.append(f"num_nodes: must be at least 1, got {self.num_nodes}")
+        elif not 0 <= self.byzantine_nodes < self.num_nodes:
+            problems.append(
+                f"byzantine_nodes: must be in [0, num_nodes); got "
+                f"{self.byzantine_nodes} with num_nodes {self.num_nodes}"
+            )
+        for name in ("block_size", "runtime"):
+            if getattr(self, name) <= 0:
+                problems.append(f"{name}: must be positive, got {getattr(self, name)}")
+        for name in ("warmup", "cooldown"):
+            if getattr(self, name) < 0:
+                problems.append(f"{name}: must be non-negative, got {getattr(self, name)}")
+        _refuse(problems)
 
     # ------------------------------------------------------------------
     # derived values
@@ -306,12 +327,7 @@ class Configuration:
                 f"block_size {self.block_size}; no block could ever fill"
             )
 
-        if len(problems) == 1:
-            raise ConfigurationError(f"invalid configuration: {problems[0]}")
-        if problems:
-            raise ConfigurationError(
-                "invalid configuration:\n  - " + "\n  - ".join(problems)
-            )
+        _refuse(problems)
         return self
 
     # ------------------------------------------------------------------
@@ -327,11 +343,15 @@ class Configuration:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Configuration":
-        """Build a configuration from a dict; a key that names no field is an error."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
+        """Build a configuration from a dict; a key that names no field, or a
+        value of the wrong type for its field, is an error."""
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = sorted(set(data) - set(types))
         if unknown:
-            raise ConfigurationError(
-                f"invalid configuration: not Configuration fields: {', '.join(unknown)}"
-            )
+            _refuse([f"not Configuration fields: {', '.join(unknown)}"])
+        _refuse([
+            f"{name}: expected {types[name]}, got {type(value).__name__} {value!r}"
+            for name, value in data.items()
+            if value.__class__ not in _ACCEPTS[types[name]]
+        ])
         return cls(**data)

@@ -185,11 +185,6 @@ class ExperimentResult:
     scenario: Optional[Scenario] = None
 
     @property
-    def throughput_ktps(self) -> float:
-        """Throughput in thousands of transactions per second."""
-        return self.metrics.throughput_tps / 1e3
-
-    @property
     def latency_ms(self) -> float:
         """Mean latency in milliseconds."""
         return self.metrics.mean_latency * 1e3

@@ -180,8 +180,8 @@ class ClientBase:
         # hashes) deterministic across repeated runs in one process, which
         # the fuzzer's same-seed fingerprint comparison relies on.
         transaction = Transaction.create(
-            client_id, sent_at, workload.payload_size, operation,
-            f"k{randbelow(workload.key_space)}", f"v{sequence}", sequence,
+            client_id, sequence, sent_at, workload.payload_size, operation,
+            f"k{randbelow(workload.key_space)}", f"v{sequence}",
         )
         replicas = self.replicas
         replica = replicas[randbelow(len(replicas))]

@@ -27,11 +27,6 @@ def digest_fields(*fields: Hashable) -> str:
     return hasher.hexdigest()
 
 
-def digest_many(fields: Iterable[Hashable]) -> str:
-    """Digest an iterable of fields (convenience wrapper)."""
-    return digest_fields(*fields)
-
-
 def digest_strings(fields: Iterable[str]) -> str:
     """Digest an iterable of strings; equals ``digest_fields(*fields)``.
 

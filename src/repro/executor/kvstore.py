@@ -11,8 +11,8 @@ Bounded dedup memory
 Remembering *every* applied txid forever is O(committed transactions) even
 after checkpointing bounded the forest.  :class:`TxidDedup` replaces the
 executor's unbounded set with
-per-client session tracking: a txid of the canonical ``tx-<client>-<seq>``
-shape is recorded as a sequence number in its client's session, and each
+per-client session tracking: a transaction is its ``(client_id, sequence)``
+pair, recorded as a sequence number in its client's session, and each
 session keeps only a bounded window of recent sequences plus a *floor* —
 every sequence at or below the floor is conservatively treated as already
 applied.  Duplicates always arrive close together (a transaction re-proposed
@@ -22,12 +22,8 @@ window of its client's later transactions *after* them could be mistaken —
 and the mistake is refusal to double-apply, never a double apply.  Because
 floors advance purely as a function of the applied history, which commit
 order makes identical on every honest replica, the state machine stays
-deterministic.  A transaction is canonical when its own ``client_id`` and
-``sequence`` spell its txid (:attr:`Transaction.canonical_session`); any
-other transaction (tests, custom clients) is recorded and looked up by its
-raw txid in a bounded FIFO, never by parsing the id string, so a txid that
-merely looks like ``tx-<client>-<seq>`` cannot mark that session's sequence
-applied.
+deterministic.  The pair is read off the transaction's own fields, never
+parsed out of its txid string.
 
 The index holds O(clients × window) entries, independent of run length —
 and snapshots (:class:`KVSnapshot`, shipped in ``SnapshotResponse``) shrink
@@ -40,13 +36,12 @@ per-transaction structure grows with run length anymore
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Set, Tuple
 
 from repro.types.transaction import Transaction
 
-#: Per-session (and extras) dedup window.  Duplicate applies can only arise
+#: Per-session dedup window.  Duplicate applies can only arise
 #: within the uncommitted fork window plus client retry horizon — a few
 #: hundred transactions at the simulated scales — so 4096 is generous.
 DEFAULT_DEDUP_WINDOW = 4096
@@ -88,18 +83,17 @@ class DedupState:
     """Immutable, serialization-friendly copy of a :class:`TxidDedup`.
 
     ``sessions`` holds ``(client, floor, sorted pending sequences)`` rows in
-    client order; ``extras`` the non-canonical txids in insertion order.
-    Two replicas with equal applied history produce byte-identical states.
+    client order.  Two replicas with equal applied history produce
+    byte-identical states.
     """
 
     sessions: Tuple[Tuple[str, int, Tuple[int, ...]], ...]
-    extras: Tuple[str, ...]
 
     @property
     def entry_count(self) -> int:
         """Entries a serialized snapshot ships (for wire-size accounting):
-        one per tracked sequence, one floor per session, one per extra id."""
-        return len(self.extras) + sum(1 + len(pending) for _, _, pending in self.sessions)
+        one per tracked sequence, one floor per session."""
+        return sum(1 + len(pending) for _, _, pending in self.sessions)
 
 
 class TxidDedup:
@@ -110,58 +104,28 @@ class TxidDedup:
             raise ValueError(f"dedup window must be >= 2, got {window}")
         self.window = window
         self._sessions: Dict[str, _Session] = {}
-        #: FIFO of non-canonical txids; ids older than the window are
-        #: *forgotten* (they would re-apply), which only affects synthetic
-        #: ids — canonical client traffic always takes the session path.
-        self._extras: "OrderedDict[str, None]" = OrderedDict()
 
-    def _add_extra(self, txid: str) -> bool:
-        if txid in self._extras:
-            return False
-        self._extras[txid] = None
-        while len(self._extras) > self.window:
-            self._extras.popitem(last=False)
-        return True
+    def contains_transaction(self, transaction: Transaction) -> bool:
+        """True if ``transaction``'s ``(client_id, sequence)`` already counts as applied."""
+        session = self._sessions.get(transaction.client_id)
+        return session is not None and transaction.sequence in session
 
-    def _add_sequence(self, client: str, seq: int) -> bool:
-        session = self._sessions.get(client)
+    def add_transaction(self, transaction: Transaction) -> bool:
+        """Record ``transaction`` as applied; False if it already counted as applied."""
+        session = self._sessions.get(transaction.client_id)
         if session is None:
-            session = self._sessions[client] = _Session()
-        if seq <= session.floor or seq in session.pending:
+            session = self._sessions[transaction.client_id] = _Session()
+        seq = transaction.sequence
+        if seq in session:
             return False
         session.pending.add(seq)
         if len(session.pending) > self.window:
             session.shrink(self.window)
         return True
 
-    def contains_transaction(self, transaction: Transaction) -> bool:
-        """True if ``transaction`` already counts as applied.
-
-        A canonical transaction is looked up by its own ``(client_id,
-        sequence)`` pair (:attr:`Transaction.canonical_session`), any other
-        by its raw txid.
-        """
-        session_key = transaction.canonical_session
-        if session_key is None:
-            return transaction.txid in self._extras
-        session = self._sessions.get(session_key[0])
-        return session is not None and session_key[1] in session
-
-    def add_transaction(self, transaction: Transaction) -> bool:
-        """Record ``transaction`` as applied; False if it already counted as applied.
-
-        Keyed exactly as :meth:`contains_transaction` looks it up.
-        """
-        session_key = transaction.canonical_session
-        if session_key is None:
-            return self._add_extra(transaction.txid)
-        return self._add_sequence(*session_key)
-
     def entry_count(self) -> int:
-        """Sequences + floors + extras currently held (the memory bound)."""
-        return len(self._extras) + sum(
-            1 + len(s.pending) for s in self._sessions.values()
-        )
+        """Sequences + floors currently held (the memory bound)."""
+        return sum(1 + len(s.pending) for s in self._sessions.values())
 
     def state(self) -> DedupState:
         """Freeze into an immutable :class:`DedupState` (canonical order)."""
@@ -170,7 +134,6 @@ class TxidDedup:
                 (client, session.floor, tuple(sorted(session.pending)))
                 for client, session in sorted(self._sessions.items())
             ),
-            extras=tuple(self._extras),
         )
 
     def restore(self, state: DedupState) -> None:
@@ -179,7 +142,6 @@ class TxidDedup:
             client: _Session(floor=floor, pending=set(pending))
             for client, floor, pending in state.sessions
         }
-        self._extras = OrderedDict((txid, None) for txid in state.extras)
 
 
 @dataclass(frozen=True)
@@ -233,9 +195,8 @@ class KeyValueStore:
         ``None`` unless that was a ``get`` taking effect — which is all
         :meth:`apply` needs.
         """
-        applied = self._applied
-        sessions = applied._sessions
-        window = applied.window
+        sessions = self._applied._sessions
+        window = self._applied.window
         data = self._data
         result = None
         fresh = 0
@@ -245,20 +206,17 @@ class KeyValueStore:
             if operation not in OPERATIONS:
                 self.operations_invalid += 1
                 continue
-            session_key = transaction.canonical_session
-            if session_key is not None:
-                client, seq = session_key
-                session = sessions.get(client)
-                if session is None:
-                    session = sessions[client] = _Session()
-                pending = session.pending
-                if seq <= session.floor or seq in pending:
-                    continue
-                pending.add(seq)
-                if len(pending) > window:
-                    session.shrink(window)
-            elif not applied._add_extra(transaction.txid):
+            client = transaction.client_id
+            session = sessions.get(client)
+            if session is None:
+                session = sessions[client] = _Session()
+            seq = transaction.sequence
+            pending = session.pending
+            if seq <= session.floor or seq in pending:
                 continue
+            pending.add(seq)
+            if len(pending) > window:
+                session.shrink(window)
             fresh += 1
             if operation == "put":
                 data[transaction.key] = transaction.value

@@ -112,10 +112,6 @@ class Network:
         #: The earliest end among the installed partitions and windows.
         self._next_expiry = math.inf
         self._crashed: set[str] = set()
-        # Per-network message-id counter: ids are stamped on first send so
-        # repeated runs in one process assign identical ids (no process-global
-        # state leaks across runs).
-        self._message_seq = 0
 
     # ------------------------------------------------------------------
     # membership
@@ -163,10 +159,6 @@ class Network:
         if factor < 1.0:
             raise ValueError(f"slow factor must be >= 1, got {factor}")
         self._slow_factor[node_id] = factor
-
-    def clear_slow(self, node_id: str) -> None:
-        """Remove a previously configured slow-down."""
-        self._slow_factor.pop(node_id, None)
 
     def add_fluctuation(self, window: FluctuationWindow) -> None:
         """Install a fluctuation window (extra random delay while active)."""
@@ -252,9 +244,6 @@ class Network:
         size = message.size_bytes
         if size < 0:
             raise ValueError(f"negative message size: {size}")
-        if message.message_id < 0:
-            self._message_seq += 1
-            message.message_id = self._message_seq
         fanout = len(dsts)
         stats = self.stats
         stats.messages_sent += fanout

@@ -251,9 +251,6 @@ class AsyncioTransport:
         self._crashed: Set[str] = set()
         #: The loop the sockets live on; set by :meth:`start`.
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        #: Per-transport message-id counter (ids never travel the wire; each
-        #: runtime stamps the messages it first carries or decodes).
-        self._message_seq = 0
         #: Exceptions raised by message handlers (and, through :meth:`fail`,
         #: by whatever else the deployment routes here: the runner's clock
         #: reports its timer callbacks'); the runner re-raises these so
@@ -423,9 +420,6 @@ class AsyncioTransport:
         if src in self._crashed or dst in self._crashed:
             self._drop(dst, "crashed", message)
             return data
-        if message.message_id < 0:
-            self._message_seq += 1
-            message.message_id = self._message_seq
         stats.record_send(message)
         if src == dst:
             # Loopback skips the socket, as the simulated network skips the
@@ -483,9 +477,6 @@ class AsyncioTransport:
         if node_id in self._crashed:
             self._drop(node_id, "crashed-dst", message)
             return
-        if message.message_id < 0:
-            self._message_seq += 1
-            message.message_id = self._message_seq
         try:
             self._handlers[node_id](message)
         except Exception as exc:  # noqa: BLE001 - surfaced to the runner

@@ -33,9 +33,10 @@ extra or wrong-typed field is a :class:`CodecError` here rather than a
 ``TypeError`` inside whichever handler first touches the field.
 
 Round-trip property: ``decode_message(encode_message(m))`` reconstructs an
-equal message for every kind (``message_id`` excluded — it is
-``compare=False`` bookkeeping and each decode mints a fresh one), and so does
-``decode_message`` of each envelope ``decode_frame`` returns for a frame.
+equal message for every kind, and so does ``decode_message`` of each envelope
+``decode_frame`` returns for a frame.  A transaction travels as its seven
+fields; its txid is not one of them (the decoded object's constructor spells
+it from ``client_id`` and ``sequence``).
 """
 
 from __future__ import annotations
@@ -186,9 +187,8 @@ def _record(cls: type, head: Tuple[str, ...] = ()) -> Tuple[Callable, Callable]:
         if head:  # the body is what the kind declares itself
             names = names[len(dataclasses.fields(Message)):]
         forms = [_forms(hints[name], f"v.{name}", f"d[{i}]") for i, name in enumerate(names)]
-        # Positional, in declaration order (a message's ``message_id`` is
-        # keyword-only, so its body follows the head): a keyword call costs
-        # CPython about twice as much.
+        # Positional, in declaration order (a message's body follows the
+        # head): a keyword call costs CPython about twice as much.
         arguments = ", ".join([_forms(hints[name], name, name)[1] for name in head]
                               + [dec for _, dec in forms])
         source = (f"def {enc_name}(v):\n    return [{', '.join(enc for enc, _ in forms)}]\n"

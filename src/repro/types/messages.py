@@ -11,19 +11,11 @@ its class, and everything that needs it reads it from there — the generated
 declared types.  Tens of thousands of messages are created per simulated
 second and instances stay cheap: ``slots=True`` means no per-instance
 ``__dict__``, and the generated ``__init__`` is the run of slot assignments
-one would write by hand.  ``message_id`` is declared ``compare=False`` — it is
-a transport-assigned tracking id, not message content — which also keeps it
-out of the hash, so stamping a message (the only mutation one ever sees)
-cannot move it in a set: that is what makes ``unsafe_hash=True`` safe here.
+one would write by hand.  Nothing mutates a message once it is built, which
+is what makes ``unsafe_hash=True`` safe here.
 
-``message_id`` starts at :data:`UNASSIGNED_MESSAGE_ID` and is stamped by the
-runtime that first carries the message (the simulated :class:`Network` or an
-:class:`AsyncioTransport`), each from its own counter.  Ids never travel the
-wire, so repeated runs in one process assign identical ids — no
-process-global counter leaks state across runs.
-
-``message_id`` is also keyword-only, so a kind's own fields follow
-``sender, size_bytes`` positionally: ``ClientReply(sender, size, txid,
+A message is its fields and nothing else: a kind's own fields follow
+``sender, size_bytes`` positionally, as in ``ClientReply(sender, size, txid,
 committed_at, replica, status)``.  The per-transaction sites (the client's
 request, a replica's reply, the wire decoder) build their messages that way,
 because a keyword call costs CPython about twice the positional one.
@@ -31,14 +23,11 @@ because a keyword call costs CPython about twice the positional one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.types.block import Block
 from repro.types.certificates import Timeout, Vote
 from repro.types.transaction import Transaction
-
-#: Sentinel ``message_id`` of a message no runtime has stamped yet.
-UNASSIGNED_MESSAGE_ID = -1
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -47,7 +36,6 @@ class Message:
 
     sender: str
     size_bytes: int
-    message_id: int = field(default=UNASSIGNED_MESSAGE_ID, compare=False, repr=False, kw_only=True)
 
 
 @dataclass(slots=True, unsafe_hash=True)

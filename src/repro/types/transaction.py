@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
-
-_COUNTER = itertools.count()
 
 
 class Transaction:
@@ -17,6 +14,13 @@ class Transaction:
     the NIC/bandwidth model but its contents are irrelevant, so no actual
     byte string is materialized.
 
+    A transaction *is* its ``(client_id, sequence)`` pair: a client numbers
+    its requests, so the pair is unique cluster-wide, and the executor
+    dedups by it.  ``txid`` is that pair spelled ``tx-<client>-<sequence>``,
+    formatted once, here, for every way a transaction comes to exist
+    (``create``, the wire codec, a test); it is not a field, so it never
+    travels the wire and can never disagree with the pair.
+
     A plain slotted class rather than a frozen dataclass: transactions are
     created on the client hot path (one per request), and the
     frozen-dataclass ``object.__setattr__`` per field costs several times a
@@ -24,68 +28,49 @@ class Transaction:
     cyclic collector, with no ``__dict__`` beside it.  Treat instances as
     immutable all the same — they are shared between the mempool, blocks,
     and every replica that applies them.
-
-    ``canonical_session`` is ``(client_id, sequence)`` when the txid has the
-    canonical ``tx-<client>-<seq>`` shape, else ``None`` (hand-built ids,
-    which the dedup index keys by their raw txid).  It is derived once, here,
-    for every way a transaction comes to exist — ``create``, the wire codec,
-    a test — so no replica that applies the object re-parses its id.
     """
 
     _fields = (
-        "txid", "client_id", "operation", "key", "value",
+        "client_id", "operation", "key", "value",
         "payload_size", "created_at", "sequence",
     )
-    __slots__ = _fields + ("canonical_session",)
+    __slots__ = _fields + ("txid",)
 
     def __init__(
         self,
-        txid: str,
         client_id: str,
-        operation: str = "put",
-        key: str = "",
-        value: str = "",
-        payload_size: int = 0,
-        created_at: float = 0.0,
-        sequence: Optional[int] = None,
+        operation: str,
+        key: str,
+        value: str,
+        payload_size: int,
+        created_at: float,
+        sequence: int,
     ) -> None:
-        self.txid = txid
         self.client_id = client_id
         self.operation = operation
         self.key = key
         self.value = value
         self.payload_size = payload_size
         self.created_at = created_at
-        self.sequence = sequence = next(_COUNTER) if sequence is None else sequence
-        self.canonical_session = (
-            (client_id, sequence) if txid == f"tx-{client_id}-{sequence}" else None
-        )
+        self.sequence = sequence
+        self.txid = f"tx-{client_id}-{sequence}"
 
     @classmethod
     def create(
         cls,
         client_id: str,
+        sequence: int,
         created_at: float,
         payload_size: int = 0,
         operation: str = "put",
         key: Optional[str] = None,
         value: str = "",
-        sequence: Optional[int] = None,
     ) -> "Transaction":
-        """Build a transaction with a unique id.
-
-        Pass an explicit per-client ``sequence`` for ids that are
-        deterministic across repeated runs in one process (clients do: their
-        ``(client_id, sequence)`` pair is unique cluster-wide); the default
-        falls back to a process-global counter.
-        """
-        if sequence is None:
-            sequence = next(_COUNTER)
+        """Build a client's ``sequence``-th transaction (key ``k<sequence % 1024>`` by default)."""
         # Positional, in ``_fields`` order: one is built per request, and a
         # keyword call costs about twice as much.
         return cls(
-            f"tx-{client_id}-{sequence}", client_id, operation,
-            key if key is not None else f"k{sequence % 1024}",
+            client_id, operation, key if key is not None else f"k{sequence % 1024}",
             value, payload_size, created_at, sequence,
         )
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from typing import List, Optional, Tuple
 
 from repro.crypto.keys import KeyRegistry
@@ -12,12 +13,19 @@ from repro.types.certificates import QuorumCertificate, Vote, vote_digest
 from repro.types.transaction import Transaction
 
 
+#: Sequences for :func:`make_transaction`, so that no two of its calls
+#: build the same transaction.
+_SEQUENCES = itertools.count()
+
+
+def make_transaction(client_id: str = "c0", created_at: float = 0.0, **fields) -> Transaction:
+    """``Transaction.create`` with a sequence no other call of this helper uses."""
+    return Transaction.create(client_id, next(_SEQUENCES), created_at, **fields)
+
+
 def make_transactions(count: int, client_id: str = "c0", payload_size: int = 0) -> Tuple[Transaction, ...]:
     """Create ``count`` distinct transactions."""
-    return tuple(
-        Transaction.create(client_id=client_id, created_at=0.0, payload_size=payload_size)
-        for _ in range(count)
-    )
+    return tuple(make_transaction(client_id, payload_size=payload_size) for _ in range(count))
 
 
 def certify(forest: BlockForest, block: Block, num_nodes: int = 4) -> QuorumCertificate:

@@ -42,14 +42,17 @@ class TestConfiguration:
         assert config.byzantine_nodes == 0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        # Refused at construction, as a ConfigurationError naming the field.
+        with pytest.raises(ConfigurationError, match="num_nodes: must be at least 1, got 0$"):
             Configuration(num_nodes=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="byzantine_nodes: must be in"):
             Configuration(byzantine_nodes=4, num_nodes=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="block_size: must be positive, got 0$"):
             Configuration(block_size=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="runtime: must be positive, got 0$"):
             Configuration(runtime=0)
+        with pytest.raises(ConfigurationError, match="cooldown: must be non-negative, got -1$"):
+            Configuration(cooldown=-1)
 
     def test_node_and_client_ids(self):
         config = Configuration(num_nodes=3, num_clients=2)
@@ -86,6 +89,22 @@ class TestConfiguration:
         with pytest.raises(ConfigurationError, match=f"not Configuration fields: {names}$"):
             Configuration.from_dict({"protocol": "hotstuff", **unknown})
         assert Configuration.from_dict({"protocol": "lbft"}).protocol == "lbft"
+
+    def test_from_dict_checks_each_value_against_its_field_type(self):
+        # An int is a float; a bool is not an int, and nothing else converts.
+        assert Configuration.from_dict({"runtime": 2, "arrival_rate": 100}).runtime == 2
+        for data, problem in (
+            ({"num_nodes": True}, "num_nodes: expected int, got bool True"),
+            ({"block_size": 20.0}, "block_size: expected int, got float 20.0"),
+            ({"protocol": 3}, "protocol: expected str, got int 3"),
+            ({"runtime": None}, "runtime: expected float, got NoneType None"),
+        ):
+            with pytest.raises(ConfigurationError, match=f"^invalid configuration: {problem}$"):
+                Configuration.from_dict(data)
+        with pytest.raises(ConfigurationError) as both:
+            Configuration.from_dict({"seed": "1", "mode": 0})
+        assert str(both.value).splitlines()[1:] == [
+            "  - seed: expected int, got str '1'", "  - mode: expected str, got int 0"]
 
     def test_measurement_window(self):
         config = Configuration(warmup=1.0, runtime=5.0, cooldown=0.5)

@@ -401,15 +401,15 @@ class TestForestTruncation:
 
 
 class TestKVSnapshot:
-    def _tx(self, op, key, value=""):
+    def _tx(self, sequence, op, key, value=""):
         return Transaction.create(
-            client_id="c0", created_at=0.0, operation=op, key=key, value=value
+            client_id="c0", sequence=sequence, created_at=0.0, operation=op, key=key, value=value
         )
 
     def test_snapshot_restore_round_trip(self):
         store = KeyValueStore()
-        store.apply(self._tx("put", "a", "1"))
-        store.apply(self._tx("put", "b", "2"))
+        store.apply(self._tx(0, "put", "a", "1"))
+        store.apply(self._tx(1, "put", "b", "2"))
         snapshot = store.snapshot()
         assert isinstance(snapshot, KVSnapshot)
         other = KeyValueStore()
@@ -421,7 +421,7 @@ class TestKVSnapshot:
 
     def test_restored_store_keeps_idempotency(self):
         store = KeyValueStore()
-        tx = self._tx("put", "a", "1")
+        tx = self._tx(0, "put", "a", "1")
         store.apply(tx)
         other = KeyValueStore()
         other.restore(store.snapshot())
@@ -431,9 +431,9 @@ class TestKVSnapshot:
 
     def test_snapshot_is_immutable_copy(self):
         store = KeyValueStore()
-        store.apply(self._tx("put", "a", "1"))
+        store.apply(self._tx(0, "put", "a", "1"))
         snapshot = store.snapshot()
-        store.apply(self._tx("put", "a", "changed"))
+        store.apply(self._tx(1, "put", "a", "changed"))
         assert dict(snapshot.items)["a"] == "1"
         assert snapshot.payload_bytes == len("a") + len("1")
 

@@ -102,6 +102,22 @@ class TestRun:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ") and "blok_size, num_node" in line
 
+    @pytest.mark.parametrize("field, value, problem", [
+        ("num_nodes", 0, "num_nodes: must be at least 1, got 0"),
+        ("warmup", -1, "warmup: must be non-negative, got -1"),
+        ("block_size", 0, "block_size: must be positive, got 0"),
+        ("num_nodes", "4", "num_nodes: expected int, got str '4'"),
+        ("view_timeout", "x", "view_timeout: expected float, got str 'x'"),
+        ("num_nodes", True, "num_nodes: expected int, got bool True"),
+        ("block_size", 20.5, "block_size: expected int, got float 20.5"),
+    ], ids=["num_nodes=0", "warmup=-1", "block_size=0", "num_nodes='4'", "view_timeout='x'",
+            "num_nodes=true", "block_size=20.5"])
+    def test_a_bad_config_value_fails_cleanly(self, field, value, problem, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"config": {field: value}}))
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: invalid configuration: {problem}\n"
+
 
 CRASH = {"events": [{"kind": "crash-replica", "at": 0.3, "replica": "last"}]}
 

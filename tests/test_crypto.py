@@ -3,7 +3,7 @@
 import pytest
 
 from repro.crypto.costs import CryptoCostModel
-from repro.crypto.digest import digest_bytes, digest_fields, digest_many
+from repro.crypto.digest import digest_bytes, digest_fields
 from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.crypto.signatures import Signature, sign, verify
 
@@ -21,9 +21,6 @@ class TestDigest:
     def test_type_tags_prevent_cross_type_collisions(self):
         assert digest_fields(1) != digest_fields("1")
         assert digest_fields(1.0) != digest_fields(1)
-
-    def test_digest_many_matches_digest_fields(self):
-        assert digest_many(["x", 2]) == digest_fields("x", 2)
 
     def test_unsupported_type_raises(self):
         with pytest.raises(TypeError):

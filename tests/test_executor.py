@@ -3,21 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.executor.kvstore import KeyValueStore
+from repro.executor.kvstore import OPERATIONS, KeyValueStore, TxidDedup
 from repro.types.transaction import Transaction
 
+from helpers import make_transaction
 
-def tx(operation="put", key="k", value="v", txid=None):
-    base = Transaction.create("c0", created_at=0.0, operation=operation, key=key, value=value)
-    if txid is None:
-        return base
-    return Transaction(
-        txid=txid,
-        client_id="c0",
-        operation=operation,
-        key=key,
-        value=value,
-    )
+
+def tx(operation="put", key="k", value="v"):
+    return make_transaction(operation=operation, key=key, value=value)
 
 
 class TestKeyValueStore:
@@ -56,65 +49,40 @@ class TestKeyValueStore:
         assert store.transaction_applied(transaction)
 
     def test_transaction_applied_false_for_unknown(self):
-        assert not KeyValueStore().transaction_applied(tx(txid="nope"))
+        assert not KeyValueStore().transaction_applied(tx())
 
-    def test_a_canonical_looking_txid_does_not_claim_its_session(self):
-        # A client may send any (txid, client_id, sequence) triple.  This one
-        # spells another session's txid but is not that session's transaction,
-        # so it is recorded by its raw id and the honest one still executes.
+    def test_equal_client_and_sequence_are_one_transaction(self):
+        # However each was built, two transactions with one (client_id,
+        # sequence) pair are one transaction: the second takes no effect,
+        # before a checkpoint and after one is installed.
         store = KeyValueStore()
-        spoof = Transaction(txid="tx-c0-5", client_id="x", sequence=9, key="a", value="spoof")
-        honest = Transaction.create("c0", 0.0, key="a", value="honest", sequence=5)
-        assert spoof.txid == honest.txid and spoof.canonical_session is None
-        store.apply_batch([spoof])
-        assert store.transaction_applied(spoof)
-        assert not store.transaction_applied(honest)
-        store.apply_batch([honest])
-        assert store.operations_applied == 2 and store.get("a") == "honest"
-        assert store.transaction_applied(honest)
-
-    def test_a_spoofed_txid_stays_raw_through_apply_and_a_snapshot(self):
-        # The single-apply path and a checkpoint install key the spoof
-        # exactly as apply_batch does: by its raw txid, in no session.
-        store = KeyValueStore()
-        spoof = Transaction(txid="tx-c0-5", client_id="x", sequence=9, key="a", value="spoof")
-        honest = Transaction.create("c0", 0.0, key="a", value="honest", sequence=5)
-        store.apply(spoof)
-        clone = KeyValueStore()
-        clone.restore(store.snapshot())
-        assert clone.snapshot().dedup.sessions == ()
-        assert clone.snapshot().dedup.extras == ("tx-c0-5",)
-        assert clone.transaction_applied(spoof)
-        assert not clone.transaction_applied(honest)
-        clone.apply(honest)
-        assert clone.operations_applied == 2 and clone.get("a") == "honest"
-
-    def test_a_hand_built_canonical_transaction_shares_its_session(self):
-        # Canonical means the object's own client_id and sequence spell its
-        # txid, however it was built: it dedups against Transaction.create.
-        store = KeyValueStore()
-        built = Transaction(txid="tx-c0-5", client_id="c0", sequence=5, key="a", value="1")
-        created = Transaction.create("c0", 0.0, key="a", value="2", sequence=5)
-        assert built.canonical_session == created.canonical_session == ("c0", 5)
+        built = Transaction("c0", "put", "a", "1", 0, 0.0, 5)
+        created = Transaction.create("c0", 5, 0.0, key="a", value="2")
+        assert built.txid == created.txid == "tx-c0-5"
         store.apply(built)
         assert store.transaction_applied(created)
         assert store.apply(created) is None
         assert store.operations_applied == 1 and store.get("a") == "1"
-        assert store.snapshot().dedup.extras == ()
+        clone = KeyValueStore()
+        clone.restore(store.snapshot())
+        assert clone.snapshot().dedup.sessions == (("c0", -1, (5,)),)
+        assert clone.transaction_applied(created)
+        clone.apply_batch([created, Transaction.create("c0", 6, 0.0, key="a", value="3")])
+        assert clone.operations_applied == 2 and clone.get("a") == "3"
 
     def test_state_digest_reflects_content(self):
         a = KeyValueStore()
         b = KeyValueStore()
-        a.apply(tx(operation="put", key="x", value="1", txid="t1"))
-        b.apply(tx(operation="put", key="x", value="1", txid="t2"))
+        a.apply(tx(operation="put", key="x", value="1"))
+        b.apply(tx(operation="put", key="x", value="1"))
         assert a.state_digest() == b.state_digest()
-        b.apply(tx(operation="put", key="y", value="2", txid="t3"))
+        b.apply(tx(operation="put", key="y", value="2"))
         assert a.state_digest() != b.state_digest()
 
     def test_last_write_wins(self):
         store = KeyValueStore()
-        store.apply(tx(operation="put", key="a", value="1", txid="t1"))
-        store.apply(tx(operation="put", key="a", value="2", txid="t2"))
+        store.apply(tx(operation="put", key="a", value="1"))
+        store.apply(tx(operation="put", key="a", value="2"))
         assert store.get("a") == "2"
 
 
@@ -122,7 +90,7 @@ class TestBoundedDedup:
     """The applied-txid index holds bounded memory on runs of any length."""
 
     def _tx(self, client, seq, key="k", value="v"):
-        return Transaction.create(client, 0.0, key=key, value=value, sequence=seq)
+        return Transaction.create(client, seq, 0.0, key=key, value=value)
 
     def test_dedup_correctness_within_the_window(self):
         store = KeyValueStore(dedup_window=8)
@@ -157,8 +125,8 @@ class TestBoundedDedup:
         assert not store.transaction_applied(self._tx("c1", 5))
 
     def test_interleaved_global_sequences(self):
-        # The global tx counter interleaves clients, so per-client sequences
-        # have gaps; gaps must not count as applied.
+        # A client's sequences may reach the store with gaps; gaps must not
+        # count as applied.
         store = KeyValueStore(dedup_window=8)
         store.apply(self._tx("c0", 0))
         store.apply(self._tx("c1", 1))
@@ -168,29 +136,15 @@ class TestBoundedDedup:
         assert not applied(self._tx("c0", 1))
         assert not applied(self._tx("c1", 0))
 
-    def test_non_canonical_txids_use_the_bounded_fifo(self):
-        store = KeyValueStore(dedup_window=4)
-        custom = [tx(operation="put", key=f"k{i}", txid=f"custom-{i}!") for i in range(6)]
-        for transaction in custom[:4]:
-            store.apply(transaction)
-        assert store.transaction_applied(custom[0])
-        store.apply(custom[5])
-        # FIFO bound: the oldest synthetic id is forgotten.
-        assert not store.transaction_applied(custom[0])
-        assert store.transaction_applied(custom[5])
-
     def test_snapshot_round_trips_the_bounded_state(self):
         store = KeyValueStore(dedup_window=16)
         for seq in range(100):
             store.apply(self._tx("c0", seq))
-        weird = tx(operation="put", key="x", txid="weird-id")
-        store.apply(weird)
         clone = KeyValueStore(dedup_window=16)
         clone.restore(store.snapshot())
         assert clone.dedup_entries() == store.dedup_entries()
         assert clone.transaction_applied(self._tx("c0", 99))
         assert clone.transaction_applied(self._tx("c0", 0))  # below the floor: conservative
-        assert clone.transaction_applied(weird)
         assert clone.snapshot() == store.snapshot()
 
     def test_snapshots_of_equal_state_are_identical(self):
@@ -217,16 +171,8 @@ _KEYS = ("a", "b", "c")
 def _transactions(draw):
     """A transaction that collides with its neighbours in every way a block's can."""
     client = draw(st.sampled_from(_CLIENTS))
-    seq = draw(st.integers(0, 12))
-    shape = draw(st.sampled_from(("canonical", "parsed", "hand-built")))
-    if shape == "canonical":  # what a client builds: session read off the object
-        txid = f"tx-{client}-{seq}"
-    elif shape == "parsed":   # same id, another sequence: session parsed from the string
-        txid, seq = f"tx-{client}-{seq}", seq + 100
-    else:                     # the bounded FIFO of raw ids
-        txid = f"odd-{seq % 6}"
-    return Transaction(
-        txid=txid, client_id=client, sequence=seq,
+    return Transaction.create(
+        client, draw(st.integers(0, 12)), 0.0,
         operation=draw(st.sampled_from(("put", "put", "get", "delete", "frob"))),
         key=draw(st.sampled_from(_KEYS)), value=f"v{draw(st.integers(0, 3))}",
     )
@@ -247,7 +193,7 @@ class TestApplyBatch:
     @settings(max_examples=200, deadline=None)
     @given(batches=st.lists(st.lists(_transactions(), max_size=12), max_size=5))
     def test_batch_equals_a_loop_of_single_applies(self, batches):
-        # Window 4: sessions overflow (and the raw-id FIFO evicts) mid-batch.
+        # Window 4: sessions overflow mid-batch.
         batched, looped = KeyValueStore(dedup_window=4), KeyValueStore(dedup_window=4)
         invalid = 0
         for batch in batches:
@@ -261,13 +207,29 @@ class TestApplyBatch:
         assert batched.operations_invalid == invalid
         assert looped.operations_invalid == 0  # apply refuses before counting anything
 
+    @settings(max_examples=100, deadline=None)
+    @given(transactions=st.lists(_transactions(), max_size=30))
+    def test_the_index_and_the_batch_loop_key_alike(self, transactions):
+        # TxidDedup's calls (the replica's replied index) and apply_batch's
+        # inlined loop make the same update: a transaction is fresh to one
+        # exactly when it is to the other, and the sessions end equal.
+        store, index = KeyValueStore(dedup_window=4), TxidDedup(window=4)
+        for transaction in transactions:
+            if transaction.operation not in OPERATIONS:
+                continue
+            applied = store.operations_applied
+            store.apply_batch([transaction])
+            assert index.add_transaction(transaction) == (store.operations_applied > applied)
+            assert index.contains_transaction(transaction)
+        assert index.state() == store.snapshot().dedup
+
     def test_forked_block_committed_after_the_main_chain_changes_nothing(self):
         store = KeyValueStore()
-        main = [Transaction.create("c0", 0.0, key="a", value=f"v{i}", sequence=i) for i in range(4)]
+        main = [Transaction.create("c0", i, 0.0, key="a", value=f"v{i}") for i in range(4)]
         store.apply_batch(main)
         before = store.snapshot()
         # The fork carried two of the same requests plus an overwrite of its own.
-        fork = [main[1], Transaction.create("c1", 0.0, key="a", value="fork", sequence=0), main[3]]
+        fork = [main[1], Transaction.create("c1", 0, 0.0, key="a", value="fork"), main[3]]
         store.apply_batch(fork)
         assert store.operations_applied == before.operations_applied + 1
         assert store.get("a") == "fork"
@@ -276,7 +238,7 @@ class TestApplyBatch:
 
     def test_window_overflow_inside_a_batch(self):
         store = KeyValueStore(dedup_window=4)
-        batch = [Transaction.create("c0", 0.0, key=f"k{i}", sequence=i) for i in range(7)]
+        batch = [Transaction.create("c0", i, 0.0, key=f"k{i}") for i in range(7)]
         store.apply_batch(batch + batch[:2])
         # The fifth add halved the window: floor 2, then 3..6 tracked exactly;
         # the two repeats fall at or below the floor.
@@ -285,7 +247,7 @@ class TestApplyBatch:
 
     def test_unknown_operation_is_a_counted_no_op_in_a_block(self):
         store = KeyValueStore()
-        odd = Transaction.create("c0", 0.0, operation="frob", key="a", sequence=1)
+        odd = Transaction.create("c0", 1, 0.0, operation="frob", key="a")
         store.apply_batch([tx(key="a", value="1"), odd, odd])
         assert store.operations_invalid == 2
         assert store.operations_applied == 1
@@ -294,7 +256,7 @@ class TestApplyBatch:
 
     def test_single_apply_refuses_an_unknown_operation_before_recording_it(self):
         store = KeyValueStore()
-        odd = Transaction.create("c0", 0.0, operation="frob", sequence=1)
+        odd = Transaction.create("c0", 1, 0.0, operation="frob")
         with pytest.raises(ValueError):
             store.apply(odd)
         assert not store.transaction_applied(odd)

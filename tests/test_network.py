@@ -340,18 +340,6 @@ class TestFaultInjection:
         sched.run_until(2.0)
         assert times[0] >= 0.1
 
-    def test_clear_slow(self):
-        sched, net = make_network(base_delay=FixedDelay(0.01))
-        net.register("a", lambda m: None)
-        net.register("b", lambda m: None)
-        net.set_slow("b", 10.0)
-        net.clear_slow("b")
-        times = []
-        net._handlers["b"] = lambda m: times.append(sched.now)
-        net.send("a", "b", msg())
-        sched.run_until(2.0)
-        assert times[0] < 0.05
-
     def test_slow_factor_below_one_rejected(self):
         _sched, net = make_network()
         net.register("a", lambda m: None)

@@ -47,7 +47,7 @@ class TestMempoolProperties:
     @settings(max_examples=60, deadline=None)
     def test_batches_preserve_fifo_order_and_never_duplicate(self, batch_sizes, num_txs):
         pool = Mempool(capacity=1000)
-        txs = [Transaction.create("c0", created_at=0.0) for _ in range(num_txs)]
+        txs = [Transaction.create("c0", i, 0.0) for i in range(num_txs)]
         for tx in txs:
             pool.add(tx)
         drained = []
@@ -61,7 +61,7 @@ class TestMempoolProperties:
     @settings(max_examples=60, deadline=None)
     def test_requeue_then_drain_loses_nothing(self, num_txs, requeue_at):
         pool = Mempool(capacity=1000)
-        txs = [Transaction.create("c0", created_at=0.0) for _ in range(num_txs)]
+        txs = [Transaction.create("c0", i, 0.0) for i in range(num_txs)]
         for tx in txs:
             pool.add(tx)
         taken = pool.next_batch(min(requeue_at, num_txs))

@@ -21,6 +21,8 @@ from repro.types.messages import ClientReply, ClientRequest
 from repro.types.sizes import SizeModel
 from repro.types.transaction import Transaction
 
+from helpers import make_transaction
+
 
 def build_mini_cluster(
     num_nodes=4,
@@ -80,7 +82,7 @@ def submit_transactions(scheduler, network, replica_id, count, sender="c0"):
     sizes = SizeModel()
     txs = []
     for _ in range(count):
-        tx = Transaction.create(sender, created_at=scheduler.now)
+        tx = make_transaction(sender, scheduler.now)
         txs.append(tx)
         network.send(
             sender,
@@ -162,7 +164,7 @@ class TestHappyPath:
         network.register("c9", replies.append)
         sizes = SizeModel()
         for _ in range(8):
-            tx = Transaction.create("c9", created_at=0.0)
+            tx = make_transaction("c9")
             network.send(
                 "c9",
                 "r0",
@@ -350,7 +352,7 @@ class TestCommitPathPerBlock:
         scheduler, network, replicas = build_mini_cluster(block_size=10, view_timeout=1.0)
         replies = record_replies(network)
         network.register("c0", lambda m: None)
-        txs = [Transaction.create("c0", created_at=0.0, sequence=i) for i in range(40)]
+        txs = [Transaction.create("c0", i, created_at=0.0) for i in range(40)]
         received = {"r0": txs[:30], "r1": txs[30:], "r2": [txs[3]], "r3": []}
         for replica in replicas.values():
             replica.start()
@@ -381,7 +383,7 @@ class TestUnknownOperation:
         network.register("c0", lambda m: None)
         for replica in replicas.values():
             replica.start()
-        odd = Transaction.create("c0", created_at=0.0, operation="frob")
+        odd = make_transaction(operation="frob")
         request(network, "r1", odd)
         accepted = submit_transactions(scheduler, network, "r1", 3)
         scheduler.run_until(0.5)
@@ -397,8 +399,8 @@ class TestUnknownOperation:
         for replica in replicas.values():
             replica.start()
         # A Byzantine leader batches what it likes: straight into its mempool.
-        odd = Transaction.create("c0", created_at=0.0, operation="frob", key="a")
-        replicas["r1"].mempool.add(Transaction.create("c0", created_at=0.0, key="a", value="1"))
+        odd = make_transaction(operation="frob", key="a")
+        replicas["r1"].mempool.add(make_transaction(key="a", value="1"))
         replicas["r1"].mempool.add(odd)
         submit_transactions(scheduler, network, "r2", 4)
         scheduler.run_until(0.5)  # raised ValueError out of _commit before
@@ -415,7 +417,7 @@ class TestUnknownOperation:
         cluster = build_cluster(Configuration(
             block_size=20, concurrency=5, num_clients=1, cost_profile="fast",
             view_timeout=0.05, runtime=0.5, warmup=0.1, cooldown=0.1))
-        odd = Transaction.create("c0", created_at=0.0, operation="frob")
+        odd = make_transaction(operation="frob")
         cluster.network.send("c0", "r1", ClientRequest(sender="c0", size_bytes=100, transaction=odd))
         result = run_cluster(cluster)
         assert result.consistent

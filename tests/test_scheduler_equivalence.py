@@ -20,7 +20,7 @@ from repro.network.partition import Partition
 from repro.network.fluctuation import FluctuationWindow
 from repro.sim.events import EventScheduler, SimulationError
 from repro.sim.random import RandomStreams
-from repro.types.messages import Message, UNASSIGNED_MESSAGE_ID
+from repro.types.messages import Message
 
 
 class TestTwoTierEquivalence:
@@ -304,28 +304,3 @@ class TestFaultPruning:
         assert net._fluctuations == []
         assert len(recv["b"]) == 2
 
-
-class TestPerNetworkMessageIds:
-    def test_ids_are_stamped_per_network(self):
-        """Two networks assign independent, deterministic id sequences."""
-        sched_a, net_a, recv_a = _cluster(seed=9, base_delay=FixedDelay(1e-3))
-        sched_b, net_b, recv_b = _cluster(seed=9, base_delay=FixedDelay(1e-3))
-        for net, sched in ((net_a, sched_a), (net_b, sched_b)):
-            for i in range(3):
-                net.send("a", "b", Message(sender="a", size_bytes=10))
-            sched.run_until_idle()
-        ids_a = [m.message_id for _, m in recv_a["b"]]
-        ids_b = [m.message_id for _, m in recv_b["b"]]
-        assert ids_a == [1, 2, 3]
-        assert ids_a == ids_b
-
-    def test_stamping_happens_once(self):
-        sched, net, recv = _cluster(seed=10)
-        message = Message(sender="a", size_bytes=10)
-        assert message.message_id == UNASSIGNED_MESSAGE_ID
-        net.send("a", "b", message)
-        first_id = message.message_id
-        assert first_id > 0
-        net.send("a", "c", message)
-        assert message.message_id == first_id
-        sched.run_until_idle()

@@ -330,17 +330,15 @@ class TestMessageHandlerRegistry:
         # plugin kind in the tests has.
         from dataclasses import dataclass
 
-        from repro.types.messages import UNASSIGNED_MESSAGE_ID, Message
+        from repro.types.messages import Message
 
         @dataclass(slots=True, unsafe_hash=True)
         class GossipDigest(Message):
             digest: str = ""
 
         digest = GossipDigest(sender="r0", size_bytes=40, digest="abc")
-        assert digest.message_id == UNASSIGNED_MESSAGE_ID
-        by_position = GossipDigest("r0", 40, "abc", message_id=7)
-        assert (by_position.message_id, by_position.digest) == (7, "abc")
-        # message_id is bookkeeping, not content.
+        by_position = GossipDigest("r0", 40, "abc")
+        assert by_position.digest == "abc"
         assert digest == by_position and hash(digest) == hash(by_position)
         assert digest != GossipDigest(sender="r0", size_bytes=40, digest="abd")
         assert digest != GossipDigest(sender="r0", size_bytes=40)
@@ -356,7 +354,6 @@ class TestMessageHandlerRegistry:
             cluster = make_cluster()
             cluster.start()
             cluster.network.send("r0", "r1", digest)
-            assert digest.message_id != UNASSIGNED_MESSAGE_ID  # stamped by the fabric
             assert digest == by_position
             cluster.scheduler.run_until(0.01)
             assert received == [("r1", "r0", "abc")]

@@ -86,7 +86,6 @@ from repro.types.certificates import (
     vote_digest,
 )
 from repro.types.messages import (
-    UNASSIGNED_MESSAGE_ID,
     ClientReply,
     ClientRequest,
     Message,
@@ -142,16 +141,11 @@ class TestSeamConformance:
 # wire codec
 
 
-def _sample_objects(sequence=None):
-    """One of everything: a signed chain fragment plus client traffic.
-
-    A fixed ``sequence`` makes the transaction id (and so every byte of the
-    sample) independent of how many transactions the process built before.
-    """
+def _sample_objects():
+    """One of everything: a signed chain fragment plus client traffic."""
     registry = KeyRegistry()
     forest = BlockForest()
-    tx = Transaction.create(client_id="c0", created_at=1.25, payload_size=16,
-                            sequence=sequence)
+    tx = Transaction.create(client_id="c0", sequence=0, created_at=1.25, payload_size=16)
     qc0 = QuorumCertificate(
         block_id=forest.genesis.block_id, view=0,
         signers=frozenset({"r0", "r1", "r2"}),
@@ -166,7 +160,7 @@ def _sample_objects(sequence=None):
                             signatures=(timeout.signature,), high_qc_view=1)
     snapshot = KVSnapshot(
         items=(("k1", "v1"), ("k2", "v2")),
-        dedup=DedupState(sessions=(("c0", 4, (7, 9)),), extras=("c1:2",)),
+        dedup=DedupState(sessions=(("c0", 4, (7, 9)),)),
         operations_applied=11,
     )
     checkpoint = Checkpoint(height=1, block=block, qc=qc0,
@@ -178,7 +172,7 @@ def _sample_objects(sequence=None):
 def _golden_messages():
     """The messages of ``tests/golden/wire_frames.json``, by entry name: one
     of each kind, plus every ``None`` branch a body has."""
-    tx, block, vote, qc, timeout, _tc, checkpoint = _sample_objects(sequence=0)
+    tx, block, vote, qc, timeout, _tc, checkpoint = _sample_objects()
     return {
         "ProposalMessage": ProposalMessage(sender="r0", size_bytes=900, block=block,
                                            view=1, forwarded_by="r1"),
@@ -217,8 +211,7 @@ def _fields_of(record):
         hints = typing.get_type_hints(Transaction.__init__)
         return [(name, hints[name]) for name in Transaction._fields]
     hints = typing.get_type_hints(record)
-    return [(f.name, hints[f.name]) for f in dataclasses.fields(record)
-            if f.name != "message_id"]
+    return [(f.name, hints[f.name]) for f in dataclasses.fields(record)]
 
 
 def _values_of(tp):
@@ -345,14 +338,6 @@ class TestCodec:
         decoded = _round_trip(SnapshotResponse(sender="r0", size_bytes=4000,
                                                checkpoint=self.checkpoint))
         assert decoded.checkpoint.state == self.checkpoint.state
-
-    def test_decode_returns_an_unstamped_message(self):
-        # Ids never travel the wire: the receiving runtime stamps decoded
-        # messages from its own counter.
-        message = BlockRequest(sender="r3", size_bytes=96, known_height=0)
-        message.message_id = 7
-        decoded = decode_message(encode_message(message))
-        assert decoded.message_id == UNASSIGNED_MESSAGE_ID
 
     def test_unknown_kind_raises(self):
         with pytest.raises(CodecError):
@@ -551,18 +536,19 @@ class TestCodec:
         wire = encode_message(message)
         assert wire == json.dumps(json.loads(wire), separators=(",", ":")).encode("utf-8")
 
-    def test_decoded_transaction_has_its_session_seeded(self):
-        # Every decoded copy is a new object; the constructor the generated
-        # decoder calls derives the session, and nothing is stored beside the
-        # slots.
+    def test_a_transaction_travels_as_its_seven_fields(self):
+        # The txid is not on the wire: the constructor the generated decoder
+        # calls spells it from client_id and sequence, and nothing is stored
+        # beside the slots.  A body that still carries the id is malformed.
         decoded = _round_trip(ClientRequest(sender="c0", size_bytes=140, transaction=self.tx))
-        assert decoded.transaction.canonical_session == self.tx.canonical_session
-        assert decoded.transaction.canonical_session == (self.tx.client_id, self.tx.sequence)
+        assert decoded.transaction.txid == f"tx-{self.tx.client_id}-{self.tx.sequence}"
         assert not hasattr(decoded.transaction, "__dict__")
-        odd = Transaction(txid="hand-built", client_id="c0", sequence=5)
-        decoded = _round_trip(ClientRequest(sender="c0", size_bytes=140, transaction=odd))
-        assert decoded.transaction.canonical_session is None
-        assert odd.canonical_session is None
+        envelope = json.loads(_golden_frames()["ClientRequest"])
+        body = envelope[3][0]
+        assert len(body) == 7 and self.tx.txid not in body
+        body.insert(0, self.tx.txid)
+        with pytest.raises(CodecError, match="expected 7 elements, got 8"):
+            decode_message(json.dumps(envelope).encode("utf-8"))
 
     def test_every_decoder_builds_its_record_positionally(self):
         # A keyword call costs CPython about twice a positional one, and a
@@ -1219,8 +1205,8 @@ class TestAsyncioTransport:
 
     @pytest.mark.parametrize("slack", [0, -1])
     def test_backlog_of_a_link_is_bounded(self, monkeypatch, slack):
-        big = ClientRequest(sender="a", size_bytes=140, transaction=Transaction(
-            txid="big", client_id="a", value="v" * 65536, sequence=0))
+        big = ClientRequest(sender="a", size_bytes=140, transaction=Transaction.create(
+            "a", 0, 0.0, value="v" * 65536))
         size = len(encode_message(big))
         # Sixteen messages make a frame payload of exactly 16 * size + 15
         # commas + 2 brackets.  With the frame cap there too, the boundary
@@ -1571,7 +1557,8 @@ class TestDeployment:
                 signing="hmac", warmup=0.1, runtime=0.6, cooldown=0.1))
             await runner.start()
             try:
-                odd = Transaction.create("c0", created_at=0.0, operation="frob")
+                # A sequence the run's own c0 never reaches.
+                odd = Transaction.create("c0", 10**9, created_at=0.0, operation="frob")
                 runner.transport.send(
                     "c0", "r1", ClientRequest(sender="c0", size_bytes=140, transaction=odd))
                 await runner.run()

@@ -1,12 +1,14 @@
 """Unit tests for the core data types."""
 
+import dataclasses
+
 import pytest
 
 from repro.types.block import GENESIS_ID, compute_block_id, make_block, make_genesis
 from repro.types.certificates import QuorumCertificate, TimeoutCertificate, timeout_digest, vote_digest
 from repro.types.messages import (
-    UNASSIGNED_MESSAGE_ID,
     ClientReply,
+    Message,
     ProposalMessage,
     VoteMessage,
 )
@@ -18,46 +20,46 @@ from helpers import make_transactions
 
 class TestTransaction:
     def test_create_assigns_unique_ids(self):
-        a = Transaction.create("c0", created_at=0.0)
-        b = Transaction.create("c0", created_at=0.0)
+        a = Transaction.create("c0", 0, created_at=0.0)
+        b = Transaction.create("c0", 1, created_at=0.0)
         assert a.txid != b.txid
 
     def test_create_records_client_and_time(self):
-        tx = Transaction.create("c7", created_at=1.25, payload_size=128)
+        tx = Transaction.create("c7", 0, created_at=1.25, payload_size=128)
         assert tx.client_id == "c7"
         assert tx.created_at == 1.25
         assert tx.payload_size == 128
 
     def test_default_operation_is_put(self):
-        tx = Transaction.create("c0", created_at=0.0)
+        tx = Transaction.create("c0", 0, created_at=0.0)
         assert tx.operation == "put"
 
     def test_hash_by_txid(self):
-        tx = Transaction.create("c0", created_at=0.0)
+        tx = Transaction.create("c0", 0, created_at=0.0)
         assert hash(tx) == hash(tx.txid)
 
     def test_instances_are_slots_only(self):
         # One object to the cyclic collector per transaction, not two: no
         # ``__dict__`` beside the slots, however the instance was built.
-        built = Transaction.create("c0", created_at=0.0, sequence=4)
-        by_hand = Transaction(txid="hand-built", client_id="c0")
+        built = Transaction.create("c0", 4, created_at=0.0)
+        by_hand = Transaction("c0", "put", "k", "v", 0, 0.0, 5)
         for tx in (built, by_hand):
             assert not hasattr(tx, "__dict__")
             with pytest.raises(AttributeError):
                 tx.note = "no room for this"
-        assert set(Transaction.__slots__) == {*Transaction._fields, "canonical_session"}
+        assert set(Transaction.__slots__) == {*Transaction._fields, "txid"}
 
-    def test_canonical_session_is_derived_at_construction(self):
-        assert Transaction.create("c7", 0.0, sequence=12).canonical_session == ("c7", 12)
-        # The process-wide counter behind ``create`` without a sequence.
-        counted = Transaction.create("c0", created_at=0.0)
-        assert counted.canonical_session == ("c0", counted.sequence)
-        assert counted.txid == f"tx-c0-{counted.sequence}"
-        # Hand-built: canonical only if the id is what create would have made.
-        assert Transaction(txid="tx-c0-5", client_id="c0", sequence=5).canonical_session == ("c0", 5)
-        assert Transaction(txid="tx-c0-5", client_id="c0", sequence=6).canonical_session is None
-        assert Transaction(txid="tx-c0-5", client_id="c1", sequence=5).canonical_session is None
-        assert Transaction(txid="hand-built", client_id="c0", sequence=5).canonical_session is None
+    def test_txid_is_client_and_sequence(self):
+        # The id is spelled from the two fields, however the object is built;
+        # it is not a field itself, so nothing can make it disagree.
+        created = Transaction.create(client_id="c7", created_at=0.0, payload_size=128,
+                                     key="k1", value="v1", sequence=12)
+        assert created.txid == "tx-c7-12"
+        assert Transaction("c7", "put", "k1", "v1", 128, 0.0, 12) == created
+        assert Transaction("c7", "get", "k2", "", 0, 1.0, 12).txid == "tx-c7-12"
+        assert "txid" not in Transaction._fields
+        with pytest.raises(TypeError):
+            Transaction("tx-c7-12", "c7", "put", "k1", "v1", 128, 0.0, 12)
 
 
 class TestGenesis:
@@ -120,20 +122,19 @@ class TestCertificates:
 
 
 class TestMessages:
-    def test_messages_start_unassigned(self):
-        # Ids are stamped by the transport that first carries the message
-        # (see test_network.py), not at construction — construction must not
-        # consult any process-global counter.
-        a = ClientReply(sender="r0", size_bytes=10)
-        b = ClientReply(sender="r0", size_bytes=10)
-        assert a.message_id == b.message_id == UNASSIGNED_MESSAGE_ID
+    def test_a_message_is_its_fields(self):
+        # Nothing rides beside the content: the base declares what every
+        # kind carries, and a kind adds only its own fields.
+        assert [f.name for f in dataclasses.fields(Message)] == ["sender", "size_bytes"]
+        assert [f.name for f in dataclasses.fields(ClientReply)] == [
+            "sender", "size_bytes", "txid", "committed_at", "replica", "status"]
+        assert not hasattr(ClientReply("r0", 48), "__dict__")
 
     def test_a_kind_takes_its_own_fields_positionally(self):
-        # message_id is keyword-only: a kind's fields follow sender, size_bytes.
+        # A message is its fields: a kind's own follow sender, size_bytes.
         by_name = ClientReply(sender="r0", size_bytes=48, txid="tx-c0-1",
                               committed_at=2.0, replica="r1", status="rejected")
         assert ClientReply("r0", 48, "tx-c0-1", 2.0, "r1", "rejected") == by_name
-        assert ClientReply("r0", 48, "tx-c0-1", 2.0, "r1", "rejected", message_id=7).message_id == 7
         with pytest.raises(TypeError):
             ClientReply("r0", 48, "tx-c0-1", 2.0, "r1", "rejected", 7)
         with pytest.raises(TypeError):
