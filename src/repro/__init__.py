@@ -15,11 +15,11 @@ The public surface is the :mod:`repro.api` facade::
                       "block_size": 400, "runtime": 2.0, "cost_profile": "fast"})
     print(result.metrics.to_dict())
 
-Every part of an experiment is an extension point backed by a registry
+The parts of an experiment are extension points backed by registries
 (:mod:`repro.plugins`): protocols, Byzantine strategies, leader elections,
-network delay models, client types, and scenario events.  Register your own
-with the ``api.register_*`` decorators and select them by name from the
-configuration; fault schedules are declarative :class:`~repro.scenario.Scenario`
+network delay models, scenario events, message handlers and oracles.
+Register your own with the ``api.register_*`` decorators and select them by
+name from the configuration; fault schedules are declarative :class:`~repro.scenario.Scenario`
 objects that serialize to JSON.  See ``README.md`` for a worked example and
 ``examples/`` for runnable scenarios; ``python -m repro paper all``
 regenerates every table and figure of the paper's evaluation and checks the

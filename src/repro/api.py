@@ -65,7 +65,6 @@ re-exported per registry:
 ``strategies``         ``register_strategy``        ``Replica`` subclass
 ``elections``          ``register_election``        ``LeaderElection``
 ``delay_models``       ``register_delay_model``     ``DelayModel``
-``clients``            ``register_client``          ``ClientBase``
 ``scenario_events``    ``register_scenario_event``  ``ScenarioEvent``
 ``message_handlers``   ``register_message_handler`` handler callable
 ``oracles``            ``register_oracle``          invariant callable
@@ -86,7 +85,6 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.analysis import GroupSummary, RenderedFigure, aggregate_records, render_store
 from repro.bench.config import Configuration, ConfigurationError
 from repro.bench.runner import Cluster, ExperimentResult, build_cluster, run_experiment
-from repro.client.client import CLIENTS, register_client
 from repro.experiments import (
     CampaignResult,
     CampaignRunner,
@@ -136,7 +134,6 @@ __all__ = [
     "paper",
     "plot",
     "read_json",
-    "register_client",
     "register_delay_model",
     "register_election",
     "register_message_handler",
@@ -453,15 +450,14 @@ def available(kind: Optional[str] = None) -> Union[Dict[str, List[str]], List[st
 
     With no argument, returns a dict mapping each extension point to its
     registered names; with one ("protocols", "strategies", "elections",
-    "delay_models", "clients", "scenario_events", "message_handlers",
-    "oracles"), returns that list.
+    "delay_models", "scenario_events", "message_handlers", "oracles"),
+    returns that list.
     """
     listings = {
         "protocols": PROTOCOLS.available(),
         "strategies": STRATEGIES.available(),
         "elections": ELECTIONS.available(),
         "delay_models": DELAY_MODELS.available(),
-        "clients": CLIENTS.available(),
         "scenario_events": SCENARIO_EVENTS.available(),
         "message_handlers": MESSAGE_HANDLERS.available(),
         "oracles": ORACLES.available(),

@@ -5,18 +5,19 @@ experiment: the protocol, the cluster, the Byzantine setup, the workload, the
 network conditions, and the simulation horizon.  It can be serialized to and
 from a JSON-compatible dict, mirroring Bamboo's JSON configuration file.
 
-The name-valued fields (``protocol``, ``strategy``, ``election``,
-``client``) are exact registry names — any implementation registered
-through :mod:`repro.plugins` is selectable here under the name it was
-registered with — and :meth:`Configuration.validate` checks them (plus the
-n ≥ 3f+1 bound and value ranges) with errors that say what is available;
-``build_cluster`` calls it before wiring anything.
+The name-valued fields (``protocol``, ``strategy``, ``election``) are
+exact registry names — any implementation registered through
+:mod:`repro.plugins` is selectable here under the name it was registered
+with — and :meth:`Configuration.validate` checks them (plus the n ≥ 3f+1
+bound and value ranges) with errors that say what is available;
+``build_cluster`` calls it before wiring anything.  Every value's class is
+checked on construction, however the configuration is built.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List
 
 
@@ -35,8 +36,8 @@ def _refuse(problems: List[str]) -> None:
         )
 
 
-#: The classes a value read from a file may have, per declared field type
-#: (``bool`` is not an ``int`` here, and an int is a float).
+#: The classes a field's value may have, per declared field type (``bool``
+#: is not an ``int`` here, and an int is a float, stored as one).
 _ACCEPTS = {"str": (str,), "int": (int,), "float": (float, int)}
 
 
@@ -78,10 +79,6 @@ class Configuration:
     #: If positive, use open-loop Poisson clients with this *total* rate
     #: (transactions per second across all clients) instead of closed-loop.
     arrival_rate: float = 0.0
-    #: Client type (a name from the CLIENTS registry).  The default "auto"
-    #: keeps the historical selection rule: "poisson" when ``arrival_rate``
-    #: is positive, "closed-loop" otherwise.
-    client: str = "auto"
     #: Client-side request timeout: a closed-loop client that has not heard a
     #: reply within this many seconds gives up on the request and re-submits
     #: a fresh one to another randomly chosen replica (this is what keeps a
@@ -147,6 +144,16 @@ class Configuration:
 
     def __post_init__(self) -> None:
         problems: List[str] = []
+        for name, kind in _TYPES.items():
+            value = getattr(self, name)
+            if value.__class__ not in _ACCEPTS[kind]:
+                problems.append(
+                    f"{name}: expected {kind}, got {type(value).__name__} {value!r}"
+                )
+            elif kind == "float" and value.__class__ is int:
+                # One run, one id: 1 and 1.0 must not serialise apart.
+                setattr(self, name, float(value))
+        _refuse(problems)
         if self.num_nodes < 1:
             problems.append(f"num_nodes: must be at least 1, got {self.num_nodes}")
         elif not 0 <= self.byzantine_nodes < self.num_nodes:
@@ -172,12 +179,6 @@ class Configuration:
     def client_ids(self) -> List[str]:
         """Client identifiers, c0..c{m-1}."""
         return [f"c{i}" for i in range(self.num_clients)]
-
-    def resolved_client(self) -> str:
-        """The effective client type once ``"auto"`` is resolved."""
-        if self.client != "auto":
-            return self.client
-        return "poisson" if self.arrival_rate > 0 else "closed-loop"
 
     def resolved_signing(self) -> str:
         """The effective signing scheme once ``"auto"`` is resolved."""
@@ -218,7 +219,6 @@ class Configuration:
         """
         # Imported here: config is a leaf module the registries' modules use.
         from repro.bench.profiles import available_profiles
-        from repro.client.client import CLIENTS
         from repro.core.byzantine import STRATEGIES
         from repro.election.election import ELECTIONS
         from repro.protocols.registry import PROTOCOLS
@@ -255,13 +255,6 @@ class Configuration:
                     "election: 'static' needs the master field to name the "
                     "fixed leader (e.g. master='r0')"
                 )
-        if self.client != "auto":
-            check_registry("client", self.client, CLIENTS)
-            if self.client == "poisson" and self.arrival_rate <= 0:
-                problems.append(
-                    "client: 'poisson' is open-loop and needs arrival_rate > 0 "
-                    f"(got {self.arrival_rate})"
-                )
         if self.cost_profile not in available_profiles():
             problems.append(
                 f"cost_profile: unknown profile {self.cost_profile!r}; "
@@ -275,13 +268,12 @@ class Configuration:
             # Loopback sockets are a deployment's network: it has no modelled
             # link or NIC to apply these to, and must not report a run as if
             # it had.
-            defaults = {f.name: f.default for f in dataclasses.fields(self)}
             for name in ("extra_delay_mean", "extra_delay_stddev", "bandwidth_bps"):
                 value = getattr(self, name)
-                if value != defaults[name]:
+                if value != _DEFAULTS[name]:
                     problems.append(
                         f"{name}: mode='deploy' runs over loopback and cannot apply "
-                        f"it; got {value!r}, only the default {defaults[name]!r} works"
+                        f"it; got {value!r}, only the default {_DEFAULTS[name]!r} works"
                     )
         if self.signing != "auto":
             from repro.crypto.keys import available_schemes
@@ -341,17 +333,26 @@ class Configuration:
         """Serialize to a JSON-compatible dict (Bamboo uses a JSON file)."""
         return dataclasses.asdict(self)
 
+    def overrides(self) -> Dict[str, Any]:
+        """The fields whose values differ from ``Configuration()``'s: what a
+        run sets, and all that its run id hashes."""
+        return {
+            name: getattr(self, name)
+            for name, default in _DEFAULTS.items()
+            if getattr(self, name) != default
+        }
+
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Configuration":
-        """Build a configuration from a dict; a key that names no field, or a
-        value of the wrong type for its field, is an error."""
-        types = {f.name: f.type for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - set(types))
+        """Build a configuration from a dict; a key that names no field is an
+        error (a value of the wrong class is one on construction)."""
+        unknown = sorted(set(data) - set(_TYPES))
         if unknown:
             _refuse([f"not Configuration fields: {', '.join(unknown)}"])
-        _refuse([
-            f"{name}: expected {types[name]}, got {type(value).__name__} {value!r}"
-            for name, value in data.items()
-            if value.__class__ not in _ACCEPTS[types[name]]
-        ])
         return cls(**data)
+
+
+#: Field name -> declared type name, in declaration order.
+_TYPES = {f.name: f.type for f in dataclasses.fields(Configuration)}
+#: Field name -> default value.
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(Configuration)}

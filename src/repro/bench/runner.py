@@ -6,7 +6,7 @@ once, here:
 
 * :func:`wire` builds replicas and :func:`build_clients` clients on
   whatever clock and message fabric they are handed; every protocol-,
-  attack-, election- and client-specific choice in them is a registry lookup
+  attack- and election-specific choice in them is a registry lookup
   (see :mod:`repro.plugins`), so a new plugin plus a config entry is all it
   takes to run a new experiment — no runner changes.  :func:`build_cluster`
   calls both with the event scheduler and the modelled network and schedules
@@ -26,13 +26,14 @@ A result becomes a stored record in one place too:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.bench.config import Configuration, ConfigurationError
 from repro.bench.metrics import DEFAULT_BUCKET, MetricsCollector, RunMetrics, timeline_mean
 from repro.bench.profiles import cost_profile
 from repro.checkpoint.manager import CheckpointStats
-from repro.client.client import CLIENTS, ClientBase
+from repro.client.client import ClientBase, ClosedLoopClient, PoissonClient
 from repro.client.workload import WorkloadSpec
 from repro.core.byzantine import STRATEGIES
 from repro.core.replica import Replica, ReplicaSettings
@@ -285,17 +286,23 @@ def build_clients(
     streams: RandomStreams,
     events: obs_trace.EventStream,
 ) -> List[ClientBase]:
-    """Build the configured clients on a clock and a message fabric.
+    """Build the configured clients on a clock and a message fabric:
+    Poisson clients sharing ``arrival_rate`` when it is positive, closed-loop
+    clients with ``concurrency`` outstanding requests each otherwise.
 
     The simulation builds them beside the replicas; a deployment builds them
     in its load-generator process (:mod:`repro.transport.runtime`), on that
     process's own clock and transport.  Nothing is started.
     """
-    client_cls = CLIENTS.get(config.resolved_client())
+    if config.arrival_rate > 0:
+        # The configured arrival rate is the total across all clients.
+        client = partial(PoissonClient, rate=config.arrival_rate / config.num_clients)
+    else:
+        client = partial(ClosedLoopClient, concurrency=config.concurrency)
     workload = WorkloadSpec(payload_size=config.payload_size)
     sizes = SizeModel()
     return [
-        client_cls.from_config(
+        client(
             client_id,
             clock,
             fabric,
@@ -304,7 +311,7 @@ def build_clients(
             workload=workload,
             size_model=sizes,
             events=events,
-            config=config,
+            request_timeout=config.request_timeout,
         )
         for client_id in config.client_ids()
     ]

@@ -1,19 +1,11 @@
-"""Client library: workload generators (a registry-backed extension point)."""
+"""Client library: the closed-loop and Poisson workload generators."""
 
-from repro.client.client import (
-    CLIENTS,
-    ClientBase,
-    ClosedLoopClient,
-    PoissonClient,
-    register_client,
-)
+from repro.client.client import ClientBase, ClosedLoopClient, PoissonClient
 from repro.client.workload import WorkloadSpec
 
 __all__ = [
-    "CLIENTS",
     "ClientBase",
     "ClosedLoopClient",
     "PoissonClient",
     "WorkloadSpec",
-    "register_client",
 ]

@@ -13,22 +13,16 @@ Two client models are provided, matching the two ways the paper drives load:
 Clients pick a uniformly random replica per request, measure latency from
 submission to the committed reply, and announce it on the event stream.
 
-Client types are an extension point: subclass :class:`ClientBase`, override
-``from_config`` to pull whatever knobs you need from the
-:class:`~repro.bench.config.Configuration`, and register with
-:func:`register_client`; ``Configuration(client="yourkind")`` then selects
-it in every runner.  The default (``client="auto"``) picks Poisson when
-``arrival_rate > 0`` and closed-loop otherwise, matching the two ways the
-paper drives load.
+:func:`repro.bench.runner.build_clients` picks the model from the
+configuration: Poisson when ``arrival_rate > 0``, closed-loop otherwise.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Type
+from typing import Dict, List, Optional
 
 from repro.network.network import Network
 from repro.obs import trace as obs_trace
-from repro.plugins import Registry
 from repro.sim.events import EventScheduler
 from repro.sim.random import RandomStreams
 from repro.types.messages import ClientReply, ClientRequest, Message
@@ -38,16 +32,6 @@ from repro.client.workload import WorkloadSpec
 
 #: Backoff before re-submitting a request that was rejected by a full mempool.
 REJECTION_BACKOFF = 2e-3
-
-#: The client-type extension point.  Values are ClientBase subclasses built
-#: via their ``from_config`` classmethod.
-CLIENTS: Registry[Type["ClientBase"]] = Registry("client type")
-
-
-def register_client(name: str) -> Callable:
-    """Class decorator registering a ClientBase subclass as a client type."""
-    return CLIENTS.register(name)
-
 
 class ClientBase:
     """Shared plumbing for the two client models."""
@@ -101,43 +85,6 @@ class ClientBase:
         self.requests_timed_out = 0
 
         network.register(client_id, self.deliver)
-
-    # ------------------------------------------------------------------
-    # construction from a Configuration (registry hook)
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_config(
-        cls,
-        client_id: str,
-        scheduler: EventScheduler,
-        network: Network,
-        streams: RandomStreams,
-        replicas: List[str],
-        *,
-        workload: WorkloadSpec,
-        size_model: SizeModel,
-        events: Optional[obs_trace.EventStream],
-        config,
-        **extra,
-    ) -> "ClientBase":
-        """Build a client from a :class:`Configuration`.
-
-        Subclasses extend ``extra`` with their own knobs (concurrency, rate);
-        this is what lets the runner treat every registered client type
-        uniformly.
-        """
-        return cls(
-            client_id,
-            scheduler,
-            network,
-            streams,
-            replicas,
-            workload=workload,
-            size_model=size_model,
-            events=events,
-            request_timeout=config.request_timeout,
-            **extra,
-        )
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -281,7 +228,6 @@ class ClientBase:
         """Hook for subclasses (closed-loop clients retry after a backoff)."""
 
 
-@register_client("closed-loop")
 class ClosedLoopClient(ClientBase):
     """Keeps ``concurrency`` requests outstanding at all times."""
 
@@ -290,13 +236,6 @@ class ClosedLoopClient(ClientBase):
             raise ValueError(f"concurrency must be positive, got {concurrency}")
         super().__init__(*args, **kwargs)
         self.concurrency = concurrency
-
-    @classmethod
-    def from_config(cls, client_id, scheduler, network, streams, replicas, *, config, **kwargs):
-        return super().from_config(
-            client_id, scheduler, network, streams, replicas,
-            config=config, concurrency=config.concurrency, **kwargs,
-        )
 
     def _begin(self) -> None:
         for _ in range(self.concurrency):
@@ -313,7 +252,6 @@ class ClosedLoopClient(ClientBase):
         self._submit_request()
 
 
-@register_client("poisson")
 class PoissonClient(ClientBase):
     """Open-loop client issuing requests as a Poisson process."""
 
@@ -323,14 +261,6 @@ class PoissonClient(ClientBase):
         super().__init__(*args, **kwargs)
         self.rate = rate
         self._arrivals = self.streams.get(f"arrivals:{self.client_id}")
-
-    @classmethod
-    def from_config(cls, client_id, scheduler, network, streams, replicas, *, config, **kwargs):
-        # The configured arrival rate is the total across all clients.
-        return super().from_config(
-            client_id, scheduler, network, streams, replicas,
-            config=config, rate=config.arrival_rate / config.num_clients, **kwargs,
-        )
 
     def _begin(self) -> None:
         self._schedule_next_arrival(self.scheduler.now)

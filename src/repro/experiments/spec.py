@@ -23,8 +23,8 @@ run's content hash.
 ``repetitions`` replicates every expanded point; repetition *k* runs with
 seed ``seed + k``, so repeats are statistically independent.
 
-Every concrete run carries a :func:`run_key` — a content hash over its
-configuration (and scenario, if any) — which is how the
+Every concrete run carries a :func:`run_key` — a content hash over the
+configuration fields it sets (and its scenario, if any) — which is how the
 :class:`~repro.experiments.store.ResultStore` recognizes already-finished
 points when a campaign is resumed.
 """
@@ -55,12 +55,15 @@ def run_key(config: Configuration, scenario: Optional[Scenario] = None,
             bucket: float = DEFAULT_BUCKET) -> str:
     """Content hash identifying one concrete run (config + fault schedule).
 
-    The key is a prefix of the SHA-256 of the canonical JSON serialization,
-    so any field change produces a new key while labels/tags do not.  The
-    timeline ``bucket`` participates only for scenario runs (it shapes the
-    recorded timeline).
+    The key is a prefix of the SHA-256 of the canonical JSON serialization of
+    :meth:`Configuration.overrides` — the fields the run sets — so any field
+    change produces a new key while labels/tags do not, and a field every
+    run leaves at its default can be added or deleted without moving a key.
+    The defaults themselves are pinned by ``tests/golden/config_defaults.json``:
+    changing one changes what an unchanged key runs.  The timeline ``bucket``
+    participates only for scenario runs (it shapes the recorded timeline).
     """
-    payload: Dict[str, Any] = {"config": config.to_dict()}
+    payload: Dict[str, Any] = {"config": config.overrides()}
     if scenario is not None:
         payload["scenario"] = scenario.to_dict()
         payload["bucket"] = bucket
@@ -93,7 +96,7 @@ class RunSpec:
 
         Cached: the runner consults it several times per run (pending
         filter, record, bookkeeping), and each computation serializes and
-        hashes the whole config (and scenario).
+        hashes the config's overrides (and scenario).
         """
         return run_key(self.config, self.scenario, self.bucket)
 
@@ -254,7 +257,7 @@ class ExperimentSpec:
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """Serialize to a JSON-compatible dict (omitting empty axes and defaults)."""
-        data: Dict[str, Any] = {"name": self.name, "base": self.base.to_dict()}
+        data: Dict[str, Any] = {"name": self.name, "base": self.base.overrides()}
         if self.grid:
             data["grid"] = {k: list(v) for k, v in self.grid.items()}
         if self.points:

@@ -27,7 +27,6 @@ protocols            ``PROTOCOLS``                  ``repro.protocols.registry``
 Byzantine behaviour  ``STRATEGIES``                 ``repro.core.byzantine``
 leader election      ``ELECTIONS``                  ``repro.election.election``
 network delays       ``DELAY_MODELS``               ``repro.network.delays``
-client workloads     ``CLIENTS``                    ``repro.client.client``
 scenario events      ``SCENARIO_EVENTS``            ``repro.scenario.events``
 message handlers     ``MESSAGE_HANDLERS``           ``repro.core.dispatch``
 invariant oracles    ``ORACLES``                    ``repro.fuzz.invariants``

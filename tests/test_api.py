@@ -7,6 +7,7 @@ import pytest
 from repro import api
 from repro.bench.config import Configuration, ConfigurationError
 from repro.bench.runner import Cluster, ExperimentResult
+from repro.client.client import ClosedLoopClient, PoissonClient
 
 FAST = dict(
     block_size=20,
@@ -64,7 +65,7 @@ class TestFacade:
         listings = api.available()
         assert set(listings) == {
             "protocols", "strategies", "elections", "delay_models",
-            "clients", "scenario_events", "message_handlers", "oracles",
+            "scenario_events", "message_handlers", "oracles",
         }
         assert listings["protocols"] == api.available("protocols")
         assert all(listings.values())
@@ -111,15 +112,6 @@ class TestValidate:
         Configuration(master="r2").validate()
         with pytest.raises(ConfigurationError, match="master: 'r9'"):
             Configuration(master="r9").validate()
-
-    def test_unknown_client(self):
-        with pytest.raises(ConfigurationError, match="client: unknown client type"):
-            Configuration(client="grpc").validate()
-
-    def test_poisson_client_needs_positive_rate(self):
-        Configuration(client="poisson", arrival_rate=100.0).validate()
-        with pytest.raises(ConfigurationError, match="needs arrival_rate > 0"):
-            Configuration(client="poisson").validate()
 
     def test_static_election_needs_master(self):
         with pytest.raises(ConfigurationError, match="election: 'static' needs"):
@@ -186,11 +178,12 @@ class TestDeterminism:
         assert first.highest_view == second.highest_view
         assert first.timeline == second.timeline
 
-    def test_resolved_client_keeps_auto_semantics(self):
-        assert Configuration(arrival_rate=0.0).resolved_client() == "closed-loop"
-        assert Configuration(arrival_rate=100.0).resolved_client() == "poisson"
-        assert Configuration(client="poisson").resolved_client() == "poisson"
-
-    def test_config_round_trip_preserves_client_field(self):
-        config = Configuration(client="closed-loop", **FAST)
-        assert Configuration.from_dict(config.to_dict()) == config
+    def test_arrival_rate_selects_poisson_or_closed_loop_clients(self):
+        closed = api.build(dict(FAST, num_clients=2)).clients
+        assert [type(c) for c in closed] == [ClosedLoopClient, ClosedLoopClient]
+        assert [c.concurrency for c in closed] == [8, 8]
+        # The configured rate is the total across all clients.
+        open_loop = api.build(dict(FAST, num_clients=2, arrival_rate=300.0)).clients
+        assert [type(c) for c in open_loop] == [PoissonClient, PoissonClient]
+        assert [c.rate for c in open_loop] == [150.0, 150.0]
+        assert {c.request_timeout for c in closed + open_loop} == {0.2}

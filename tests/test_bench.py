@@ -49,9 +49,10 @@ class TestConfiguration:
             Configuration(byzantine_nodes=4, num_nodes=4)
         with pytest.raises(ConfigurationError, match="block_size: must be positive, got 0$"):
             Configuration(block_size=0)
-        with pytest.raises(ConfigurationError, match="runtime: must be positive, got 0$"):
+        # An int given for a float field is checked as the float it is stored as.
+        with pytest.raises(ConfigurationError, match="runtime: must be positive, got 0.0$"):
             Configuration(runtime=0)
-        with pytest.raises(ConfigurationError, match="cooldown: must be non-negative, got -1$"):
+        with pytest.raises(ConfigurationError, match="cooldown: must be non-negative, got -1.0$"):
             Configuration(cooldown=-1)
 
     def test_node_and_client_ids(self):

@@ -1,4 +1,4 @@
-"""The registered-names pass of ``tools/check_docs.py``."""
+"""The registered-names, spec-schema and extension-point passes of ``tools/check_docs.py``."""
 
 import importlib.util
 from pathlib import Path
@@ -151,3 +151,64 @@ class TestSpecSchema:
         assert problem == (
             "EXPERIMENTS.md: the spec field table does not list the ExperimentSpec field `bucket`"
         )
+
+
+EXTENDING = """\
+# Extending the framework
+
+| extension point     | `available()` key  | decorator                      | base class / contract | selected by |
+|---------------------|--------------------|--------------------------------|-----------------------|-------------|
+| protocol            | `protocols`        | `api.register_protocol`        | `Safety`              | config      |
+| Byzantine strategy  | `strategies`       | `api.register_strategy`        | `Replica` subclass    | config      |
+| leader election     | `elections`        | `api.register_election`        | `LeaderElection`      | config      |
+| network delay model | `delay_models`     | `api.register_delay_model`     | `DelayModel`          | specs       |
+{extra_row}| scenario event      | `scenario_events`  | `api.register_scenario_event`  | `ScenarioEvent`       | scenario    |
+| message handler     | `message_handlers` | `api.register_message_handler` | callable              | class name  |
+| invariant oracle    | `oracles`          | `api.register_oracle`          | callable              | fuzz        |
+
+| not the table | `clients` | `api.register_client` |
+"""
+
+#: The row the table had while clients were a registry.
+CLIENT_ROW = ("| client type         | `clients`          | `api.register_client`          "
+              "| `ClientBase`          | config      |\n")
+
+
+def extension_problems(module, extra_row="", drop=None):
+    lines = EXTENDING.format(extra_row=extra_row).splitlines(keepends=True)
+    module.EXTENDING.write_text("".join(line for line in lines if drop is None or drop not in line))
+    return module.check_extension_points()
+
+
+class TestExtensionPoints:
+    @pytest.fixture
+    def check_docs(self, check_docs, tmp_path, monkeypatch):
+        monkeypatch.setattr(check_docs, "EXTENDING", tmp_path / "EXTENDING.md")
+        return check_docs
+
+    def test_the_repository_docs_pass(self):
+        spec = importlib.util.spec_from_file_location("check_docs_repo", SCRIPT)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert module.check_extension_points() == []
+
+    def test_the_registries_pass(self, check_docs):
+        # A table after the first one is not read.
+        assert extension_problems(check_docs) == []
+
+    def test_a_row_for_a_deleted_seam_is_reported(self, check_docs):
+        (key, decorator) = extension_problems(check_docs, extra_row=CLIENT_ROW)
+        assert key.startswith(
+            "EXTENDING.md: the extension-point table lists `clients`, which is not a key of "
+            "api.available() (keys: protocols, ")
+        assert decorator == ("EXTENDING.md: the extension-point table names "
+                             "`api.register_client`, which is not an attribute of repro.api")
+
+    def test_a_missing_or_repeated_row_is_reported(self, check_docs):
+        assert extension_problems(check_docs, drop="`oracles`") == [
+            "EXTENDING.md: the extension-point table has no row for api.available()'s `oracles`",
+        ]
+        repeated = EXTENDING.splitlines()[4] + "\n"
+        assert extension_problems(check_docs, extra_row=repeated) == [
+            "EXTENDING.md: the extension-point table lists `protocols` more than once",
+        ]

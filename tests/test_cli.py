@@ -104,7 +104,7 @@ class TestRun:
 
     @pytest.mark.parametrize("field, value, problem", [
         ("num_nodes", 0, "num_nodes: must be at least 1, got 0"),
-        ("warmup", -1, "warmup: must be non-negative, got -1"),
+        ("warmup", -1, "warmup: must be non-negative, got -1.0"),
         ("block_size", 0, "block_size: must be positive, got 0"),
         ("num_nodes", "4", "num_nodes: expected int, got str '4'"),
         ("view_timeout", "x", "view_timeout: expected float, got str 'x'"),
@@ -266,6 +266,17 @@ class TestCampaign:
         assert err.startswith("error: invalid experiment spec") and problem in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("axes, problem", [
+        ({"grid": {"num_nodes": ["4"]}}, "num_nodes: expected int, got str '4'"),
+        ({"points": [{"runtime": "4"}]}, "runtime: expected float, got str '4'"),
+    ], ids=["grid", "points"])
+    def test_a_bad_axis_value_fails_cleanly(self, axes, problem, tmp_path, capsys):
+        # Each point is built with ``replace``, which checks types as a file does.
+        path = tmp_path / "bad_axis.json"
+        path.write_text(json.dumps(axes))
+        assert main(["campaign", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: invalid configuration: {problem}\n"
+
     def test_campaign_unknown_base_key_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "typo_base.json"
         path.write_text(json.dumps({"base": {**FAST, "num_node": 7},
@@ -320,7 +331,7 @@ class TestList:
     def test_list_extension_points(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for kind in ("protocols", "strategies", "clients", "scenario_events"):
+        for kind in ("protocols", "strategies", "scenario_events"):
             assert kind in out
         assert "hotstuff" in out
 

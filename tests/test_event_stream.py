@@ -11,8 +11,10 @@
   instead of after a ``SnapshotRequest`` round trip, which moves every fault
   case's timeline.  The ``steady/*`` entries never recover and are the
   originals.  Every ``record_digest`` was re-captured when four block-fetch
-  switches left ``Configuration`` (a record carries its config); the
-  metrics, views, fingerprints and work counts did not move;
+  switches left ``Configuration`` (a record carries its config), and again
+  when the ``client`` field left it and a run id came to hash only the
+  fields a run sets; the metrics, views, fingerprints and work counts did
+  not move either time;
 * the work each of those runs does is pinned exactly: scheduler events,
   messages sent per kind, bytes sent, sign and verify calls.
 """

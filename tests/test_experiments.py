@@ -7,6 +7,7 @@ campaign runs in a few seconds.
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +124,8 @@ class TestSpecSerialization:
             repetitions=2,
             bucket=0.2,
         )
+        # The base is written as the fields it sets.
+        assert spec.to_dict()["base"] == FAST
         clone = ExperimentSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert clone == spec
         assert [r.run_id for r in clone.expand()] == [r.run_id for r in spec.expand()]
@@ -168,6 +171,19 @@ class TestSpecSerialization:
             api.grid(dict(FAST), block_size=400)
 
 
+#: A valid value other than the default, for every Configuration field.
+OTHER_VALUES = dict(
+    protocol="2chainhs", num_nodes=7, byzantine_nodes=1, strategy="forking", master="r0",
+    election="hash", block_size=100, mempool_capacity=2000, payload_size=64, num_clients=1,
+    concurrency=20, arrival_rate=100.0, request_timeout=0.5, base_delay_mean=1e-3,
+    base_delay_stddev=0.0, extra_delay_mean=1e-3, extra_delay_stddev=1e-4,
+    bandwidth_bps=1e9, quorum_threshold=3, view_timeout=0.2, propose_wait_after_tc=0.01,
+    runtime=2.0, warmup=0.0, cooldown=0.0, checkpoint_interval=10, seed=2,
+    cost_profile="fast", mode="deploy", signing="ed25519",
+)
+DEFAULTS_GOLDEN = Path(__file__).parent / "golden" / "config_defaults.json"
+
+
 class TestRunKey:
     def test_key_depends_on_config_content_only(self):
         a = run_key(BASE.replace(seed=1))
@@ -179,6 +195,34 @@ class TestRunKey:
 
         scenario = Scenario(events=[{"kind": "crash-replica", "at": 0.3, "replica": "last"}])
         assert run_key(BASE) != run_key(BASE, scenario)
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(Configuration)])
+    def test_a_field_at_its_default_is_not_hashed(self, field):
+        default = Configuration()
+        assert run_key(Configuration(**{field: getattr(default, field)})) == run_key(default)
+        other = Configuration(**{field: OTHER_VALUES[field]}).validate()
+        assert other.overrides() == {field: OTHER_VALUES[field]}
+        assert run_key(other) != run_key(default)
+
+    @pytest.mark.parametrize("field, given, stored", [
+        ("view_timeout", 1, 1.0), ("arrival_rate", 0, 0.0), ("runtime", 3, 3.0),
+    ])
+    def test_an_int_for_a_float_field_is_one_run(self, field, given, stored):
+        built = [Configuration(**{field: given}), Configuration.from_dict({field: given}),
+                 Configuration().replace(**{field: given})]
+        assert {run_key(config) for config in built} == {run_key(Configuration(**{field: stored}))}
+        assert all(getattr(config, field).__class__ is float for config in built)
+
+    def test_overrides_rebuild_every_paper_configuration(self):
+        from repro.experiments import paper
+
+        configs = [run.config for entry in paper.ENTRIES for run in entry.spec("ci").expand()]
+        assert configs and all(Configuration.from_dict(c.overrides()) == c for c in configs)
+
+    def test_the_defaults_are_pinned(self):
+        # A key does not cover the defaults, so changing one changes what an
+        # unchanged key runs: stores written before the change are stale.
+        assert json.loads(DEFAULTS_GOLDEN.read_text()) == Configuration().to_dict()
 
 
 class TestResultStore:

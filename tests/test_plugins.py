@@ -126,13 +126,6 @@ class TestBuiltinRegistries:
         assert DELAY_MODELS.get("normal") is NormalDelay
         assert "gauss" not in DELAY_MODELS
 
-    def test_clients(self):
-        from repro.client.client import CLIENTS, PoissonClient
-
-        assert {"closed-loop", "poisson"} <= set(CLIENTS.available())
-        assert CLIENTS.get("poisson") is PoissonClient
-        assert "open" not in CLIENTS
-
     def test_scenario_events(self):
         from repro.scenario.events import SCENARIO_EVENTS
 

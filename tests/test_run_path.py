@@ -11,7 +11,10 @@ Every digest was re-captured when four block-fetch switches left
 ``Configuration``: a record carries its config and a run id that hashes it, so
 each digest moved, and each new one is the old record with those four keys
 deleted from ``config`` and its ``run_id`` recomputed.  Nothing the runs did
-changed.
+changed.  They were re-captured once more when a run id came to hash only
+``Configuration.overrides()`` and the ``client`` field left: each new digest
+is the old record without ``config["client"]`` and with its ``run_id``
+recomputed over the fields that differ from their defaults.
 """
 
 import gc

@@ -326,7 +326,7 @@ class TestMessageHandlerRegistry:
         assert received == ["tester"]
 
     def test_custom_kind_with_a_field_behaves_like_a_built_in_one(self):
-        # docs/EXTENDING.md section 7's declaration, with the field no other
+        # docs/EXTENDING.md section 6's declaration, with the field no other
         # plugin kind in the tests has.
         from dataclasses import dataclass
 

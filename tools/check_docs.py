@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """Docs check: links resolve, tagged examples run, the event catalogue is
 current, no quoted path or command has been deleted, every scenario
-kind and Byzantine strategy the docs present is a registered name, and the
-spec schema names exactly the spec's fields.
+kind and Byzantine strategy the docs present is a registered name, the
+spec schema names exactly the spec's fields, and the extension-point table
+names exactly the registries.
 
-Six passes over ``README.md`` and ``docs/*.md`` (stdlib only, no deps):
+Seven passes over ``README.md`` and ``docs/*.md`` (stdlib only, no deps):
 
 1. **Links** — every relative markdown link (``[text](path)`` or
    ``[text](path#anchor)``) must point at an existing file or directory in
@@ -45,10 +46,14 @@ Six passes over ``README.md`` and ``docs/*.md`` (stdlib only, no deps):
    column of the field table under "The spec JSON schema" in
    ``docs/EXPERIMENTS.md`` must both be exactly ``ExperimentSpec``'s field
    names, which are the only keys ``ExperimentSpec.from_dict`` accepts.
+7. **Extension points** — the ``available()`` key column of the table at
+   the top of ``docs/EXTENDING.md`` must list ``api.available()``'s keys
+   one to one, and each row's ``api.register_*`` decorator must be an
+   attribute of ``repro.api``, so a row for a deleted seam cannot stay.
 
 Exit status is non-zero on any broken link, failing example, catalogue
-mismatch, stale mention, unregistered name or schema mismatch, which is how
-CI consumes it:
+mismatch, stale mention, unregistered name, schema mismatch or stale
+extension point, which is how CI consumes it:
 ``python tools/check_docs.py``.
 """
 
@@ -73,6 +78,7 @@ CATALOGUE = REPO_ROOT / "docs" / "OBSERVABILITY.md"
 CATALOGUE_ROW_RE = re.compile(r"^\| `([a-z]+)` \| `([^`]+)` \|", re.MULTILINE)
 SCENARIOS = REPO_ROOT / "docs" / "SCENARIOS.md"
 EXPERIMENTS = REPO_ROOT / "docs" / "EXPERIMENTS.md"
+EXTENDING = REPO_ROOT / "docs" / "EXTENDING.md"
 #: A top-level key of the spec JSON example (indented by two spaces).
 SPEC_KEY_RE = re.compile(r'^  "(\w+)":', re.MULTILINE)
 #: A backticked name.
@@ -256,6 +262,34 @@ def check_spec_schema() -> list:
     return problems
 
 
+def check_extension_points() -> list:
+    from repro import api
+
+    lines = EXTENDING.read_text().splitlines()
+    # The rows below the header and its rule; no table reads as no rows.
+    start = next((i + 2 for i, line in enumerate(lines) if line.startswith("| extension point")),
+                 len(lines))
+    rows = [line.split("|")[1:-1] for line in
+            itertools.takewhile(lambda line: line.startswith("|"), lines[start:])]
+    doc = EXTENDING.relative_to(REPO_ROOT)
+    keys = [name for row in rows for name in NAME_RE.findall(row[1])]
+    available = api.available()
+    problems = [f"{doc}: the extension-point table lists `{key}`, which is not a key of "
+                f"api.available() (keys: {', '.join(available)})"
+                for key in keys if key not in available]
+    problems += [f"{doc}: the extension-point table lists `{key}` more than once"
+                 for key in sorted({key for key in keys if keys.count(key) > 1})]
+    problems += [f"{doc}: the extension-point table has no row for api.available()'s `{key}`"
+                 for key in available if key not in keys]
+    for row in rows:
+        for decorator in NAME_RE.findall(row[2]):
+            module, _, name = decorator.partition(".")
+            if module != "api" or not hasattr(api, name):
+                problems.append(f"{doc}: the extension-point table names `{decorator}`, "
+                                f"which is not an attribute of repro.api")
+    return problems
+
+
 def main() -> int:
     sys.path.insert(0, str(REPO_ROOT / "src"))
     problems = []
@@ -268,6 +302,7 @@ def main() -> int:
         problems.extend(check_mentions(path))
     problems.extend(check_registered_names())
     problems.extend(check_spec_schema())
+    problems.extend(check_extension_points())
     if problems:
         print("\ndocs check FAILED:")
         for problem in problems:
