@@ -13,7 +13,7 @@ Run with::
 """
 
 from repro import api
-from repro.model import AnalyticalModel, ModelParameters
+from repro.model import AnalyticalModel
 
 PROTOCOLS = ["hotstuff", "2chainhs", "streamlet"]
 
@@ -36,7 +36,7 @@ def main() -> None:
     print(f"{'protocol':<12} {'t_s':>8} {'t_commit':>9} {'t_Q':>8} {'t_NIC':>8} {'saturation':>12}")
     models = {}
     for protocol in PROTOCOLS:
-        model = AnalyticalModel(protocol, ModelParameters.from_configuration(CONFIG))
+        model = AnalyticalModel(CONFIG.replace(protocol=protocol))
         models[protocol] = model
         summary = model.summary()
         print(

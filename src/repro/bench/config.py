@@ -57,12 +57,13 @@ class Configuration:
     #: Static leader node id; empty string means rotating leaders
     #: (Table I's ``master`` with 0 meaning rotation).
     master: str = ""
-    #: Leader election kind when ``master`` is empty: "round-robin" (Bamboo's
-    #: default rotation), "hash" (per-view pseudo-random leaders, the
-    #: "chosen at random" description of §II-A) or "static" (refused here:
-    #: a fixed leader is chosen by setting ``master``).  The Byzantine-attack
-    #: benchmarks use "hash" so that attack damage is spread uniformly over
-    #: honest proposers instead of always hitting the same rotation slots.
+    #: Leader election kind when ``master`` is empty: a name from the
+    #: ELECTIONS registry — "round-robin" (Bamboo's default rotation) or
+    #: "hash" (per-view pseudo-random leaders, the "chosen at random"
+    #: description of §II-A).  A fixed leader is chosen by setting
+    #: ``master``, not by a kind.  The Byzantine-attack benchmarks use
+    #: "hash" so that attack damage is spread uniformly over honest
+    #: proposers instead of always hitting the same rotation slots.
     election: str = "round-robin"
 
     # --- block / mempool / workload ------------------------------------
@@ -108,7 +109,10 @@ class Configuration:
     # --- timing ----------------------------------------------------------
     #: Pacemaker timeout (Table I's ``timeout``), seconds.
     view_timeout: float = 0.1
-    #: Extra wait before proposing after a TC-triggered view change.
+    #: Extra wait a leader observes before proposing when its view started
+    #: with a timeout certificate: 0 proposes as soon as 2f+1 messages are
+    #: in (the responsiveness experiment's first setting), the view timeout
+    #: models the second.
     propose_wait_after_tc: float = 0.0
     #: Measured portion of the run (Table I's ``runtime``), simulated seconds.
     runtime: float = 5.0
@@ -201,11 +205,6 @@ class Configuration:
         """Total simulated time: warmup + measured runtime + cooldown."""
         return self.warmup + self.runtime + self.cooldown
 
-    @property
-    def measurement_window(self) -> tuple:
-        """(start, end) of the measured interval in simulated seconds."""
-        return (self.warmup, self.warmup + self.runtime)
-
     # ------------------------------------------------------------------
     # validation
     # ------------------------------------------------------------------
@@ -250,11 +249,6 @@ class Configuration:
                 )
         else:
             check_registry("election", self.election, ELECTIONS)
-            if self.election == "static":
-                problems.append(
-                    "election: 'static' needs the master field to name the "
-                    "fixed leader (e.g. master='r0')"
-                )
         if self.cost_profile not in available_profiles():
             problems.append(
                 f"cost_profile: unknown profile {self.cost_profile!r}; "

@@ -36,7 +36,7 @@ from repro.checkpoint.manager import CheckpointStats
 from repro.client.client import ClientBase, ClosedLoopClient, PoissonClient
 from repro.client.workload import WorkloadSpec
 from repro.core.byzantine import STRATEGIES
-from repro.core.replica import Replica, ReplicaSettings
+from repro.core.replica import Replica
 from repro.crypto.costs import CryptoCostModel
 from repro.crypto.keys import KeyRegistry
 from repro.election.election import make_election
@@ -47,7 +47,6 @@ from repro.scenario import Scenario
 from repro.sim.events import EventScheduler
 from repro.sim.random import RandomStreams
 from repro.sync.manager import SyncStats
-from repro.types.sizes import SizeModel
 
 
 # ----------------------------------------------------------------------
@@ -245,36 +244,15 @@ def wire(
     transport (:mod:`repro.transport.base` is the seam both satisfy).  Nothing
     is started.  The clients are :func:`build_clients`'.
     """
-    node_ids = config.node_ids()
-    election = make_election(
-        node_ids, master=config.master, kind=config.election, seed=config.seed
-    )
-    settings = ReplicaSettings(
-        block_size=config.block_size,
-        mempool_capacity=config.mempool_capacity,
-        view_timeout=config.view_timeout,
-        propose_wait_after_tc=config.propose_wait_after_tc,
-        checkpoint_interval=config.checkpoint_interval,
-        quorum_threshold=config.quorum_threshold,
-    )
-    sizes = SizeModel()
+    election = make_election(config)
     byzantine = set(config.byzantine_ids())
 
     replicas: Dict[str, Replica] = {}
-    for node_id in node_ids:
+    for node_id in config.node_ids():
         replica_cls = STRATEGIES.get(config.strategy) if node_id in byzantine else Replica
         replicas[node_id] = replica_cls(
-            node_id,
-            clock,
-            fabric,
-            election,
-            registry,
-            node_ids,
-            protocol=config.protocol,
-            settings=settings,
-            cost_model=costs,
-            size_model=sizes,
-            events=events,
+            node_id, clock, fabric, election, registry, config,
+            cost_model=costs, events=events,
         )
     return replicas
 
@@ -300,7 +278,6 @@ def build_clients(
     else:
         client = partial(ClosedLoopClient, concurrency=config.concurrency)
     workload = WorkloadSpec(payload_size=config.payload_size)
-    sizes = SizeModel()
     return [
         client(
             client_id,
@@ -309,7 +286,6 @@ def build_clients(
             streams,
             config.node_ids(),
             workload=workload,
-            size_model=sizes,
             events=events,
             request_timeout=config.request_timeout,
         )

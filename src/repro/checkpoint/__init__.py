@@ -10,8 +10,8 @@ recovered or far-behind replica installs a checkpoint and fetches only the
 blocks above it instead of walking the whole chain.
 
 Configure through :class:`~repro.bench.config.Configuration`'s
-``checkpoint_interval`` (or ``ReplicaSettings.checkpoint_interval`` on a
-hand-built replica); 0, the default, keeps every block.
+``checkpoint_interval``, which every replica reads off its ``config``; 0,
+the default, keeps every block.
 """
 
 from repro.checkpoint.manager import CheckpointManager, CheckpointStats

@@ -47,6 +47,7 @@ from repro.checkpoint.snapshot import Checkpoint
 from repro.forest.forest import ForestError
 from repro.obs import trace as obs_trace
 from repro.types.messages import Message
+from repro.types.sizes import snapshot_response_size
 
 
 @dataclass
@@ -76,7 +77,7 @@ class CheckpointManager:
         self.replica = replica
         #: Take a checkpoint every this many committed blocks; 0 disables
         #: checkpointing (and therefore truncation) entirely.
-        self.interval = replica.settings.checkpoint_interval
+        self.interval = replica.config.checkpoint_interval
         self.stats = CheckpointStats()
 
     # ------------------------------------------------------------------
@@ -165,7 +166,7 @@ class CheckpointManager:
         replica = self.replica
         response = SnapshotResponse(
             sender=replica.node_id,
-            size_bytes=replica.size_model.snapshot_response_size(checkpoint),
+            size_bytes=snapshot_response_size(checkpoint),
             checkpoint=checkpoint,
         )
         self.stats.snapshots_served += 1

@@ -26,12 +26,14 @@ from repro.obs import trace as obs_trace
 from repro.sim.events import EventScheduler
 from repro.sim.random import RandomStreams
 from repro.types.messages import ClientReply, ClientRequest, Message
-from repro.types.sizes import SizeModel
+from repro.types.sizes import client_request_size
 from repro.types.transaction import Transaction
 from repro.client.workload import WorkloadSpec
 
 #: Backoff before re-submitting a request that was rejected by a full mempool.
 REJECTION_BACKOFF = 2e-3
+#: Distinct keys a client draws from, one uniform draw per request.
+KEY_SPACE = 1024
 
 class ClientBase:
     """Shared plumbing for the two client models."""
@@ -44,7 +46,6 @@ class ClientBase:
         streams: RandomStreams,
         replicas: List[str],
         workload: Optional[WorkloadSpec] = None,
-        size_model: Optional[SizeModel] = None,
         events: Optional[obs_trace.EventStream] = None,
         request_timeout: float = 1.0,
     ) -> None:
@@ -58,9 +59,8 @@ class ClientBase:
         self.streams = streams
         self.replicas = list(replicas)
         self.workload = workload if workload is not None else WorkloadSpec()
-        self.size_model = size_model if size_model is not None else SizeModel()
         #: Every request carries the workload's payload, so one size serves all.
-        self._request_size = self.size_model.client_request_size(self.workload.payload_size)
+        self._request_size = client_request_size(self.workload.payload_size)
         #: The cluster's event stream: commit replies, timeouts, rejections.
         self.events = events if events is not None else obs_trace.EventStream()
         self.request_timeout = request_timeout
@@ -128,7 +128,7 @@ class ClientBase:
         # the fuzzer's same-seed fingerprint comparison relies on.
         transaction = Transaction.create(
             client_id, sequence, sent_at, workload.payload_size, operation,
-            f"k{randbelow(workload.key_space)}", f"v{sequence}",
+            f"k{randbelow(KEY_SPACE)}", f"v{sequence}",
         )
         replicas = self.replicas
         replica = replicas[randbelow(len(replicas))]

@@ -10,21 +10,17 @@ class WorkloadSpec:
     """Describes the transactions a client generates.
 
     ``payload_size`` is Table I's ``psize``; ``write_fraction`` controls the
-    put/get mix (the paper uses writes only, which remains the default);
-    ``key_space`` bounds the number of distinct keys touched.
+    put/get mix (the paper uses writes only, which remains the default).
     """
 
     payload_size: int = 0
     write_fraction: float = 1.0
-    key_space: int = 1024
 
     def __post_init__(self) -> None:
         if self.payload_size < 0:
             raise ValueError("payload_size must be non-negative")
         if not 0.0 <= self.write_fraction <= 1.0:
             raise ValueError("write_fraction must be within [0, 1]")
-        if self.key_space <= 0:
-            raise ValueError("key_space must be positive")
 
     def operation_for(self, draw: float) -> str:
         """Map a uniform draw in [0, 1) to an operation kind."""

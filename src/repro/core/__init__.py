@@ -8,13 +8,12 @@ from repro.core.byzantine import (
     make_replica,
     register_strategy,
 )
-from repro.core.replica import Replica, ReplicaSettings
+from repro.core.replica import Replica
 
 __all__ = [
     "STRATEGIES",
     "ForkingReplica",
     "Replica",
-    "ReplicaSettings",
     "SilentReplica",
     "convert_replica",
     "make_replica",

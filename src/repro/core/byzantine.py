@@ -49,6 +49,7 @@ from repro.protocols.safety import ProposalPlan
 from repro.quorum.quorum import max_faulty
 from repro.types.block import Block, make_block
 from repro.types.messages import Message, ProposalMessage
+from repro.types.sizes import proposal_size
 from repro.types.transaction import Transaction
 
 #: The Byzantine-strategy extension point.  Values are Replica subclasses.
@@ -164,9 +165,9 @@ class EquivocatingReplica(Replica):
             # votes before giving up on the fork.
             if getattr(self, "_equiv_deadline_view", 0) != view:
                 self._equiv_deadline_view = view
-                self._equiv_deadline = self.scheduler.now + 0.5 * self.settings.view_timeout
+                self._equiv_deadline = self.scheduler.now + 0.5 * self.config.view_timeout
             if self.scheduler.now < self._equiv_deadline:
-                poll = max(1e-4, 0.05 * self.settings.view_timeout)
+                poll = max(1e-4, 0.05 * self.config.view_timeout)
                 self.scheduler.post_after(poll, self._propose, view)
                 return
             # The branch QCs never materialized (intersecting quorums do
@@ -174,7 +175,7 @@ class EquivocatingReplica(Replica):
             self._equiv_tips = [None, None]
             branched = False
             vertices = [None, None]
-        batch = self.mempool.next_batch(self.settings.block_size)
+        batch = self.mempool.next_batch(self.config.block_size)
         self._last_proposed_view = view
         cost = self.cost_model.proposal_build_cost(len(batch))
         if branched:
@@ -214,7 +215,7 @@ class EquivocatingReplica(Replica):
             return
         for block, group in zip(blocks, groups):
             qc_signers = len(block.qc.signers) if block.qc is not None else 0
-            size = self.size_model.proposal_size(block, qc_signers)
+            size = proposal_size(block, qc_signers)
             message = ProposalMessage(
                 sender=self.node_id, size_bytes=size, block=block, view=view
             )
@@ -251,7 +252,7 @@ class DelayedProposalReplica(Replica):
         if self._delayed_view < view:
             self._delayed_view = view
             self.proposals_delayed += 1
-            delay = self.delay_fraction * self.settings.view_timeout
+            delay = self.delay_fraction * self.config.view_timeout
             self.scheduler.post_after(delay, self._propose, view)
             return
         Replica._propose(self, view)

@@ -19,6 +19,12 @@ Message dispatch goes through the handler registry in
 function and a handler, so new subsystems (sync being the built-in example)
 plug in without editing this event loop.
 
+A replica reads its protocol, peers, block size, mempool capacity, timeouts,
+quorum threshold and checkpoint interval off the run's
+:class:`~repro.bench.config.Configuration`, and its message sizes off
+:mod:`repro.types.sizes`; only the CPU cost model is handed in apart, since
+a deployment charges measured costs whatever ``cost_profile`` says.
+
 Whenever the replica enters a view it leads, it batches transactions from
 its mempool and broadcasts a proposal.  Byzantine behaviours (paper §IV-A)
 are expressed by overriding the proposing rule in subclasses — exactly how
@@ -28,7 +34,7 @@ Bamboo implements them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from collections import OrderedDict
 
@@ -66,8 +72,11 @@ from repro.types.messages import (
     TimeoutMessage,
     VoteMessage,
 )
-from repro.types.sizes import SizeModel
+from repro.types.sizes import CLIENT_REPLY_SIZE, TIMEOUT_MESSAGE_SIZE, VOTE_SIZE, proposal_size
 from repro.types.transaction import Transaction
+
+if TYPE_CHECKING:  # repro.bench imports this module, not the other way round
+    from repro.bench.config import Configuration
 
 #: Bound on reply-routing entries (txid -> client) held per replica.  An
 #: entry lives from request arrival to commit reply — the in-flight window —
@@ -115,43 +124,6 @@ class OriginIndex:
 
 
 @dataclass
-class ReplicaSettings:
-    """Node-level configuration (a subset of Table I).
-
-    Attributes
-    ----------
-    block_size:
-        Maximum number of transactions per block (``bsize``).
-    mempool_capacity:
-        Maximum number of pending transactions held (``memsize``).
-    view_timeout:
-        Pacemaker timeout before a view is declared stuck (``timeout``).
-    propose_wait_after_tc:
-        Extra wait a leader observes before proposing when its view started
-        with a timeout certificate.  Zero models the "propose as soon as
-        2f+1 messages are received" behaviour of the responsiveness
-        experiment's first setting; setting it to the view timeout models the
-        second setting.
-    checkpoint_interval:
-        Take a checkpoint and truncate the forest every this many committed
-        blocks (see :mod:`repro.checkpoint`); 0, the default, keeps every
-        block in memory.
-    quorum_threshold:
-        Votes required to form a QC; 0 (the default) means the safe
-        ``quorum_size(n) = n - f``.  Explicit values model flexible quorums;
-        anything below 2f + 1 is unsafe by construction (used by the fuzz
-        harness's negative control).
-    """
-
-    block_size: int = 400
-    mempool_capacity: int = 1000
-    view_timeout: float = 0.1
-    propose_wait_after_tc: float = 0.0
-    checkpoint_interval: int = 0
-    quorum_threshold: int = 0
-
-
-@dataclass
 class ReplicaStats:
     """Counters exposed for tests and benchmark reports."""
 
@@ -183,11 +155,8 @@ class Replica:
         network: Network,
         election: LeaderElection,
         registry: KeyRegistry,
-        peers: List[str],
-        protocol: str = "hotstuff",
-        settings: Optional[ReplicaSettings] = None,
+        config: Configuration,
         cost_model: Optional[CryptoCostModel] = None,
-        size_model: Optional[SizeModel] = None,
         events: Optional[obs_trace.EventStream] = None,
     ) -> None:
         self.node_id = node_id
@@ -195,31 +164,33 @@ class Replica:
         self.network = network
         self.election = election
         self.registry = registry
-        self.peers = list(peers)
-        self.settings = settings if settings is not None else ReplicaSettings()
+        #: The run's configuration: protocol, peers, block size, mempool
+        #: capacity, timeouts, quorum threshold and checkpoint interval.
+        self.config = config
+        self.peers = config.node_ids()
+        #: Not ``config.cost_profile``'s: a deployment charges ``measured``.
         self.cost_model = cost_model if cost_model is not None else CryptoCostModel()
-        self.size_model = size_model if size_model is not None else SizeModel()
         #: The cluster's event stream (see :mod:`repro.obs.trace`); the
         #: pacemaker, sync and checkpoint managers announce on the same one.
         self.events = events if events is not None else obs_trace.EventStream()
 
         self.keypair = registry.register(node_id)
         self.forest = BlockForest()
-        self.safety = make_safety(protocol, self.forest)
+        self.safety = make_safety(config.protocol, self.forest)
         self.sync = SyncManager(self)
         self.checkpoint = CheckpointManager(self)
-        self.mempool = Mempool(capacity=self.settings.mempool_capacity)
+        self.mempool = Mempool(capacity=config.mempool_capacity)
         self.kvstore = KeyValueStore()
         self.cpu = FifoServer(scheduler, name=f"{node_id}.cpu")
         self.quorum = QuorumTracker(
-            len(self.peers), registry, threshold=self.settings.quorum_threshold or None
+            len(self.peers), registry, threshold=config.quorum_threshold or None
         )
         self.timeouts = TimeoutTracker(len(self.peers), registry)
         self.pacemaker = Pacemaker(
             scheduler=scheduler,
             node_id=node_id,
             timeout_tracker=self.timeouts,
-            view_timeout=self.settings.view_timeout,
+            view_timeout=config.view_timeout,
             on_view_start=self._on_view_start,
             on_local_timeout=self._on_local_timeout,
             events=self.events,
@@ -356,7 +327,7 @@ class Replica:
         node_id = self.node_id
         # Positional: sender, size, txid, committed_at, replica, status.
         reply = ClientReply(
-            node_id, self.size_model.client_reply_size, txid, self.scheduler.now, node_id, status,
+            node_id, CLIENT_REPLY_SIZE, txid, self.scheduler.now, node_id, status,
         )
         try:
             self._send(client, reply)
@@ -433,7 +404,7 @@ class Replica:
             signature=sign(self.keypair, digest),
         )
         message = VoteMessage(
-            sender=self.node_id, size_bytes=self.size_model.vote_size(), vote=vote
+            sender=self.node_id, size_bytes=VOTE_SIZE, vote=vote
         )
         self.quorum.trust(vote)
         self.stats.votes_sent += 1
@@ -602,7 +573,7 @@ class Replica:
             return
         delay = 0.0
         if reason is ViewChangeReason.TC:
-            delay = self.settings.propose_wait_after_tc
+            delay = self.config.propose_wait_after_tc
         if delay > 0:
             self.scheduler.post_after(delay, self._propose, view)
         else:
@@ -622,7 +593,7 @@ class Replica:
         )
         message = TimeoutMessage(
             sender=self.node_id,
-            size_bytes=self.size_model.timeout_message_size,
+            size_bytes=TIMEOUT_MESSAGE_SIZE,
             timeout=timeout,
         )
         self.timeouts.trust(timeout)
@@ -656,7 +627,7 @@ class Replica:
             return
         self._last_proposed_view = view
         parent = self.forest.get_block(plan.parent_id)
-        batch = self.mempool.next_batch(self.settings.block_size)
+        batch = self.mempool.next_batch(self.config.block_size)
         block = make_block(view, parent, plan.qc, self.node_id, batch)
         cost = self.cost_model.proposal_build_cost(len(batch))
         self.cpu.submit(cost, self._broadcast_proposal, block, view, batch)
@@ -668,7 +639,7 @@ class Replica:
             self.mempool.requeue_front(batch)
             return
         qc_signers = len(block.qc.signers) if block.qc is not None else 0
-        size = self.size_model.proposal_size(block, qc_signers)
+        size = proposal_size(block, qc_signers)
         message = ProposalMessage(
             sender=self.node_id, size_bytes=size, block=block, view=view
         )

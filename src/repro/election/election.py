@@ -2,12 +2,16 @@
 
 All strategies are deterministic functions of the view so that every replica
 independently agrees on the leader without communication, as required by the
-propose-vote scheme.  The ``master`` configuration parameter of Table I maps
-to :class:`StaticLeaderElection`; the default (``master = 0``) is rotation.
+propose-vote scheme.  :func:`make_election` builds the run's strategy from
+its :class:`~repro.bench.config.Configuration`: the ``master`` parameter of
+Table I, when set, fixes the leader (:class:`StaticLeaderElection`);
+otherwise ``election`` names a registered scheme ("round-robin", Bamboo's
+default rotation, or "hash").
 
 Election schemes are an extension point: subclass :class:`LeaderElection`,
-implement ``leader(view)`` (and ``from_config`` if the scheme needs more
-than the node list), and register with :func:`register_election`::
+implement ``leader(view)``, and register with :func:`register_election`.
+Every registered scheme is built the same way, ``cls(nodes, seed=seed)``;
+the base class keeps both::
 
     @register_election("reputation")
     class ReputationElection(LeaderElection):
@@ -20,13 +24,16 @@ than the node list), and register with :func:`register_election`::
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, List, Sequence, Type
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Type
 
 from repro.crypto.digest import digest_fields
 from repro.plugins import Registry
 
+if TYPE_CHECKING:  # repro.bench imports this module, not the other way round
+    from repro.bench.config import Configuration
+
 #: The leader-election extension point.  Values are LeaderElection
-#: subclasses built via their ``from_config`` classmethod.
+#: subclasses, each built as ``cls(nodes, seed=seed)``.
 ELECTIONS: Registry[Type["LeaderElection"]] = Registry("election kind")
 
 
@@ -36,23 +43,17 @@ def register_election(name: str) -> Callable:
 
 
 class LeaderElection(ABC):
-    """Deterministically selects the leader of each view."""
+    """Deterministically selects the leader of each view.
 
-    def __init__(self, nodes: Sequence[str]) -> None:
+    ``nodes`` are the replica ids; ``seed`` is the run's seed, for schemes
+    that draw their leaders pseudo-randomly.
+    """
+
+    def __init__(self, nodes: Sequence[str], seed: int = 0) -> None:
         if not nodes:
             raise ValueError("election requires at least one node")
         self.nodes: List[str] = list(nodes)
-
-    @classmethod
-    def from_config(
-        cls, nodes: Sequence[str], master: str = "", seed: int = 0
-    ) -> "LeaderElection":
-        """Build an instance from configuration values.
-
-        The default implementation only needs the node list; schemes that use
-        the deployment seed or the ``master`` id override this.
-        """
-        return cls(nodes)
+        self.seed = seed
 
     @abstractmethod
     def leader(self, view: int) -> str:
@@ -71,7 +72,6 @@ class RoundRobinElection(LeaderElection):
         return self.nodes[view % len(self.nodes)]
 
 
-@register_election("static")
 class StaticLeaderElection(LeaderElection):
     """A single stable leader (PBFT-style), used when ``master`` is set."""
 
@@ -80,14 +80,6 @@ class StaticLeaderElection(LeaderElection):
         if master not in self.nodes:
             raise ValueError(f"master {master!r} is not one of the nodes")
         self.master = master
-
-    @classmethod
-    def from_config(
-        cls, nodes: Sequence[str], master: str = "", seed: int = 0
-    ) -> "StaticLeaderElection":
-        if not master:
-            raise ValueError("static election requires a master node id")
-        return cls(nodes, master)
 
     def leader(self, view: int) -> str:
         return self.master
@@ -106,17 +98,10 @@ class HashBasedElection(LeaderElection):
     MEMO_SIZE = 256
 
     def __init__(self, nodes: Sequence[str], seed: int = 0) -> None:
-        super().__init__(nodes)
-        self.seed = seed
+        super().__init__(nodes, seed)
         # Every replica asks about the same few views around the current one,
         # several times each; the digest is computed once per view.
         self._memo: Dict[int, str] = {}
-
-    @classmethod
-    def from_config(
-        cls, nodes: Sequence[str], master: str = "", seed: int = 0
-    ) -> "HashBasedElection":
-        return cls(nodes, seed=seed)
 
     def leader(self, view: int) -> str:
         memo = self._memo
@@ -130,13 +115,14 @@ class HashBasedElection(LeaderElection):
         return leader
 
 
-def make_election(nodes: Sequence[str], master: str = "", kind: str = "round-robin", seed: int = 0) -> LeaderElection:
-    """Build an election strategy from configuration values.
+def make_election(config: Configuration) -> LeaderElection:
+    """Build ``config``'s election over its node ids.
 
     ``master`` (a node id) takes precedence, matching Table I where a
-    non-zero ``master`` selects a static leader; otherwise ``kind`` is looked
-    up in the :data:`ELECTIONS` registry.
+    non-zero ``master`` selects a static leader; otherwise ``election`` is
+    looked up in the :data:`ELECTIONS` registry.
     """
-    if master:
-        return StaticLeaderElection(nodes, master)
-    return ELECTIONS.get(kind).from_config(nodes, master=master, seed=seed)
+    nodes = config.node_ids()
+    if config.master:
+        return StaticLeaderElection(nodes, config.master)
+    return ELECTIONS.get(config.election)(nodes, seed=config.seed)

@@ -46,7 +46,7 @@ from repro.bench.metrics import timeline_mean
 from repro.experiments.runner import CampaignResult
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.store import ResultStore
-from repro.model.predictions import AnalyticalModel, ModelParameters
+from repro.model.predictions import AnalyticalModel
 from repro.scenario import CrashReplica, NetworkFluctuation, Scenario
 
 SCALES = ("ci", "full")
@@ -222,7 +222,7 @@ def _fig8_model_points(base: Configuration, configs, fractions) -> List[Dict[str
     for num_nodes, block_size in configs:
         for _label, protocol in PROTOCOLS:
             config = base.replace(protocol=protocol, num_nodes=num_nodes, block_size=block_size)
-            model = AnalyticalModel(protocol, ModelParameters.from_configuration(config))
+            model = AnalyticalModel(config)
             saturation = model.saturation_rate()
             for fraction in fractions:
                 rate = fraction * saturation

@@ -10,7 +10,7 @@ which avoids cluster-wide duplicate checks (paper §III-E).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Iterable, List, Sequence, Set, Tuple
 
 from repro.types.transaction import Transaction
 
@@ -113,12 +113,6 @@ class Mempool:
                     queue.remove(tx)
                 except ValueError:
                     pass
-
-    def peek(self) -> Optional[Transaction]:
-        """Return the transaction at the front without removing it."""
-        if not self._queue:
-            return None
-        return self._queue[0]
 
     def snapshot_ids(self) -> List[str]:
         """Ids of all pending transactions in queue order (for tests)."""

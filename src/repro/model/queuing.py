@@ -22,11 +22,3 @@ def md1_waiting_time(arrival_rate: float, service_rate: float) -> float:
     if rho >= 1.0:
         return float("inf")
     return rho / (2.0 * service_rate * (1.0 - rho))
-
-
-def md1_sojourn_time(arrival_rate: float, service_rate: float) -> float:
-    """Average time in system (waiting + service) of an M/D/1 queue."""
-    waiting = md1_waiting_time(arrival_rate, service_rate)
-    if waiting == float("inf"):
-        return waiting
-    return waiting + 1.0 / service_rate

@@ -35,11 +35,6 @@ class FifoServer:
         self._busy = False
 
     @property
-    def queue_length(self) -> int:
-        """Jobs waiting (not counting the one in service)."""
-        return len(self._queue)
-
-    @property
     def busy(self) -> bool:
         """True while a job is in service."""
         return self._busy

@@ -50,6 +50,7 @@ from repro.obs import trace as obs_trace
 from repro.sync.messages import BlockRequest, BlockResponse
 from repro.types.certificates import QuorumCertificate, vote_digest
 from repro.types.messages import Message
+from repro.types.sizes import BLOCK_REQUEST_SIZE, block_response_size
 
 
 #: Fetch rounds attempted per missing target (and per catch-up) before giving up.
@@ -104,7 +105,7 @@ class SyncManager:
         """Grace before the first fetch for a newly missing ancestor, and the
         retry cadence: one view timeout, so transient reordering never causes
         traffic."""
-        return self.replica.settings.view_timeout
+        return self.replica.config.view_timeout
 
     # ------------------------------------------------------------------
     # detection: called by the replica's message handlers
@@ -232,7 +233,7 @@ class SyncManager:
         anchor = self._anchor(target)
         request = BlockRequest(
             sender=replica.node_id,
-            size_bytes=replica.size_model.block_request_size(),
+            size_bytes=BLOCK_REQUEST_SIZE,
             target_block_id=target,
             known_block_id=anchor.block_id,
             known_height=anchor.height,
@@ -303,7 +304,7 @@ class SyncManager:
         tip_qc = forest.get(batch[-1].block_id).qc
         response = BlockResponse(
             sender=replica.node_id,
-            size_bytes=replica.size_model.block_response_size(
+            size_bytes=block_response_size(
                 batch, len(tip_qc.signers) if tip_qc is not None else 0
             ),
             blocks=batch,

@@ -1,8 +1,8 @@
 """Wire codec for the deployment transport: JSON envelopes, length-prefixed frames.
 
 The simulation never serializes — messages are Python objects handed between
-replicas, and :class:`~repro.types.sizes.SizeModel` *estimates* their wire
-size for the NIC model.  The real transport has to actually put them on a
+replicas, and :mod:`repro.types.sizes` *estimates* their wire size for the
+NIC model.  The real transport has to actually put them on a
 socket, so this module gives every message kind in :mod:`repro.types`,
 :mod:`repro.sync`, and :mod:`repro.checkpoint` a canonical JSON encoding.
 A frame is the JSON array of the encoded messages one socket write carries

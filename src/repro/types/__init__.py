@@ -3,7 +3,8 @@
 The types mirror the entities described in §II of the paper: transactions,
 blocks chained by parent hashes, quorum certificates (QCs) that certify
 blocks, timeout certificates (TCs) used by the pacemaker, and the wire
-messages exchanged between replicas and clients.
+messages exchanged between replicas and clients.  :mod:`repro.types.sizes`
+estimates their wire sizes for the NIC model.
 """
 
 from repro.types.block import Block, GENESIS_VIEW, make_genesis
@@ -16,7 +17,6 @@ from repro.types.messages import (
     TimeoutMessage,
     VoteMessage,
 )
-from repro.types.sizes import SizeModel
 from repro.types.transaction import Transaction
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "Message",
     "ProposalMessage",
     "QuorumCertificate",
-    "SizeModel",
     "Timeout",
     "TimeoutCertificate",
     "TimeoutMessage",

@@ -113,9 +113,15 @@ class TestValidate:
         with pytest.raises(ConfigurationError, match="master: 'r9'"):
             Configuration(master="r9").validate()
 
-    def test_static_election_needs_master(self):
-        with pytest.raises(ConfigurationError, match="election: 'static' needs"):
+    def test_static_is_not_a_registered_election(self):
+        # A fixed leader is chosen by ``master``, never by an election kind.
+        with pytest.raises(
+            ConfigurationError,
+            match="^invalid configuration: election: unknown election kind 'static'; "
+            "available: round-robin, hash$",
+        ):
             Configuration(election="static").validate()
+        assert api.available("elections") == ["round-robin", "hash"]
 
     @pytest.mark.parametrize(
         "fields,registered",

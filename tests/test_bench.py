@@ -9,7 +9,7 @@ from repro import api
 from repro.bench.config import Configuration, ConfigurationError
 from repro.bench.metrics import MetricsCollector
 from repro.bench.profiles import available_profiles, cost_profile
-from repro.bench.runner import build_cluster, run_cluster, run_experiment
+from repro.bench.runner import build_cluster, collector_for, run_cluster, run_experiment
 from repro.core.byzantine import ForkingReplica, SilentReplica
 from repro.executor.kvstore import KeyValueStore
 from repro.mempool.mempool import Mempool
@@ -109,7 +109,8 @@ class TestConfiguration:
 
     def test_measurement_window(self):
         config = Configuration(warmup=1.0, runtime=5.0, cooldown=0.5)
-        assert config.measurement_window == (1.0, 6.0)
+        collector = collector_for(config)
+        assert (collector.window_start, collector.window_end) == (1.0, 6.0)
         assert config.total_duration == pytest.approx(6.5)
 
 

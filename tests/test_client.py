@@ -8,7 +8,7 @@ import pytest
 from repro.bench.config import Configuration
 from repro.bench.metrics import MetricsCollector
 from repro.bench.runner import build_cluster, run_cluster
-from repro.client.client import ClientBase, ClosedLoopClient, PoissonClient
+from repro.client.client import KEY_SPACE, ClientBase, ClosedLoopClient, PoissonClient
 from repro.client.workload import WorkloadSpec
 from repro.network.delays import FixedDelay
 from repro.network.network import Network
@@ -16,7 +16,6 @@ from repro.obs.trace import CLIENT, EventStream, open_stream
 from repro.sim.events import EventScheduler
 from repro.sim.random import RandomStreams
 from repro.types.messages import ClientReply, ClientRequest
-from repro.types.sizes import SizeModel
 from repro.transport.clock import AsyncioClock
 
 
@@ -68,8 +67,6 @@ class TestWorkloadSpec:
             WorkloadSpec(payload_size=-1)
         with pytest.raises(ValueError):
             WorkloadSpec(write_fraction=1.5)
-        with pytest.raises(ValueError):
-            WorkloadSpec(key_space=0)
 
     def test_operation_mix(self):
         spec = WorkloadSpec(write_fraction=0.5)
@@ -414,12 +411,24 @@ class TestClientDraws:
 
         ours, reference = random.Random(2024), random.Random(2024)
         replica_lists = [["r0"], [f"r{i}" for i in range(4)], [f"r{i}" for i in range(7)]]
-        key_spaces = (1, 3, 1024, 2**20)
+        bounds = (1, 3, KEY_SPACE, 2**20)
         for i in range(10_000):
             replicas = replica_lists[i % 3]
-            key_space = key_spaces[i % 4]
-            assert ours._randbelow(key_space) == reference.randrange(key_space)
+            bound = bounds[i % 4]
+            assert ours._randbelow(bound) == reference.randrange(bound)
             assert replicas[ours._randbelow(len(replicas))] == reference.choice(replicas)
+
+    def test_keys_span_the_fixed_key_space(self):
+        scheduler, network, streams, replicas, _ = make_env(num_replicas=4)
+        client = ClosedLoopClient(
+            "c0", scheduler, network, streams, [r.node_id for r in replicas], concurrency=1
+        )
+        keys = []
+        network.send = lambda src, dst, message: keys.append(message.transaction.key)
+        for _ in range(4000):
+            client._submit_request()
+        assert set(keys) <= {f"k{i}" for i in range(KEY_SPACE)}
+        assert len(set(keys)) > KEY_SPACE // 2
 
     def test_requests_follow_the_reference_draws(self):
         scheduler, network, streams, replicas, _ = make_env(num_replicas=4)
@@ -434,6 +443,6 @@ class TestClientDraws:
         expected = []
         for _ in range(2000):
             reference.random()
-            key = f"k{reference.randrange(client.workload.key_space)}"
+            key = f"k{reference.randrange(KEY_SPACE)}"
             expected.append((reference.choice(client.replicas), key))
         assert sent == expected

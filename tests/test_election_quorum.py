@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.bench.config import Configuration
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import sign, verify
 from repro.election.election import (
@@ -93,14 +94,28 @@ class TestElection:
             assert len(election._memo) <= HashBasedElection.MEMO_SIZE
 
     def test_make_election_master_takes_precedence(self):
-        election = make_election(NODES, master="r3", kind="hash")
+        election = make_election(Configuration(master="r3", election="hash"))
         assert isinstance(election, StaticLeaderElection)
+        assert election.nodes == NODES and election.leader(7) == "r3"
 
     def test_make_election_kinds(self):
-        assert isinstance(make_election(NODES), RoundRobinElection)
-        assert isinstance(make_election(NODES, kind="hash"), HashBasedElection)
+        assert isinstance(make_election(Configuration()), RoundRobinElection)
+        election = make_election(Configuration(election="hash", seed=3))
+        assert isinstance(election, HashBasedElection)
+        assert [election.leader(v) for v in range(20)] == [
+            HashBasedElection(NODES, seed=3).leader(v) for v in range(20)]
         with pytest.raises(ValueError):
-            make_election(NODES, kind="lottery")
+            make_election(Configuration(election="lottery"))
+
+    def test_every_registered_election_takes_nodes_and_seed(self):
+        from repro.election.election import ELECTIONS
+
+        for name in ELECTIONS.available():
+            cls = ELECTIONS.get(name)
+            election = cls(NODES, seed=5)
+            assert (election.nodes, election.seed) == (NODES, 5)
+            assert cls(NODES).seed == 0
+            assert election.leader(3) in NODES
 
     def test_empty_node_list_rejected(self):
         with pytest.raises(ValueError):

@@ -90,16 +90,17 @@ class TestBatching:
         assert pool.next_batch(0) == ()
         assert pool.next_batch(-1) == ()
 
-    def test_peek_does_not_remove(self):
+    def test_next_batch_of_empty_pool(self):
+        assert Mempool().next_batch(1) == ()
+
+    def test_a_partial_batch_leaves_the_rest_at_the_front(self):
         pool = Mempool()
-        txs = make_transactions(2)
+        txs = make_transactions(5)
         for tx in txs:
             pool.add(tx)
-        assert pool.peek().txid == txs[0].txid
-        assert len(pool) == 2
-
-    def test_peek_empty_pool(self):
-        assert Mempool().peek() is None
+        pool.next_batch(2)
+        assert pool.snapshot_ids() == [t.txid for t in txs[2:]]
+        assert [t.txid for t in pool.next_batch(1)] == [txs[2].txid]
 
 
 class TestRequeue:

@@ -11,10 +11,11 @@ import pytest
 from repro.bench.config import Configuration
 from repro.bench.profiles import cost_profile
 from repro.model.orderstats import expected_order_statistic, quorum_delay
-from repro.model.predictions import AnalyticalModel, ModelParameters
+from repro.model.predictions import AnalyticalModel
 from repro.plugins import RegistryError
-from repro.model.queuing import md1_sojourn_time, md1_waiting_time, utilization
+from repro.model.queuing import md1_waiting_time, utilization
 from repro.quorum.quorum import quorum_size
+from repro.types import sizes
 
 #: E[X_(k)] of n = N - 1 standard normals at the quorum index k =
 #: quorum_size(N) - 1, as N: (Monte-Carlo mean, its standard error).  Each is
@@ -119,14 +120,9 @@ class TestQueueing:
         # rho = 0.5, u = 10: w = 0.5 / (2*10*0.5) = 0.05.
         assert md1_waiting_time(5.0, 10.0) == pytest.approx(0.05)
 
-    def test_sojourn_adds_service_time(self):
-        assert md1_sojourn_time(5.0, 10.0) == pytest.approx(0.05 + 0.1)
-        assert md1_sojourn_time(10.0, 10.0) == float("inf")
-
 
 def model(protocol="hotstuff", **overrides):
-    params = ModelParameters(costs=cost_profile("standard"), **overrides)
-    return AnalyticalModel(protocol, params)
+    return AnalyticalModel(Configuration(protocol=protocol, **overrides))
 
 
 class TestAnalyticalModel:
@@ -139,14 +135,14 @@ class TestAnalyticalModel:
         assert streamlet.commit_time() == pytest.approx(streamlet.service_time())
 
     def test_protocol_is_the_registered_name(self):
-        assert AnalyticalModel("2chainhs", ModelParameters()).protocol == "2chainhs"
+        assert model("2chainhs").protocol == "2chainhs"
         for spelling in ("HS", "2CHS", "SL"):
             with pytest.raises(RegistryError):
-                AnalyticalModel(spelling, ModelParameters())
+                model(spelling)
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError):
-            AnalyticalModel("pbft", ModelParameters())
+            model("pbft")
 
     def test_hotstuff_latency_exceeds_two_chain(self):
         assert model("hotstuff").latency(100.0) > model("2chainhs").latency(100.0)
@@ -184,7 +180,7 @@ class TestAnalyticalModel:
 
     def test_extra_network_delay_raises_latency(self):
         near = model("hotstuff")
-        far = model("hotstuff", extra_one_way_delay=5e-3)
+        far = model("hotstuff", extra_delay_mean=5e-3)
         assert far.latency(0.0) > near.latency(0.0) + 5e-3
 
     def test_scaling_with_cluster_size(self):
@@ -192,38 +188,39 @@ class TestAnalyticalModel:
         large = model("hotstuff", num_nodes=32)
         assert large.service_time() > small.service_time()
 
-    def test_predict_curve_shape(self):
+    def test_latency_rises_between_two_rates(self):
         hs = model("hotstuff")
-        rates = [0.2 * hs.saturation_rate(), 0.6 * hs.saturation_rate()]
-        curve = hs.predict_curve(rates)
-        assert len(curve) == 2
-        assert curve[0][1] < curve[1][1]
+        assert hs.latency(0.2 * hs.saturation_rate()) < hs.latency(0.6 * hs.saturation_rate())
 
-    def test_from_configuration_uses_config_values(self):
-        config = Configuration(num_nodes=8, block_size=100, payload_size=128, cost_profile="standard")
-        params = ModelParameters.from_configuration(config)
-        assert params.num_nodes == 8
-        assert params.block_size == 100
-        assert params.payload_size == 128
+    def test_reads_the_configuration(self):
+        config = Configuration(num_nodes=8, block_size=100, payload_size=128, cost_profile="fast")
+        m = AnalyticalModel(config)
+        assert m.config is config
+        assert m.costs == cost_profile("fast")
+        assert m.block_bytes() == sizes.block_size(100, 128, quorum_size(8))
+        assert m.block_arrival_rate(800.0) == 1.0
+        assert m.rtt_mean == 2.0 * config.base_delay_mean
+        # The simulator's own default machine, not a second set of defaults.
+        assert AnalyticalModel(Configuration()).costs == cost_profile("standard")
 
-    def test_from_configuration_adds_extra_delay_stddev_only_with_extra_delay(self):
+    def test_adds_extra_delay_stddev_only_with_extra_delay(self):
         with_extra = Configuration(
             base_delay_stddev=3e-4, extra_delay_mean=5e-3, extra_delay_stddev=4e-4
         )
-        assert ModelParameters.from_configuration(with_extra).one_way_delay_stddev == pytest.approx(5e-4)
+        assert AnalyticalModel(with_extra).rtt_stddev == pytest.approx(math.sqrt(2.0) * 5e-4)
         # The simulator draws no extra delay at zero mean, whatever its stddev.
         without = with_extra.replace(extra_delay_mean=0.0)
-        assert ModelParameters.from_configuration(without).one_way_delay_stddev == 3e-4
+        assert AnalyticalModel(without).rtt_stddev == math.sqrt(2.0) * 3e-4
+
+    def test_cost_profile_moves_saturation(self):
+        # One Configuration field picks the machine; nothing else restates it.
+        standard, fast = model("hotstuff"), model("hotstuff", cost_profile="fast")
+        assert fast.service_time() < standard.service_time()
+        assert fast.saturation_rate() > standard.saturation_rate()
 
     def test_summary_contains_all_terms(self):
         summary = model("hotstuff").summary()
         assert set(summary) >= {"t_nic", "t_q", "t_s", "t_commit", "t_l", "saturation_tps"}
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            ModelParameters(num_nodes=0)
-        with pytest.raises(ValueError):
-            ModelParameters(block_size=0)
 
 
 class TestTraitsNotNames:
@@ -243,12 +240,12 @@ class TestTraitsNotNames:
     @pytest.mark.parametrize("num_nodes", [4, 7, 16])
     def test_echo_overhead_takes_the_same_branch(self, protocol, num_nodes):
         m = model(protocol, num_nodes=num_nodes)
-        n, costs = num_nodes, m.params.costs
+        n, costs = num_nodes, m.costs
         # Streamlet broadcast and echoed, LBFT only broadcast its votes.
         if protocol == "streamlet":
             expected = ((n - 1) + (n - 1) * (n - 2)) * costs.vote_verify_cost() + (
                 n - 2
-            ) * costs.proposal_verify_cost(m.params.block_size)
+            ) * costs.proposal_verify_cost(m.config.block_size)
         elif protocol == "lbft":
             expected = (n - 1) * costs.vote_verify_cost()
         else:
@@ -261,8 +258,9 @@ def test_model_runs_without_numpy_or_scipy():
     unimportable it still imports and predicts."""
     code = (
         "import sys; sys.modules.update(numpy=None, scipy=None); "
-        "from repro.model import AnalyticalModel, ModelParameters; "
-        "print(AnalyticalModel('hotstuff', ModelParameters()).latency(100.0) > 0)"
+        "from repro.bench.config import Configuration; "
+        "from repro.model import AnalyticalModel; "
+        "print(AnalyticalModel(Configuration()).latency(100.0) > 0)"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,

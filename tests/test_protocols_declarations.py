@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from repro import api
 from repro.forest.forest import BlockForest
 from repro.fuzz import generate_cases
-from repro.model import AnalyticalModel, ModelParameters
+from repro.model import AnalyticalModel
 from repro.protocols import (
     FastHotStuffSafety,
     HotStuffSafety,
@@ -350,7 +350,7 @@ class TestOneDeclarationIsEnough:
             )
             assert result.consistent
             assert result.metrics.committed_blocks > 0
-            model = AnalyticalModel("test-4chainhs", ModelParameters())
+            model = AnalyticalModel(api.Configuration(protocol="test-4chainhs"))
             assert model.commit_time() == 3 * model.service_time()
             cases = generate_cases(seed=0, budget=len(PROTOCOLS.available()))
             assert "test-4chainhs" in {case.config.protocol for case in cases}

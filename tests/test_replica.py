@@ -8,7 +8,6 @@ from repro.bench.config import Configuration
 from repro.bench.metrics import MetricsCollector
 from repro.bench.runner import build_cluster, run_cluster
 from repro.core.byzantine import ForkingReplica, SilentReplica, make_replica
-from repro.core.replica import Replica, ReplicaSettings
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import verify
 from repro.election.election import HashBasedElection, RoundRobinElection
@@ -18,7 +17,7 @@ from repro.quorum import quorum
 from repro.sim.events import EventScheduler
 from repro.sim.random import RandomStreams
 from repro.types.messages import ClientReply, ClientRequest
-from repro.types.sizes import SizeModel
+from repro.types.sizes import client_request_size
 from repro.types.transaction import Transaction
 
 from helpers import make_transaction
@@ -45,25 +44,19 @@ def build_mini_cluster(
     streams = RandomStreams(seed=42)
     network = Network(scheduler, streams, base_delay=FixedDelay(0.0005))
     registry = KeyRegistry()
-    node_ids = [f"r{i}" for i in range(num_nodes)]
+    config = Configuration(
+        protocol=protocol, num_nodes=num_nodes, block_size=block_size, view_timeout=view_timeout
+    )
+    node_ids = config.node_ids()
     if election_kind == "hash":
         election = HashBasedElection(node_ids, seed=7)
     else:
         election = RoundRobinElection(node_ids)
-    settings = ReplicaSettings(block_size=block_size, view_timeout=view_timeout)
     replicas = {}
     for node_id in node_ids:
         kind = strategy if node_id in byzantine else ""
         replicas[node_id] = make_replica(
-            kind,
-            node_id,
-            scheduler,
-            network,
-            election,
-            registry,
-            node_ids,
-            protocol=protocol,
-            settings=settings,
+            kind, node_id, scheduler, network, election, registry, config
         )
     return scheduler, network, replicas
 
@@ -79,7 +72,6 @@ def submit_transactions(scheduler, network, replica_id, count, sender="c0"):
     """Register a throwaway client endpoint and push transactions directly."""
     if sender not in network.endpoints():
         network.register(sender, lambda m: None)
-    sizes = SizeModel()
     txs = []
     for _ in range(count):
         tx = make_transaction(sender, scheduler.now)
@@ -87,7 +79,7 @@ def submit_transactions(scheduler, network, replica_id, count, sender="c0"):
         network.send(
             sender,
             replica_id,
-            ClientRequest(sender=sender, size_bytes=sizes.client_request_size(0), transaction=tx),
+            ClientRequest(sender=sender, size_bytes=client_request_size(0), transaction=tx),
         )
     return txs
 
@@ -157,18 +149,16 @@ class TestHappyPath:
 
     def test_client_request_rejected_when_mempool_full(self):
         scheduler, network, replicas = build_mini_cluster()
-        replicas["r0"].settings.mempool_capacity = 5
         replicas["r0"].mempool.capacity = 5
         # Do not start the replicas: nothing drains the mempool.
         replies = []
         network.register("c9", replies.append)
-        sizes = SizeModel()
         for _ in range(8):
             tx = make_transaction("c9")
             network.send(
                 "c9",
                 "r0",
-                ClientRequest(sender="c9", size_bytes=sizes.client_request_size(0), transaction=tx),
+                ClientRequest(sender="c9", size_bytes=client_request_size(0), transaction=tx),
             )
         scheduler.run_until(0.5)
         rejected = [r for r in replies if r.status == "rejected"]
@@ -297,11 +287,13 @@ class TestByzantineReplicas:
 
 
 class TestSettings:
-    def test_default_settings_match_table1(self):
-        settings = ReplicaSettings()
-        assert settings.block_size == 400
-        assert settings.mempool_capacity == 1000
-        assert settings.view_timeout == pytest.approx(0.1)
+    def test_replica_reads_its_settings_off_the_configuration(self):
+        _, _, replicas = build_mini_cluster(num_nodes=7, block_size=3, view_timeout=0.7)
+        replica = replicas["r2"]
+        assert replica.config.block_size == 3
+        assert replica.peers == replica.config.node_ids() == [f"r{i}" for i in range(7)]
+        assert replica.mempool.capacity == replica.config.mempool_capacity
+        assert replica.pacemaker.view_timeout == 0.7
 
     def test_is_leader_uses_election(self):
         scheduler, network, replicas = build_mini_cluster()
@@ -339,7 +331,7 @@ def record_replies(network):
 
 def request(network, replica_id, transaction):
     network.send(transaction.client_id, replica_id, ClientRequest(
-        sender=transaction.client_id, size_bytes=SizeModel().client_request_size(0),
+        sender=transaction.client_id, size_bytes=client_request_size(0),
         transaction=transaction))
 
 

@@ -36,13 +36,17 @@ class TestFifoServer:
         sched.run_until(10.0)
         assert done == [1.0, 6.0]
 
-    def test_queue_length_excludes_job_in_service(self):
+    def test_jobs_wait_behind_the_one_in_service(self):
         sched = EventScheduler()
         server = FifoServer(sched, "cpu")
+        done = []
         for _ in range(3):
-            server.submit(1.0, lambda: None)
-        assert server.queue_length == 2
+            server.submit(1.0, lambda: done.append(sched.now))
         assert server.busy
+        sched.run_until(1.5)
+        assert done == [1.0] and server.busy
+        sched.run_until(10.0)
+        assert done == [1.0, 2.0, 3.0] and not server.busy
 
     def test_negative_service_time_rejected(self):
         sched = EventScheduler()

@@ -12,7 +12,7 @@ from repro.types.messages import (
     ProposalMessage,
     VoteMessage,
 )
-from repro.types.sizes import SizeModel
+from repro.types import sizes
 from repro.types.transaction import Transaction
 
 from helpers import make_transactions
@@ -157,35 +157,30 @@ class TestMessages:
         assert msg.forwarded_by == ""
 
 
-class TestSizeModel:
-    def setup_method(self):
-        self.sizes = SizeModel()
-
+class TestSizes:
     def test_transaction_size_includes_payload(self):
-        assert self.sizes.transaction_size(100) == self.sizes.tx_header_size + 100
+        assert sizes.transaction_size(100) == sizes.TX_HEADER_SIZE + 100
 
     def test_qc_size_scales_with_signers(self):
-        assert self.sizes.qc_size(3) - self.sizes.qc_size(2) == self.sizes.signature_size
+        assert sizes.qc_size(3) - sizes.qc_size(2) == sizes.SIGNATURE_SIZE
 
     def test_block_size_scales_with_transactions(self):
-        small = self.sizes.block_size(100, 0, 3)
-        large = self.sizes.block_size(400, 0, 3)
-        assert large - small == 300 * self.sizes.tx_header_size
+        small = sizes.block_size(100, 0, 3)
+        large = sizes.block_size(400, 0, 3)
+        assert large - small == 300 * sizes.TX_HEADER_SIZE
 
     def test_block_size_scales_with_payload(self):
-        no_payload = self.sizes.block_size(100, 0, 3)
-        with_payload = self.sizes.block_size(100, 128, 3)
+        no_payload = sizes.block_size(100, 0, 3)
+        with_payload = sizes.block_size(100, 128, 3)
         assert with_payload - no_payload == 100 * 128
 
-    def test_block_size_for_matches_block_size_for_uniform_payload(self):
-        txs = make_transactions(10, payload_size=64)
-        assert self.sizes.block_size_for(txs, 3) == self.sizes.block_size(10, 64, 3)
+    def test_proposal_size_matches_block_size_for_uniform_payload(self):
+        genesis, qc = make_genesis()
+        block = make_block(1, genesis, qc, "r0", make_transactions(10, payload_size=64))
+        assert sizes.proposal_size(block, 3) == sizes.block_size(10, 64, 3)
 
     def test_vote_smaller_than_block(self):
-        assert self.sizes.vote_size() < self.sizes.block_size(100, 0, 3)
+        assert sizes.VOTE_SIZE < sizes.block_size(100, 0, 3)
 
     def test_client_request_size_includes_payload(self):
-        assert (
-            self.sizes.client_request_size(256)
-            == self.sizes.client_request_overhead + 256
-        )
+        assert sizes.client_request_size(256) == sizes.CLIENT_REQUEST_OVERHEAD + 256
