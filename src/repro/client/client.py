@@ -72,10 +72,10 @@ class ClientBase:
         # (``seq[_randbelow(len(seq))]``, ``_randbelow(n)``) on CPython
         # 3.10-3.12; tests/test_client.py pins the equivalence.
         self._randbelow = self._rng._randbelow
-        #: txid -> send time.  Insertion order is send order and
+        #: sequence -> send time.  Insertion order is send order and
         #: ``request_timeout`` is one constant, so it is also deadline order:
         #: the oldest outstanding request is always the first key.
-        self._outstanding: Dict[str, float] = {}
+        self._outstanding: Dict[int, float] = {}
         #: Whether the one ``_expire_due`` post of this client is in flight.
         self._deadline_armed = False
         self._stop_time: Optional[float] = None
@@ -105,8 +105,8 @@ class ClientBase:
     # ------------------------------------------------------------------
     # request submission and reply handling
     # ------------------------------------------------------------------
-    def _submit_request(self, sent_at: Optional[float] = None) -> Optional[str]:
-        """Send one request, timed (latency, timeout) from ``sent_at``.
+    def _submit_request(self, sent_at: Optional[float] = None) -> Optional[int]:
+        """Send one request, timed (latency, timeout) from ``sent_at``; return its sequence.
 
         ``sent_at`` defaults to now; an open-loop client passes the instant
         the arrival was scheduled for, which a late wall-clock callback has
@@ -127,21 +127,21 @@ class ClientBase:
         # hashes) deterministic across repeated runs in one process, which
         # the fuzzer's same-seed fingerprint comparison relies on.
         transaction = Transaction.create(
-            client_id, sequence, sent_at, workload.payload_size, operation,
-            f"k{randbelow(KEY_SPACE)}", f"v{sequence}",
+            client_id, sequence, sent_at, f"k{randbelow(KEY_SPACE)}",
+            workload.payload_size, operation, f"v{sequence}",
         )
         replicas = self.replicas
         replica = replicas[randbelow(len(replicas))]
         request = ClientRequest(client_id, self._request_size, transaction)
-        self._outstanding[transaction.txid] = sent_at
+        self._outstanding[sequence] = sent_at
         # One timeout post per client, not per request: it is armed for the
         # oldest outstanding request and moves itself on when it fires.  A
-        # reply cancels nothing — it only takes its txid out of the queue.
+        # reply cancels nothing — it only takes its sequences out of the queue.
         if not self._deadline_armed:
             self._arm_deadline(sent_at + self.request_timeout)
         self.requests_sent = sequence + 1
         self.network.send(client_id, replica, request)
-        return transaction.txid
+        return sequence
 
     def _arm_deadline(self, deadline: float) -> None:
         self._deadline_armed = True
@@ -162,15 +162,15 @@ class ClientBase:
         outstanding = self._outstanding
         timeout = self.request_timeout
         while outstanding:
-            txid, sent_at = next(iter(outstanding.items()))
+            sequence, sent_at = next(iter(outstanding.items()))
             deadline = sent_at + timeout
             if deadline > due:
                 self._arm_deadline(deadline)
                 return
-            self._expire(txid)
+            self._expire(sequence)
         self._deadline_armed = False
 
-    def _expire(self, txid: str) -> None:
+    def _expire(self, sequence: int) -> None:
         """Give up on a request that received no reply within the timeout.
 
         The transaction may still commit later (it is not withdrawn from the
@@ -178,53 +178,62 @@ class ClientBase:
         client with an HTTP timeout would — and the closed-loop subclass
         issues a replacement request to another randomly chosen replica.
         """
-        del self._outstanding[txid]
+        del self._outstanding[sequence]
         self.requests_timed_out += 1
         ev = self.events
         if ev.wants & obs_trace.CLIENT:
             ev.emit(
                 self.scheduler.now, self.client_id, obs_trace.CLIENT,
-                "request-timeout", 0, {"txid": txid},
+                "request-timeout", 0, {"sequence": sequence},
             )
-        self._on_timed_out(txid)
+        self._on_timed_out(sequence)
 
-    def _on_timed_out(self, txid: str) -> None:
+    def _on_timed_out(self, sequence: int) -> None:
         """Hook for subclasses (closed-loop clients issue a replacement)."""
 
     def deliver(self, message: Message) -> None:
-        """Network delivery callback for replies."""
+        """Network delivery callback for replies.
+
+        A reply answers a batch of this client's sequences; each one still
+        outstanding resolves on its own (latency, event, hook), in the
+        reply's order.  A sequence already answered, given up on, or never
+        sent is ignored.
+        """
         if message.__class__ is not ClientReply and not isinstance(message, ClientReply):
             return
-        sent_at = self._outstanding.pop(message.txid, None)
-        if sent_at is None:
-            # Duplicate reply, or a reply for a request the client already
-            # gave up on; ignore.
-            return
+        outstanding = self._outstanding
         ev = self.events
+        announce = ev.wants & obs_trace.CLIENT
         now = self.scheduler.now
-        if message.status == "committed":
-            self.replies_committed += 1
-            latency = now - sent_at
-            # The one always-on event announced per transaction.
-            if ev.wants & obs_trace.CLIENT:
-                ev.emit(
-                    now, self.client_id, obs_trace.CLIENT, "commit-reply", 0,
-                    {"replica": message.replica, "latency": latency},
-                )
-            self._on_committed(message.txid, latency)
-        else:
-            self.replies_rejected += 1
-            if ev.wants & obs_trace.CLIENT:
-                ev.emit(
-                    now, self.client_id, obs_trace.CLIENT, "rejected", 0,
-                    {"txid": message.txid, "replica": message.replica},
-                )
-            self._on_rejected(message.txid)
+        replica = message.sender
+        committed = message.status == "committed"
+        for sequence in message.sequences:
+            sent_at = outstanding.pop(sequence, None)
+            if sent_at is None:
+                continue
+            if committed:
+                self.replies_committed += 1
+                latency = now - sent_at
+                # The one always-on event announced per transaction.
+                if announce:
+                    ev.emit(
+                        now, self.client_id, obs_trace.CLIENT, "commit-reply", 0,
+                        {"replica": replica, "latency": latency},
+                    )
+                self._on_committed(sequence, latency)
+            else:
+                self.replies_rejected += 1
+                if announce:
+                    ev.emit(
+                        now, self.client_id, obs_trace.CLIENT, "rejected", 0,
+                        {"sequence": sequence, "replica": replica},
+                    )
+                self._on_rejected(sequence)
 
-    def _on_committed(self, txid: str, latency: float) -> None:
+    def _on_committed(self, sequence: int, latency: float) -> None:
         """Hook for subclasses (closed-loop clients issue the next request)."""
 
-    def _on_rejected(self, txid: str) -> None:
+    def _on_rejected(self, sequence: int) -> None:
         """Hook for subclasses (closed-loop clients retry after a backoff)."""
 
 
@@ -241,14 +250,14 @@ class ClosedLoopClient(ClientBase):
         for _ in range(self.concurrency):
             self._submit_request()
 
-    def _on_committed(self, txid: str, latency: float) -> None:
+    def _on_committed(self, sequence: int, latency: float) -> None:
         self._submit_request()
 
-    def _on_rejected(self, txid: str) -> None:
+    def _on_rejected(self, sequence: int) -> None:
         if self._issuing_allowed():
             self.scheduler.post_after(REJECTION_BACKOFF, self._submit_request)
 
-    def _on_timed_out(self, txid: str) -> None:
+    def _on_timed_out(self, sequence: int) -> None:
         self._submit_request()
 
 

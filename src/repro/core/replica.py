@@ -34,7 +34,7 @@ Bamboo implements them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from collections import OrderedDict
 
@@ -72,7 +72,7 @@ from repro.types.messages import (
     TimeoutMessage,
     VoteMessage,
 )
-from repro.types.sizes import CLIENT_REPLY_SIZE, TIMEOUT_MESSAGE_SIZE, VOTE_SIZE, proposal_size
+from repro.types.sizes import TIMEOUT_MESSAGE_SIZE, VOTE_SIZE, client_reply_size, proposal_size
 from repro.types.transaction import Transaction
 
 if TYPE_CHECKING:  # repro.bench imports this module, not the other way round
@@ -298,42 +298,58 @@ class Replica:
             # Nothing the executor runs: refuse it here, or it is ordered and
             # every replica meets it at commit.
             self.stats.client_rejections += 1
-            self._reply(transaction, status="rejected")
+            self._reply((transaction,), "rejected")
             return
         if self.kvstore.transaction_applied(transaction):
-            self._reply(transaction, status="committed")
+            self._reply((transaction,), "committed")
             return
         accepted = self.mempool.add(transaction)
         if not accepted:
             self.stats.client_rejections += 1
-            self._reply(transaction, status="rejected")
+            self._reply((transaction,), "rejected")
 
-    def _reply(self, transaction: Transaction, status: str) -> None:
-        txid = transaction.txid
+    def _reply(self, transactions: Sequence[Transaction], status: str) -> None:
+        """Answer the clients of ``transactions``: one reply per client.
+
+        Each reply lists its client's sequences in the order given (block
+        order at commit), and only for transactions whose request this
+        replica received (it holds their origin entry).
+        """
         origins = self._origin_clients._entries
-        client = origins.get(txid)
-        if client is None:
-            return
-        if status == "committed":
-            # add_transaction doubles as the already-replied check: it
-            # returns False when the id was recorded by an earlier reply.
-            if not self._replied_txids.add_transaction(transaction):
-                return
-            # A committed transaction is done with reply routing; dropping
-            # the entry eagerly keeps the origin index at in-flight size.
-            del origins[txid]
-        elif self._replied_txids.contains_transaction(transaction):
-            return
+        replied = self._replied_txids
+        committed = status == "committed"
+        by_client: Dict[str, List[int]] = {}
+        for transaction in transactions:
+            txid = transaction.txid
+            client = origins.get(txid)
+            if client is None:
+                continue
+            if committed:
+                # add_transaction doubles as the already-replied check: it
+                # returns False when the id was recorded by an earlier reply.
+                if not replied.add_transaction(transaction):
+                    continue
+                # A committed transaction is done with reply routing; dropping
+                # the entry eagerly keeps the origin index at in-flight size.
+                del origins[txid]
+            elif replied.contains_transaction(transaction):
+                continue
+            sequences = by_client.get(client)
+            if sequences is None:
+                by_client[client] = [transaction.sequence]
+            else:
+                sequences.append(transaction.sequence)
         node_id = self.node_id
-        # Positional: sender, size, txid, committed_at, replica, status.
-        reply = ClientReply(
-            node_id, CLIENT_REPLY_SIZE, txid, self.scheduler.now, node_id, status,
-        )
-        try:
-            self._send(client, reply)
-        except KeyError:
-            # The client endpoint was not registered (fire-and-forget loads).
-            pass
+        for client, sequences in by_client.items():
+            # Positional: sender, size, sequences, status.
+            reply = ClientReply(
+                node_id, client_reply_size(len(sequences)), tuple(sequences), status,
+            )
+            try:
+                self._send(client, reply)
+            except KeyError:
+                # The client endpoint was not registered (fire-and-forget loads).
+                pass
 
     # ------------------------------------------------------------------
     # proposals
@@ -507,10 +523,11 @@ class Replica:
                 )
             return
         # Per block, not per transaction: one executor call, one mempool
-        # call, and replies only for a block that carries a request this
-        # replica received (it holds origin entries for about 1/n of one).
-        # Applying a whole block before replying to any of it changes nothing
-        # observable: _reply never reads the store, apply no reply state.
+        # call, and one reply per client for a block that carries a request
+        # this replica received (it holds origin entries for about 1/n of
+        # one).  Applying a whole block before replying to any of it changes
+        # nothing observable: _reply never reads the store, apply no reply
+        # state.
         apply_batch = self.kvstore.apply_batch
         origin_entries = self._origin_clients._entries
         announce = ev.wants & obs_trace.COMMIT
@@ -528,9 +545,7 @@ class Replica:
             apply_batch(transactions)
             txids = [tx.txid for tx in transactions]
             if not origin_entries.keys().isdisjoint(txids):
-                for transaction in transactions:
-                    if transaction.txid in origin_entries:
-                        self._reply(transaction, "committed")
+                self._reply(transactions, "committed")
             self.mempool.mark_committed(transactions, txids)
         if newly:
             self._recycle_forks()

@@ -59,10 +59,6 @@ class LeaderElection(ABC):
     def leader(self, view: int) -> str:
         """Return the node id of the leader for ``view``."""
 
-    def is_leader(self, node_id: str, view: int) -> bool:
-        """True if ``node_id`` leads ``view``."""
-        return self.leader(view) == node_id
-
 
 @register_election("round-robin")
 class RoundRobinElection(LeaderElection):

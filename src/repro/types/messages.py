@@ -15,15 +15,16 @@ one would write by hand.  Nothing mutates a message once it is built, which
 is what makes ``unsafe_hash=True`` safe here.
 
 A message is its fields and nothing else: a kind's own fields follow
-``sender, size_bytes`` positionally, as in ``ClientReply(sender, size, txid,
-committed_at, replica, status)``.  The per-transaction sites (the client's
-request, a replica's reply, the wire decoder) build their messages that way,
-because a keyword call costs CPython about twice the positional one.
+``sender, size_bytes`` positionally, as in ``ClientReply(sender, size,
+sequences, status)``.  The hot sites (the client's request, a replica's
+reply, the wire decoder) build their messages that way, because a keyword
+call costs CPython about twice the positional one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from repro.types.block import Block
 from repro.types.certificates import Timeout, Vote
@@ -84,14 +85,18 @@ class ClientRequest(Message):
 
 @dataclass(slots=True, unsafe_hash=True)
 class ClientReply(Message):
-    """A replica's response to a client request.
+    """A replica's answer to the client it is addressed to.
+
+    A transaction is its ``(client_id, sequence)`` pair and the reply goes to
+    that client, so ``sequences`` names the answered transactions.  A commit
+    sends one reply per client and block, listing that client's transactions
+    in block order; a rejection or an "already applied" answer at admission
+    carries one sequence.  The replying replica is ``sender``.
 
     ``status`` is "committed" for a successful commit and "rejected" when the
-    replica's mempool was full and the request was dropped (backpressure);
-    clients only measure latency for committed replies.
+    replica refused the request (a full mempool's backpressure, or an unknown
+    operation); clients only measure latency for committed replies.
     """
 
-    txid: str = ""
-    committed_at: float = 0.0
-    replica: str = ""
+    sequences: Tuple[int, ...] = ()
     status: str = "committed"

@@ -17,7 +17,10 @@ VIEW_NUMBER_SIZE = 8
 TX_HEADER_SIZE = 24
 BLOCK_HEADER_SIZE = 96
 CLIENT_REQUEST_OVERHEAD = 64
-CLIENT_REPLY_SIZE = 96
+#: A client reply less its sequences, and one sequence number: a reply
+#: answering one transaction is 96 bytes, and each further one adds 8.
+CLIENT_REPLY_OVERHEAD = 88
+SEQUENCE_SIZE = 8
 TIMEOUT_MESSAGE_SIZE = 120
 #: A vote: the block hash, its view and one signature.
 VOTE_SIZE = HASH_SIZE + VIEW_NUMBER_SIZE + SIGNATURE_SIZE
@@ -61,6 +64,11 @@ def proposal_size(block, qc_signers: int) -> int:
 def client_request_size(payload_size: int) -> int:
     """Serialized size of a client request."""
     return CLIENT_REQUEST_OVERHEAD + payload_size
+
+
+def client_reply_size(num_sequences: int) -> int:
+    """Serialized size of a client reply naming ``num_sequences`` transactions."""
+    return CLIENT_REPLY_OVERHEAD + num_sequences * SEQUENCE_SIZE
 
 
 def snapshot_size(checkpoint) -> int:

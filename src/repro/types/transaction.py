@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 
 class Transaction:
     """A client operation to be ordered by the blockchain.
@@ -61,18 +59,15 @@ class Transaction:
         client_id: str,
         sequence: int,
         created_at: float,
+        key: str,
         payload_size: int = 0,
         operation: str = "put",
-        key: Optional[str] = None,
         value: str = "",
     ) -> "Transaction":
-        """Build a client's ``sequence``-th transaction (key ``k<sequence % 1024>`` by default)."""
+        """Build a client's ``sequence``-th transaction on ``key``."""
         # Positional, in ``_fields`` order: one is built per request, and a
         # keyword call costs about twice as much.
-        return cls(
-            client_id, operation, key if key is not None else f"k{sequence % 1024}",
-            value, payload_size, created_at, sequence,
-        )
+        return cls(client_id, operation, key, value, payload_size, created_at, sequence)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Transaction:

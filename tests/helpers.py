@@ -19,8 +19,11 @@ _SEQUENCES = itertools.count()
 
 
 def make_transaction(client_id: str = "c0", created_at: float = 0.0, **fields) -> Transaction:
-    """``Transaction.create`` with a sequence no other call of this helper uses."""
-    return Transaction.create(client_id, next(_SEQUENCES), created_at, **fields)
+    """``Transaction.create`` with a sequence no other call of this helper uses
+    (and key ``k<sequence % 1024>`` unless one is given)."""
+    sequence = next(_SEQUENCES)
+    fields.setdefault("key", f"k{sequence % 1024}")
+    return Transaction.create(client_id, sequence, created_at, **fields)
 
 
 def make_transactions(count: int, client_id: str = "c0", payload_size: int = 0) -> Tuple[Transaction, ...]:

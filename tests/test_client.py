@@ -38,9 +38,7 @@ class EchoReplica:
         reply = ClientReply(
             sender=self.node_id,
             size_bytes=96,
-            txid=message.transaction.txid,
-            committed_at=self.scheduler.now + self.delay,
-            replica=self.node_id,
+            sequences=(message.transaction.sequence,),
             status=self.status,
         )
         self.scheduler.call_after(self.delay, self.network.send, self.node_id, message.sender, reply)
@@ -224,18 +222,18 @@ class ManualClient(ClientBase):
 
 
 def timeout_log():
-    """A stream with one subscriber, and the ``(t, txid)`` of every timeout it heard."""
+    """A stream with one subscriber, and the ``(t, sequence)`` of every timeout it heard."""
     log = []
     stream = EventStream()
     stream.subscribe(lambda t, who, category, kind, view, payload:
-                     log.append((t, payload["txid"])) if kind == "request-timeout" else None,
+                     log.append((t, payload["sequence"])) if kind == "request-timeout" else None,
                      CLIENT)
     return stream, log
 
 
-def commit(client, txid):
-    client.deliver(ClientReply(sender="r0", size_bytes=96, txid=txid, committed_at=0.0,
-                               replica="r0", status="committed"))
+def commit(client, *sequences):
+    client.deliver(ClientReply(sender="r0", size_bytes=96, sequences=sequences,
+                               status="committed"))
 
 
 class TestRequestDeadline:
@@ -274,14 +272,15 @@ class TestRequestDeadline:
         for at in sends:
             scheduler.call_at(at, client._submit_request)
         scheduler.run_until(0.45)
-        first, second, third = (tx.txid for _, tx in client.network.sent)
+        first, second, third = (tx.sequence for _, tx in client.network.sent)
         # Exactly sent_at + request_timeout, while two younger ones wait on
         # the one post that moved on to the older of them.
         assert log == [(0.1 + self.TIMEOUT, first)]
         assert list(client._outstanding) == [second, third]
         assert scheduler.pending_events == 1
         scheduler.run_until(1.0)
-        assert log == [(at + self.TIMEOUT, txid) for at, txid in zip(sends, (first, second, third))]
+        assert log == [(at + self.TIMEOUT, sequence)
+                       for at, sequence in zip(sends, (first, second, third))]
         assert client.requests_timed_out == 3
         assert scheduler.pending_events == 0 and not client._deadline_armed
         # One firing per deadline, none per request answered or not.
@@ -293,18 +292,18 @@ class TestRequestDeadline:
         client = ClosedLoopClient("c0", scheduler, Wire(scheduler), RandomStreams(seed=5), ["r0"],
                                   events=stream, concurrency=5, request_timeout=self.TIMEOUT)
         client.start()
-        burst = [tx.txid for _, tx in client.network.sent]
+        burst = [tx.sequence for _, tx in client.network.sent]
         assert scheduler.pending_events == 1
         scheduler.run_until(self.TIMEOUT)
-        assert log == [(self.TIMEOUT, txid) for txid in burst]
+        assert log == [(self.TIMEOUT, sequence) for sequence in burst]
         assert scheduler.processed_events == 1
         # Each replacement was issued from inside that firing, joined the
         # back of the queue and is what the post is now armed for.
-        replacements = [tx.txid for _, tx in client.network.sent[5:]]
+        replacements = [tx.sequence for _, tx in client.network.sent[5:]]
         assert list(client._outstanding) == replacements and len(replacements) == 5
         assert scheduler.pending_events == 1
         scheduler.run_until(2 * self.TIMEOUT)
-        assert log[5:] == [(self.TIMEOUT + self.TIMEOUT, txid) for txid in replacements]
+        assert log[5:] == [(self.TIMEOUT + self.TIMEOUT, sequence) for sequence in replacements]
         assert scheduler.processed_events == 2
 
     def test_a_deadline_whose_request_was_answered_moves_on_to_the_next_oldest(self):
@@ -312,7 +311,7 @@ class TestRequestDeadline:
         scheduler.call_at(0.1, client._submit_request)
         scheduler.call_at(0.2, client._submit_request)
         scheduler.run_until(0.25)
-        first, second = (tx.txid for _, tx in client.network.sent)
+        first, second = (tx.sequence for _, tx in client.network.sent)
         commit(client, first)
         scheduler.run_until(0.1 + self.TIMEOUT)  # the post armed for ``first`` fires
         assert log == [] and client.requests_timed_out == 0
@@ -324,7 +323,7 @@ class TestRequestDeadline:
         # The next request arms a post of its own.
         scheduler.call_at(0.6, client._submit_request)
         scheduler.run_until(1.0)
-        assert log == [(0.6 + self.TIMEOUT, client.network.sent[2][1].txid)]
+        assert log == [(0.6 + self.TIMEOUT, client.network.sent[2][1].sequence)]
 
     def test_unheard_and_heard_clients_do_the_same(self):
         def run(events):
@@ -361,12 +360,38 @@ class TestRequestDeadline:
             return clock, client, log
 
         clock, client, log = asyncio.run(scenario())
-        sent_at = {tx.txid: at for at, tx in client.network.sent}
-        assert [txid for _, txid in log] == list(sent_at)[:len(log)]
-        assert all(t >= sent_at[txid] + 0.03 for t, txid in log)
+        sent_at = {tx.sequence: at for at, tx in client.network.sent}
+        assert [sequence for _, sequence in log] == list(sent_at)[:len(log)]
+        assert all(t >= sent_at[sequence] + 0.03 for t, sequence in log)
         # A wake-up a clock resolution early expires what it was armed for
         # instead of re-arming for the same instant.
         assert clock.processed_events <= len(log)
+
+
+class TestBatchedReply:
+    """A reply lists sequences; each still outstanding resolves on its own."""
+
+    def test_a_mixed_batch_resolves_exactly_the_outstanding_sequences(self):
+        scheduler = EventScheduler()
+        metrics = MetricsCollector()
+        client = ClosedLoopClient("c0", scheduler, Wire(scheduler), RandomStreams(seed=5), ["r0"],
+                                  events=open_stream(metrics), concurrency=4, request_timeout=0.3)
+        client.start()  # sequences 0-3 at t = 0
+        scheduler.call_at(0.1, commit, client, 0)  # 0 answered, 4 replaces it
+        scheduler.run_until(0.3)  # 1-3 expire, 5-7 replace them
+        assert list(client._outstanding) == [4, 5, 6, 7]
+        assert (client.requests_sent, client.replies_committed, client.requests_timed_out) == (8, 1, 3)
+        scheduler.call_at(0.35, commit, client, 5, 0, 1, 999, 4, 7)
+        scheduler.run_until(0.36)
+        # 0 answered, 1 expired, 999 never sent: only 5, 4 and 7 resolve, in
+        # the reply's order, each timed from its own send.
+        assert client.replies_committed == 4
+        assert [latency for _, latency in metrics.latencies][1:] == pytest.approx(
+            [0.35 - 0.3, 0.35 - 0.1, 0.35 - 0.3])
+        # One replacement each, and nothing else moved.
+        assert client.requests_sent == 11
+        assert list(client._outstanding) == [6, 8, 9, 10]
+        assert client.requests_timed_out == 3 and client.replies_rejected == 0
 
 
 class TestOpenLoopSchedule:

@@ -51,8 +51,8 @@ class TestElection:
 
     def test_round_robin_is_leader(self):
         election = RoundRobinElection(NODES)
-        assert election.is_leader("r1", 1)
-        assert not election.is_leader("r0", 1)
+        assert election.leader(1) == "r1"
+        assert election.leader(1) != "r0"
 
     def test_static_leader_never_changes(self):
         election = StaticLeaderElection(NODES, master="r2")

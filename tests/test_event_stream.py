@@ -16,7 +16,10 @@
   fields a run sets; the metrics, views, fingerprints and work counts did
   not move either time;
 * the work each of those runs does is pinned exactly: scheduler events,
-  messages sent per kind, bytes sent, sign and verify calls.
+  messages sent per kind, bytes sent, sign and verify calls.  Every entry
+  was re-captured when a commit came to send one reply per client and
+  block instead of one per transaction (``python tests/test_event_stream.py``
+  prints the document).
 """
 
 import hashlib
@@ -268,3 +271,23 @@ class TestSameNumbers:
             f"the work counts of {key} moved; if the change means to move them, "
             f"replace the entry's counts in {GOLDEN.name} with\n{_as_golden(counts)}"
         )
+
+
+def capture() -> dict:
+    """The document ``perf_quick_records.json`` holds: every quick point's
+    record fields and work counts."""
+    document = {}
+    for key, run in QUICK_POINTS.items():
+        result, counts = _counted(run)
+        faulty = key.startswith("faulty/")
+        record = result.record if faulty else result.to_dict()
+        entry = {"counts": counts, "highest_view": record["highest_view"],
+                 "metrics": record["metrics"], "record_digest": _digest(record)}
+        if faulty:
+            entry["fingerprint"] = result.fingerprint
+        document[key] = entry
+    return document
+
+
+if __name__ == "__main__":
+    print(json.dumps(capture(), indent=1, sort_keys=True))

@@ -256,7 +256,7 @@ class TestApplyBatch:
 
     def test_single_apply_refuses_an_unknown_operation_before_recording_it(self):
         store = KeyValueStore()
-        odd = Transaction.create("c0", 1, 0.0, operation="frob")
+        odd = Transaction.create("c0", 1, 0.0, key="k1", operation="frob")
         with pytest.raises(ValueError):
             store.apply(odd)
         assert not store.transaction_applied(odd)

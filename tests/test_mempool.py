@@ -194,11 +194,11 @@ def _state(pool):
 
 
 class TestMarkCommittedPerBlock:
-    UNIVERSE = [Transaction.create("c0", i, 0.0) for i in range(10)]
+    UNIVERSE = [Transaction.create("c0", i, 0.0, key=f"k{i}") for i in range(10)]
     # Same ids on other objects: an equal copy (what a decoded frame is) and
     # one that differs in a field (``queue.remove`` does not find it).
-    COPIES = [Transaction.create("c0", i, 0.0) for i in range(10)]
-    ALTERED = [Transaction.create("c0", i, 0.0, value="other") for i in range(10)]
+    COPIES = [Transaction.create("c0", i, 0.0, key=f"k{i}") for i in range(10)]
+    ALTERED = [Transaction.create("c0", i, 0.0, key=f"k{i}", value="other") for i in range(10)]
 
     @settings(max_examples=300, deadline=None)
     @given(

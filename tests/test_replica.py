@@ -17,7 +17,7 @@ from repro.quorum import quorum
 from repro.sim.events import EventScheduler
 from repro.sim.random import RandomStreams
 from repro.types.messages import ClientReply, ClientRequest
-from repro.types.sizes import client_request_size
+from repro.types.sizes import client_reply_size, client_request_size
 from repro.types.transaction import Transaction
 
 from helpers import make_transaction
@@ -316,13 +316,15 @@ class TestSettings:
 
 
 def record_replies(network):
-    """Every ``ClientReply`` the fabric is asked to carry, in send order."""
+    """Every ``ClientReply`` the fabric is asked to carry, in send order, as
+    ``(replica, client, sequences, status)``."""
     replies = []
     send = network.send
 
     def spy(src, dst, message):
         if isinstance(message, ClientReply):
-            replies.append((src, message.txid, message.status))
+            assert message.size_bytes == client_reply_size(len(message.sequences))
+            replies.append((src, dst, message.sequences, message.status))
         send(src, dst, message)
 
     network.send = spy
@@ -336,15 +338,18 @@ def request(network, replica_id, transaction):
 
 
 class TestCommitPathPerBlock:
-    def test_replies_are_those_of_the_per_transaction_loop_in_block_order(self):
-        """r0 receives most requests (whole blocks are its own), r1 a few
-        (some of a block), r2 one that r0 also got, r3 none: each sends one
-        ``committed`` reply per request it received, in the order its
-        committed chain lists them."""
+    def test_one_reply_per_client_and_block_with_its_sequences_in_block_order(self):
+        """r0 receives most requests of two clients (whole blocks are its
+        own), r1 a few (some of a block), r2 one that r0 also got, r3 none:
+        per committed block, each sends one ``committed`` reply to each
+        client it received a request of, listing that client's sequences in
+        the order the block lists them."""
         scheduler, network, replicas = build_mini_cluster(block_size=10, view_timeout=1.0)
         replies = record_replies(network)
-        network.register("c0", lambda m: None)
-        txs = [Transaction.create("c0", i, created_at=0.0) for i in range(40)]
+        for client in ("c0", "c1"):
+            network.register(client, lambda m: None)
+        txs = [Transaction.create(f"c{i % 2}", i // 2, created_at=0.0, key=f"k{i}")
+               for i in range(40)]
         received = {"r0": txs[:30], "r1": txs[30:], "r2": [txs[3]], "r3": []}
         for replica in replicas.values():
             replica.start()
@@ -356,13 +361,60 @@ class TestCommitPathPerBlock:
             mine = {tx.txid for tx in received[replica_id]}
             expected = []
             for block_id in replica.forest.committed_chain:
+                by_client = {}
                 for transaction in replica.forest.get_block(block_id).transactions:
                     if transaction.txid in mine:
                         mine.discard(transaction.txid)
-                        expected.append((replica_id, transaction.txid, "committed"))
+                        by_client.setdefault(transaction.client_id, []).append(
+                            transaction.sequence)
+                expected += [(replica_id, client, tuple(sequences), "committed")
+                             for client, sequences in by_client.items()]
             assert not mine, "a request was never committed: lengthen the run"
             assert [reply for reply in replies if reply[0] == replica_id] == expected
-        assert len(replies) == 41
+        # 41 requests received, far fewer replies: a block answers each
+        # client once.
+        assert sum(len(sequences) for _, _, sequences, _ in replies) == 41
+        assert len(replies) < 15
+        assert {client for _, client, _, _ in replies} == {"c0", "c1"}
+
+    def test_a_transaction_committed_again_is_not_replied_to_twice(self):
+        scheduler, network, replicas = build_mini_cluster(block_size=10, view_timeout=1.0)
+        replies = record_replies(network)
+        network.register("c0", lambda m: None)
+        for replica in replicas.values():
+            replica.start()
+        tx = make_transaction()
+        request(network, "r1", tx)
+        scheduler.run_until(0.3)
+        once = [("r1", "c0", (tx.sequence,), "committed")]
+        assert replies == once
+        # Its client asks r1 again, and every leader batches it once more, as
+        # a Byzantine one may: r1 meets it at admission and in later blocks.
+        request(network, "r1", tx)
+        for replica in replicas.values():
+            replica.mempool.add(tx)
+        scheduler.run_until(0.6)
+        assert replicas["r1"].forest.committed_transactions().count(tx.txid) >= 2
+        assert replies == once
+
+    def test_rejected_and_already_applied_answers_carry_one_sequence(self):
+        scheduler, network, replicas = build_mini_cluster(block_size=10, view_timeout=1.0)
+        replies = record_replies(network)
+        network.register("c0", lambda m: None)
+        for replica in replicas.values():
+            replica.start()
+        done = make_transaction()
+        request(network, "r1", done)
+        scheduler.run_until(0.3)
+        odd = make_transaction(operation="frob")
+        request(network, "r2", odd)
+        # A retry to a replica that never received the request: it has
+        # applied the transaction, so it answers at admission.
+        request(network, "r3", done)
+        scheduler.run_until(0.31)
+        assert replies == [("r1", "c0", (done.sequence,), "committed"),
+                           ("r2", "c0", (odd.sequence,), "rejected"),
+                           ("r3", "c0", (done.sequence,), "committed")]
 
 
 class TestUnknownOperation:
@@ -379,7 +431,7 @@ class TestUnknownOperation:
         request(network, "r1", odd)
         accepted = submit_transactions(scheduler, network, "r1", 3)
         scheduler.run_until(0.5)
-        assert replies[0] == ("r1", odd.txid, "rejected")
+        assert replies[0] == ("r1", "c0", (odd.sequence,), "rejected")
         assert replicas["r1"].stats.client_rejections == 1
         committed = replicas["r0"].forest.committed_transactions()
         assert odd.txid not in committed

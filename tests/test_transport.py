@@ -145,7 +145,8 @@ def _sample_objects():
     """One of everything: a signed chain fragment plus client traffic."""
     registry = KeyRegistry()
     forest = BlockForest()
-    tx = Transaction.create(client_id="c0", sequence=0, created_at=1.25, payload_size=16)
+    tx = Transaction.create(client_id="c0", sequence=0, created_at=1.25, key="k0",
+                            payload_size=16)
     qc0 = QuorumCertificate(
         block_id=forest.genesis.block_id, view=0,
         signers=frozenset({"r0", "r1", "r2"}),
@@ -171,7 +172,8 @@ def _sample_objects():
 
 def _golden_messages():
     """The messages of ``tests/golden/wire_frames.json``, by entry name: one
-    of each kind, plus every ``None`` branch a body has."""
+    of each kind, plus every ``None`` branch a body has (``python
+    tests/test_transport.py`` rewrites both wire goldens from them)."""
     tx, block, vote, qc, timeout, _tc, checkpoint = _sample_objects()
     return {
         "ProposalMessage": ProposalMessage(sender="r0", size_bytes=900, block=block,
@@ -179,8 +181,8 @@ def _golden_messages():
         "VoteMessage": VoteMessage(sender="r1", size_bytes=120, vote=vote),
         "TimeoutMessage": TimeoutMessage(sender="r2", size_bytes=130, timeout=timeout),
         "ClientRequest": ClientRequest(sender="c0", size_bytes=140, transaction=tx),
-        "ClientReply": ClientReply(sender="r0", size_bytes=48, txid=tx.txid,
-                                   committed_at=2.0, replica="r0", status="committed"),
+        "ClientReply": ClientReply(sender="r0", size_bytes=104, sequences=(tx.sequence, 3),
+                                   status="committed"),
         "BlockRequest": BlockRequest(sender="r3", size_bytes=96,
                                      target_block_id=block.block_id,
                                      known_block_id=block.parent_id, known_height=0),
@@ -319,8 +321,9 @@ class TestCodec:
         _round_trip(ClientRequest(sender="c0", size_bytes=140, transaction=self.tx))
 
     def test_client_reply_round_trip(self):
-        _round_trip(ClientReply(sender="r0", size_bytes=48, txid=self.tx.txid,
-                                committed_at=2.0, replica="r0", status="committed"))
+        _round_trip(ClientReply(sender="r0", size_bytes=104, sequences=(self.tx.sequence, 3),
+                                status="committed"))
+        _round_trip(ClientReply(sender="r0", size_bytes=88, sequences=(), status="rejected"))
 
     def test_block_request_round_trip(self):
         _round_trip(BlockRequest(sender="r3", size_bytes=96,
@@ -487,9 +490,11 @@ class TestCodec:
                 decode_message(wire)
 
     def test_float_fields_accept_json_integers(self):
-        wire, was = _replaced(_golden_frames()["ClientReply"], (3, 1), 2)  # committed_at
-        assert was == 2.0 and b'"tx-c0-0", 2, "r0"' in wire
-        assert decode_message(wire) == _golden_messages()["ClientReply"]
+        wire, was = _replaced(_golden_frames()["ClientRequest"], (3, 0, 5), 1)  # created_at
+        assert was == 1.25 and b'16, 1, 0]' in wire
+        tx = _golden_messages()["ClientRequest"].transaction
+        assert decode_message(wire).transaction == Transaction(
+            tx.client_id, tx.operation, tx.key, tx.value, tx.payload_size, 1.0, tx.sequence)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -604,8 +609,7 @@ def _chunks(stream: bytes, cuts):
 class TestFrameSplitter:
     def test_frames_split_at_a_clean_boundary(self):
         first = encode_message(BlockRequest(sender="a", size_bytes=96, known_height=3))
-        second = encode_message(ClientReply(sender="b", size_bytes=48, txid="t",
-                                            committed_at=1.0, replica="r0",
+        second = encode_message(ClientReply(sender="b", size_bytes=96, sequences=(7,),
                                             status="committed"))
         splitter = FrameSplitter()
         assert splitter.feed(frame(first) + frame(second)) == [first, second]
@@ -918,9 +922,9 @@ class TestHostCpu:
 
 class TestAsyncioTransport:
     @staticmethod
-    def _reply(txid: str) -> ClientReply:
-        return ClientReply(sender="a", size_bytes=48, txid=txid, committed_at=1.0,
-                           replica="a", status="committed")
+    def _reply(tag: str) -> ClientReply:
+        """A reply tagged ``tag`` in its status, a string the transport carries unread."""
+        return ClientReply(sender="a", size_bytes=48, sequences=(0,), status=tag)
 
     @staticmethod
     async def _settle(predicate, timeout=5.0):
@@ -952,7 +956,7 @@ class TestAsyncioTransport:
 
             transport.send("a", "b", self._reply("t1"))
             await self._settle(lambda: len(received["b"]) == 1)
-            assert received["b"][0].txid == "t1"
+            assert received["b"][0].status == "t1"
             assert transport.stats.messages_delivered == 1
             assert transport.stats.per_type_counts["ClientReply"] == 1
 
@@ -972,8 +976,8 @@ class TestAsyncioTransport:
             await self._settle(lambda: transport.address_of("b") is not None)
             transport.send("a", "b", self._reply("t2"))
             await self._settle(lambda: len(received["b"]) == 2)
-            assert received["b"][1].txid == "t2"
-            assert "lost" not in [m.txid for m in received["b"]]
+            assert received["b"][1].status == "t2"
+            assert "lost" not in [m.status for m in received["b"]]
 
             await transport.stop()
 
@@ -1025,7 +1029,7 @@ class TestAsyncioTransport:
                 if i % 97 == 0:
                     await asyncio.sleep(0)  # spread them over many writes
             await self._settle(lambda: len(received) == 1000)
-            assert [m.txid for m in received] == [f"t{i}" for i in range(1000)]
+            assert [m.status for m in received] == [f"t{i}" for i in range(1000)]
             stats = transport.stats
             assert stats.messages_written == stats.messages_delivered == 1000
             assert 1 < stats.socket_writes < 1000
@@ -1094,7 +1098,7 @@ class TestAsyncioTransport:
                 lambda: all(len(received[n]) == k for n, k in expected.items()))
             await transport.stop()
             stats = transport.stats
-            return ({n: [m.txid for m in received[n]] for n in names},
+            return ({n: [m.status for m in received[n]] for n in names},
                     stats.messages_sent, stats.bytes_sent, stats.per_type_counts,
                     stats.messages_written)
 
@@ -1102,7 +1106,7 @@ class TestAsyncioTransport:
         assert len(encoded) == 7  # one per copy that crossed a socket
         encoded.clear()
         fanned_out = asyncio.run(scenario(use_broadcast=True))
-        assert [m.txid for m in encoded] == ["first", "second", "own"]
+        assert [m.status for m in encoded] == ["first", "second", "own"]
         assert fanned_out == looped
         assert fanned_out[0] == {"a": ["own"], "b": ["first", "second", "own"],
                                  "c": ["first", "second"], "d": ["first", "second"]}
@@ -1125,11 +1129,11 @@ class TestAsyncioTransport:
             trace = []
 
             def handler(message):
-                trace.append(f"{message.txid}:begin")
-                if message.txid == "outer":
+                trace.append(f"{message.status}:begin")
+                if message.status == "outer":
                     transport.send("a", "a", self._reply("inner"))
                     transport.broadcast("a", ["b"], self._reply("fanned"), include_self=True)
-                trace.append(f"{message.txid}:end")
+                trace.append(f"{message.status}:end")
 
             transport.register("a", handler)
             transport.register("b", lambda m: None)
@@ -1167,8 +1171,8 @@ class TestAsyncioTransport:
             transport.send("a", "b", self._reply("back-ab"))
             transport.send("b", "a", self._reply("back-ba"))
             await self._settle(lambda: len(received["a"]) == 2 and len(received["b"]) == 2)
-            assert [m.txid for m in received["b"]] == ["up", "back-ab"]
-            assert [m.txid for m in received["a"]] == ["up", "back-ba"]
+            assert [m.status for m in received["b"]] == ["up", "back-ab"]
+            assert [m.status for m in received["a"]] == ["up", "back-ba"]
             # Both links were severed with the node and had to reconnect.
             assert transport.stats.reconnects == reconnects + 2
             await transport.stop()
@@ -1206,7 +1210,7 @@ class TestAsyncioTransport:
     @pytest.mark.parametrize("slack", [0, -1])
     def test_backlog_of_a_link_is_bounded(self, monkeypatch, slack):
         big = ClientRequest(sender="a", size_bytes=140, transaction=Transaction.create(
-            "a", 0, 0.0, value="v" * 65536))
+            "a", 0, 0.0, key="k0", value="v" * 65536))
         size = len(encode_message(big))
         # Sixteen messages make a frame payload of exactly 16 * size + 15
         # commas + 2 brackets.  With the frame cap there too, the boundary
@@ -1314,7 +1318,7 @@ class TestAsyncioTransport:
             # A clean close at a frame boundary is not an error.
             await asyncio.sleep(0.05)
             assert stats.decode_errors == 3 + len(wire) == 12
-            assert [m.txid for m in received] == ["ok"] * (1 + len(wire) + 2 * len(bad_envelopes))
+            assert [m.status for m in received] == ["ok"] * (1 + len(wire) + 2 * len(bad_envelopes))
             await transport.stop()
 
         asyncio.run(scenario())
@@ -1558,7 +1562,8 @@ class TestDeployment:
             await runner.start()
             try:
                 # A sequence the run's own c0 never reaches.
-                odd = Transaction.create("c0", 10**9, created_at=0.0, operation="frob")
+                odd = Transaction.create("c0", 10**9, created_at=0.0, key="k512",
+                                         operation="frob")
                 runner.transport.send(
                     "c0", "r1", ClientRequest(sender="c0", size_bytes=140, transaction=odd))
                 await runner.run()
@@ -1895,3 +1900,15 @@ class TestDeployment:
         with tracing() as simulated:
             run_experiment(_deploy_config(mode="model", runtime=0.5))
         assert deployed.replicas() == simulated.replicas() == ["c0", "c1", "r0", "r1", "r2", "r3"]
+
+
+if __name__ == "__main__":
+    frames = {name: encode_message(message).decode("utf-8")
+              for name, message in _golden_messages().items()}
+    pair = ["VoteMessage", "ClientReply"]
+    for name, document in (
+        ("wire_frames.json", frames),
+        ("wire_frame.json", {"messages": pair,
+                             "payload": "[%s]" % ",".join(frames[n] for n in pair)}),
+    ):
+        (GOLDEN / name).write_text(json.dumps(document, indent=1) + "\n")

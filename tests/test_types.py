@@ -20,28 +20,28 @@ from helpers import make_transactions
 
 class TestTransaction:
     def test_create_assigns_unique_ids(self):
-        a = Transaction.create("c0", 0, created_at=0.0)
-        b = Transaction.create("c0", 1, created_at=0.0)
+        a = Transaction.create("c0", 0, created_at=0.0, key="k0")
+        b = Transaction.create("c0", 1, created_at=0.0, key="k1")
         assert a.txid != b.txid
 
     def test_create_records_client_and_time(self):
-        tx = Transaction.create("c7", 0, created_at=1.25, payload_size=128)
+        tx = Transaction.create("c7", 0, created_at=1.25, key="k0", payload_size=128)
         assert tx.client_id == "c7"
         assert tx.created_at == 1.25
         assert tx.payload_size == 128
 
     def test_default_operation_is_put(self):
-        tx = Transaction.create("c0", 0, created_at=0.0)
+        tx = Transaction.create("c0", 0, created_at=0.0, key="k0")
         assert tx.operation == "put"
 
     def test_hash_by_txid(self):
-        tx = Transaction.create("c0", 0, created_at=0.0)
+        tx = Transaction.create("c0", 0, created_at=0.0, key="k0")
         assert hash(tx) == hash(tx.txid)
 
     def test_instances_are_slots_only(self):
         # One object to the cyclic collector per transaction, not two: no
         # ``__dict__`` beside the slots, however the instance was built.
-        built = Transaction.create("c0", 4, created_at=0.0)
+        built = Transaction.create("c0", 4, created_at=0.0, key="k4")
         by_hand = Transaction("c0", "put", "k", "v", 0, 0.0, 5)
         for tx in (built, by_hand):
             assert not hasattr(tx, "__dict__")
@@ -127,16 +127,15 @@ class TestMessages:
         # kind carries, and a kind adds only its own fields.
         assert [f.name for f in dataclasses.fields(Message)] == ["sender", "size_bytes"]
         assert [f.name for f in dataclasses.fields(ClientReply)] == [
-            "sender", "size_bytes", "txid", "committed_at", "replica", "status"]
+            "sender", "size_bytes", "sequences", "status"]
         assert not hasattr(ClientReply("r0", 48), "__dict__")
 
     def test_a_kind_takes_its_own_fields_positionally(self):
         # A message is its fields: a kind's own follow sender, size_bytes.
-        by_name = ClientReply(sender="r0", size_bytes=48, txid="tx-c0-1",
-                              committed_at=2.0, replica="r1", status="rejected")
-        assert ClientReply("r0", 48, "tx-c0-1", 2.0, "r1", "rejected") == by_name
+        by_name = ClientReply(sender="r0", size_bytes=48, sequences=(1, 4), status="rejected")
+        assert ClientReply("r0", 48, (1, 4), "rejected") == by_name
         with pytest.raises(TypeError):
-            ClientReply("r0", 48, "tx-c0-1", 2.0, "r1", "rejected", 7)
+            ClientReply("r0", 48, (1, 4), "rejected", 7)
         with pytest.raises(TypeError):
             VoteMessage("r0", 10, None, "", 7)
 
@@ -184,3 +183,7 @@ class TestSizes:
 
     def test_client_request_size_includes_payload(self):
         assert sizes.client_request_size(256) == sizes.CLIENT_REQUEST_OVERHEAD + 256
+
+    def test_a_one_sequence_reply_is_96_bytes_and_each_more_adds_one_sequence(self):
+        assert sizes.client_reply_size(1) == 96
+        assert sizes.client_reply_size(5) - sizes.client_reply_size(4) == sizes.SEQUENCE_SIZE
