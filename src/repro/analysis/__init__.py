@@ -2,14 +2,17 @@
 
 This subsystem closes the loop the campaign layer opened: campaigns produce
 JSONL records (:mod:`repro.experiments`), and analysis turns those records
-into the paper's deliverables — **without re-running a single simulation**:
+into the paper's deliverables — **without re-running a single simulation**.
+There is one pipeline: records → rows → :func:`aggregate_rows` → table,
+claims or chart.
 
-* :mod:`repro.analysis.stats` — group records by campaign/params and collapse
-  repetitions into mean / stddev / 95% CI aggregates (Student-t, stdlib);
-* :mod:`repro.analysis.report` — cross-protocol comparison tables in text,
-  markdown, and CSV (also the canonical table renderer for the CLI and the
-  paper tables);
-* :mod:`repro.analysis.figures` — campaign records as standalone SVG with
+* :mod:`repro.analysis.report` — the row model (:class:`Column`, the
+  :data:`HEADLINE_COLUMNS`, :func:`record_row`, :func:`point_rows`) and the
+  table renderers in text, markdown and CSV (the canonical renderer for the
+  CLI and the paper tables);
+* :mod:`repro.analysis.stats` — :func:`aggregate_rows`, which collapses
+  repetitions into a mean and a ``<column>_ci95`` (Student-t, stdlib);
+* :mod:`repro.analysis.figures` — aggregated rows as standalone SVG with
   error bars, pure stdlib (the paper's figures 8-15 and Table II are
   described by their entries in :mod:`repro.experiments.paper`).
 
@@ -30,45 +33,42 @@ from repro.analysis.figures import (
     render_store,
 )
 from repro.analysis.report import (
-    comparison_table,
+    HEADLINE_COLUMNS,
+    Column,
     csv_table,
     format_cell,
-    format_measure,
     format_table,
+    headline_row,
     markdown_table,
+    params_label,
+    point_rows,
+    record_row,
     render,
-    summary_rows,
 )
-from repro.analysis.stats import (
-    Aggregate,
-    GroupSummary,
-    aggregate_records,
-    aggregate_rows,
-    t_critical,
-)
+from repro.analysis.stats import aggregate_rows, t_critical
 
 __all__ = [
     "ATTACK_PANELS",
-    "Aggregate",
+    "Column",
     "FigureDef",
     "FigureError",
-    "GroupSummary",
+    "HEADLINE_COLUMNS",
     "RenderedFigure",
-    "aggregate_records",
     "aggregate_rows",
-    "comparison_table",
     "compose_grid",
     "csv_table",
     "figure_for_campaign",
     "format_cell",
-    "format_measure",
     "format_table",
+    "headline_row",
     "markdown_table",
+    "params_label",
+    "point_rows",
+    "record_row",
     "render",
     "render_chart",
     "render_figure",
     "render_panels",
     "render_store",
-    "summary_rows",
     "t_critical",
 ]

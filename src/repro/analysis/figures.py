@@ -4,10 +4,11 @@ The paper's evaluation is figures 8-15 plus Table II — every one a
 cross-protocol comparison.  This module renders them from
 :class:`~repro.experiments.store.ResultStore` records (or in-memory campaign
 records) with 95%-CI error bars across repetitions, **without executing a
-single simulation**: the records are aggregated through
-:mod:`repro.analysis.stats` and drawn with a small pure-stdlib SVG line-chart
-kit (no matplotlib — the container has none, and SVG text diffs cleanly in
-review).
+single simulation**: each record becomes a row
+(:func:`repro.analysis.report.record_row`), the rows are aggregated like a
+paper table's (:func:`repro.analysis.stats.aggregate_rows`), and the means
+and CIs are drawn with a small pure-stdlib SVG line-chart kit (no matplotlib
+— the container has none, and SVG text diffs cleanly in review).
 
 Each :class:`FigureDef` names the campaign prefix it renders (``fig9`` for
 any campaign called ``fig9*``), the chart axes, and how series are labelled
@@ -27,7 +28,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from repro.analysis.stats import GroupSummary, aggregate_records
+from repro.analysis.report import point_rows, record_row
+from repro.analysis.stats import aggregate_rows
 
 #: Okabe-Ito colorblind-safe palette (series cycle through it).
 PALETTE = (
@@ -56,17 +58,19 @@ class FigureDef:
     title: str
     xlabel: str
     ylabel: str
-    #: Params key giving a point's x value, or ``"metric:<name>"`` to plot
-    #: one measured metric against another (the throughput/latency curves).
+    #: Row column giving a point's x value: a param (``"arrival_rate"``),
+    #: or a metric to plot one measured metric against another
+    #: (``"throughput_tps"``, the throughput/latency curves).
     x: str
-    #: Metric name giving a point's y value (error bars from its 95% CI).
+    #: Row column giving a point's y value (error bars from its 95% CI).
     y: str
     #: Display scaling of the y metric (1e3 turns seconds into ms).
     y_scale: float = 1.0
     #: Params keys joined into the series label; ``None`` picks the first
     #: present of ``_series`` / ``_label`` / ``_arm`` / ``protocol``.
     series_keys: Optional[Tuple[str, ...]] = None
-    #: Plot the per-record throughput timeline instead of one point per group.
+    #: Plot the per-record throughput timeline instead of one point per group:
+    #: each (record, bucket) is a row with ``x="time"`` and ``y`` its Tx/s.
     timeline: bool = False
     #: Treat x values as category labels (evenly spaced, e.g. ablation arms).
     categorical: bool = False
@@ -137,20 +141,46 @@ class ChartSeries:
     points: List[ChartPoint] = field(default_factory=list)
 
 
-def _series_label(summary: GroupSummary, keys: Optional[Tuple[str, ...]]) -> str:
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _series_label(row: Dict[str, Any], keys: Optional[Tuple[str, ...]]) -> str:
     if keys is None:
         for candidate in ("_series", "_label", "_arm", "protocol"):
-            if candidate in summary.params:
-                return str(summary.params[candidate])
-        return summary.label() or summary.campaign or "series"
-    present = [str(summary.params[k]) for k in keys if k in summary.params]
-    return " ".join(present) if present else summary.label()
+            if candidate in row:
+                return str(row[candidate])
+        return row["params"]
+    present = [str(row[k]) for k in keys if k in row]
+    return " ".join(present) if present else row["params"]
+
+
+def _timeline_rows(records: Sequence[Dict[str, Any]], figure: FigureDef) -> List[Dict[str, Any]]:
+    """One row per (record, bucket), aggregated over (series, time).
+
+    Repetitions of one point share horizon and bucket width, so their
+    timelines align bucket for bucket; each series is cut to its shortest
+    timeline (a run whose last commit landed a bucket earlier), and a series
+    with a record that has no timeline is left out.
+    """
+    rows = [record_row(record) for record in records]
+    labels = [_series_label(row, figure.series_keys) for row in rows]
+    timelines = [record.get("timeline") or [] for record in records]
+    length: Dict[str, int] = {}
+    for label, timeline in zip(labels, timelines):
+        length[label] = min(length.get(label, len(timeline)), len(timeline))
+    projected = [
+        {**row, "series": label, "time": t, figure.y: tps}
+        for row, label, timeline in zip(rows, labels, timelines)
+        for t, tps in timeline[:length[label]]
+    ]
+    return aggregate_rows(projected, keys=("series", "time"), metrics=(figure.y,))
 
 
 def build_series(
-    summaries: Sequence[GroupSummary], figure: FigureDef
+    rows: Sequence[Dict[str, Any]], figure: FigureDef
 ) -> Tuple[List[ChartSeries], List[str]]:
-    """Turn aggregated groups into chart series per the figure definition.
+    """Turn aggregated rows into chart series per the figure definition.
 
     Returns ``(series, x_categories)`` — categories are empty for numeric x.
     Points keep first-seen (expansion) order within each series, which is
@@ -159,47 +189,28 @@ def build_series(
     series: Dict[str, ChartSeries] = {}
     categories: List[str] = []
     skipped = 0
-    for summary in summaries:
-        if figure.timeline:
-            if not summary.timeline:
-                skipped += 1
-                continue
-            label = _series_label(summary, figure.series_keys)
-            line = series.setdefault(label, ChartSeries(label=label))
-            for t, mean, ci in summary.timeline:
-                line.points.append(ChartPoint(x=t, y=mean, err=ci))
-            continue
-
-        agg = summary.metrics.get(figure.y)
-        if agg is None:
+    for row in rows:
+        y = row.get(figure.y)
+        if not _is_number(y):
             skipped += 1
             continue
-        shown = agg.scaled(figure.y_scale)
-
         if figure.categorical:
-            category = str(summary.params.get(figure.x, summary.label())) if figure.x else summary.label()
+            category = str(row.get(figure.x, row["params"])) if figure.x else row["params"]
             if category not in categories:
                 categories.append(category)
             x_value: float = float(categories.index(category))
-            label = figure.ylabel if figure.key in ("ablation", "generic") else _series_label(summary, figure.series_keys)
-        elif figure.x.startswith("metric:"):
-            x_metric = summary.metrics.get(figure.x[len("metric:"):])
-            if x_metric is None:
-                skipped += 1
-                continue
-            x_value = x_metric.mean
-            label = _series_label(summary, figure.series_keys)
+            label = figure.ylabel if figure.key in ("ablation", "generic") else _series_label(row, figure.series_keys)
         else:
-            raw = summary.params.get(figure.x)
-            if not isinstance(raw, (int, float)) or isinstance(raw, bool):
+            raw = row.get(figure.x)
+            if not _is_number(raw):
                 skipped += 1
                 continue
             x_value = float(raw)
-            label = _series_label(summary, figure.series_keys)
-
-        series.setdefault(label, ChartSeries(label=label)).points.append(
-            ChartPoint(x=x_value, y=shown.mean, err=shown.ci95)
-        )
+            label = _series_label(row, figure.series_keys)
+        series.setdefault(label, ChartSeries(label=label)).points.append(ChartPoint(
+            x=x_value, y=y * figure.y_scale,
+            err=row.get(f"{figure.y}_ci95", 0.0) * abs(figure.y_scale),
+        ))
     if not series:
         raise FigureError(
             f"no plottable groups for figure {figure.key!r} "
@@ -427,7 +438,7 @@ def compose_grid(
 
 
 def render_panels(
-    summaries: Sequence[GroupSummary],
+    rows: Sequence[Dict[str, Any]],
     figure: FigureDef,
     title: str,
     columns: int = 2,
@@ -445,7 +456,7 @@ def render_panels(
     for metric, ylabel, scale in figure.panels:
         sub = replace(figure, y=metric, ylabel=ylabel, y_scale=scale, panels=None)
         try:
-            series, categories = build_series(summaries, sub)
+            series, categories = build_series(rows, sub)
         except FigureError as exc:
             error = exc
             continue
@@ -632,15 +643,15 @@ def render_figure(
     campaign = records[0].get("campaign", "")
     if figure is None:
         figure = figure_for_campaign(campaign) or replace(_GENERIC, title=campaign or "campaign")
-    summaries = aggregate_records(records)
+    rows = _timeline_rows(records, figure) if figure.timeline else point_rows(records)
     shown_title = (
         title or f"{figure.title} — {campaign}"
         if campaign and campaign != figure.title
         else (title or figure.title)
     )
     if figure.panels:
-        return render_panels(summaries, figure, title=shown_title)
-    series, categories = build_series(summaries, figure)
+        return render_panels(rows, figure, title=shown_title)
+    series, categories = build_series(rows, figure)
     return render_chart(
         series,
         title=shown_title,

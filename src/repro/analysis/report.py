@@ -1,34 +1,110 @@
-"""Comparison tables over aggregated campaign results.
+"""Rows and tables: a stored record becomes a row once, a table picks columns.
 
-This module owns *rendering*: the canonical fixed-width text table the CLI
-and every paper table print (:func:`format_table`), plus GitHub-flavoured
-markdown and CSV for reports that leave the terminal, and the cross-protocol
-comparison table built from :class:`~repro.analysis.stats.GroupSummary`
-aggregates (mean ± 95% CI per metric).
-
-All three formats share one row model — a list of dicts plus an ordered
-column list — so a table renders identically whichever way it leaves.
+This module owns the *row model* and its *rendering*.  A row is a flat dict:
+:class:`Column` projects one value out of a campaign record (the paper
+tables' columns), :func:`record_row` projects a whole stored record (its
+campaign, its params, its numeric metrics and the :data:`HEADLINE_COLUMNS`),
+and :func:`point_rows` collapses a record set's repetitions into one row per
+logical point through :func:`~repro.analysis.stats.aggregate_rows`, the one
+aggregation.  Every table then renders as fixed-width text
+(:func:`format_table`, the one text-table renderer), GitHub-flavoured
+markdown or CSV, so a table renders identically whichever way it leaves.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Union
 
-from repro.analysis.stats import Aggregate, GroupSummary
+from repro.analysis.stats import REPETITION_TAG, aggregate_rows
 
 FORMATS = ("text", "markdown", "csv")
 
-#: The headline metrics of the paper's comparison tables, with the unit
-#: scaling applied for display (latencies in milliseconds).
-DEFAULT_REPORT_METRICS = (
-    ("throughput_tps", "throughput_tps", 1.0),
-    ("mean_latency", "mean_latency_ms", 1e3),
-    ("p99_latency", "p99_latency_ms", 1e3),
-    ("chain_growth_rate", "cgr", 1.0),
-    ("block_interval", "block_interval", 1.0),
+
+class Column(NamedTuple):
+    """One projected column: where its value comes from in a campaign record
+    (or, for the headline columns, in a run's metrics dict)."""
+
+    header: str
+    #: Dotted path into the record (``"metrics.mean_latency"``), or a
+    #: function of the record for the genuinely derived columns.
+    source: Union[str, Callable[[Dict[str, Any]], Any]]
+    #: Display scaling of a path column (1e3 turns seconds into ms).
+    scale: Optional[float] = None
+    #: Projected for the claims but left out of the printed table.
+    shown: bool = True
+
+    def value(self, record: Dict[str, Any]) -> Any:
+        if callable(self.source):
+            return self.source(record)
+        value: Any = record
+        for part in self.source.split("."):
+            value = value[part]
+        return value if self.scale is None else value * self.scale
+
+
+#: The headline metrics of a run, as paths into its metrics dict, with
+#: latencies in milliseconds: what ``run``, ``deploy``, ``campaign`` and
+#: ``report`` print.
+HEADLINE_COLUMNS = (
+    Column("throughput_tps", "throughput_tps"),
+    Column("mean_latency_ms", "mean_latency", 1e3),
+    Column("p99_latency_ms", "p99_latency", 1e3),
+    Column("cgr", "chain_growth_rate"),
+    Column("block_interval", "block_interval"),
+    Column("committed_tx", "committed_transactions"),
 )
+
+
+def headline_row(metrics: Dict[str, Any]) -> Dict[str, Any]:
+    """The headline columns of one run's metrics dict (those it carries)."""
+    return {c.header: c.value(metrics) for c in HEADLINE_COLUMNS if c.source in metrics}
+
+
+def params_label(params: Dict[str, Any]) -> str:
+    """A compact human label for a point: its params as ``k=v`` pairs."""
+    if not params:
+        return "-"
+    return " ".join(f"{k.lstrip('_')}={v}" for k, v in params.items())
+
+
+def record_row(record: Dict[str, Any]) -> Dict[str, Any]:
+    """A stored campaign record as one flat row.
+
+    The row carries the record's ``campaign``, its params (less the
+    repetition tag) both as columns and as the ``params`` label, every
+    numeric metric, the headline columns, and ``consistent``.  Config field
+    names and metric names do not collide, so neither shadows the other.
+    """
+    params = {k: v for k, v in record.get("params", {}).items() if k != REPETITION_TAG}
+    metrics = record.get("metrics", {})
+    return {
+        "campaign": record.get("campaign", ""),
+        "params": params_label(params),
+        **params,
+        **{name: value for name, value in metrics.items()
+           if isinstance(value, (int, float)) and not isinstance(value, bool)},
+        **headline_row(metrics),
+        "consistent": record.get("consistent", True),
+    }
+
+
+def point_rows(
+    records: Iterable[Dict[str, Any]], metrics: Optional[Sequence[str]] = None
+) -> List[Dict[str, Any]]:
+    """One aggregated row per logical point of ``records``.
+
+    Records are grouped by ``(campaign, params less the repetition tag)`` in
+    first-seen (expansion) order; ``metrics`` restricts which columns are
+    averaged (default: every numeric column that is not a param).
+    """
+    records = list(records)
+    params = dict.fromkeys(
+        k for record in records for k in record.get("params", {}) if k != REPETITION_TAG
+    )
+    return aggregate_rows([record_row(r) for r in records], keys=("campaign", *params),
+                          metrics=metrics)
 
 
 def format_cell(value: Any) -> str:
@@ -38,14 +114,6 @@ def format_cell(value: Any) -> str:
     if isinstance(value, float):
         return f"{value:.2f}"
     return str(value)
-
-
-def format_measure(agg: Aggregate, scale: float = 1.0) -> str:
-    """Render one aggregate as ``mean ±ci`` (just the mean when n == 1)."""
-    shown = agg.scaled(scale)
-    if shown.n == 1:
-        return f"{shown.mean:.2f}"
-    return f"{shown.mean:.2f} ±{shown.ci95:.2f}"
 
 
 def format_table(rows: List[Dict[str, Any]], columns: Iterable[str]) -> str:
@@ -97,69 +165,3 @@ def render(rows: List[Dict[str, Any]], columns: Iterable[str], fmt: str = "text"
     if fmt == "csv":
         return csv_table(rows, columns)
     raise ValueError(f"unknown table format {fmt!r}; expected one of {', '.join(FORMATS)}")
-
-
-def summary_rows(
-    summaries: Sequence[GroupSummary],
-    metrics: Optional[Sequence] = None,
-    raw: bool = False,
-) -> List[Dict[str, Any]]:
-    """One comparison row per group: params label + per-metric measures.
-
-    ``metrics`` entries are either plain metric names or ``(metric, column,
-    scale)`` triples; the default is the paper's headline set with latencies
-    in milliseconds.  With ``raw=True`` the cells are plain mean values (for
-    CSV post-processing) instead of formatted ``mean ±ci`` strings.
-    """
-    chosen = _normalize_metrics(metrics)
-    rows = []
-    for summary in summaries:
-        row: Dict[str, Any] = {
-            "campaign": summary.campaign or "-",
-            "params": summary.label(),
-            "reps": summary.n,
-        }
-        for metric, column, scale in chosen:
-            agg = summary.metrics.get(metric)
-            if agg is None:
-                row[column] = None
-            elif raw:
-                row[column] = agg.mean * scale
-                row[f"{column}_ci95"] = agg.ci95 * scale
-            else:
-                row[column] = format_measure(agg, scale)
-        if not summary.consistent:
-            row["consistent"] = False
-        rows.append(row)
-    return rows
-
-
-def comparison_table(
-    summaries: Sequence[GroupSummary],
-    metrics: Optional[Sequence] = None,
-    fmt: str = "text",
-) -> str:
-    """The cross-protocol comparison table (one row per aggregated group)."""
-    raw = fmt == "csv"
-    rows = summary_rows(summaries, metrics=metrics, raw=raw)
-    columns = ["campaign", "params", "reps"]
-    for _metric, column, _scale in _normalize_metrics(metrics):
-        columns.append(column)
-        if raw:
-            columns.append(f"{column}_ci95")
-    if any("consistent" in row for row in rows):
-        columns.append("consistent")
-    return render(rows, columns, fmt=fmt)
-
-
-def _normalize_metrics(metrics: Optional[Sequence]) -> List:
-    if metrics is None:
-        return [list(triple) for triple in DEFAULT_REPORT_METRICS]
-    chosen = []
-    for entry in metrics:
-        if isinstance(entry, str):
-            chosen.append((entry, entry, 1.0))
-        else:
-            metric, column, scale = entry
-            chosen.append((metric, column, scale))
-    return chosen

@@ -26,9 +26,9 @@ Everything a user script needs lives here::
                     block_size=[100, 400])
     result = api.campaign(spec, workers=4, store="results/")
 
-    # collapse repetitions into mean ± 95% CI and render paper figures,
-    # purely from stored records (no re-execution)
-    groups = api.aggregate("results/")
+    # collapse repetitions into one row per point (each metric's mean and
+    # its 95% CI) and render paper figures, purely from stored records
+    rows = api.aggregate("results/")
     figures = api.plot("results/", out="figures/")   # one RenderedFigure each
 
     # regenerate a table or figure of the paper and check its claims
@@ -80,9 +80,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.analysis import GroupSummary, RenderedFigure, aggregate_records, render_store
+from repro.analysis import RenderedFigure, point_rows, render_store
 from repro.bench.config import Configuration, ConfigurationError
 from repro.bench.runner import Cluster, ExperimentResult, build_cluster, run_experiment
 from repro.experiments import (
@@ -116,7 +116,6 @@ __all__ = [
     "ExperimentResult",
     "ExperimentSpec",
     "FuzzReport",
-    "GroupSummary",
     "RenderedFigure",
     "ResultStore",
     "Scenario",
@@ -329,22 +328,27 @@ def aggregate(
     source: RecordsLike,
     campaign: Optional[str] = None,
     metrics: Optional[Sequence[str]] = None,
-) -> List[GroupSummary]:
-    """Collapse stored repetitions into mean / stddev / 95%-CI aggregates.
+) -> List[Dict[str, Any]]:
+    """Collapse stored repetitions into one row per logical point.
 
     ``source`` may be a :class:`CampaignResult`, a :class:`ResultStore` (or
     the path of an existing one: a missing store is a ``StoreError``), or a
-    plain list of record dicts; nothing is ever re-executed.  Groups are
-    the logical points of the campaign (params sans the ``_repetition``
-    tag), in expansion order. ::
+    plain list of record dicts; nothing is ever re-executed.  The points are
+    the campaign's (params sans the ``_repetition`` tag), in expansion
+    order, and each row is the one the paper tables aggregate
+    (:func:`repro.analysis.report.record_row`): ``campaign``, the params as
+    columns and as the ``params`` label, the mean of every numeric metric and
+    headline column with its ``<column>_ci95`` (95% Student-t half-width),
+    ``consistent`` ANDed over the repetitions, and ``reps``.  ``metrics``
+    restricts which columns are averaged. ::
 
         result = api.campaign(api.grid(base, protocol=["hotstuff", "2chainhs"],
                                        repetitions=5), store="results/")
-        for group in api.aggregate(result):
-            tput = group.metric("throughput_tps")
-            print(group.label(), f"{tput.mean:.0f} ±{tput.ci95:.0f} Tx/s")
+        for row in api.aggregate(result):
+            print(row["params"], f"{row['throughput_tps']:.0f} "
+                  f"±{row['throughput_tps_ci95']:.0f} Tx/s")
     """
-    return aggregate_records(_coerce_records(source, campaign), metrics=metrics)
+    return point_rows(_coerce_records(source, campaign), metrics=metrics)
 
 
 def plot(

@@ -124,18 +124,9 @@ class RunMetrics:
     peak_forest_blocks: int = 0
 
     def to_dict(self) -> Dict[str, float]:
-        """Lossless JSON-compatible dict.
-
-        This is the serialization the campaign :class:`ResultStore` records;
-        :meth:`from_dict` inverts it exactly.
-        """
+        """JSON-compatible dict: the serialization the campaign
+        :class:`ResultStore` records."""
         return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, float]) -> "RunMetrics":
-        """Rebuild metrics serialized with :meth:`to_dict` (unknown keys ok)."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
 
 
 class MetricsCollector:

@@ -32,7 +32,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.bench.config import Configuration, ConfigurationError
 from repro.bench.metrics import DEFAULT_BUCKET, MetricsCollector, RunMetrics, timeline_mean
 from repro.bench.profiles import cost_profile
-from repro.checkpoint.manager import CheckpointStats
 from repro.client.client import ClientBase, ClosedLoopClient, PoissonClient
 from repro.client.workload import WorkloadSpec
 from repro.core.byzantine import STRATEGIES
@@ -46,7 +45,6 @@ from repro.obs import trace as obs_trace
 from repro.scenario import Scenario
 from repro.sim.events import EventScheduler
 from repro.sim.random import RandomStreams
-from repro.sync.manager import SyncStats
 
 
 # ----------------------------------------------------------------------
@@ -143,33 +141,6 @@ class Cluster:
         for part in (self.scheduler, self.network, *self.replicas.values(), *self.clients):
             vars(part).clear()
 
-    def sync_report(self) -> SyncStats:
-        """Aggregate block-fetch counters across every replica."""
-        total = SyncStats()
-        for replica in self.replicas.values():
-            stats = replica.sync.stats
-            for name in vars(total):
-                setattr(total, name, getattr(total, name) + getattr(stats, name))
-        return total
-
-    def checkpoint_report(self) -> CheckpointStats:
-        """Aggregate checkpoint counters across every replica.
-
-        Counters sum; ``peak_forest_blocks`` takes the cluster-wide maximum
-        (it is a bound, not a volume).
-        """
-        total = CheckpointStats()
-        for replica in self.replicas.values():
-            stats = replica.checkpoint.stats
-            for name in vars(total):
-                if name == "peak_forest_blocks":
-                    total.peak_forest_blocks = max(
-                        total.peak_forest_blocks, stats.peak_forest_blocks
-                    )
-                else:
-                    setattr(total, name, getattr(total, name) + getattr(stats, name))
-        return total
-
 
 @dataclass
 class ExperimentResult:
@@ -204,19 +175,6 @@ class ExperimentResult:
         data["highest_view"] = self.highest_view
         data["timeline"] = [[t, tps] for t, tps in self.timeline]
         return data
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ExperimentResult":
-        """Rebuild a result serialized with :meth:`to_dict` (or a stored record)."""
-        scenario = data.get("scenario")
-        return cls(
-            config=Configuration.from_dict(data["config"]),
-            metrics=RunMetrics.from_dict(data["metrics"]),
-            consistent=data["consistent"],
-            highest_view=data["highest_view"],
-            timeline=[(t, tps) for t, tps in data.get("timeline", [])],
-            scenario=Scenario.from_dict(scenario) if scenario is not None else None,
-        )
 
 
 def collector_for(config: Configuration) -> MetricsCollector:

@@ -38,6 +38,9 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from collections import OrderedDict
 
+# Block fetching registers its message handlers before the checkpoint's
+# snapshot handler: MESSAGE_HANDLERS lists kinds in registration order.
+from repro.sync.manager import SyncManager
 from repro.checkpoint.manager import CheckpointManager
 from repro.core.dispatch import MESSAGE_HANDLERS
 from repro.crypto.costs import CryptoCostModel
@@ -55,7 +58,6 @@ from repro.protocols.safety import ProposalPlan
 from repro.quorum.quorum import QuorumTracker, TimeoutTracker
 from repro.sim.events import EventScheduler
 from repro.sim.resources import FifoServer
-from repro.sync.manager import SyncManager
 from repro.types.block import Block, make_block
 from repro.types.certificates import (
     QuorumCertificate,
@@ -235,8 +237,9 @@ class Replica:
         certified while the replica was down from its peers, re-validates
         their certificates, and drains any proposals that were parked on
         missing parents — restoring *full* participation (voting and
-        leading), not just view synchronization.  With sync disabled the old
-        behaviour returns: later proposals park forever on missing parents.
+        leading), not just view synchronization.  Block fetching has no off
+        switch: without it, later proposals would park forever on missing
+        parents.
 
         A peer that truncated its forest below our anchor (see
         :mod:`repro.checkpoint`) answers the same request with a snapshot

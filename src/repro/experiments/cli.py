@@ -7,7 +7,7 @@ Every subcommand is driven by the same JSON files the library consumes::
     python -m repro deploy --nodes 4 --runtime 3   # real asyncio TCP cluster
     python -m repro campaign grid.json -w 4 -s out # a parallel, resumable grid
     python -m repro fuzz --budget 50 --seed 0      # adversarial scenario fuzzing
-    python -m repro report --store out             # aggregate: mean ± 95% CI
+    python -m repro report --store out             # aggregate: means + 95% CIs
     python -m repro plot --store out -o figures    # render paper figures (SVG)
     python -m repro trace trace.jsonl              # validate + summarize a trace
     python -m repro trace trace.jsonl -f perfetto  # convert for ui.perfetto.dev
@@ -37,10 +37,18 @@ import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro import api
-from repro.analysis import FigureDef, FigureError, comparison_table, format_table
+from repro.analysis import (
+    HEADLINE_COLUMNS,
+    FigureDef,
+    FigureError,
+    format_table,
+    headline_row,
+    params_label,
+    render,
+)
 from repro.bench.config import ConfigurationError
 from repro.crypto.keys import ed25519_signer
 from repro.experiments.runner import CampaignResult
@@ -48,23 +56,6 @@ from repro.experiments.spec import RunSpec, SpecError
 from repro.experiments.store import ResultStore, StoreError
 from repro.obs import tracing, write_trace
 from repro.plugins import RegistryError
-
-
-def _metrics_row(metrics: Dict[str, float]) -> Dict[str, Any]:
-    return {
-        "throughput_tps": metrics["throughput_tps"],
-        "mean_latency_ms": metrics["mean_latency"] * 1e3,
-        "p99_latency_ms": metrics["p99_latency"] * 1e3,
-        "cgr": metrics["chain_growth_rate"],
-        "block_interval": metrics["block_interval"],
-        "committed_tx": metrics["committed_transactions"],
-    }
-
-
-def _params_label(params: Dict[str, Any]) -> str:
-    if not params:
-        return "-"
-    return " ".join(f"{k.lstrip('_')}={v}" for k, v in params.items())
 
 
 # ----------------------------------------------------------------------
@@ -111,7 +102,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(result.metrics.to_dict() | {"consistent": result.consistent}, indent=2))
     else:
-        row = _metrics_row(result.metrics.to_dict()) | {"consistent": result.consistent}
+        row = headline_row(result.metrics.to_dict()) | {"consistent": result.consistent}
         print(format_table([row], row.keys()))
     return 0
 
@@ -134,7 +125,7 @@ def _cmd_deploy(args: argparse.Namespace) -> int:
             f"{config.resolved_signing()} signing) for "
             f"{config.total_duration:.1f}s wall time"
         )
-        row = _metrics_row(metrics)
+        row = headline_row(metrics)
         print(format_table([row], row.keys()))
     # Stable one-per-line facts for scripts and the CI deploy-smoke grep.
     print(f"committed transactions: {result.metrics.committed_transactions}")
@@ -172,8 +163,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print(json.dumps(result.records, indent=2))
         return 0
     rows = [
-        {"run": r["index"], "params": _params_label(r["params"]),
-         "consistent": r["consistent"], **_metrics_row(r["metrics"])}
+        {"run": r["index"], "params": params_label(r["params"]),
+         "consistent": r["consistent"], **headline_row(r["metrics"])}
         for r in result.records
     ]
     print(f"campaign {result.spec.name!r}: {_execution_summary(result)}")
@@ -257,15 +248,23 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    metrics = [part.strip() for part in (args.metrics or "").split(",") if part.strip()] or None
-    summaries = api.aggregate(args.store, campaign=args.campaign, metrics=metrics)
-    if not summaries:
+    metrics = ([part.strip() for part in args.metrics.split(",") if part.strip()]
+               if args.metrics else [c.header for c in HEADLINE_COLUMNS])
+    rows = api.aggregate(args.store, campaign=args.campaign, metrics=metrics)
+    if not rows:
         which = f"campaign {args.campaign!r}" if args.campaign else "records"
         raise SystemExit(f"error: no {which} in {args.store}")
+    # The layout of `paper --reps N`: each metric, then its CI, `reps` last.
+    columns = ["campaign", "params"]
+    for name in metrics:
+        columns += [name, f"{name}_ci95"]
+    if not all(row["consistent"] for row in rows):
+        columns.append("consistent")
+    columns.append("reps")
     if args.json:
-        print(json.dumps([s.to_dict() for s in summaries], indent=2))
+        print(json.dumps([{c: row.get(c) for c in columns} for row in rows], indent=2))
         return 0
-    print(comparison_table(summaries, metrics=metrics, fmt=args.format))
+    print(render(rows, columns, fmt=args.format))
     return 0
 
 
@@ -329,7 +328,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
             return 0
         rows = [
             {"run_id": r["run_id"], "campaign": r.get("campaign", "-"),
-             "params": _params_label(r.get("params", {})),
+             "params": params_label(r.get("params", {})),
              "throughput_tps": r["metrics"]["throughput_tps"],
              "consistent": r.get("consistent")}
             for r in records
@@ -462,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     report_p.add_argument("-m", "--metrics",
                           help="comma-separated metric names (default: headline set)")
     report_p.add_argument("--json", action="store_true",
-                          help="print raw JSON group summaries")
+                          help="print the table's rows as JSON")
     report_p.set_defaults(func=_cmd_report)
 
     plot_p = sub.add_parser(
@@ -474,7 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
     plot_p.add_argument("-o", "--out", default="figures",
                         help="output directory for SVG files (default figures/)")
     plot_p.add_argument("--figure", help="force a registered figure key (e.g. fig9)")
-    plot_p.add_argument("--x", help="params key for the x axis (custom figures)")
+    plot_p.add_argument("--x", help="row column for the x axis, a param or a metric "
+                                    "(custom figures)")
     plot_p.add_argument("--y", help="metric name for the y axis (custom figures)")
     plot_p.set_defaults(func=_cmd_plot)
 

@@ -35,11 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro import api
 from repro.analysis.figures import ATTACK_PANELS, FigureDef
-from repro.analysis.report import format_table
+from repro.analysis.report import Column, format_table
 from repro.analysis.stats import aggregate_rows
 from repro.bench.config import Configuration
 from repro.bench.metrics import timeline_mean
@@ -77,27 +77,6 @@ class Rows(list):
         """``column`` along the rows carrying ``labels``, ordered by ``by``:
         ``[0]`` is the low-load (or smallest-cluster) end, ``[-1]`` the other."""
         return [r[column] for r in sorted(self.where(**labels), key=lambda r: r[by])]
-
-
-class Column(NamedTuple):
-    """One projected column: where its value comes from in a campaign record."""
-
-    header: str
-    #: Dotted path into the record (``"metrics.mean_latency"``), or a
-    #: function of the record for the genuinely derived columns.
-    source: Union[str, Callable[[Dict[str, Any]], Any]]
-    #: Display scaling of a path column (1e3 turns seconds into ms).
-    scale: Optional[float] = None
-    #: Projected for the claims but left out of the printed table.
-    shown: bool = True
-
-    def value(self, record: Dict[str, Any]) -> Any:
-        if callable(self.source):
-            return self.source(record)
-        value: Any = record
-        for part in self.source.split("."):
-            value = value[part]
-        return value if self.scale is None else value * self.scale
 
 
 Claim = Tuple[str, Callable[[Rows], bool]]
@@ -355,7 +334,7 @@ FIG8_IMPL = Entry(
 def _load_curve_figure(key: str, title: str) -> FigureDef:
     return FigureDef(
         key=key, title=title, xlabel="throughput (Tx/s)", ylabel="mean latency (ms)",
-        x="metric:throughput_tps", y="mean_latency", y_scale=1e3,
+        x="throughput_tps", y="mean_latency", y_scale=1e3,
     )
 
 

@@ -65,10 +65,6 @@ class Violation:
     def to_dict(self) -> Dict[str, str]:
         return {"oracle": self.oracle, "detail": self.detail}
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, str]) -> "Violation":
-        return cls(oracle=data["oracle"], detail=data["detail"])
-
 
 @dataclass
 class OracleContext:

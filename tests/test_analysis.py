@@ -13,21 +13,23 @@ import pytest
 
 from repro import api
 from repro.analysis import (
-    Aggregate,
+    Column,
     FigureError,
-    aggregate_records,
     aggregate_rows,
-    comparison_table,
     csv_table,
     figure_for_campaign,
-    format_measure,
     format_table,
     markdown_table,
+    params_label,
+    point_rows,
+    record_row,
+    render,
     render_figure,
     render_store,
     t_critical,
 )
-from repro.analysis.stats import GroupSummary
+from repro.analysis.figures import _timeline_rows
+from repro.experiments.paper import FIG15
 from repro.bench.config import Configuration
 from repro.experiments import ExperimentSpec, ResultStore, StoreError
 from repro.experiments.cli import main as cli_main
@@ -74,35 +76,22 @@ def reps(campaign, base_params, samples, **extra_metrics):
 # stats
 # ----------------------------------------------------------------------
 class TestAggregate:
+    @staticmethod
+    def collapse(samples):
+        (row,) = aggregate_rows([{"k": 0, "m": v} for v in samples], keys=["k"])
+        return row["m"], row["m_ci95"]
+
     def test_single_sample_has_degenerate_interval(self):
-        agg = Aggregate.from_samples([42.0])
-        assert (agg.n, agg.mean, agg.stddev, agg.ci95) == (1, 42.0, 0.0, 0.0)
+        assert self.collapse([42.0]) == (42.0, 0.0)
 
     def test_known_values(self):
         # mean 2, sample stddev 1, ci95 = t(2) * 1/sqrt(3)
-        agg = Aggregate.from_samples([1.0, 2.0, 3.0])
-        assert agg.mean == 2.0
-        assert agg.stddev == pytest.approx(1.0)
-        assert agg.ci95 == pytest.approx(4.303 / math.sqrt(3))
-        assert (agg.minimum, agg.maximum) == (1.0, 3.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            Aggregate.from_samples([])
-
-    def test_scaling_is_linear(self):
-        agg = Aggregate.from_samples([0.001, 0.002, 0.003]).scaled(1e3)
-        assert agg.mean == pytest.approx(2.0)
-        assert agg.ci95 == pytest.approx(4.303 / math.sqrt(3))
+        mean, ci95 = self.collapse([1.0, 2.0, 3.0])
+        assert mean == 2.0
+        assert ci95 == pytest.approx(4.303 / math.sqrt(3))
 
     def test_identical_samples_have_zero_spread(self):
-        agg = Aggregate.from_samples([7.5, 7.5, 7.5])
-        assert agg.stddev == agg.ci95 == 0.0
-        assert agg.minimum == agg.maximum == agg.mean == 7.5
-
-    def test_round_trip(self):
-        agg = Aggregate.from_samples([1.0, 5.0, 9.0])
-        assert Aggregate.from_dict(json.loads(json.dumps(agg.to_dict()))) == agg
+        assert self.collapse([7.5, 7.5, 7.5]) == (7.5, 0.0)
 
     def test_t_critical_table_and_limits(self):
         assert t_critical(1) == 12.706
@@ -117,58 +106,65 @@ class TestAggregate:
 class TestAggregateRecords:
     def test_repetitions_collapse_to_one_group(self):
         records = reps("camp", {"protocol": "hotstuff"}, [100.0, 110.0, 120.0])
-        (group,) = aggregate_records(records)
-        assert group.n == 3
-        assert group.params == {"protocol": "hotstuff"}
-        assert group.metric("throughput_tps").mean == pytest.approx(110.0)
-        assert group.metric("throughput_tps").ci95 > 0
+        (row,) = point_rows(records)
+        assert row["reps"] == 3
+        assert (row["campaign"], row["params"], row["protocol"]) == (
+            "camp", "protocol=hotstuff", "hotstuff")
+        assert "_repetition" not in row
+        assert row["throughput_tps"] == pytest.approx(110.0)
+        assert row["throughput_tps_ci95"] > 0
 
     def test_groups_keep_expansion_order_and_split_on_params(self):
         records = reps("camp", {"protocol": "hotstuff"}, [1.0, 2.0]) + reps(
             "camp", {"protocol": "2chainhs"}, [3.0, 4.0]
         )
-        groups = aggregate_records(records)
-        assert [g.params["protocol"] for g in groups] == ["hotstuff", "2chainhs"]
+        assert [row["protocol"] for row in point_rows(records)] == ["hotstuff", "2chainhs"]
+
+    def test_points_split_on_campaign(self):
+        records = reps("a", {"p": 1}, [1.0]) + reps("b", {"p": 1}, [2.0])
+        assert [row["campaign"] for row in point_rows(records)] == ["a", "b"]
 
     def test_non_numeric_and_bool_metrics_are_skipped(self):
-        records = [record(params={}, metrics={"throughput_tps": 1.0, "flag": True,
-                                              "name": "x"})]
-        (group,) = aggregate_records(records)
-        assert set(group.metrics) == {"throughput_tps"}
+        row = record_row(record(params={}, metrics={"throughput_tps": 1.0, "flag": True,
+                                                    "name": "x"}))
+        assert "flag" not in row and "name" not in row
+        assert row["throughput_tps"] == 1.0
 
-    def test_pooled_latency_is_sample_weighted(self):
-        a = record(params={"_repetition": 0},
-                   metrics={"mean_latency": 1.0, "latency_samples": 1})
-        b = record(params={"_repetition": 1},
-                   metrics={"mean_latency": 2.0, "latency_samples": 3})
-        (group,) = aggregate_records([a, b])
-        # Unweighted mean is 1.5; pooled weighs the 3-sample run more.
-        assert group.metric("mean_latency").mean == pytest.approx(1.5)
-        assert group.pooled["mean_latency"] == pytest.approx(1.75)
+    def test_integer_metrics_are_averaged(self):
+        records = reps("camp", {}, [1.0, 2.0], committed_transactions=3)
+        records[1]["metrics"]["committed_transactions"] = 4
+        (row,) = point_rows(records)
+        assert row["committed_transactions"] == 3.5
+        assert row["committed_tx"] == 3.5
+
+    def test_headline_columns_show_latency_in_milliseconds(self):
+        (row,) = point_rows(reps("camp", {}, [1.0, 2.0], mean_latency=0.005))
+        assert row["mean_latency_ms"] == pytest.approx(5.0)
+        assert row["mean_latency_ms_ci95"] == 0.0
 
     def test_timeline_pointwise_aggregation(self):
-        a = record(params={"_repetition": 0}, metrics={"throughput_tps": 1.0},
-                   timeline=[[0.0, 10.0], [0.5, 20.0]])
-        b = record(params={"_repetition": 1}, metrics={"throughput_tps": 1.0},
+        a = record("fig15", params={"_series": "HS", "_repetition": 0},
+                   metrics={"throughput_tps": 1.0}, timeline=[[0.0, 10.0], [0.5, 20.0]])
+        b = record("fig15", params={"_series": "HS", "_repetition": 1},
+                   metrics={"throughput_tps": 1.0},
                    timeline=[[0.0, 14.0], [0.5, 22.0], [1.0, 5.0]])
-        (group,) = aggregate_records([a, b])
-        # Cut to the shortest common length, mean per bucket, CI > 0.
-        assert len(group.timeline) == 2
-        t0, mean0, ci0 = group.timeline[0]
-        assert (t0, mean0) == (0.0, 12.0)
-        assert ci0 > 0
+        rows = _timeline_rows([a, b], FIG15.figure)
+        # Cut to the shortest timeline, mean per bucket, CI > 0.
+        assert [(r["time"], r["throughput_tps"], r["reps"]) for r in rows] == [
+            (0.0, 12.0, 2), (0.5, 21.0, 2)]
+        assert rows[0]["throughput_tps_ci95"] > 0
+        # A series with a repetition that kept no timeline draws nothing.
+        assert _timeline_rows([a, record("fig15", {"_series": "HS"})], FIG15.figure) == []
 
     def test_consistency_is_anded_across_repetitions(self):
         records = reps("camp", {}, [1.0, 2.0])
         records[1]["consistent"] = False
-        (group,) = aggregate_records(records)
-        assert group.consistent is False
+        (row,) = point_rows(records)
+        assert row["consistent"] is False
 
-    def test_summary_round_trip(self):
-        (group,) = aggregate_records(reps("camp", {"p": 1}, [1.0, 2.0, 3.0]))
-        clone = GroupSummary.from_dict(json.loads(json.dumps(group.to_dict())))
-        assert clone.params == group.params
-        assert clone.metrics["throughput_tps"] == group.metrics["throughput_tps"]
+    def test_a_point_row_is_json_safe(self):
+        (row,) = point_rows(reps("camp", {"p": 1}, [1.0, 2.0, 3.0]))
+        assert json.loads(json.dumps(row)) == row
 
 
 class TestAggregateRows:
@@ -204,6 +200,18 @@ class TestAggregateRows:
         assert out[0]["m"] == 1.0
         assert out[0]["reps"] == 2
 
+    def test_no_rows_make_no_groups(self):
+        assert aggregate_rows([], keys=["k"]) == []
+        assert point_rows([]) == []
+
+    def test_explicit_metrics_restrict_the_averaged_columns(self):
+        rows = [{"k": 1, "a": 1.0, "b": 10.0}, {"k": 1, "a": 3.0, "b": 30.0}]
+        (out,) = aggregate_rows(rows, keys=["k"], metrics=["a", "absent"])
+        assert out["a"] == 2.0 and out["a_ci95"] > 0
+        # An unlisted column is carried from the first row, not averaged.
+        assert out["b"] == 10.0 and "b_ci95" not in out
+        assert "absent" not in out and "absent_ci95" not in out
+
 
 # ----------------------------------------------------------------------
 # report
@@ -225,19 +233,26 @@ class TestReport:
         table = csv_table(self.ROWS, ["a", "b"])
         assert table.splitlines()[1] == "1,2.5"
 
-    def test_comparison_table_formats_mean_plus_ci(self):
-        groups = aggregate_records(
-            reps("camp", {"protocol": "hs"}, [100.0, 110.0, 120.0],
-                 mean_latency=0.005)
-        )
-        table = comparison_table(groups)
-        assert "±" in table
-        assert "protocol=hs" in table
-        # Latency shown in milliseconds.
-        assert "5.00" in table
+    def test_render_dispatches_on_format_and_rejects_unknown_ones(self):
+        assert render(self.ROWS, ["a", "b"]) == format_table(self.ROWS, ["a", "b"])
+        assert render(self.ROWS, ["a", "b"], "markdown") == markdown_table(self.ROWS, ["a", "b"])
+        assert render(self.ROWS, ["a", "b"], "csv") == csv_table(self.ROWS, ["a", "b"])
+        with pytest.raises(ValueError, match="unknown table format 'html'"):
+            render(self.ROWS, ["a", "b"], "html")
 
-    def test_format_measure_single_sample_has_no_interval(self):
-        assert format_measure(Aggregate.from_samples([3.0])) == "3.00"
+    def test_column_follows_a_path_scales_it_or_derives_it(self):
+        rec = {"metrics": {"mean_latency": 0.004, "committed": 6, "elapsed": 2.0}}
+        assert Column("lat_ms", "metrics.mean_latency", 1e3).value(rec) == pytest.approx(4.0)
+        assert Column("tx", "metrics.committed").value(rec) == 6
+        rate = Column("rate", lambda r: r["metrics"]["committed"] / r["metrics"]["elapsed"])
+        assert rate.value(rec) == 3.0
+        with pytest.raises(KeyError):
+            Column("missing", "metrics.nope").value(rec)
+
+    def test_params_label_names_a_point(self):
+        assert params_label({}) == "-"
+        assert params_label({"protocol": "hotstuff", "_series": "HS"}) == (
+            "protocol=hotstuff series=HS")
 
 
 # ----------------------------------------------------------------------
@@ -431,21 +446,18 @@ class TestRepetitionStatistics:
         result = api.campaign(spec)
         seeds = [r["config"]["seed"] for r in result.records]
         assert len(set(seeds)) == 3
-        (group,) = api.aggregate(result)
-        agg = group.metric("throughput_tps")
-        assert group.n == 3
+        (row,) = api.aggregate(result)
+        assert row["reps"] == 3
         # Independent seeds: the samples differ, so there is real spread.
-        assert agg.stddev > 0
-        assert agg.ci95 > 0
-        assert agg.minimum < agg.maximum
+        assert row["throughput_tps_ci95"] > 0
 
 
 class TestFacade:
     def test_aggregate_accepts_store_path_and_campaign_filter(self, stored_campaign):
         root, _spec = stored_campaign
-        groups = api.aggregate(str(root), campaign="fig12_ci_smoke")
-        assert len(groups) == 2
-        assert all(g.n == 3 for g in groups)
+        rows = api.aggregate(str(root), campaign="fig12_ci_smoke")
+        assert [row["protocol"] for row in rows] == ["hotstuff", "2chainhs"]
+        assert all(row["reps"] == 3 for row in rows)
         assert api.aggregate(str(root), campaign="other") == []
 
     def test_plot_is_pure_record_replay(self, stored_campaign, tmp_path,
@@ -467,20 +479,37 @@ class TestFacade:
 
     def test_aggregate_is_pure_record_replay(self, stored_campaign, no_simulations):
         root, _spec = stored_campaign
-        groups = api.aggregate(str(root))
-        assert all(g.metric("throughput_tps").ci95 > 0 for g in groups)
+        rows = api.aggregate(str(root))
+        assert all(row["throughput_tps_ci95"] > 0 for row in rows)
 
 
 class TestCli:
     def test_report_text_markdown_csv(self, stored_campaign, capsys):
         root, _spec = stored_campaign
         assert cli_main(["report", "-s", str(root)]) == 0
-        text = capsys.readouterr().out
-        assert "±" in text and "protocol=hotstuff" in text
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert header.split() == [
+            "campaign", "params",
+            "throughput_tps", "throughput_tps_ci95", "mean_latency_ms", "mean_latency_ms_ci95",
+            "p99_latency_ms", "p99_latency_ms_ci95", "cgr", "cgr_ci95",
+            "block_interval", "block_interval_ci95", "committed_tx", "committed_tx_ci95", "reps",
+        ]
+        assert len(lines) == 2 and "protocol=hotstuff" in lines[0]
+        assert all(line.split()[-1] == "3" for line in lines)
         assert cli_main(["report", "-s", str(root), "-f", "markdown"]) == 0
         assert "| ---" in capsys.readouterr().out
         assert cli_main(["report", "-s", str(root), "-f", "csv"]) == 0
         assert "throughput_tps_ci95" in capsys.readouterr().out
+
+    def test_report_metrics_and_json(self, stored_campaign, capsys):
+        root, _spec = stored_campaign
+        assert cli_main(["report", "-s", str(root), "-m", "throughput_tps",
+                         "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [sorted(row) for row in rows] == [
+            ["campaign", "params", "reps", "throughput_tps", "throughput_tps_ci95"]] * 2
+        assert rows == [
+            {c: row[c] for c in rows[0]} for row in api.aggregate(str(root))]
 
     def test_plot_writes_svg_and_reports_zero_executions(
         self, stored_campaign, tmp_path, no_simulations, capsys

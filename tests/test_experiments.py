@@ -13,8 +13,8 @@ import pytest
 
 from repro import api
 from repro.bench.config import Configuration
-from repro.bench.metrics import RunMetrics, timeline_mean
-from repro.bench.runner import ExperimentResult, run_experiment
+from repro.bench.metrics import timeline_mean
+from repro.bench.runner import run_experiment
 from repro.experiments import (
     CampaignRunner,
     ExperimentSpec,
@@ -523,22 +523,3 @@ class TestSerializationRoundTrips:
         clone = Configuration.from_dict(json.loads(json.dumps(config.to_dict())))
         assert clone == config
         assert run_experiment(clone).metrics == run_experiment(config).metrics
-
-    def test_run_metrics_round_trip(self):
-        metrics = run_experiment(BASE).metrics
-        clone = RunMetrics.from_dict(json.loads(json.dumps(metrics.to_dict())))
-        assert clone == metrics
-
-    def test_run_metrics_from_dict_ignores_unknown_keys(self):
-        metrics = run_experiment(BASE).metrics
-        data = metrics.to_dict() | {"bogus": 1}
-        assert RunMetrics.from_dict(data) == metrics
-
-    def test_experiment_result_round_trip(self):
-        result = run_experiment(BASE)
-        clone = ExperimentResult.from_dict(json.loads(json.dumps(result.to_dict())))
-        assert clone.config == result.config
-        assert clone.metrics == result.metrics
-        assert clone.consistent == result.consistent
-        assert clone.highest_view == result.highest_view
-        assert clone.timeline == result.timeline

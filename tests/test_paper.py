@@ -187,6 +187,29 @@ class TestResultFiles:
         assert "8 runs (8 executed, 0 already stored)" in out
         assert "ok: " in out and "FAILED" not in out
 
+    def test_report_prints_the_ci95_tables_means_and_intervals(self, tmp_path, capsys):
+        """``report`` over the records ``paper --reps N`` stored prints, for
+        every point, the throughput and CI of the entry's ``_ci95`` table:
+        both go through the one aggregation."""
+        store, out = str(tmp_path / "store"), tmp_path / "out"
+        assert main(["paper", "table2", "--reps", "2", "-s", store, "-o", str(out)]) == 0
+        _title, _rule, *table = (out / "table2_arrival_vs_throughput_ci95.txt") \
+            .read_text().splitlines()
+        capsys.readouterr()
+        assert main(["report", "-s", store]) == 0
+        report = capsys.readouterr().out.splitlines()
+
+        def rows(lines):
+            header, *cells = [line.split() for line in lines]
+            return [dict(zip(header, row)) for row in cells]
+
+        points = list(zip(rows(table), rows(report), strict=True))
+        assert len(points) == 4
+        for printed, reported in points:
+            assert reported["params"] == f"arrival_rate={float(printed['arrival_rate_tps'])}"
+            assert (reported["throughput_tps"], reported["throughput_tps_ci95"], reported["reps"]) \
+                == (printed["throughput_tps"], printed["throughput_tps_ci95"], "2")
+
     def test_a_store_makes_the_second_run_free(self, tmp_path, capsys):
         args = ["paper", "table2", "-s", str(tmp_path / "store"), "-o", str(tmp_path / "out")]
         assert main(args) == 0

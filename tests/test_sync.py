@@ -71,12 +71,12 @@ class TestRecoveryCatchUp:
         assert summary.sync_rounds > 0
         assert summary.sync_blocks_fetched >= missed - 2
         assert summary.sync_bytes_fetched > 0
-        # The cluster-wide aggregate shows both sides of the exchange: the
-        # victim fetched, its peers served.
-        report = cluster.sync_report()
-        assert report.blocks_fetched >= victim.sync.stats.blocks_fetched
-        assert report.responses_sent >= victim.sync.stats.responses_received
-        assert report.blocks_served >= victim.sync.stats.blocks_fetched
+        # Summed over the cluster, the counters show both sides of the
+        # exchange: the victim fetched, its peers served.
+        stats = [replica.sync.stats for replica in cluster.replicas.values()]
+        assert sum(s.blocks_fetched for s in stats) >= victim.sync.stats.blocks_fetched
+        assert sum(s.responses_sent for s in stats) >= victim.sync.stats.responses_received
+        assert sum(s.blocks_served for s in stats) >= victim.sync.stats.blocks_fetched
         assert cluster.consistency_check()
 
     def test_scenario_event_recovery_restores_participation(self):

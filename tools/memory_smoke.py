@@ -184,21 +184,20 @@ def main() -> int:
                 f"checkpointed {ck_value!r}"
             )
 
-    report = checked.checkpoint_report()
     base_forest = len(baseline.replicas["r0"].forest)
     committed = baseline.replicas["r0"].forest.committed_height
     print(f"  committed blocks: {committed}")
     print(f"  baseline forest blocks (r0): {base_forest}")
     print(
-        f"  checkpointed peak forest blocks: {report.peak_forest_blocks} "
-        f"(bound {FOREST_BOUND}); {report.checkpoints_taken} checkpoints, "
-        f"{report.blocks_truncated} blocks truncated"
+        f"  checkpointed peak forest blocks: {ck_metrics.peak_forest_blocks} "
+        f"(bound {FOREST_BOUND}); {ck_metrics.checkpoints_taken} checkpoints, "
+        f"{ck_metrics.blocks_truncated} blocks truncated"
     )
-    if report.checkpoints_taken == 0:
+    if ck_metrics.checkpoints_taken == 0:
         failures.append("no checkpoints were taken")
-    if report.peak_forest_blocks > FOREST_BOUND:
+    if ck_metrics.peak_forest_blocks > FOREST_BOUND:
         failures.append(
-            f"peak forest {report.peak_forest_blocks} exceeds bound {FOREST_BOUND}"
+            f"peak forest {ck_metrics.peak_forest_blocks} exceeds bound {FOREST_BOUND}"
         )
     if base_forest <= FOREST_BOUND:
         failures.append(
