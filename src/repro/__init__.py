@@ -17,7 +17,7 @@ The public surface is the :mod:`repro.api` facade::
 
 The parts of an experiment are extension points backed by registries
 (:mod:`repro.plugins`): protocols, Byzantine strategies, leader elections,
-network delay models, scenario events, message handlers and oracles.
+network delay models, scenario events and oracles.
 Register your own with the ``api.register_*`` decorators and select them by
 name from the configuration; fault schedules are declarative :class:`~repro.scenario.Scenario`
 objects that serialize to JSON.  See ``README.md`` for a worked example and

@@ -66,14 +66,12 @@ re-exported per registry:
 ``elections``          ``register_election``        ``LeaderElection``
 ``delay_models``       ``register_delay_model``     ``DelayModel``
 ``scenario_events``    ``register_scenario_event``  ``ScenarioEvent``
-``message_handlers``   ``register_message_handler`` handler callable
 ``oracles``            ``register_oracle``          invariant callable
 =====================  ===========================  =======================
 
-``docs/EXTENDING.md`` walks through every row with runnable examples —
-including the message-handler registry that the block-fetch subsystem
-(:mod:`repro.sync`) uses to plug its ``BlockRequest`` / ``BlockResponse``
-handlers into the replica.
+``docs/EXTENDING.md`` walks through every row with runnable examples.  A
+new message kind needs no registry: it is its class and one row of the
+replica's dispatch table (:attr:`repro.core.replica.Replica.DISPATCH`).
 """
 
 from __future__ import annotations
@@ -92,7 +90,6 @@ from repro.experiments import (
     ResultStore,
 )
 from repro.core.byzantine import STRATEGIES, register_strategy
-from repro.core.dispatch import MESSAGE_HANDLERS, register_message_handler
 from repro.election.election import ELECTIONS, register_election
 from repro.network.delays import DELAY_MODELS, register_delay_model
 from repro.fuzz import (
@@ -135,7 +132,6 @@ __all__ = [
     "read_json",
     "register_delay_model",
     "register_election",
-    "register_message_handler",
     "register_oracle",
     "register_protocol",
     "register_scenario_event",
@@ -454,7 +450,7 @@ def available(kind: Optional[str] = None) -> Union[Dict[str, List[str]], List[st
 
     With no argument, returns a dict mapping each extension point to its
     registered names; with one ("protocols", "strategies", "elections",
-    "delay_models", "scenario_events", "message_handlers", "oracles"),
+    "delay_models", "scenario_events", "oracles"),
     returns that list.
     """
     listings = {
@@ -463,7 +459,6 @@ def available(kind: Optional[str] = None) -> Union[Dict[str, List[str]], List[st
         "elections": ELECTIONS.available(),
         "delay_models": DELAY_MODELS.available(),
         "scenario_events": SCENARIO_EVENTS.available(),
-        "message_handlers": MESSAGE_HANDLERS.available(),
         "oracles": ORACLES.available(),
     }
     if kind is None:

@@ -24,7 +24,8 @@ Profiles
     slightly cheaper request path, modelling the paper's explanation of the
     small gap (TCP ingest instead of HTTP, different batching, C++ vs Go).
 ``measured``
-    All-zero modeled costs, the two flat dispatch charges included.  Used by
+    All-zero modeled costs, the two flat dispatch charges included (a
+    client request's and a replica's own copy's).  Used by
     the deployment runtime (:mod:`repro.transport`), where signing,
     verification, serialization and dispatch are *real* work on the wall clock
     — charging modeled CPU costs on top would double-count them.  (Its

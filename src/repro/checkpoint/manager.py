@@ -32,9 +32,9 @@ manager) and owns the whole checkpoint lifecycle:
 
 Recovery itself is the sync manager's alone (:meth:`SyncManager.on_recover
 <repro.sync.manager.SyncManager.on_recover>`): there is one request kind,
-and a snapshot is one of the two answers it can get.  The
-``SnapshotResponse`` handler registers with the replica's dispatch registry
-(:mod:`repro.core.dispatch`) like the block-fetch handlers do.
+and a snapshot is one of the two answers it can get.  The replica's dispatch
+table hands a ``SnapshotResponse`` to :meth:`handle_response`, as it hands
+the block-fetch kinds to the sync manager.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from repro.checkpoint.messages import SnapshotResponse
 from repro.checkpoint.snapshot import Checkpoint
 from repro.forest.forest import ForestError
 from repro.obs import trace as obs_trace
-from repro.types.messages import Message
 from repro.types.sizes import snapshot_response_size
 
 
@@ -234,24 +233,3 @@ class CheckpointManager:
         for child in replica.forest.pop_orphans(checkpoint.block.block_id):
             if child.block_id not in replica.forest:
                 replica._accept_block(child)
-
-
-# ----------------------------------------------------------------------
-# dispatch wiring: the snapshot response's handler and CPU cost
-# ----------------------------------------------------------------------
-# Imported here rather than at the top: repro.core's package init imports the
-# replica, which imports this module for its manager — registering handlers
-# after the classes are defined keeps that cycle harmless whichever side is
-# imported first.
-from repro.core.dispatch import register_message_handler  # noqa: E402
-
-
-def _response_cost(replica, message: Message) -> float:
-    checkpoint = message.checkpoint
-    items = len(checkpoint.state.items) + len(checkpoint.committed_ids)
-    return replica.cost_model.snapshot_install_cost(items)
-
-
-@register_message_handler("SnapshotResponse", cost=_response_cost)
-def _handle_snapshot_response(replica, message: Message) -> None:
-    replica.checkpoint.handle_response(message)

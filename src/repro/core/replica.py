@@ -14,10 +14,10 @@ modelled as a FIFO server.  It reacts to messages delivered by the network:
 * block requests and responses feed the sync manager (:mod:`repro.sync`),
   which fetches chains the replica missed while crashed or partitioned.
 
-Message dispatch goes through the handler registry in
-:mod:`repro.core.dispatch`: each registered message kind carries a CPU-cost
-function and a handler, so new subsystems (sync being the built-in example)
-plug in without editing this event loop.
+Message dispatch is one table, :attr:`Replica.DISPATCH`: each message class
+a replica handles maps to the CPU cost of a peer's copy and the handler that
+serves it, the sync and checkpoint managers' kinds included, so a new kind
+is its class and one row.
 
 A replica reads its protocol, peers, block size, mempool capacity, timeouts,
 quorum threshold and checkpoint interval off the run's
@@ -34,15 +34,13 @@ Bamboo implements them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from collections import OrderedDict
+from operator import attrgetter
 
-# Block fetching registers its message handlers before the checkpoint's
-# snapshot handler: MESSAGE_HANDLERS lists kinds in registration order.
-from repro.sync.manager import SyncManager
 from repro.checkpoint.manager import CheckpointManager
-from repro.core.dispatch import MESSAGE_HANDLERS
+from repro.checkpoint.messages import SnapshotResponse
 from repro.crypto.costs import CryptoCostModel
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import sign
@@ -58,6 +56,8 @@ from repro.protocols.safety import ProposalPlan
 from repro.quorum.quorum import QuorumTracker, TimeoutTracker
 from repro.sim.events import EventScheduler
 from repro.sim.resources import FifoServer
+from repro.sync.manager import SyncManager
+from repro.sync.messages import BlockRequest, BlockResponse
 from repro.types.block import Block, make_block
 from repro.types.certificates import (
     QuorumCertificate,
@@ -81,16 +81,11 @@ if TYPE_CHECKING:  # repro.bench imports this module, not the other way round
     from repro.bench.config import Configuration
 
 #: Bound on reply-routing entries (txid -> client) held per replica.  An
-#: entry lives from request arrival to commit reply — the in-flight window —
+#: entry lives from admission to commit reply — the in-flight window —
 #: so the bound only needs to exceed mempool capacity plus the uncommitted
 #: tail; evicting beyond it merely skips a reply, and the client's timeout
 #: path re-submits (exactly as it does for a reply lost to a crash).
 ORIGIN_INDEX_CAPACITY = 8192
-
-#: Message class name -> its registered handler: the registry's own dict,
-#: read once per delivery, so a handler registered mid-run serves the next
-#: message.
-_HANDLERS_BY_KIND = MESSAGE_HANDLERS.entries
 
 
 class OriginIndex:
@@ -100,7 +95,7 @@ class OriginIndex:
     work: without a bound, one entry per distinct client request accumulates
     for the whole run.  FIFO eviction is the right policy because entries are
     only useful while their transaction is in flight; a committed
-    transaction's entry is popped eagerly in ``Replica._reply``.
+    transaction's entry is popped eagerly in ``Replica._reply_committed``.
     """
 
     def __init__(self, capacity: int = ORIGIN_INDEX_CAPACITY) -> None:
@@ -112,7 +107,7 @@ class OriginIndex:
     def __setitem__(self, txid: str, client: str) -> None:
         entries = self._entries
         if txid in entries:
-            # A retry refreshes both the routing target and the entry's age.
+            # A re-admission refreshes both the routing target and the age.
             entries.pop(txid)
         entries[txid] = client
         while len(entries) > self.capacity:
@@ -149,6 +144,46 @@ class Replica:
     strategy = "honest"
     #: Per-strategy counters, initialized at construction and on conversion.
     _strategy_defaults: Dict[str, int] = {}
+    #: Message class -> (CPU cost of a peer's copy, the handler serving it).
+    #: :meth:`deliver` charges the replica's own copy ``loopback_time``
+    #: instead, reads every charge off ``cost_model`` (the ``measured``
+    #: profile charges nothing), and ignores a class with no row, such as a
+    #: ``ClientReply``.  A handler is resolved on the live instance, so a
+    #: subclass's override or a strategy converted mid-run serves the kind.
+    DISPATCH: Dict[type, Tuple[Callable[[CryptoCostModel, Message], float], attrgetter]] = {
+        ClientRequest: (
+            lambda costs, message: costs.client_request_time,
+            attrgetter("_process_client_request"),
+        ),
+        ProposalMessage: (
+            lambda costs, message: costs.proposal_verify_cost(message.block.num_transactions),
+            attrgetter("_process_proposal"),
+        ),
+        VoteMessage: (
+            lambda costs, message: costs.vote_verify_cost(),
+            attrgetter("_process_vote"),
+        ),
+        TimeoutMessage: (
+            lambda costs, message: costs.timeout_verify_cost(),
+            attrgetter("_process_timeout"),
+        ),
+        BlockRequest: (
+            lambda costs, message: costs.sync_request_cost(),
+            attrgetter("sync.handle_request"),
+        ),
+        BlockResponse: (
+            lambda costs, message: costs.sync_response_verify_cost(
+                len(message.blocks), sum(b.num_transactions for b in message.blocks)
+            ),
+            attrgetter("sync.handle_response"),
+        ),
+        SnapshotResponse: (
+            lambda costs, message: costs.snapshot_install_cost(
+                len(message.checkpoint.state.items) + len(message.checkpoint.committed_ids)
+            ),
+            attrgetter("checkpoint.handle_response"),
+        ),
+    }
 
     def __init__(
         self,
@@ -266,17 +301,20 @@ class Replica:
     # message entry point
     # ------------------------------------------------------------------
     def deliver(self, message: Message) -> None:
-        """Network delivery callback: dispatch via the handler registry.
+        """Network delivery callback: charge the kind's CPU cost, then handle.
 
-        The registry (:mod:`repro.core.dispatch`) charges each message kind's
-        CPU cost and invokes its handler; kinds with no registered handler
-        (e.g. client replies) are not addressed to replicas and are ignored.
+        One :attr:`DISPATCH` lookup on the message's class; a kind with no
+        row (a client reply) is not addressed to replicas and is ignored.
         """
         if self._crashed:
             return
-        entry = _HANDLERS_BY_KIND.get(message.__class__.__name__)
-        if entry is not None:
-            self.cpu.submit(entry.cost(self, message), entry.handle, self, message)
+        row = self.DISPATCH.get(message.__class__)
+        if row is None:
+            return
+        cost, handler = row
+        costs = self.cost_model
+        charge = costs.loopback_time if message.sender == self.node_id else cost(costs, message)
+        self.cpu.submit(charge, handler(self), message)
 
     # ------------------------------------------------------------------
     # outbound seam
@@ -296,63 +334,65 @@ class Replica:
     # ------------------------------------------------------------------
     def _process_client_request(self, message: ClientRequest) -> None:
         transaction = message.transaction
-        self._origin_clients[transaction.txid] = message.sender
-        if transaction.operation not in OPERATIONS:
-            # Nothing the executor runs: refuse it here, or it is ordered and
-            # every replica meets it at commit.
-            self.stats.client_rejections += 1
-            self._reply((transaction,), "rejected")
-            return
-        if self.kvstore.transaction_applied(transaction):
-            self._reply((transaction,), "committed")
-            return
-        accepted = self.mempool.add(transaction)
-        if not accepted:
-            self.stats.client_rejections += 1
-            self._reply((transaction,), "rejected")
+        replied = self._replied_txids
+        if transaction.operation in OPERATIONS:
+            if self.kvstore.transaction_applied(transaction):
+                # add_transaction doubles as the already-replied check: it
+                # returns False when the id was recorded by an earlier reply.
+                if replied.add_transaction(transaction):
+                    self._answer(message.sender, (transaction.sequence,), "committed")
+                return
+            if self.mempool.add(transaction):
+                # Only an admitted request is answered at commit, so only it
+                # holds a routing entry: a refused one is answered here, and
+                # its entry would evict a live one.
+                self._origin_clients[transaction.txid] = message.sender
+                return
+        # Refused: an operation the executor does not run (ordering it would
+        # make every replica meet it at commit), a full mempool, or a
+        # duplicate of a pending or proposed transaction.
+        self.stats.client_rejections += 1
+        if not replied.contains_transaction(transaction):
+            self._answer(message.sender, (transaction.sequence,), "rejected")
 
-    def _reply(self, transactions: Sequence[Transaction], status: str) -> None:
-        """Answer the clients of ``transactions``: one reply per client.
+    def _reply_committed(self, transactions: Sequence[Transaction]) -> None:
+        """Answer the clients of committed ``transactions``: one reply each.
 
-        Each reply lists its client's sequences in the order given (block
-        order at commit), and only for transactions whose request this
-        replica received (it holds their origin entry).
+        Each reply lists its client's sequences in block order, and only for
+        transactions whose request this replica admitted (it holds their
+        origin entry) and has not answered yet.
         """
         origins = self._origin_clients._entries
         replied = self._replied_txids
-        committed = status == "committed"
         by_client: Dict[str, List[int]] = {}
         for transaction in transactions:
             txid = transaction.txid
             client = origins.get(txid)
             if client is None:
                 continue
-            if committed:
-                # add_transaction doubles as the already-replied check: it
-                # returns False when the id was recorded by an earlier reply.
-                if not replied.add_transaction(transaction):
-                    continue
-                # A committed transaction is done with reply routing; dropping
-                # the entry eagerly keeps the origin index at in-flight size.
-                del origins[txid]
-            elif replied.contains_transaction(transaction):
+            if not replied.add_transaction(transaction):
                 continue
+            # A committed transaction is done with reply routing; dropping
+            # the entry eagerly keeps the origin index at in-flight size.
+            del origins[txid]
             sequences = by_client.get(client)
             if sequences is None:
                 by_client[client] = [transaction.sequence]
             else:
                 sequences.append(transaction.sequence)
-        node_id = self.node_id
         for client, sequences in by_client.items():
-            # Positional: sender, size, sequences, status.
-            reply = ClientReply(
-                node_id, client_reply_size(len(sequences)), tuple(sequences), status,
-            )
-            try:
-                self._send(client, reply)
-            except KeyError:
-                # The client endpoint was not registered (fire-and-forget loads).
-                pass
+            self._answer(client, sequences, "committed")
+
+    def _answer(self, client: str, sequences: Sequence[int], status: str) -> None:
+        # Positional: sender, size, sequences, status.
+        reply = ClientReply(
+            self.node_id, client_reply_size(len(sequences)), tuple(sequences), status,
+        )
+        try:
+            self._send(client, reply)
+        except KeyError:
+            # The client endpoint was not registered (fire-and-forget loads).
+            pass
 
     # ------------------------------------------------------------------
     # proposals
@@ -527,10 +567,10 @@ class Replica:
             return
         # Per block, not per transaction: one executor call, one mempool
         # call, and one reply per client for a block that carries a request
-        # this replica received (it holds origin entries for about 1/n of
+        # this replica admitted (it holds origin entries for about 1/n of
         # one).  Applying a whole block before replying to any of it changes
-        # nothing observable: _reply never reads the store, apply no reply
-        # state.
+        # nothing observable: _reply_committed never reads the store, apply
+        # no reply state.
         apply_batch = self.kvstore.apply_batch
         origin_entries = self._origin_clients._entries
         announce = ev.wants & obs_trace.COMMIT
@@ -548,7 +588,7 @@ class Replica:
             apply_batch(transactions)
             txids = [tx.txid for tx in transactions]
             if not origin_entries.keys().isdisjoint(txids):
-                self._reply(transactions, "committed")
+                self._reply_committed(transactions)
             self.mempool.mark_committed(transactions, txids)
         if newly:
             self._recycle_forks()

@@ -11,7 +11,7 @@ millisecond-scale latencies); absolute numbers are simulator outputs, not
 hardware measurements.
 
 Every modelled charge a replica's CPU queue can receive is a field here,
-the two flat dispatch charges of :mod:`repro.core.dispatch` included, so one
+the two flat charges of the replica's dispatch table included, so one
 all-zero model (the ``measured`` profile of :mod:`repro.bench.profiles`)
 states that a deployment models no CPU time: its replicas run on the host's
 CPU (:class:`repro.transport.runtime.HostCpu`), which spends what the code
@@ -45,8 +45,7 @@ class CryptoCostModel:
     client_request_time:
         Admitting one client request to the mempool.
     loopback_time:
-        Handling the replica's own copy of a message it sent, or a message
-        kind registered without a cost of its own.
+        Handling the replica's own copy of a message it sent.
 
     The last two are flat dispatch charges, not crypto work: :meth:`scaled`
     carries them over as they are.

@@ -29,7 +29,8 @@ The index holds O(clients × window) entries, independent of run length —
 and snapshots (:class:`KVSnapshot`, shipped in ``SnapshotResponse``) shrink
 accordingly.  The replica's reply-routing state gets the same treatment:
 ``_replied_txids`` reuses :class:`TxidDedup` directly and ``_origin_clients``
-is a bounded FIFO (:class:`repro.core.replica.OriginIndex`), so no
+is a bounded FIFO (:class:`repro.core.replica.OriginIndex`) holding only
+admitted requests (a refused one is answered on arrival), so no
 per-transaction structure grows with run length anymore
 (``tools/memory_smoke.py`` asserts all of these bounds).
 """

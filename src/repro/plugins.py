@@ -28,7 +28,6 @@ Byzantine behaviour  ``STRATEGIES``                 ``repro.core.byzantine``
 leader election      ``ELECTIONS``                  ``repro.election.election``
 network delays       ``DELAY_MODELS``               ``repro.network.delays``
 scenario events      ``SCENARIO_EVENTS``            ``repro.scenario.events``
-message handlers     ``MESSAGE_HANDLERS``           ``repro.core.dispatch``
 invariant oracles    ``ORACLES``                    ``repro.fuzz.invariants``
 ===================  =============================  ==========================
 
@@ -55,8 +54,7 @@ class Registry(Generic[T]):
         #: Human-readable name of the extension point ("protocol", ...);
         #: used in error messages.
         self.kind = kind
-        #: name -> implementation, in registration order.  Read directly
-        #: where an unknown name is not an error (``Replica.deliver``).
+        #: name -> implementation, in registration order.
         self.entries: Dict[str, T] = {}
 
     def add(self, name: str, obj: T) -> T:

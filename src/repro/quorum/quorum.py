@@ -69,8 +69,8 @@ class _Aggregator:
 
         Both fabrics deliver a replica's copy to itself as the very object
         it sent, so that object is counted without a verification — which is
-        what dispatch already charges for it (``loopback_time``, no verify
-        cost).  It goes by identity, never by ``voter``: a decoded copy is a
+        what ``Replica.deliver`` charges for it (``loopback_time``, no
+        verify cost).  It goes by identity, never by ``voter``: a decoded copy is a
         new object, and whatever name it carries is verified.
         """
         self._own[self._key(message)] = message

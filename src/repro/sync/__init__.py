@@ -9,10 +9,9 @@ vote on (or lead) the live chain.  This package restores full participation:
   ``BlockResponse``, which travel through the ordinary network pipeline.
 * :mod:`repro.sync.manager` — the per-replica :class:`SyncManager` that parks
   orphan proposals, issues fetch rounds, serves peers' requests, re-validates
-  fetched certificates, and drives post-recovery catch-up.  Its handlers are
-  plugged into the replica through the message-handler registry
-  (:mod:`repro.core.dispatch`), making sync a worked example of extending the
-  replica with new message types.
+  fetched certificates, and drives post-recovery catch-up.  The replica's
+  dispatch table (:attr:`repro.core.replica.Replica.DISPATCH`) has one row
+  per message kind, handing each to the manager.
 
 See ``docs/ARCHITECTURE.md`` for the message flow of one sync round and
 ``docs/SCENARIOS.md`` for a crash → recover → catch-up scenario exercising

@@ -34,9 +34,10 @@ block-fetch lifecycle:
   once it installs, :meth:`on_snapshot_installed` sends the next round at
   once, anchored at the checkpoint.
 
-Both message kinds register their handlers with the replica's dispatch
-registry (:mod:`repro.core.dispatch`), so the sync protocol is wired in as a
-plugin rather than as replica special cases.
+The replica's dispatch table (:attr:`~repro.core.replica.Replica.DISPATCH`)
+charges each message kind's CPU cost and hands it to :meth:`handle_request`
+or :meth:`handle_response`; this package imports nothing from
+:mod:`repro.core`.
 """
 
 from __future__ import annotations
@@ -44,12 +45,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
-from repro.core.dispatch import register_message_handler
 from repro.crypto.signatures import verify
 from repro.obs import trace as obs_trace
 from repro.sync.messages import BlockRequest, BlockResponse
 from repro.types.certificates import QuorumCertificate, vote_digest
-from repro.types.messages import Message
 from repro.types.sizes import BLOCK_REQUEST_SIZE, block_response_size
 
 
@@ -406,26 +405,3 @@ class SyncManager:
                 return False
             valid_signers.add(signature.signer)
         return len(valid_signers) >= threshold
-
-
-# ----------------------------------------------------------------------
-# dispatch wiring: the sync protocol's handlers and CPU costs
-# ----------------------------------------------------------------------
-def _request_cost(replica, message: Message) -> float:
-    return replica.cost_model.sync_request_cost()
-
-
-def _response_cost(replica, message: Message) -> float:
-    return replica.cost_model.sync_response_verify_cost(
-        len(message.blocks), sum(b.num_transactions for b in message.blocks)
-    )
-
-
-@register_message_handler("BlockRequest", cost=_request_cost)
-def _handle_block_request(replica, message: Message) -> None:
-    replica.sync.handle_request(message)
-
-
-@register_message_handler("BlockResponse", cost=_response_cost)
-def _handle_block_response(replica, message: Message) -> None:
-    replica.sync.handle_response(message)

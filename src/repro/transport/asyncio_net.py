@@ -21,7 +21,7 @@ The path of one message:
 * ``data_received`` splits the chunk into its complete frames
   (:class:`~repro.transport.codec.FrameSplitter`), parses each frame once,
   decodes each envelope in it and calls the registered handler directly —
-  the same synchronous ``MESSAGE_HANDLERS`` dispatch the simulation uses.  A
+  the same synchronous ``Replica.deliver`` dispatch the simulation uses.  A
   deployed replica's CPU is the host's (:class:`~repro.transport.runtime.HostCpu`),
   so the handler has done all its work, and any error it raised has reached
   :meth:`AsyncioTransport._deliver`, before the next envelope is decoded.

@@ -65,7 +65,7 @@ class TestFacade:
         listings = api.available()
         assert set(listings) == {
             "protocols", "strategies", "elections", "delay_models",
-            "scenario_events", "message_handlers", "oracles",
+            "scenario_events", "oracles",
         }
         assert listings["protocols"] == api.available("protocols")
         assert all(listings.values())

@@ -163,7 +163,6 @@ EXTENDING = """\
 | leader election     | `elections`        | `api.register_election`        | `LeaderElection`      | config      |
 | network delay model | `delay_models`     | `api.register_delay_model`     | `DelayModel`          | specs       |
 {extra_row}| scenario event      | `scenario_events`  | `api.register_scenario_event`  | `ScenarioEvent`       | scenario    |
-| message handler     | `message_handlers` | `api.register_message_handler` | callable              | class name  |
 | invariant oracle    | `oracles`          | `api.register_oracle`          | callable              | fuzz        |
 
 | not the table | `clients` | `api.register_client` |

@@ -120,7 +120,7 @@ class TestTable:
         assert paper.FIG8_IMPL.figure is paper.FIG8_MODEL.figure
 
     def test_no_registry_was_added_for_paper_entries(self):
-        assert len(api.available()) == 7
+        assert len(api.available()) == 6
 
 
 class TestRows:

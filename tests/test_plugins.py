@@ -137,14 +137,14 @@ class TestBuiltinRegistries:
         assert "crash" not in SCENARIO_EVENTS
 
     def test_message_handlers(self):
-        from repro.core.dispatch import MESSAGE_HANDLERS
+        # Not a registry: the replica's dispatch table, keyed by the
+        # message's exact class, the key ``deliver`` uses.
+        from repro.core.replica import Replica
+        from repro.types.messages import Message, ProposalMessage
 
-        # Keyed by the message's exact class name, the key ``deliver`` uses.
-        assert MESSAGE_HANDLERS.available() == [
-            "ClientRequest", "ProposalMessage", "VoteMessage", "TimeoutMessage",
-            "BlockRequest", "BlockResponse", "SnapshotResponse",
-        ]
-        assert "proposalmessage" not in MESSAGE_HANDLERS
+        assert ProposalMessage in Replica.DISPATCH
+        namesake = type("ProposalMessage", (Message,), {})
+        assert namesake not in Replica.DISPATCH
 
     def test_oracles(self):
         from repro.fuzz.invariants import ORACLES

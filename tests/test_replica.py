@@ -8,6 +8,7 @@ from repro.bench.config import Configuration
 from repro.bench.metrics import MetricsCollector
 from repro.bench.runner import build_cluster, run_cluster
 from repro.core.byzantine import ForkingReplica, SilentReplica, make_replica
+from repro.core.replica import ORIGIN_INDEX_CAPACITY
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import verify
 from repro.election.election import HashBasedElection, RoundRobinElection
@@ -415,6 +416,41 @@ class TestCommitPathPerBlock:
         assert replies == [("r1", "c0", (done.sequence,), "committed"),
                            ("r2", "c0", (odd.sequence,), "rejected"),
                            ("r3", "c0", (done.sequence,), "committed")]
+
+
+class TestReplyRouting:
+    def test_refused_requests_hold_no_route_and_evict_no_live_one(self):
+        """More refusals than the origin index holds: a full mempool, a
+        duplicate of the admitted transaction and a retry of an applied one
+        are each answered on arrival, and the admitted transaction's commit
+        is still answered."""
+        scheduler, network, replicas = build_mini_cluster(block_size=10, view_timeout=1.0)
+        replies = record_replies(network)
+        for client in ("c0", "c1"):
+            network.register(client, lambda m: None)
+        r1 = replicas["r1"]
+        r1.mempool.capacity = 1
+        live = make_transaction("c0")
+        request(network, "r1", live)
+        request(network, "r1", live)
+        refused = [make_transaction("c1") for _ in range(ORIGIN_INDEX_CAPACITY + 1)]
+        for transaction in refused:
+            request(network, "r1", transaction)
+        scheduler.run_until(0.1)
+        assert r1.stats.client_rejections == len(refused) + 1
+        assert [reply for reply in replies if reply[1] == "c0"] == [
+            ("r1", "c0", (live.sequence,), "rejected")]
+        assert list(r1._origin_clients._entries) == [live.txid]
+        for replica in replicas.values():
+            replica.start()
+        scheduler.run_until(1.0)
+        assert ("r1", "c0", (live.sequence,), "committed") in replies
+        assert len(r1._origin_clients) == 0
+        # The applied transaction's retry is refused at admission too.
+        request(network, "r2", live)
+        scheduler.run_until(1.01)
+        assert replies[-1] == ("r2", "c0", (live.sequence,), "committed")
+        assert len(replicas["r2"]._origin_clients) == 0
 
 
 class TestUnknownOperation:

@@ -3,18 +3,21 @@
 Covers the acceptance scenario of the sync work — a replica crashed for
 several committed blocks recovers, fetches the missed chain, and votes again
 — plus idempotency of duplicate/stale responses, validation of forged
-certificates, orphan-buffer bounds, the message-handler registry, and sync
+certificates, orphan-buffer bounds, the replica's dispatch table, and sync
 under an active Byzantine leader.
 """
 
 from repro import api
 from repro.bench.config import Configuration
 from repro.bench.runner import build_cluster
-from repro.core.dispatch import MESSAGE_HANDLERS, register_message_handler
+from repro.checkpoint.messages import SnapshotResponse
+from repro.core.byzantine import STRATEGIES, convert_replica, register_strategy
+from repro.core.replica import Replica
 from repro.forest.forest import BlockForest
 from repro.sync.manager import MAX_BATCH, MAX_ROUNDS_PER_TARGET
 from repro.sync.messages import BlockRequest, BlockResponse
 from repro.types.certificates import QuorumCertificate
+from repro.types.messages import TimeoutMessage
 from helpers import extend_chain, make_transactions
 
 FAST = dict(
@@ -268,66 +271,39 @@ class TestOrphanTracking:
         del more
 
 
-class TestMessageHandlerRegistry:
-    def test_builtin_handlers_registered(self):
-        for kind in (
-            "ClientRequest", "ProposalMessage", "VoteMessage",
-            "TimeoutMessage", "BlockRequest", "BlockResponse",
+class TestDispatchTable:
+    def test_sync_and_snapshot_kinds_reach_their_managers(self):
+        replica = make_cluster().replicas["r0"]
+        for kind, served_by in (
+            (BlockRequest, replica.sync.handle_request),
+            (BlockResponse, replica.sync.handle_response),
+            (SnapshotResponse, replica.checkpoint.handle_response),
         ):
-            assert kind in MESSAGE_HANDLERS
+            _, handler = Replica.DISPATCH[kind]
+            assert handler(replica) == served_by
 
-    def test_available_lists_sync_handlers(self):
-        handlers = api.available("message_handlers")
-        assert "BlockRequest" in handlers
-        assert "BlockResponse" in handlers
+    def test_a_strategy_converted_mid_run_serves_with_its_override(self):
+        heard = []
 
-    def test_custom_handler_dispatches(self):
-        from repro.types.messages import Message
-
-        received = []
-
-        @register_message_handler("PingMessage", cost=lambda replica, msg: 1e-6)
-        def _handle_ping(replica, message):
-            received.append((replica.node_id, message.sender))
+        @register_strategy("test-timeout-counter")
+        class TimeoutCounter(Replica):
+            def _process_timeout(self, message):
+                heard.append(message.sender)
 
         try:
             cluster = make_cluster()
             cluster.start()
-            cluster.replicas["r0"].deliver(Message(sender="tester", size_bytes=1).__class__(
-                sender="tester", size_bytes=1))
-            # A plain Message has no handler: silently ignored.
-            ping = type("PingMessage", (Message,), {})(sender="tester", size_bytes=1)
-            cluster.replicas["r0"].deliver(ping)
-            cluster.scheduler.run_until(0.01)
-            assert received == [("r0", "tester")]
+            cluster.scheduler.run_until(0.05)
+            replica = convert_replica(cluster.replicas["r0"], "test-timeout-counter")
+            replica.deliver(TimeoutMessage(sender="tester", size_bytes=1))
+            cluster.scheduler.run_until(0.06)
+            assert heard == ["tester"]
         finally:
-            MESSAGE_HANDLERS.unregister("PingMessage")
+            STRATEGIES.unregister("test-timeout-counter")
 
-    def test_handler_registered_mid_run_serves_the_next_message(self):
-        from repro.types.messages import Message
-
-        late = type("LateMessage", (Message,), {})
-        received = []
-        cluster = make_cluster()
-        cluster.start()
-        replica = cluster.replicas["r0"]
-        replica.deliver(late(sender="tester", size_bytes=1))  # no handler yet
-        cluster.scheduler.run_until(0.01)
-        register_message_handler("LateMessage")(
-            lambda replica, message: received.append(message.sender))
-        try:
-            replica.deliver(late(sender="tester", size_bytes=1))
-            cluster.scheduler.run_until(0.02)
-            assert received == ["tester"]
-        finally:
-            MESSAGE_HANDLERS.unregister("LateMessage")
-        replica.deliver(late(sender="tester", size_bytes=1))  # handler gone again
-        cluster.scheduler.run_until(0.03)
-        assert received == ["tester"]
-
-    def test_custom_kind_with_a_field_behaves_like_a_built_in_one(self):
-        # docs/EXTENDING.md section 6's declaration, with the field no other
-        # plugin kind in the tests has.
+    def test_a_new_kind_is_its_declared_fields(self):
+        # docs/EXTENDING.md section 6's declaration: a kind with no row in
+        # the replica's dispatch table is ignored by replicas.
         from dataclasses import dataclass
 
         from repro.types.messages import Message
@@ -343,19 +319,4 @@ class TestMessageHandlerRegistry:
         assert digest != GossipDigest(sender="r0", size_bytes=40, digest="abd")
         assert digest != GossipDigest(sender="r0", size_bytes=40)
         assert len({digest, by_position}) == 1
-
-        received = []
-
-        @register_message_handler("GossipDigest")
-        def _handle_gossip(replica, message):
-            received.append((replica.node_id, message.sender, message.digest))
-
-        try:
-            cluster = make_cluster()
-            cluster.start()
-            cluster.network.send("r0", "r1", digest)
-            assert digest == by_position
-            cluster.scheduler.run_until(0.01)
-            assert received == [("r1", "r0", "abc")]
-        finally:
-            MESSAGE_HANDLERS.unregister("GossipDigest")
+        assert GossipDigest not in Replica.DISPATCH

@@ -42,7 +42,6 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 from helpers import make_vote
-from repro import api
 from repro.bench.config import Configuration
 from repro.bench.profiles import cost_profile
 from repro.bench.runner import build_cluster, run_experiment
@@ -53,7 +52,6 @@ from repro.crypto.signatures import Signature, sign, verify
 from repro.executor.kvstore import DedupState, KVSnapshot
 from repro.checkpoint.messages import SnapshotResponse
 from repro.checkpoint.snapshot import Checkpoint
-from repro.core.dispatch import MESSAGE_HANDLERS, register_message_handler
 from repro.core.replica import Replica
 from repro.forest.forest import BlockForest
 from repro.network.network import Network
@@ -442,9 +440,8 @@ class TestCodec:
                     if cls.__module__.startswith("repro.")}
         assert declared == {(kind.__module__, kind.__qualname__) for kind in codec.WIRE_KINDS}
         assert len(codec.WIRE_KINDS) == len(declared) == 8
-        unhandled = {kind.__name__ for kind in codec.WIRE_KINDS}
-        unhandled.difference_update(api.available("message_handlers"))
-        assert unhandled == {"ClientReply"}  # addressed to clients, not replicas
+        # A ClientReply is addressed to clients, not replicas.
+        assert set(Replica.DISPATCH) == set(codec.WIRE_KINDS) - {ClientReply}
 
     def test_a_wrong_typed_field_is_a_codec_error(self):
         # A frame that parses, names a known kind and has every field, but
@@ -1358,6 +1355,18 @@ class TestImportIsolation:
             + "\n  ".join(offenders)
         )
 
+    def test_sync_and_checkpoint_never_import_the_core(self):
+        # The replica's dispatch table names their handlers; nothing of
+        # theirs registers with the replica, so no import cycle orders them.
+        offenders = [
+            f"{path.relative_to(SRC_ROOT)} imports {module}"
+            for directory in ("sync", "checkpoint")
+            for path in sorted((SRC_ROOT / directory).rglob("*.py"))
+            for module in _imports_of(path)
+            if module == "repro.core" or module.startswith("repro.core.")
+        ]
+        assert not offenders, "\n  ".join(offenders)
+
     def test_transport_package_exists_where_expected(self):
         # Guards the walk above against silently checking nothing.
         assert (SRC_ROOT / "transport" / "base.py").exists()
@@ -1368,45 +1377,63 @@ class TestImportIsolation:
 # what a delivered message is charged
 
 
-@pytest.fixture
-def handled_samples():
-    """``(handler, message)`` for a sample of every wire kind, ``ClientReply``
-    standing in for a kind registered without a cost of its own."""
-    register_message_handler("ClientReply")(lambda replica, message: None)
-    try:
-        yield [(MESSAGE_HANDLERS.get(type(message).__name__), message)
-               for message in _golden_messages().values()]
-    finally:
-        MESSAGE_HANDLERS.unregister("ClientReply")
+class _RecordingCpu:
+    """Stands in for a replica's CPU: records each job it is handed, runs none."""
+
+    def __init__(self):
+        self.jobs = []
+
+    def submit(self, service_time, callback, *args):
+        self.jobs.append((service_time, callback, args))
 
 
-def _charged_as(node_id, costs):
-    return SimpleNamespace(node_id=node_id, cost_model=costs)
+def _recording_replica(costs):
+    """Replica ``r0`` of a built (not started) cluster, charging ``costs``."""
+    replica = build_cluster(Configuration(num_nodes=4)).replicas["r0"]
+    replica.cost_model = costs
+    replica.cpu = _RecordingCpu()
+    return replica
+
+
+def _handled_samples():
+    """One golden message per kind the dispatch table has a row for."""
+    samples = {type(message): message for message in _golden_messages().values()
+               if type(message) in Replica.DISPATCH}
+    assert set(samples) == set(Replica.DISPATCH)
+    return list(samples.values())
 
 
 class TestDispatchCharges:
-    def test_measured_charges_nothing_for_any_kind(self, handled_samples):
-        assert {type(message) for _, message in handled_samples} == set(codec.WIRE_KINDS)
-        costs = cost_profile("measured")
-        for handler, message in handled_samples:
-            for receiver in (message.sender, "r9"):
-                charge = handler.cost(_charged_as(receiver, costs), message)
-                assert charge == 0.0, (type(message).__name__, receiver)
+    def test_measured_charges_nothing_for_any_kind(self):
+        replica = _recording_replica(cost_profile("measured"))
+        for message in _handled_samples():
+            for sender in (replica.node_id, "r9"):
+                replica.deliver(dataclasses.replace(message, sender=sender))
+                (charge, _, _), = replica.cpu.jobs
+                assert charge == 0.0, (type(message).__name__, sender)
+                replica.cpu.jobs.clear()
 
     @pytest.mark.parametrize("costs", [
         cost_profile("fast"), cost_profile("standard"), cost_profile("ohs"),
         cost_profile("standard").scaled(0.5),
     ], ids=["fast", "standard", "ohs", "standard x 0.5"])
-    def test_simulated_profiles_keep_the_flat_charges(self, handled_samples, costs):
-        by_kind = {type(message).__name__: (handler, message)
-                   for handler, message in handled_samples}
-        handler, request = by_kind["ClientRequest"]
-        assert handler.cost(_charged_as("r9", costs), request) == 5e-6
-        for kind in ("ClientRequest", "ProposalMessage", "VoteMessage", "TimeoutMessage"):
-            handler, own_copy = by_kind[kind]
-            assert handler.cost(_charged_as(own_copy.sender, costs), own_copy) == 1e-6
-        handler, costless = by_kind["ClientReply"]
-        assert handler.cost(_charged_as("r9", costs), costless) == 1e-6
+    def test_simulated_profiles_keep_the_flat_charges(self, costs):
+        replica = _recording_replica(costs)
+        request = _golden_messages()["ClientRequest"]
+        replica.deliver(request)
+        assert replica.cpu.jobs.pop() == (5e-6, replica._process_client_request, (request,))
+        for message in _handled_samples():
+            own_copy = dataclasses.replace(message, sender=replica.node_id)
+            replica.deliver(own_copy)
+            (charge, _, args), = replica.cpu.jobs
+            assert (charge, args) == (1e-6, (own_copy,)), type(message).__name__
+            replica.cpu.jobs.clear()
+
+    def test_a_reply_or_a_bare_message_is_ignored(self):
+        replica = _recording_replica(cost_profile("standard"))
+        replica.deliver(_golden_messages()["ClientReply"])
+        replica.deliver(Message(sender="r1", size_bytes=1))
+        assert replica.cpu.jobs == []
 
 
 # --------------------------------------------------------------------------
