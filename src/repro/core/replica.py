@@ -4,7 +4,9 @@ A replica owns a block forest, a mempool, a safety module (the protocol's
 four rules), a pacemaker, a quorum tracker, an execution layer, and a CPU
 modelled as a FIFO server.  It reacts to messages delivered by the network:
 
-* client requests are admitted to the mempool;
+* client requests are admitted to the mempool, which is also the replica's
+  reply-routing record: at commit it answers the transactions its mempool
+  held, each to the transaction's own client;
 * proposals are validated, added to the forest, voted on per the voting
   rule, and (in Streamlet) echoed;
 * votes are aggregated into quorum certificates, which update the protocol
@@ -36,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from collections import OrderedDict
 from operator import attrgetter
 
 from repro.checkpoint.manager import CheckpointManager
@@ -79,46 +80,6 @@ from repro.types.transaction import Transaction
 
 if TYPE_CHECKING:  # repro.bench imports this module, not the other way round
     from repro.bench.config import Configuration
-
-#: Bound on reply-routing entries (txid -> client) held per replica.  An
-#: entry lives from admission to commit reply — the in-flight window —
-#: so the bound only needs to exceed mempool capacity plus the uncommitted
-#: tail; evicting beyond it merely skips a reply, and the client's timeout
-#: path re-submits (exactly as it does for a reply lost to a crash).
-ORIGIN_INDEX_CAPACITY = 8192
-
-
-class OriginIndex:
-    """Bounded txid -> client-id map for reply routing.
-
-    The last unbounded replica-side structure after PR 5's ``TxidDedup``
-    work: without a bound, one entry per distinct client request accumulates
-    for the whole run.  FIFO eviction is the right policy because entries are
-    only useful while their transaction is in flight; a committed
-    transaction's entry is popped eagerly in ``Replica._reply_committed``.
-    """
-
-    def __init__(self, capacity: int = ORIGIN_INDEX_CAPACITY) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self._entries: "OrderedDict[str, str]" = OrderedDict()
-
-    def __setitem__(self, txid: str, client: str) -> None:
-        entries = self._entries
-        if txid in entries:
-            # A re-admission refreshes both the routing target and the age.
-            entries.pop(txid)
-        entries[txid] = client
-        while len(entries) > self.capacity:
-            entries.popitem(last=False)
-
-    def __contains__(self, txid: str) -> bool:
-        return txid in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 @dataclass
 class ReplicaStats:
@@ -234,11 +195,10 @@ class Replica:
         )
         self.stats = ReplicaStats()
 
-        # Reply routing is bounded: the origin index FIFO-evicts beyond its
-        # capacity and the replied-txid dedup keeps per-client floors plus a
-        # recent window (same treatment as the executor's applied index).
-        self._origin_clients = OriginIndex()
         self._pending_qcs: Dict[str, QuorumCertificate] = {}
+        # Whom to answer is the mempool's (it holds an admitted request until
+        # commit); what was answered already is this dedup's, which keeps
+        # per-client floors plus a recent window like the executor's index.
         self._replied_txids = TxidDedup(window=DEFAULT_DEDUP_WINDOW)
         self._last_proposed_view = 0
         self._crashed = False
@@ -343,10 +303,7 @@ class Replica:
                     self._answer(message.sender, (transaction.sequence,), "committed")
                 return
             if self.mempool.add(transaction):
-                # Only an admitted request is answered at commit, so only it
-                # holds a routing entry: a refused one is answered here, and
-                # its entry would evict a live one.
-                self._origin_clients[transaction.txid] = message.sender
+                # Answered at commit, since the mempool holds it until then.
                 return
         # Refused: an operation the executor does not run (ordering it would
         # make every replica meet it at commit), a full mempool, or a
@@ -358,23 +315,16 @@ class Replica:
     def _reply_committed(self, transactions: Sequence[Transaction]) -> None:
         """Answer the clients of committed ``transactions``: one reply each.
 
-        Each reply lists its client's sequences in block order, and only for
-        transactions whose request this replica admitted (it holds their
-        origin entry) and has not answered yet.
+        ``transactions`` are the ones the mempool held, so this replica
+        admitted their requests; each reply goes to the transaction's client
+        and lists its sequences in block order, skipping any answered before.
         """
-        origins = self._origin_clients._entries
         replied = self._replied_txids
         by_client: Dict[str, List[int]] = {}
         for transaction in transactions:
-            txid = transaction.txid
-            client = origins.get(txid)
-            if client is None:
-                continue
             if not replied.add_transaction(transaction):
                 continue
-            # A committed transaction is done with reply routing; dropping
-            # the entry eagerly keeps the origin index at in-flight size.
-            del origins[txid]
+            client = transaction.client_id
             sequences = by_client.get(client)
             if sequences is None:
                 by_client[client] = [transaction.sequence]
@@ -567,12 +517,11 @@ class Replica:
             return
         # Per block, not per transaction: one executor call, one mempool
         # call, and one reply per client for a block that carries a request
-        # this replica admitted (it holds origin entries for about 1/n of
-        # one).  Applying a whole block before replying to any of it changes
-        # nothing observable: _reply_committed never reads the store, apply
-        # no reply state.
+        # this replica's mempool held (about 1/n of one).  Applying a whole
+        # block before replying to any of it changes nothing observable:
+        # _reply_committed never reads the store, apply no reply state.
         apply_batch = self.kvstore.apply_batch
-        origin_entries = self._origin_clients._entries
+        mark_committed = self.mempool.mark_committed
         announce = ev.wants & obs_trace.COMMIT
         for vertex in newly:
             block = vertex.block
@@ -586,10 +535,9 @@ class Replica:
                 )
             transactions = block.transactions
             apply_batch(transactions)
-            txids = [tx.txid for tx in transactions]
-            if not origin_entries.keys().isdisjoint(txids):
-                self._reply_committed(transactions)
-            self.mempool.mark_committed(transactions, txids)
+            held = mark_committed(transactions)
+            if held:
+                self._reply_committed(held)
         if newly:
             self._recycle_forks()
             self.checkpoint.on_commit()
@@ -604,14 +552,16 @@ class Replica:
         removed = self.forest.prune(self.forest.committed_height)
         if not removed:
             return
-        recyclable: List[Transaction] = []
-        for vertex in removed:
-            for transaction in vertex.block.transactions:
-                if transaction.txid not in self._origin_clients:
-                    continue
-                if self.kvstore.transaction_applied(transaction):
-                    continue
-                recyclable.append(transaction)
+        # Only the replica whose mempool holds a forked transaction (the one
+        # that admitted and proposed it) requeues it.
+        mempool = self.mempool
+        applied = self.kvstore.transaction_applied
+        recyclable = [
+            transaction
+            for vertex in removed
+            for transaction in vertex.block.transactions
+            if transaction.txid in mempool and not applied(transaction)
+        ]
         if recyclable:
             self.mempool.requeue_front(recyclable)
         ev = self.events

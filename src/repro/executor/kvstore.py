@@ -27,10 +27,10 @@ parsed out of its txid string.
 
 The index holds O(clients × window) entries, independent of run length —
 and snapshots (:class:`KVSnapshot`, shipped in ``SnapshotResponse``) shrink
-accordingly.  The replica's reply-routing state gets the same treatment:
-``_replied_txids`` reuses :class:`TxidDedup` directly and ``_origin_clients``
-is a bounded FIFO (:class:`repro.core.replica.OriginIndex`) holding only
-admitted requests (a refused one is answered on arrival), so no
+accordingly.  The replica's replied-txid index (``_replied_txids``) reuses
+:class:`TxidDedup` directly.  Whom a replica answers needs no index of its
+own: the replica's mempool is the routing record, holding each admitted
+request until it commits (a refused one is answered on arrival), so no
 per-transaction structure grows with run length anymore
 (``tools/memory_smoke.py`` asserts all of these bounds).
 """

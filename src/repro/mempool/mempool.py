@@ -4,7 +4,10 @@ New transactions arrive at the back; transactions recovered from forked
 (abandoned) blocks are re-inserted at the front so they are re-proposed
 first — exactly the behaviour the paper relies on when measuring latency
 under the forking attack (§VI-C).  Each replica has its own local mempool,
-which avoids cluster-wide duplicate checks (paper §III-E).
+which avoids cluster-wide duplicate checks (paper §III-E).  It holds a
+transaction from admission until commit, pending or proposed, so it is also
+the replica's record of whom to answer: at commit the replica replies for
+the transactions :meth:`Mempool.mark_committed` says it held.
 """
 
 from __future__ import annotations
@@ -33,7 +36,9 @@ class Mempool:
         return len(self._queue)
 
     def __contains__(self, txid: str) -> bool:
-        return txid in self._pending_ids
+        """True while the pool holds ``txid``: admitted, pending or proposed,
+        and not yet committed."""
+        return txid in self._pending_ids or txid in self._proposed_ids
 
     def add(self, transaction: Transaction) -> bool:
         """Append a new client transaction; returns False if rejected.
@@ -90,29 +95,39 @@ class Mempool:
             batch.append(tx)
         return tuple(batch)
 
-    def mark_committed(self, transactions: Sequence[Transaction], txids: Sequence[str]) -> None:
-        """Forget a committed block's transactions (garbage collection).
+    def mark_committed(self, transactions: Sequence[Transaction]) -> Sequence[Transaction]:
+        """Forget a committed block's transactions; return the ones it held.
 
-        ``txids`` are the transactions' ids in the same order, which the
-        committing replica has already listed.  Set algebra over them: a
-        replica proposed 1/n of a block and almost never still queues any of
-        it, so the per-transaction loop runs only for a block that hits the
-        queue.
+        The held ones (pending or proposed here, in block order) are the
+        requests this replica admitted, so they are the ones it answers: the
+        mempool is the replica's reply-routing record.  Set algebra over the
+        block's ids first: a replica proposed 1/n of a block and almost never
+        still queues any of it, so the per-transaction loop runs only for a
+        block that hits this pool.
         """
-        self._proposed_ids.difference_update(txids)
+        txids = [tx.txid for tx in transactions]
+        proposed = self._proposed_ids
         pending = self._pending_ids
-        if pending.isdisjoint(txids):
-            return
+        if proposed.isdisjoint(txids) and pending.isdisjoint(txids):
+            return ()
         queue = self._queue
+        held = []
         for tx in transactions:
-            if tx.txid in pending:
+            txid = tx.txid
+            if txid in proposed:
+                proposed.discard(txid)
+            elif txid in pending:
                 # Committed via another replica's proposal while still queued
                 # locally; drop the local copy to avoid proposing a duplicate.
-                pending.discard(tx.txid)
+                pending.discard(txid)
                 try:
                     queue.remove(tx)
                 except ValueError:
                     pass
+            else:
+                continue
+            held.append(tx)
+        return held
 
     def snapshot_ids(self) -> List[str]:
         """Ids of all pending transactions in queue order (for tests)."""

@@ -162,24 +162,15 @@ def view_spans(records: Sequence[TraceRecord]) -> Dict[str, List[Dict[str, Any]]
     open_spans: Dict[str, Dict[str, Any]] = {}
     for record in records:
         replica = record.replica
-        if record.category == "view" and record.kind == "enter":
-            previous = open_spans.get(replica)
-            if previous is not None:
-                previous["end"] = record.t
-            span = {
-                "view": record.view,
-                "start": record.t,
-                "end": end_of_trace,
-                "outcome": "idle",
-            }
-            open_spans[replica] = span
-            spans.setdefault(replica, []).append(span)
-            continue
         span = open_spans.get(replica)
+        if record.category == "view" and record.kind == "enter":
+            if span is not None:
+                span["end"] = record.t
+            span = None
         if span is None:
-            # Wraparound (or a replica traced from mid-view): synthesise a
-            # span from the first surviving record so markers still land on
-            # a lane.
+            # A view entry opens a span; so does a replica's first surviving
+            # record after wraparound (or when traced from mid-view), so its
+            # markers still land on a lane.
             span = {
                 "view": record.view,
                 "start": record.t,
@@ -242,21 +233,16 @@ def to_chrome_trace(records: Sequence[TraceRecord]) -> Dict[str, Any]:
             "ph": "i",
             "name": f"{category}:{record.kind}",
             "cat": category,
+            "pid": pids.get(record.replica, 0),
+            "tid": 0,
             "ts": _micros(record.t),
-            "s": "t",
+            # Scenario events affect the whole cluster: global scope, drawn
+            # across every track.
+            "s": "g" if category == "fault" else "t",
             "args": {"view": record.view},
         }
         if record.payload:
             event["args"].update(record.payload)
-        if category == "fault":
-            # Scenario events affect the whole cluster: global scope, drawn
-            # across every track.
-            event["s"] = "g"
-            event["pid"] = pids.get(record.replica, 0)
-            event["tid"] = 0
-        else:
-            event["pid"] = pids.get(record.replica, 0)
-            event["tid"] = 0
         events.append(event)
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 

@@ -150,7 +150,7 @@ class TestCommitted:
         txs = make_transactions(3)
         for tx in txs:
             pool.add(tx)
-        pool.mark_committed([txs[1]], [txs[1].txid])
+        assert pool.mark_committed([txs[1]]) == [txs[1]]
         assert txs[1].txid not in pool
         assert len(pool) == 2
 
@@ -159,7 +159,9 @@ class TestCommitted:
         (tx,) = make_transactions(1)
         pool.add(tx)
         pool.next_batch(1)
-        pool.mark_committed([tx], [tx.txid])
+        assert tx.txid in pool
+        assert pool.mark_committed([tx]) == [tx]
+        assert tx.txid not in pool
         # A committed transaction re-offered by a confused client is accepted
         # again only because the pool no longer tracks it; the replica-level
         # executor is what prevents double execution.
@@ -178,15 +180,21 @@ class TestCommitted:
 
 def _mark_committed_per_transaction(pool, transactions):
     """``Mempool.mark_committed`` as it was before it became set algebra over
-    a block's ids: the reference the per-block version must match."""
+    a block's ids: the reference the per-block version must match, and the
+    transactions it held."""
+    held = []
     for tx in transactions:
+        if tx.txid in pool._proposed_ids:
+            held.append(tx)
         pool._proposed_ids.discard(tx.txid)
         if tx.txid in pool._pending_ids:
+            held.append(tx)
             pool._pending_ids.discard(tx.txid)
             try:
                 pool._queue.remove(tx)
             except ValueError:
                 pass
+    return held
 
 
 def _state(pool):
@@ -215,8 +223,8 @@ class TestMarkCommittedPerBlock:
             for tx in added:
                 pool.add(tx)
             pool.next_batch(proposed)
-        actual.mark_committed(block, [tx.txid for tx in block])
-        _mark_committed_per_transaction(reference, block)
+        held = actual.mark_committed(block)
+        assert list(held) == _mark_committed_per_transaction(reference, block)
         assert _state(actual) == _state(reference)
         # What is left behaves the same: recycled fork transactions go in front.
         assert actual.requeue_front(forked) == reference.requeue_front(forked)
@@ -228,5 +236,5 @@ class TestMarkCommittedPerBlock:
         mine, theirs = make_transactions(3), make_transactions(4)
         for tx in mine:
             pool.add(tx)
-        pool.mark_committed(theirs, [tx.txid for tx in theirs])
+        assert pool.mark_committed(theirs) == ()
         assert pool.snapshot_ids() == [tx.txid for tx in mine]

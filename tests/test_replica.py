@@ -8,7 +8,6 @@ from repro.bench.config import Configuration
 from repro.bench.metrics import MetricsCollector
 from repro.bench.runner import build_cluster, run_cluster
 from repro.core.byzantine import ForkingReplica, SilentReplica, make_replica
-from repro.core.replica import ORIGIN_INDEX_CAPACITY
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import verify
 from repro.election.election import HashBasedElection, RoundRobinElection
@@ -389,11 +388,11 @@ class TestCommitPathPerBlock:
         scheduler.run_until(0.3)
         once = [("r1", "c0", (tx.sequence,), "committed")]
         assert replies == once
-        # Its client asks r1 again, and every leader batches it once more, as
-        # a Byzantine one may: r1 meets it at admission and in later blocks.
+        # Its client asks r1 again, and r1 batches it once more, as a
+        # Byzantine leader may: r1 meets it at admission and, holding it, in
+        # a later block.
         request(network, "r1", tx)
-        for replica in replicas.values():
-            replica.mempool.add(tx)
+        replicas["r1"].mempool.add(tx)
         scheduler.run_until(0.6)
         assert replicas["r1"].forest.committed_transactions().count(tx.txid) >= 2
         assert replies == once
@@ -419,11 +418,13 @@ class TestCommitPathPerBlock:
 
 
 class TestReplyRouting:
+    """A replica answers at commit the transactions its mempool held."""
+
     def test_refused_requests_hold_no_route_and_evict_no_live_one(self):
-        """More refusals than the origin index holds: a full mempool, a
-        duplicate of the admitted transaction and a retry of an applied one
-        are each answered on arrival, and the admitted transaction's commit
-        is still answered."""
+        """A full mempool, a duplicate of the admitted transaction and a
+        retry of an applied one are each answered on arrival and leave the
+        mempool holding only the admitted transaction, whose commit is still
+        answered."""
         scheduler, network, replicas = build_mini_cluster(block_size=10, view_timeout=1.0)
         replies = record_replies(network)
         for client in ("c0", "c1"):
@@ -433,24 +434,102 @@ class TestReplyRouting:
         live = make_transaction("c0")
         request(network, "r1", live)
         request(network, "r1", live)
-        refused = [make_transaction("c1") for _ in range(ORIGIN_INDEX_CAPACITY + 1)]
+        refused = [make_transaction("c1") for _ in range(50)]
         for transaction in refused:
             request(network, "r1", transaction)
         scheduler.run_until(0.1)
         assert r1.stats.client_rejections == len(refused) + 1
         assert [reply for reply in replies if reply[1] == "c0"] == [
             ("r1", "c0", (live.sequence,), "rejected")]
-        assert list(r1._origin_clients._entries) == [live.txid]
+        assert r1.mempool.snapshot_ids() == [live.txid]
+        assert not any(transaction.txid in r1.mempool for transaction in refused)
         for replica in replicas.values():
             replica.start()
         scheduler.run_until(1.0)
         assert ("r1", "c0", (live.sequence,), "committed") in replies
-        assert len(r1._origin_clients) == 0
+        assert live.txid not in r1.mempool
         # The applied transaction's retry is refused at admission too.
         request(network, "r2", live)
         scheduler.run_until(1.01)
         assert replies[-1] == ("r2", "c0", (live.sequence,), "committed")
-        assert len(replicas["r2"]._origin_clients) == 0
+        assert live.txid not in replicas["r2"].mempool
+
+    def test_a_forked_block_is_requeued_and_answered_only_where_it_was_admitted(self):
+        """A forking leader orphans honest blocks: each of their transactions
+        goes back to the front of the mempool of the replica that admitted
+        it, at no other replica, and is answered once, by that replica, when
+        it commits later."""
+        scheduler, network, replicas = build_mini_cluster(
+            byzantine={"r3"}, strategy="forking", block_size=2, election_kind="hash")
+        replies = record_replies(network)
+        requeued = {replica_id: [] for replica_id in replicas}
+        for replica_id, replica in replicas.items():
+            def requeue_front(transactions, _requeue=replica.mempool.requeue_front,
+                              _log=requeued[replica_id]):
+                transactions = list(transactions)
+                _log.extend(tx.txid for tx in transactions)
+                return _requeue(transactions)
+            replica.mempool.requeue_front = requeue_front
+        admitted = {}
+        for replica_id in ("r0", "r1", "r2"):
+            for transaction in submit_transactions(scheduler, network, replica_id, 20):
+                admitted[transaction.txid] = (replica_id, transaction)
+        for replica in replicas.values():
+            replica.start()
+        scheduler.run_until(0.5)
+        assert replicas["r3"].forks_attempted > 0
+        assert requeued["r3"] == []
+        assert any(requeued.values()), "no forked block carried a transaction"
+        for replica_id, txids in requeued.items():
+            assert all(admitted[txid][0] == replica_id for txid in txids)
+        committed = set(replicas["r0"].forest.committed_transactions())
+        assert set(admitted) <= committed
+        expected = sorted((replica_id, tx.client_id, tx.sequence)
+                          for replica_id, tx in admitted.values())
+        answered = sorted((replica, client, sequence)
+                          for replica, client, sequences, status in replies
+                          for sequence in sequences if status == "committed")
+        assert answered == expected
+
+    @pytest.mark.parametrize("settings", [
+        dict(num_clients=1, concurrency=100, mempool_capacity=10),
+        dict(num_clients=2, concurrency=10, byzantine_nodes=1, strategy="forking",
+             election="hash"),
+    ], ids=["refusals", "forking"])
+    def test_each_admitted_commit_is_answered_once_to_its_client(self, settings):
+        """End to end: every transaction on its admitting replica's committed
+        chain is answered exactly once, by that replica, to its client, and
+        no client request times out (a dropped reply would)."""
+        cluster = build_cluster(Configuration(
+            block_size=10, cost_profile="fast", view_timeout=0.05, request_timeout=0.1,
+            runtime=0.2, warmup=0.0, cooldown=0.1, **settings))
+        admitted = {}
+        for replica_id, replica in cluster.replicas.items():
+            def add(transaction, _add=replica.mempool.add, _replica_id=replica_id):
+                if not _add(transaction):
+                    return False
+                admitted[transaction.txid] = (_replica_id, transaction)
+                return True
+            replica.mempool.add = add
+        replies = record_replies(cluster.network)
+        run_cluster(cluster)
+        rejections = sum(r.stats.client_rejections for r in cluster.replicas.values())
+        if "mempool_capacity" in settings:
+            assert rejections > 100
+        else:
+            assert any(getattr(r, "forks_attempted", 0) for r in cluster.replicas.values())
+        expected = []
+        for replica_id, replica in cluster.replicas.items():
+            chain = set(replica.forest.committed_transactions())
+            expected += [(replica_id, tx.client_id, tx.sequence)
+                         for admitted_by, tx in admitted.values()
+                         if admitted_by == replica_id and tx.txid in chain]
+        answered = [(replica, client, sequence)
+                    for replica, client, sequences, status in replies
+                    for sequence in sequences if status == "committed"]
+        assert len(expected) > 200
+        assert sorted(answered) == sorted(expected)
+        assert sum(client.requests_timed_out for client in cluster.clients) == 0
 
 
 class TestUnknownOperation:

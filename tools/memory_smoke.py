@@ -14,8 +14,10 @@ Runs a 60-second-simulated-time experiment twice — checkpointing off and on
   lazily swept and a client arms one request deadline however many requests
   it has outstanding, so the heap tracks live timers, not view-change or
   request history);
-* the replica's reply-routing state stays bounded: the origin index holds at
-  most its FIFO capacity and the replied-txid dedup at most its per-client
+* the replica's reply-routing state stays bounded: its mempool, which holds
+  each admitted transaction until commit and so is whom the replica answers,
+  queues at most its capacity and has at most an in-flight tail of blocks'
+  worth proposed, and the replied-txid dedup holds at most its per-client
   floor-plus-window entries, however many transactions committed;
 * the vote and timeout trackers stay bounded: ``Replica._commit`` calls
   ``prune_below(committed view)`` on both, so entries track the in-flight
@@ -51,7 +53,6 @@ from repro import api  # noqa: E402
 from repro.bench.config import Configuration  # noqa: E402
 from repro.bench.metrics import LatencySamples  # noqa: E402
 from repro.bench.runner import build_cluster  # noqa: E402
-from repro.core.replica import ORIGIN_INDEX_CAPACITY  # noqa: E402
 from repro.executor.kvstore import DEFAULT_DEDUP_WINDOW  # noqa: E402
 
 #: Simulated seconds of the measured run.
@@ -61,6 +62,15 @@ INTERVAL = 50
 #: Peak forest bound: the retained window is [checkpoint, head], so one
 #: interval plus the uncommitted in-flight tail.
 FOREST_BOUND = 2 * INTERVAL + 16
+#: Uncommitted blocks above the committed head (the in-flight tail above).
+#: A transaction a replica proposed stays in its mempool's proposed set until
+#: its block commits (``mark_committed``) or forks (``_recycle_forks``
+#: requeues it), so the set holds at most ``block_size`` per block of this
+#: tail: the bound checked is ``IN_FLIGHT_BLOCKS * block_size``.  The pending
+#: queue is capped by ``mempool_capacity`` at admission; only a fork recycled
+#: into a full pool can exceed it, and one client's 10 outstanding requests
+#: never fill the default 1 000 entries.
+IN_FLIGHT_BLOCKS = 16
 #: Vote/timeout tracker bound: entries live only for views at or above the
 #: last committed view (``prune_below``), so a generous multiple of the
 #: in-flight view window — thousands of views pass through either tracker
@@ -210,7 +220,8 @@ def main() -> int:
         failures.append("baseline run failed the consistency check")
 
     # Reply-routing bounds: the run commits far more transactions than
-    # either structure may retain, so these only hold if eviction works.
+    # either structure may retain, so these only hold if commits release
+    # mempool entries and the dedup's eviction works.
     committed_tx = base_metrics.committed_transactions
     num_clients = baseline.config.num_clients
     replied_bound = num_clients * (1 + DEFAULT_DEDUP_WINDOW)
@@ -229,13 +240,21 @@ def main() -> int:
                 f"{label} collector holds containers {sorted(held ^ COLLECTOR_SAMPLES)} "
                 "beside its raw samples; it may keep no per-view state"
             )
+        proposed_bound = IN_FLIGHT_BLOCKS * cluster.config.block_size
         for replica in cluster.replicas.values():
-            origin = len(replica._origin_clients)
+            mempool = replica.mempool
+            pending, proposed = len(mempool._pending_ids), len(mempool._proposed_ids)
             replied = replica._replied_txids.entry_count()
-            if origin > ORIGIN_INDEX_CAPACITY:
+            if pending > mempool.capacity:
                 failures.append(
-                    f"{label} {replica.node_id}: origin index holds {origin} "
-                    f"entries (capacity {ORIGIN_INDEX_CAPACITY})"
+                    f"{label} {replica.node_id}: mempool queues {pending} "
+                    f"transactions (capacity {mempool.capacity})"
+                )
+            if proposed > proposed_bound:
+                failures.append(
+                    f"{label} {replica.node_id}: mempool holds {proposed} proposed "
+                    f"transactions (bound {proposed_bound}); a committed or forked "
+                    "block's transactions were not released"
                 )
             if replied > replied_bound:
                 failures.append(
@@ -261,8 +280,10 @@ def main() -> int:
                 )
     r0 = baseline.replicas["r0"]
     print(
-        f"  reply routing (r0): {len(r0._origin_clients)} origin entries "
-        f"(cap {ORIGIN_INDEX_CAPACITY}), {r0._replied_txids.entry_count()} "
+        f"  reply routing (r0): {len(r0.mempool._pending_ids)} pending and "
+        f"{len(r0.mempool._proposed_ids)} proposed in the mempool "
+        f"(bounds {r0.mempool.capacity}, {IN_FLIGHT_BLOCKS * baseline.config.block_size}), "
+        f"{r0._replied_txids.entry_count()} "
         f"replied entries (bound {replied_bound}), "
         f"{committed_tx} transactions committed"
     )
